@@ -58,9 +58,7 @@ from .sensing import (
     delay_doppler_map,
     delay_doppler_quotient,
     music_doas,
-    periodogram_peak,
     recover_parameters,
-    reference_signal,
     sample_covariance,
 )
 

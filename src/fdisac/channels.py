@@ -27,6 +27,7 @@ __all__ = [
     "Waveform",
     "gen_dl_channel",
     "gen_ul_channel",
+    "delay_doppler_phase",
     "radar_channel_at",
     "gen_si_channel",
     "perturb_estimate",
@@ -164,6 +165,18 @@ def gen_ul_channel(path: PathParams, m_b: int, n_u: int) -> np.ndarray:
     return path.gain * np.outer(a_rx, a_tx.conj())
 
 
+def delay_doppler_phase(target: TargetParams, wf: Waveform, p, q):
+    """Phase factor exp(j*2*pi*(q*T_s*f_D - p*tau*df)) of ``target``'s echo.
+
+    ``p`` (subcarrier) and ``q`` (OFDM symbol) are indices or index arrays;
+    the result broadcasts over them.
+    """
+    doppler = target.doppler_hz(wf.carrier_hz)
+    return np.exp(
+        2j * np.pi * (q * wf.symbol_duration_s * doppler - p * target.delay_s * wf.subcarrier_spacing_hz)
+    )
+
+
 def radar_channel_at(
     targets: Sequence[TargetParams],
     p: int,
@@ -182,17 +195,9 @@ def radar_channel_at(
         raise ValueError(f"symbol index {q} outside [0, {wf.n_symbols})")
     h = np.zeros((m_b, n_b), dtype=complex)
     for t in targets:
-        phase = np.exp(
-            2j
-            * np.pi
-            * (
-                q * wf.symbol_duration_s * t.doppler_hz(wf.carrier_hz)
-                - p * t.delay_s * wf.subcarrier_spacing_hz
-            )
-        )
         a_rx = ula_response(m_b, t.angle_deg)
         a_tx = ula_response(n_b, t.angle_deg)
-        h += t.gain * phase * np.outer(a_rx, a_tx.conj())
+        h += t.gain * delay_doppler_phase(t, wf, p, q) * np.outer(a_rx, a_tx.conj())
     return h
 
 

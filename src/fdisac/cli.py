@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import PROFILE_NAMES, ScenarioConfig, get_profile, load_config
-from .runner import SWEEP_VARIABLES, run_scenario, sweep, validate_suite, _jsonify
+from .runner import SWEEP_VARIABLES, jsonify, run_scenario, sweep, validate_suite
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -121,7 +121,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_show_config(args) -> int:
     cfg = _resolve_config(args)
-    print(json.dumps(_jsonify(cfg.to_dict()), indent=2, sort_keys=True))
+    print(json.dumps(jsonify(cfg.to_dict()), indent=2, sort_keys=True))
     return 0
 
 

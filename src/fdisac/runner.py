@@ -17,12 +17,14 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .arrays import Codebook, dft_codebook, ula_response, ula_response_matrix
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import analog_residual_power_per_chain, build_cancellers
-from .channels import TargetParams, Waveform, gen_dl_channel, gen_si_channel, gen_ul_channel, perturb_estimate, PathParams
+from .channels import (
+    PathParams, TargetParams, delay_doppler_phase, gen_dl_channel, gen_si_channel,
+    gen_ul_channel, perturb_estimate,
+)
 from .config import ScenarioConfig
 from .metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
 from .optimizer import (
@@ -48,6 +50,7 @@ __all__ = [
     "validate_suite",
     "synthesize_rx_snapshots",
     "SWEEP_VARIABLES",
+    "jsonify",
 ]
 
 # Canonical sweep names mapped onto config fields.
@@ -61,13 +64,14 @@ SWEEP_VARIABLES = {
 }
 
 
-def _jsonify(obj):
+def jsonify(obj):
+    """``obj`` with numpy arrays and scalars replaced by JSON-serializable builtins."""
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
+        return jsonify(obj.tolist())
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -96,13 +100,13 @@ class RunReport:
 
     def to_json(self, indent: int = 2) -> str:
         payload = {
-            "config": _jsonify(self.config),
+            "config": jsonify(self.config),
             "seed": self.seed,
-            "trials": _jsonify(self.trials),
-            "aggregate": _jsonify(self.aggregate),
-            "range_angle": _jsonify(self.range_angle),
-            "range_velocity": _jsonify(self.range_velocity),
-            "rate_rows": _jsonify(self.rate_rows),
+            "trials": jsonify(self.trials),
+            "aggregate": jsonify(self.aggregate),
+            "range_angle": jsonify(self.range_angle),
+            "range_velocity": jsonify(self.range_velocity),
+            "rate_rows": jsonify(self.rate_rows),
         }
         return json.dumps(payload, indent=indent, sort_keys=True)
 
@@ -126,53 +130,43 @@ def spread_analog(n_chains: int, cb: Codebook) -> AnalogBeamformer:
 
 def synthesize_rx_snapshots(
     radar_targets: Sequence[TargetParams],
+    phases: np.ndarray,
     h_ul: np.ndarray,
     si_residual: np.ndarray,
-    wf: Waveform,
     v_rf: AnalogBeamformer,
-    v_bb: np.ndarray,
+    tx_rf: np.ndarray,
     v_u: np.ndarray,
     w_rf: AnalogBeamformer,
-    sym_b: np.ndarray,
     sym_u: np.ndarray,
     noise_rf: np.ndarray,
-):
-    """RF-chain-domain snapshots over the whole OFDM grid.
+) -> np.ndarray:
+    """RF-chain-domain snapshots over the whole OFDM grid, shape (m_rf, P*Q).
 
-    Grid cells are flattened as ``cell = p * Q + q``. ``si_residual`` is the
-    post-canceller matrix (H_tilde + C + D) @ V_bb so the SI term reduces to a
-    product with the symbol block. Returns ``(y_rf, x_b)`` with shapes
-    (m_rf, P*Q) and (n_b, P*Q).
+    Grid cells are flattened as ``cell = p * Q + q``. Row k of ``phases`` is
+    target k's :func:`~fdisac.channels.delay_doppler_phase` over the cells.
+    ``tx_rf`` is the RF-chain-domain TX signal V_bb @ sym_b, shape
+    (n_rf, P*Q); ``si_residual`` is the post-canceller matrix H_tilde + C + D,
+    so the SI term is a product with ``tx_rf``. Target k's echo reaches the
+    RX chains as W_rf^H a_rx * gain_k * phase_k * (a_tx^H V_rf) tx_rf, so no
+    antenna-domain signal is formed.
     """
-    m_b = h_ul.shape[0]
-    n_b = v_rf.n_antennas
-    x_b = v_rf.assembled @ (v_bb @ sym_b)
     w_h = w_rf.assembled.conj().T
-    y = w_h @ (h_ul @ np.outer(v_u, sym_u))
-    y = y + si_residual @ sym_b
-    p_idx = np.repeat(np.arange(wf.n_subcarriers), wf.n_symbols)
-    q_idx = np.tile(np.arange(wf.n_symbols), wf.n_subcarriers)
-    for t in radar_targets:
-        phase = np.exp(
-            2j
-            * np.pi
-            * (
-                q_idx * wf.symbol_duration_s * t.doppler_hz(wf.carrier_hz)
-                - p_idx * t.delay_s * wf.subcarrier_spacing_hz
-            )
-        )
-        a_rx = ula_response(m_b, t.angle_deg)
-        a_tx = ula_response(n_b, t.angle_deg)
-        y = y + np.outer(w_h @ a_rx, t.gain * phase * (a_tx.conj() @ x_b))
-    return y + noise_rf, x_b
+    y = np.outer(w_h @ (h_ul @ v_u), sym_u) + si_residual @ tx_rf
+    for t, phase in zip(radar_targets, phases):
+        a_rx = ula_response(h_ul.shape[0], t.angle_deg)
+        a_tx = ula_response(v_rf.n_antennas, t.angle_deg)
+        y += np.outer(w_h @ a_rx, t.gain * phase * ((a_tx.conj() @ v_rf.assembled) @ tx_rf))
+    return y + noise_rf
 
 
 def _match_doas(est_doas: Sequence[float], true_angles: Sequence[float]) -> np.ndarray:
-    """Assign estimated directions to the configured objects (one to one)."""
-    cost = np.abs(np.subtract.outer(np.asarray(est_doas), np.asarray(true_angles)))
-    rows, cols = linear_sum_assignment(cost)
+    """Assign estimated directions to the configured objects (one to one).
+
+    Sorted estimates go to sorted true angles: for the |x - y| cost on a line
+    this order-preserving matching has the minimum total cost.
+    """
     matched = np.empty(len(true_angles))
-    matched[cols] = np.asarray(est_doas)[rows]
+    matched[np.argsort(true_angles, kind="stable")] = np.sort(est_doas)
     return matched
 
 
@@ -221,7 +215,7 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
     h_tilde_hat0 = w_rf0.assembled.conj().T @ h_si_hat @ v_rf0.assembled
     h_tilde_true0 = w_rf0.assembled.conj().T @ h_si_true @ v_rf0.assembled
     canc0 = build_cancellers(h_tilde_hat0, cfg.analog_taps)
-    si_residual0 = (h_tilde_true0 + canc0.analog + canc0.digital) @ v_bb0
+    si_residual0 = h_tilde_true0 + canc0.analog + canc0.digital
 
     sym_b = (rng.standard_normal((st, n_cells)) + 1j * rng.standard_normal((st, n_cells))) / np.sqrt(2)
     sym_u = (rng.standard_normal(n_cells) + 1j * rng.standard_normal(n_cells)) / np.sqrt(2)
@@ -231,9 +225,12 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
         + 1j * rng.standard_normal((cfg.rx_rf_chains, n_cells))
     ) / np.sqrt(2)
 
-    y_rf, x_b = synthesize_rx_snapshots(
-        targets, h_ul_true, si_residual0, wf, v_rf0, v_bb0, v_u0, w_rf0,
-        sym_b, sym_u, noise_rf,
+    # Each target's delay-Doppler phase grid is shared by all 1+K syntheses.
+    cell_p, cell_q = np.divmod(np.arange(n_cells), wf.n_symbols)
+    phases = [delay_doppler_phase(t, wf, cell_p, cell_q) for t in targets]
+    tx_rf = v_bb0 @ sym_b
+    y_rf = synthesize_rx_snapshots(
+        targets, phases, h_ul_true, si_residual0, v_rf0, tx_rf, v_u0, w_rf0, sym_u, noise_rf,
     )
 
     # Sensing: directions first, then per-target delay-Doppler.
@@ -253,18 +250,15 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
         h_tilde_hat_k = w_k.assembled.conj().T @ h_si_hat @ v_k.assembled
         h_tilde_true_k = w_k.assembled.conj().T @ h_si_true @ v_k.assembled
         canc_k = build_cancellers(h_tilde_hat_k, cfg.analog_taps)
-        resid_k = (h_tilde_true_k + canc_k.analog + canc_k.digital) @ v_bb0
-        y_k, x_k = synthesize_rx_snapshots(
-            targets, h_ul_true, resid_k, wf, v_k, v_bb0, v_u0, w_k,
-            sym_b, sym_u, noise_rf,
+        resid_k = h_tilde_true_k + canc_k.analog + canc_k.digital
+        y_k = synthesize_rx_snapshots(
+            targets, phases, h_ul_true, resid_k, v_k, tx_rf, v_u0, w_k, sym_u, noise_rf,
         )
-        y_grid_k = np.ascontiguousarray(y_k.T).reshape(
-            wf.n_subcarriers, wf.n_symbols, -1
+        y_grid_k = y_k.T.reshape(wf.n_subcarriers, wf.n_symbols, -1)
+        s_grid = reference_signal_grid(matched[i], v_k, tx_rf).reshape(
+            wf.n_subcarriers, wf.n_symbols
         )
-        g_grid = reference_signal_grid(matched[i], x_k, m_b).reshape(
-            wf.n_subcarriers, wf.n_symbols, m_b
-        )
-        z, _ = delay_doppler_quotient(y_grid_k, g_grid, w_k)
+        z, _ = delay_doppler_quotient(y_grid_k, s_grid, w_k, matched[i])
         dd = delay_doppler_map(z)
         est_i = SensingEstimate.from_bins(matched[i], dd.peak_n, dd.peak_m, wf)
         dd_maps.append(dd.magnitude)
@@ -513,10 +507,10 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
     add("finite_outputs", finite, "all aggregate values finite")
 
     payload = {
-        "config": _jsonify(cfg.to_dict()),
+        "config": jsonify(cfg.to_dict()),
         "seed": cfg.seed,
         "checks": checks,
-        "aggregate": _jsonify(report.aggregate),
+        "aggregate": jsonify(report.aggregate),
     }
     return payload, all(c["passed"] for c in checks)
 

@@ -5,8 +5,11 @@ the P x Q OFDM grid:
 
   1. sample covariance of the snapshots,
   2. MUSIC pseudo-spectrum over an angle grid for the K directions,
-  3. per-target reference signal g = a_rx(theta) a_tx(theta)^H x,
-  4. element-wise quotient z(p, q) between the antenna-domain RX signal and g,
+  3. per-target reference s(p, q) = a_tx(theta)^H V_rf u(p, q) for the
+     RF-chain-domain TX signal u = V_bb sym, one scalar per cell,
+  4. element-wise quotient z(p, q) = c^T y(p, q) / s(p, q) with one weight
+     per RX chain, c = W_rf^T conj(a_rx(theta)) / M_b: since every ULA entry
+     has unit modulus, this is the antenna average of (W_rf y)_i / (a_rx,i s),
   5. 2-D periodogram of z; the peak bin (n*, m*) quantizes delay and Doppler:
      tau = n*/(P*df), f_D = m*/(Q*T_s).
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.signal import find_peaks
 
 from .arrays import ula_response, ula_response_matrix
 from .beamforming import AnalogBeamformer
@@ -29,15 +31,13 @@ __all__ = [
     "angle_grid",
     "sample_covariance",
     "music_doas",
-    "reference_signal",
     "reference_signal_grid",
     "delay_doppler_quotient",
     "delay_doppler_map",
-    "periodogram_peak",
     "recover_parameters",
 ]
 
-# Quotient entries with |g| below this fraction of the grid maximum are skipped.
+# Quotient cells with |s| below this fraction of the grid maximum are excluded.
 DIVISION_GUARD_REL = 1e-8
 
 
@@ -162,7 +162,7 @@ def music_doas(
             spectrum=spectrum, doas_deg=[], grid_step_deg=grid_step_deg, grid_deg=grid
         )
         raise EstimationFailureError("pseudo-spectrum is flat", partial=partial)
-    peaks, _ = find_peaks(spectrum)
+    peaks = _local_maxima(spectrum)
     if peaks.size < k:
         found = sorted(float(grid[i]) for i in peaks[np.argsort(spectrum[peaks])[::-1]])
         partial = MusicResult(
@@ -178,57 +178,59 @@ def music_doas(
     )
 
 
-def reference_signal(theta_hat_deg: float, x: np.ndarray, m_b: int) -> np.ndarray:
-    """Reference echo in the direction theta_hat: a_rx(theta) (a_tx(theta)^H x)."""
-    x = np.asarray(x, dtype=complex)
-    a_rx = ula_response(m_b, theta_hat_deg)
-    a_tx = ula_response(x.shape[0], theta_hat_deg)
-    return a_rx * (a_tx.conj() @ x)
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of ``x``, as ``scipy.signal.find_peaks``.
 
-
-def reference_signal_grid(theta_hat_deg: float, x_grid: np.ndarray, m_b: int) -> np.ndarray:
-    """Vectorized :func:`reference_signal` over a stack of TX vectors.
-
-    ``x_grid`` has shape (n_b, n_cells); the result has shape (n_cells, m_b).
+    A run of equal samples counts as one sample; a flat peak reports its
+    middle index (rounding left). The first and last runs are never peaks.
     """
-    x_grid = np.asarray(x_grid, dtype=complex)
-    a_rx = ula_response(m_b, theta_hat_deg)
-    a_tx = ula_response(x_grid.shape[0], theta_hat_deg)
-    return np.outer(a_tx.conj() @ x_grid, a_rx)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    v = x[starts]
+    peak = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    return (starts[1:-1][peak] + ends[1:-1][peak]) // 2
+
+
+def reference_signal_grid(
+    theta_hat_deg: float, v_rf: AnalogBeamformer, tx_rf: np.ndarray
+) -> np.ndarray:
+    """Reference s = a_tx(theta_hat)^H V_rf u for every column u of ``tx_rf``.
+
+    ``tx_rf`` holds the RF-chain-domain TX signal V_bb sym, shape
+    (n_chains, n_cells); the result has shape (n_cells,).
+    """
+    a_tx = ula_response(v_rf.n_antennas, theta_hat_deg)
+    return (a_tx.conj() @ v_rf.assembled) @ np.asarray(tx_rf, dtype=complex)
 
 
 def delay_doppler_quotient(
     y_grid: np.ndarray,
-    g_grid: np.ndarray,
+    s_grid: np.ndarray,
     w_rf: AnalogBeamformer,
+    theta_hat_deg: float,
     guard_rel: float = DIVISION_GUARD_REL,
 ):
-    """Antenna-averaged quotient z(p, q) between the RX signal and the reference.
+    """Quotient z = c^T y / s between the RX snapshots and the reference echo.
 
     ``y_grid`` holds RF-chain-domain snapshots, shape (P, Q, m_rf);
-    ``g_grid`` holds the antenna-domain reference, shape (P, Q, m_b). The RX
-    snapshots are re-expanded to the antenna domain through the block-diagonal
-    analog combiner before the element-wise division. Reference entries with
-    |g| below ``guard_rel * max|g|`` are excluded from the average; cells where
-    every antenna is excluded are set to 0 and flagged.
+    ``s_grid`` holds the reference of :func:`reference_signal_grid`, shape
+    (P, Q); c = W_rf^T conj(a_rx(theta)) / M_b (module docstring, step 4).
+    Cells with |s| below ``guard_rel * max|s|`` are set to 0 and flagged.
 
     Returns ``(z, excluded)`` with z of shape (P, Q) and a boolean mask of the
     flagged cells.
     """
     y = np.asarray(y_grid, dtype=complex)
-    g = np.asarray(g_grid, dtype=complex)
-    if y.ndim != 3 or g.ndim != 3 or y.shape[:2] != g.shape[:2]:
-        raise ValueError(f"grid shapes {y.shape} and {g.shape} are inconsistent")
-    if y.shape[2] != w_rf.n_chains or g.shape[2] != w_rf.n_antennas:
-        raise ValueError("grid depths do not match the analog combiner dimensions")
-    expanded = np.einsum("ij,pqj->pqi", w_rf.assembled, y)
-    mag = np.abs(g)
-    keep = mag >= guard_rel * max(mag.max(), 1e-300)
-    safe_g = np.where(keep, g, 1.0)
-    terms = np.where(keep, expanded / safe_g, 0.0)
-    counts = keep.sum(axis=2)
-    z = terms.sum(axis=2) / np.maximum(counts, 1)
-    excluded = counts == 0
+    s = np.asarray(s_grid, dtype=complex)
+    if y.ndim != 3 or s.shape != y.shape[:2]:
+        raise ValueError(f"grid shapes {y.shape} and {s.shape} are inconsistent")
+    if y.shape[2] != w_rf.n_chains:
+        raise ValueError("grid depth does not match the analog combiner's RF chains")
+    a_rx = ula_response(w_rf.n_antennas, theta_hat_deg)
+    c = w_rf.assembled.T @ a_rx.conj() / w_rf.n_antennas
+    mag = np.abs(s)
+    excluded = mag < guard_rel * max(mag.max(), 1e-300)
+    z = (y @ c) / np.where(excluded, 1.0, s)
     z[excluded] = 0.0
     return z, excluded
 
@@ -250,12 +252,6 @@ def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
     flat = int(np.argmax(magnitude))
     peak_n, col = divmod(flat, q_count)
     return DelayDopplerMap(magnitude=magnitude, peak_n=peak_n, peak_m=col - q_count // 2)
-
-
-def periodogram_peak(z: np.ndarray) -> tuple[int, int]:
-    """Argmax bin (n*, m*) of the delay-Doppler periodogram."""
-    dd = delay_doppler_map(z)
-    return dd.peak_n, dd.peak_m
 
 
 def recover_parameters(n_star: int, m_star: int, wf: Waveform):

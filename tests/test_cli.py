@@ -107,3 +107,10 @@ def test_validate_deterministic_and_green(tmp_path, tiny_config):
     assert p2.returncode == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert "[PASS]" in p1.stdout and "[FAIL]" not in p1.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it costs most of the CLI start-up
+    code = "import fdisac, sys; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,17 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from fdisac.arrays import dft_codebook
-from fdisac.channels import TargetParams, radar_channel_at
+from fdisac.channels import TargetParams, delay_doppler_phase, radar_channel_at
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile
 from fdisac.runner import (
+    _match_doas,
     run_scenario,
     spread_analog,
     sweep,
@@ -56,22 +63,46 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     v_bb = (rng.standard_normal((4, st)) + 1j * rng.standard_normal((4, st))) / 2
     v_u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     h_ul = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    si_residual = (rng.standard_normal((4, st)) + 1j * rng.standard_normal((4, st))) * 0.01
+    si_residual = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 0.01
     sym_b = (rng.standard_normal((st, cells)) + 1j * rng.standard_normal((st, cells)))
     sym_u = rng.standard_normal(cells) + 1j * rng.standard_normal(cells)
     noise = np.zeros((4, cells), dtype=complex)
+    cell_p, cell_q = np.divmod(np.arange(cells), wf.n_symbols)
+    phases = [delay_doppler_phase(t, wf, cell_p, cell_q) for t in targets]
+    tx_rf = v_bb @ sym_b
 
-    y, x_b = synthesize_rx_snapshots(
-        targets, h_ul, si_residual, wf, v_rf, v_bb, v_u, w_rf, sym_b, sym_u, noise
+    y = synthesize_rx_snapshots(
+        targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf, sym_u, noise
     )
 
     w_h = w_rf.assembled.conj().T
     for cell in (0, 17, cells - 1):
         p, q = divmod(cell, wf.n_symbols)
         h_rad = radar_channel_at(targets, p, q, wf, 8, 8)
-        expected = w_h @ (h_rad @ x_b[:, cell] + h_ul @ (v_u * sym_u[cell]))
-        expected += si_residual @ sym_b[:, cell]
+        x_b = v_rf.assembled @ (v_bb @ sym_b[:, cell])  # antenna-domain TX vector
+        expected = w_h @ (h_rad @ x_b + h_ul @ (v_u * sym_u[cell]))
+        expected += si_residual @ (v_bb @ sym_b[:, cell])
         np.testing.assert_allclose(y[:, cell], expected, atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=6).flatmap(
+        lambda true: st.tuples(
+            st.just(true),
+            st.lists(st.floats(-90.0, 90.0), min_size=len(true), max_size=len(true)),
+        )
+    )
+)
+def test_doa_matching_has_minimum_total_cost(angles):
+    # oracle: the optimal assignment of the |estimate - true| cost matrix
+    true, est = angles
+    matched = _match_doas(est, true)
+    assert sorted(matched) == sorted(est)
+    cost = np.abs(np.subtract.outer(est, true))
+    rows, cols = linear_sum_assignment(cost)
+    optimum = cost[rows, cols].sum()
+    assert np.abs(matched - np.asarray(true)).sum() == pytest.approx(optimum, rel=1e-12, abs=1e-9)
 
 
 def test_run_scenario_deterministic_bytes():
@@ -186,3 +217,19 @@ def test_validate_suite_passes_on_tiny_config():
     assert ok, [c for c in payload["checks"] if not c["passed"]]
     names = {c["name"] for c in payload["checks"]}
     assert {"analog_si_residual", "nsp_nulling", "kkt_closed_form", "determinism"} <= names
+
+
+def test_fast_profile_golden_doas_bins_and_rates():
+    # values recorded from the antenna-domain sensing chain this one replaced
+    golden = json.loads((Path(__file__).parent / "golden_fast_profile.json").read_text())
+    got = []
+    for seed in range(4):
+        for trial in run_scenario(fast_profile(trials=10, seed=seed)).trials:
+            got.append((seed, trial))
+    assert len(got) == len(golden)
+    for (seed, trial), want in zip(got, golden):
+        assert seed == want["seed"]
+        assert [row["doa_deg"] for row in trial["sensing"]] == want["doa_deg"]
+        assert [[row["bin_n"], row["bin_m"]] for row in trial["sensing"]] == want["bins"]
+        for key in ("rate_dl", "rate_ul_nsp", "rate_ul_mss"):
+            assert trial["metrics"][key] == pytest.approx(want[key], rel=1e-9)

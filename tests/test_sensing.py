@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from fdisac.arrays import dft_codebook, ula_response
 from fdisac.beamforming import assemble_analog
 from fdisac.channels import SPEED_OF_LIGHT, Waveform
 from fdisac.errors import EstimationFailureError
 from fdisac.sensing import (
+    _local_maxima,
     delay_doppler_map,
     delay_doppler_quotient,
     music_doas,
-    periodogram_peak,
     recover_parameters,
-    reference_signal,
     reference_signal_grid,
     sample_covariance,
 )
@@ -26,6 +26,16 @@ def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
 def _identity_combiner(m):
     # one antenna per chain keeps the assembled combiner equal to the identity
     return assemble_analog(np.ones((m, 1), dtype=complex))
+
+
+def _random_analog(rng, n_chains, n_per_chain):
+    phases = np.exp(2j * np.pi * rng.random((n_chains, n_per_chain)))
+    return assemble_analog(phases / np.sqrt(n_per_chain))
+
+
+def _peak(z):
+    dd = delay_doppler_map(z)
+    return dd.peak_n, dd.peak_m
 
 
 # ---------------------------------------------------------------- covariance
@@ -145,6 +155,19 @@ def test_music_custom_manifold_recovers_through_combiner():
     assert abs(result.doas_deg[0] - theta) <= 0.1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+def test_local_maxima_match_scipy_find_peaks(values):
+    # small integers make plateaus, edge plateaus and flat stretches common
+    x = np.asarray(values, dtype=float)
+    np.testing.assert_array_equal(_local_maxima(x), find_peaks(x)[0])
+
+
+def test_local_maxima_flat_peak_reports_left_middle():
+    x = np.array([0.0, 1.0, 3.0, 3.0, 3.0, 3.0, 1.0, 2.0, 2.0])
+    assert _local_maxima(x).tolist() == [3]  # plateau 2..5; the edge run is no peak
+
+
 # ---------------------------------------------------------- reference signal
 
 
@@ -153,51 +176,57 @@ def test_reference_signal_orthogonal_tx_vector():
     # different grid angle produces a null reference
     cb = dft_codebook(8, 3)
     theta = float(np.degrees(np.arcsin(-1 + 2 * 5 / 8)))
-    x = cb.vectors[2]  # different grid beam, orthogonal to a(theta)
-    g = reference_signal(theta, x, 6)
-    np.testing.assert_allclose(g, np.zeros(6), atol=1e-12)
+    v_rf = assemble_analog(cb.vectors[2])  # different grid beam, orthogonal to a(theta)
+    s = reference_signal_grid(theta, v_rf, np.ones((1, 1)))
+    np.testing.assert_allclose(s, np.zeros(1), atol=1e-12)
 
 
 def test_reference_signal_matched_tx_vector():
+    # x = V_rf u = a_tx(theta) gives s = a_tx^H a_tx = N_b
     theta = 17.0
-    x = ula_response(8, theta)
-    g = reference_signal(theta, x, 5)
-    np.testing.assert_allclose(g, 8.0 * ula_response(5, theta), atol=1e-12)
+    v_rf = assemble_analog(ula_response(8, theta) / np.sqrt(8))
+    s = reference_signal_grid(theta, v_rf, np.full((1, 1), np.sqrt(8)))
+    np.testing.assert_allclose(s, [8.0], atol=1e-12)
 
 
 def test_reference_signal_matches_two_step_oracle():
+    # oracle: form the antenna-domain TX vector x = V_rf u, then a_tx^H x
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    v_rf = _random_analog(rng, 4, 2)
+    tx_rf = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     theta = -33.0
-    expected = np.outer(ula_response(5, theta), ula_response(8, theta).conj()) @ x
-    np.testing.assert_allclose(reference_signal(theta, x, 5), expected, atol=1e-12)
+    expected = ula_response(8, theta).conj() @ (v_rf.assembled @ tx_rf)
+    np.testing.assert_allclose(reference_signal_grid(theta, v_rf, tx_rf), expected, atol=1e-12)
 
 
 def test_reference_signal_grid_matches_per_cell():
     rng = np.random.default_rng(5)
-    x_grid = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
-    grid = reference_signal_grid(24.0, x_grid, 5)
+    v_rf = _random_analog(rng, 4, 2)
+    tx_rf = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
+    grid = reference_signal_grid(24.0, v_rf, tx_rf)
+    assert grid.shape == (12,)
     for c in range(12):
-        np.testing.assert_allclose(grid[c], reference_signal(24.0, x_grid[:, c], 5), atol=1e-12)
+        np.testing.assert_allclose(
+            grid[c], reference_signal_grid(24.0, v_rf, tx_rf[:, [c]])[0], atol=1e-12
+        )
 
 
 # ------------------------------------------------------------------ quotient
 
 
 def _single_target_grids(wf, theta, rng_m, vel, m_b, n_b, rng):
-    """Noiseless single-echo y grid plus the matched reference grid."""
+    """Noiseless single echo y behind an identity combiner, the matched reference grid."""
     cells = wf.n_subcarriers * wf.n_symbols
-    x = (rng.standard_normal((n_b, cells)) + 1j * rng.standard_normal((n_b, cells))) / np.sqrt(2)
-    a_rx, a_tx = ula_response(m_b, theta), ula_response(n_b, theta)
-    p_idx = np.repeat(np.arange(wf.n_subcarriers), wf.n_symbols)
-    q_idx = np.tile(np.arange(wf.n_symbols), wf.n_subcarriers)
+    tx_rf = (rng.standard_normal((n_b, cells)) + 1j * rng.standard_normal((n_b, cells))) / np.sqrt(2)
+    s = reference_signal_grid(theta, _identity_combiner(n_b), tx_rf)
+    p_idx, q_idx = np.divmod(np.arange(cells), wf.n_symbols)
     tau = 2 * rng_m / SPEED_OF_LIGHT
     fd = 2 * vel * wf.carrier_hz / SPEED_OF_LIGHT
     phase = np.exp(2j * np.pi * (q_idx * wf.symbol_duration_s * fd - p_idx * tau * wf.subcarrier_spacing_hz))
-    y = np.outer(a_rx, phase * (a_tx.conj() @ x))
+    y = np.outer(ula_response(m_b, theta), phase * s)
     y_grid = y.T.reshape(wf.n_subcarriers, wf.n_symbols, m_b)
-    g_grid = reference_signal_grid(theta, x, m_b).reshape(wf.n_subcarriers, wf.n_symbols, m_b)
-    return y_grid, g_grid, phase.reshape(wf.n_subcarriers, wf.n_symbols)
+    s_grid = s.reshape(wf.n_subcarriers, wf.n_symbols)
+    return y_grid, s_grid, phase.reshape(wf.n_subcarriers, wf.n_symbols)
 
 
 def test_quotient_recovers_phase_ramp():
@@ -205,8 +234,8 @@ def test_quotient_recovers_phase_ramp():
     # delay-Doppler phase ramp, constant modulus across the grid
     wf = _wf(p=16, q=8)
     rng = np.random.default_rng(6)
-    y_grid, g_grid, phase = _single_target_grids(wf, -25.0, 40.0, 30.0, 4, 6, rng)
-    z, excluded = delay_doppler_quotient(y_grid, g_grid, _identity_combiner(4))
+    y_grid, s_grid, phase = _single_target_grids(wf, -25.0, 40.0, 30.0, 4, 6, rng)
+    z, excluded = delay_doppler_quotient(y_grid, s_grid, _identity_combiner(4), -25.0)
     assert not excluded.any()
     np.testing.assert_allclose(z, phase, atol=1e-10)
     np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-10)
@@ -215,31 +244,71 @@ def test_quotient_recovers_phase_ramp():
 def test_quotient_static_zero_range_target_is_constant():
     wf = _wf(p=8, q=4)
     rng = np.random.default_rng(7)
-    y_grid, g_grid, _ = _single_target_grids(wf, 5.0, 0.0, 0.0, 3, 4, rng)
-    z, _ = delay_doppler_quotient(y_grid, g_grid, _identity_combiner(3))
+    y_grid, s_grid, _ = _single_target_grids(wf, 5.0, 0.0, 0.0, 3, 4, rng)
+    z, _ = delay_doppler_quotient(y_grid, s_grid, _identity_combiner(3), 5.0)
     np.testing.assert_allclose(z, z[0, 0], atol=1e-12)
 
 
 def test_quotient_of_signal_with_itself_is_one():
-    wf = _wf(p=4, q=3)
+    # y is the reference echo a_rx(theta) s itself, seen through an identity combiner
     rng = np.random.default_rng(8)
-    g_flat = rng.standard_normal((4 * 3, 5)) + 1j * rng.standard_normal((4 * 3, 5))
-    g_grid = g_flat.reshape(4, 3, 5)
-    z, excluded = delay_doppler_quotient(g_grid, g_grid, _identity_combiner(5))
+    theta = 12.0
+    s_grid = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    y_grid = s_grid[..., None] * ula_response(5, theta)
+    z, excluded = delay_doppler_quotient(y_grid, s_grid, _identity_combiner(5), theta)
     assert not excluded.any()
     np.testing.assert_allclose(z, 1.0, atol=1e-12)
 
 
 def test_quotient_division_guard_and_flagging():
     w = _identity_combiner(2)
-    y_grid = np.ones((1, 2, 2), dtype=complex)
-    g_grid = np.ones((1, 2, 2), dtype=complex)
-    g_grid[0, 0, 0] = 1e-12  # below guard relative to max 1 -> excluded
-    g_grid[0, 1, :] = 1e-12  # whole cell excluded -> flagged
-    z, excluded = delay_doppler_quotient(y_grid, g_grid, w)
-    np.testing.assert_allclose(z[0, 0], 1.0)  # surviving antenna only
-    assert excluded[0, 1] and not excluded[0, 0]
-    assert z[0, 1] == 0.0
+    y_grid = np.ones((1, 3, 2), dtype=complex)
+    s_grid = np.ones((1, 3), dtype=complex)
+    s_grid[0, 1] = 1e-12  # below guard relative to max 1 -> flagged
+    s_grid[0, 2] = 0.0  # no reference at all -> flagged
+    z, excluded = delay_doppler_quotient(y_grid, s_grid, w, 0.0)
+    np.testing.assert_allclose(z[0, 0], 1.0)  # broadside: c = (1/2, 1/2)
+    assert excluded.tolist() == [[False, True, True]]
+    assert z[0, 1] == 0.0 and z[0, 2] == 0.0
+
+
+def _antenna_domain_quotient(y_grid, s_grid, w_rf, theta, guard_rel=1e-8):
+    """The quotient formed antenna by antenna: mean over i of (W_rf y)_i / (a_rx,i s)."""
+    g = s_grid[..., None] * ula_response(w_rf.n_antennas, theta)
+    expanded = np.einsum("ij,pqj->pqi", w_rf.assembled, y_grid)
+    mag = np.abs(g)
+    keep = mag >= guard_rel * max(mag.max(), 1e-300)
+    terms = np.where(keep, expanded / np.where(keep, g, 1.0), 0.0)
+    counts = keep.sum(axis=2)
+    z = terms.sum(axis=2) / np.maximum(counts, 1)
+    excluded = counts == 0
+    z[excluded] = 0.0
+    return z, excluded
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n_chains=st.integers(1, 4),
+    n_per_chain=st.integers(1, 6),
+    p=st.integers(1, 6),
+    q=st.integers(1, 5),
+    theta=st.floats(-90.0, 90.0),
+    guarded=st.floats(0.0, 0.5),
+)
+def test_quotient_equals_antenna_domain_formula(seed, n_chains, n_per_chain, p, q, theta, guarded):
+    # the per-chain weights c collapse the antenna average exactly, guarded
+    # and excluded cells included
+    rng = np.random.default_rng(seed)
+    w_rf = _random_analog(rng, n_chains, n_per_chain)
+    y_grid = rng.standard_normal((p, q, n_chains)) + 1j * rng.standard_normal((p, q, n_chains))
+    s_grid = rng.uniform(0.1, 10.0, (p, q)) * np.exp(2j * np.pi * rng.random((p, q)))
+    below = rng.random((p, q)) < guarded
+    s_grid[below] = np.where(rng.random(below.sum()) < 0.5, 0.0, 1e-12)
+    z, excluded = delay_doppler_quotient(y_grid, s_grid, w_rf, theta)
+    z_ant, excluded_ant = _antenna_domain_quotient(y_grid, s_grid, w_rf, theta)
+    np.testing.assert_array_equal(excluded, excluded_ant)
+    np.testing.assert_allclose(z, z_ant, rtol=1e-12, atol=1e-12 * np.abs(z_ant).max())
 
 
 # --------------------------------------------------------------- periodogram
@@ -249,14 +318,14 @@ def test_periodogram_pure_delay():
     p_count, q_count = 32, 8
     p = np.arange(p_count)[:, None]
     z = np.exp(-2j * np.pi * p * 5 / p_count) * np.ones((1, q_count))
-    assert periodogram_peak(z) == (5, 0)
+    assert _peak(z) == (5, 0)
 
 
 def test_periodogram_pure_doppler_negative():
     p_count, q_count = 16, 14
     q = np.arange(q_count)[None, :]
     z = np.ones((p_count, 1)) * np.exp(2j * np.pi * q * (-3) / q_count)
-    assert periodogram_peak(z) == (0, -3)
+    assert _peak(z) == (0, -3)
 
 
 def test_periodogram_off_grid_range_bin():
@@ -267,14 +336,14 @@ def test_periodogram_off_grid_range_bin():
     assert round(true_bin) == 30
     p = np.arange(wf.n_subcarriers)[:, None]
     z = np.exp(-2j * np.pi * p * tau * wf.subcarrier_spacing_hz) * np.ones((1, wf.n_symbols))
-    n_star, m_star = periodogram_peak(z)
+    n_star, m_star = _peak(z)
     assert n_star == 30 and m_star == 0
 
 
 def test_periodogram_all_zero_tie_break():
     # every bin ties at zero; the argmax resolves to smallest n then smallest m
     z = np.zeros((8, 6), dtype=complex)
-    assert periodogram_peak(z) == (0, -3)
+    assert _peak(z) == (0, -3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -289,7 +358,7 @@ def test_periodogram_scale_invariance(seed, re, im):
         scale = 1.0 + 0.0j
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
-    assert periodogram_peak(z) == periodogram_peak(scale * z)
+    assert _peak(z) == _peak(scale * z)
 
 
 def test_delay_doppler_map_peak_is_argmax():
