@@ -33,14 +33,12 @@ from .errors import (
     DegenerateCombinerError,
     EstimationFailureError,
     InfeasibleResultError,
-    NumericalFailureError,
 )
 from .metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
 from .optimizer import (
     EstimatedChannels,
     HybridBeamformers,
     build_estimated_channels,
-    lagrangian_tx_precoder,
     mss_rx_combiner,
     nsp_rx_combiner,
     numeric_tx_precoder,

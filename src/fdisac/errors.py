@@ -16,16 +16,12 @@ class EstimationFailureError(RuntimeError):
         self.partial = partial
 
 
-class NumericalFailureError(RuntimeError):
-    """A linear solve failed; retry with ridge regularization."""
-
-
 class DegenerateCombinerError(RuntimeError):
     """The null-space projector annihilated the candidate combiner columns."""
 
 
 class InfeasibleResultError(RuntimeError):
-    """An iterative solver stopped without reaching feasibility.
+    """A solver stopped without reaching feasibility.
 
     ``last_iterate`` carries the final iterate for inspection.
     """

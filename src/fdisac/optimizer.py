@@ -9,9 +9,10 @@ The design runs as an ordered sequence of sub-problems:
      over SI leakage),
   4. canceller construction from the compressed SI estimate,
   5. TX digital precoder: constrained least squares toward the SVD-ideal
-     downlink target with a per-RX-chain SI leakage cap. The single-RX-chain
-     case has a closed form via Lagrangian duality; the general case is solved
-     with a projected-gradient method,
+     downlink target with a per-RX-chain SI leakage cap, solved through its
+     Lagrangian dual by projected Newton on the per-chain multipliers (one
+     solver for any number of RX chains; with one chain it reproduces the
+     closed form),
   6. per-column power normalization,
   7. uplink digital combiner: null-space projection away from the radar
      interference subspace.
@@ -26,11 +27,7 @@ import numpy as np
 from .arrays import Codebook, dft_codebook, ula_response
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import CancellerPair, build_cancellers
-from .errors import (
-    DegenerateCombinerError,
-    InfeasibleResultError,
-    NumericalFailureError,
-)
+from .errors import DegenerateCombinerError, InfeasibleResultError
 
 __all__ = [
     "EstimatedChannels",
@@ -38,7 +35,6 @@ __all__ = [
     "build_estimated_channels",
     "select_tx_analog",
     "select_rx_analog",
-    "lagrangian_tx_precoder",
     "numeric_tx_precoder",
     "power_normalize",
     "nsp_rx_combiner",
@@ -49,6 +45,12 @@ __all__ = [
 
 _RATIO_GUARD = 1e-12  # regularizes the RX ratio search denominator
 _RANK_TOL_REL = 1e-10  # singular values below this fraction of the largest are noise
+_EPS = float(np.finfo(float).eps)
+# TX precoder dual solver
+_NULL_RIDGE_REL = 1e-10  # null(H) ridge, relative to the mean squared singular value
+_GUARD_MAX_REL = 1e-9  # largest relative scale the final feasibility step may apply
+_ARMIJO = 1e-4  # sufficient-increase fraction of the dual line search
+_MAX_SOLVES = 200  # cap on evaluations of V(zeta)
 
 
 @dataclass(frozen=True)
@@ -202,212 +204,164 @@ def select_rx_analog(
     return assemble_analog(np.array(chosen), codebook_indices=tuple(indices))
 
 
-def lagrangian_tx_precoder(
-    h_dl_eff: np.ndarray,
-    t1: np.ndarray,
-    lambda_b_watts: float,
-    g_target: np.ndarray,
-    ridge: float = 0.0,
-) -> np.ndarray:
-    """Closed-form TX digital precoder for a single RX RF chain.
-
-    Solves  min ||H V - G||_F^2  s.t.  ||V^H t1||^2 <= lambda_b  via the dual:
-    the stationarity condition gives V(z) = (H^H H + z t1 t1^H)^{-1} H^H G and
-    the Sherman-Morrison identity reduces the constraint to
-    ||V(0)^H t1|| / (1 + z s) = sqrt(lambda_b) with s = t1^H (H^H H)^{-1} t1,
-    so the multiplier is
-
-        z* = max(||V_ls^H t1|| / sqrt(lambda_b) - 1, 0) / s,
-
-    where V_ls is the unconstrained least-squares solution. The clamp covers
-    the inactive-constraint case (z* = 0, V = V_ls). ``ridge`` stabilizes the
-    normal matrix when H^H H is singular.
-    """
-    h = np.asarray(h_dl_eff, dtype=complex)
-    t1 = np.asarray(t1, dtype=complex).reshape(-1)
-    g = np.asarray(g_target, dtype=complex)
-    if t1.shape[0] != h.shape[1]:
-        raise ValueError(f"leakage row length {t1.shape[0]} != {h.shape[1]} TX chains")
-    if lambda_b_watts <= 0 and np.linalg.norm(t1) > 0:
-        raise ValueError(f"leakage threshold must be positive, got {lambda_b_watts}")
-    normal = h.conj().T @ h + ridge * np.eye(h.shape[1])
-    rhs = h.conj().T @ g
-    try:
-        v_ls = np.linalg.solve(normal, rhs)
-        if np.linalg.norm(t1) == 0.0 or np.isinf(lambda_b_watts):
-            zeta = 0.0
-            v = v_ls
-        else:
-            s_quad = float(np.real(t1.conj() @ np.linalg.solve(normal, t1)))
-            active = np.linalg.norm(t1.conj() @ v_ls) / np.sqrt(lambda_b_watts)
-            zeta = max(active - 1.0, 0.0) / s_quad
-            v = np.linalg.solve(normal + zeta * np.outer(t1, t1.conj()), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            "normal matrix is singular; pass a positive ridge"
-        ) from exc
-    if not np.all(np.isfinite(v)):
-        raise NumericalFailureError("precoder solve produced non-finite values; increase ridge")
-    return v
-
-
-def _project_leakage(v: np.ndarray, t_rows: np.ndarray, lam: float, max_sweeps: int = 60):
-    """Dykstra projection of V onto the intersection of ||V^H t_r||^2 <= lam."""
-    n_rows = t_rows.shape[0]
-    norms2 = np.linalg.norm(t_rows, axis=1) ** 2
-    if n_rows == 1:
-        t = t_rows[0]
-        if norms2[0] == 0.0:
-            return v
-        a = t.conj() @ v
-        s2 = float(np.linalg.norm(a) ** 2)
-        if s2 <= lam:
-            return v
-        return v + np.outer(t, a) * ((np.sqrt(lam / s2) - 1.0) / norms2[0])
-    x = v
-    corrections = [np.zeros_like(v) for _ in range(n_rows)]
-    for _ in range(max_sweeps):
-        for r in range(n_rows):
-            y = x + corrections[r]
-            t = t_rows[r]
-            if norms2[r] == 0.0:
-                proj = y
-            else:
-                a = t.conj() @ y
-                s2 = float(np.linalg.norm(a) ** 2)
-                if s2 <= lam:
-                    proj = y
-                else:
-                    proj = y + np.outer(t, a) * ((np.sqrt(lam / s2) - 1.0) / norms2[r])
-            corrections[r] = y - proj
-            x = proj
-        vals = np.linalg.norm(t_rows.conj() @ x, axis=1) ** 2
-        if vals.max() <= lam * (1.0 + 1e-12):
-            break
-    return x
-
-
-def _dual_coordinate_warm_start(
-    normal: np.ndarray, rhs: np.ndarray, t_rows: np.ndarray, lam: float
-) -> np.ndarray | None:
-    """Near-optimal starting point via exact cyclic ascent on the multipliers.
-
-    Fixing all other multipliers, the optimal value for constraint r has the
-    same Sherman-Morrison closed form as the single-constraint problem, so a
-    few sweeps land on the KKT point. Returns None when the normal matrix is
-    singular (the caller falls back to the plain projected start).
-    """
-    n_rows = t_rows.shape[0]
-    zeta = np.zeros(n_rows)
-
-    def min_norm_solve(mat, b):
-        # rank-safe: keeps the iterate free of near-null-space junk when the
-        # normal matrix is singular (rank-deficient downlink estimates)
-        return np.linalg.lstsq(mat, b, rcond=None)[0]
-
-    try:
-        for _ in range(300):
-            delta = 0.0
-            for r in range(n_rows):
-                t = t_rows[r]
-                if np.linalg.norm(t) == 0.0:
-                    continue
-                a_r = normal + (t_rows.T * zeta) @ t_rows.conj() - zeta[r] * np.outer(
-                    t, t.conj()
-                )
-                v_r0 = min_norm_solve(a_r, rhs)
-                s_r = float(np.real(t.conj() @ min_norm_solve(a_r, t)))
-                if s_r <= 0.0:
-                    zeta[r] = 0.0
-                    continue
-                val = float(np.linalg.norm(t.conj() @ v_r0))
-                new = max(val / np.sqrt(lam) - 1.0, 0.0) / s_r
-                delta = max(delta, abs(new - zeta[r]) / max(new, zeta[r], 1e-30))
-                zeta[r] = new
-            if delta < 1e-13:
-                break
-        system = normal + (t_rows.T * zeta) @ t_rows.conj()
-        return min_norm_solve(system, rhs)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def numeric_tx_precoder(
     h_dl_eff: np.ndarray,
     t_rows,
     lambda_b_watts: float,
     g_target: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
     return_info: bool = False,
 ):
-    """Projected-gradient solver for the leakage-constrained TX precoder.
+    """Leakage-constrained TX digital precoder, solved exactly in the dual.
 
     Minimizes ||H V - G||_F^2 subject to ||V^H t_r||^2 <= lambda_b for every
-    row r of the post-analog-cancellation SI matrix. The iteration starts from
-    the projected least-squares point and alternates a 1/L gradient step with
-    a (Dykstra) projection onto the constraint intersection, which keeps every
-    iterate feasible and the objective monotonically non-increasing. Stops
-    when the prox-gradient residual falls below ``tol`` (relative to
-    ||H^H G||). ``lambda_b_watts = inf`` returns the plain least-squares
-    solution.
+    row r of ``t_rows`` (one per RX chain; with t_r = conj(row_r) of the
+    post-analog-cancellation SI matrix this is the residual reaching ADC r).
+    Stationarity of the Lagrangian gives
 
-    Raises :class:`InfeasibleResultError` carrying the last iterate if the
-    final point somehow violates the constraints beyond tolerance.
+        V(zeta) = (H^H H + sum_r zeta_r t_r t_r^H)^{-1} H^H G,
+
+    and the multipliers zeta >= 0 maximize the concave dual, whose gradient
+    is c_r - lambda_b with c_r = ||V(zeta)^H t_r||^2 (Boyd & Vandenberghe,
+    Convex Optimization, 5.2-5.5). The dual is solved by projected Newton
+    (Bertsekas, SIAM J. Control Optim. 20(2), 1982): rows at zeta_r = 0 whose
+    gradient points below zero stay fixed, the rest take a Newton step, and
+    the step is halved until the dual value rises enough (Armijo). Close to
+    the optimum the dual value is flat to rounding and cannot rank steps;
+    from then on full Newton steps are taken while each halves the largest
+    projected gradient, and the iteration stops at the first that does not.
+
+    V(zeta) is solved in the right singular basis of H, which makes null(H)
+    explicit: H has rank below its column count in every scenario, so the
+    normal matrix is singular. The null block carries a ridge of 1e-10 times
+    the mean squared singular value, so when the optimum is a whole face
+    (H V = G reachable inside the leakage set) the result is its
+    minimum-norm point. With one row the iteration converges to the
+    Sherman-Morrison closed form of the single-RX-chain case.
+
+    Final step, the only one that changes the Newton solution: V is scaled
+    by min(1, sqrt(lambda_b / max_r(c_r + e_r))), where e_r bounds the
+    rounding of the computed c_r, so every c_r is <= lambda_b in floating
+    point, also after later column down-scaling. A scale below 1 - 1e-9
+    raises :class:`InfeasibleResultError` carrying V. ``lambda_b_watts = inf``
+    returns the minimum-norm least-squares solution.
+
+    With ``return_info`` the result is ``(V, info)``; ``info`` holds
+    ``iterations`` (linear solves, >= 1), ``multipliers`` (zeta), ``active``
+    (zeta_r > 0) and ``kkt_residual``: the largest of the stationarity
+    residual relative to ||H^H G||, the constraint violation relative to
+    lambda_b, and the complementary slackness sum_r zeta_r |c_r - lambda_b|
+    relative to ||G||^2, the objective at V = 0.
     """
     h = np.asarray(h_dl_eff, dtype=complex)
     g = np.asarray(g_target, dtype=complex)
     t_rows = np.atleast_2d(np.asarray(t_rows, dtype=complex))
+    lam = float(lambda_b_watts)
     if t_rows.shape[1] != h.shape[1]:
         raise ValueError(f"leakage rows length {t_rows.shape[1]} != {h.shape[1]} TX chains")
-    if np.isinf(lambda_b_watts):
-        v = np.linalg.lstsq(h, g, rcond=None)[0]
-        return (v, {"objective": [float(np.linalg.norm(h @ v - g) ** 2)], "iterations": 0}) if return_info else v
-    if lambda_b_watts <= 0:
+    if not lam > 0:
         raise ValueError(f"leakage threshold must be positive, got {lambda_b_watts}")
+    rows = t_rows.conj()  # c_r = ||row_r @ V||^2
+    if np.isinf(lam):
+        rows = rows[:0]  # no row can bind
+    n, st = h.shape[1], g.shape[1]
 
-    normal = h.conj().T @ h
-    rhs = h.conj().T @ g
-    lip = 2.0 * float(np.linalg.eigvalsh(normal)[-1]) if normal.size else 0.0
-    start = _dual_coordinate_warm_start(normal, rhs, t_rows, lambda_b_watts)
-    if start is None:
-        start = np.linalg.lstsq(h, g, rcond=None)[0]
-    v = _project_leakage(start, t_rows, lambda_b_watts)
-    if lip <= 0.0:
-        return (v, {"objective": [0.0], "iterations": 0}) if return_info else v
-    step = 1.0 / lip
-    scale = max(float(np.linalg.norm(rhs)), 1e-30)
+    u, sig, wh = np.linalg.svd(h)
+    rank = int(np.sum(sig > _RANK_TOL_REL * sig[0])) if sig.size and sig[0] > 0 else 0
+    basis = wh.conj().T
+    g_fit = u[:, :rank].conj().T @ g  # the part of G that H can reach
+    diag = np.full(n, _NULL_RIDGE_REL * float(np.mean(sig**2)) if rank else 1.0)
+    diag[:rank] = sig[:rank] ** 2
+    r_basis = rows @ basis
+    rhs = np.zeros((n, st + rows.shape[0]), dtype=complex)
+    rhs[:rank, :st] = sig[:rank, None] * g_fit
+    rhs[:, st:] = r_basis.conj().T
 
-    def objective(x):
-        return float(np.linalg.norm(h @ x - g) ** 2)
-
-    trace = [objective(v)]
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad = 2.0 * (normal @ v - rhs)
-        v_next = _project_leakage(v - step * grad, t_rows, lambda_b_watts)
-        f_next = objective(v_next)
-        if f_next > trace[-1]:
-            # no descent left within the projection tolerance: converged
-            break
-        residual = lip * float(np.linalg.norm(v_next - v))
-        v = v_next
-        trace.append(f_next)
-        if residual <= tol * scale:
-            break
-
-    vals = np.linalg.norm(t_rows.conj() @ v, axis=1) ** 2
-    worst = vals.max() / lambda_b_watts if lambda_b_watts > 0 else 0.0
-    if worst > 1.0 + 1e-6:
-        raise InfeasibleResultError(
-            f"constraints violated by factor {worst:.3e} after {iterations} iterations",
-            last_iterate=v,
+    def evaluate(zeta):
+        """V(zeta) in the singular basis, leakages, -Hessian and value of the dual."""
+        a = np.diag(diag) + (r_basis.conj().T * zeta) @ r_basis
+        jac = 1.0 / np.sqrt(np.real(np.diagonal(a)))  # Jacobi scaling
+        sol = jac[:, None] * np.linalg.solve(
+            a * jac[:, None] * jac[None, :], jac[:, None] * rhs
         )
-    if worst > 1.0:
-        v = v * np.sqrt(1.0 / worst) * (1.0 - 1e-15)
-    if return_info:
-        return v, {"objective": trace, "iterations": iterations}
-    return v
+        x = sol[:, :st]
+        w = r_basis @ x
+        leak = np.linalg.norm(w, axis=1) ** 2
+        hess = 2.0 * np.real((r_basis @ sol[:, st:]) * (w @ w.conj().T).conj())
+        dual = (
+            np.linalg.norm(sig[:rank, None] * x[:rank] - g_fit) ** 2
+            + diag[rank:] @ np.linalg.norm(x[rank:], axis=1) ** 2
+            + zeta @ (leak - lam)
+        )
+        return x, leak, hess, float(dual)
+
+    def projected_gradient(zeta, leak):
+        d = leak - lam
+        return np.abs(np.where(zeta > 0, d, np.maximum(d, 0.0))).max(initial=0.0) / lam
+
+    zeta = np.zeros(rows.shape[0])
+    x, leak, hess, dual = evaluate(zeta)
+    pg = projected_gradient(zeta, leak)
+    iterations = 1
+    refine = False  # set once the dual value is too flat to rank steps
+    while pg > 0.0 and iterations < _MAX_SOLVES:
+        d = leak - lam
+        free = (zeta > 0) | (d > 0)
+        step = np.zeros_like(zeta)
+        # minimum-norm step where the Hessian is singular (e.g. repeated rows)
+        step[free] = np.linalg.lstsq(hess[np.ix_(free, free)], d[free], rcond=1e-14)[0]
+        # rounding of the dual value: its terms, not their sum, set the scale
+        noise = 64 * _EPS * (abs(dual) + zeta @ (leak + lam))
+        full = np.maximum(zeta + step, 0.0)
+        full_result = evaluate(full)
+        iterations += 1
+        trial, result, alpha = full, full_result, 1.0
+        while not refine:
+            gain = float(d @ (trial - zeta))  # first-order increase of the dual
+            if gain <= noise or alpha < _EPS:
+                refine = True  # too small a change for the dual value to rank
+                trial, result = full, full_result
+            elif result[3] >= dual + _ARMIJO * gain:
+                break
+            else:
+                alpha *= 0.5
+                trial = np.maximum(zeta + alpha * step, 0.0)
+                result = evaluate(trial)
+                iterations += 1
+        pg_trial = projected_gradient(trial, result[1])
+        if refine and pg_trial > 0.5 * pg:
+            break
+        zeta, (x, leak, hess, dual), pg = trial, result, pg_trial
+
+    v = basis @ x
+    w = rows @ v
+    leak = np.linalg.norm(w, axis=1) ** 2
+    # rounding bound of the computed sums |row_r . v_col|^2
+    err = 4 * (n + 2) * _EPS * np.sqrt(leak) * np.linalg.norm(np.abs(rows) @ np.abs(v), axis=1)
+    worst = float(np.max(leak + err, initial=0.0))
+    if worst > lam:
+        scale = np.sqrt(lam / worst)
+        if scale < 1.0 - _GUARD_MAX_REL:
+            raise InfeasibleResultError(
+                f"leakage {leak.max() / lam:.9f} x threshold after {iterations} solves",
+                last_iterate=v,
+            )
+        v, w, leak = v * scale, w * scale, leak * scale**2
+    if not return_info:
+        return v
+    tiny = np.finfo(float).tiny
+    grad = h.conj().T @ (h @ v - g) + rows.conj().T @ (zeta[:, None] * w)
+    kkt = max(
+        np.linalg.norm(grad) / max(np.linalg.norm(h.conj().T @ g), tiny),
+        max(leak.max(initial=0.0) / lam - 1.0, 0.0),
+        zeta @ np.abs(leak - lam) / max(np.linalg.norm(g) ** 2, tiny),
+    )
+    info = {
+        "iterations": iterations,
+        "multipliers": zeta,
+        "active": zeta > 0,
+        "kkt_residual": float(kkt),
+    }
+    return v, info
 
 
 def power_normalize(v_rf: AnalogBeamformer, v_bb: np.ndarray, p_b_watts: float) -> np.ndarray:
@@ -499,9 +453,8 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
 
     ``cfg`` is a :class:`~fdisac.config.ScenarioConfig`. Steps run in order
     (user beamformers, TX analog, RX analog, channel compression, cancellers,
-    TX digital precoder with the closed form when there is a single RX chain,
-    power normalization, NSP combiner); sub-operation failures are re-raised
-    with the failing step named.
+    TX digital precoder, power normalization, NSP combiner); sub-operation
+    failures are re-raised with the failing step named.
     """
     st = cfg.n_streams
     p_b = cfg.p_b_watts
@@ -529,32 +482,20 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         # Conjugated rows of the post-analog-canceller SI matrix: with
         # t_r = conj(row_r), the constrained quantity ||V^H t_r||^2 equals the
         # physical per-chain residual ||row_r @ V||^2 that reaches the ADC.
-        leak_rows = h_tilde_hat + cancellers.analog
-        leak_vecs = leak_rows.conj()
+        leak_vecs = (h_tilde_hat + cancellers.analog).conj()
 
         step = "TX digital precoder"
         _, _, vh = np.linalg.svd(h_dl_eff, full_matrices=False)
         v_right = _fix_phase(vh.conj().T[:, :st])
         g_target = h_dl_eff @ v_right * np.sqrt(p_b / st)
-        if cfg.rx_rf_chains == 1:
-            ridge = 1e-10 * float(
-                np.real(np.trace(h_dl_eff.conj().T @ h_dl_eff))
-            ) / h_dl_eff.shape[1]
-            v_bb = lagrangian_tx_precoder(h_dl_eff, leak_vecs[0], lam, g_target, ridge)
-        else:
-            v_bb = numeric_tx_precoder(
-                h_dl_eff, leak_vecs, lam, g_target, tol=1e-8, max_iter=4000
-            )
+        v_bb = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target)
 
         step = "power normalization"
+        # down-scaling columns can only lower the per-chain leakage
         v_bb = power_normalize(v_rf, v_bb, p_b)
         total = tx_power(v_rf, v_bb)
         if total > p_b:
-            v_bb = v_bb * np.sqrt(p_b / total) * (1.0 - 1e-15)
-        leak_vals = np.linalg.norm(leak_rows @ v_bb, axis=1) ** 2
-        worst = leak_vals.max() / lam if np.isfinite(lam) and lam > 0 else 0.0
-        if worst > 1.0:
-            v_bb = v_bb * np.sqrt(1.0 / worst) * (1.0 - 1e-15)
+            v_bb = v_bb * np.sqrt(p_b / total)
 
         step = "NSP combiner"
         h_ul_eff = w_rf.assembled.conj().T @ est.h_ul_hat

@@ -29,8 +29,8 @@ from .config import ScenarioConfig
 from .metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
 from .optimizer import (
     build_estimated_channels,
-    lagrangian_tx_precoder,
     mss_rx_combiner,
+    numeric_tx_precoder,
     run_algorithm1,
 )
 from .sensing import (
@@ -461,8 +461,9 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
 
     Checks power budgets, the per-chain analog SI residual against the ADC
     threshold, NSP nulling depth, DL rate against the unconstrained baseline,
-    KKT conditions of the closed-form precoder on synthetic single-RX-chain
-    instances, run-to-run byte determinism, and finiteness of every output.
+    KKT conditions of the TX precoder on synthetic instances (one leakage row,
+    where a closed form exists, and eight rows with a rank-deficient channel),
+    run-to-run byte determinism, and finiteness of every output.
     """
     report = run_scenario(cfg)
     ok_trials = [t for t in report.trials if "error" not in t]
@@ -495,8 +496,11 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
     )
     add("dl_rate_vs_ideal", dl_ok, "proposed <= ideal on every trial")
 
-    kkt_worst = _kkt_spot_checks(cfg.seed)
-    add("kkt_closed_form", kkt_worst <= 1e-6, f"worst scaled residual {kkt_worst:.3e}")
+    # (M_u, N_rf, rank of H, leakage rows): one row has the closed form; eight
+    # rows with a rank-2 4x8 channel are the pipeline's shape
+    for name, shape in (("kkt_closed_form", (5, 5, 5, 1)), ("kkt_multi_chain", (4, 8, 2, 8))):
+        kkt_worst = _kkt_spot_checks(cfg.seed, *shape)
+        add(name, kkt_worst <= 1e-6, f"worst scaled residual {kkt_worst:.3e}")
 
     rerun = run_scenario(cfg)
     add("determinism", report.to_json() == rerun.to_json(), "byte-identical rerun")
@@ -515,30 +519,22 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
     return payload, all(c["passed"] for c in checks)
 
 
-def _kkt_spot_checks(seed: int, n_instances: int = 20) -> float:
-    """Worst KKT residual of the closed-form precoder over random instances."""
-    rng = np.random.default_rng([seed, 7151])
+def _kkt_spot_checks(
+    seed: int, m_u: int, n_rf: int, rank: int, n_rows: int, n_instances: int = 20
+) -> float:
+    """Worst KKT residual of the TX precoder over random instances."""
+    rng = np.random.default_rng([seed, 7151, n_rows])
+    st, lam = 3, 1e-3
+
+    def crandn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
     worst = 0.0
     for _ in range(n_instances):
-        m_u, n_rf, st = 5, 5, 3
-        h = (rng.standard_normal((m_u, n_rf)) + 1j * rng.standard_normal((m_u, n_rf))) / np.sqrt(2)
-        t1 = (rng.standard_normal(n_rf) + 1j * rng.standard_normal(n_rf)) * 0.05
-        lam = 1e-3
+        h = crandn(m_u, rank) @ crandn(rank, n_rf)
+        t_rows = crandn(n_rows, n_rf) * 0.05
         _, _, vh = np.linalg.svd(h, full_matrices=False)
         g = h @ vh.conj().T[:, :st]
-        v = lagrangian_tx_precoder(h, t1, lam, g)
-        normal = h.conj().T @ h
-        val = float(np.linalg.norm(t1.conj() @ v) ** 2)
-        feas = max(val / lam - 1.0, 0.0)
-        grad = normal @ v - h.conj().T @ g
-        v_ls = np.linalg.solve(normal, h.conj().T @ g)
-        active = np.linalg.norm(t1.conj() @ v_ls) > np.sqrt(lam)
-        zeta = 0.0
-        if active:
-            s_quad = float(np.real(t1.conj() @ np.linalg.solve(normal, t1)))
-            zeta = (np.linalg.norm(t1.conj() @ v_ls) / np.sqrt(lam) - 1.0) / s_quad
-        stationarity = np.linalg.norm(grad + zeta * np.outer(t1, t1.conj()) @ v)
-        stationarity /= max(np.linalg.norm(h.conj().T @ g), 1e-30)
-        slackness = abs(zeta * (val - lam)) / lam
-        worst = max(worst, feas, stationarity, slackness)
+        _, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+        worst = max(worst, info["kkt_residual"])
     return worst

@@ -2,15 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
+from scipy.optimize import nnls
 
 from fdisac.arrays import dft_codebook, ula_response
 from fdisac.beamforming import tx_power
 from fdisac.config import ScenarioConfig, TargetSpec
-from fdisac.errors import DegenerateCombinerError, NumericalFailureError
+from fdisac.errors import DegenerateCombinerError
 from fdisac.optimizer import (
     build_estimated_channels,
-    lagrangian_tx_precoder,
     mss_rx_combiner,
     nsp_rx_combiner,
     numeric_tx_precoder,
@@ -147,10 +149,44 @@ def _random_precoder_instance(rng, m_u=4, n_rf=3, st=2, t_scale=1.0):
     return h, g, t1
 
 
+def _closed_form_multiplier(h, t1, lam, g):
+    """Sherman-Morrison multiplier of the one-row problem (full-column-rank H).
+
+    With s = t1^H (H^H H)^{-1} t1 the constraint reads
+    ||V_ls^H t1|| / (1 + z s) = sqrt(lam), so z = max(||V_ls^H t1|| / sqrt(lam) - 1, 0) / s.
+    """
+    normal = h.conj().T @ h
+    v_ls = np.linalg.solve(normal, h.conj().T @ g)
+    s_quad = float(np.real(t1.conj() @ np.linalg.solve(normal, t1)))
+    return max(np.linalg.norm(t1.conj() @ v_ls) / np.sqrt(lam) - 1.0, 0.0) / s_quad
+
+
+def _closed_form_precoder(h, t1, lam, g):
+    zeta = _closed_form_multiplier(h, t1, lam, g)
+    return np.linalg.solve(h.conj().T @ h + zeta * np.outer(t1, t1.conj()), h.conj().T @ g), zeta
+
+
+def _assert_kkt(h, t_rows, lam, g, v, zeta):
+    """Feasibility, dual feasibility, complementary slackness, stationarity.
+
+    Slackness is zeta_r |c_r - lam| <= 1e-8 lam for zeta_r <= 1 and the row
+    is tight to 1e-8 otherwise: c_r carries a rounding error of about
+    eps * cond * lam, so the absolute product has a floor that grows with zeta_r.
+    """
+    rows = np.atleast_2d(t_rows).conj()
+    leak = np.linalg.norm(rows @ v, axis=1) ** 2
+    rhs = h.conj().T @ g
+    assert leak.max() <= lam * (1 + 1e-9)
+    assert zeta.min() >= 0.0
+    assert np.all(zeta * np.abs(leak - lam) <= 1e-8 * lam * np.maximum(zeta, 1.0))
+    grad = h.conj().T @ (h @ v) - rhs + rows.conj().T @ (zeta[:, None] * (rows @ v))
+    assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(rhs)
+
+
 def test_lagrangian_no_leakage_is_least_squares():
     rng = np.random.default_rng(3)
     h, g, _ = _random_precoder_instance(rng)
-    v = lagrangian_tx_precoder(h, np.zeros(3), 1.0, g)
+    v = numeric_tx_precoder(h, np.zeros(3), 1.0, g)
     expected = np.linalg.lstsq(h, g, rcond=None)[0]
     np.testing.assert_allclose(v, expected, atol=1e-10)
 
@@ -158,26 +194,27 @@ def test_lagrangian_no_leakage_is_least_squares():
 def test_lagrangian_inactive_constraint_clamps_to_zero():
     rng = np.random.default_rng(4)
     h, g, t1 = _random_precoder_instance(rng, t_scale=1e-6)
-    v = lagrangian_tx_precoder(h, t1, 1.0, g)
+    v, info = numeric_tx_precoder(h, t1, 1.0, g, return_info=True)
     unconstrained = np.linalg.lstsq(h, g, rcond=None)[0]
     np.testing.assert_allclose(v, unconstrained, atol=1e-10)
     assert np.linalg.norm(t1.conj() @ v) ** 2 <= 1.0
+    assert info["multipliers"].tolist() == [0.0] and not info["active"].any()
 
 
 def test_lagrangian_active_constraint_against_numeric_oracle():
-    # projected-gradient oracle: same instance solved numerically
+    # closed-form oracle: same instance solved by Sherman-Morrison
     rng = np.random.default_rng(5)
     h = _crandn(rng, 4, 3)
     g = 3.0 * _crandn(rng, 4, 3)
     t1 = _crandn(rng, 3)
     lam = 1e-4
-    v_cf = lagrangian_tx_precoder(h, t1, lam, g)
-    v_num = numeric_tx_precoder(h, t1[None, :], lam, g, tol=1e-13, max_iter=200000)
-    obj_cf = np.linalg.norm(h @ v_cf - g) ** 2
-    obj_num = np.linalg.norm(h @ v_num - g) ** 2
-    assert abs(obj_cf - obj_num) <= 1e-4 * obj_num
-    leak = np.linalg.norm(t1.conj() @ v_cf) ** 2
-    assert abs(leak - lam) <= 1e-6 * lam  # constraint active and tight
+    v_cf, zeta_cf = _closed_form_precoder(h, t1, lam, g)
+    v_num, info = numeric_tx_precoder(h, t1[None, :], lam, g, return_info=True)
+    np.testing.assert_allclose(v_num, v_cf, rtol=0, atol=1e-9 * np.linalg.norm(v_cf))
+    assert info["multipliers"][0] == pytest.approx(zeta_cf, rel=1e-9)
+    assert info["active"].tolist() == [True]
+    leak = np.linalg.norm(t1.conj() @ v_num) ** 2
+    assert abs(leak - lam) <= 1e-9 * lam  # constraint active and tight
 
 
 def test_lagrangian_kkt_conditions():
@@ -187,29 +224,30 @@ def test_lagrangian_kkt_conditions():
         g = 2.0 * _crandn(rng, 5, 3)
         t1 = _crandn(rng, 4) * rng.uniform(0.1, 3.0)
         lam = 10.0 ** rng.uniform(-5, 0)
-        v = lagrangian_tx_precoder(h, t1, lam, g)
-        normal = h.conj().T @ h
-        v_ls = np.linalg.solve(normal, h.conj().T @ g)
-        s_quad = float(np.real(t1.conj() @ np.linalg.solve(normal, t1)))
-        zeta = max(np.linalg.norm(t1.conj() @ v_ls) / np.sqrt(lam) - 1.0, 0.0) / s_quad
-        assert zeta >= 0.0
+        v, info = numeric_tx_precoder(h, t1, lam, g, return_info=True)
+        zeta = info["multipliers"]
+        assert zeta[0] == pytest.approx(_closed_form_multiplier(h, t1, lam, g), rel=1e-9, abs=0.0)
+        _assert_kkt(h, t1, lam, g, v, zeta)
         leak = np.linalg.norm(t1.conj() @ v) ** 2
-        assert leak <= lam * (1 + 1e-9)
-        assert abs(zeta * (leak - lam)) <= 1e-8 * lam
-        stationarity = np.linalg.norm(
-            normal @ v - h.conj().T @ g + zeta * np.outer(t1, t1.conj()) @ v
-        )
-        assert stationarity <= 1e-6 * np.linalg.norm(h.conj().T @ g)
+        assert abs(zeta[0] * (leak - lam)) <= 1e-8 * lam
+        assert info["kkt_residual"] <= 1e-9
 
 
 def test_lagrangian_singular_normal_matrix():
+    # second column zero -> singular normal matrix; the leakage row lets the
+    # null direction cancel the leakage, so every point with v0 = the least
+    # squares value and |v0 + v1| <= 10 sqrt(lam) is optimal: the answer is
+    # the minimum-norm one, v1 = -v0 (1 - 10 sqrt(lam) / |v0|)
     h = np.zeros((3, 2), dtype=complex)
-    h[:, 0] = [1.0, 1.0j, 0.0]  # second column zero -> singular normal matrix
+    h[:, 0] = [1.0, 1.0j, 0.0]
     g = np.ones((3, 1), dtype=complex)
-    with pytest.raises(NumericalFailureError):
-        lagrangian_tx_precoder(h, np.array([0.1, 0.1]), 1.0, g)
-    v = lagrangian_tx_precoder(h, np.array([0.1, 0.1]), 1.0, g, ridge=1e-8)
-    assert np.all(np.isfinite(v))
+    lam = 1e-3
+    v, info = numeric_tx_precoder(h, np.array([0.1, 0.1]), lam, g, return_info=True)
+    v0 = (1.0 - 1.0j) / 2.0
+    expected = np.array([[v0], [-v0 * (1.0 - 10.0 * np.sqrt(lam) / abs(v0))]])
+    np.testing.assert_allclose(v, expected, rtol=0, atol=1e-8)
+    assert np.linalg.norm(h @ v - g) ** 2 == pytest.approx(2.0)  # the least-squares residual
+    assert info["kkt_residual"] <= 1e-9
 
 
 def test_numeric_single_chain_agrees_with_closed_form():
@@ -219,11 +257,11 @@ def test_numeric_single_chain_agrees_with_closed_form():
         g = rng.uniform(0.5, 4.0) * _crandn(rng, 5, 2)
         t1 = _crandn(rng, 4)
         lam = 10.0 ** rng.uniform(-4, -1)
-        v_cf = lagrangian_tx_precoder(h, t1, lam, g)
-        v_num = numeric_tx_precoder(h, t1[None, :], lam, g, tol=1e-12, max_iter=100000)
+        v_cf, _ = _closed_form_precoder(h, t1, lam, g)
+        v_num = numeric_tx_precoder(h, t1[None, :], lam, g)
         obj_cf = np.linalg.norm(h @ v_cf - g) ** 2
         obj_num = np.linalg.norm(h @ v_num - g) ** 2
-        assert abs(obj_cf - obj_num) <= 1e-3 * max(obj_num, 1e-12)
+        assert abs(obj_cf - obj_num) <= 1e-9 * max(obj_num, 1e-12)
 
 
 def test_numeric_infinite_threshold_is_least_squares():
@@ -242,18 +280,120 @@ def test_numeric_zero_target_returns_zero():
 
 
 def test_numeric_multi_constraint_feasible_and_monotone():
+    # KKT at every threshold, and the optimal objective never rises as the
+    # threshold is relaxed
     rng = np.random.default_rng(10)
     h = _crandn(rng, 6, 5)
     g = 2.0 * _crandn(rng, 6, 3)
     t_rows = _crandn(rng, 3, 5)
-    lam = 1e-3
-    v, info = numeric_tx_precoder(h, t_rows, lam, g, tol=1e-10, return_info=True)
-    leaks = np.linalg.norm(t_rows.conj() @ v, axis=1) ** 2
-    assert leaks.max() <= lam * (1 + 1e-9)
-    trace = np.array(info["objective"])
-    assert np.all(np.diff(trace) <= 1e-9 * max(trace[0], 1.0))
-    # strictly better than the feasible starting point unless already optimal
-    assert trace[-1] <= trace[0] + 1e-12
+    objectives = []
+    for lam in (1e-4, 1e-3, 1e-2, 1e-1, np.inf):
+        v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+        assert info["iterations"] >= 1
+        if np.isfinite(lam):
+            _assert_kkt(h, t_rows, lam, g, v, info["multipliers"])
+        objectives.append(np.linalg.norm(h @ v - g) ** 2)
+    assert np.all(np.diff(objectives) <= 1e-9 * objectives[0])
+    assert objectives[0] > objectives[-1]  # the tightest threshold binds
+
+
+def test_precoder_degenerate_face_returns_min_norm():
+    # H is 4x8 of rank 2 and the leakage set contains a point with H V = G,
+    # so the optima form a face; the solver returns its minimum-norm point
+    rng = np.random.default_rng(22)
+    h = _crandn(rng, 4, 2) @ _crandn(rng, 2, 8)
+    t_rows = _crandn(rng, 8, 8)
+    _, _, vh = np.linalg.svd(h)
+    null = vh[2:].conj().T  # orthonormal basis of null(H), 8x6
+    rows = t_rows.conj()
+    v_min = vh[:2].conj().T @ _crandn(rng, 2, 3)  # minimum-norm solution of H V = G
+    g = h @ v_min
+    # a point of {H V = G} with less total leakage, and a threshold between
+    # its worst row and the minimum-norm point's worst row
+    v_star = v_min - null @ np.linalg.lstsq(rows @ null, rows @ v_min, rcond=None)[0]
+    worst_star, worst_min = (np.max(np.linalg.norm(rows @ x, axis=1) ** 2) for x in (v_star, v_min))
+    lam = float(np.sqrt(worst_star * worst_min))
+    assert worst_star < lam < worst_min
+    v = numeric_tx_precoder(h, t_rows, lam, g)
+
+    assert np.linalg.norm(h @ v - g) ** 2 <= 1e-12 * np.linalg.norm(g) ** 2
+    leak = np.linalg.norm(rows @ v, axis=1) ** 2
+    assert leak.max() <= lam
+    assert np.linalg.norm(v) < np.linalg.norm(v_star)
+    # KKT of min ||V||^2 s.t. H V = H V*, leakage rows: the null-space part
+    # of V + sum_r mu_r t_r t_r^H V vanishes for some mu >= 0 on tight rows
+    tight = leak >= lam * (1 - 1e-6)
+    assert tight.any()
+    proj = null @ null.conj().T
+    cols = [(proj @ np.outer(rows[r].conj(), rows[r] @ v)).ravel() for r in np.flatnonzero(tight)]
+    system = np.stack(cols, axis=1)
+    target = -(proj @ v).ravel()
+    _, resid = nnls(
+        np.vstack([system.real, system.imag]), np.concatenate([target.real, target.imag])
+    )
+    assert resid <= 1e-9 * np.linalg.norm(proj @ v)
+
+
+_PRECODER_KINDS = ("rank_deficient", "zero_rows", "all_inactive", "all_active", "one_row")
+
+
+def _all_active_instance(rng, h, lam):
+    """G, V* and zeta* > 0 meeting the KKT conditions with all 8 rows tight.
+
+    With T invertible, W = diag(zeta)^{-1} T^{-H} H^H Y and V* = T^{-1} W give
+    sum_r zeta_r t_r t_r^H V* = H^H Y, so G = H V* + Y makes V* stationary;
+    zeta_r scales row r of W to norm sqrt(lam). The normal matrix plus the
+    leakage term is then positive definite, so V* is the unique optimum.
+    """
+    t_rows = _crandn(rng, 8, 8)
+    rows = t_rows.conj()
+    y = _crandn(rng, h.shape[0], 3)
+    m = np.linalg.solve(rows.conj().T, h.conj().T @ y)
+    zeta = np.linalg.norm(m, axis=1) / np.sqrt(lam)
+    v_star = np.linalg.solve(rows, m / zeta[:, None])
+    return t_rows, h @ v_star + y, v_star, zeta
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PRECODER_KINDS), st.integers(0, 2**32 - 1))
+def test_precoder_kkt_property(kind, seed):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 4))
+    if kind == "one_row":
+        h = _crandn(rng, 5, 4)  # full column rank: the closed form exists
+    else:
+        h = _crandn(rng, 4, rank) @ _crandn(rng, rank, 8)
+    n_rf = h.shape[1]
+    if kind == "all_active":
+        lam = 10.0 ** rng.uniform(-3.0, 0.0)
+        t_rows, g, v_star, zeta_star = _all_active_instance(rng, h, lam)
+    else:
+        g = h @ _crandn(rng, n_rf, 3)
+        n_rows = 1 if kind == "one_row" else int(rng.integers(2, 9))
+        t_rows = _crandn(rng, n_rows, n_rf)
+        if kind == "zero_rows":
+            t_rows[rng.random(n_rows) < 0.5] = 0.0  # rows a full tap set cancels
+            t_rows[0] = 0.0
+        v_ls = np.linalg.lstsq(h, g, rcond=None)[0]
+        leak_ls = np.linalg.norm(t_rows.conj() @ v_ls, axis=1) ** 2
+        if kind == "all_inactive":
+            lam = float(leak_ls.max()) * rng.uniform(1.01, 10.0)
+        else:
+            lam = float(max(leak_ls.max(), 1e-3)) * 10.0 ** rng.uniform(-2.0, 0.0)
+    v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    zeta = info["multipliers"]
+    _assert_kkt(h, t_rows, lam, g, v, zeta)
+    assert info["kkt_residual"] <= 1e-8
+    if kind == "zero_rows":
+        assert np.all(zeta[np.linalg.norm(t_rows, axis=1) == 0.0] == 0.0)
+    if kind == "all_inactive":
+        assert not info["active"].any()
+        np.testing.assert_allclose(v, v_ls, rtol=0, atol=1e-9 * np.linalg.norm(v_ls))
+    if kind == "all_active":
+        assert info["active"].all()
+        np.testing.assert_allclose(v, v_star, rtol=0, atol=1e-6 * np.linalg.norm(v_star))
+    if kind == "one_row":
+        assert zeta[0] == pytest.approx(_closed_form_multiplier(h, t_rows[0], lam, g), rel=1e-9)
 
 
 # ---------------------------------------------------------- power normalize
