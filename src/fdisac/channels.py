@@ -169,11 +169,12 @@ def delay_doppler_phase(target: TargetParams, wf: Waveform, p, q):
     """Phase factor exp(j*2*pi*(q*T_s*f_D - p*tau*df)) of ``target``'s echo.
 
     ``p`` (subcarrier) and ``q`` (OFDM symbol) are indices or index arrays;
-    the result broadcasts over them.
+    the result broadcasts over them. The factor separates, so a column of P
+    subcarriers and a row of Q symbols cost P + Q exponentials, not P*Q.
     """
     doppler = target.doppler_hz(wf.carrier_hz)
-    return np.exp(
-        2j * np.pi * (q * wf.symbol_duration_s * doppler - p * target.delay_s * wf.subcarrier_spacing_hz)
+    return np.exp(-2j * np.pi * (p * target.delay_s * wf.subcarrier_spacing_hz)) * np.exp(
+        2j * np.pi * (q * wf.symbol_duration_s * doppler)
     )
 
 

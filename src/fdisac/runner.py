@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import Codebook, dft_codebook, ula_response, ula_response_matrix
+from .arrays import Codebook, dft_codebook, ula_response
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import analog_residual_power_per_chain, build_cancellers
 from .channels import (
@@ -36,8 +36,10 @@ from .optimizer import (
 from .sensing import (
     SensingEstimate,
     angle_grid,
+    combiner_manifold,
     delay_doppler_map,
     delay_doppler_quotient,
+    dwell_weights,
     music_doas,
     reference_signal_grid,
     sample_covariance,
@@ -49,6 +51,7 @@ __all__ = [
     "sweep",
     "validate_suite",
     "synthesize_rx_snapshots",
+    "project_snapshots",
     "SWEEP_VARIABLES",
     "jsonify",
 ]
@@ -142,6 +145,9 @@ def synthesize_rx_snapshots(
 ) -> np.ndarray:
     """RF-chain-domain snapshots over the whole OFDM grid, shape (m_rf, P*Q).
 
+    The pipeline calls this for slot 1 only; the dwells need only c^T y, which
+    :func:`project_snapshots` forms directly, and this is its test oracle.
+
     Grid cells are flattened as ``cell = p * Q + q``. Row k of ``phases`` is
     target k's :func:`~fdisac.channels.delay_doppler_phase` over the cells.
     ``tx_rf`` is the RF-chain-domain TX signal V_bb @ sym_b, shape
@@ -151,12 +157,30 @@ def synthesize_rx_snapshots(
     antenna-domain signal is formed.
     """
     w_h = w_rf.assembled.conj().T
-    y = np.outer(w_h @ (h_ul @ v_u), sym_u) + si_residual @ tx_rf
+    y = si_residual @ tx_rf
+    y += np.outer(w_h @ (h_ul @ v_u), sym_u)
     for t, phase in zip(radar_targets, phases):
         a_rx = ula_response(h_ul.shape[0], t.angle_deg)
         a_tx = ula_response(v_rf.n_antennas, t.angle_deg)
         y += np.outer(w_h @ a_rx, t.gain * phase * ((a_tx.conj() @ v_rf.assembled) @ tx_rf))
-    return y + noise_rf
+    y += noise_rf
+    return y
+
+
+def project_snapshots(c, radar_targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf,
+                      sym_u, noise_rf) -> np.ndarray:
+    """c^T y for the snapshots y of :func:`synthesize_rx_snapshots`, shape (P*Q,).
+
+    Each term is projected onto the RX weights ``c`` before it meets the
+    grid, so the (m_rf, P*Q) snapshot matrix is never formed.
+    """
+    cw_h = c @ w_rf.assembled.conj().T
+    a_tx_v = [ula_response(v_rf.n_antennas, t.angle_deg).conj() @ v_rf.assembled for t in radar_targets]
+    terms = np.array([c @ si_residual] + a_tx_v) @ tx_rf
+    y = (cw_h @ (h_ul @ v_u)) * sym_u + terms[0] + c @ noise_rf
+    for t, phase, echo in zip(radar_targets, phases, terms[1:]):
+        y += (cw_h @ ula_response(h_ul.shape[0], t.angle_deg)) * t.gain * phase * echo
+    return y
 
 
 def _match_doas(est_doas: Sequence[float], true_angles: Sequence[float]) -> np.ndarray:
@@ -225,9 +249,9 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
         + 1j * rng.standard_normal((cfg.rx_rf_chains, n_cells))
     ) / np.sqrt(2)
 
-    # Each target's delay-Doppler phase grid is shared by all 1+K syntheses.
-    cell_p, cell_q = np.divmod(np.arange(n_cells), wf.n_symbols)
-    phases = [delay_doppler_phase(t, wf, cell_p, cell_q) for t in targets]
+    # Each target's delay-Doppler phase grid is shared by slot 1 and all K dwells.
+    cell_p, cell_q = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
+    phases = [delay_doppler_phase(t, wf, cell_p, cell_q).ravel() for t in targets]
     tx_rf = v_bb0 @ sym_b
     y_rf = synthesize_rx_snapshots(
         targets, phases, h_ul_true, si_residual0, v_rf0, tx_rf, v_u0, w_rf0, sym_u, noise_rf,
@@ -239,29 +263,31 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
     true_angles = [s.angle_deg for s in specs]
     matched = _match_doas(music.doas_deg, true_angles)
 
-    sensing_rows = []
-    dd_maps = []
-    for i, spec in enumerate(specs):
+    cy = np.empty((k, n_cells), dtype=complex)
+    s = np.empty_like(cy)
+    for i, theta in enumerate(matched):
         # Dedicated dwell per detected direction: TX and RX chains repoint to
         # the nearest codebook beam, which restores full array gain for this
-        # target and pushes the others into the subarray sidelobes.
-        v_k = pointed_analog(cfg.tx_rf_chains, cb_tx, matched[i])
-        w_k = pointed_analog(cfg.rx_rf_chains, cb_rx, matched[i])
+        # target and pushes the others into the subarray sidelobes. Only the
+        # projection c^T y onto the dwell's RX weights is formed.
+        v_k = pointed_analog(cfg.tx_rf_chains, cb_tx, theta)
+        w_k = pointed_analog(cfg.rx_rf_chains, cb_rx, theta)
         h_tilde_hat_k = w_k.assembled.conj().T @ h_si_hat @ v_k.assembled
         h_tilde_true_k = w_k.assembled.conj().T @ h_si_true @ v_k.assembled
         canc_k = build_cancellers(h_tilde_hat_k, cfg.analog_taps)
         resid_k = h_tilde_true_k + canc_k.analog + canc_k.digital
-        y_k = synthesize_rx_snapshots(
-            targets, phases, h_ul_true, resid_k, v_k, tx_rf, v_u0, w_k, sym_u, noise_rf,
+        cy[i] = project_snapshots(
+            dwell_weights(w_k, theta), targets, phases, h_ul_true, resid_k, v_k, tx_rf,
+            v_u0, w_k, sym_u, noise_rf,
         )
-        y_grid_k = y_k.T.reshape(wf.n_subcarriers, wf.n_symbols, -1)
-        s_grid = reference_signal_grid(matched[i], v_k, tx_rf).reshape(
-            wf.n_subcarriers, wf.n_symbols
-        )
-        z, _ = delay_doppler_quotient(y_grid_k, s_grid, w_k, matched[i])
-        dd = delay_doppler_map(z)
-        est_i = SensingEstimate.from_bins(matched[i], dd.peak_n, dd.peak_m, wf)
-        dd_maps.append(dd.magnitude)
+        s[i] = reference_signal_grid(theta, v_k, tx_rf)
+    dwell_grid = (k, wf.n_subcarriers, wf.n_symbols)
+    z, _ = delay_doppler_quotient(cy.reshape(dwell_grid), s.reshape(dwell_grid))
+    dd = delay_doppler_map(z)
+
+    sensing_rows = []
+    for i, spec in enumerate(specs):
+        est_i = SensingEstimate.from_bins(matched[i], dd.peak_n[i], dd.peak_m[i], wf)
         sensing_rows.append(
             {
                 "true_angle_deg": spec.angle_deg,
@@ -327,7 +353,7 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
         "ul_power_w": float(np.linalg.norm(bf.v_u_bb) ** 2),
         "analog_residual_w": residual.tolist(),
         "nsp_nulling_ratio": nulling,
-    }, dd_maps
+    }, dd.magnitude
 
 
 def _aggregate(trials: list) -> dict:
@@ -364,7 +390,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     v_rf0 = spread_analog(cfg.tx_rf_chains, cb_tx)
     w_rf0 = spread_analog(cfg.rx_rf_chains, cb_rx)
     grid = angle_grid(cfg.music_grid_step_deg)
-    manifold = w_rf0.assembled.conj().T @ ula_response_matrix(cfg.n_rx_antennas, grid)
+    manifold = combiner_manifold(w_rf0, grid)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     trials = []

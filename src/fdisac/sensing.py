@@ -3,15 +3,19 @@
 The estimation chain works on the RF-chain-domain snapshots collected over
 the P x Q OFDM grid:
 
-  1. sample covariance of the snapshots,
+  1. sample covariance of the slot-1 snapshots,
   2. MUSIC pseudo-spectrum over an angle grid for the K directions,
-  3. per-target reference s(p, q) = a_tx(theta)^H V_rf u(p, q) for the
+  3. per-dwell reference s(p, q) = a_tx(theta)^H V_rf u(p, q) for the
      RF-chain-domain TX signal u = V_bb sym, one scalar per cell,
   4. element-wise quotient z(p, q) = c^T y(p, q) / s(p, q) with one weight
-     per RX chain, c = W_rf^T conj(a_rx(theta)) / M_b: since every ULA entry
-     has unit modulus, this is the antenna average of (W_rf y)_i / (a_rx,i s),
+     per RX chain, c = W_rf^T conj(a_rx(theta)) / M_b (:func:`dwell_weights`):
+     since every ULA entry has unit modulus, this is the antenna average of
+     (W_rf y)_i / (a_rx,i s). Being linear in y, it lets a dwell project its
+     snapshots onto c before they are summed over the grid,
   5. 2-D periodogram of z; the peak bin (n*, m*) quantizes delay and Doppler:
      tau = n*/(P*df), f_D = m*/(Q*T_s).
+
+Steps 3-5 take one grid or a stack of dwells' grids.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ __all__ = [
     "angle_grid",
     "sample_covariance",
     "music_doas",
+    "combiner_manifold",
     "reference_signal_grid",
+    "dwell_weights",
     "delay_doppler_quotient",
     "delay_doppler_map",
     "recover_parameters",
@@ -56,12 +62,13 @@ class DelayDopplerMap:
     """Periodogram magnitude over (n, m) with the Doppler axis in signed order.
 
     Column j of ``magnitude`` corresponds to m = j - Q//2; the peak indices
-    are the row-major argmax (ties resolved toward smaller n, then smaller m).
+    are the row-major argmax of each (P, Q) grid (ties resolved toward smaller
+    n, then smaller m), integers for one grid and arrays for a stack.
     """
 
     magnitude: np.ndarray
-    peak_n: int
-    peak_m: int
+    peak_n: int | np.ndarray
+    peak_m: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,16 @@ def music_doas(
     )
 
 
+def combiner_manifold(w_rf: AnalogBeamformer, grid_deg: np.ndarray) -> np.ndarray:
+    """MUSIC manifold W_rf^H a(theta) behind an analog combiner, one column per angle.
+
+    W_rf is block diagonal and the ULA shift-invariant, so chain i's entry is
+    exp(j*pi*i*n_a*sin(theta)) times its subarray response f_i^H a_{n_a}(theta).
+    """
+    subarray = w_rf.per_chain.conj() @ ula_response_matrix(w_rf.n_per_chain, grid_deg)
+    return ula_response_matrix(w_rf.n_chains, grid_deg, 0.5 * w_rf.n_per_chain) * subarray
+
+
 def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Indices of the local maxima of ``x``, as ``scipy.signal.find_peaks``.
 
@@ -203,54 +220,48 @@ def reference_signal_grid(
     return (a_tx.conj() @ v_rf.assembled) @ np.asarray(tx_rf, dtype=complex)
 
 
-def delay_doppler_quotient(
-    y_grid: np.ndarray,
-    s_grid: np.ndarray,
-    w_rf: AnalogBeamformer,
-    theta_hat_deg: float,
-    guard_rel: float = DIVISION_GUARD_REL,
-):
-    """Quotient z = c^T y / s between the RX snapshots and the reference echo.
-
-    ``y_grid`` holds RF-chain-domain snapshots, shape (P, Q, m_rf);
-    ``s_grid`` holds the reference of :func:`reference_signal_grid`, shape
-    (P, Q); c = W_rf^T conj(a_rx(theta)) / M_b (module docstring, step 4).
-    Cells with |s| below ``guard_rel * max|s|`` are set to 0 and flagged.
-
-    Returns ``(z, excluded)`` with z of shape (P, Q) and a boolean mask of the
-    flagged cells.
-    """
-    y = np.asarray(y_grid, dtype=complex)
-    s = np.asarray(s_grid, dtype=complex)
-    if y.ndim != 3 or s.shape != y.shape[:2]:
-        raise ValueError(f"grid shapes {y.shape} and {s.shape} are inconsistent")
-    if y.shape[2] != w_rf.n_chains:
-        raise ValueError("grid depth does not match the analog combiner's RF chains")
+def dwell_weights(w_rf: AnalogBeamformer, theta_hat_deg: float) -> np.ndarray:
+    """Per-chain RX weights c = W_rf^T conj(a_rx(theta_hat)) / M_b (module docstring, step 4)."""
     a_rx = ula_response(w_rf.n_antennas, theta_hat_deg)
-    c = w_rf.assembled.T @ a_rx.conj() / w_rf.n_antennas
+    return w_rf.assembled.T @ a_rx.conj() / w_rf.n_antennas
+
+
+def delay_doppler_quotient(
+    cy_grid: np.ndarray, s_grid: np.ndarray, guard_rel: float = DIVISION_GUARD_REL
+):
+    """Quotient z = c^T y / s between the projected snapshots and the reference.
+
+    ``cy_grid`` holds the snapshots projected onto :func:`dwell_weights`,
+    ``s_grid`` the reference of :func:`reference_signal_grid`, both of shape
+    (P, Q) or a stack (..., P, Q) of dwells. Cells with |s| below ``guard_rel``
+    times the largest |s| of their own grid are set to 0 and flagged.
+
+    Returns ``(z, excluded)``, z and the mask of flagged cells in the input shape.
+    """
+    cy = np.asarray(cy_grid, dtype=complex)
+    s = np.asarray(s_grid, dtype=complex)
+    if cy.ndim < 2 or s.shape != cy.shape:
+        raise ValueError(f"grid shapes {cy.shape} and {s.shape} are inconsistent")
     mag = np.abs(s)
-    excluded = mag < guard_rel * max(mag.max(), 1e-300)
-    z = (y @ c) / np.where(excluded, 1.0, s)
-    z[excluded] = 0.0
-    return z, excluded
+    excluded = mag < guard_rel * np.maximum(mag.max(axis=(-2, -1), keepdims=True), 1e-300)
+    return np.divide(cy, s, out=np.zeros_like(cy), where=~excluded), excluded
 
 
 def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
-    """2-D periodogram of the quotient grid.
+    """2-D periodogram of the quotient grid, or of each grid of a stack (..., P, Q).
 
     A DFT runs over the symbol axis (Doppler) and an inverse DFT over the
     subcarrier axis (delay); the Doppler axis is then shifted to the signed
     index range [-Q/2, Q/2 - 1].
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.size == 0:
-        raise ValueError("quotient grid must be a non-empty P x Q matrix")
-    p_count = z.shape[0]
-    q_count = z.shape[1]
-    transform = np.fft.ifft(np.fft.fft(z, axis=1), axis=0) * p_count
-    magnitude = np.abs(np.fft.fftshift(transform, axes=1)) ** 2
-    flat = int(np.argmax(magnitude))
-    peak_n, col = divmod(flat, q_count)
+    if z.ndim < 2 or z.size == 0:
+        raise ValueError("quotient grid must be a non-empty P x Q matrix or a stack of them")
+    p_count, q_count = z.shape[-2:]
+    transform = np.fft.ifft(np.fft.fft(z, axis=-1), axis=-2) * p_count
+    magnitude = np.abs(np.fft.fftshift(transform, axes=-1)) ** 2
+    flat = np.argmax(magnitude.reshape(*z.shape[:-2], -1), axis=-1)
+    peak_n, col = np.divmod(flat, q_count)
     return DelayDopplerMap(magnitude=magnitude, peak_n=peak_n, peak_m=col - q_count // 2)
 
 

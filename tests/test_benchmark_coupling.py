@@ -1,0 +1,51 @@
+"""The benchmark's per-layer trace rebinds names inside the package.
+
+``benchmarks/spans.py`` wraps the module-level names that ``fdisac.runner``
+and ``fdisac.optimizer`` look up at call time. A rename or removal there makes
+``--trace 1`` die with ``AttributeError``; these tests load the file by path
+(it is only read) and check that its names and the counts it reports hold.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from fdisac.config import fast_profile
+from fdisac.runner import run_scenario
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("fdisac_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_rebound_name_resolves():
+    spans = _load_spans()
+    for module_name, names in spans.REBOUND.items():
+        module = importlib.import_module(module_name)
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, f"{module_name} lost {missing}"
+
+
+def test_traced_run_calls_quotient_and_map_once_per_trial():
+    spans = _load_spans()
+    cfg = fast_profile(trials=2, seed=0)
+    wf = cfg.waveform()
+    plain = run_scenario(cfg).to_json()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = run_scenario(cfg).to_json()
+    assert traced == plain
+    calls = [span[0] for span in tracer.spans]
+    assert calls.count("sensing.delay_doppler_quotient") == cfg.trials
+    assert calls.count("sensing.delay_doppler_map") == cfg.trials
+    layers = tracer.layer_metrics(cfg.trials)
+    # slot 1 only: the K dwells are projected, not synthesized
+    assert layers["runner.synthesize_rx_snapshots.calls"] == 1
+    assert layers["sensing.delay_doppler_quotient.cells"] == (
+        cfg.k_targets * wf.n_subcarriers * wf.n_symbols
+    )

@@ -12,6 +12,7 @@ from fdisac.sensing import (
     _local_maxima,
     delay_doppler_map,
     delay_doppler_quotient,
+    dwell_weights,
     music_doas,
     recover_parameters,
     reference_signal_grid,
@@ -235,7 +236,7 @@ def test_quotient_recovers_phase_ramp():
     wf = _wf(p=16, q=8)
     rng = np.random.default_rng(6)
     y_grid, s_grid, phase = _single_target_grids(wf, -25.0, 40.0, 30.0, 4, 6, rng)
-    z, excluded = delay_doppler_quotient(y_grid, s_grid, _identity_combiner(4), -25.0)
+    z, excluded = delay_doppler_quotient(y_grid @ dwell_weights(_identity_combiner(4), -25.0), s_grid)
     assert not excluded.any()
     np.testing.assert_allclose(z, phase, atol=1e-10)
     np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-10)
@@ -245,7 +246,7 @@ def test_quotient_static_zero_range_target_is_constant():
     wf = _wf(p=8, q=4)
     rng = np.random.default_rng(7)
     y_grid, s_grid, _ = _single_target_grids(wf, 5.0, 0.0, 0.0, 3, 4, rng)
-    z, _ = delay_doppler_quotient(y_grid, s_grid, _identity_combiner(3), 5.0)
+    z, _ = delay_doppler_quotient(y_grid @ dwell_weights(_identity_combiner(3), 5.0), s_grid)
     np.testing.assert_allclose(z, z[0, 0], atol=1e-12)
 
 
@@ -255,7 +256,7 @@ def test_quotient_of_signal_with_itself_is_one():
     theta = 12.0
     s_grid = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     y_grid = s_grid[..., None] * ula_response(5, theta)
-    z, excluded = delay_doppler_quotient(y_grid, s_grid, _identity_combiner(5), theta)
+    z, excluded = delay_doppler_quotient(y_grid @ dwell_weights(_identity_combiner(5), theta), s_grid)
     assert not excluded.any()
     np.testing.assert_allclose(z, 1.0, atol=1e-12)
 
@@ -266,10 +267,28 @@ def test_quotient_division_guard_and_flagging():
     s_grid = np.ones((1, 3), dtype=complex)
     s_grid[0, 1] = 1e-12  # below guard relative to max 1 -> flagged
     s_grid[0, 2] = 0.0  # no reference at all -> flagged
-    z, excluded = delay_doppler_quotient(y_grid, s_grid, w, 0.0)
+    z, excluded = delay_doppler_quotient(y_grid @ dwell_weights(w, 0.0), s_grid)
     np.testing.assert_allclose(z[0, 0], 1.0)  # broadside: c = (1/2, 1/2)
     assert excluded.tolist() == [[False, True, True]]
     assert z[0, 1] == 0.0 and z[0, 2] == 0.0
+
+
+def test_quotient_stack_guards_each_grid_by_its_own_maximum():
+    # a stack of dwells equals the dwells one by one; a cell at 1e-3 of its
+    # own grid's maximum stays, although it lies below 1e-8 of the stack's
+    rng = np.random.default_rng(9)
+    cy = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    s = rng.uniform(0.5, 1.0, (2, 3, 4)) * np.exp(2j * np.pi * rng.random((2, 3, 4)))
+    s[0] *= 1e10
+    s[1, 0, 0] = 1e-3
+    s[1, 2, 3] = 1e-12
+    z, excluded = delay_doppler_quotient(cy, s)
+    for k in range(2):
+        z_k, excluded_k = delay_doppler_quotient(cy[k], s[k])
+        np.testing.assert_array_equal(z[k], z_k)
+        np.testing.assert_array_equal(excluded[k], excluded_k)
+    assert np.flatnonzero(excluded).tolist() == [23]  # (1, 2, 3) only
+    np.testing.assert_allclose(z[1, 0, 0], cy[1, 0, 0] / 1e-3)
 
 
 def _antenna_domain_quotient(y_grid, s_grid, w_rf, theta, guard_rel=1e-8):
@@ -305,7 +324,7 @@ def test_quotient_equals_antenna_domain_formula(seed, n_chains, n_per_chain, p, 
     s_grid = rng.uniform(0.1, 10.0, (p, q)) * np.exp(2j * np.pi * rng.random((p, q)))
     below = rng.random((p, q)) < guarded
     s_grid[below] = np.where(rng.random(below.sum()) < 0.5, 0.0, 1e-12)
-    z, excluded = delay_doppler_quotient(y_grid, s_grid, w_rf, theta)
+    z, excluded = delay_doppler_quotient(y_grid @ dwell_weights(w_rf, theta), s_grid)
     z_ant, excluded_ant = _antenna_domain_quotient(y_grid, s_grid, w_rf, theta)
     np.testing.assert_array_equal(excluded, excluded_ant)
     np.testing.assert_allclose(z, z_ant, rtol=1e-12, atol=1e-12 * np.abs(z_ant).max())
@@ -367,6 +386,18 @@ def test_delay_doppler_map_peak_is_argmax():
     dd = delay_doppler_map(z)
     n_idx, m_idx = np.unravel_index(np.argmax(dd.magnitude), dd.magnitude.shape)
     assert dd.peak_n == n_idx and dd.peak_m == m_idx - 4
+
+
+def test_delay_doppler_map_stack_matches_each_grid():
+    rng = np.random.default_rng(10)
+    z = rng.standard_normal((3, 10, 8)) + 1j * rng.standard_normal((3, 10, 8))
+    z[1, 2, :] += 40.0  # a strong row gives grid 1 its own peak
+    dd = delay_doppler_map(z)
+    assert dd.magnitude.shape == z.shape and dd.peak_n.shape == dd.peak_m.shape == (3,)
+    for k in range(3):
+        dd_k = delay_doppler_map(z[k])
+        np.testing.assert_allclose(dd.magnitude[k], dd_k.magnitude, rtol=1e-12)
+        assert (dd.peak_n[k], dd.peak_m[k]) == (dd_k.peak_n, dd_k.peak_m)
 
 
 # ---------------------------------------------------------------- recovery
