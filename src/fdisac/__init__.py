@@ -5,8 +5,8 @@ cancellation, MUSIC + delay-Doppler sensing, and SINR/rate evaluation, plus a
 CLI for scenario runs, rate sweeps and an invariant suite.
 """
 
-from .arrays import Codebook, SteeringVector, dft_codebook, steering_vector, ula_response
-from .beamforming import AnalogBeamformer, assemble_analog, tx_power, tx_signal
+from .arrays import Codebook, dft_codebook, ula_response
+from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import CancellerPair, analog_residual_power_per_chain, build_cancellers
 from .channels import (
     SPEED_OF_LIGHT,

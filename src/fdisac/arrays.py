@@ -13,14 +13,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError
 
-__all__ = [
-    "SteeringVector",
-    "Codebook",
-    "ula_response",
-    "ula_response_matrix",
-    "steering_vector",
-    "dft_codebook",
-]
+__all__ = ["Codebook", "ula_response", "ula_response_matrix", "dft_codebook"]
 
 _MAX_CODEBOOK_BITS = 24  # 2^24 entries; anything above is treated as an overflow
 
@@ -63,32 +56,6 @@ def ula_response_matrix(
     n = np.arange(n_elems)[:, None]
     phase = 2.0 * np.pi * spacing_over_lambda * np.sin(np.deg2rad(angles))[None, :]
     return np.exp(1j * phase * n)
-
-
-@dataclass(frozen=True)
-class SteeringVector:
-    """ULA response toward one angle.
-
-    Every element has unit modulus and ``elements[0] == 1+0j``.
-    """
-
-    elements: np.ndarray
-    n_elems: int
-    angle_deg: float
-    spacing_over_lambda: float = 0.5
-
-
-def steering_vector(
-    n_elems: int, angle_deg: float, spacing_over_lambda: float = 0.5
-) -> SteeringVector:
-    """Build the :class:`SteeringVector` for the given geometry. Deterministic."""
-    elems = ula_response(n_elems, angle_deg, spacing_over_lambda)
-    return SteeringVector(
-        elements=elems,
-        n_elems=n_elems,
-        angle_deg=float(angle_deg),
-        spacing_over_lambda=float(spacing_over_lambda),
-    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hybrid beamformer containers and TX signal/power helpers.
+"""Hybrid beamformer containers and the TX power helper.
 
 The analog stage is partially connected: RF chain i drives its own disjoint
 subarray, so the assembled matrix is block diagonal with chain i's
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError
 
-__all__ = ["AnalogBeamformer", "assemble_analog", "tx_signal", "tx_power"]
+__all__ = ["AnalogBeamformer", "assemble_analog", "tx_power"]
 
 # Codebook vectors are exact by construction; user-supplied ones get slack.
 _MODULUS_TOL = 1e-9
@@ -25,7 +25,8 @@ class AnalogBeamformer:
     """Block-diagonal phase-shifter network.
 
     ``per_chain`` has shape (n_chains, n_per_chain); ``assembled`` has shape
-    (n_chains*n_per_chain, n_chains) and is exactly zero off the blocks.
+    (n_chains*n_per_chain, n_chains) and is exactly zero off the blocks. A
+    stack of networks carries leading axes on both arrays.
     """
 
     per_chain: np.ndarray
@@ -34,21 +35,23 @@ class AnalogBeamformer:
 
     @property
     def n_chains(self) -> int:
-        return self.per_chain.shape[0]
+        return self.per_chain.shape[-2]
 
     @property
     def n_per_chain(self) -> int:
-        return self.per_chain.shape[1]
+        return self.per_chain.shape[-1]
 
     @property
     def n_antennas(self) -> int:
-        return self.assembled.shape[0]
+        return self.assembled.shape[-2]
 
 
 def assemble_analog(per_chain, codebook_indices: tuple | None = None) -> AnalogBeamformer:
     """Validate per-chain vectors and assemble the block-diagonal matrix.
 
-    Raises :class:`ConstraintViolationError` if any entry deviates from the
+    ``per_chain`` is (n_chains, n_per_chain), or a stack (..., n_chains,
+    n_per_chain) assembled network by network. Raises
+    :class:`ConstraintViolationError` if any entry deviates from the
     constant-modulus constraint |v_n|^2 = 1/n_per_chain, and ``ValueError``
     for ragged input.
     """
@@ -58,33 +61,20 @@ def assemble_analog(per_chain, codebook_indices: tuple | None = None) -> AnalogB
         raise ValueError("per-chain vectors must share a common length") from exc
     if vecs.ndim == 1:
         vecs = vecs[None, :]
-    if vecs.ndim != 2 or vecs.shape[1] < 1:
+    if vecs.ndim < 2 or vecs.shape[-1] < 1:
         raise ValueError("per-chain vectors must share a common length")
-    n_chains, n_a = vecs.shape
+    n_chains, n_a = vecs.shape[-2:]
     dev = np.abs(np.abs(vecs) ** 2 - 1.0 / n_a).max()
     if dev > _MODULUS_TOL:
         raise ConstraintViolationError(
             f"per-chain entries must have squared modulus 1/{n_a}, worst deviation {dev:.3e}"
         )
-    assembled = np.zeros((n_chains * n_a, n_chains), dtype=complex)
+    assembled = np.zeros((*vecs.shape[:-2], n_chains * n_a, n_chains), dtype=complex)
     for i in range(n_chains):
-        assembled[i * n_a : (i + 1) * n_a, i] = vecs[i]
+        assembled[..., i * n_a : (i + 1) * n_a, i] = vecs[..., i, :]
     return AnalogBeamformer(
         per_chain=vecs, assembled=assembled, codebook_indices=codebook_indices
     )
-
-
-def tx_signal(v_rf: AnalogBeamformer, v_bb: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Transmitted antenna-domain vector V_rf @ V_bb @ s."""
-    v_bb = np.asarray(v_bb, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    if v_bb.ndim != 2 or v_rf.assembled.shape[1] != v_bb.shape[0]:
-        raise ValueError(
-            f"digital precoder shape {v_bb.shape} does not match {v_rf.n_chains} RF chains"
-        )
-    if s.shape[0] != v_bb.shape[1]:
-        raise ValueError(f"symbol vector length {s.shape[0]} != {v_bb.shape[1]} streams")
-    return v_rf.assembled @ (v_bb @ s)
 
 
 def tx_power(v_rf: AnalogBeamformer, v_bb: np.ndarray) -> float:

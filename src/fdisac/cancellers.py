@@ -25,11 +25,15 @@ class CancellerPair:
 
 
 def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> CancellerPair:
-    """Construct the canceller pair from the compressed SI channel estimate."""
+    """Construct the canceller pair from the compressed SI channel estimate.
+
+    ``h_tilde_hat`` is (m_rf, n_rf) or a stack (..., m_rf, n_rf); the pair then
+    holds one canceller per matrix of the stack.
+    """
     h = np.asarray(h_tilde_hat, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError("compressed SI channel must be a matrix")
-    m_rf, n_rf = h.shape
+    if h.ndim < 2:
+        raise ValueError("compressed SI channel must be a matrix or a stack of them")
+    m_rf, n_rf = h.shape[-2:]
     if n_taps < 0:
         raise ValueError(f"tap count cannot be negative, got {n_taps}")
     if n_taps % m_rf != 0:
@@ -38,7 +42,7 @@ def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> CancellerPair:
     if cols > n_rf:
         raise ValueError(f"{n_taps} taps cover {cols} columns but only {n_rf} exist")
     analog = np.zeros_like(h)
-    analog[:, :cols] = -h[:, :cols]
+    analog[..., :cols] = -h[..., :cols]
     digital = -(h + analog)
     return CancellerPair(analog=analog, digital=digital, n_taps=n_taps)
 

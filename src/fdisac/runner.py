@@ -4,9 +4,17 @@ One trial follows the two-slot protocol: slot 1 transmits with a fixed
 spread-beam configuration and runs the sensing chain (MUSIC directions first,
 then one delay-Doppler dwell per detected direction with the RX chains
 repointed at it); the estimated directions feed the beamformer design used in
-slot 2, whose link metrics are then evaluated against the true channels. Trials are statistically
-independent (each gets its own spawned generator), so results do not depend
-on execution order and a fixed seed reproduces a report byte for byte.
+slot 2, whose link metrics are then evaluated against the true channels.
+
+Every sensing observation is linear in a few per-trial waveforms: the DL and
+UL symbols, the RX noise and each target's delay-Doppler phase times the DL
+symbols. A trial draws them once into one basis (:func:`waveform_basis`);
+each receiver is a row of coefficients over it (:func:`receiver_rows`), so
+the slot-1 snapshots and the K dwells' projections are one product each.
+
+Trials are statistically independent (each gets its own spawned generator),
+so results do not depend on execution order and a fixed seed reproduces a
+report byte for byte.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import Codebook, dft_codebook, ula_response
+from .arrays import Codebook, dft_codebook, ula_response_matrix
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import analog_residual_power_per_chain, build_cancellers
 from .channels import (
-    PathParams, TargetParams, delay_doppler_phase, gen_dl_channel, gen_si_channel,
+    PathParams, TargetParams, Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel,
     gen_ul_channel, perturb_estimate,
 )
 from .config import ScenarioConfig
@@ -50,8 +58,9 @@ __all__ = [
     "run_scenario",
     "sweep",
     "validate_suite",
+    "waveform_basis",
     "synthesize_rx_snapshots",
-    "project_snapshots",
+    "dwell_projections",
     "SWEEP_VARIABLES",
     "jsonify",
 ]
@@ -131,56 +140,70 @@ def spread_analog(n_chains: int, cb: Codebook) -> AnalogBeamformer:
     return assemble_analog(cb.vectors[list(idx)], codebook_indices=idx)
 
 
-def synthesize_rx_snapshots(
-    radar_targets: Sequence[TargetParams],
-    phases: np.ndarray,
-    h_ul: np.ndarray,
-    si_residual: np.ndarray,
-    v_rf: AnalogBeamformer,
-    tx_rf: np.ndarray,
-    v_u: np.ndarray,
-    w_rf: AnalogBeamformer,
-    sym_u: np.ndarray,
-    noise_rf: np.ndarray,
-) -> np.ndarray:
+def waveform_basis(rng: np.random.Generator, targets: Sequence[TargetParams], wf: Waveform,
+                   n_streams: int, n_noise: int, sigma: float) -> np.ndarray:
+    """One trial's waveforms, one row each and one column per cell ``p * Q + q``.
+
+    Rows: the ``n_streams`` DL symbol streams sym_b, the UL symbols sym_u,
+    ``n_noise`` RX-chain noise rows, then phase_k * sym_b[s] for every target k
+    (its :func:`~fdisac.channels.delay_doppler_phase`) and stream s, k-major.
+    Each CN(0, 1) or CN(0, sigma^2) block is drawn real part first and scaled
+    in place; numpy divides a complex by sqrt(2) as a product with 1/sqrt(2),
+    so the rows equal (a + 1j*b)/sqrt(2) and sigma*(a + 1j*b)/sqrt(2) exactly.
+    """
+    st, n_cells = n_streams, wf.n_subcarriers * wf.n_symbols
+    basis = np.empty((st + 1 + n_noise + len(targets) * st, n_cells), dtype=complex)
+    draw = np.empty((max(st, n_noise), n_cells))
+    row = 0
+    for n_rows, scale in ((st, 1.0), (1, 1.0), (n_noise, sigma)):
+        for part in (basis.real, basis.imag):
+            block = rng.standard_normal(out=draw[:n_rows])
+            block *= scale
+            np.multiply(block, 1 / np.sqrt(2), out=part[row : row + n_rows])
+        row += n_rows
+    column, symbol = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
+    for t in targets:
+        phase = delay_doppler_phase(t, wf, column, symbol).reshape(-1)
+        np.multiply(phase, basis[:st], out=basis[row : row + st])
+        row += st
+    return basis
+
+
+def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, si_residual: np.ndarray,
+                  v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray,
+                  targets: Sequence[TargetParams]) -> np.ndarray:
+    """Coefficients of the receivers c^T y over :func:`waveform_basis`, shape (..., n, n_rows).
+
+    ``c`` (..., n, m_rf) holds n weight vectors on the RX chains of ``w_rf``;
+    its leading axes match those of a stack of networks ``w_rf`` and ``v_rf``
+    and residuals ``si_residual``. With x = c^T W_rf^H the blocks are
+    c^T R V_bb on sym_b (R = H_tilde + C + D acts on the RF-chain TX signal
+    V_bb sym_b), x h_ul v_u on sym_u, c^T on the noise and
+    (x a_rx,k) beta_k (a_tx,k^H V_rf V_bb) on target k's rows.
+    """
+    x = c @ np.swapaxes(w_rf.assembled, -1, -2).conj()
+    angles = [t.angle_deg for t in targets]
+    gains = np.array([t.gain for t in targets])
+    a_rx = ula_response_matrix(h_ul.shape[0], angles)
+    a_tx_v = ula_response_matrix(v_rf.n_antennas, angles).conj().T @ v_rf.assembled @ v_bb
+    echo = ((x @ a_rx) * gains)[..., :, None] * a_tx_v[..., None, :, :]
+    return np.concatenate(
+        [c @ si_residual @ v_bb, (x @ (h_ul @ v_u))[..., None], c,
+         echo.reshape(*echo.shape[:-2], -1)],
+        axis=-1,
+    )
+
+
+def synthesize_rx_snapshots(basis: np.ndarray, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer,
+                            si_residual: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
+                            v_u: np.ndarray, targets: Sequence[TargetParams]) -> np.ndarray:
     """RF-chain-domain snapshots over the whole OFDM grid, shape (m_rf, P*Q).
 
-    The pipeline calls this for slot 1 only; the dwells need only c^T y, which
-    :func:`project_snapshots` forms directly, and this is its test oracle.
-
-    Grid cells are flattened as ``cell = p * Q + q``. Row k of ``phases`` is
-    target k's :func:`~fdisac.channels.delay_doppler_phase` over the cells.
-    ``tx_rf`` is the RF-chain-domain TX signal V_bb @ sym_b, shape
-    (n_rf, P*Q); ``si_residual`` is the post-canceller matrix H_tilde + C + D,
-    so the SI term is a product with ``tx_rf``. Target k's echo reaches the
-    RX chains as W_rf^H a_rx * gain_k * phase_k * (a_tx^H V_rf) tx_rf, so no
-    antenna-domain signal is formed.
+    Chain i is the receiver c = e_i of :func:`receiver_rows`, so the snapshots
+    are one product with ``basis`` and no antenna-domain signal is formed.
     """
-    w_h = w_rf.assembled.conj().T
-    y = si_residual @ tx_rf
-    y += np.outer(w_h @ (h_ul @ v_u), sym_u)
-    for t, phase in zip(radar_targets, phases):
-        a_rx = ula_response(h_ul.shape[0], t.angle_deg)
-        a_tx = ula_response(v_rf.n_antennas, t.angle_deg)
-        y += np.outer(w_h @ a_rx, t.gain * phase * ((a_tx.conj() @ v_rf.assembled) @ tx_rf))
-    y += noise_rf
-    return y
-
-
-def project_snapshots(c, radar_targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf,
-                      sym_u, noise_rf) -> np.ndarray:
-    """c^T y for the snapshots y of :func:`synthesize_rx_snapshots`, shape (P*Q,).
-
-    Each term is projected onto the RX weights ``c`` before it meets the
-    grid, so the (m_rf, P*Q) snapshot matrix is never formed.
-    """
-    cw_h = c @ w_rf.assembled.conj().T
-    a_tx_v = [ula_response(v_rf.n_antennas, t.angle_deg).conj() @ v_rf.assembled for t in radar_targets]
-    terms = np.array([c @ si_residual] + a_tx_v) @ tx_rf
-    y = (cw_h @ (h_ul @ v_u)) * sym_u + terms[0] + c @ noise_rf
-    for t, phase, echo in zip(radar_targets, phases, terms[1:]):
-        y += (cw_h @ ula_response(h_ul.shape[0], t.angle_deg)) * t.gain * phase * echo
-    return y
+    rows = receiver_rows(np.eye(w_rf.n_chains), w_rf, v_rf, si_residual, v_bb, h_ul, v_u, targets)
+    return rows @ basis
 
 
 def _match_doas(est_doas: Sequence[float], true_angles: Sequence[float]) -> np.ndarray:
@@ -194,13 +217,43 @@ def _match_doas(est_doas: Sequence[float], true_angles: Sequence[float]) -> np.n
     return matched
 
 
-def pointed_analog(n_chains: int, cb: Codebook, angle_deg: float) -> AnalogBeamformer:
-    """Every chain on the codebook beam with the highest gain toward ``angle_deg``."""
-    gains = np.abs(cb.vectors.conj() @ ula_response(cb.n_elems, angle_deg))
-    idx = int(np.argmax(gains))
-    return assemble_analog(
-        np.tile(cb.vectors[idx], (n_chains, 1)), codebook_indices=(idx,) * n_chains
-    )
+def _si_residual(w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, h_si_true: np.ndarray,
+                 h_si_hat: np.ndarray, n_taps: int) -> np.ndarray:
+    """Post-canceller SI matrix H_tilde + C + D, the cancellers built from the estimate.
+
+    H_tilde = W_rf^H H_si V_rf for one pair of networks or a stack of pairs.
+    """
+    w_h = np.swapaxes(w_rf.assembled, -1, -2).conj()
+    canc = build_cancellers(w_h @ h_si_hat @ v_rf.assembled, n_taps)
+    return w_h @ h_si_true @ v_rf.assembled + canc.analog + canc.digital
+
+
+def pointed_analog_stack(n_chains: int, cb: Codebook, angles_deg) -> AnalogBeamformer:
+    """One network per angle, every chain on the codebook beam of highest gain toward it."""
+    gains = np.abs(cb.vectors.conj() @ ula_response_matrix(cb.n_elems, angles_deg))
+    idx = np.argmax(gains, axis=0)
+    return assemble_analog(np.repeat(cb.vectors[idx, None, :], n_chains, axis=1))
+
+
+def dwell_projections(cfg: ScenarioConfig, basis: np.ndarray, angles_deg, cb_tx: Codebook,
+                      cb_rx: Codebook, h_si_true: np.ndarray, h_si_hat: np.ndarray,
+                      v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray,
+                      targets: Sequence[TargetParams]):
+    """Projected snapshots c^T y and references s of one dwell per angle, each (K, P*Q).
+
+    A dwell repoints the TX and RX chains to the codebook beam nearest its
+    angle, which restores full array gain for that target and pushes the
+    others into the subarray sidelobes; its SI canceller is rebuilt for the
+    new compression. Only the projection onto the dwell's RX weights is
+    formed, all K dwells as one product with the trial's ``basis``.
+    """
+    v_k = pointed_analog_stack(cfg.tx_rf_chains, cb_tx, angles_deg)
+    w_k = pointed_analog_stack(cfg.rx_rf_chains, cb_rx, angles_deg)
+    resid = _si_residual(w_k, v_k, h_si_true, h_si_hat, cfg.analog_taps)
+    c = dwell_weights(w_k, angles_deg)[:, None, :]
+    rows = receiver_rows(c, w_k, v_k, resid, v_bb, h_ul, v_u, targets)
+    s = reference_signal_grid(angles_deg, v_k, v_bb, basis[: v_bb.shape[1]])
+    return rows.reshape(len(angles_deg), -1) @ basis, s
 
 
 def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarray,
@@ -212,7 +265,6 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
     st = cfg.n_streams
     k = cfg.k_targets
     specs = cfg.all_target_specs()
-    n_cells = wf.n_subcarriers * wf.n_symbols
 
     # Channel realization. Gains default to unit magnitude with random phase.
     dl_phases = np.exp(2j * np.pi * rng.random(len(cfg.dl_scatterers)))
@@ -236,51 +288,26 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
     v_bb0 = np.eye(cfg.tx_rf_chains, dtype=complex)[:, :st] * np.sqrt(cfg.p_b_watts / st)
     raw = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
     v_u0 = raw / np.linalg.norm(raw) * np.sqrt(cfg.p_u_watts)
-    h_tilde_hat0 = w_rf0.assembled.conj().T @ h_si_hat @ v_rf0.assembled
-    h_tilde_true0 = w_rf0.assembled.conj().T @ h_si_true @ v_rf0.assembled
-    canc0 = build_cancellers(h_tilde_hat0, cfg.analog_taps)
-    si_residual0 = h_tilde_true0 + canc0.analog + canc0.digital
+    si_residual0 = _si_residual(w_rf0, v_rf0, h_si_true, h_si_hat, cfg.analog_taps)
 
-    sym_b = (rng.standard_normal((st, n_cells)) + 1j * rng.standard_normal((st, n_cells))) / np.sqrt(2)
-    sym_u = (rng.standard_normal(n_cells) + 1j * rng.standard_normal(n_cells)) / np.sqrt(2)
-    sigma_b = np.sqrt(cfg.sigma_b2_watts)
-    noise_rf = sigma_b * (
-        rng.standard_normal((cfg.rx_rf_chains, n_cells))
-        + 1j * rng.standard_normal((cfg.rx_rf_chains, n_cells))
-    ) / np.sqrt(2)
-
-    # Each target's delay-Doppler phase grid is shared by slot 1 and all K dwells.
-    cell_p, cell_q = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
-    phases = [delay_doppler_phase(t, wf, cell_p, cell_q).ravel() for t in targets]
-    tx_rf = v_bb0 @ sym_b
+    # Every slot-1 snapshot and every dwell below is a row of coefficients
+    # over this basis.
+    basis = waveform_basis(rng, targets, wf, st, cfg.rx_rf_chains, np.sqrt(cfg.sigma_b2_watts))
     y_rf = synthesize_rx_snapshots(
-        targets, phases, h_ul_true, si_residual0, v_rf0, tx_rf, v_u0, w_rf0, sym_u, noise_rf,
+        basis, w_rf0, v_rf0, si_residual0, v_bb0, h_ul_true, v_u0, targets
     )
 
     # Sensing: directions first, then per-target delay-Doppler.
     cov = sample_covariance(y_rf.T)
+    del y_rf
     music = music_doas(cov, k, cfg.music_grid_step_deg, cfg.rx_rf_chains, manifold=manifold)
     true_angles = [s.angle_deg for s in specs]
     matched = _match_doas(music.doas_deg, true_angles)
 
-    cy = np.empty((k, n_cells), dtype=complex)
-    s = np.empty_like(cy)
-    for i, theta in enumerate(matched):
-        # Dedicated dwell per detected direction: TX and RX chains repoint to
-        # the nearest codebook beam, which restores full array gain for this
-        # target and pushes the others into the subarray sidelobes. Only the
-        # projection c^T y onto the dwell's RX weights is formed.
-        v_k = pointed_analog(cfg.tx_rf_chains, cb_tx, theta)
-        w_k = pointed_analog(cfg.rx_rf_chains, cb_rx, theta)
-        h_tilde_hat_k = w_k.assembled.conj().T @ h_si_hat @ v_k.assembled
-        h_tilde_true_k = w_k.assembled.conj().T @ h_si_true @ v_k.assembled
-        canc_k = build_cancellers(h_tilde_hat_k, cfg.analog_taps)
-        resid_k = h_tilde_true_k + canc_k.analog + canc_k.digital
-        cy[i] = project_snapshots(
-            dwell_weights(w_k, theta), targets, phases, h_ul_true, resid_k, v_k, tx_rf,
-            v_u0, w_k, sym_u, noise_rf,
-        )
-        s[i] = reference_signal_grid(theta, v_k, tx_rf)
+    cy, s = dwell_projections(
+        cfg, basis, matched, cb_tx, cb_rx, h_si_true, h_si_hat, v_bb0, h_ul_true, v_u0, targets,
+    )
+    del basis  # the quotient's temporaries reuse its memory
     dwell_grid = (k, wf.n_subcarriers, wf.n_symbols)
     z, _ = delay_doppler_quotient(cy.reshape(dwell_grid), s.reshape(dwell_grid))
     dd = delay_doppler_map(z)

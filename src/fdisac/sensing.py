@@ -5,17 +5,19 @@ the P x Q OFDM grid:
 
   1. sample covariance of the slot-1 snapshots,
   2. MUSIC pseudo-spectrum over an angle grid for the K directions,
-  3. per-dwell reference s(p, q) = a_tx(theta)^H V_rf u(p, q) for the
-     RF-chain-domain TX signal u = V_bb sym, one scalar per cell,
+  3. per-dwell reference s(p, q) = a_tx(theta)^H V_rf V_bb sym(p, q), one
+     scalar per cell,
   4. element-wise quotient z(p, q) = c^T y(p, q) / s(p, q) with one weight
      per RX chain, c = W_rf^T conj(a_rx(theta)) / M_b (:func:`dwell_weights`):
      since every ULA entry has unit modulus, this is the antenna average of
-     (W_rf y)_i / (a_rx,i s). Being linear in y, it lets a dwell project its
-     snapshots onto c before they are summed over the grid,
+     (W_rf y)_i / (a_rx,i s). Being linear in y, c^T y is one fixed row of
+     coefficients over the trial's waveforms, so the runner forms it without
+     the dwell's snapshots,
   5. 2-D periodogram of z; the peak bin (n*, m*) quantizes delay and Doppler:
      tau = n*/(P*df), f_D = m*/(Q*T_s).
 
-Steps 3-5 take one grid or a stack of dwells' grids.
+Steps 3-5 take one dwell or a stack of K dwells (K angles and a stack of K
+analog networks for steps 3 and 4, a stack of grids for step 5).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .arrays import ula_response, ula_response_matrix
+from .arrays import ula_response_matrix
 from .beamforming import AnalogBeamformer
 from .channels import SPEED_OF_LIGHT, Waveform
 from .errors import EstimationFailureError
@@ -208,22 +210,31 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[1:-1][peak] + ends[1:-1][peak]) // 2
 
 
+def _steered(theta_deg, matrix: np.ndarray) -> np.ndarray:
+    """a(theta)^H M for the ULA response a, or per angle over a stack (..., N, r) of M."""
+    theta = np.asarray(theta_deg, dtype=float)
+    a = ula_response_matrix(matrix.shape[-2], theta.ravel()).T.reshape(*theta.shape, -1)
+    return (a.conj()[..., None, :] @ matrix)[..., 0, :]
+
+
 def reference_signal_grid(
-    theta_hat_deg: float, v_rf: AnalogBeamformer, tx_rf: np.ndarray
+    theta_hat_deg, v_rf: AnalogBeamformer, v_bb: np.ndarray, sym: np.ndarray
 ) -> np.ndarray:
-    """Reference s = a_tx(theta_hat)^H V_rf u for every column u of ``tx_rf``.
+    """Reference s = a_tx(theta_hat)^H V_rf V_bb u for every column u of ``sym``.
 
-    ``tx_rf`` holds the RF-chain-domain TX signal V_bb sym, shape
-    (n_chains, n_cells); the result has shape (n_cells,).
+    ``sym`` holds the symbol streams, shape (n_streams, n_cells). One angle
+    and one network give shape (n_cells,); K angles and a stack of K networks
+    give one dwell's reference per row, shape (K, n_cells).
     """
-    a_tx = ula_response(v_rf.n_antennas, theta_hat_deg)
-    return (a_tx.conj() @ v_rf.assembled) @ np.asarray(tx_rf, dtype=complex)
+    return (_steered(theta_hat_deg, v_rf.assembled) @ v_bb) @ sym
 
 
-def dwell_weights(w_rf: AnalogBeamformer, theta_hat_deg: float) -> np.ndarray:
-    """Per-chain RX weights c = W_rf^T conj(a_rx(theta_hat)) / M_b (module docstring, step 4)."""
-    a_rx = ula_response(w_rf.n_antennas, theta_hat_deg)
-    return w_rf.assembled.T @ a_rx.conj() / w_rf.n_antennas
+def dwell_weights(w_rf: AnalogBeamformer, theta_hat_deg) -> np.ndarray:
+    """Per-chain RX weights c = W_rf^T conj(a_rx(theta_hat)) / M_b (module docstring, step 4).
+
+    K angles and a stack of K networks give one dwell's weights per row.
+    """
+    return _steered(theta_hat_deg, w_rf.assembled) / w_rf.n_antennas
 
 
 def delay_doppler_quotient(

@@ -3,23 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdisac.arrays import dft_codebook, steering_vector, ula_response, ula_response_matrix
+from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
 
 
 def test_steering_broadside_is_all_ones():
-    sv = steering_vector(4, 0.0, 0.5)
-    np.testing.assert_allclose(sv.elements, np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(ula_response(4, 0.0, 0.5), np.ones(4), atol=1e-12)
 
 
 def test_steering_30deg_half_wavelength():
     # sin(30 deg) = 0.5 so the second element sits at phase pi/2
-    sv = steering_vector(2, 30.0, 0.5)
-    np.testing.assert_allclose(sv.elements, [1.0, 1.0j], atol=1e-9)
+    np.testing.assert_allclose(ula_response(2, 30.0, 0.5), [1.0, 1.0j], atol=1e-9)
 
 
 def test_steering_endfire_minus_90():
-    sv = steering_vector(2, -90.0, 0.5)
-    np.testing.assert_allclose(sv.elements, [1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(ula_response(2, -90.0, 0.5), [1.0, -1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -28,7 +25,9 @@ def test_steering_endfire_minus_90():
 )
 def test_steering_rejects_bad_arguments(n, angle, spacing):
     with pytest.raises(ValueError):
-        steering_vector(n, angle, spacing)
+        ula_response(n, angle, spacing)
+    with pytest.raises(ValueError):
+        ula_response_matrix(n, [angle], spacing)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdisac.arrays import dft_codebook
-from fdisac.beamforming import assemble_analog, tx_power, tx_signal
+from fdisac.arrays import dft_codebook, ula_response
+from fdisac.beamforming import assemble_analog, tx_power
 from fdisac.errors import ConstraintViolationError
+from fdisac.sensing import reference_signal_grid
 
 
 def test_assemble_two_chain_block_structure():
@@ -35,6 +36,19 @@ def test_assemble_rejects_modulus_violation():
 def test_assemble_rejects_ragged_vectors():
     with pytest.raises(ValueError):
         assemble_analog([np.ones(2) / np.sqrt(2), np.ones(3) / np.sqrt(3)])
+
+
+def test_assemble_stack_matches_each_network_and_checks_every_entry():
+    rng = np.random.default_rng(7)
+    vecs = np.exp(2j * np.pi * rng.random((3, 2, 4))) / 2
+    stack = assemble_analog(vecs)
+    assert stack.assembled.shape == (3, 8, 2)
+    assert (stack.n_chains, stack.n_per_chain, stack.n_antennas) == (2, 4, 8)
+    for k in range(3):
+        np.testing.assert_array_equal(stack.assembled[k], assemble_analog(vecs[k]).assembled)
+    vecs[2, 1, 3] *= 1.01  # one entry of the last network
+    with pytest.raises(ConstraintViolationError):
+        assemble_analog(vecs)
 
 
 def test_assembly_round_trips_per_chain_vectors():
@@ -68,34 +82,40 @@ def _random_bf(rng, n_chains=2, n_a=3):
     return assemble_analog(np.exp(1j * phases) / np.sqrt(n_a))
 
 
+# The TX signal V_rf V_bb s reaches the sensing chain only through the dwell
+# reference a_tx^H V_rf V_bb s; these tests hold that product to the
+# antenna-domain signal formed explicitly.
+
+
 def test_tx_signal_zero_symbols():
     bf = _random_bf(np.random.default_rng(0))
     v_bb = np.eye(2, dtype=complex)
-    np.testing.assert_array_equal(tx_signal(bf, v_bb, np.zeros(2)), np.zeros(6))
+    np.testing.assert_array_equal(reference_signal_grid(10.0, bf, v_bb, np.zeros((2, 3))), np.zeros(3))
 
 
 def test_tx_signal_identity_precoder():
     rng = np.random.default_rng(1)
     bf = _random_bf(rng)
-    s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    np.testing.assert_allclose(tx_signal(bf, np.eye(2), s), bf.assembled @ s, atol=1e-14)
+    s = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+    expected = ula_response(6, -40.0).conj() @ (bf.assembled @ s)
+    np.testing.assert_allclose(reference_signal_grid(-40.0, bf, np.eye(2), s), expected, atol=1e-14)
 
 
 def test_tx_signal_matches_triple_product():
     rng = np.random.default_rng(2)
     bf = _random_bf(rng)
     v_bb = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    expected = bf.assembled @ v_bb @ s
-    np.testing.assert_allclose(tx_signal(bf, v_bb, s), expected, atol=1e-13)
+    s = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+    expected = ula_response(6, 25.0).conj() @ (bf.assembled @ v_bb @ s)
+    np.testing.assert_allclose(reference_signal_grid(25.0, bf, v_bb, s), expected, atol=1e-13)
 
 
 def test_tx_signal_shape_validation():
     bf = _random_bf(np.random.default_rng(3))
     with pytest.raises(ValueError):
-        tx_signal(bf, np.eye(3), np.zeros(3))
+        reference_signal_grid(0.0, bf, np.eye(3), np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        tx_signal(bf, np.eye(2), np.zeros(3))
+        reference_signal_grid(0.0, bf, np.eye(2), np.zeros((3, 1)))
 
 
 def test_tx_power_zero_precoder():

@@ -43,9 +43,12 @@ def test_traced_run_calls_quotient_and_map_once_per_trial():
     calls = [span[0] for span in tracer.spans]
     assert calls.count("sensing.delay_doppler_quotient") == cfg.trials
     assert calls.count("sensing.delay_doppler_map") == cfg.trials
+    assert calls.count("sensing.reference_signal_grid") == cfg.trials  # all K dwells at once
     layers = tracer.layer_metrics(cfg.trials)
     # slot 1 only: the K dwells are projected, not synthesized
     assert layers["runner.synthesize_rx_snapshots.calls"] == 1
+    # slot 1, the stack of K dwells and the slot-2 design
+    assert layers["cancellers.build_cancellers.calls"] == 3
     assert layers["sensing.delay_doppler_quotient.cells"] == (
         cfg.k_targets * wf.n_subcarriers * wf.n_symbols
     )

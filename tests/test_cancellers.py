@@ -46,6 +46,21 @@ def test_tap_count_validation():
         build_cancellers(h, -2)
 
 
+@pytest.mark.parametrize("taps", [0, 4, 8])
+def test_stacked_cancellers_equal_per_matrix_calls(taps):
+    rng = np.random.default_rng(10)
+    h = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    pair = build_cancellers(h, taps)
+    for k in range(3):
+        one = build_cancellers(h[k], taps)
+        np.testing.assert_array_equal(pair.analog[k], one.analog)
+        np.testing.assert_array_equal(pair.digital[k], one.digital)
+    with pytest.raises(ValueError):
+        build_cancellers(h, 3)  # not divisible by 2 chains
+    with pytest.raises(ValueError):
+        build_cancellers(h[0, 0], 0)  # a vector is no compressed channel
+
+
 def test_residual_zero_with_full_analog_cancellation():
     rng = np.random.default_rng(5)
     h = _random_h(rng)

@@ -8,28 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from fdisac.arrays import dft_codebook, ula_response_matrix
+from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
+from fdisac.beamforming import assemble_analog
+from fdisac.cancellers import build_cancellers
 from fdisac.channels import (
     PathParams, TargetParams, delay_doppler_phase, gen_ul_channel, radar_channel_at,
 )
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac.runner import (
     _match_doas,
-    pointed_analog,
-    project_snapshots,
+    dwell_projections,
     run_scenario,
     spread_analog,
     sweep,
     synthesize_rx_snapshots,
     validate_suite,
+    waveform_basis,
 )
-from fdisac.sensing import (
-    angle_grid,
-    combiner_manifold,
-    delay_doppler_quotient,
-    dwell_weights,
-    reference_signal_grid,
-)
+from fdisac.sensing import angle_grid, combiner_manifold, delay_doppler_quotient
 
 
 def _tiny_config(**overrides):
@@ -56,6 +52,68 @@ def _tiny_config(**overrides):
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
+def _crandn(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def _oracle_snapshots(radar_targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf, sym_u,
+                      noise_rf):
+    """Slot-1 snapshots term by term on the grid, as before the waveform basis.
+
+    ``tx_rf`` is the RF-chain TX signal V_bb sym_b and row k of ``phases``
+    target k's delay-Doppler phase over the cells.
+    """
+    w_h = w_rf.assembled.conj().T
+    y = si_residual @ tx_rf
+    y += np.outer(w_h @ (h_ul @ v_u), sym_u)
+    for t, phase in zip(radar_targets, phases):
+        a_rx = ula_response(h_ul.shape[0], t.angle_deg)
+        a_tx = ula_response(v_rf.n_antennas, t.angle_deg)
+        y += np.outer(w_h @ a_rx, t.gain * phase * ((a_tx.conj() @ v_rf.assembled) @ tx_rf))
+    y += noise_rf
+    return y
+
+
+def _oracle_projection(c, radar_targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf,
+                       sym_u, noise_rf):
+    """c^T y of :func:`_oracle_snapshots`, each term projected before it meets the grid."""
+    cw_h = c @ w_rf.assembled.conj().T
+    a_tx_v = [ula_response(v_rf.n_antennas, t.angle_deg).conj() @ v_rf.assembled for t in radar_targets]
+    terms = np.array([c @ si_residual] + a_tx_v) @ tx_rf
+    y = (cw_h @ (h_ul @ v_u)) * sym_u + terms[0] + c @ noise_rf
+    for t, phase, echo in zip(radar_targets, phases, terms[1:]):
+        y += (cw_h @ ula_response(h_ul.shape[0], t.angle_deg)) * t.gain * phase * echo
+    return y
+
+
+def _oracle_pointed_analog(n_chains, cb, angle_deg):
+    """Every chain on the codebook beam with the highest gain toward ``angle_deg``."""
+    gains = np.abs(cb.vectors.conj() @ ula_response(cb.n_elems, angle_deg))
+    idx = int(np.argmax(gains))
+    return assemble_analog(np.tile(cb.vectors[idx], (n_chains, 1)))
+
+
+def _scene(cfg, rng):
+    """Random target gains, UL channel and precoders of one trial of ``cfg``, and its basis."""
+    targets = [
+        TargetParams(np.exp(2j * np.pi * rng.random()), s.angle_deg, s.range_m, s.velocity_mps)
+        for s in cfg.all_target_specs()
+    ]
+    h_ul = gen_ul_channel(PathParams(1j, cfg.ul_user.angle_deg), cfg.n_rx_antennas, cfg.ul_user_antennas)
+    v_u = _crandn(rng, cfg.ul_user_antennas)
+    v_bb = _crandn(rng, cfg.tx_rf_chains, cfg.n_streams)
+    basis = waveform_basis(rng, targets, cfg.waveform(), cfg.n_streams, cfg.rx_rf_chains, 1e-3)
+    return targets, h_ul, v_u, v_bb, basis
+
+
+def _oracle_waveforms(cfg, targets, basis, v_bb):
+    """Phases, V_bb sym_b, sym_u and noise in the per-term oracles' form, read from ``basis``."""
+    wf, st = cfg.waveform(), cfg.n_streams
+    column, row = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
+    phases = [delay_doppler_phase(t, wf, column, row).ravel() for t in targets]
+    return phases, v_bb @ basis[:st], basis[st], basis[st + 1 : st + 1 + cfg.rx_rf_chains]
+
+
 def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     # oracle: assemble the same snapshots cell by cell from the radar channel
     cfg = _tiny_config()
@@ -76,16 +134,10 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     v_u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     h_ul = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     si_residual = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 0.01
-    sym_b = (rng.standard_normal((st, cells)) + 1j * rng.standard_normal((st, cells)))
-    sym_u = rng.standard_normal(cells) + 1j * rng.standard_normal(cells)
-    noise = np.zeros((4, cells), dtype=complex)
-    cell_p, cell_q = np.divmod(np.arange(cells), wf.n_symbols)
-    phases = [delay_doppler_phase(t, wf, cell_p, cell_q) for t in targets]
-    tx_rf = v_bb @ sym_b
+    basis = waveform_basis(rng, targets, wf, st, 4, 0.1)
+    sym_b, sym_u, noise = basis[:st], basis[st], basis[st + 1 : st + 5]
 
-    y = synthesize_rx_snapshots(
-        targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf, sym_u, noise
-    )
+    y = synthesize_rx_snapshots(basis, w_rf, v_rf, si_residual, v_bb, h_ul, v_u, targets)
 
     w_h = w_rf.assembled.conj().T
     for cell in (0, 17, cells - 1):
@@ -93,8 +145,48 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
         h_rad = radar_channel_at(targets, p, q, wf, 8, 8)
         x_b = v_rf.assembled @ (v_bb @ sym_b[:, cell])  # antenna-domain TX vector
         expected = w_h @ (h_rad @ x_b + h_ul @ (v_u * sym_u[cell]))
-        expected += si_residual @ (v_bb @ sym_b[:, cell])
+        expected += si_residual @ (v_bb @ sym_b[:, cell]) + noise[:, cell]
         np.testing.assert_allclose(y[:, cell], expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("profile", [fast_profile, table1_profile])
+def test_waveform_basis_draws_match_complex_draws(profile):
+    # oracle: the complex draws the basis replaced, on a generator of the same seed
+    cfg = profile()
+    wf, st, m = cfg.waveform(), cfg.n_streams, cfg.rx_rf_chains
+    n = wf.n_subcarriers * wf.n_symbols
+    targets = [
+        TargetParams(1.0, s.angle_deg, s.range_m, s.velocity_mps) for s in cfg.all_target_specs()
+    ]
+    sigma = np.sqrt(cfg.sigma_b2_watts)
+    rng_basis, rng = np.random.default_rng(3), np.random.default_rng(3)
+    basis = waveform_basis(rng_basis, targets, wf, st, m, sigma)
+    sym_b = (rng.standard_normal((st, n)) + 1j * rng.standard_normal((st, n))) / np.sqrt(2)
+    sym_u = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+    noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    column, row = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
+    echoes = [delay_doppler_phase(t, wf, column, row).ravel() * sym_b for t in targets]
+    expected = np.concatenate([sym_b, sym_u[None], noise, *echoes])
+    assert basis.shape == expected.shape == (st + 1 + m + len(targets) * st, n)
+    assert basis.tobytes() == expected.tobytes()  # bit for bit
+    assert rng_basis.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("profile", [fast_profile, table1_profile])
+def test_slot1_snapshots_match_per_term_oracle(profile):
+    # oracle: every term of the slot-1 snapshots formed on the grid and summed,
+    # with a nonzero SI residual
+    cfg = profile()
+    rng = np.random.default_rng(13)
+    targets, h_ul, v_u, v_bb, basis = _scene(cfg, rng)
+    v_rf = spread_analog(cfg.tx_rf_chains, dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits))
+    w_rf = spread_analog(cfg.rx_rf_chains, dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits))
+    resid = 1e-2 * _crandn(rng, cfg.rx_rf_chains, cfg.tx_rf_chains)
+    y = synthesize_rx_snapshots(basis, w_rf, v_rf, resid, v_bb, h_ul, v_u, targets)
+    phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, targets, basis, v_bb)
+    expected = _oracle_snapshots(targets, phases, h_ul, resid, v_rf, tx_rf, v_u, w_rf, sym_u, noise)
+    assert y.shape == expected.shape
+    assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,6 +371,29 @@ def test_table1_profile_golden_doas_bins_rates_and_sinrs():
             assert trial["metrics"][key] == pytest.approx(want[key], rel=1e-9)
 
 
+def test_fast_csi_profile_golden_doas_bins_rates_sinrs_and_maps():
+    # values recorded before the waveform basis; with SI CSI at -10 dB NMSE the
+    # sensing SI residual is nonzero, and each seed's averaged delay-Doppler
+    # map (its sum) moves with it
+    golden = json.loads((Path(__file__).parent / "golden_fast_csi_profile.json").read_text())
+    got = []
+    for seed in range(4):
+        report = run_scenario(fast_profile(trials=2, seed=seed, csi_nmse_db=-10.0))
+        map_sum = float(np.sum(report.range_velocity["magnitude"]))
+        got += [(seed, map_sum, trial) for trial in report.trials]
+    assert len(got) == len(golden)
+    for (seed, map_sum, trial), want in zip(got, golden):
+        assert seed == want["seed"]
+        assert [row["doa_deg"] for row in trial["sensing"]] == want["doa_deg"]
+        assert [[row["bin_n"], row["bin_m"]] for row in trial["sensing"]] == want["bins"]
+        assert map_sum == pytest.approx(want["seed_map_sum"], rel=1e-9)
+        for key in (
+            "rate_dl", "rate_ul_nsp", "rate_ul_mss",
+            "gamma_rad", "gamma_dl", "gamma_ul_nsp", "gamma_ul_mss",
+        ):
+            assert trial["metrics"][key] == pytest.approx(want[key], rel=1e-9)
+
+
 @pytest.mark.parametrize("profile", [fast_profile, table1_profile])
 def test_combiner_manifold_matches_assembled_product(profile):
     # oracle: the RX combiner applied to the full-aperture ULA responses
@@ -313,57 +428,49 @@ def test_separable_phase_matches_single_exponential(profile):
         assert np.abs(grid - single).max() <= 1e-14 * max(1.0, np.abs(cycles).max())
 
 
-def _dwell_stack(cfg, rng, quiet_cells):
-    """One trial's K dwells both ways: full synthesis then quotient, and projected."""
-    wf = cfg.waveform()
-    cells = wf.n_subcarriers * wf.n_symbols
-    targets = [
-        TargetParams(np.exp(2j * np.pi * rng.random()), s.angle_deg, s.range_m, s.velocity_mps)
-        for s in cfg.all_target_specs()
-    ]
-
-    def crandn(*shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-    h_ul = gen_ul_channel(PathParams(1j, cfg.ul_user.angle_deg), cfg.n_rx_antennas, cfg.ul_user_antennas)
-    v_u = crandn(cfg.ul_user_antennas)
-    tx_rf = crandn(cfg.tx_rf_chains, cells)
-    for cell, scale in quiet_cells:
-        tx_rf[:, cell] *= scale  # a zero or tiny reference in every dwell
-    sym_u = crandn(cells)
-    noise = 1e-3 * crandn(cfg.rx_rf_chains, cells)
-    column, row = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
-    phases = [delay_doppler_phase(t, wf, column, row).ravel() for t in targets]
-    cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
-    cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
-    full, projected, refs = [], [], []
-    for t in targets:
-        v_k = pointed_analog(cfg.tx_rf_chains, cb_tx, t.angle_deg)
-        w_k = pointed_analog(cfg.rx_rf_chains, cb_rx, t.angle_deg)
-        resid = 1e-2 * crandn(cfg.rx_rf_chains, cfg.tx_rf_chains)
-        args = (targets, phases, h_ul, resid, v_k, tx_rf, v_u, w_k, sym_u, noise)
-        c = dwell_weights(w_k, t.angle_deg)
-        full.append(synthesize_rx_snapshots(*args).T @ c)
-        projected.append(project_snapshots(c, *args))
-        refs.append(reference_signal_grid(t.angle_deg, v_k, tx_rf))
-    shape = (len(targets), wf.n_subcarriers, wf.n_symbols)
-    return [np.reshape(x, shape) for x in (full, projected, refs)]
-
-
 @pytest.mark.parametrize("profile", [fast_profile, table1_profile])
 def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
-    # oracle: every dwell synthesized in full, then projected and divided one
-    # by one; guarded cells (zero and 1e-10 references) included
-    full, projected, s = _dwell_stack(
-        profile(), np.random.default_rng(11), quiet_cells=((0, 0.0), (5, 1e-10), (17, 0.0))
-    )
-    z, excluded = delay_doppler_quotient(projected, s)
-    for k in range(len(full)):
-        z_k, excluded_k = delay_doppler_quotient(full[k], s[k])
+    # oracle: every dwell pointed, cancelled and synthesized in full on its
+    # own, then projected and divided one by one; imperfect SI CSI leaves a
+    # nonzero SI residual, and guarded cells (zero and 1e-10 references) are
+    # included
+    cfg = profile()
+    wf = cfg.waveform()
+    st, m = cfg.n_streams, cfg.rx_rf_chains
+    rng = np.random.default_rng(11)
+    targets, h_ul, v_u, v_bb, basis = _scene(cfg, rng)
+    for cell, scale in ((0, 0.0), (5, 1e-10), (17, 0.0)):
+        # a zero or tiny reference in every dwell: scale sym_b and its echoes
+        basis[:st, cell] *= scale
+        basis[st + 1 + m :, cell] *= scale
+    h_si = _crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
+    h_si_hat = h_si + 0.1 * _crandn(rng, *h_si.shape)
+    cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
+    cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
+    angles = np.array([t.angle_deg for t in targets])
+    cy, s = dwell_projections(cfg, basis, angles, cb_tx, cb_rx, h_si, h_si_hat, v_bb, h_ul, v_u, targets)
+    shape = (len(targets), wf.n_subcarriers, wf.n_symbols)
+    z, excluded = delay_doppler_quotient(cy.reshape(shape), s.reshape(shape))
+
+    phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, targets, basis, v_bb)
+    for k, theta in enumerate(angles):
+        v_k = _oracle_pointed_analog(cfg.tx_rf_chains, cb_tx, theta)
+        w_k = _oracle_pointed_analog(m, cb_rx, theta)
+        w_h = w_k.assembled.conj().T
+        canc = build_cancellers(w_h @ h_si_hat @ v_k.assembled, cfg.analog_taps)
+        resid = w_h @ h_si @ v_k.assembled + canc.analog + canc.digital
+        assert np.abs(resid).max() > 1e-3
+        c = w_k.assembled.T @ ula_response(cfg.n_rx_antennas, theta).conj() / cfg.n_rx_antennas
+        args = (targets, phases, h_ul, resid, v_k, tx_rf, v_u, w_k, sym_u, noise)
+        full = c @ _oracle_snapshots(*args)
+        ref = ula_response(cfg.n_tx_antennas, theta).conj() @ (v_k.assembled @ tx_rf)
+        for got, want in ((cy[k], full), (cy[k], _oracle_projection(c, *args)), (s[k], ref)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        z_k, excluded_k = delay_doppler_quotient(full.reshape(shape[1:]), ref.reshape(shape[1:]))
         np.testing.assert_array_equal(excluded[k], excluded_k)
         assert np.abs(z[k] - z_k).max() <= 1e-12 * np.abs(z_k).max()
-    assert excluded.reshape(len(full), -1)[:, [0, 5, 17]].all()
-    assert excluded.sum() == 3 * len(full)
+    assert excluded.reshape(len(targets), -1)[:, [0, 5, 17]].all()
+    assert excluded.sum() == 3 * len(targets)
 
 
 def test_coincident_radar_targets_swap_roles_silently():
@@ -385,6 +492,39 @@ def test_coincident_radar_targets_swap_roles_silently():
             [-30.0, spurious, -10.0, 20.0, -20.0], abs=1e-9
         )
         assert [row["bin_n"] for row in rows] == [12, 25, 37, 50, 25]
+
+
+_FAST_BINS = [(12, 0), (25, 0), (50, 1), (62, -2), (37, 0)]
+
+
+@pytest.mark.parametrize(
+    "delta, doas, bins",
+    [
+        # a spurious -25.7 deg peak stands in for the second source and the
+        # sorted matching swaps the roles, as for coincident targets
+        (0.1, [-30.0, -25.7, -10.0, 20.1, -20.0],
+         [[(12, 0), (25, 0), (37, 0), (62, -2), (25, 0)]] * 2),
+        (0.2, [-30.0, -20.0, 20.0, 20.2, -10.0], [_FAST_BINS] * 2),
+        # DoAs exact, but in the first trial the 20.3-deg dwell reports the
+        # 20-deg target's bins
+        (0.3, [-30.0, -20.0, 20.0, 20.3, -10.0], [_FAST_BINS[:3] + [(50, 1)] + _FAST_BINS[4:], _FAST_BINS]),
+        (0.5, [-30.0, -20.0, 20.0, 20.5, -10.0], [_FAST_BINS] * 2),
+    ],
+)
+def test_closely_spaced_radar_targets(delta, doas, bins):
+    # the fast radar targets at 20 and 20 + delta deg: MUSIC never returns
+    # fewer than K peaks and no trial fails, whatever the answers
+    base = fast_profile(trials=2, seed=1)
+    first, second = base.radar_targets
+    cfg = base.with_overrides(
+        radar_targets=(replace(first, angle_deg=20.0), replace(second, angle_deg=20.0 + delta))
+    )
+    report = run_scenario(cfg)
+    assert report.aggregate["n_failed"] == 0
+    for trial, want in zip(report.trials, bins):
+        rows = trial["sensing"]
+        assert [row["doa_deg"] for row in rows] == pytest.approx(doas, abs=1e-9)
+        assert [(row["bin_n"], row["bin_m"]) for row in rows] == want
 
 
 @st.composite

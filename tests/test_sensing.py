@@ -178,7 +178,7 @@ def test_reference_signal_orthogonal_tx_vector():
     cb = dft_codebook(8, 3)
     theta = float(np.degrees(np.arcsin(-1 + 2 * 5 / 8)))
     v_rf = assemble_analog(cb.vectors[2])  # different grid beam, orthogonal to a(theta)
-    s = reference_signal_grid(theta, v_rf, np.ones((1, 1)))
+    s = reference_signal_grid(theta, v_rf, np.eye(1), np.ones((1, 1)))
     np.testing.assert_allclose(s, np.zeros(1), atol=1e-12)
 
 
@@ -186,29 +186,53 @@ def test_reference_signal_matched_tx_vector():
     # x = V_rf u = a_tx(theta) gives s = a_tx^H a_tx = N_b
     theta = 17.0
     v_rf = assemble_analog(ula_response(8, theta) / np.sqrt(8))
-    s = reference_signal_grid(theta, v_rf, np.full((1, 1), np.sqrt(8)))
+    s = reference_signal_grid(theta, v_rf, np.eye(1), np.full((1, 1), np.sqrt(8)))
     np.testing.assert_allclose(s, [8.0], atol=1e-12)
 
 
 def test_reference_signal_matches_two_step_oracle():
-    # oracle: form the antenna-domain TX vector x = V_rf u, then a_tx^H x
+    # oracle: form the antenna-domain TX vector x = V_rf V_bb u, then a_tx^H x
     rng = np.random.default_rng(4)
     v_rf = _random_analog(rng, 4, 2)
-    tx_rf = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    v_bb = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    sym = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     theta = -33.0
-    expected = ula_response(8, theta).conj() @ (v_rf.assembled @ tx_rf)
-    np.testing.assert_allclose(reference_signal_grid(theta, v_rf, tx_rf), expected, atol=1e-12)
+    expected = ula_response(8, theta).conj() @ (v_rf.assembled @ (v_bb @ sym))
+    np.testing.assert_allclose(reference_signal_grid(theta, v_rf, v_bb, sym), expected, atol=1e-12)
 
 
 def test_reference_signal_grid_matches_per_cell():
     rng = np.random.default_rng(5)
     v_rf = _random_analog(rng, 4, 2)
-    tx_rf = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
-    grid = reference_signal_grid(24.0, v_rf, tx_rf)
+    v_bb = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    sym = rng.standard_normal((2, 12)) + 1j * rng.standard_normal((2, 12))
+    grid = reference_signal_grid(24.0, v_rf, v_bb, sym)
     assert grid.shape == (12,)
     for c in range(12):
         np.testing.assert_allclose(
-            grid[c], reference_signal_grid(24.0, v_rf, tx_rf[:, [c]])[0], atol=1e-12
+            grid[c], reference_signal_grid(24.0, v_rf, v_bb, sym[:, [c]])[0], atol=1e-12
+        )
+
+
+def test_dwell_weights_and_references_stack_matches_each_dwell():
+    # K angles with a stack of K networks give each dwell's row
+    rng = np.random.default_rng(12)
+    angles = np.array([-41.0, 3.5, 60.2])
+    w_stack = assemble_analog(np.exp(2j * np.pi * rng.random((3, 4, 2))) / np.sqrt(2))
+    v_stack = assemble_analog(np.exp(2j * np.pi * rng.random((3, 5, 3))) / np.sqrt(3))
+    v_bb = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    sym = rng.standard_normal((2, 7)) + 1j * rng.standard_normal((2, 7))
+    c = dwell_weights(w_stack, angles)
+    s = reference_signal_grid(angles, v_stack, v_bb, sym)
+    assert c.shape == (3, 4) and s.shape == (3, 7)
+    for k, theta in enumerate(angles):
+        w_k = assemble_analog(w_stack.per_chain[k])
+        np.testing.assert_allclose(
+            c[k], w_k.assembled.T @ ula_response(8, theta).conj() / 8, rtol=1e-13, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            s[k], reference_signal_grid(theta, assemble_analog(v_stack.per_chain[k]), v_bb, sym),
+            rtol=1e-13, atol=1e-14,
         )
 
 
@@ -219,7 +243,7 @@ def _single_target_grids(wf, theta, rng_m, vel, m_b, n_b, rng):
     """Noiseless single echo y behind an identity combiner, the matched reference grid."""
     cells = wf.n_subcarriers * wf.n_symbols
     tx_rf = (rng.standard_normal((n_b, cells)) + 1j * rng.standard_normal((n_b, cells))) / np.sqrt(2)
-    s = reference_signal_grid(theta, _identity_combiner(n_b), tx_rf)
+    s = reference_signal_grid(theta, _identity_combiner(n_b), np.eye(n_b), tx_rf)
     p_idx, q_idx = np.divmod(np.arange(cells), wf.n_symbols)
     tau = 2 * rng_m / SPEED_OF_LIGHT
     fd = 2 * vel * wf.carrier_hz / SPEED_OF_LIGHT
