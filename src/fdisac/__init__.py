@@ -17,7 +17,6 @@ from .channels import (
     gen_si_channel,
     gen_ul_channel,
     perturb_estimate,
-    radar_channel_at,
 )
 from .config import (
     ScenarioConfig,

@@ -8,10 +8,9 @@ exp(j*2*pi*(d/lambda)*n*sin(theta)), so the first element is always 1+0j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-
-from .errors import ConstraintViolationError
 
 __all__ = ["Codebook", "ula_response", "ula_response_matrix", "dft_codebook"]
 
@@ -72,23 +71,12 @@ class Codebook:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    def __getitem__(self, idx) -> np.ndarray:
-        return self.vectors[idx]
-
     @property
     def n_elems(self) -> int:
         return self.vectors.shape[1]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise if any entry deviates from the constant-modulus constraint."""
-        target = 1.0 / self.n_elems
-        dev = np.abs(np.abs(self.vectors) ** 2 - target).max()
-        if dev > tol:
-            raise ConstraintViolationError(
-                f"codebook entries deviate from |.|^2 = 1/{self.n_elems} by {dev:.3e}"
-            )
 
-
+@lru_cache(maxsize=8, typed=True)
 def dft_codebook(n_elems: int, n_bits: int, spacing_over_lambda: float = 0.5) -> Codebook:
     """DFT-style beam codebook on a uniform grid in sin-space.
 
@@ -96,6 +84,9 @@ def dft_codebook(n_elems: int, n_bits: int, spacing_over_lambda: float = 0.5) ->
     theta_m = arcsin(-1 + 2*m / 2^n_bits), scaled by 1/sqrt(n_elems) so all
     entries satisfy the constant-modulus constraint. With half-wavelength
     spacing and 2^n_bits == n_elems the beams are mutually orthogonal.
+
+    Memoized: repeated arguments return the same codebook, whose ``vectors``
+    are read-only.
     """
     _check_geometry(n_elems, spacing_over_lambda)
     if n_bits < 1:
@@ -107,4 +98,5 @@ def dft_codebook(n_elems: int, n_bits: int, spacing_over_lambda: float = 0.5) ->
     n = np.arange(n_elems)[None, :]
     phase = 2.0 * np.pi * spacing_over_lambda * sin_grid[:, None]
     vectors = np.exp(1j * phase * n) / np.sqrt(n_elems)
+    vectors.flags.writeable = False
     return Codebook(vectors=vectors, n_bits=n_bits)

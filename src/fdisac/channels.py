@@ -28,7 +28,6 @@ __all__ = [
     "gen_dl_channel",
     "gen_ul_channel",
     "delay_doppler_phase",
-    "radar_channel_at",
     "gen_si_channel",
     "perturb_estimate",
 ]
@@ -176,30 +175,6 @@ def delay_doppler_phase(target: TargetParams, wf: Waveform, p, q):
     return np.exp(-2j * np.pi * (p * target.delay_s * wf.subcarrier_spacing_hz)) * np.exp(
         2j * np.pi * (q * wf.symbol_duration_s * doppler)
     )
-
-
-def radar_channel_at(
-    targets: Sequence[TargetParams],
-    p: int,
-    q: int,
-    wf: Waveform,
-    m_b: int,
-    n_b: int,
-) -> np.ndarray:
-    """Radar channel (m_b x n_b) at subcarrier ``p`` and OFDM symbol ``q``.
-
-    At p == q == 0 the per-target phase factor is exactly 1.
-    """
-    if not 0 <= p < wf.n_subcarriers:
-        raise ValueError(f"subcarrier index {p} outside [0, {wf.n_subcarriers})")
-    if not 0 <= q < wf.n_symbols:
-        raise ValueError(f"symbol index {q} outside [0, {wf.n_symbols})")
-    h = np.zeros((m_b, n_b), dtype=complex)
-    for t in targets:
-        a_rx = ula_response(m_b, t.angle_deg)
-        a_tx = ula_response(n_b, t.angle_deg)
-        h += t.gain * delay_doppler_phase(t, wf, p, q) * np.outer(a_rx, a_tx.conj())
-    return h
 
 
 def gen_si_channel(

@@ -12,6 +12,11 @@ symbols. A trial draws them once into one basis (:func:`waveform_basis`);
 each receiver is a row of coefficients over it (:func:`receiver_rows`), so
 the slot-1 snapshots and the K dwells' projections are one product each.
 
+What depends on the configured geometry alone (codebooks, slot-1 networks,
+MUSIC manifold, the targets' phase rows, the map axes) is built once per
+geometry into a cached, read-only :class:`ScenarioPlan` shared by every call
+and trial (:func:`scenario_plan`).
+
 Trials are statistically independent (each gets its own spawned generator),
 so results do not depend on execution order and a fixed seed reproduces a
 report byte for byte.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +39,7 @@ from .channels import (
     PathParams, TargetParams, Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel,
     gen_ul_channel, perturb_estimate,
 )
-from .config import ScenarioConfig
+from .config import ScenarioConfig, TargetSpec
 from .metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
 from .optimizer import (
     build_estimated_channels,
@@ -55,6 +61,8 @@ from .sensing import (
 
 __all__ = [
     "RunReport",
+    "ScenarioPlan",
+    "scenario_plan",
     "run_scenario",
     "sweep",
     "validate_suite",
@@ -140,19 +148,82 @@ def spread_analog(n_chains: int, cb: Codebook) -> AnalogBeamformer:
     return assemble_analog(cb.vectors[list(idx)], codebook_indices=idx)
 
 
-def waveform_basis(rng: np.random.Generator, targets: Sequence[TargetParams], wf: Waveform,
-                   n_streams: int, n_noise: int, sigma: float) -> np.ndarray:
+@dataclass(frozen=True)
+class ScenarioPlan:
+    """What a run derives from its configuration's geometry alone; every array is read-only.
+
+    ``cb_tx``/``cb_rx`` are the DFT codebooks, ``v_rf0``/``w_rf0`` the slot-1
+    spread networks, ``manifold`` the MUSIC manifold behind ``w_rf0`` over
+    ``grid_deg`` and ``gain`` its ||b||^2 per angle, ``phases`` (K, P*Q) each
+    configured target's delay-Doppler phase over the cells ``p * Q + q``, and
+    ``ranges_m``/``velocities_mps`` the axes of the delay-Doppler maps.
+    """
+
+    wf: Waveform
+    cb_tx: Codebook
+    cb_rx: Codebook
+    v_rf0: AnalogBeamformer
+    w_rf0: AnalogBeamformer
+    grid_deg: np.ndarray
+    manifold: np.ndarray
+    gain: np.ndarray
+    phases: np.ndarray
+    ranges_m: tuple
+    velocities_mps: tuple
+
+
+def scenario_plan(cfg: ScenarioConfig) -> ScenarioPlan:
+    """The plan of ``cfg``'s geometry, built on first use and cached.
+
+    The key is exactly the fields the plan reads: chains, antennas per chain,
+    codebook bits, MUSIC grid step, the numerology (as its
+    :class:`~fdisac.channels.Waveform`) and the target specs. Seed, trials,
+    powers, taps and CSI are not among them, so seed loops and sweeps share
+    one plan.
+    """
+    return _build_plan(
+        cfg.tx_rf_chains, cfg.rx_rf_chains, cfg.tx_antennas_per_rf, cfg.rx_antennas_per_rf,
+        cfg.codebook_bits, cfg.music_grid_step_deg, cfg.waveform(), cfg.all_target_specs(),
+    )
+
+
+@lru_cache(maxsize=4, typed=True)
+def _build_plan(tx_chains: int, rx_chains: int, tx_per_rf: int, rx_per_rf: int, n_bits: int,
+                grid_step_deg: float, wf: Waveform,
+                specs: tuple[TargetSpec, ...]) -> ScenarioPlan:
+    cb_tx, cb_rx = dft_codebook(tx_per_rf, n_bits), dft_codebook(rx_per_rf, n_bits)
+    v_rf0, w_rf0 = spread_analog(tx_chains, cb_tx), spread_analog(rx_chains, cb_rx)
+    grid = angle_grid(grid_step_deg)
+    manifold = combiner_manifold(w_rf0, grid)
+    p, q = np.arange(wf.n_subcarriers), np.arange(wf.n_symbols)
+    targets = [TargetParams(1.0, s.angle_deg, s.range_m, s.velocity_mps) for s in specs]
+    phases = np.array([delay_doppler_phase(t, wf, p[:, None], q).ravel() for t in targets])
+    plan = ScenarioPlan(
+        wf=wf, cb_tx=cb_tx, cb_rx=cb_rx, v_rf0=v_rf0, w_rf0=w_rf0, grid_deg=grid,
+        manifold=manifold, gain=np.sum(np.abs(manifold) ** 2, axis=0), phases=phases,
+        ranges_m=tuple((p * wf.range_bin_m).tolist()),
+        velocities_mps=tuple(((q - wf.n_symbols // 2) * wf.velocity_bin_mps).tolist()),
+    )
+    for array in (grid, manifold, plan.gain, phases, v_rf0.per_chain, v_rf0.assembled,
+                  w_rf0.per_chain, w_rf0.assembled):
+        array.flags.writeable = False
+    return plan
+
+
+def waveform_basis(rng: np.random.Generator, phases: np.ndarray, n_streams: int, n_noise: int,
+                   sigma: float) -> np.ndarray:
     """One trial's waveforms, one row each and one column per cell ``p * Q + q``.
 
     Rows: the ``n_streams`` DL symbol streams sym_b, the UL symbols sym_u,
     ``n_noise`` RX-chain noise rows, then phase_k * sym_b[s] for every target k
-    (its :func:`~fdisac.channels.delay_doppler_phase`) and stream s, k-major.
+    and stream s, k-major, with ``phases`` (K, n_cells) holding each target's
+    :func:`~fdisac.channels.delay_doppler_phase` (:attr:`ScenarioPlan.phases`).
     Each CN(0, 1) or CN(0, sigma^2) block is drawn real part first and scaled
     in place; numpy divides a complex by sqrt(2) as a product with 1/sqrt(2),
     so the rows equal (a + 1j*b)/sqrt(2) and sigma*(a + 1j*b)/sqrt(2) exactly.
     """
-    st, n_cells = n_streams, wf.n_subcarriers * wf.n_symbols
-    basis = np.empty((st + 1 + n_noise + len(targets) * st, n_cells), dtype=complex)
+    (n_targets, n_cells), st = phases.shape, n_streams
+    basis = np.empty((st + 1 + n_noise + n_targets * st, n_cells), dtype=complex)
     draw = np.empty((max(st, n_noise), n_cells))
     row = 0
     for n_rows, scale in ((st, 1.0), (1, 1.0), (n_noise, sigma)):
@@ -161,11 +232,7 @@ def waveform_basis(rng: np.random.Generator, targets: Sequence[TargetParams], wf
             block *= scale
             np.multiply(block, 1 / np.sqrt(2), out=part[row : row + n_rows])
         row += n_rows
-    column, symbol = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
-    for t in targets:
-        phase = delay_doppler_phase(t, wf, column, symbol).reshape(-1)
-        np.multiply(phase, basis[:st], out=basis[row : row + st])
-        row += st
+    np.multiply(phases[:, None], basis[:st], out=basis[row:].reshape(n_targets, st, n_cells))
     return basis
 
 
@@ -256,10 +323,8 @@ def dwell_projections(cfg: ScenarioConfig, basis: np.ndarray, angles_deg, cb_tx:
     return rows.reshape(len(angles_deg), -1) @ basis, s
 
 
-def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarray,
-               v_rf0: AnalogBeamformer, w_rf0: AnalogBeamformer,
-               cb_tx: Codebook, cb_rx: Codebook):
-    wf = cfg.waveform()
+def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, plan: ScenarioPlan):
+    wf = plan.wf
     n_b, m_b = cfg.n_tx_antennas, cfg.n_rx_antennas
     m_u, n_u = cfg.dl_user_antennas, cfg.ul_user_antennas
     st = cfg.n_streams
@@ -288,24 +353,25 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
     v_bb0 = np.eye(cfg.tx_rf_chains, dtype=complex)[:, :st] * np.sqrt(cfg.p_b_watts / st)
     raw = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
     v_u0 = raw / np.linalg.norm(raw) * np.sqrt(cfg.p_u_watts)
-    si_residual0 = _si_residual(w_rf0, v_rf0, h_si_true, h_si_hat, cfg.analog_taps)
+    si_residual0 = _si_residual(plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat, cfg.analog_taps)
 
     # Every slot-1 snapshot and every dwell below is a row of coefficients
     # over this basis.
-    basis = waveform_basis(rng, targets, wf, st, cfg.rx_rf_chains, np.sqrt(cfg.sigma_b2_watts))
+    basis = waveform_basis(rng, plan.phases, st, cfg.rx_rf_chains, np.sqrt(cfg.sigma_b2_watts))
     y_rf = synthesize_rx_snapshots(
-        basis, w_rf0, v_rf0, si_residual0, v_bb0, h_ul_true, v_u0, targets
+        basis, plan.w_rf0, plan.v_rf0, si_residual0, v_bb0, h_ul_true, v_u0, targets
     )
 
     # Sensing: directions first, then per-target delay-Doppler.
     cov = sample_covariance(y_rf.T)
     del y_rf
-    music = music_doas(cov, k, cfg.music_grid_step_deg, cfg.rx_rf_chains, manifold=manifold)
+    music = music_doas(cov, k, plan.grid_deg, plan.manifold, plan.gain)
     true_angles = [s.angle_deg for s in specs]
     matched = _match_doas(music.doas_deg, true_angles)
 
     cy, s = dwell_projections(
-        cfg, basis, matched, cb_tx, cb_rx, h_si_true, h_si_hat, v_bb0, h_ul_true, v_u0, targets,
+        cfg, basis, matched, plan.cb_tx, plan.cb_rx, h_si_true, h_si_hat, v_bb0, h_ul_true, v_u0,
+        targets,
     )
     del basis  # the quotient's temporaries reuse its memory
     dwell_grid = (k, wf.n_subcarriers, wf.n_symbols)
@@ -320,13 +386,7 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, manifold: np.ndarr
                 "true_angle_deg": spec.angle_deg,
                 "true_range_m": spec.range_m,
                 "true_velocity_mps": spec.velocity_mps,
-                "doa_deg": est_i.doa_deg,
-                "range_m": est_i.range_m,
-                "velocity_mps": est_i.velocity_mps,
-                "delay_s": est_i.delay_s,
-                "doppler_hz": est_i.doppler_hz,
-                "bin_n": est_i.bin_n,
-                "bin_m": est_i.bin_m,
+                **vars(est_i),  # doa_deg, range_m, velocity_mps, delay_s, doppler_hz, bin_n, bin_m
                 "doa_error_deg": abs(est_i.doa_deg - spec.angle_deg),
                 "range_error_m": abs(est_i.range_m - spec.range_m),
                 "velocity_error_mps": abs(est_i.velocity_mps - spec.velocity_mps),
@@ -411,13 +471,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     run; only a run where every trial failed raises.
     """
     start = time.perf_counter()
-    wf = cfg.waveform()
-    cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
-    cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
-    v_rf0 = spread_analog(cfg.tx_rf_chains, cb_tx)
-    w_rf0 = spread_analog(cfg.rx_rf_chains, cb_rx)
-    grid = angle_grid(cfg.music_grid_step_deg)
-    manifold = combiner_manifold(w_rf0, grid)
+    plan = scenario_plan(cfg)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     trials = []
@@ -427,7 +481,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     for trial_seed in seeds:
         rng = np.random.default_rng(trial_seed)
         try:
-            trial, dd_maps = _run_trial(cfg, rng, manifold, v_rf0, w_rf0, cb_tx, cb_rx)
+            trial, dd_maps = _run_trial(cfg, rng, plan)
         except Exception as exc:  # recorded, not fatal
             trials.append({"error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -440,21 +494,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if not any("error" not in t for t in trials):
         raise RuntimeError(f"all {cfg.trials} trials failed; first: {trials[0]['error']}")
 
-    ranges = [n * wf.range_bin_m for n in range(wf.n_subcarriers)]
-    velocities = [
-        (m - wf.n_symbols // 2) * wf.velocity_bin_mps for m in range(wf.n_symbols)
-    ]
     mean_profiles = np.mean(profile_stack, axis=0)
     range_angle = {
         "angles_deg": np.mean(angle_stack, axis=0).tolist(),
-        "ranges_m": ranges,
+        "ranges_m": plan.ranges_m,
         "profiles": [
             (row / row.max() if row.max() > 0 else row).tolist() for row in mean_profiles
         ],
     }
     range_velocity = {
-        "ranges_m": ranges,
-        "velocities_mps": velocities,
+        "ranges_m": plan.ranges_m,
+        "velocities_mps": plan.velocities_mps,
         "magnitude": np.mean(map_stack, axis=0).tolist(),
     }
     return RunReport(

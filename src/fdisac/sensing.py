@@ -55,7 +55,6 @@ class MusicResult:
 
     spectrum: np.ndarray
     doas_deg: list
-    grid_step_deg: float
     grid_deg: np.ndarray
 
 
@@ -119,26 +118,23 @@ def sample_covariance(snapshots) -> np.ndarray:
 
 
 def music_doas(
-    r: np.ndarray,
-    k: int,
-    grid_step_deg: float,
-    array_size: int,
-    manifold: np.ndarray | None = None,
+    r: np.ndarray, k: int, grid_deg: np.ndarray, manifold: np.ndarray, gain: np.ndarray
 ) -> MusicResult:
-    """MUSIC direction estimates from a covariance matrix.
+    """MUSIC direction estimates from an (m x m) covariance matrix.
 
-    The noise subspace is spanned by the eigenvectors of the ``array_size - k``
+    The noise subspace is spanned by the eigenvectors of the ``m - k``
     smallest eigenvalues; the pseudo-spectrum is ||b||^2 / ||E_n^H b||^2 swept
-    over the angle grid. ``manifold`` optionally replaces the default ULA
-    response with an (array_size x n_grid) matrix of effective steering
-    vectors, one column per :func:`angle_grid` point (needed when the
-    covariance lives behind an analog combiner). Returns the k largest peaks
-    sorted ascending; raises :class:`EstimationFailureError` carrying the
-    partial result when fewer than k local maxima exist.
+    over the angles ``grid_deg``. ``manifold`` (m x n_grid) holds the steering
+    vectors b, one column per angle (behind an analog combiner, the effective
+    ones of :func:`combiner_manifold`), and ``gain`` their ||b||^2. Returns
+    the k largest peaks sorted ascending; raises :class:`EstimationFailureError`
+    carrying the partial result when fewer than k local maxima exist.
     """
     r = np.asarray(r, dtype=complex)
-    if r.shape != (array_size, array_size):
-        raise ValueError(f"covariance shape {r.shape} != ({array_size}, {array_size})")
+    grid = np.asarray(grid_deg, dtype=float)
+    array_size = r.shape[0]
+    if r.shape != (array_size, array_size) or manifold.shape != (array_size, grid.size):
+        raise ValueError(f"covariance {r.shape} and manifold {manifold.shape} do not match")
     if k < 1:
         raise ValueError(f"need at least one source, got k={k}")
     if k >= array_size:
@@ -151,40 +147,24 @@ def music_doas(
         raise ValueError("covariance matrix must be positive semi-definite")
     noise_basis = eigvecs[:, : array_size - k]
 
-    grid = angle_grid(grid_step_deg)
-    if manifold is None:
-        manifold = ula_response_matrix(array_size, grid)
-    else:
-        manifold = np.asarray(manifold, dtype=complex)
-        if manifold.shape != (array_size, grid.size):
-            raise ValueError(
-                f"manifold shape {manifold.shape} != ({array_size}, {grid.size})"
-            )
-    gain = np.sum(np.abs(manifold) ** 2, axis=0)
     leak = np.sum(np.abs(noise_basis.conj().T @ manifold) ** 2, axis=0)
     floor = max(gain.max(), 1e-300) * 1e-30
     spectrum = gain / np.maximum(leak, floor)
 
     if spectrum.max() - spectrum.min() <= 1e-9 * spectrum.max():
         # flat to numerical precision: no directional information
-        partial = MusicResult(
-            spectrum=spectrum, doas_deg=[], grid_step_deg=grid_step_deg, grid_deg=grid
-        )
+        partial = MusicResult(spectrum=spectrum, doas_deg=[], grid_deg=grid)
         raise EstimationFailureError("pseudo-spectrum is flat", partial=partial)
     peaks = _local_maxima(spectrum)
     if peaks.size < k:
         found = sorted(float(grid[i]) for i in peaks[np.argsort(spectrum[peaks])[::-1]])
-        partial = MusicResult(
-            spectrum=spectrum, doas_deg=found, grid_step_deg=grid_step_deg, grid_deg=grid
-        )
+        partial = MusicResult(spectrum=spectrum, doas_deg=found, grid_deg=grid)
         raise EstimationFailureError(
             f"found {peaks.size} spectrum peaks, needed {k}", partial=partial
         )
     top = peaks[np.argsort(spectrum[peaks])[::-1][:k]]
     doas = sorted(float(grid[i]) for i in top)
-    return MusicResult(
-        spectrum=spectrum, doas_deg=doas, grid_step_deg=grid_step_deg, grid_deg=grid
-    )
+    return MusicResult(spectrum=spectrum, doas_deg=doas, grid_deg=grid)
 
 
 def combiner_manifold(w_rf: AnalogBeamformer, grid_deg: np.ndarray) -> np.ndarray:

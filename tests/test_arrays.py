@@ -4,6 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
+from fdisac.errors import ConstraintViolationError
+
+
+def _validate_codebook(cb, tol=1e-12):
+    """Raise if any codebook entry deviates from the constant-modulus constraint."""
+    dev = np.abs(np.abs(cb.vectors) ** 2 - 1.0 / cb.n_elems).max()
+    if dev > tol:
+        raise ConstraintViolationError(
+            f"codebook entries deviate from |.|^2 = 1/{cb.n_elems} by {dev:.3e}"
+        )
 
 
 def test_steering_broadside_is_all_ones():
@@ -55,7 +65,11 @@ def test_dft_codebook_table_configuration():
     assert len(cb) == 32
     assert cb.vectors.shape == (32, 16)
     np.testing.assert_allclose(np.abs(cb.vectors) ** 2, 1.0 / 16.0, atol=1e-12)
-    cb.validate()
+    _validate_codebook(cb)
+    bent = dft_codebook(16, 5).vectors.copy()
+    bent[3, 7] *= 1.001
+    with pytest.raises(ConstraintViolationError):
+        _validate_codebook(type(cb)(vectors=bent, n_bits=5))
 
 
 def test_dft_codebook_single_element_degenerate():
@@ -68,7 +82,7 @@ def test_dft_codebook_broadside_entry():
     # sin grid point for m=2 with 2 bits is -1 + 2*2/4 = 0, i.e. broadside
     cb = dft_codebook(4, 2)
     expected = ula_response(4, 0.0) / 2.0
-    np.testing.assert_allclose(cb[2], expected, atol=1e-12)
+    np.testing.assert_allclose(cb.vectors[2], expected, atol=1e-12)
 
 
 def test_dft_codebook_overflow_guard():

@@ -8,10 +8,12 @@ and ``fdisac.optimizer`` look up at call time. A rename or removal there makes
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+from fdisac.arrays import dft_codebook
 from fdisac.config import fast_profile
-from fdisac.runner import run_scenario
+from fdisac.runner import _build_plan, run_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -52,3 +54,31 @@ def test_traced_run_calls_quotient_and_map_once_per_trial():
     assert layers["sensing.delay_doppler_quotient.cells"] == (
         cfg.k_targets * wf.n_subcarriers * wf.n_symbols
     )
+
+
+def test_traced_run_counts_hold_from_warm_and_cold_cache():
+    spans = _load_spans()
+    cfg = fast_profile(trials=2, seed=0)
+    wf = cfg.waveform()
+    plain = run_scenario(cfg).to_json()  # leaves the plan cached
+    calls = {}
+    for cache in ("warm", "cold"):
+        if cache == "cold":
+            _build_plan.cache_clear()
+            dft_codebook.cache_clear()
+        misses = _build_plan.cache_info().misses
+        tracer = spans.Tracer()
+        with tracer.installed():
+            traced = run_scenario(cfg).to_json()
+        assert traced == plain
+        assert _build_plan.cache_info().misses == misses + (cache == "cold")
+        layers = tracer.layer_metrics(cfg.trials)
+        assert layers["runner.synthesize_rx_snapshots.calls"] == 1
+        assert layers["cancellers.build_cancellers.calls"] == 3
+        assert layers["sensing.delay_doppler_quotient.cells"] == (
+            cfg.k_targets * wf.n_subcarriers * wf.n_symbols
+        )
+        calls[cache] = Counter(span[0] for span in tracer.spans)
+    # the plan adds no traced call: every rebound name runs per trial as before
+    assert calls["warm"] == calls["cold"]
+    assert all(n % cfg.trials == 0 for n in calls["cold"].values())

@@ -10,8 +10,8 @@ from fdisac.channels import (
     gen_si_channel,
     gen_ul_channel,
     perturb_estimate,
-    radar_channel_at,
 )
+from oracles import radar_channel_at
 
 
 def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):

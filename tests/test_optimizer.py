@@ -54,8 +54,8 @@ def test_tx_analog_per_chain_equals_joint_search():
 
     def joint_objective(i, j):
         cols = np.zeros((8, 2), dtype=complex)
-        cols[:4, 0] = cb[i]
-        cols[4:, 1] = cb[j]
+        cols[:4, 0] = cb.vectors[i]
+        cols[4:, 1] = cb.vectors[j]
         return np.linalg.norm(h @ cols) ** 2
 
     best = max(itertools.product(range(4), range(4)), key=lambda ij: joint_objective(*ij))
@@ -133,8 +133,8 @@ def test_rx_analog_single_chain_matches_brute_force():
     w = select_rx_analog(h_rad, h_si, v_rf, cb)
     ratios = []
     for i in range(len(cb)):
-        num = np.linalg.norm(cb[i].conj() @ h_rad @ v_rf.assembled) ** 2
-        den = np.linalg.norm(cb[i].conj() @ h_si @ v_rf.assembled) ** 2
+        num = np.linalg.norm(cb.vectors[i].conj() @ h_rad @ v_rf.assembled) ** 2
+        den = np.linalg.norm(cb.vectors[i].conj() @ h_si @ v_rf.assembled) ** 2
         ratios.append(num / (den + 1e-12))
     assert w.codebook_indices == (int(np.argmax(ratios)),)
 

@@ -11,14 +11,14 @@ from scipy.optimize import linear_sum_assignment
 from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
 from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import build_cancellers
-from fdisac.channels import (
-    PathParams, TargetParams, delay_doppler_phase, gen_ul_channel, radar_channel_at,
-)
+from fdisac.channels import PathParams, TargetParams, delay_doppler_phase, gen_ul_channel
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac.runner import (
+    _build_plan,
     _match_doas,
     dwell_projections,
     run_scenario,
+    scenario_plan,
     spread_analog,
     sweep,
     synthesize_rx_snapshots,
@@ -26,6 +26,7 @@ from fdisac.runner import (
     waveform_basis,
 )
 from fdisac.sensing import angle_grid, combiner_manifold, delay_doppler_quotient
+from oracles import radar_channel_at
 
 
 def _tiny_config(**overrides):
@@ -102,7 +103,7 @@ def _scene(cfg, rng):
     h_ul = gen_ul_channel(PathParams(1j, cfg.ul_user.angle_deg), cfg.n_rx_antennas, cfg.ul_user_antennas)
     v_u = _crandn(rng, cfg.ul_user_antennas)
     v_bb = _crandn(rng, cfg.tx_rf_chains, cfg.n_streams)
-    basis = waveform_basis(rng, targets, cfg.waveform(), cfg.n_streams, cfg.rx_rf_chains, 1e-3)
+    basis = waveform_basis(rng, scenario_plan(cfg).phases, cfg.n_streams, cfg.rx_rf_chains, 1e-3)
     return targets, h_ul, v_u, v_bb, basis
 
 
@@ -134,7 +135,7 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     v_u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     h_ul = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     si_residual = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 0.01
-    basis = waveform_basis(rng, targets, wf, st, 4, 0.1)
+    basis = waveform_basis(rng, scenario_plan(cfg).phases, st, 4, 0.1)
     sym_b, sym_u, noise = basis[:st], basis[st], basis[st + 1 : st + 5]
 
     y = synthesize_rx_snapshots(basis, w_rf, v_rf, si_residual, v_bb, h_ul, v_u, targets)
@@ -160,7 +161,7 @@ def test_waveform_basis_draws_match_complex_draws(profile):
     ]
     sigma = np.sqrt(cfg.sigma_b2_watts)
     rng_basis, rng = np.random.default_rng(3), np.random.default_rng(3)
-    basis = waveform_basis(rng_basis, targets, wf, st, m, sigma)
+    basis = waveform_basis(rng_basis, scenario_plan(cfg).phases, st, m, sigma)
     sym_b = (rng.standard_normal((st, n)) + 1j * rng.standard_normal((st, n))) / np.sqrt(2)
     sym_u = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
     noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
@@ -392,6 +393,22 @@ def test_fast_csi_profile_golden_doas_bins_rates_sinrs_and_maps():
             "gamma_rad", "gamma_dl", "gamma_ul_nsp", "gamma_ul_mss",
         ):
             assert trial["metrics"][key] == pytest.approx(want[key], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [
+        test_fast_profile_golden_doas_bins_and_rates,
+        test_table1_profile_golden_doas_bins_rates_and_sinrs,
+        test_fast_csi_profile_golden_doas_bins_rates_sinrs_and_maps,
+    ],
+    ids=["fast", "table1", "fast_csi"],
+)
+def test_goldens_pass_from_cold_and_warm_cache(golden):
+    _build_plan.cache_clear()
+    dft_codebook.cache_clear()
+    golden()  # the first call builds the plan and the codebooks
+    golden()  # every call reads them
 
 
 @pytest.mark.parametrize("profile", [fast_profile, table1_profile])

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from fdisac.arrays import dft_codebook, ula_response
+from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
 from fdisac.beamforming import assemble_analog
 from fdisac.channels import SPEED_OF_LIGHT, Waveform
 from fdisac.errors import EstimationFailureError
 from fdisac.sensing import (
     _local_maxima,
+    angle_grid,
     delay_doppler_map,
     delay_doppler_quotient,
     dwell_weights,
@@ -22,6 +23,13 @@ from fdisac.sensing import (
 
 def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
     return Waveform.from_symbol_duration(p, q, df, ts, fc)
+
+
+def _ula_music(r, k, grid_step_deg, m):
+    """MUSIC over the plain m-element ULA response on the uniform angle grid."""
+    grid = angle_grid(grid_step_deg)
+    manifold = ula_response_matrix(m, grid)
+    return music_doas(r, k, grid, manifold, np.sum(np.abs(manifold) ** 2, axis=0))
 
 
 def _identity_combiner(m):
@@ -92,7 +100,7 @@ def test_music_noiseless_single_source_exact():
     theta = -20.0  # on the 0.1 degree grid
     a = ula_response(6, theta)
     r = np.outer(a, a.conj())
-    result = music_doas(r, 1, 0.1, 6)
+    result = _ula_music(r, 1, 0.1, 6)
     assert result.doas_deg == [pytest.approx(theta, abs=1e-9)]
 
 
@@ -106,7 +114,7 @@ def test_music_two_sources_snr20():
     noise = sigma * (rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap))) / np.sqrt(2)
     y = np.outer(a1, s[0]) + np.outer(a2, s[1]) + noise
     r = sample_covariance(y.T)
-    result = music_doas(r, 2, 0.1, m)
+    result = _ula_music(r, 2, 0.1, m)
     assert abs(result.doas_deg[0] - (-30.0)) <= 0.1
     assert abs(result.doas_deg[1] - (-20.0)) <= 0.1
 
@@ -116,14 +124,14 @@ def test_music_noiseless_exact_for_any_source_count(k):
     m = 8
     angles = [-40.0, -15.0, 5.0, 30.0, 60.0][:k]
     r = sum(np.outer(ula_response(m, a), ula_response(m, a).conj()) for a in angles)
-    result = music_doas(np.asarray(r, dtype=complex), k, 0.1, m)
+    result = _ula_music(np.asarray(r, dtype=complex), k, 0.1, m)
     np.testing.assert_allclose(result.doas_deg, angles, atol=0.1)
 
 
 def test_music_flat_spectrum_raises_with_partial():
     r = 0.3 * np.eye(5, dtype=complex)
     with pytest.raises(EstimationFailureError) as err:
-        music_doas(r, 1, 1.0, 5)
+        _ula_music(r, 1, 1.0, 5)
     assert err.value.partial is not None
     assert err.value.partial.spectrum.shape == (181,)
 
@@ -131,11 +139,15 @@ def test_music_flat_spectrum_raises_with_partial():
 def test_music_precondition_errors():
     r = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
-        music_doas(r, 4, 0.5, 4)  # k must be < array size
+        _ula_music(r, 4, 0.5, 4)  # k must be < array size
     bad = r.copy()
     bad[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError):
-        music_doas(bad, 1, 0.5, 4)
+        _ula_music(bad, 1, 0.5, 4)
+    grid = angle_grid(0.5)
+    manifold = ula_response_matrix(5, grid)  # one row more than the covariance
+    with pytest.raises(ValueError):
+        music_doas(r, 1, grid, manifold, np.sum(np.abs(manifold) ** 2, axis=0))
 
 
 def test_music_custom_manifold_recovers_through_combiner():
@@ -147,12 +159,9 @@ def test_music_custom_manifold_recovers_through_combiner():
     a = ula_response(16, theta)
     b = w.assembled.conj().T @ a
     r = np.outer(b, b.conj())
-    from fdisac.arrays import ula_response_matrix
-    from fdisac.sensing import angle_grid
-
     grid = angle_grid(0.1)
     manifold = w.assembled.conj().T @ ula_response_matrix(16, grid)
-    result = music_doas(r, 1, 0.1, 4, manifold=manifold)
+    result = music_doas(r, 1, grid, manifold, np.sum(np.abs(manifold) ** 2, axis=0))
     assert abs(result.doas_deg[0] - theta) <= 0.1
 
 
