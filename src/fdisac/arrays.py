@@ -47,13 +47,17 @@ def ula_response(n_elems: int, angle_deg: float, spacing_over_lambda: float = 0.
 def ula_response_matrix(
     n_elems: int, angles_deg: np.ndarray, spacing_over_lambda: float = 0.5
 ) -> np.ndarray:
-    """Stack of ULA responses, one column per angle, shape (n_elems, n_angles)."""
+    """Stack of ULA responses, one column per angle, shape (n_elems, n_angles).
+
+    Angles of shape (..., n_angles) give one such matrix per leading index,
+    shape (..., n_elems, n_angles).
+    """
     _check_geometry(n_elems, spacing_over_lambda)
     angles = np.asarray(angles_deg, dtype=float)
     if angles.size and (angles.min() < -90.0 or angles.max() > 90.0):
         raise ValueError("angles must lie in [-90, 90] degrees")
     n = np.arange(n_elems)[:, None]
-    phase = 2.0 * np.pi * spacing_over_lambda * np.sin(np.deg2rad(angles))[None, :]
+    phase = 2.0 * np.pi * spacing_over_lambda * np.sin(np.deg2rad(angles))[..., None, :]
     return np.exp(1j * phase * n)
 
 

@@ -77,14 +77,15 @@ def assemble_analog(per_chain, codebook_indices: tuple | None = None) -> AnalogB
     )
 
 
-def tx_power(v_rf: AnalogBeamformer, v_bb: np.ndarray) -> float:
+def tx_power(v_rf: AnalogBeamformer, v_bb: np.ndarray):
     """Average radiated power in watts under unit-power i.i.d. symbols.
 
     The expectation collapses to the squared Frobenius norm of V_rf @ V_bb.
+    A stack of networks and precoders gives one power per pair, shape (...).
     """
     v_bb = np.asarray(v_bb, dtype=complex)
-    if v_bb.ndim != 2 or v_rf.assembled.shape[1] != v_bb.shape[0]:
+    if v_bb.ndim < 2 or v_rf.assembled.shape[-1] != v_bb.shape[-2]:
         raise ValueError(
             f"digital precoder shape {v_bb.shape} does not match {v_rf.n_chains} RF chains"
         )
-    return float(np.linalg.norm(v_rf.assembled @ v_bb) ** 2)
+    return np.linalg.norm(v_rf.assembled @ v_bb, axis=(-2, -1)) ** 2

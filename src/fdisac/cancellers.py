@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CancellerPair", "build_cancellers", "analog_residual_power_per_chain"]
+__all__ = ["CancellerPair", "build_cancellers", "si_residual", "analog_residual_power_per_chain"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,15 @@ def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> CancellerPair:
     return CancellerPair(analog=analog, digital=digital, n_taps=n_taps)
 
 
+def si_residual(h_tilde: np.ndarray, pair: CancellerPair) -> np.ndarray:
+    """Post-canceller SI matrix H_tilde + C + D of a compressed SI channel or a stack.
+
+    With the cancellers built from an estimate of ``h_tilde`` this is what
+    the estimation error leaves; with a perfect estimate it is exactly zero.
+    """
+    return h_tilde + pair.analog + pair.digital
+
+
 def analog_residual_power_per_chain(
     h_tilde_true: np.ndarray,
     c_b: np.ndarray,
@@ -59,14 +68,15 @@ def analog_residual_power_per_chain(
     compressed channel so the result is what physically reaches each ADC.
     ``p_b_watts`` multiplies the result for callers whose precoder carries
     unit rather than absolute symbol power; the default assumes V_bb is
-    already at transmit scale.
+    already at transmit scale. Stacks give one row of powers per matrix,
+    shape (..., m_rf).
     """
     h = np.asarray(h_tilde_true, dtype=complex)
     c = np.asarray(c_b, dtype=complex)
     v = np.asarray(v_bb, dtype=complex)
     if h.shape != c.shape:
         raise ValueError(f"channel {h.shape} and canceller {c.shape} shapes differ")
-    if v.ndim != 2 or v.shape[0] != h.shape[1]:
-        raise ValueError(f"precoder shape {v.shape} does not match {h.shape[1]} TX chains")
+    if v.ndim < 2 or v.shape[-2] != h.shape[-1]:
+        raise ValueError(f"precoder shape {v.shape} does not match {h.shape[-1]} TX chains")
     residual = (h + c) @ v
-    return p_b_watts * np.linalg.norm(residual, axis=1) ** 2
+    return p_b_watts * np.linalg.norm(residual, axis=-1) ** 2

@@ -105,6 +105,11 @@ class ScenarioConfig:
             raise ValueError("analog taps exceed the compressed SI channel size")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        for spec in self.all_target_specs():
+            if not -90.0 <= spec.angle_deg <= 90.0:
+                raise ValueError(f"target angle must lie in [-90, 90] degrees, got {spec.angle_deg}")
+            if not spec.range_m >= 0.0:
+                raise ValueError(f"target range must be nonnegative, got {spec.range_m}")
         # K < M_rf is required only by the MUSIC stage and is checked there,
         # so optimizer-only configurations with few RX chains stay legal.
         self.waveform()  # validates the numerology

@@ -17,7 +17,17 @@ class EstimationFailureError(RuntimeError):
 
 
 class DegenerateCombinerError(RuntimeError):
-    """The null-space projector annihilated the candidate combiner columns."""
+    """The null-space projector annihilated the candidate combiner columns.
+
+    ``failed`` marks the matrices of the input stack that degenerated (a 0-d
+    array for a single matrix); ``combiner`` is the stack's result with each
+    failed matrix's unprojected candidate in its place.
+    """
+
+    def __init__(self, message, failed=None, combiner=None):
+        super().__init__(message)
+        self.failed = failed
+        self.combiner = combiner
 
 
 class InfeasibleResultError(RuntimeError):

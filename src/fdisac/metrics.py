@@ -3,6 +3,9 @@
 The SI residual terms use the true compressed channel together with the
 estimate-derived cancellers, so imperfect channel knowledge leaves a nonzero
 residual in the denominators. Rates map through log2(1 + sinr).
+
+Every function also takes a stack of designs and channels along leading
+axes and then returns one value per trial, shape (...).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cancellers import si_residual
 from .optimizer import EstimatedChannels, HybridBeamformers
 
 __all__ = ["LinkMetrics", "radar_sinr", "dl_snr", "ul_sinr", "ideal_dl_rate"]
@@ -18,7 +22,7 @@ __all__ = ["LinkMetrics", "radar_sinr", "dl_snr", "ul_sinr", "ideal_dl_rate"]
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """Linear SINRs and spectral efficiencies for one scenario evaluation."""
+    """Linear SINRs and spectral efficiencies for one scenario evaluation or a stack."""
 
     gamma_rad: float
     gamma_dl: float
@@ -32,17 +36,18 @@ class LinkMetrics:
             gamma_rad=gamma_rad,
             gamma_dl=gamma_dl,
             gamma_ul=gamma_ul,
-            rate_dl=float(np.log2(1.0 + gamma_dl)),
-            rate_ul=float(np.log2(1.0 + gamma_ul)),
+            rate_dl=np.log2(1.0 + gamma_dl),
+            rate_ul=np.log2(1.0 + gamma_ul),
         )
 
 
-def _si_residual(bf: HybridBeamformers, true_h_tilde: np.ndarray) -> np.ndarray:
-    return (
-        np.asarray(true_h_tilde, dtype=complex)
-        + bf.cancellers.analog
-        + bf.cancellers.digital
-    ) @ bf.v_b_bb
+def _power(x: np.ndarray):
+    """Squared Frobenius norm over the last two axes."""
+    return (x.conj() * x).real.sum(axis=(-2, -1))
+
+
+def _herm(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2).conj()
 
 
 def radar_sinr(
@@ -59,20 +64,17 @@ def radar_sinr(
     if sigma_b2 <= 0:
         raise ValueError(f"noise power must be positive, got {sigma_b2}")
     w_rf = bf.w_b_rf.assembled
-    sig = w_rf.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
-    num = float(np.linalg.norm(sig) ** 2)
-    den = float(np.linalg.norm(_si_residual(bf, true_h_tilde)) ** 2)
-    den += float(np.linalg.norm(w_rf) ** 2) * sigma_b2
-    return num / den
+    sig = _herm(w_rf) @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+    den = _power(si_residual(true_h_tilde, bf.cancellers) @ bf.v_b_bb)
+    return _power(sig) / (den + _power(w_rf) * sigma_b2)
 
 
 def dl_snr(bf: HybridBeamformers, h_dl: np.ndarray, sigma_u2: float) -> float:
     """Downlink SNR ||W_u^H H_dl V_rf V_bb||_F^2 / (||W_u||^2 sigma_u^2)."""
     if sigma_u2 <= 0:
         raise ValueError(f"noise power must be positive, got {sigma_u2}")
-    sig = bf.w_u.conj().T @ np.asarray(h_dl, dtype=complex) @ bf.v_b_rf.assembled @ bf.v_b_bb
-    den = float(np.linalg.norm(bf.w_u) ** 2) * sigma_u2
-    return float(np.linalg.norm(sig) ** 2) / den
+    sig = _herm(bf.w_u) @ np.asarray(h_dl, dtype=complex) @ bf.v_b_rf.assembled @ bf.v_b_bb
+    return _power(sig) / (_power(bf.w_u) * sigma_u2)
 
 
 def ul_sinr(
@@ -89,17 +91,11 @@ def ul_sinr(
     """
     if sigma_b2 <= 0:
         raise ValueError(f"noise power must be positive, got {sigma_b2}")
-    w_eff = bf.w_b_rf.assembled @ bf.w_b_bb  # (m_b, n_streams)
-    sig = w_eff.conj().T @ est.h_ul_hat @ bf.v_u_bb
-    num = float(np.linalg.norm(sig) ** 2)
-    radar_leak = w_eff.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
-    si_leak = bf.w_b_bb.conj().T @ _si_residual(bf, true_h_tilde)
-    den = (
-        float(np.linalg.norm(radar_leak) ** 2)
-        + float(np.linalg.norm(si_leak) ** 2)
-        + sigma_b2
-    )
-    return num / den
+    w_eff_h = _herm(bf.w_b_rf.assembled @ bf.w_b_bb)  # (..., n_streams, m_b)
+    sig = w_eff_h @ est.h_ul_hat @ bf.v_u_bb[..., None]
+    radar_leak = w_eff_h @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+    si_leak = _herm(bf.w_b_bb) @ si_residual(true_h_tilde, bf.cancellers) @ bf.v_b_bb
+    return _power(sig) / (_power(radar_leak) + _power(si_leak) + sigma_b2)
 
 
 def ideal_dl_rate(h_dl: np.ndarray, p_b: float, sigma_u2: float, st: int) -> float:
@@ -115,5 +111,5 @@ def ideal_dl_rate(h_dl: np.ndarray, p_b: float, sigma_u2: float, st: int) -> flo
     if p_b < 0:
         raise ValueError(f"power budget cannot be negative, got {p_b}")
     sv = np.linalg.svd(np.asarray(h_dl, dtype=complex), compute_uv=False)
-    top = sv[:st]
-    return float(np.sum(np.log2(1.0 + (p_b / st) * top**2 / sigma_u2)))
+    top = sv[..., :st]
+    return np.sum(np.log2(1.0 + (p_b / st) * top**2 / sigma_u2), axis=-1)

@@ -16,15 +16,21 @@ The design runs as an ordered sequence of sub-problems:
   6. per-column power normalization,
   7. uplink digital combiner: null-space projection away from the radar
      interference subspace.
+
+Every step takes a stack of trials along leading axes (a single matrix is a
+stack with none); only the TX precoder, whose iteration count depends on
+the data, runs once per trial. A trial that fails a step is recorded in
+:attr:`HybridBeamformers.errors` and the other trials continue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import Codebook, dft_codebook, ula_response
+from .arrays import Codebook, dft_codebook, ula_response_matrix
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import CancellerPair, build_cancellers
 from .errors import DegenerateCombinerError, InfeasibleResultError
@@ -85,19 +91,29 @@ def build_estimated_channels(
     passive targets form the radar interference estimate; the uplink direction
     adds the final radar term and defines the uplink estimate. Gains are not
     estimated, so every term is a unit-gain steering outer product.
+
+    Directions of shape (..., n) with ``ul_doa_deg`` and ``h_bb_hat`` carrying
+    the same leading axes give a stack of estimates, one per trial.
     """
 
-    def steer_outer(rx_size, tx_size, angle):
-        return np.outer(ula_response(rx_size, angle), ula_response(tx_size, angle).conj())
+    scatterers = np.asarray(scatterer_doas_deg, dtype=float)
+    ul = np.asarray(ul_doa_deg, dtype=float)[..., None]
+    # every direction, the uplink last
+    angles = np.concatenate([scatterers, np.asarray(other_doas_deg, dtype=float), ul], axis=-1)
+    a_rx = ula_response_matrix(m_b, angles)
+    a_tx = ula_response_matrix(n_b, angles).conj()
 
-    h_dl = np.zeros((m_u, n_b), dtype=complex)
-    for ang in scatterer_doas_deg:
-        h_dl += steer_outer(m_u, n_b, ang)
-    h_int = np.zeros((m_b, n_b), dtype=complex)
-    for ang in list(scatterer_doas_deg) + list(other_doas_deg):
-        h_int += steer_outer(m_b, n_b, ang)
-    h_rad = h_int + steer_outer(m_b, n_b, ul_doa_deg)
-    h_ul = steer_outer(m_b, n_u, ul_doa_deg)
+    def steer_sum(a, b, n):
+        """Outer products of the first n column pairs a[..., :, i] b[..., :, i]^T, added in order."""
+        h = np.zeros(a.shape[:-1] + b.shape[-2:-1], dtype=complex)
+        for i in range(n):
+            h += a[..., :, i, None] * b[..., None, :, i]
+        return h
+
+    h_dl = steer_sum(ula_response_matrix(m_u, scatterers), a_tx, scatterers.shape[-1])
+    h_int = steer_sum(a_rx, a_tx, angles.shape[-1] - 1)
+    h_rad = h_int + a_rx[..., :, -1, None] * a_tx[..., None, :, -1]
+    h_ul = a_rx[..., :, -1, None] * ula_response_matrix(n_u, ul).conj()[..., None, :, 0]
     return EstimatedChannels(
         h_rad_hat=h_rad,
         h_rad_int_hat=h_int,
@@ -109,7 +125,12 @@ def build_estimated_channels(
 
 @dataclass(frozen=True)
 class HybridBeamformers:
-    """Full beamformer solution for one slot."""
+    """Full beamformer solution for one slot, or a stack of them (one per trial).
+
+    ``errors`` holds one entry per trial of a stack (leading axes flattened):
+    None, or the exception that failed the trial's design or validation. A
+    failed trial's arrays hold finite stand-ins and carry no meaning.
+    """
 
     v_b_rf: AnalogBeamformer
     v_b_bb: np.ndarray
@@ -118,32 +139,55 @@ class HybridBeamformers:
     w_u: np.ndarray
     v_u_bb: np.ndarray
     cancellers: CancellerPair
+    errors: tuple = ()
 
-    def validate(self, p_b_watts: float, p_u_watts: float) -> None:
-        """Assert the power and normalization invariants."""
-        pw = tx_power(self.v_b_rf, self.v_b_bb)
-        if pw > p_b_watts + 1e-9:
-            raise ValueError(f"TX power {pw} exceeds budget {p_b_watts}")
-        ul_pw = float(np.linalg.norm(self.v_u_bb) ** 2)
-        if ul_pw > p_u_watts + 1e-12:
-            raise ValueError(f"UL power {ul_pw} exceeds budget {p_u_watts}")
-        col_norms = np.linalg.norm(self.w_b_bb, axis=0)
-        if np.abs(col_norms - 1.0).max() > 1e-9:
-            raise ValueError("UL combiner columns must have unit norm")
+    def validate(self, p_b_watts: float, p_u_watts: float) -> "HybridBeamformers":
+        """Check the power and normalization invariants of every trial.
+
+        Returns the design with each trial that violates one marked failed by
+        its ``ValueError``; trials that already failed are not checked. A
+        single design (no trial axis) raises its error instead.
+        """
+        pw = np.ravel(tx_power(self.v_b_rf, self.v_b_bb))
+        ul_pw = np.ravel(np.linalg.norm(self.v_u_bb, axis=-1) ** 2)
+        col_dev = np.abs(np.linalg.norm(self.w_b_bb, axis=-2) - 1.0).max(axis=-1).ravel()
+        errors = list(self.errors or (None,) * pw.size)
+        for t, error in enumerate(errors):
+            if error is not None:
+                continue
+            if pw[t] > p_b_watts + 1e-9:
+                errors[t] = ValueError(f"TX power {float(pw[t])} exceeds budget {p_b_watts}")
+            elif ul_pw[t] > p_u_watts + 1e-12:
+                errors[t] = ValueError(f"UL power {float(ul_pw[t])} exceeds budget {p_u_watts}")
+            elif col_dev[t] > 1e-9:
+                errors[t] = ValueError("UL combiner columns must have unit norm")
+        return _settled(replace(self, errors=tuple(errors)))
+
+
+def _settled(bf: HybridBeamformers) -> HybridBeamformers:
+    """``bf``, unless it is a single design that failed: then its error is raised."""
+    if bf.v_b_bb.ndim == 2 and bf.errors[0] is not None:
+        raise bf.errors[0]
+    return bf
 
 
 def _fix_phase(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
-    m = np.array(m, dtype=complex, copy=True)
-    for c in range(m.shape[1]):
-        col = m[:, c]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > 1e-12 * top))
-        m[:, c] = col * (col[idx].conj() / np.abs(col[idx]))
-    return m
+    """Rotate each column so its first significant entry is real positive.
+
+    Works on the last two axes of a stack; all-zero columns are left as they are.
+    """
+    m = np.asarray(m, dtype=complex)
+    mags = np.abs(m)
+    first = (mags > 1e-12 * mags.max(axis=-2, keepdims=True)).argmax(axis=-2)
+    # the first significant entry of each column, summed out of a one-hot mask
+    pivot = (m * (np.arange(m.shape[-2])[:, None] == first[..., None, :])).sum(axis=-2)
+    mag = np.abs(pivot)
+    return m * (pivot.conj() / (mag + (mag == 0.0)))[..., None, :]
+
+
+def _index_tuple(idx: np.ndarray) -> tuple:
+    """Codebook indices as a tuple per network, nested along leading axes."""
+    return tuple(idx.tolist()) if idx.ndim == 1 else tuple(map(_index_tuple, idx))
 
 
 def select_tx_analog(h_rad_hat: np.ndarray, cb: Codebook, n_rf: int) -> AnalogBeamformer:
@@ -152,22 +196,21 @@ def select_tx_analog(h_rad_hat: np.ndarray, cb: Codebook, n_rf: int) -> AnalogBe
     The Frobenius objective ||H V_rf||^2 decomposes over the block-diagonal
     columns, so each chain's beam is chosen independently as
     argmax_v ||H[:, block_i] v||^2. Ties resolve to the lowest codebook index.
+    A stack of channels gives a stack of networks; the search loops over the
+    chains, so no per-chain score tensor of the whole stack is formed.
     """
     h = np.asarray(h_rad_hat, dtype=complex)
     n_a = cb.n_elems
-    if h.shape[1] != n_rf * n_a:
+    if h.shape[-1] != n_rf * n_a:
         raise ValueError(
-            f"channel has {h.shape[1]} TX columns, expected {n_rf} chains x {n_a}"
+            f"channel has {h.shape[-1]} TX columns, expected {n_rf} chains x {n_a}"
         )
-    chosen = []
-    indices = []
+    cb_t = cb.vectors.T
+    idx = np.empty(h.shape[:-2] + (n_rf,), dtype=int)
     for i in range(n_rf):
-        block = h[:, i * n_a : (i + 1) * n_a]
-        scores = np.linalg.norm(block @ cb.vectors.T, axis=0) ** 2
-        best = int(np.argmax(scores))
-        indices.append(best)
-        chosen.append(cb.vectors[best])
-    return assemble_analog(np.array(chosen), codebook_indices=tuple(indices))
+        scores = np.linalg.norm(h[..., i * n_a : (i + 1) * n_a] @ cb_t, axis=-2) ** 2
+        idx[..., i] = np.argmax(scores, axis=-1)
+    return assemble_analog(cb.vectors[idx], codebook_indices=_index_tuple(idx))
 
 
 def select_rx_analog(
@@ -181,27 +224,22 @@ def select_rx_analog(
     Chain j maximizes its own contribution ratio n_j(w) / (d_j(w) + eps) where
     n_j and d_j are the row-block-j terms of ||W^H H_rad V_rf||^2 and
     ||W^H H_si V_rf||^2. Exact for a single RX chain; a tractable
-    per-chain decomposition otherwise.
+    per-chain decomposition otherwise. Stacks of channels and TX networks
+    give a stack of networks. All chains are scored at once: the scores
+    hold one entry per chain, codebook beam and TX chain, never per antenna.
     """
     radar_eff = np.asarray(h_rad_hat, dtype=complex) @ v_b_rf.assembled
     si_eff = np.asarray(h_bb_hat, dtype=complex) @ v_b_rf.assembled
     m_a = cb.n_elems
-    if radar_eff.shape[0] % m_a != 0:
-        raise ValueError(
-            f"channel has {radar_eff.shape[0]} RX rows, not a multiple of {m_a}"
-        )
-    m_rf = radar_eff.shape[0] // m_a
-    chosen = []
-    indices = []
+    lead, (m_b, n_rf) = radar_eff.shape[:-2], radar_eff.shape[-2:]
+    if m_b % m_a != 0:
+        raise ValueError(f"channel has {m_b} RX rows, not a multiple of {m_a}")
+    chains = lead + (m_b // m_a, m_a, n_rf)
     conj_cb = cb.vectors.conj()
-    for j in range(m_rf):
-        rows = slice(j * m_a, (j + 1) * m_a)
-        num = np.linalg.norm(conj_cb @ radar_eff[rows], axis=1) ** 2
-        den = np.linalg.norm(conj_cb @ si_eff[rows], axis=1) ** 2
-        best = int(np.argmax(num / (den + _RATIO_GUARD)))
-        indices.append(best)
-        chosen.append(cb.vectors[best])
-    return assemble_analog(np.array(chosen), codebook_indices=tuple(indices))
+    num = np.linalg.norm(conj_cb @ radar_eff.reshape(chains), axis=-1) ** 2
+    den = np.linalg.norm(conj_cb @ si_eff.reshape(chains), axis=-1) ** 2
+    idx = np.argmax(num / (den + _RATIO_GUARD), axis=-1)
+    return assemble_analog(cb.vectors[idx], codebook_indices=_index_tuple(idx))
 
 
 def numeric_tx_precoder(
@@ -370,15 +408,13 @@ def power_normalize(v_rf: AnalogBeamformer, v_bb: np.ndarray, p_b_watts: float) 
     Column c of V_rf @ V_bb with squared norm above the budget is brought back
     to exactly the budget by scaling column c of V_bb; compliant columns are
     left untouched (the input is returned unchanged when nothing violates).
+    Works on stacks of networks and precoders.
     """
     v_bb = np.asarray(v_bb, dtype=complex)
-    col_power = np.linalg.norm(v_rf.assembled @ v_bb, axis=0) ** 2
-    violating = col_power > p_b_watts
-    if not violating.any():
+    col_power = np.linalg.norm(v_rf.assembled @ v_bb, axis=-2) ** 2
+    if not (col_power > p_b_watts).any():
         return v_bb
-    factors = np.ones(v_bb.shape[1])
-    factors[violating] = np.sqrt(p_b_watts / col_power[violating])
-    return v_bb * factors[None, :]
+    return v_bb * np.sqrt(p_b_watts / np.maximum(col_power, p_b_watts))[..., None, :]
 
 
 def nsp_rx_combiner(
@@ -395,38 +431,44 @@ def nsp_rx_combiner(
     norm; if the projector annihilates a column the uplink direction lies
     inside the interference span and :class:`DegenerateCombinerError` is
     raised.
+
+    On a stack each matrix keeps its own rank: the singular vectors beyond it
+    are masked to zero. The error then marks the degenerate matrices and
+    carries the others' combiners.
     """
     h_ul = np.asarray(h_ul_eff, dtype=complex)
     h_int = np.asarray(h_rad_int_eff, dtype=complex)
-    if h_ul.shape[0] != h_int.shape[0]:
+    if h_ul.shape[-2] != h_int.shape[-2]:
         raise ValueError("uplink and interference channels disagree on RX chains")
     u, _, _ = np.linalg.svd(h_ul, full_matrices=False)
-    if n_streams < 1 or n_streams > u.shape[1]:
+    if n_streams < 1 or n_streams > u.shape[-1]:
         raise ValueError(f"cannot extract {n_streams} streams from shape {h_ul.shape}")
-    x = _fix_phase(u[:, :n_streams])
+    x = _fix_phase(u[..., :n_streams])
 
     sing_u, sing_vals, _ = np.linalg.svd(h_int, full_matrices=False)
-    if sing_vals.size and sing_vals[0] > 0:
-        rank = int(np.sum(sing_vals > _RANK_TOL_REL * sing_vals[0]))
-    else:
-        rank = 0
-    basis = sing_u[:, :rank]
-    w = x - basis @ (basis.conj().T @ x)
-    norms = np.linalg.norm(w, axis=0)
-    if np.any(norms < 1e-9):
+    # singular values descend, so the kept columns are each matrix's rank;
+    # an all-zero matrix keeps none
+    keep = sing_vals > _RANK_TOL_REL * sing_vals[..., :1]
+    basis = sing_u * keep[..., None, :]
+    w = x - basis @ (np.swapaxes(basis, -1, -2).conj() @ x)
+    norms = np.linalg.norm(w, axis=-2)
+    failed = np.any(norms < 1e-9, axis=-1)
+    if failed.any():
+        w = np.where(failed[..., None, None], x, w / np.where(failed[..., None], 1.0, norms)[..., None, :])
         raise DegenerateCombinerError(
-            "uplink direction lies inside the radar interference span"
+            "uplink direction lies inside the radar interference span",
+            failed=failed, combiner=w,
         )
-    return w / norms[None, :]
+    return w / norms[..., None, :]
 
 
 def mss_rx_combiner(h_ul_eff: np.ndarray, n_streams: int) -> np.ndarray:
-    """Baseline combiner: top left singular vectors, no interference nulling."""
+    """Baseline combiner: top left singular vectors, no interference nulling (stacks too)."""
     h_ul = np.asarray(h_ul_eff, dtype=complex)
     u, _, _ = np.linalg.svd(h_ul, full_matrices=False)
-    if n_streams < 1 or n_streams > u.shape[1]:
+    if n_streams < 1 or n_streams > u.shape[-1]:
         raise ValueError(f"cannot extract {n_streams} streams from shape {h_ul.shape}")
-    return _fix_phase(u[:, :n_streams])
+    return _fix_phase(u[..., :n_streams])
 
 
 def user_beamformers(
@@ -435,17 +477,24 @@ def user_beamformers(
     """DL user combiner (top st left singular vectors) and UL precoder.
 
     The uplink precoder is the first right singular vector of the uplink
-    estimate scaled so ||v||^2 equals the uplink power budget.
+    estimate scaled so ||v||^2 equals the uplink power budget. Stacks of
+    estimates give stacks of combiners and precoders.
     """
     h_dl = np.asarray(h_dl_hat, dtype=complex)
     h_ul = np.asarray(h_ul_hat, dtype=complex)
     u, _, _ = np.linalg.svd(h_dl, full_matrices=False)
-    if st < 1 or st > u.shape[1]:
+    if st < 1 or st > u.shape[-1]:
         raise ValueError(f"cannot extract {st} streams from shape {h_dl.shape}")
-    w_u = _fix_phase(u[:, :st])
+    w_u = _fix_phase(u[..., :st])
     _, _, vh = np.linalg.svd(h_ul, full_matrices=False)
-    v_u = _fix_phase(vh[0].conj()[:, None])[:, 0] * np.sqrt(p_u_watts)
+    v_u = _fix_phase(vh[..., 0, :, None].conj())[..., 0] * np.sqrt(p_u_watts)
     return w_u, v_u
+
+
+def _at_step(exc: Exception, step: str) -> Exception:
+    """``exc`` with the failing design step named in its message."""
+    exc.args = (f"beamformer design failed at step '{step}': {exc}",)
+    return exc
 
 
 def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
@@ -455,11 +504,19 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
     (user beamformers, TX analog, RX analog, channel compression, cancellers,
     TX digital precoder, power normalization, NSP combiner); sub-operation
     failures are re-raised with the failing step named.
+
+    ``est`` may be a stack of estimates along leading axes, designed as one
+    stack; the TX precoder alone runs trial by trial. A step that fails for
+    single trials (the precoder, the NSP combiner) records the step-named
+    error in :attr:`HybridBeamformers.errors` and the other trials continue;
+    a single design raises it. A step that fails for the whole stack raises.
     """
     st = cfg.n_streams
     p_b = cfg.p_b_watts
     p_u = cfg.p_u_watts
     lam = cfg.lambda_b_watts
+    lead = np.shape(est.h_dl_hat)[:-2]
+    errors = [None] * math.prod(lead)
 
     step = "user beamformers"
     try:
@@ -474,7 +531,8 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         w_rf = select_rx_analog(est.h_rad_hat, est.h_bb_hat, v_rf, cb_rx)
 
         step = "channel compression"
-        h_tilde_hat = w_rf.assembled.conj().T @ est.h_bb_hat @ v_rf.assembled
+        w_h = np.swapaxes(w_rf.assembled, -1, -2).conj()
+        h_tilde_hat = w_h @ est.h_bb_hat @ v_rf.assembled
         h_dl_eff = est.h_dl_hat @ v_rf.assembled
 
         step = "canceller construction"
@@ -486,31 +544,43 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
 
         step = "TX digital precoder"
         _, _, vh = np.linalg.svd(h_dl_eff, full_matrices=False)
-        v_right = _fix_phase(vh.conj().T[:, :st])
+        v_right = _fix_phase(np.swapaxes(vh, -1, -2)[..., :st].conj())
         g_target = h_dl_eff @ v_right * np.sqrt(p_b / st)
-        v_bb = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target)
+        # a trial whose precoder fails keeps V = 0, which no later step rejects
+        v_bb = np.zeros(lead + (h_dl_eff.shape[-1], st), dtype=complex)
+        per_trial = [a.reshape(-1, *a.shape[-2:]) for a in (v_bb, h_dl_eff, leak_vecs, g_target)]
+        for i, (v, h, t_rows, g) in enumerate(zip(*per_trial)):
+            try:
+                v[...] = numeric_tx_precoder(h, t_rows, lam, g)
+            except Exception as exc:
+                errors[i] = _at_step(exc, step)
 
         step = "power normalization"
         # down-scaling columns can only lower the per-chain leakage
         v_bb = power_normalize(v_rf, v_bb, p_b)
         total = tx_power(v_rf, v_bb)
-        if total > p_b:
-            v_bb = v_bb * np.sqrt(p_b / total)
+        if (total > p_b).any():
+            v_bb = v_bb * np.sqrt(p_b / np.maximum(total, p_b))[..., None, None]
 
         step = "NSP combiner"
-        h_ul_eff = w_rf.assembled.conj().T @ est.h_ul_hat
-        h_int_eff = w_rf.assembled.conj().T @ est.h_rad_int_hat
+        h_ul_eff = w_h @ est.h_ul_hat
         if cfg.rx_rf_chains == 1:
             # a single RX chain leaves no null space to project into; the
             # non-nulling singular-vector combiner is the only choice
             w_bb = mss_rx_combiner(h_ul_eff, n_streams=1)
         else:
-            w_bb = nsp_rx_combiner(h_ul_eff, h_int_eff, n_streams=1)
+            try:
+                w_bb = nsp_rx_combiner(h_ul_eff, w_h @ est.h_rad_int_hat, n_streams=1)
+            except DegenerateCombinerError as exc:
+                w_bb = exc.combiner
+                _at_step(exc, step)
+                for i in np.flatnonzero(exc.failed):
+                    errors[i] = errors[i] or exc
     except Exception as exc:
-        exc.args = (f"beamformer design failed at step '{step}': {exc}",)
+        _at_step(exc, step)
         raise
 
-    return HybridBeamformers(
+    return _settled(HybridBeamformers(
         v_b_rf=v_rf,
         v_b_bb=v_bb,
         w_b_rf=w_rf,
@@ -518,4 +588,5 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         w_u=w_u,
         v_u_bb=v_u,
         cancellers=cancellers,
-    )
+        errors=tuple(errors),
+    ))

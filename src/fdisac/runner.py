@@ -6,6 +6,13 @@ then one delay-Doppler dwell per detected direction with the RX chains
 repointed at it); the estimated directions feed the beamformer design used in
 slot 2, whose link metrics are then evaluated against the true channels.
 
+A call runs in two phases. Sensing runs trial by trial, because its waveform
+basis is the memory peak; each sensed trial keeps only what slot 2 needs
+(:class:`_Sensed`). Slot 2 then runs once per block of trials, every design
+step and metric over a leading trial axis (:func:`_slot2`). A block holds as
+many trials as fit in one trial's basis bytes (:func:`_block_trials`), so the
+peak does not grow with the number of trials.
+
 Every sensing observation is linear in a few per-trial waveforms: the DL and
 UL symbols, the RX noise and each target's delay-Doppler phase times the DL
 symbols. A trial draws them once into one basis (:func:`waveform_basis`);
@@ -34,7 +41,7 @@ import numpy as np
 
 from .arrays import Codebook, dft_codebook, ula_response_matrix
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
-from .cancellers import analog_residual_power_per_chain, build_cancellers
+from .cancellers import analog_residual_power_per_chain, build_cancellers, si_residual
 from .channels import (
     PathParams, TargetParams, Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel,
     gen_ul_channel, perturb_estimate,
@@ -292,7 +299,7 @@ def _si_residual(w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, h_si_true: np.n
     """
     w_h = np.swapaxes(w_rf.assembled, -1, -2).conj()
     canc = build_cancellers(w_h @ h_si_hat @ v_rf.assembled, n_taps)
-    return w_h @ h_si_true @ v_rf.assembled + canc.analog + canc.digital
+    return si_residual(w_h @ h_si_true @ v_rf.assembled, canc)
 
 
 def pointed_analog_stack(n_chains: int, cb: Codebook, angles_deg) -> AnalogBeamformer:
@@ -323,7 +330,23 @@ def dwell_projections(cfg: ScenarioConfig, basis: np.ndarray, angles_deg, cb_tx:
     return rows.reshape(len(angles_deg), -1) @ basis, s
 
 
-def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, plan: ScenarioPlan):
+@dataclass
+class _Sensed:
+    """What slot 2 needs of one sensed trial."""
+
+    index: int
+    matched: np.ndarray  # DoA estimates matched to the configured objects
+    h_si_true: np.ndarray
+    h_si_hat: np.ndarray
+    h_dl_true: np.ndarray
+    sensing_rows: list
+    map_sum: np.ndarray  # sum of the K peak-normalized delay-Doppler maps
+    profiles: np.ndarray  # (K, P) range profiles of those maps
+
+
+def _sense(cfg: ScenarioConfig, rng: np.random.Generator, plan: ScenarioPlan,
+           index: int) -> _Sensed:
+    """Channel realization and slot-1 sensing of one trial."""
     wf = plan.wf
     n_b, m_b = cfg.n_tx_antennas, cfg.n_rx_antennas
     m_u, n_u = cfg.dl_user_antennas, cfg.ul_user_antennas
@@ -377,6 +400,7 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, plan: ScenarioPlan
     dwell_grid = (k, wf.n_subcarriers, wf.n_symbols)
     z, _ = delay_doppler_quotient(cy.reshape(dwell_grid), s.reshape(dwell_grid))
     dd = delay_doppler_map(z)
+    del cy, s, z  # the normalized maps below reuse their memory
 
     sensing_rows = []
     for i, spec in enumerate(specs):
@@ -392,55 +416,97 @@ def _run_trial(cfg: ScenarioConfig, rng: np.random.Generator, plan: ScenarioPlan
                 "velocity_error_mps": abs(est_i.velocity_mps - spec.velocity_mps),
             }
         )
-
-    # Slot 2: design beamformers from the estimates, evaluate on true channels.
-    n_scatter = len(cfg.dl_scatterers)
-    est = build_estimated_channels(
-        scatterer_doas_deg=matched[:n_scatter],
-        other_doas_deg=matched[n_scatter : k - 1],
-        ul_doa_deg=matched[k - 1],
-        h_bb_hat=h_si_hat,
-        m_b=m_b,
-        n_b=n_b,
-        m_u=m_u,
-        n_u=n_u,
+    normed = [m / m.max() if m.max() > 0 else m for m in dd.magnitude]
+    return _Sensed(
+        index=index, matched=matched, h_si_true=h_si_true, h_si_hat=h_si_hat,
+        h_dl_true=h_dl_true, sensing_rows=sensing_rows, map_sum=np.sum(normed, axis=0),
+        profiles=np.array([m.max(axis=1) for m in normed]),
     )
-    bf = run_algorithm1(est, cfg)
-    bf.validate(cfg.p_b_watts, cfg.p_u_watts)
 
-    h_tilde_true = bf.w_b_rf.assembled.conj().T @ h_si_true @ bf.v_b_rf.assembled
-    gamma_rad = radar_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
-    gamma_dl = dl_snr(bf, h_dl_true, cfg.sigma_u2_watts)
-    gamma_ul = ul_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
-    h_ul_eff = bf.w_b_rf.assembled.conj().T @ est.h_ul_hat
-    bf_mss = replace(bf, w_b_bb=mss_rx_combiner(h_ul_eff, 1))
-    gamma_ul_mss = ul_sinr(bf_mss, est, h_tilde_true, cfg.sigma_b2_watts)
-    link = LinkMetrics.from_sinrs(gamma_rad, gamma_dl, gamma_ul)
 
-    residual = analog_residual_power_per_chain(
-        h_tilde_true, bf.cancellers.analog, bf.v_b_bb
-    )
-    h_int_eff = bf.w_b_rf.assembled.conj().T @ est.h_rad_int_hat
-    int_norm = np.linalg.norm(h_int_eff)
-    nulling = float(np.linalg.norm(bf.w_b_bb.conj().T @ h_int_eff) / int_norm) if int_norm > 0 else 0.0
+def _block_trials(cfg: ScenarioConfig, plan: ScenarioPlan) -> int:
+    """Trials per slot-2 block: as many as fit, together, in one trial's waveform-basis bytes.
 
-    return {
-        "sensing": sensing_rows,
-        "metrics": {
-            "gamma_rad": link.gamma_rad,
-            "gamma_dl": link.gamma_dl,
-            "gamma_ul_nsp": link.gamma_ul,
-            "gamma_ul_mss": gamma_ul_mss,
-            "rate_dl": link.rate_dl,
-            "rate_ul_nsp": link.rate_ul,
-            "rate_ul_mss": float(np.log2(1.0 + gamma_ul_mss)),
-            "rate_dl_ideal": ideal_dl_rate(h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts, st),
-        },
-        "tx_power_w": tx_power(bf.v_b_rf, bf.v_b_bb),
-        "ul_power_w": float(np.linalg.norm(bf.v_u_bb) ** 2),
-        "analog_residual_w": residual.tolist(),
-        "nsp_nulling_ratio": nulling,
-    }, dd.magnitude
+    The basis (:func:`waveform_basis`: N_s + 1 + M_rf + K N_s rows over the
+    P Q cells) is sensing's memory peak. Per trial a block holds four M_b x N_b
+    matrices: the true and estimated SI channels carried over from sensing and
+    the design's radar and interference estimates.
+    """
+    (n_targets, n_cells), st = plan.phases.shape, cfg.n_streams
+    basis_entries = (st + 1 + cfg.rx_rf_chains + n_targets * st) * n_cells
+    return max(1, basis_entries // (4 * cfg.n_rx_antennas * cfg.n_tx_antennas))
+
+
+def _error_record(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _slot2(cfg: ScenarioConfig, block: Sequence[_Sensed]) -> list:
+    """Design the block's beamformers and score them, all trials as one stack.
+
+    Returns one trial record per sensed trial: its metrics, or the error that
+    failed its design, validation or, for the whole block, any other step.
+    """
+    n_scatter, k = len(cfg.dl_scatterers), cfg.k_targets
+    matched = np.array([t.matched for t in block])
+    h_si_true = np.array([t.h_si_true for t in block])
+    h_dl_true = np.array([t.h_dl_true for t in block])
+    try:
+        est = build_estimated_channels(
+            scatterer_doas_deg=matched[:, :n_scatter],
+            other_doas_deg=matched[:, n_scatter : k - 1],
+            ul_doa_deg=matched[:, k - 1],
+            h_bb_hat=np.array([t.h_si_hat for t in block]),
+            m_b=cfg.n_rx_antennas,
+            n_b=cfg.n_tx_antennas,
+            m_u=cfg.dl_user_antennas,
+            n_u=cfg.ul_user_antennas,
+        )
+        bf = run_algorithm1(est, cfg).validate(cfg.p_b_watts, cfg.p_u_watts)
+
+        w_h = np.swapaxes(bf.w_b_rf.assembled, -1, -2).conj()
+        h_tilde_true = w_h @ h_si_true @ bf.v_b_rf.assembled
+        gamma_rad = radar_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
+        gamma_dl = dl_snr(bf, h_dl_true, cfg.sigma_u2_watts)
+        gamma_ul = ul_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
+        bf_mss = replace(bf, w_b_bb=mss_rx_combiner(w_h @ est.h_ul_hat, 1))
+        gamma_ul_mss = ul_sinr(bf_mss, est, h_tilde_true, cfg.sigma_b2_watts)
+        link = LinkMetrics.from_sinrs(gamma_rad, gamma_dl, gamma_ul)
+        rate_dl_ideal = ideal_dl_rate(h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts, cfg.n_streams)
+
+        residual = analog_residual_power_per_chain(h_tilde_true, bf.cancellers.analog, bf.v_b_bb)
+        h_int_eff = w_h @ est.h_rad_int_hat
+        int_norm = np.linalg.norm(h_int_eff, axis=(-2, -1))
+        null_norm = np.linalg.norm(np.swapaxes(bf.w_b_bb, -1, -2).conj() @ h_int_eff, axis=(-2, -1))
+        nulling = np.divide(null_norm, int_norm, out=np.zeros_like(int_norm), where=int_norm > 0)
+        tx_power_w = tx_power(bf.v_b_rf, bf.v_b_bb)
+        ul_power_w = np.linalg.norm(bf.v_u_bb, axis=-1) ** 2
+    except Exception as exc:  # a step failed for the whole block
+        return [_error_record(exc) for _ in block]
+
+    records = []
+    for t, (trial, error) in enumerate(zip(block, bf.errors)):
+        if error is not None:
+            records.append(_error_record(error))
+            continue
+        records.append({
+            "sensing": trial.sensing_rows,
+            "metrics": {
+                "gamma_rad": float(link.gamma_rad[t]),
+                "gamma_dl": float(link.gamma_dl[t]),
+                "gamma_ul_nsp": float(link.gamma_ul[t]),
+                "gamma_ul_mss": float(gamma_ul_mss[t]),
+                "rate_dl": float(link.rate_dl[t]),
+                "rate_ul_nsp": float(link.rate_ul[t]),
+                "rate_ul_mss": float(np.log2(1.0 + gamma_ul_mss[t])),
+                "rate_dl_ideal": float(rate_dl_ideal[t]),
+            },
+            "tx_power_w": float(tx_power_w[t]),
+            "ul_power_w": float(ul_power_w[t]),
+            "analog_residual_w": residual[t].tolist(),
+            "nsp_nulling_ratio": float(nulling[t]),
+        })
+    return records
 
 
 def _aggregate(trials: list) -> dict:
@@ -472,24 +538,28 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """
     start = time.perf_counter()
     plan = scenario_plan(cfg)
+    block_trials = _block_trials(cfg, plan)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    trials = []
+    trials = [None] * cfg.trials
     map_stack = []
     profile_stack = []
     angle_stack = []
-    for trial_seed in seeds:
+    block = []
+    for index, trial_seed in enumerate(seeds):
         rng = np.random.default_rng(trial_seed)
         try:
-            trial, dd_maps = _run_trial(cfg, rng, plan)
+            block.append(_sense(cfg, rng, plan, index))
         except Exception as exc:  # recorded, not fatal
-            trials.append({"error": f"{type(exc).__name__}: {exc}"})
-            continue
-        trials.append(trial)
-        normed = [m / m.max() if m.max() > 0 else m for m in dd_maps]
-        map_stack.append(np.sum(normed, axis=0))
-        profile_stack.append(np.array([m.max(axis=1) for m in normed]))
-        angle_stack.append([row["doa_deg"] for row in trial["sensing"]])
+            trials[index] = _error_record(exc)
+        if block and (len(block) == block_trials or index == cfg.trials - 1):
+            for sensed, record in zip(block, _slot2(cfg, block)):
+                trials[sensed.index] = record
+                if "error" not in record:
+                    map_stack.append(sensed.map_sum)
+                    profile_stack.append(sensed.profiles)
+                    angle_stack.append([row["doa_deg"] for row in sensed.sensing_rows])
+            block = []
 
     if not any("error" not in t for t in trials):
         raise RuntimeError(f"all {cfg.trials} trials failed; first: {trials[0]['error']}")

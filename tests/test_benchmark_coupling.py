@@ -8,14 +8,20 @@ and ``fdisac.optimizer`` look up at call time. A rename or removal there makes
 
 import importlib
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
 from fdisac.arrays import dft_codebook
 from fdisac.config import fast_profile
-from fdisac.runner import _build_plan, run_scenario
+from fdisac.runner import _block_trials, _build_plan, run_scenario, scenario_plan
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+def _blocks(cfg):
+    """Slot-2 blocks of one call: the design and the metrics run once per block."""
+    return math.ceil(cfg.trials / _block_trials(cfg, scenario_plan(cfg)))
 
 
 def _load_spans():
@@ -49,8 +55,9 @@ def test_traced_run_calls_quotient_and_map_once_per_trial():
     layers = tracer.layer_metrics(cfg.trials)
     # slot 1 only: the K dwells are projected, not synthesized
     assert layers["runner.synthesize_rx_snapshots.calls"] == 1
-    # slot 1, the stack of K dwells and the slot-2 design
-    assert layers["cancellers.build_cancellers.calls"] == 3
+    # slot 1 and the stack of K dwells per trial, the slot-2 design per block
+    assert _blocks(cfg) == 1
+    assert layers["cancellers.build_cancellers.calls"] == 2 + _blocks(cfg) / cfg.trials
     assert layers["sensing.delay_doppler_quotient.cells"] == (
         cfg.k_targets * wf.n_subcarriers * wf.n_symbols
     )
@@ -74,11 +81,25 @@ def test_traced_run_counts_hold_from_warm_and_cold_cache():
         assert _build_plan.cache_info().misses == misses + (cache == "cold")
         layers = tracer.layer_metrics(cfg.trials)
         assert layers["runner.synthesize_rx_snapshots.calls"] == 1
-        assert layers["cancellers.build_cancellers.calls"] == 3
+        assert layers["cancellers.build_cancellers.calls"] == 2 + _blocks(cfg) / cfg.trials
         assert layers["sensing.delay_doppler_quotient.cells"] == (
             cfg.k_targets * wf.n_subcarriers * wf.n_symbols
         )
         calls[cache] = Counter(span[0] for span in tracer.spans)
-    # the plan adds no traced call: every rebound name runs per trial as before
+    # the plan adds no traced call: every rebound name runs per trial (sensing)
+    # or per block (design and metrics) as before
     assert calls["warm"] == calls["cold"]
-    assert all(n % cfg.trials == 0 for n in calls["cold"].values())
+    per_block = {
+        "optimizer.build_estimated_channels", "optimizer.run_algorithm1",
+        "optimizer.user_beamformers", "optimizer.select_tx_analog",
+        "optimizer.select_rx_analog", "optimizer.power_normalize",
+        "optimizer.nsp_rx_combiner", "optimizer.mss_rx_combiner",
+        "metrics.radar_sinr", "metrics.dl_snr", "metrics.ul_sinr", "metrics.ideal_dl_rate",
+    }
+    for name, n in calls["cold"].items():
+        if name in per_block:
+            assert n == _blocks(cfg) * (2 if name == "metrics.ul_sinr" else 1), name
+        elif name == "cancellers.build_cancellers":
+            assert n == 2 * cfg.trials + _blocks(cfg)
+        else:
+            assert n % cfg.trials == 0, name

@@ -4,6 +4,7 @@ import pytest
 
 from fdisac.config import (
     ScenarioConfig,
+    TargetSpec,
     dbm_to_watt,
     fast_profile,
     get_profile,
@@ -92,3 +93,40 @@ def test_waveform_cp_from_symbol_duration():
     assert wf.cp_duration_s == pytest.approx(8.92e-6 - 1.0 / 120e3, rel=1e-9)
     assert wf.range_bin_m == pytest.approx(1.5772, abs=2e-4)
     assert wf.velocity_bin_mps == pytest.approx(42.87, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"ul_user": TargetSpec(95.0, 100.0)}, "angle"),
+        ({"radar_targets": (TargetSpec(20.0, -5.0),)}, "range"),
+        ({"dl_scatterers": (TargetSpec(-90.5, 10.0),)}, "angle"),
+        ({"ul_user": TargetSpec(float("nan"), 10.0)}, "angle"),
+    ],
+)
+def test_target_geometry_checked_when_config_is_built(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        fast_profile(**overrides)
+    with pytest.raises(ValueError, match=message):
+        table1_profile().with_overrides(**overrides)
+
+
+def test_target_geometry_at_its_limits_is_accepted():
+    cfg = fast_profile(ul_user=TargetSpec(90.0, 0.0), radar_targets=(TargetSpec(-90.0, 5.0),))
+    assert cfg.ul_user.angle_deg == 90.0 and cfg.radar_targets[0].range_m == 5.0
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"ul_user": {"angle_deg": 95.0, "range_m": 100.0}}, "angle"),
+        ({"radar_targets": [{"angle_deg": 20.0, "range_m": -5.0}]}, "range"),
+    ],
+)
+def test_load_config_rejects_bad_target_geometry(tmp_path, data, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_config(path, base=fast_profile())
+    with pytest.raises(ValueError, match=message):
+        load_config(path)

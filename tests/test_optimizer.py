@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from scipy.linalg import null_space
 from scipy.optimize import nnls
 
 from fdisac.arrays import dft_codebook, ula_response
-from fdisac.beamforming import tx_power
+from fdisac.beamforming import assemble_analog, tx_power
+from fdisac.cancellers import CancellerPair
 from fdisac.config import ScenarioConfig, TargetSpec
-from fdisac.errors import DegenerateCombinerError
+from fdisac.errors import DegenerateCombinerError, InfeasibleResultError
 from fdisac.optimizer import (
+    HybridBeamformers,
     build_estimated_channels,
     mss_rx_combiner,
     nsp_rx_combiner,
@@ -660,3 +663,153 @@ def test_algorithm_step_attribution_on_failure():
     )
     with pytest.raises(DegenerateCombinerError, match="NSP combiner"):
         run_algorithm1(est_bad, cfg)
+
+
+# ---------------------------------------------------------- stacks of trials
+
+
+def _four_chain_config():
+    return ScenarioConfig(
+        tx_rf_chains=4,
+        rx_rf_chains=4,
+        tx_antennas_per_rf=4,
+        rx_antennas_per_rf=4,
+        dl_user_antennas=4,
+        ul_user_antennas=4,
+        n_subcarriers=64,
+        analog_taps=8,
+        dl_scatterers=(TargetSpec(-30.0, 40.0), TargetSpec(-20.0, 80.0)),
+        radar_targets=(TargetSpec(20.0, 100.0),),
+        ul_user=TargetSpec(-10.0, 60.0),
+    )
+
+
+def test_block_with_degenerate_trials_matches_one_trial_designs():
+    # per trial: scatterer DoAs, the other target's DoA, the UL DoA
+    doas = [
+        ((-30.0, -20.0), (20.0,), -10.0),  # ordinary
+        ((-25.0, -25.0), (20.0,), -10.0),  # repeated scatterers: rank-2 interference
+        ((-30.0, -10.0), (20.0,), -10.0),  # UL inside the interference span
+        ((-40.0, -5.0), (30.0,), 10.0),  # ordinary
+    ]
+    cfg = _four_chain_config()
+    rng = np.random.default_rng(22)
+    h_bb = 1e-2 * _crandn(rng, len(doas), cfg.n_rx_antennas, cfg.n_tx_antennas)
+    dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
+    scat, other, ul = (np.array([d[i] for d in doas]) for i in range(3))
+    block = run_algorithm1(build_estimated_channels(scat, other, ul, h_bb, *dims), cfg)
+    block = block.validate(cfg.p_b_watts, cfg.p_u_watts)
+
+    # the repeated directions leave the second trial's interference rank 2 of 4
+    w_h = np.swapaxes(block.w_b_rf.assembled, -1, -2).conj()
+    h_int_eff = w_h @ build_estimated_channels(scat, other, ul, h_bb, *dims).h_rad_int_hat
+    assert [np.linalg.matrix_rank(h) for h in h_int_eff] == [3, 2, 3, 3]
+
+    for t, (s, o, u) in enumerate(doas):
+        est = build_estimated_channels(list(s), list(o), u, h_bb[t], *dims)
+        try:
+            one = run_algorithm1(est, cfg).validate(cfg.p_b_watts, cfg.p_u_watts)
+        except DegenerateCombinerError as exc:
+            assert t == 2
+            assert block.errors[t] is not None
+            assert f"{type(block.errors[t]).__name__}: {block.errors[t]}" == (
+                f"{type(exc).__name__}: {exc}"
+            )
+            assert str(exc) == (
+                "beamformer design failed at step 'NSP combiner': "
+                "uplink direction lies inside the radar interference span"
+            )
+            continue
+        assert block.errors[t] is None
+        assert block.v_b_rf.codebook_indices[t] == one.v_b_rf.codebook_indices
+        assert block.w_b_rf.codebook_indices[t] == one.w_b_rf.codebook_indices
+        np.testing.assert_allclose(block.v_b_bb[t], one.v_b_bb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block.w_b_bb[t], one.w_b_bb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block.v_u_bb[t], one.v_u_bb, rtol=0, atol=1e-12)
+        # the design's null space holds on every trial that completed
+        assert np.linalg.norm(block.w_b_bb[t].conj().T @ h_int_eff[t]) <= 1e-9 * np.linalg.norm(
+            h_int_eff[t]
+        )
+
+
+def test_nsp_stack_marks_degenerate_matrices_and_keeps_the_others():
+    rng = np.random.default_rng(23)
+    h_int = _crandn(rng, 3, 6, 2)
+    h_ul = _crandn(rng, 3, 6, 1)
+    h_ul[1] = h_int[1][:, :1] * (0.5 - 2j)  # inside the span of its interference
+    with pytest.raises(DegenerateCombinerError) as err:
+        nsp_rx_combiner(h_ul, h_int, 1)
+    assert err.value.failed.tolist() == [False, True, False]
+    for t in (0, 2):
+        np.testing.assert_allclose(err.value.combiner[t], nsp_rx_combiner(h_ul[t], h_int[t], 1),
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(err.value.combiner, axis=-2), 1.0, rtol=1e-12)
+    with pytest.raises(DegenerateCombinerError) as one:
+        nsp_rx_combiner(h_ul[1], h_int[1], 1)
+    assert one.value.failed.shape == () and one.value.failed
+
+
+def test_validate_marks_each_violating_trial_and_raises_for_one_design():
+    cfg = _four_chain_config()
+    rng = np.random.default_rng(24)
+    dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
+    scat = np.array([[-30.0, -20.0]] * 3)
+    est = build_estimated_channels(scat, np.array([[20.0]] * 3), np.array([-10.0] * 3),
+                                   1e-2 * _crandn(rng, 3, *dims[:2]), *dims)
+    block = run_algorithm1(est, cfg)
+    assert block.validate(cfg.p_b_watts, cfg.p_u_watts).errors == (None, None, None)
+    v_bb = block.v_b_bb.copy()
+    v_bb[1] *= 2.0  # four times the power budget
+    checked = replace(block, v_b_bb=v_bb).validate(cfg.p_b_watts, cfg.p_u_watts)
+    assert checked.errors[0] is None and checked.errors[2] is None
+    assert str(checked.errors[1]).startswith("TX power ")
+    assert str(checked.errors[1]).endswith(f" exceeds budget {cfg.p_b_watts}")
+    single = HybridBeamformers(
+        v_b_rf=assemble_analog(block.v_b_rf.per_chain[1]), v_b_bb=v_bb[1],
+        w_b_rf=assemble_analog(block.w_b_rf.per_chain[1]), w_b_bb=block.w_b_bb[1],
+        w_u=block.w_u[1], v_u_bb=block.v_u_bb[1],
+        cancellers=CancellerPair(block.cancellers.analog[1], block.cancellers.digital[1], 8),
+    )
+    with pytest.raises(ValueError, match="TX power .* exceeds budget"):
+        single.validate(cfg.p_b_watts, cfg.p_u_watts)
+
+
+def test_precoder_failure_fails_only_its_trial(monkeypatch):
+    import fdisac.optimizer as optimizer
+
+    cfg = _four_chain_config()
+    rng = np.random.default_rng(25)
+    dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
+    est = build_estimated_channels(
+        np.array([[-30.0, -20.0], [-35.0, -15.0], [-40.0, -5.0]]), np.array([[20.0]] * 3),
+        np.array([-10.0, 5.0, 10.0]), 1e-2 * _crandn(rng, 3, *dims[:2]), *dims,
+    )
+    clean = run_algorithm1(est, cfg)
+    solve = optimizer.numeric_tx_precoder
+    calls = []
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise InfeasibleResultError("leakage 2.000000000 x threshold after 3 solves")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "numeric_tx_precoder", second_call_fails)
+    block = run_algorithm1(est, cfg).validate(cfg.p_b_watts, cfg.p_u_watts)
+    assert len(calls) == 3  # once per trial
+    assert [e is None for e in block.errors] == [True, False, True]
+    assert f"{type(block.errors[1]).__name__}: {block.errors[1]}" == (
+        "InfeasibleResultError: beamformer design failed at step 'TX digital precoder': "
+        "leakage 2.000000000 x threshold after 3 solves"
+    )
+    assert not block.v_b_bb[1].any()  # the stand-in every later step accepts
+    for t in (0, 2):
+        np.testing.assert_array_equal(block.v_b_bb[t], clean.v_b_bb[t])
+        np.testing.assert_array_equal(block.w_b_bb[t], clean.w_b_bb[t])
+    calls.clear()
+    single = build_estimated_channels(
+        [-35.0, -15.0], [20.0], 5.0, est.h_bb_hat[1], *dims
+    )
+    calls.append(None)  # the single design's one call is the second
+    with pytest.raises(InfeasibleResultError, match="step 'TX digital precoder'"):
+        run_algorithm1(single, cfg)

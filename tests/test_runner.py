@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +15,11 @@ from fdisac.cancellers import build_cancellers
 from fdisac.channels import PathParams, TargetParams, delay_doppler_phase, gen_ul_channel
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac.runner import (
+    _block_trials,
     _build_plan,
     _match_doas,
+    _sense,
+    _slot2,
     dwell_projections,
     run_scenario,
     scenario_plan,
@@ -576,3 +580,51 @@ def test_on_grid_bins_are_exact_property(scene):
     trial = run_scenario(cfg).trials[0]
     assert "error" not in trial, trial.get("error")
     assert [(row["bin_n"], row["bin_m"]) for row in trial["sensing"]] == [tuple(b) for b in bins]
+
+
+def test_slot2_block_matches_one_trial_blocks_and_isolates_a_failed_trial():
+    cfg = fast_profile(trials=1, seed=6)
+    plan = scenario_plan(cfg)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    block = [_sense(cfg, np.random.default_rng(s), plan, i) for i, s in enumerate(seeds)]
+    # the UL user sensed at the first scatterer's direction: its NSP combiner degenerates
+    block[2].matched[-1] = block[2].matched[0]
+    records = _slot2(cfg, block)
+    assert _block_trials(cfg, plan) >= len(block)
+    assert records[2] == {
+        "error": "DegenerateCombinerError: beamformer design failed at step 'NSP combiner': "
+                 "uplink direction lies inside the radar interference span"
+    }
+    for t in (0, 1, 3):
+        (one,) = _slot2(cfg, [block[t]])
+        assert one.keys() == records[t].keys() and "error" not in one
+        assert one["sensing"] == records[t]["sensing"]
+        for key, value in one["metrics"].items():
+            assert records[t]["metrics"][key] == pytest.approx(value, rel=1e-12), key
+        for key in ("tx_power_w", "ul_power_w", "nsp_nulling_ratio"):
+            assert records[t][key] == pytest.approx(one[key], rel=1e-12, abs=1e-300), key
+        np.testing.assert_allclose(records[t]["analog_residual_w"], one["analog_residual_w"],
+                                   rtol=1e-12)
+
+
+def _traced_peak(cfg):
+    """tracemalloc peak of one ``run_scenario`` call, the plan and codebooks already built."""
+    run_scenario(cfg.with_overrides(trials=1))
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "profile, few, many, bound",
+    # per extra trial, a report record and the trial's maps stay until the end
+    # (~15 KB on fast, ~0.24 MB on table1); stacking a whole call's design and
+    # metrics instead of blocks would add ~200 KB and ~0.8 MB
+    [(fast_profile, 10, 100, 40e3), (table1_profile, 1, 8, 0.5e6)],
+)
+def test_peak_memory_grows_per_trial_only_by_the_records(profile, few, many, bound):
+    growth = _traced_peak(profile(trials=many, seed=3)) - _traced_peak(profile(trials=few, seed=3))
+    assert growth / (many - few) <= bound
