@@ -60,15 +60,12 @@ def analog_residual_power_per_chain(
     h_tilde_true: np.ndarray,
     c_b: np.ndarray,
     v_bb: np.ndarray,
-    p_b_watts: float = 1.0,
 ) -> np.ndarray:
     """Per-RX-chain SI power (watts) surviving the analog stage.
 
     Row-wise squared norms of (H_true + C) @ V_bb, evaluated with the true
-    compressed channel so the result is what physically reaches each ADC.
-    ``p_b_watts`` multiplies the result for callers whose precoder carries
-    unit rather than absolute symbol power; the default assumes V_bb is
-    already at transmit scale. Stacks give one row of powers per matrix,
+    compressed channel so the result is what physically reaches each ADC;
+    V_bb is at transmit scale. Stacks give one row of powers per matrix,
     shape (..., m_rf).
     """
     h = np.asarray(h_tilde_true, dtype=complex)
@@ -79,4 +76,4 @@ def analog_residual_power_per_chain(
     if v.ndim < 2 or v.shape[-2] != h.shape[-1]:
         raise ValueError(f"precoder shape {v.shape} does not match {h.shape[-1]} TX chains")
     residual = (h + c) @ v
-    return p_b_watts * np.linalg.norm(residual, axis=-1) ** 2
+    return np.linalg.norm(residual, axis=-1) ** 2

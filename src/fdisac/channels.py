@@ -14,15 +14,13 @@ else is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .arrays import ula_response
+from .arrays import ula_response_matrix
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "PathParams",
     "TargetParams",
     "Waveform",
     "gen_dl_channel",
@@ -37,18 +35,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class PathParams:
-    """One propagation path: complex gain and angular direction in degrees."""
-
-    gain: complex
-    angle_deg: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.angle_deg <= 90.0:
-            raise ValueError(f"path angle must lie in [-90, 90], got {self.angle_deg}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +53,7 @@ class TargetParams:
     def __post_init__(self):
         if not -90.0 <= self.angle_deg <= 90.0:
             raise ValueError(f"target angle must lie in [-90, 90], got {self.angle_deg}")
-        if self.range_m < 0:
+        if not self.range_m >= 0:
             raise ValueError(f"target range must be nonnegative, got {self.range_m}")
 
     @property
@@ -80,16 +66,15 @@ class TargetParams:
 
 @dataclass(frozen=True)
 class Waveform:
-    """OFDM numerology: P subcarriers, Q symbols, spacing, durations, carrier.
+    """OFDM numerology: P subcarriers, Q symbols, spacing, symbol duration, carrier.
 
-    The total symbol duration must satisfy T_s = 1/df + T_cp.
+    The symbol duration T_s includes the cyclic prefix, T_cp = T_s - 1/df.
     """
 
     n_subcarriers: int
     n_symbols: int
     subcarrier_spacing_hz: float
     symbol_duration_s: float
-    cp_duration_s: float
     carrier_hz: float
 
     def __post_init__(self):
@@ -98,35 +83,11 @@ class Waveform:
         if self.subcarrier_spacing_hz <= 0 or self.carrier_hz <= 0:
             raise ValueError("subcarrier spacing and carrier frequency must be positive")
         if self.cp_duration_s < 0:
-            raise ValueError("cyclic prefix duration cannot be negative")
-        expected = 1.0 / self.subcarrier_spacing_hz + self.cp_duration_s
-        if abs(self.symbol_duration_s - expected) > 1e-12 * abs(self.symbol_duration_s):
-            raise ValueError(
-                "inconsistent numerology: T_s must equal 1/df + T_cp "
-                f"({self.symbol_duration_s} vs {expected})"
-            )
-
-    @classmethod
-    def from_symbol_duration(
-        cls,
-        n_subcarriers: int,
-        n_symbols: int,
-        subcarrier_spacing_hz: float,
-        symbol_duration_s: float,
-        carrier_hz: float,
-    ) -> "Waveform":
-        """Derive the cyclic prefix from the total symbol duration."""
-        cp = symbol_duration_s - 1.0 / subcarrier_spacing_hz
-        if cp < 0:
             raise ValueError("symbol duration shorter than 1/df leaves no room for a CP")
-        return cls(
-            n_subcarriers=n_subcarriers,
-            n_symbols=n_symbols,
-            subcarrier_spacing_hz=subcarrier_spacing_hz,
-            symbol_duration_s=symbol_duration_s,
-            cp_duration_s=cp,
-            carrier_hz=carrier_hz,
-        )
+
+    @property
+    def cp_duration_s(self) -> float:
+        return self.symbol_duration_s - 1.0 / self.subcarrier_spacing_hz
 
     @property
     def range_bin_m(self) -> float:
@@ -141,27 +102,31 @@ class Waveform:
         )
 
 
-def gen_dl_channel(paths: Sequence[PathParams], m_u: int, n_b: int) -> np.ndarray:
-    """Downlink channel (m_u x n_b) as a sum of rank-1 path contributions."""
-    if not paths:
+def gen_dl_channel(gains, angles_deg, m_u: int, n_b: int) -> np.ndarray:
+    """Downlink channel (m_u x n_b): the rank-1 paths gain * a_{m_u}(theta) a_{n_b}(theta)^H.
+
+    ``gains`` and ``angles_deg`` (degrees) hold one entry per path along the
+    last axis; leading axes give a stack of channels, shape (..., m_u, n_b).
+    The paths are added in order.
+    """
+    gains = np.asarray(gains)
+    angles = np.asarray(angles_deg, dtype=float)
+    if angles.size == 0:
         raise ValueError("downlink channel needs at least one path")
-    if m_u < 1 or n_b < 1:
-        raise ValueError("channel dimensions must be positive")
-    h = np.zeros((m_u, n_b), dtype=complex)
-    for path in paths:
-        a_rx = ula_response(m_u, path.angle_deg)
-        a_tx = ula_response(n_b, path.angle_deg)
-        h += path.gain * np.outer(a_rx, a_tx.conj())
+    a_rx = ula_response_matrix(m_u, angles)
+    a_tx = ula_response_matrix(n_b, angles).conj()
+    h = np.zeros(angles.shape[:-1] + (m_u, n_b), dtype=complex)
+    for i in range(angles.shape[-1]):
+        h += gains[..., i, None, None] * (a_rx[..., :, i, None] * a_tx[..., None, :, i])
     return h
 
 
-def gen_ul_channel(path: PathParams, m_b: int, n_u: int) -> np.ndarray:
-    """Uplink channel (m_b x n_u), a single LOS rank-1 term."""
-    if m_b < 1 or n_u < 1:
-        raise ValueError("channel dimensions must be positive")
-    a_rx = ula_response(m_b, path.angle_deg)
-    a_tx = ula_response(n_u, path.angle_deg)
-    return path.gain * np.outer(a_rx, a_tx.conj())
+def gen_ul_channel(gain, angle_deg, m_b: int, n_u: int) -> np.ndarray:
+    """Uplink channel (m_b x n_u), a single LOS path of :func:`gen_dl_channel`.
+
+    A stack of gains and angles, shape (...), gives a stack (..., m_b, n_u).
+    """
+    return gen_dl_channel(np.asarray(gain)[..., None], np.asarray(angle_deg)[..., None], m_b, n_u)
 
 
 def delay_doppler_phase(target: TargetParams, wf: Waveform, p, q):
@@ -195,7 +160,7 @@ def gen_si_channel(
     if m_b < 1 or n_b < 1:
         raise ValueError("channel dimensions must be positive")
     g = 10.0 ** (-pathloss_db / 10.0)
-    los = np.outer(ula_response(m_b, 0.0), ula_response(n_b, 0.0).conj())
+    los = np.ones((m_b, n_b), dtype=complex)  # a(0) a(0)^H: every broadside entry is 1
     if np.isinf(kappa_db) and kappa_db > 0:
         return np.sqrt(g) * los
     kappa = 10.0 ** (kappa_db / 10.0)

@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     p_rates = sub.add_parser("rates", help="emit rate sweep tables")
     _add_common(p_rates)
     p_rates.add_argument(
-        "--sweep", choices=sorted(set(SWEEP_VARIABLES)), default="p_u_dbm",
+        "--sweep", choices=sorted(SWEEP_VARIABLES), default="p_u_dbm",
         help="sweep variable",
     )
     p_rates.add_argument("--values", type=str, default=None,

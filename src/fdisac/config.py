@@ -154,7 +154,7 @@ class ScenarioConfig:
         return dbm_to_watt(self.si_threshold_dbm)
 
     def waveform(self) -> Waveform:
-        return Waveform.from_symbol_duration(
+        return Waveform(
             n_subcarriers=self.n_subcarriers,
             n_symbols=self.n_symbols,
             subcarrier_spacing_hz=self.subcarrier_spacing_hz,
@@ -187,48 +187,33 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
 
-def _default_geometry(range_bin_m: float, velocity_bin_mps: float):
-    """Shared angle layout with ranges/velocities snapped to the profile grid.
+def _profile(base: ScenarioConfig, overrides: dict) -> ScenarioConfig:
+    """``base`` with the shared target layout, then ``overrides``.
 
-    Range bins are kept well separated so per-target delay profiles do not
+    Ranges and velocities are snapped to ``base``'s range and velocity bins;
+    range bins are kept well separated so per-target delay profiles do not
     leak into a neighbor's cell.
     """
-    scatterers = (
-        TargetSpec(angle_deg=-30.0, range_m=12 * range_bin_m, velocity_mps=0.0),
-        TargetSpec(angle_deg=-20.0, range_m=25 * range_bin_m, velocity_mps=0.0),
+    wf = base.waveform()
+    r, v = wf.range_bin_m, wf.velocity_bin_mps
+    geometry = dict(
+        dl_scatterers=(TargetSpec(-30.0, 12 * r, 0.0), TargetSpec(-20.0, 25 * r, 0.0)),
+        radar_targets=(TargetSpec(20.0, 50 * r, v), TargetSpec(40.0, 62 * r, -2 * v)),
+        ul_user=TargetSpec(-10.0, 37 * r, 0.0),
     )
-    targets = (
-        TargetSpec(angle_deg=20.0, range_m=50 * range_bin_m, velocity_mps=velocity_bin_mps),
-        TargetSpec(angle_deg=40.0, range_m=62 * range_bin_m, velocity_mps=-2 * velocity_bin_mps),
-    )
-    ul_user = TargetSpec(angle_deg=-10.0, range_m=37 * range_bin_m, velocity_mps=0.0)
-    return scatterers, targets, ul_user
+    return base.with_overrides(**{**geometry, **overrides})
 
 
 def table1_profile(**overrides) -> ScenarioConfig:
     """Full-scale configuration (128x128 BS, 792 subcarriers)."""
-    base = ScenarioConfig()
-    wf = base.waveform()
-    scatterers, targets, ul_user = _default_geometry(wf.range_bin_m, wf.velocity_bin_mps)
-    cfg = base.with_overrides(
-        dl_scatterers=scatterers, radar_targets=targets, ul_user=ul_user
-    )
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return _profile(ScenarioConfig(), overrides)
 
 
 def fast_profile(**overrides) -> ScenarioConfig:
     """Desk-scale configuration (32x32 BS, 64 subcarriers); runs in seconds."""
-    base = ScenarioConfig(
-        tx_antennas_per_rf=4,
-        rx_antennas_per_rf=4,
-        n_subcarriers=64,
+    return _profile(
+        ScenarioConfig(tx_antennas_per_rf=4, rx_antennas_per_rf=4, n_subcarriers=64), overrides
     )
-    wf = base.waveform()
-    scatterers, targets, ul_user = _default_geometry(wf.range_bin_m, wf.velocity_bin_mps)
-    cfg = base.with_overrides(
-        dl_scatterers=scatterers, radar_targets=targets, ul_user=ul_user
-    )
-    return cfg.with_overrides(**overrides) if overrides else cfg
 
 
 def get_profile(name: str) -> ScenarioConfig:
@@ -244,9 +229,4 @@ def load_config(path: str | Path, base: ScenarioConfig | None = None) -> Scenari
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if base is None:
         return ScenarioConfig.from_dict(data)
-    merged = base.to_dict()
-    unknown = set(data) - set(merged)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged.update(data)
-    return ScenarioConfig.from_dict(merged)
+    return ScenarioConfig.from_dict({**base.to_dict(), **data})

@@ -31,11 +31,4 @@ class DegenerateCombinerError(RuntimeError):
 
 
 class InfeasibleResultError(RuntimeError):
-    """A solver stopped without reaching feasibility.
-
-    ``last_iterate`` carries the final iterate for inspection.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """A solver stopped without reaching feasibility."""

@@ -30,9 +30,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import Codebook, dft_codebook, ula_response_matrix
+from .arrays import Codebook, dft_codebook
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import CancellerPair, build_cancellers
+from .channels import gen_dl_channel, gen_ul_channel
 from .errors import DegenerateCombinerError, InfeasibleResultError
 
 __all__ = [
@@ -90,30 +91,19 @@ def build_estimated_channels(
     Scatterer directions feed the downlink estimate; scatterers plus the other
     passive targets form the radar interference estimate; the uplink direction
     adds the final radar term and defines the uplink estimate. Gains are not
-    estimated, so every term is a unit-gain steering outer product.
+    estimated, so every term is a unit-gain path of
+    :func:`~fdisac.channels.gen_dl_channel`.
 
     Directions of shape (..., n) with ``ul_doa_deg`` and ``h_bb_hat`` carrying
     the same leading axes give a stack of estimates, one per trial.
     """
 
     scatterers = np.asarray(scatterer_doas_deg, dtype=float)
-    ul = np.asarray(ul_doa_deg, dtype=float)[..., None]
-    # every direction, the uplink last
-    angles = np.concatenate([scatterers, np.asarray(other_doas_deg, dtype=float), ul], axis=-1)
-    a_rx = ula_response_matrix(m_b, angles)
-    a_tx = ula_response_matrix(n_b, angles).conj()
-
-    def steer_sum(a, b, n):
-        """Outer products of the first n column pairs a[..., :, i] b[..., :, i]^T, added in order."""
-        h = np.zeros(a.shape[:-1] + b.shape[-2:-1], dtype=complex)
-        for i in range(n):
-            h += a[..., :, i, None] * b[..., None, :, i]
-        return h
-
-    h_dl = steer_sum(ula_response_matrix(m_u, scatterers), a_tx, scatterers.shape[-1])
-    h_int = steer_sum(a_rx, a_tx, angles.shape[-1] - 1)
-    h_rad = h_int + a_rx[..., :, -1, None] * a_tx[..., None, :, -1]
-    h_ul = a_rx[..., :, -1, None] * ula_response_matrix(n_u, ul).conj()[..., None, :, 0]
+    interferers = np.concatenate([scatterers, np.asarray(other_doas_deg, dtype=float)], axis=-1)
+    h_int = gen_dl_channel(np.ones(interferers.shape[-1]), interferers, m_b, n_b)
+    h_rad = h_int + gen_ul_channel(1.0, ul_doa_deg, m_b, n_b)
+    h_dl = gen_dl_channel(np.ones(scatterers.shape[-1]), scatterers, m_u, n_b)
+    h_ul = gen_ul_channel(1.0, ul_doa_deg, m_b, n_u)
     return EstimatedChannels(
         h_rad_hat=h_rad,
         h_rad_int_hat=h_int,
@@ -280,7 +270,7 @@ def numeric_tx_precoder(
     by min(1, sqrt(lambda_b / max_r(c_r + e_r))), where e_r bounds the
     rounding of the computed c_r, so every c_r is <= lambda_b in floating
     point, also after later column down-scaling. A scale below 1 - 1e-9
-    raises :class:`InfeasibleResultError` carrying V. ``lambda_b_watts = inf``
+    raises :class:`InfeasibleResultError`. ``lambda_b_watts = inf``
     returns the minimum-norm least-squares solution.
 
     With ``return_info`` the result is ``(V, info)``; ``info`` holds
@@ -380,8 +370,7 @@ def numeric_tx_precoder(
         scale = np.sqrt(lam / worst)
         if scale < 1.0 - _GUARD_MAX_REL:
             raise InfeasibleResultError(
-                f"leakage {leak.max() / lam:.9f} x threshold after {iterations} solves",
-                last_iterate=v,
+                f"leakage {leak.max() / lam:.9f} x threshold after {iterations} solves"
             )
         v, w, leak = v * scale, w * scale, leak * scale**2
     if not return_info:

@@ -43,8 +43,8 @@ from .arrays import Codebook, dft_codebook, ula_response_matrix
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import analog_residual_power_per_chain, build_cancellers, si_residual
 from .channels import (
-    PathParams, TargetParams, Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel,
-    gen_ul_channel, perturb_estimate,
+    TargetParams, Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel, gen_ul_channel,
+    perturb_estimate,
 )
 from .config import ScenarioConfig, TargetSpec
 from .metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
@@ -80,15 +80,8 @@ __all__ = [
     "jsonify",
 ]
 
-# Canonical sweep names mapped onto config fields.
-SWEEP_VARIABLES = {
-    "p_b_dbm": "tx_power_dbm",
-    "p_u_dbm": "ul_tx_power_dbm",
-    "n_taps": "analog_taps",
-    "tx_power_dbm": "tx_power_dbm",
-    "ul_tx_power_dbm": "ul_tx_power_dbm",
-    "analog_taps": "analog_taps",
-}
+# The paper's sweep names mapped onto config fields.
+SWEEP_VARIABLES = {"p_b_dbm": "tx_power_dbm", "p_u_dbm": "ul_tx_power_dbm", "n_taps": "analog_taps"}
 
 
 def jsonify(obj):
@@ -125,7 +118,7 @@ class RunReport:
     rate_rows: list | None = None
     wall_clock_s: float | None = None
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "config": jsonify(self.config),
             "seed": self.seed,
@@ -135,7 +128,7 @@ class RunReport:
             "range_velocity": jsonify(self.range_velocity),
             "rate_rows": jsonify(self.rate_rows),
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def spread_analog(n_chains: int, cb: Codebook) -> AnalogBeamformer:
@@ -363,12 +356,8 @@ def _sense(cfg: ScenarioConfig, rng: np.random.Generator, plan: ScenarioPlan,
                      range_m=s.range_m, velocity_mps=s.velocity_mps)
         for i, s in enumerate(specs)
     ]
-    dl_paths = [
-        PathParams(gain=dl_phases[i], angle_deg=s.angle_deg)
-        for i, s in enumerate(cfg.dl_scatterers)
-    ]
-    h_dl_true = gen_dl_channel(dl_paths, m_u, n_b)
-    h_ul_true = gen_ul_channel(PathParams(gain=beta, angle_deg=cfg.ul_user.angle_deg), m_b, n_u)
+    h_dl_true = gen_dl_channel(dl_phases, [s.angle_deg for s in cfg.dl_scatterers], m_u, n_b)
+    h_ul_true = gen_ul_channel(beta, cfg.ul_user.angle_deg, m_b, n_u)
     h_si_true = gen_si_channel(m_b, n_b, cfg.si_kappa_db, cfg.si_pathloss_db, rng)
     h_si_hat = perturb_estimate(h_si_true, cfg.csi_nmse_db, rng)
 
@@ -595,16 +584,20 @@ def sweep(cfg: ScenarioConfig, variable: str, values: Sequence) -> RunReport:
     values. Emits one aggregated rate row per value.
     """
     if variable not in SWEEP_VARIABLES:
-        raise ValueError(f"unknown sweep variable '{variable}', expected one of {sorted(set(SWEEP_VARIABLES))}")
+        raise ValueError(
+            f"unknown sweep variable '{variable}', expected one of {sorted(SWEEP_VARIABLES)}"
+        )
     if not values:
         raise ValueError("sweep needs at least one value")
     field_name = SWEEP_VARIABLES[variable]
+    if field_name == "analog_taps":
+        if not all(float(v).is_integer() for v in values):
+            raise ValueError(f"tap counts must be integers, got {list(values)}")
+        values = [int(v) for v in values]
     start = time.perf_counter()
     rows = []
     trials = []
     for value in values:
-        if field_name == "analog_taps":
-            value = int(value)
         point_cfg = cfg.with_overrides(**{field_name: value})
         report = run_scenario(point_cfg)
         agg = report.aggregate
@@ -692,10 +685,8 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
     return payload, all(c["passed"] for c in checks)
 
 
-def _kkt_spot_checks(
-    seed: int, m_u: int, n_rf: int, rank: int, n_rows: int, n_instances: int = 20
-) -> float:
-    """Worst KKT residual of the TX precoder over random instances."""
+def _kkt_spot_checks(seed: int, m_u: int, n_rf: int, rank: int, n_rows: int) -> float:
+    """Worst KKT residual of the TX precoder over 20 random instances."""
     rng = np.random.default_rng([seed, 7151, n_rows])
     st, lam = 3, 1e-3
 
@@ -703,7 +694,7 @@ def _kkt_spot_checks(
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(20):
         h = crandn(m_u, rank) @ crandn(rank, n_rf)
         t_rows = crandn(n_rows, n_rf) * 0.05
         _, _, vh = np.linalg.svd(h, full_matrices=False)

@@ -55,7 +55,6 @@ class MusicResult:
 
     spectrum: np.ndarray
     doas_deg: list
-    grid_deg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,18 +152,18 @@ def music_doas(
 
     if spectrum.max() - spectrum.min() <= 1e-9 * spectrum.max():
         # flat to numerical precision: no directional information
-        partial = MusicResult(spectrum=spectrum, doas_deg=[], grid_deg=grid)
+        partial = MusicResult(spectrum=spectrum, doas_deg=[])
         raise EstimationFailureError("pseudo-spectrum is flat", partial=partial)
     peaks = _local_maxima(spectrum)
     if peaks.size < k:
         found = sorted(float(grid[i]) for i in peaks[np.argsort(spectrum[peaks])[::-1]])
-        partial = MusicResult(spectrum=spectrum, doas_deg=found, grid_deg=grid)
+        partial = MusicResult(spectrum=spectrum, doas_deg=found)
         raise EstimationFailureError(
             f"found {peaks.size} spectrum peaks, needed {k}", partial=partial
         )
     top = peaks[np.argsort(spectrum[peaks])[::-1][:k]]
     doas = sorted(float(grid[i]) for i in top)
-    return MusicResult(spectrum=spectrum, doas_deg=doas, grid_deg=grid)
+    return MusicResult(spectrum=spectrum, doas_deg=doas)
 
 
 def combiner_manifold(w_rf: AnalogBeamformer, grid_deg: np.ndarray) -> np.ndarray:
@@ -217,15 +216,14 @@ def dwell_weights(w_rf: AnalogBeamformer, theta_hat_deg) -> np.ndarray:
     return _steered(theta_hat_deg, w_rf.assembled) / w_rf.n_antennas
 
 
-def delay_doppler_quotient(
-    cy_grid: np.ndarray, s_grid: np.ndarray, guard_rel: float = DIVISION_GUARD_REL
-):
+def delay_doppler_quotient(cy_grid: np.ndarray, s_grid: np.ndarray):
     """Quotient z = c^T y / s between the projected snapshots and the reference.
 
     ``cy_grid`` holds the snapshots projected onto :func:`dwell_weights`,
     ``s_grid`` the reference of :func:`reference_signal_grid`, both of shape
-    (P, Q) or a stack (..., P, Q) of dwells. Cells with |s| below ``guard_rel``
-    times the largest |s| of their own grid are set to 0 and flagged.
+    (P, Q) or a stack (..., P, Q) of dwells. Cells with |s| below
+    :data:`DIVISION_GUARD_REL` times the largest |s| of their own grid are set
+    to 0 and flagged.
 
     Returns ``(z, excluded)``, z and the mask of flagged cells in the input shape.
     """
@@ -234,7 +232,7 @@ def delay_doppler_quotient(
     if cy.ndim < 2 or s.shape != cy.shape:
         raise ValueError(f"grid shapes {cy.shape} and {s.shape} are inconsistent")
     mag = np.abs(s)
-    excluded = mag < guard_rel * np.maximum(mag.max(axis=(-2, -1), keepdims=True), 1e-300)
+    excluded = mag < DIVISION_GUARD_REL * np.maximum(mag.max(axis=(-2, -1), keepdims=True), 1e-300)
     return np.divide(cy, s, out=np.zeros_like(cy), where=~excluded), excluded
 
 

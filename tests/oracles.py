@@ -4,8 +4,13 @@ from typing import Sequence
 
 import numpy as np
 
-from fdisac.arrays import ula_response
+from fdisac.arrays import ula_response_matrix
 from fdisac.channels import TargetParams, Waveform, delay_doppler_phase
+
+
+def steering(n_elems: int, angle_deg: float) -> np.ndarray:
+    """Half-wavelength ULA response toward one angle, a length-``n_elems`` vector."""
+    return ula_response_matrix(n_elems, [angle_deg])[:, 0]
 
 
 def radar_channel_at(
@@ -26,7 +31,7 @@ def radar_channel_at(
         raise ValueError(f"symbol index {q} outside [0, {wf.n_symbols})")
     h = np.zeros((m_b, n_b), dtype=complex)
     for t in targets:
-        a_rx = ula_response(m_b, t.angle_deg)
-        a_tx = ula_response(n_b, t.angle_deg)
+        a_rx = steering(m_b, t.angle_deg)
+        a_tx = steering(n_b, t.angle_deg)
         h += t.gain * delay_doppler_phase(t, wf, p, q) * np.outer(a_rx, a_tx.conj())
     return h

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from fdisac.arrays import ula_response
 from fdisac.config import fast_profile, table1_profile
 from fdisac.errors import DegenerateCombinerError
 from fdisac.optimizer import nsp_rx_combiner, numeric_tx_precoder
 from fdisac.runner import run_scenario, sweep, validate_suite
+from oracles import steering
 
 
 def _crandn(rng, *shape):
@@ -96,7 +96,7 @@ def test_criterion_3_nsp_nulling():
             w = _crandn(rng, 16, m_rf)
             angles = rng.uniform(-80, 80, size=4)
             h_int = sum(
-                np.outer(w.conj().T @ ula_response(16, a), ula_response(6, a).conj())
+                np.outer(w.conj().T @ steering(16, a), steering(6, a).conj())
                 for a in angles
             )
         h_ul = np.outer(_crandn(rng, m_rf), _crandn(rng, 3).conj())

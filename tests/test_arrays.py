@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
+from fdisac.arrays import dft_codebook, ula_response_matrix
 from fdisac.errors import ConstraintViolationError
 
 
@@ -17,27 +17,33 @@ def _validate_codebook(cb, tol=1e-12):
 
 
 def test_steering_broadside_is_all_ones():
-    np.testing.assert_allclose(ula_response(4, 0.0, 0.5), np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(ula_response_matrix(4, [0.0], 0.5)[:, 0], np.ones(4), atol=1e-12)
 
 
 def test_steering_30deg_half_wavelength():
     # sin(30 deg) = 0.5 so the second element sits at phase pi/2
-    np.testing.assert_allclose(ula_response(2, 30.0, 0.5), [1.0, 1.0j], atol=1e-9)
+    np.testing.assert_allclose(ula_response_matrix(2, [30.0], 0.5)[:, 0], [1.0, 1.0j], atol=1e-9)
 
 
 def test_steering_endfire_minus_90():
-    np.testing.assert_allclose(ula_response(2, -90.0, 0.5), [1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(ula_response_matrix(2, [-90.0], 0.5)[:, 0], [1.0, -1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize(
     "n, angle, spacing",
-    [(0, 0.0, 0.5), (4, 91.0, 0.5), (4, -90.1, 0.5), (4, 0.0, 0.0), (4, 0.0, -0.3)],
+    [
+        (0, 0.0, 0.5), (4, 91.0, 0.5), (4, -90.1, 0.5), (4, 0.0, 0.0), (4, 0.0, -0.3),
+        (4, np.nan, 0.5), (4, np.inf, 0.5), (4, -np.inf, 0.5),
+    ],
 )
 def test_steering_rejects_bad_arguments(n, angle, spacing):
     with pytest.raises(ValueError):
-        ula_response(n, angle, spacing)
-    with pytest.raises(ValueError):
         ula_response_matrix(n, [angle], spacing)
+    # one bad angle among good ones, and in a stack of angle rows
+    with pytest.raises(ValueError):
+        ula_response_matrix(n, [10.0, angle, -10.0], spacing)
+    with pytest.raises(ValueError):
+        ula_response_matrix(n, [[10.0, 20.0], [angle, 0.0]], spacing)
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,17 +53,25 @@ def test_steering_rejects_bad_arguments(n, angle, spacing):
     spacing=st.floats(min_value=0.05, max_value=2.0),
 )
 def test_steering_unit_modulus_and_norm(n, angle, spacing):
-    v = ula_response(n, angle, spacing)
+    v = ula_response_matrix(n, [angle], spacing)[:, 0]
     assert np.abs(np.abs(v) - 1.0).max() < 1e-12
     assert v[0] == 1.0 + 0.0j
     assert abs(np.linalg.norm(v) ** 2 - n) < 1e-9 * n
 
 
-def test_response_matrix_matches_single_responses():
+def test_response_matrix_matches_explicit_exponential():
+    # half-wavelength spacing: element n toward theta is exp(j*pi*n*sin(theta))
     angles = np.array([-60.0, -5.0, 12.3, 89.0])
+    n = np.arange(6)
     mat = ula_response_matrix(6, angles)
     for j, ang in enumerate(angles):
-        np.testing.assert_allclose(mat[:, j], ula_response(6, ang), atol=1e-14)
+        expected = np.exp(1j * np.pi * n * np.sin(np.deg2rad(ang)))
+        np.testing.assert_allclose(mat[:, j], expected, atol=1e-14)
+    # a stack of angle rows gives one matrix per row
+    stack = ula_response_matrix(6, np.stack([angles, angles[::-1]]))
+    assert stack.shape == (2, 6, 4)
+    np.testing.assert_array_equal(stack[0], mat)
+    np.testing.assert_array_equal(stack[1], mat[:, ::-1])
 
 
 def test_dft_codebook_table_configuration():
@@ -81,7 +95,7 @@ def test_dft_codebook_single_element_degenerate():
 def test_dft_codebook_broadside_entry():
     # sin grid point for m=2 with 2 bits is -1 + 2*2/4 = 0, i.e. broadside
     cb = dft_codebook(4, 2)
-    expected = ula_response(4, 0.0) / 2.0
+    expected = ula_response_matrix(4, [0.0])[:, 0] / 2.0
     np.testing.assert_allclose(cb.vectors[2], expected, atol=1e-12)
 
 

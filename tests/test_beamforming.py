@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdisac.arrays import dft_codebook, ula_response
+from fdisac.arrays import dft_codebook
 from fdisac.beamforming import assemble_analog, tx_power
 from fdisac.errors import ConstraintViolationError
 from fdisac.sensing import reference_signal_grid
+from oracles import steering
 
 
 def test_assemble_two_chain_block_structure():
@@ -97,7 +98,7 @@ def test_tx_signal_identity_precoder():
     rng = np.random.default_rng(1)
     bf = _random_bf(rng)
     s = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-    expected = ula_response(6, -40.0).conj() @ (bf.assembled @ s)
+    expected = steering(6, -40.0).conj() @ (bf.assembled @ s)
     np.testing.assert_allclose(reference_signal_grid(-40.0, bf, np.eye(2), s), expected, atol=1e-14)
 
 
@@ -106,7 +107,7 @@ def test_tx_signal_matches_triple_product():
     bf = _random_bf(rng)
     v_bb = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     s = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-    expected = ula_response(6, 25.0).conj() @ (bf.assembled @ v_bb @ s)
+    expected = steering(6, 25.0).conj() @ (bf.assembled @ v_bb @ s)
     np.testing.assert_allclose(reference_signal_grid(25.0, bf, v_bb, s), expected, atol=1e-13)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from fdisac.channels import (
     SPEED_OF_LIGHT,
-    PathParams,
     TargetParams,
     Waveform,
     gen_dl_channel,
@@ -15,41 +14,55 @@ from oracles import radar_channel_at
 
 
 def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
-    return Waveform.from_symbol_duration(p, q, df, ts, fc)
+    return Waveform(p, q, df, ts, fc)
 
 
 def test_dl_single_broadside_path_is_all_ones():
-    h = gen_dl_channel([PathParams(gain=1.0, angle_deg=0.0)], 2, 2)
+    h = gen_dl_channel([1.0], [0.0], 2, 2)
     np.testing.assert_allclose(h, np.ones((2, 2)), atol=1e-12)
 
 
 def test_dl_two_symmetric_paths_have_rank_two():
-    paths = [PathParams(gain=1.0, angle_deg=25.0), PathParams(gain=1.0, angle_deg=-25.0)]
-    h = gen_dl_channel(paths, 4, 4)
+    h = gen_dl_channel([1.0, 1.0], [25.0, -25.0], 4, 4)
     # SVD oracle: count singular values above a relative floor
     sv = np.linalg.svd(h, compute_uv=False)
     assert np.sum(sv > 1e-10 * sv[0]) == 2
 
 
 def test_dl_first_entry_sums_path_gains():
-    paths = [PathParams(gain=1.0, angle_deg=-30.0), PathParams(gain=1.0, angle_deg=-20.0)]
-    h = gen_dl_channel(paths, 3, 3)
+    h = gen_dl_channel([1.0, 1.0], [-30.0, -20.0], 3, 3)
     # element (0, 0) of every steering outer product is 1
     np.testing.assert_allclose(h[0, 0], 2.0 + 0.0j, atol=1e-12)
 
 
 def test_dl_empty_path_list_rejected():
     with pytest.raises(ValueError):
-        gen_dl_channel([], 2, 2)
+        gen_dl_channel([], [], 2, 2)
+
+
+def test_path_channels_stack_over_leading_axes():
+    rng = np.random.default_rng(3)
+    gains = np.exp(2j * np.pi * rng.random((2, 3, 2)))
+    angles = rng.uniform(-90.0, 90.0, (2, 3, 2))
+    dl = gen_dl_channel(gains, angles, 4, 6)
+    ul = gen_ul_channel(gains[..., 0], angles[..., 0], 5, 3)
+    assert dl.shape == (2, 3, 4, 6) and ul.shape == (2, 3, 5, 3)
+    for i in np.ndindex(2, 3):
+        np.testing.assert_array_equal(dl[i], gen_dl_channel(gains[i], angles[i], 4, 6))
+        np.testing.assert_array_equal(ul[i], gen_ul_channel(gains[i][0], angles[i][0], 5, 3))
+    # one rank-1 path each: the explicit outer product of the two ULA responses
+    a_rx = np.exp(1j * np.pi * np.arange(5) * np.sin(np.deg2rad(angles[0, 0, 0])))
+    a_tx = np.exp(1j * np.pi * np.arange(3) * np.sin(np.deg2rad(angles[0, 0, 0])))
+    np.testing.assert_allclose(ul[0, 0], gains[0, 0, 0] * np.outer(a_rx, a_tx.conj()), atol=1e-13)
 
 
 def test_ul_broadside_is_all_ones():
-    h = gen_ul_channel(PathParams(gain=1.0, angle_deg=0.0), 3, 2)
+    h = gen_ul_channel(1.0, 0.0, 3, 2)
     np.testing.assert_allclose(h, np.ones((3, 2)), atol=1e-12)
 
 
 def test_ul_largest_singular_value():
-    h = gen_ul_channel(PathParams(gain=2.0, angle_deg=-10.0), 4, 2)
+    h = gen_ul_channel(2.0, -10.0, 4, 2)
     sv = np.linalg.svd(h, compute_uv=False)
     np.testing.assert_allclose(sv[0], 2.0 * np.sqrt(8.0), rtol=1e-12)
     assert sv[1] < 1e-12 * sv[0]
@@ -62,12 +75,18 @@ def test_target_derived_delay_and_doppler():
     assert abs(fd - 2.0 * 30.0 * 28e9 / SPEED_OF_LIGHT) <= 1e-15 * abs(fd)
 
 
+@pytest.mark.parametrize("range_m", [np.nan, -1.0])
+def test_target_rejects_bad_range(range_m):
+    with pytest.raises(ValueError, match="range"):
+        TargetParams(1.0, 10.0, range_m, 0.0)
+
+
 def test_waveform_numerology_consistency():
     wf = _wf()
     assert abs(wf.symbol_duration_s - (1.0 / wf.subcarrier_spacing_hz + wf.cp_duration_s)) \
         <= 1e-12 * wf.symbol_duration_s
-    with pytest.raises(ValueError):
-        Waveform(792, 14, 120e3, 8.92e-6, 1e-6, 28e9)  # T_s != 1/df + T_cp
+    with pytest.raises(ValueError, match="no room for a CP"):
+        _wf(ts=8e-6)  # shorter than 1/df = 8.33 us
 
 
 def test_radar_channel_no_phase_at_origin_cell():

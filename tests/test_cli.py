@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from fdisac.cli import main
+
 TINY = {
     "tx_rf_chains": 4,
     "rx_rf_chains": 4,
@@ -107,6 +109,13 @@ def test_validate_deterministic_and_green(tmp_path, tiny_config):
     assert p2.returncode == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert "[PASS]" in p1.stdout and "[FAIL]" not in p1.stdout
+
+
+def test_rates_rejects_a_non_integral_tap_count(tmp_path, tiny_config):
+    with pytest.raises(ValueError, match="tap counts must be integers"):
+        main(["rates", "--profile", "fast", "--config", str(tiny_config), "--sweep", "n_taps",
+              "--values", "16.9", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_loads_no_scipy():

@@ -1,6 +1,5 @@
 import numpy as np
 
-from fdisac.arrays import ula_response
 from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import build_cancellers
 from fdisac.metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
@@ -10,6 +9,7 @@ from fdisac.optimizer import (
     mss_rx_combiner,
     nsp_rx_combiner,
 )
+from oracles import steering
 
 
 def _crandn(rng, *shape):
@@ -98,11 +98,11 @@ def test_dl_snr_matched_rank_one_closed_form():
     # single chain pointed at the path, matched user combiner (zero padded to
     # two columns): gamma = P_b * M_u * N_b / sigma^2
     theta, m_u, n_b, p_b, sigma2 = 23.0, 3, 4, 2.0, 1e-6
-    v_rf = assemble_analog([ula_response(n_b, theta) / np.sqrt(n_b)])
+    v_rf = assemble_analog([steering(n_b, theta) / np.sqrt(n_b)])
     v_bb = np.array([[np.sqrt(p_b)]])
     w_u = np.zeros((m_u, 2), dtype=complex)
-    w_u[:, 0] = ula_response(m_u, theta) / np.sqrt(m_u)
-    h_dl = np.outer(ula_response(m_u, theta), ula_response(n_b, theta).conj())
+    w_u[:, 0] = steering(m_u, theta) / np.sqrt(m_u)
+    h_dl = np.outer(steering(m_u, theta), steering(n_b, theta).conj())
     cancellers = build_cancellers(np.zeros((1, 1), dtype=complex), 0)
     bf = HybridBeamformers(
         v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=_identity_analog(1),

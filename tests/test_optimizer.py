@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import nnls
 
-from fdisac.arrays import dft_codebook, ula_response
+from fdisac.arrays import dft_codebook
 from fdisac.beamforming import assemble_analog, tx_power
 from fdisac.cancellers import CancellerPair
 from fdisac.config import ScenarioConfig, TargetSpec
@@ -25,6 +25,7 @@ from fdisac.optimizer import (
     select_tx_analog,
     user_beamformers,
 )
+from oracles import steering
 
 
 def _crandn(rng, *shape):
@@ -37,7 +38,7 @@ def _crandn(rng, *shape):
 def test_tx_analog_single_target_matched_beam():
     cb = dft_codebook(8, 3)
     grid_angle = float(np.degrees(np.arcsin(-1 + 2 * 6 / 8)))
-    h = np.outer(ula_response(4, grid_angle), ula_response(8, grid_angle).conj())
+    h = np.outer(steering(4, grid_angle), steering(8, grid_angle).conj())
     bf = select_tx_analog(h, cb, 1)
     assert bf.codebook_indices == (6,)
 
@@ -85,8 +86,8 @@ def test_rx_analog_orthogonal_geometry_prefers_radar():
     cb = dft_codebook(8, 3)
     radar_angle = float(np.degrees(np.arcsin(-1 + 2 * 5 / 8)))
     si_angle = float(np.degrees(np.arcsin(-1 + 2 * 2 / 8)))
-    h_rad = np.outer(ula_response(8, radar_angle), ula_response(8, radar_angle).conj())
-    h_si = np.outer(ula_response(8, si_angle), ula_response(8, si_angle).conj())
+    h_rad = np.outer(steering(8, radar_angle), steering(8, radar_angle).conj())
+    h_si = np.outer(steering(8, si_angle), steering(8, si_angle).conj())
     v_rf = select_tx_analog(h_rad, cb, 1)
     w = select_rx_analog(h_rad, h_si, v_rf, cb)
     assert w.codebook_indices == (5,)
@@ -524,11 +525,11 @@ def test_mss_beats_random_unit_vectors():
 
 def test_user_beamformers_rank_one_uplink():
     phi = -12.0
-    h_ul = np.outer(ula_response(6, phi), ula_response(4, phi).conj())
+    h_ul = np.outer(steering(6, phi), steering(4, phi).conj())
     _, v_u = user_beamformers(np.eye(4, dtype=complex), h_ul, 2, 0.25)
     np.testing.assert_allclose(np.linalg.norm(v_u) ** 2, 0.25, rtol=1e-12)
     # collinear with the array response at the user
-    a = ula_response(4, phi)
+    a = steering(4, phi)
     overlap = np.abs(v_u.conj() @ a) / (np.linalg.norm(v_u) * np.linalg.norm(a))
     np.testing.assert_allclose(overlap, 1.0, rtol=1e-10)
 

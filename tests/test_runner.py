@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
+from fdisac.arrays import dft_codebook, ula_response_matrix
 from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import build_cancellers
-from fdisac.channels import PathParams, TargetParams, delay_doppler_phase, gen_ul_channel
+from fdisac.channels import TargetParams, delay_doppler_phase, gen_ul_channel
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac.runner import (
     _block_trials,
@@ -30,7 +30,7 @@ from fdisac.runner import (
     waveform_basis,
 )
 from fdisac.sensing import angle_grid, combiner_manifold, delay_doppler_quotient
-from oracles import radar_channel_at
+from oracles import radar_channel_at, steering
 
 
 def _tiny_config(**overrides):
@@ -72,8 +72,8 @@ def _oracle_snapshots(radar_targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u
     y = si_residual @ tx_rf
     y += np.outer(w_h @ (h_ul @ v_u), sym_u)
     for t, phase in zip(radar_targets, phases):
-        a_rx = ula_response(h_ul.shape[0], t.angle_deg)
-        a_tx = ula_response(v_rf.n_antennas, t.angle_deg)
+        a_rx = steering(h_ul.shape[0], t.angle_deg)
+        a_tx = steering(v_rf.n_antennas, t.angle_deg)
         y += np.outer(w_h @ a_rx, t.gain * phase * ((a_tx.conj() @ v_rf.assembled) @ tx_rf))
     y += noise_rf
     return y
@@ -83,17 +83,17 @@ def _oracle_projection(c, radar_targets, phases, h_ul, si_residual, v_rf, tx_rf,
                        sym_u, noise_rf):
     """c^T y of :func:`_oracle_snapshots`, each term projected before it meets the grid."""
     cw_h = c @ w_rf.assembled.conj().T
-    a_tx_v = [ula_response(v_rf.n_antennas, t.angle_deg).conj() @ v_rf.assembled for t in radar_targets]
+    a_tx_v = [steering(v_rf.n_antennas, t.angle_deg).conj() @ v_rf.assembled for t in radar_targets]
     terms = np.array([c @ si_residual] + a_tx_v) @ tx_rf
     y = (cw_h @ (h_ul @ v_u)) * sym_u + terms[0] + c @ noise_rf
     for t, phase, echo in zip(radar_targets, phases, terms[1:]):
-        y += (cw_h @ ula_response(h_ul.shape[0], t.angle_deg)) * t.gain * phase * echo
+        y += (cw_h @ steering(h_ul.shape[0], t.angle_deg)) * t.gain * phase * echo
     return y
 
 
 def _oracle_pointed_analog(n_chains, cb, angle_deg):
     """Every chain on the codebook beam with the highest gain toward ``angle_deg``."""
-    gains = np.abs(cb.vectors.conj() @ ula_response(cb.n_elems, angle_deg))
+    gains = np.abs(cb.vectors.conj() @ steering(cb.n_elems, angle_deg))
     idx = int(np.argmax(gains))
     return assemble_analog(np.tile(cb.vectors[idx], (n_chains, 1)))
 
@@ -104,7 +104,7 @@ def _scene(cfg, rng):
         TargetParams(np.exp(2j * np.pi * rng.random()), s.angle_deg, s.range_m, s.velocity_mps)
         for s in cfg.all_target_specs()
     ]
-    h_ul = gen_ul_channel(PathParams(1j, cfg.ul_user.angle_deg), cfg.n_rx_antennas, cfg.ul_user_antennas)
+    h_ul = gen_ul_channel(1j, cfg.ul_user.angle_deg, cfg.n_rx_antennas, cfg.ul_user_antennas)
     v_u = _crandn(rng, cfg.ul_user_antennas)
     v_bb = _crandn(rng, cfg.tx_rf_chains, cfg.n_streams)
     basis = waveform_basis(rng, scenario_plan(cfg).phases, cfg.n_streams, cfg.rx_rf_chains, 1e-3)
@@ -314,11 +314,26 @@ def test_sweep_validates_variable_and_values():
         sweep(cfg, "p_u_dbm", [])
 
 
-def test_sweep_accepts_canonical_and_field_names():
+def test_sweep_n_taps_runs_the_field_and_field_names_are_rejected():
     cfg = _tiny_config(trials=1)
-    by_alias = sweep(cfg, "n_taps", [0, 8])
-    by_field = sweep(cfg, "analog_taps", [0, 8])
-    assert by_alias.rate_rows == by_field.rate_rows
+    report = sweep(cfg, "n_taps", [0, 8])
+    for value, trial in zip((0, 8), report.trials):
+        assert trial == {
+            "sweep_value": value,
+            "aggregate": run_scenario(cfg.with_overrides(analog_taps=value)).aggregate,
+        }
+    for field in ("tx_power_dbm", "ul_tx_power_dbm", "analog_taps"):
+        with pytest.raises(ValueError, match=r"\['n_taps', 'p_b_dbm', 'p_u_dbm'\]"):
+            sweep(cfg, field, [0])
+
+
+def test_sweep_rejects_a_non_integral_tap_count():
+    cfg = _tiny_config(trials=1)
+    for bad in (4.5, 16.9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tap counts must be integers"):
+            sweep(cfg, "n_taps", [0, bad])
+    # an integral float is a tap count, reported as an integer
+    assert sweep(cfg, "n_taps", [8.0]).rate_rows[0]["sweep_value"] == 8
 
 
 def test_validate_suite_passes_on_tiny_config():
@@ -481,10 +496,10 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
         canc = build_cancellers(w_h @ h_si_hat @ v_k.assembled, cfg.analog_taps)
         resid = w_h @ h_si @ v_k.assembled + canc.analog + canc.digital
         assert np.abs(resid).max() > 1e-3
-        c = w_k.assembled.T @ ula_response(cfg.n_rx_antennas, theta).conj() / cfg.n_rx_antennas
+        c = w_k.assembled.T @ steering(cfg.n_rx_antennas, theta).conj() / cfg.n_rx_antennas
         args = (targets, phases, h_ul, resid, v_k, tx_rf, v_u, w_k, sym_u, noise)
         full = c @ _oracle_snapshots(*args)
-        ref = ula_response(cfg.n_tx_antennas, theta).conj() @ (v_k.assembled @ tx_rf)
+        ref = steering(cfg.n_tx_antennas, theta).conj() @ (v_k.assembled @ tx_rf)
         for got, want in ((cy[k], full), (cy[k], _oracle_projection(c, *args)), (s[k], ref)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         z_k, excluded_k = delay_doppler_quotient(full.reshape(shape[1:]), ref.reshape(shape[1:]))

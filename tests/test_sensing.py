@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from fdisac.arrays import dft_codebook, ula_response, ula_response_matrix
+from fdisac.arrays import dft_codebook, ula_response_matrix
 from fdisac.beamforming import assemble_analog
 from fdisac.channels import SPEED_OF_LIGHT, Waveform
 from fdisac.errors import EstimationFailureError
@@ -19,10 +19,11 @@ from fdisac.sensing import (
     reference_signal_grid,
     sample_covariance,
 )
+from oracles import steering
 
 
 def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
-    return Waveform.from_symbol_duration(p, q, df, ts, fc)
+    return Waveform(p, q, df, ts, fc)
 
 
 def _ula_music(r, k, grid_step_deg, m):
@@ -98,7 +99,7 @@ def test_covariance_hermitian_psd(seed, m, n):
 
 def test_music_noiseless_single_source_exact():
     theta = -20.0  # on the 0.1 degree grid
-    a = ula_response(6, theta)
+    a = steering(6, theta)
     r = np.outer(a, a.conj())
     result = _ula_music(r, 1, 0.1, 6)
     assert result.doas_deg == [pytest.approx(theta, abs=1e-9)]
@@ -109,7 +110,7 @@ def test_music_two_sources_snr20():
     # 20 dB SNR, 8 elements, 500 snapshots
     rng = np.random.default_rng(3)
     m, n_snap, sigma = 8, 500, np.sqrt(0.01)
-    a1, a2 = ula_response(m, -30.0), ula_response(m, -20.0)
+    a1, a2 = steering(m, -30.0), steering(m, -20.0)
     s = (rng.standard_normal((2, n_snap)) + 1j * rng.standard_normal((2, n_snap))) / np.sqrt(2)
     noise = sigma * (rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap))) / np.sqrt(2)
     y = np.outer(a1, s[0]) + np.outer(a2, s[1]) + noise
@@ -123,7 +124,7 @@ def test_music_two_sources_snr20():
 def test_music_noiseless_exact_for_any_source_count(k):
     m = 8
     angles = [-40.0, -15.0, 5.0, 30.0, 60.0][:k]
-    r = sum(np.outer(ula_response(m, a), ula_response(m, a).conj()) for a in angles)
+    r = sum(np.outer(steering(m, a), steering(m, a).conj()) for a in angles)
     result = _ula_music(np.asarray(r, dtype=complex), k, 0.1, m)
     np.testing.assert_allclose(result.doas_deg, angles, atol=0.1)
 
@@ -156,7 +157,7 @@ def test_music_custom_manifold_recovers_through_combiner():
     cb = dft_codebook(4, 4)
     w = assemble_analog(cb.vectors[[2, 7, 11, 14]])
     theta = 10.0
-    a = ula_response(16, theta)
+    a = steering(16, theta)
     b = w.assembled.conj().T @ a
     r = np.outer(b, b.conj())
     grid = angle_grid(0.1)
@@ -194,7 +195,7 @@ def test_reference_signal_orthogonal_tx_vector():
 def test_reference_signal_matched_tx_vector():
     # x = V_rf u = a_tx(theta) gives s = a_tx^H a_tx = N_b
     theta = 17.0
-    v_rf = assemble_analog(ula_response(8, theta) / np.sqrt(8))
+    v_rf = assemble_analog(steering(8, theta) / np.sqrt(8))
     s = reference_signal_grid(theta, v_rf, np.eye(1), np.full((1, 1), np.sqrt(8)))
     np.testing.assert_allclose(s, [8.0], atol=1e-12)
 
@@ -206,7 +207,7 @@ def test_reference_signal_matches_two_step_oracle():
     v_bb = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     sym = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     theta = -33.0
-    expected = ula_response(8, theta).conj() @ (v_rf.assembled @ (v_bb @ sym))
+    expected = steering(8, theta).conj() @ (v_rf.assembled @ (v_bb @ sym))
     np.testing.assert_allclose(reference_signal_grid(theta, v_rf, v_bb, sym), expected, atol=1e-12)
 
 
@@ -237,7 +238,7 @@ def test_dwell_weights_and_references_stack_matches_each_dwell():
     for k, theta in enumerate(angles):
         w_k = assemble_analog(w_stack.per_chain[k])
         np.testing.assert_allclose(
-            c[k], w_k.assembled.T @ ula_response(8, theta).conj() / 8, rtol=1e-13, atol=1e-15
+            c[k], w_k.assembled.T @ steering(8, theta).conj() / 8, rtol=1e-13, atol=1e-15
         )
         np.testing.assert_allclose(
             s[k], reference_signal_grid(theta, assemble_analog(v_stack.per_chain[k]), v_bb, sym),
@@ -257,7 +258,7 @@ def _single_target_grids(wf, theta, rng_m, vel, m_b, n_b, rng):
     tau = 2 * rng_m / SPEED_OF_LIGHT
     fd = 2 * vel * wf.carrier_hz / SPEED_OF_LIGHT
     phase = np.exp(2j * np.pi * (q_idx * wf.symbol_duration_s * fd - p_idx * tau * wf.subcarrier_spacing_hz))
-    y = np.outer(ula_response(m_b, theta), phase * s)
+    y = np.outer(steering(m_b, theta), phase * s)
     y_grid = y.T.reshape(wf.n_subcarriers, wf.n_symbols, m_b)
     s_grid = s.reshape(wf.n_subcarriers, wf.n_symbols)
     return y_grid, s_grid, phase.reshape(wf.n_subcarriers, wf.n_symbols)
@@ -288,7 +289,7 @@ def test_quotient_of_signal_with_itself_is_one():
     rng = np.random.default_rng(8)
     theta = 12.0
     s_grid = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    y_grid = s_grid[..., None] * ula_response(5, theta)
+    y_grid = s_grid[..., None] * steering(5, theta)
     z, excluded = delay_doppler_quotient(y_grid @ dwell_weights(_identity_combiner(5), theta), s_grid)
     assert not excluded.any()
     np.testing.assert_allclose(z, 1.0, atol=1e-12)
@@ -326,7 +327,7 @@ def test_quotient_stack_guards_each_grid_by_its_own_maximum():
 
 def _antenna_domain_quotient(y_grid, s_grid, w_rf, theta, guard_rel=1e-8):
     """The quotient formed antenna by antenna: mean over i of (W_rf y)_i / (a_rx,i s)."""
-    g = s_grid[..., None] * ula_response(w_rf.n_antennas, theta)
+    g = s_grid[..., None] * steering(w_rf.n_antennas, theta)
     expanded = np.einsum("ij,pqj->pqi", w_rf.assembled, y_grid)
     mag = np.abs(g)
     keep = mag >= guard_rel * max(mag.max(), 1e-300)
