@@ -106,8 +106,8 @@ def gen_dl_channel(gains, angles_deg, m_u: int, n_b: int) -> np.ndarray:
     """Downlink channel (m_u x n_b): the rank-1 paths gain * a_{m_u}(theta) a_{n_b}(theta)^H.
 
     ``gains`` and ``angles_deg`` (degrees) hold one entry per path along the
-    last axis; leading axes give a stack of channels, shape (..., m_u, n_b).
-    The paths are added in order.
+    last axis; their leading axes broadcast to a stack of channels, shape
+    (..., m_u, n_b). The paths are added in order.
     """
     gains = np.asarray(gains)
     angles = np.asarray(angles_deg, dtype=float)
@@ -115,7 +115,7 @@ def gen_dl_channel(gains, angles_deg, m_u: int, n_b: int) -> np.ndarray:
         raise ValueError("downlink channel needs at least one path")
     a_rx = ula_response_matrix(m_u, angles)
     a_tx = ula_response_matrix(n_b, angles).conj()
-    h = np.zeros(angles.shape[:-1] + (m_u, n_b), dtype=complex)
+    h = np.zeros(np.broadcast_shapes(gains.shape, angles.shape)[:-1] + (m_u, n_b), dtype=complex)
     for i in range(angles.shape[-1]):
         h += gains[..., i, None, None] * (a_rx[..., :, i, None] * a_tx[..., None, :, i])
     return h
@@ -124,7 +124,7 @@ def gen_dl_channel(gains, angles_deg, m_u: int, n_b: int) -> np.ndarray:
 def gen_ul_channel(gain, angle_deg, m_b: int, n_u: int) -> np.ndarray:
     """Uplink channel (m_b x n_u), a single LOS path of :func:`gen_dl_channel`.
 
-    A stack of gains and angles, shape (...), gives a stack (..., m_b, n_u).
+    Stacks of gains and angles, broadcast to shape (...), give a stack (..., m_b, n_u).
     """
     return gen_dl_channel(np.asarray(gain)[..., None], np.asarray(angle_deg)[..., None], m_b, n_u)
 

@@ -9,6 +9,7 @@ test suite quick). Config files are JSON documents mirroring the field names.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -75,9 +76,9 @@ class ScenarioConfig:
     analog_taps: int = 32  # must be divisible by rx_rf_chains
     codebook_bits: int = 5
 
-    # Geometry: DL scatterers double as radar targets; the UL user is the
-    # final active target.
-    dl_scatterers: tuple[TargetSpec, ...] = ()
+    # Geometry: DL scatterers double as radar targets (the DL channel needs
+    # at least one); the UL user is the final active target.
+    dl_scatterers: tuple[TargetSpec, ...] = (TargetSpec(-30.0, 50.0, 0.0),)
     radar_targets: tuple[TargetSpec, ...] = ()
     ul_user: TargetSpec = field(default_factory=lambda: TargetSpec(0.0, 50.0, 0.0))
 
@@ -96,6 +97,8 @@ class ScenarioConfig:
             self.ul_user_antennas,
         ) < 1:
             raise ValueError("all array dimensions must be positive")
+        if isinstance(self.analog_taps, bool) or not isinstance(self.analog_taps, numbers.Integral):
+            raise ValueError(f"analog taps must be an integer, got {self.analog_taps!r}")
         if self.analog_taps < 0 or self.analog_taps % self.rx_rf_chains != 0:
             raise ValueError(
                 f"analog taps {self.analog_taps} must be a nonnegative multiple "
@@ -110,6 +113,8 @@ class ScenarioConfig:
                 raise ValueError(f"target angle must lie in [-90, 90] degrees, got {spec.angle_deg}")
             if not spec.range_m >= 0.0:
                 raise ValueError(f"target range must be nonnegative, got {spec.range_m}")
+        if not self.dl_scatterers:
+            raise ValueError("need at least one DL scatterer: the downlink channel is their paths")
         # K < M_rf is required only by the MUSIC stage and is checked there,
         # so optimizer-only configurations with few RX chains stay legal.
         self.waveform()  # validates the numerology

@@ -6,18 +6,25 @@ then one delay-Doppler dwell per detected direction with the RX chains
 repointed at it); the estimated directions feed the beamformer design used in
 slot 2, whose link metrics are then evaluated against the true channels.
 
-A call runs in two phases. Sensing runs trial by trial, because its waveform
-basis is the memory peak; each sensed trial keeps only what slot 2 needs
-(:class:`_Sensed`). Slot 2 then runs once per block of trials, every design
-step and metric over a leading trial axis (:func:`_slot2`). A block holds as
-many trials as fit in one trial's basis bytes (:func:`_block_trials`), so the
-peak does not grow with the number of trials.
+A call runs its trials in blocks, one loop over a leading trial axis. Within
+a block only the generator draws stay per trial, each trial drawing from its
+own generator in its own order; the channels, slot-1 snapshots, covariances,
+MUSIC (one stacked eigendecomposition, peaks picked per trial), the K dwells,
+the delay-Doppler quotients and maps, and then slot 2's design and metrics
+(:func:`_slot2`) each run once over the block. A trial whose sensing or
+design fails records the same error as a one-trial block and the rest of its
+block continues.
 
 Every sensing observation is linear in a few per-trial waveforms: the DL and
 UL symbols, the RX noise and each target's delay-Doppler phase times the DL
-symbols. A trial draws them once into one basis (:func:`waveform_basis`);
-each receiver is a row of coefficients over it (:func:`receiver_rows`), so
-the slot-1 snapshots and the K dwells' projections are one product each.
+symbols. A trial draws the first three once (:func:`draw_waveforms`); each
+receiver is a row of coefficients over its waveform basis
+(:func:`receiver_rows`), so the slot-1 snapshots and the K dwells'
+projections are one product per trial. A block keeps only the drawn rows of
+its trials and forms one trial's basis at a time, echo rows included, in one
+window (:func:`basis_products`). It holds as many trials
+as fit their drawn rows in :data:`BLOCK_BYTES` (1 MiB): 5 on ``fast`` and 1 on
+``table1``, whose one-trial block takes the memory of one basis.
 
 What depends on the configured geometry alone (codebooks, slot-1 networks,
 MUSIC manifold, the targets' phase rows, the map axes) is built once per
@@ -55,13 +62,13 @@ from .optimizer import (
     run_algorithm1,
 )
 from .sensing import (
-    SensingEstimate,
     angle_grid,
     combiner_manifold,
     delay_doppler_map,
     delay_doppler_quotient,
     dwell_weights,
     music_doas,
+    recover_parameters,
     reference_signal_grid,
     sample_covariance,
 )
@@ -73,6 +80,7 @@ __all__ = [
     "run_scenario",
     "sweep",
     "validate_suite",
+    "draw_waveforms",
     "waveform_basis",
     "synthesize_rx_snapshots",
     "dwell_projections",
@@ -210,77 +218,115 @@ def _build_plan(tx_chains: int, rx_chains: int, tx_per_rf: int, rx_per_rf: int, 
     return plan
 
 
-def waveform_basis(rng: np.random.Generator, phases: np.ndarray, n_streams: int, n_noise: int,
+def draw_waveforms(rng: np.random.Generator, out: np.ndarray, n_streams: int,
                    sigma: float) -> np.ndarray:
-    """One trial's waveforms, one row each and one column per cell ``p * Q + q``.
+    """Draw one trial's waveforms into ``out``, one row each and one column per cell ``p * Q + q``.
 
     Rows: the ``n_streams`` DL symbol streams sym_b, the UL symbols sym_u,
-    ``n_noise`` RX-chain noise rows, then phase_k * sym_b[s] for every target k
-    and stream s, k-major, with ``phases`` (K, n_cells) holding each target's
-    :func:`~fdisac.channels.delay_doppler_phase` (:attr:`ScenarioPlan.phases`).
-    Each CN(0, 1) or CN(0, sigma^2) block is drawn real part first and scaled
-    in place; numpy divides a complex by sqrt(2) as a product with 1/sqrt(2),
-    so the rows equal (a + 1j*b)/sqrt(2) and sigma*(a + 1j*b)/sqrt(2) exactly.
+    then the RX-chain noise rows that fill the rest of ``out``. Each CN(0, 1)
+    or CN(0, sigma^2) block is drawn real part first and scaled in place;
+    numpy divides a complex by sqrt(2) as a product with 1/sqrt(2), so the
+    rows equal (a + 1j*b)/sqrt(2) and sigma*(a + 1j*b)/sqrt(2) exactly.
     """
-    (n_targets, n_cells), st = phases.shape, n_streams
-    basis = np.empty((st + 1 + n_noise + n_targets * st, n_cells), dtype=complex)
-    draw = np.empty((max(st, n_noise), n_cells))
+    n_noise = out.shape[0] - n_streams - 1
+    draw = np.empty((max(n_streams, n_noise), out.shape[1]))
     row = 0
-    for n_rows, scale in ((st, 1.0), (1, 1.0), (n_noise, sigma)):
-        for part in (basis.real, basis.imag):
+    for n_rows, scale in ((n_streams, 1.0), (1, 1.0), (n_noise, sigma)):
+        for part in (out.real, out.imag):
             block = rng.standard_normal(out=draw[:n_rows])
             block *= scale
             np.multiply(block, 1 / np.sqrt(2), out=part[row : row + n_rows])
         row += n_rows
-    np.multiply(phases[:, None], basis[:st], out=basis[row:].reshape(n_targets, st, n_cells))
+    return out
+
+
+def waveform_basis(basis: np.ndarray, phases: np.ndarray, n_streams: int) -> np.ndarray:
+    """Complete one trial's waveform basis in place and return it.
+
+    ``basis`` starts with the trial's drawn rows (:func:`draw_waveforms`);
+    its last K * ``n_streams`` rows receive phase_k * sym_b[s] for every
+    target k and stream s, k-major, with ``phases`` (K, n_cells) holding each
+    target's :func:`~fdisac.channels.delay_doppler_phase`
+    (:attr:`ScenarioPlan.phases`).
+    """
+    (n_targets, n_cells), n_echo = phases.shape, phases.shape[0] * n_streams
+    echo = basis[basis.shape[0] - n_echo :].reshape(n_targets, n_streams, n_cells)
+    for phase, rows in zip(phases, echo):  # per target: no broadcast buffers
+        np.multiply(phase, basis[:n_streams], out=rows)
     return basis
 
 
+def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
+                   n_streams: int) -> np.ndarray:
+    """Each trial's receivers times its waveform basis, shape (T, n, n_cells).
+
+    ``rows`` (T, n, n_rows) holds the receivers of T trials, ``drawn``
+    (T, n_drawn, n_cells) their drawn rows and ``window`` the last trial's
+    drawn rows and the echo rows after them, in one buffer. Every other
+    trial's rows are copied into the window in turn while the last trial's
+    wait aside, so ``drawn`` ends unchanged.
+    """
+    n_trials, n_drawn = drawn.shape[:2]
+    aside = drawn[-1].copy() if n_trials > 1 else None
+    out = np.empty(rows.shape[:-1] + window.shape[-1:], dtype=complex)
+    for t in range(n_trials):
+        if t < n_trials - 1:
+            window[:n_drawn] = drawn[t]
+        elif aside is not None:
+            window[:n_drawn] = aside
+        np.matmul(rows[t], waveform_basis(window, phases, n_streams), out=out[t])
+    return out
+
+
 def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, si_residual: np.ndarray,
-                  v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray,
-                  targets: Sequence[TargetParams]) -> np.ndarray:
+                  v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, angles_deg,
+                  gains: np.ndarray) -> np.ndarray:
     """Coefficients of the receivers c^T y over :func:`waveform_basis`, shape (..., n, n_rows).
 
-    ``c`` (..., n, m_rf) holds n weight vectors on the RX chains of ``w_rf``;
-    its leading axes match those of a stack of networks ``w_rf`` and ``v_rf``
-    and residuals ``si_residual``. With x = c^T W_rf^H the blocks are
-    c^T R V_bb on sym_b (R = H_tilde + C + D acts on the RF-chain TX signal
-    V_bb sym_b), x h_ul v_u on sym_u, c^T on the noise and
-    (x a_rx,k) beta_k (a_tx,k^H V_rf V_bb) on target k's rows.
+    ``c`` (..., n, m_rf) holds n weight vectors on the RX chains of ``w_rf``.
+    The leading axes of ``c``, of the networks ``w_rf`` and ``v_rf``, the
+    residuals ``si_residual``, the UL channels ``h_ul`` and precoders ``v_u``
+    and the gains ``gains`` (..., K) of the targets at ``angles_deg``
+    broadcast together. With x = c^T W_rf^H the blocks are c^T R V_bb on
+    sym_b (R = H_tilde + C + D acts on the RF-chain TX signal V_bb sym_b),
+    x h_ul v_u on sym_u, c^T on the noise and (x a_rx,k) beta_k
+    (a_tx,k^H V_rf V_bb) on target k's rows.
     """
     x = c @ np.swapaxes(w_rf.assembled, -1, -2).conj()
-    angles = [t.angle_deg for t in targets]
-    gains = np.array([t.gain for t in targets])
-    a_rx = ula_response_matrix(h_ul.shape[0], angles)
-    a_tx_v = ula_response_matrix(v_rf.n_antennas, angles).conj().T @ v_rf.assembled @ v_bb
-    echo = ((x @ a_rx) * gains)[..., :, None] * a_tx_v[..., None, :, :]
-    return np.concatenate(
-        [c @ si_residual @ v_bb, (x @ (h_ul @ v_u))[..., None], c,
-         echo.reshape(*echo.shape[:-2], -1)],
-        axis=-1,
-    )
+    a_rx = ula_response_matrix(h_ul.shape[-2], angles_deg)
+    a_tx_v = ula_response_matrix(v_rf.n_antennas, angles_deg).conj().T @ v_rf.assembled @ v_bb
+    echo = ((x @ a_rx) * gains[..., None, :])[..., :, None] * a_tx_v[..., None, :, :]
+    parts = [c @ si_residual @ v_bb, x @ (h_ul @ v_u[..., None]), c,
+             echo.reshape(*echo.shape[:-2], -1)]
+    lead = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
+    return np.concatenate([part if part.shape[:-1] == lead else
+                           np.broadcast_to(part, lead + part.shape[-1:]) for part in parts],
+                          axis=-1)
 
 
-def synthesize_rx_snapshots(basis: np.ndarray, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer,
+def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
+                            w_rf: AnalogBeamformer, v_rf: AnalogBeamformer,
                             si_residual: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
-                            v_u: np.ndarray, targets: Sequence[TargetParams]) -> np.ndarray:
-    """RF-chain-domain snapshots over the whole OFDM grid, shape (m_rf, P*Q).
+                            v_u: np.ndarray, angles_deg, gains: np.ndarray) -> np.ndarray:
+    """RF-chain-domain snapshots of T trials over the whole OFDM grid, shape (T, m_rf, P*Q).
 
-    Chain i is the receiver c = e_i of :func:`receiver_rows`, so the snapshots
-    are one product with ``basis`` and no antenna-domain signal is formed.
+    Chain i is the receiver c = e_i of :func:`receiver_rows`, so each trial's
+    snapshots are one product with its basis (:func:`basis_products`) and no
+    antenna-domain signal is formed.
     """
-    rows = receiver_rows(np.eye(w_rf.n_chains), w_rf, v_rf, si_residual, v_bb, h_ul, v_u, targets)
-    return rows @ basis
+    rows = receiver_rows(np.eye(w_rf.n_chains), w_rf, v_rf, si_residual, v_bb, h_ul, v_u,
+                         angles_deg, gains)
+    return basis_products(rows, drawn, window, phases, v_bb.shape[-1])
 
 
-def _match_doas(est_doas: Sequence[float], true_angles: Sequence[float]) -> np.ndarray:
-    """Assign estimated directions to the configured objects (one to one).
+def _match_doas(est_doas, true_angles: Sequence[float]) -> np.ndarray:
+    """Assign estimated directions to the configured objects (one to one), per trial of a stack.
 
     Sorted estimates go to sorted true angles: for the |x - y| cost on a line
     this order-preserving matching has the minimum total cost.
     """
-    matched = np.empty(len(true_angles))
-    matched[np.argsort(true_angles, kind="stable")] = np.sort(est_doas)
+    matched = np.empty(np.shape(est_doas))
+    matched[..., np.argsort(true_angles, kind="stable")] = np.sort(est_doas, axis=-1)
     return matched
 
 
@@ -298,154 +344,177 @@ def _si_residual(w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, h_si_true: np.n
 def pointed_analog_stack(n_chains: int, cb: Codebook, angles_deg) -> AnalogBeamformer:
     """One network per angle, every chain on the codebook beam of highest gain toward it."""
     gains = np.abs(cb.vectors.conj() @ ula_response_matrix(cb.n_elems, angles_deg))
-    idx = np.argmax(gains, axis=0)
-    return assemble_analog(np.repeat(cb.vectors[idx, None, :], n_chains, axis=1))
+    idx = np.argmax(gains, axis=-2)
+    return assemble_analog(np.repeat(cb.vectors[idx, None, :], n_chains, axis=-2))
 
 
-def dwell_projections(cfg: ScenarioConfig, basis: np.ndarray, angles_deg, cb_tx: Codebook,
-                      cb_rx: Codebook, h_si_true: np.ndarray, h_si_hat: np.ndarray,
-                      v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray,
-                      targets: Sequence[TargetParams]):
-    """Projected snapshots c^T y and references s of one dwell per angle, each (K, P*Q).
+def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray,
+                      window: np.ndarray, angles_deg: np.ndarray, h_si_true: np.ndarray,
+                      h_si_hat: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray,
+                      gains: np.ndarray):
+    """Projected snapshots c^T y and references s of one dwell per angle, each (T, K, P*Q).
 
     A dwell repoints the TX and RX chains to the codebook beam nearest its
     angle, which restores full array gain for that target and pushes the
     others into the subarray sidelobes; its SI canceller is rebuilt for the
     new compression. Only the projection onto the dwell's RX weights is
-    formed, all K dwells as one product with the trial's ``basis``.
+    formed, a trial's K dwells (``angles_deg`` (T, K)) as one product.
     """
-    v_k = pointed_analog_stack(cfg.tx_rf_chains, cb_tx, angles_deg)
-    w_k = pointed_analog_stack(cfg.rx_rf_chains, cb_rx, angles_deg)
-    resid = _si_residual(w_k, v_k, h_si_true, h_si_hat, cfg.analog_taps)
-    c = dwell_weights(w_k, angles_deg)[:, None, :]
-    rows = receiver_rows(c, w_k, v_k, resid, v_bb, h_ul, v_u, targets)
-    s = reference_signal_grid(angles_deg, v_k, v_bb, basis[: v_bb.shape[1]])
-    return rows.reshape(len(angles_deg), -1) @ basis, s
+    v_k = pointed_analog_stack(cfg.tx_rf_chains, plan.cb_tx, angles_deg)
+    w_k = pointed_analog_stack(cfg.rx_rf_chains, plan.cb_rx, angles_deg)
+    resid = _si_residual(w_k, v_k, h_si_true[:, None], h_si_hat[:, None], cfg.analog_taps)
+    c = dwell_weights(w_k, angles_deg)[..., None, :]
+    rows = receiver_rows(c, w_k, v_k, resid, v_bb, h_ul[:, None], v_u[:, None],
+                         [t.angle_deg for t in cfg.all_target_specs()], gains[:, None])
+    st = v_bb.shape[-1]
+    cy = basis_products(rows[..., 0, :], drawn, window, plan.phases, st)
+    return cy, reference_signal_grid(angles_deg, v_k, v_bb, drawn[:, :st])
+
+
+# Bytes of drawn waveform rows that one block of trials may hold.
+BLOCK_BYTES = 1 << 20
+
+
+def _block_trials(cfg: ScenarioConfig, plan: ScenarioPlan) -> int:
+    """Trials per block: as many as fit their drawn waveform rows in :data:`BLOCK_BYTES`.
+
+    A trial draws N_s + 1 + M_rf complex rows over the P Q cells
+    (:func:`draw_waveforms`), so a block holds 5 trials on ``fast`` and 1 on
+    ``table1``. The K N_s echo rows of one trial at a time come on top.
+    """
+    drawn_bytes = (cfg.n_streams + 1 + cfg.rx_rf_chains) * plan.phases[0].nbytes
+    return max(1, BLOCK_BYTES // drawn_bytes)
 
 
 @dataclass
-class _Sensed:
-    """What slot 2 needs of one sensed trial."""
+class _Block:
+    """A block of sensed trials, every array over a leading trial axis.
 
-    index: int
-    matched: np.ndarray  # DoA estimates matched to the configured objects
+    ``errors`` holds per trial None or the exception that failed its
+    sensing; a failed trial's entries are stand-ins.
+    """
+
+    matched: np.ndarray  # (T, K) DoA estimates matched to the configured objects
     h_si_true: np.ndarray
     h_si_hat: np.ndarray
     h_dl_true: np.ndarray
     sensing_rows: list
-    map_sum: np.ndarray  # sum of the K peak-normalized delay-Doppler maps
-    profiles: np.ndarray  # (K, P) range profiles of those maps
+    map_sum: np.ndarray  # (T, P, Q) sums of the K peak-normalized delay-Doppler maps
+    profiles: np.ndarray  # (T, K, P) range profiles of those maps
+    errors: list
+
+    def take(self, index: list) -> "_Block":
+        """The trials at ``index``, in that order."""
+        return _Block(*(v[index] if isinstance(v, np.ndarray) else [v[i] for i in index]
+                        for v in vars(self).values()))
 
 
-def _sense(cfg: ScenarioConfig, rng: np.random.Generator, plan: ScenarioPlan,
-           index: int) -> _Sensed:
-    """Channel realization and slot-1 sensing of one trial."""
+def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
+                 rngs: Sequence[np.random.Generator]) -> _Block:
+    """Channel realizations and slot-1 sensing of a block of trials, one generator each.
+
+    Each trial draws from its own generator in the order of a one-trial
+    block; every other step runs once over the block's leading trial axis.
+    """
     wf = plan.wf
     n_b, m_b = cfg.n_tx_antennas, cfg.n_rx_antennas
-    m_u, n_u = cfg.dl_user_antennas, cfg.ul_user_antennas
-    st = cfg.n_streams
-    k = cfg.k_targets
+    n_u, st, k = cfg.ul_user_antennas, cfg.n_streams, cfg.k_targets
+    n_scatter, n_trials = len(cfg.dl_scatterers), len(rngs)
     specs = cfg.all_target_specs()
+    angles = [s.angle_deg for s in specs]
 
-    # Channel realization. Gains default to unit magnitude with random phase.
-    dl_phases = np.exp(2j * np.pi * rng.random(len(cfg.dl_scatterers)))
-    radar_phases = np.exp(2j * np.pi * rng.random(k))
-    beta = np.exp(2j * np.pi * rng.random())
-    targets = [
-        TargetParams(gain=radar_phases[i], angle_deg=s.angle_deg,
-                     range_m=s.range_m, velocity_mps=s.velocity_mps)
-        for i, s in enumerate(specs)
-    ]
-    h_dl_true = gen_dl_channel(dl_phases, [s.angle_deg for s in cfg.dl_scatterers], m_u, n_b)
-    h_ul_true = gen_ul_channel(beta, cfg.ul_user.angle_deg, m_b, n_u)
-    h_si_true = gen_si_channel(m_b, n_b, cfg.si_kappa_db, cfg.si_pathloss_db, rng)
-    h_si_hat = perturb_estimate(h_si_true, cfg.csi_nmse_db, rng)
+    # Per trial and in this order: uniform path phases (scatterers, targets,
+    # UL user), the SI channel and its estimate, the slot-1 UL direction and
+    # the drawn waveform rows, over which every slot-1 snapshot and every
+    # dwell below is a row of coefficients.
+    uniform, v_u0 = np.empty((n_trials, n_scatter + k + 1)), np.empty((n_trials, n_u), complex)
+    h_si_true, h_si_hat = np.empty((2, n_trials, m_b, n_b), dtype=complex)
+    n_drawn = st + 1 + cfg.rx_rf_chains
+    buffer = np.empty((n_trials * n_drawn + k * st, plan.phases.shape[1]), dtype=complex)
+    drawn = buffer[: n_trials * n_drawn].reshape(n_trials, n_drawn, -1)
+    window = buffer[(n_trials - 1) * n_drawn :]  # where basis_products forms each basis
+    for t, rng in enumerate(rngs):
+        uniform[t] = rng.random(uniform.shape[1])
+        h_si_true[t] = gen_si_channel(m_b, n_b, cfg.si_kappa_db, cfg.si_pathloss_db, rng)
+        h_si_hat[t] = perturb_estimate(h_si_true[t], cfg.csi_nmse_db, rng)
+        raw = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
+        v_u0[t] = raw / np.linalg.norm(raw)
+        draw_waveforms(rng, drawn[t], st, np.sqrt(cfg.sigma_b2_watts))
+
+    # Channel realization: unit-magnitude gains with random phase.
+    path_gains = np.exp(2j * np.pi * uniform)
+    gains = path_gains[:, n_scatter:-1]
+    h_dl_true = gen_dl_channel(path_gains[:, :n_scatter], angles[:n_scatter],
+                               cfg.dl_user_antennas, n_b)
+    h_ul_true = gen_ul_channel(path_gains[:, -1], cfg.ul_user.angle_deg, m_b, n_u)
 
     # Slot 1: spread beams, identity-like digital precoder, random UL direction.
     v_bb0 = np.eye(cfg.tx_rf_chains, dtype=complex)[:, :st] * np.sqrt(cfg.p_b_watts / st)
-    raw = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
-    v_u0 = raw / np.linalg.norm(raw) * np.sqrt(cfg.p_u_watts)
+    v_u0 *= np.sqrt(cfg.p_u_watts)
     si_residual0 = _si_residual(plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat, cfg.analog_taps)
+    y_rf = synthesize_rx_snapshots(drawn, window, plan.phases, plan.w_rf0, plan.v_rf0,
+                                   si_residual0, v_bb0, h_ul_true, v_u0, angles, gains)
 
-    # Every slot-1 snapshot and every dwell below is a row of coefficients
-    # over this basis.
-    basis = waveform_basis(rng, plan.phases, st, cfg.rx_rf_chains, np.sqrt(cfg.sigma_b2_watts))
-    y_rf = synthesize_rx_snapshots(
-        basis, plan.w_rf0, plan.v_rf0, si_residual0, v_bb0, h_ul_true, v_u0, targets
-    )
-
-    # Sensing: directions first, then per-target delay-Doppler.
-    cov = sample_covariance(y_rf.T)
+    # Sensing: directions first, then per-target delay-Doppler. A trial whose
+    # MUSIC fails keeps its error and senses the configured angles as a stand-in.
+    cov = sample_covariance(np.swapaxes(y_rf, -1, -2))
     del y_rf
     music = music_doas(cov, k, plan.grid_deg, plan.manifold, plan.gain)
-    true_angles = [s.angle_deg for s in specs]
-    matched = _match_doas(music.doas_deg, true_angles)
+    est = [d if e is None else angles for d, e in zip(music.doas_deg, music.errors)]
+    matched = _match_doas(est, angles)
 
-    cy, s = dwell_projections(
-        cfg, basis, matched, plan.cb_tx, plan.cb_rx, h_si_true, h_si_hat, v_bb0, h_ul_true, v_u0,
-        targets,
-    )
-    del basis  # the quotient's temporaries reuse its memory
-    dwell_grid = (k, wf.n_subcarriers, wf.n_symbols)
+    cy, s = dwell_projections(cfg, plan, drawn, window, matched, h_si_true, h_si_hat, v_bb0,
+                              h_ul_true, v_u0, gains)
+    del buffer, drawn, window  # the quotient's temporaries reuse their memory
+    dwell_grid = (n_trials, k, wf.n_subcarriers, wf.n_symbols)
     z, _ = delay_doppler_quotient(cy.reshape(dwell_grid), s.reshape(dwell_grid))
+    del cy, s
     dd = delay_doppler_map(z)
-    del cy, s, z  # the normalized maps below reuse their memory
+    del z
 
-    sensing_rows = []
-    for i, spec in enumerate(specs):
-        est_i = SensingEstimate.from_bins(matched[i], dd.peak_n[i], dd.peak_m[i], wf)
-        sensing_rows.append(
-            {
-                "true_angle_deg": spec.angle_deg,
-                "true_range_m": spec.range_m,
-                "true_velocity_mps": spec.velocity_mps,
-                **vars(est_i),  # doa_deg, range_m, velocity_mps, delay_s, doppler_hz, bin_n, bin_m
-                "doa_error_deg": abs(est_i.doa_deg - spec.angle_deg),
-                "range_error_m": abs(est_i.range_m - spec.range_m),
-                "velocity_error_mps": abs(est_i.velocity_mps - spec.velocity_mps),
-            }
-        )
-    normed = [m / m.max() if m.max() > 0 else m for m in dd.magnitude]
-    return _Sensed(
-        index=index, matched=matched, h_si_true=h_si_true, h_si_hat=h_si_hat,
-        h_dl_true=h_dl_true, sensing_rows=sensing_rows, map_sum=np.sum(normed, axis=0),
-        profiles=np.array([m.max(axis=1) for m in normed]),
+    delay, doppler, range_m, velocity = recover_parameters(dd.peak_n, dd.peak_m, wf)
+    true = np.array([(spec.angle_deg, spec.range_m, spec.velocity_mps) for spec in specs]).T
+    columns = {
+        "doa_deg": matched, "delay_s": delay, "doppler_hz": doppler, "range_m": range_m,
+        "velocity_mps": velocity, "bin_n": dd.peak_n, "bin_m": dd.peak_m,
+        "doa_error_deg": np.abs(matched - true[0]), "range_error_m": np.abs(range_m - true[1]),
+        "velocity_error_mps": np.abs(velocity - true[2]),
+    }
+    sensing_rows = [
+        [{"true_angle_deg": spec.angle_deg, "true_range_m": spec.range_m,
+          "true_velocity_mps": spec.velocity_mps, **dict(zip(columns, row))}
+         for spec, row in zip(specs, zip(*trial))]
+        for trial in zip(*(column.tolist() for column in columns.values()))
+    ]
+    normed = dd.magnitude
+    peak = normed.max(axis=(-2, -1), keepdims=True)
+    np.divide(normed, peak, out=normed, where=peak > 0)
+    return _Block(
+        matched=matched, h_si_true=h_si_true, h_si_hat=h_si_hat, h_dl_true=h_dl_true,
+        sensing_rows=sensing_rows, map_sum=normed.sum(axis=1), profiles=normed.max(axis=-1),
+        errors=list(music.errors),
     )
-
-
-def _block_trials(cfg: ScenarioConfig, plan: ScenarioPlan) -> int:
-    """Trials per slot-2 block: as many as fit, together, in one trial's waveform-basis bytes.
-
-    The basis (:func:`waveform_basis`: N_s + 1 + M_rf + K N_s rows over the
-    P Q cells) is sensing's memory peak. Per trial a block holds four M_b x N_b
-    matrices: the true and estimated SI channels carried over from sensing and
-    the design's radar and interference estimates.
-    """
-    (n_targets, n_cells), st = plan.phases.shape, cfg.n_streams
-    basis_entries = (st + 1 + cfg.rx_rf_chains + n_targets * st) * n_cells
-    return max(1, basis_entries // (4 * cfg.n_rx_antennas * cfg.n_tx_antennas))
 
 
 def _error_record(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _slot2(cfg: ScenarioConfig, block: Sequence[_Sensed]) -> list:
+def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
     """Design the block's beamformers and score them, all trials as one stack.
 
-    Returns one trial record per sensed trial: its metrics, or the error that
-    failed its design, validation or, for the whole block, any other step.
+    Returns one trial record per trial of ``block``: its sensing rows and
+    metrics, or the error that failed its design, validation or, for the
+    whole block, any other step.
     """
     n_scatter, k = len(cfg.dl_scatterers), cfg.k_targets
-    matched = np.array([t.matched for t in block])
-    h_si_true = np.array([t.h_si_true for t in block])
-    h_dl_true = np.array([t.h_dl_true for t in block])
+    matched = block.matched
     try:
         est = build_estimated_channels(
             scatterer_doas_deg=matched[:, :n_scatter],
             other_doas_deg=matched[:, n_scatter : k - 1],
             ul_doa_deg=matched[:, k - 1],
-            h_bb_hat=np.array([t.h_si_hat for t in block]),
+            h_bb_hat=block.h_si_hat,
             m_b=cfg.n_rx_antennas,
             n_b=cfg.n_tx_antennas,
             m_u=cfg.dl_user_antennas,
@@ -454,14 +523,15 @@ def _slot2(cfg: ScenarioConfig, block: Sequence[_Sensed]) -> list:
         bf = run_algorithm1(est, cfg).validate(cfg.p_b_watts, cfg.p_u_watts)
 
         w_h = np.swapaxes(bf.w_b_rf.assembled, -1, -2).conj()
-        h_tilde_true = w_h @ h_si_true @ bf.v_b_rf.assembled
+        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf.assembled
         gamma_rad = radar_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
-        gamma_dl = dl_snr(bf, h_dl_true, cfg.sigma_u2_watts)
+        gamma_dl = dl_snr(bf, block.h_dl_true, cfg.sigma_u2_watts)
         gamma_ul = ul_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
         bf_mss = replace(bf, w_b_bb=mss_rx_combiner(w_h @ est.h_ul_hat, 1))
         gamma_ul_mss = ul_sinr(bf_mss, est, h_tilde_true, cfg.sigma_b2_watts)
         link = LinkMetrics.from_sinrs(gamma_rad, gamma_dl, gamma_ul)
-        rate_dl_ideal = ideal_dl_rate(h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts, cfg.n_streams)
+        rate_dl_ideal = ideal_dl_rate(block.h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts,
+                                      cfg.n_streams)
 
         residual = analog_residual_power_per_chain(h_tilde_true, bf.cancellers.analog, bf.v_b_bb)
         h_int_eff = w_h @ est.h_rad_int_hat
@@ -471,15 +541,15 @@ def _slot2(cfg: ScenarioConfig, block: Sequence[_Sensed]) -> list:
         tx_power_w = tx_power(bf.v_b_rf, bf.v_b_bb)
         ul_power_w = np.linalg.norm(bf.v_u_bb, axis=-1) ** 2
     except Exception as exc:  # a step failed for the whole block
-        return [_error_record(exc) for _ in block]
+        return [_error_record(exc) for _ in block.errors]
 
     records = []
-    for t, (trial, error) in enumerate(zip(block, bf.errors)):
+    for t, (rows, error) in enumerate(zip(block.sensing_rows, bf.errors)):
         if error is not None:
             records.append(_error_record(error))
             continue
         records.append({
-            "sensing": trial.sensing_rows,
+            "sensing": rows,
             "metrics": {
                 "gamma_rad": float(link.gamma_rad[t]),
                 "gamma_dl": float(link.gamma_dl[t]),
@@ -530,25 +600,26 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     block_trials = _block_trials(cfg, plan)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    trials = [None] * cfg.trials
+    trials = []
     map_stack = []
     profile_stack = []
     angle_stack = []
-    block = []
-    for index, trial_seed in enumerate(seeds):
-        rng = np.random.default_rng(trial_seed)
+    for first in range(0, cfg.trials, block_trials):
+        rngs = [np.random.default_rng(s) for s in seeds[first : first + block_trials]]
         try:
-            block.append(_sense(cfg, rng, plan, index))
-        except Exception as exc:  # recorded, not fatal
-            trials[index] = _error_record(exc)
-        if block and (len(block) == block_trials or index == cfg.trials - 1):
-            for sensed, record in zip(block, _slot2(cfg, block)):
-                trials[sensed.index] = record
-                if "error" not in record:
-                    map_stack.append(sensed.map_sum)
-                    profile_stack.append(sensed.profiles)
-                    angle_stack.append([row["doa_deg"] for row in sensed.sensing_rows])
-            block = []
+            block = _sense_block(cfg, plan, rngs)
+        except Exception as exc:  # a step failed for the whole block
+            trials += [_error_record(exc) for _ in rngs]
+            continue
+        records = [None if e is None else _error_record(e) for e in block.errors]
+        sensed = [t for t, record in enumerate(records) if record is None]
+        for t, record in zip(sensed, _slot2(cfg, block.take(sensed)) if sensed else []):
+            records[t] = record
+            if "error" not in record:
+                map_stack.append(block.map_sum[t])
+                profile_stack.append(block.profiles[t])
+                angle_stack.append(block.matched[t].tolist())
+        trials += records
 
     if not any("error" not in t for t in trials):
         raise RuntimeError(f"all {cfg.trials} trials failed; first: {trials[0]['error']}")

@@ -16,8 +16,9 @@ the P x Q OFDM grid:
   5. 2-D periodogram of z; the peak bin (n*, m*) quantizes delay and Doppler:
      tau = n*/(P*df), f_D = m*/(Q*T_s).
 
-Steps 3-5 take one dwell or a stack of K dwells (K angles and a stack of K
-analog networks for steps 3 and 4, a stack of grids for step 5).
+Every step takes a stack along leading axes: steps 1 and 2 one covariance
+per trial, steps 3-5 K dwells per trial (K angles and a stack of K analog
+networks for steps 3 and 4, a stack of grids for step 5).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import EstimationFailureError
 __all__ = [
     "MusicResult",
     "DelayDopplerMap",
-    "SensingEstimate",
     "angle_grid",
     "sample_covariance",
     "music_doas",
@@ -51,10 +51,15 @@ DIVISION_GUARD_REL = 1e-8
 
 @dataclass(frozen=True)
 class MusicResult:
-    """MUSIC pseudo-spectrum over the angle grid and the K strongest peaks."""
+    """MUSIC pseudo-spectrum over the angle grid and the K strongest peaks.
+
+    A stack holds one entry per matrix (leading axes flattened) in each field;
+    ``errors`` is None or the exception that failed the matrix.
+    """
 
     spectrum: np.ndarray
     doas_deg: list
+    errors: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -71,32 +76,6 @@ class DelayDopplerMap:
     peak_m: int | np.ndarray
 
 
-@dataclass(frozen=True)
-class SensingEstimate:
-    """Recovered parameters for one target."""
-
-    doa_deg: float
-    delay_s: float
-    doppler_hz: float
-    range_m: float
-    velocity_mps: float
-    bin_n: int
-    bin_m: int
-
-    @classmethod
-    def from_bins(cls, doa_deg: float, n_star: int, m_star: int, wf: Waveform):
-        delay, doppler, rng_m, vel = recover_parameters(n_star, m_star, wf)
-        return cls(
-            doa_deg=float(doa_deg),
-            delay_s=delay,
-            doppler_hz=doppler,
-            range_m=rng_m,
-            velocity_mps=vel,
-            bin_n=int(n_star),
-            bin_m=int(m_star),
-        )
-
-
 def angle_grid(grid_step_deg: float) -> np.ndarray:
     """Uniform scan grid over [-90, 90] degrees, endpoints included."""
     if grid_step_deg <= 0:
@@ -106,64 +85,79 @@ def angle_grid(grid_step_deg: float) -> np.ndarray:
 
 
 def sample_covariance(snapshots) -> np.ndarray:
-    """(1/n) * sum of y y^H over the snapshot rows. Hermitian PSD by construction."""
+    """(1/n) * sum of y y^H over the rows of each snapshot set (..., n, m); Hermitian PSD."""
     y = np.asarray(snapshots, dtype=complex)
     if y.ndim == 1:
         y = y[None, :]
-    if y.ndim != 2 or y.shape[0] < 1:
+    if y.shape[-2] < 1:
         raise ValueError("need at least one snapshot of uniform length")
-    r = (y.T @ y.conj()) / y.shape[0]
-    return (r + r.conj().T) / 2.0
+    r = (np.swapaxes(y, -1, -2) @ y.conj()) / y.shape[-2]
+    return (r + np.swapaxes(r, -1, -2).conj()) / 2.0
 
 
 def music_doas(
     r: np.ndarray, k: int, grid_deg: np.ndarray, manifold: np.ndarray, gain: np.ndarray
 ) -> MusicResult:
-    """MUSIC direction estimates from an (m x m) covariance matrix.
+    """MUSIC direction estimates from an (m x m) covariance matrix or a stack of them.
 
     The noise subspace is spanned by the eigenvectors of the ``m - k``
     smallest eigenvalues; the pseudo-spectrum is ||b||^2 / ||E_n^H b||^2 swept
     over the angles ``grid_deg``. ``manifold`` (m x n_grid) holds the steering
     vectors b, one column per angle (behind an analog combiner, the effective
     ones of :func:`combiner_manifold`), and ``gain`` their ||b||^2. Returns
-    the k largest peaks sorted ascending; raises :class:`EstimationFailureError`
-    carrying the partial result when fewer than k local maxima exist.
+    the k largest peaks sorted ascending; fewer than k local maxima fail with
+    :class:`EstimationFailureError` carrying the partial result.
+
+    A stack is decomposed as one, its peaks picked per matrix; a matrix that
+    fails is recorded in :attr:`MusicResult.errors` (a single one raises).
     """
     r = np.asarray(r, dtype=complex)
     grid = np.asarray(grid_deg, dtype=float)
-    array_size = r.shape[0]
-    if r.shape != (array_size, array_size) or manifold.shape != (array_size, grid.size):
+    array_size = r.shape[-1]
+    if r.ndim < 2 or r.shape[-2] != array_size or manifold.shape != (array_size, grid.size):
         raise ValueError(f"covariance {r.shape} and manifold {manifold.shape} do not match")
     if k < 1:
         raise ValueError(f"need at least one source, got k={k}")
     if k >= array_size:
         raise ValueError(f"MUSIC requires k < array size, got k={k}, size={array_size}")
-    scale = np.abs(r).max()
-    if not np.allclose(r, r.conj().T, rtol=1e-8, atol=1e-10 * max(scale, 1e-300)):
-        raise ValueError("covariance matrix must be Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(r)
-    if eigvals[0] < -1e-8 * max(eigvals[-1], 1e-300):
-        raise ValueError("covariance matrix must be positive semi-definite")
-    noise_basis = eigvecs[:, : array_size - k]
+    stack = r.reshape(-1, array_size, array_size)
+    scale = np.maximum(np.abs(stack).max(axis=(-2, -1)), 1e-300)
+    hermitian = np.isclose(
+        stack, np.swapaxes(stack, -1, -2).conj(), rtol=1e-8, atol=1e-10 * scale[:, None, None]
+    ).all(axis=(-2, -1))
+    errors = [None if ok else ValueError("covariance matrix must be Hermitian") for ok in hermitian]
+    if not hermitian.all():  # decompose a stand-in in place of each rejected matrix
+        stack = np.where(hermitian[:, None, None], stack, np.eye(array_size))
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    negative = eigvals[:, 0] < -1e-8 * np.maximum(eigvals[:, -1], 1e-300)
+    noise_basis = eigvecs[..., : array_size - k]
 
-    leak = np.sum(np.abs(noise_basis.conj().T @ manifold) ** 2, axis=0)
+    leak = np.abs(np.swapaxes(noise_basis.conj(), -1, -2) @ manifold)
+    leak **= 2
+    leak = leak.sum(axis=-2)
     floor = max(gain.max(), 1e-300) * 1e-30
     spectrum = gain / np.maximum(leak, floor)
 
-    if spectrum.max() - spectrum.min() <= 1e-9 * spectrum.max():
-        # flat to numerical precision: no directional information
-        partial = MusicResult(spectrum=spectrum, doas_deg=[])
-        raise EstimationFailureError("pseudo-spectrum is flat", partial=partial)
-    peaks = _local_maxima(spectrum)
-    if peaks.size < k:
-        found = sorted(float(grid[i]) for i in peaks[np.argsort(spectrum[peaks])[::-1]])
-        partial = MusicResult(spectrum=spectrum, doas_deg=found)
-        raise EstimationFailureError(
-            f"found {peaks.size} spectrum peaks, needed {k}", partial=partial
-        )
-    top = peaks[np.argsort(spectrum[peaks])[::-1][:k]]
-    doas = sorted(float(grid[i]) for i in top)
-    return MusicResult(spectrum=spectrum, doas_deg=doas)
+    doas = []
+    for t, row in enumerate(spectrum):
+        peaks = _local_maxima(row)
+        doas.append(sorted(float(grid[i]) for i in peaks[np.argsort(row[peaks])[::-1][:k]]))
+        if errors[t] is not None:
+            continue
+        if negative[t]:
+            errors[t] = ValueError("covariance matrix must be positive semi-definite")
+        elif row.max() - row.min() <= 1e-9 * row.max():
+            # flat to numerical precision: no directional information
+            errors[t] = EstimationFailureError("pseudo-spectrum is flat",
+                                               partial=MusicResult(row, []))
+        elif peaks.size < k:
+            errors[t] = EstimationFailureError(f"found {peaks.size} spectrum peaks, needed {k}",
+                                               partial=MusicResult(row, doas[t]))
+    if r.ndim == 2:
+        if errors[0] is not None:
+            raise errors[0]
+        return MusicResult(spectrum=spectrum[0], doas_deg=doas[0])
+    return MusicResult(spectrum=spectrum, doas_deg=doas, errors=tuple(errors))
 
 
 def combiner_manifold(w_rf: AnalogBeamformer, grid_deg: np.ndarray) -> np.ndarray:
@@ -247,15 +241,18 @@ def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
     if z.ndim < 2 or z.size == 0:
         raise ValueError("quotient grid must be a non-empty P x Q matrix or a stack of them")
     p_count, q_count = z.shape[-2:]
-    transform = np.fft.ifft(np.fft.fft(z, axis=-1), axis=-2) * p_count
-    magnitude = np.abs(np.fft.fftshift(transform, axes=-1)) ** 2
+    transform = np.fft.ifft(np.fft.fft(z, axis=-1), axis=-2)
+    transform *= p_count
+    magnitude = np.fft.fftshift(np.abs(transform), axes=-1)
+    del transform
+    magnitude **= 2
     flat = np.argmax(magnitude.reshape(*z.shape[:-2], -1), axis=-1)
     peak_n, col = np.divmod(flat, q_count)
     return DelayDopplerMap(magnitude=magnitude, peak_n=peak_n, peak_m=col - q_count // 2)
 
 
-def recover_parameters(n_star: int, m_star: int, wf: Waveform):
-    """Map peak bins to (delay_s, doppler_hz, range_m, velocity_mps)."""
+def recover_parameters(n_star, m_star, wf: Waveform):
+    """Map peak bins to (delay_s, doppler_hz, range_m, velocity_mps), elementwise over arrays."""
     delay = n_star / (wf.n_subcarriers * wf.subcarrier_spacing_hz)
     doppler = m_star / (wf.n_symbols * wf.symbol_duration_s)
     range_m = SPEED_OF_LIGHT * delay / 2.0

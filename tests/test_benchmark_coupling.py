@@ -20,7 +20,7 @@ SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
 
 def _blocks(cfg):
-    """Slot-2 blocks of one call: the design and the metrics run once per block."""
+    """Blocks of one call: all but the generator draws and the precoder run once per block."""
     return math.ceil(cfg.trials / _block_trials(cfg, scenario_plan(cfg)))
 
 
@@ -39,25 +39,26 @@ def test_every_rebound_name_resolves():
         assert not missing, f"{module_name} lost {missing}"
 
 
-def test_traced_run_calls_quotient_and_map_once_per_trial():
+def test_traced_run_calls_quotient_and_map_once_per_block():
     spans = _load_spans()
-    cfg = fast_profile(trials=2, seed=0)
+    cfg = fast_profile(trials=7, seed=0)
     wf = cfg.waveform()
+    blocks = _blocks(cfg)
+    assert blocks == 2  # 5 and 2 trials
     plain = run_scenario(cfg).to_json()
     tracer = spans.Tracer()
     with tracer.installed():
         traced = run_scenario(cfg).to_json()
     assert traced == plain
     calls = [span[0] for span in tracer.spans]
-    assert calls.count("sensing.delay_doppler_quotient") == cfg.trials
-    assert calls.count("sensing.delay_doppler_map") == cfg.trials
-    assert calls.count("sensing.reference_signal_grid") == cfg.trials  # all K dwells at once
+    assert calls.count("sensing.delay_doppler_quotient") == blocks
+    assert calls.count("sensing.delay_doppler_map") == blocks
+    assert calls.count("sensing.reference_signal_grid") == blocks  # all K dwells of all trials
     layers = tracer.layer_metrics(cfg.trials)
     # slot 1 only: the K dwells are projected, not synthesized
-    assert layers["runner.synthesize_rx_snapshots.calls"] == 1
-    # slot 1 and the stack of K dwells per trial, the slot-2 design per block
-    assert _blocks(cfg) == 1
-    assert layers["cancellers.build_cancellers.calls"] == 2 + _blocks(cfg) / cfg.trials
+    assert layers["runner.synthesize_rx_snapshots.calls"] == blocks / cfg.trials
+    # per block: slot 1, the stack of K dwells and the slot-2 design
+    assert layers["cancellers.build_cancellers.calls"] == 3 * blocks / cfg.trials
     assert layers["sensing.delay_doppler_quotient.cells"] == (
         cfg.k_targets * wf.n_subcarriers * wf.n_symbols
     )
@@ -67,6 +68,7 @@ def test_traced_run_counts_hold_from_warm_and_cold_cache():
     spans = _load_spans()
     cfg = fast_profile(trials=2, seed=0)
     wf = cfg.waveform()
+    blocks = _blocks(cfg)
     plain = run_scenario(cfg).to_json()  # leaves the plan cached
     calls = {}
     for cache in ("warm", "cold"):
@@ -80,26 +82,22 @@ def test_traced_run_counts_hold_from_warm_and_cold_cache():
         assert traced == plain
         assert _build_plan.cache_info().misses == misses + (cache == "cold")
         layers = tracer.layer_metrics(cfg.trials)
-        assert layers["runner.synthesize_rx_snapshots.calls"] == 1
-        assert layers["cancellers.build_cancellers.calls"] == 2 + _blocks(cfg) / cfg.trials
+        assert layers["runner.synthesize_rx_snapshots.calls"] == blocks / cfg.trials
+        assert layers["cancellers.build_cancellers.calls"] == 3 * blocks / cfg.trials
         assert layers["sensing.delay_doppler_quotient.cells"] == (
             cfg.k_targets * wf.n_subcarriers * wf.n_symbols
         )
         calls[cache] = Counter(span[0] for span in tracer.spans)
-    # the plan adds no traced call: every rebound name runs per trial (sensing)
-    # or per block (design and metrics) as before
+    # the plan adds no traced call: the SI draws and the precoder run per
+    # trial, every other rebound name per block
     assert calls["warm"] == calls["cold"]
-    per_block = {
-        "optimizer.build_estimated_channels", "optimizer.run_algorithm1",
-        "optimizer.user_beamformers", "optimizer.select_tx_analog",
-        "optimizer.select_rx_analog", "optimizer.power_normalize",
-        "optimizer.nsp_rx_combiner", "optimizer.mss_rx_combiner",
-        "metrics.radar_sinr", "metrics.dl_snr", "metrics.ul_sinr", "metrics.ideal_dl_rate",
+    per_trial = {
+        "channels.gen_si_channel", "channels.perturb_estimate", "optimizer.numeric_tx_precoder",
     }
     for name, n in calls["cold"].items():
-        if name in per_block:
-            assert n == _blocks(cfg) * (2 if name == "metrics.ul_sinr" else 1), name
+        if name in per_trial:
+            assert n == cfg.trials, name
         elif name == "cancellers.build_cancellers":
-            assert n == 2 * cfg.trials + _blocks(cfg)
+            assert n == 3 * blocks
         else:
-            assert n % cfg.trials == 0, name
+            assert n == blocks * (2 if name == "metrics.ul_sinr" else 1), name

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fdisac.config import (
@@ -57,6 +58,29 @@ def test_tap_validation():
         fast_profile(analog_taps=5)  # not divisible by 8 chains
     with pytest.raises(ValueError):
         fast_profile(analog_taps=128)  # 16 columns > 8 available
+
+
+@pytest.mark.parametrize("taps", [16.0, 16.5, "16", True])
+def test_non_integer_tap_count_rejected(tmp_path, taps):
+    # every trial would fail in build_cancellers ("slice indices must be integers")
+    with pytest.raises(ValueError, match="analog taps must be an integer"):
+        fast_profile(analog_taps=taps)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"analog_taps": taps}), encoding="utf-8")
+    with pytest.raises(ValueError, match="analog taps must be an integer"):
+        load_config(path, base=fast_profile())
+    assert fast_profile(analog_taps=np.int64(16)).analog_taps == 16
+
+
+def test_config_without_dl_scatterers_rejected(tmp_path):
+    # every trial would fail in gen_dl_channel ("downlink channel needs at least one path")
+    with pytest.raises(ValueError, match="at least one DL scatterer"):
+        fast_profile(dl_scatterers=())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dl_scatterers": []}), encoding="utf-8")
+    with pytest.raises(ValueError, match="at least one DL scatterer"):
+        load_config(path, base=fast_profile())
+    assert len(ScenarioConfig().dl_scatterers) == 1  # the default has one
 
 
 def test_config_dict_round_trip():

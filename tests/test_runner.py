@@ -14,12 +14,14 @@ from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import build_cancellers
 from fdisac.channels import TargetParams, delay_doppler_phase, gen_ul_channel
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
+from fdisac import runner
 from fdisac.runner import (
     _block_trials,
     _build_plan,
     _match_doas,
-    _sense,
+    _sense_block,
     _slot2,
+    draw_waveforms,
     dwell_projections,
     run_scenario,
     scenario_plan,
@@ -98,6 +100,15 @@ def _oracle_pointed_analog(n_chains, cb, angle_deg):
     return assemble_analog(np.tile(cb.vectors[idx], (n_chains, 1)))
 
 
+def _basis(cfg, rng, sigma):
+    """One trial's waveform basis of ``cfg``: drawn rows first, echo rows after them."""
+    phases, st = scenario_plan(cfg).phases, cfg.n_streams
+    n_drawn = st + 1 + cfg.rx_rf_chains
+    basis = np.empty((n_drawn + len(phases) * st, phases.shape[1]), dtype=complex)
+    draw_waveforms(rng, basis[:n_drawn], st, sigma)
+    return waveform_basis(basis, phases, st), n_drawn
+
+
 def _scene(cfg, rng):
     """Random target gains, UL channel and precoders of one trial of ``cfg``, and its basis."""
     targets = [
@@ -107,8 +118,17 @@ def _scene(cfg, rng):
     h_ul = gen_ul_channel(1j, cfg.ul_user.angle_deg, cfg.n_rx_antennas, cfg.ul_user_antennas)
     v_u = _crandn(rng, cfg.ul_user_antennas)
     v_bb = _crandn(rng, cfg.tx_rf_chains, cfg.n_streams)
-    basis = waveform_basis(rng, scenario_plan(cfg).phases, cfg.n_streams, cfg.rx_rf_chains, 1e-3)
-    return targets, h_ul, v_u, v_bb, basis
+    basis, n_drawn = _basis(cfg, rng, 1e-3)
+    return targets, h_ul, v_u, v_bb, basis, n_drawn
+
+
+def _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, targets):
+    """Slot-1 snapshots of one trial, a block of one over ``basis``."""
+    angles = [t.angle_deg for t in targets]
+    gains = np.array([[t.gain for t in targets]])
+    (y,) = synthesize_rx_snapshots(basis[None, :n_drawn], basis, scenario_plan(cfg).phases, w_rf,
+                                   v_rf, resid[None], v_bb, h_ul[None], v_u[None], angles, gains)
+    return y
 
 
 def _oracle_waveforms(cfg, targets, basis, v_bb):
@@ -139,10 +159,10 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     v_u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     h_ul = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     si_residual = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 0.01
-    basis = waveform_basis(rng, scenario_plan(cfg).phases, st, 4, 0.1)
+    basis, n_drawn = _basis(cfg, rng, 0.1)
     sym_b, sym_u, noise = basis[:st], basis[st], basis[st + 1 : st + 5]
 
-    y = synthesize_rx_snapshots(basis, w_rf, v_rf, si_residual, v_bb, h_ul, v_u, targets)
+    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, si_residual, v_bb, h_ul, v_u, targets)
 
     w_h = w_rf.assembled.conj().T
     for cell in (0, 17, cells - 1):
@@ -165,7 +185,7 @@ def test_waveform_basis_draws_match_complex_draws(profile):
     ]
     sigma = np.sqrt(cfg.sigma_b2_watts)
     rng_basis, rng = np.random.default_rng(3), np.random.default_rng(3)
-    basis = waveform_basis(rng_basis, scenario_plan(cfg).phases, st, m, sigma)
+    basis, _ = _basis(cfg, rng_basis, sigma)
     sym_b = (rng.standard_normal((st, n)) + 1j * rng.standard_normal((st, n))) / np.sqrt(2)
     sym_u = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
     noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
@@ -183,11 +203,11 @@ def test_slot1_snapshots_match_per_term_oracle(profile):
     # with a nonzero SI residual
     cfg = profile()
     rng = np.random.default_rng(13)
-    targets, h_ul, v_u, v_bb, basis = _scene(cfg, rng)
+    targets, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
     v_rf = spread_analog(cfg.tx_rf_chains, dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits))
     w_rf = spread_analog(cfg.rx_rf_chains, dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits))
     resid = 1e-2 * _crandn(rng, cfg.rx_rf_chains, cfg.tx_rf_chains)
-    y = synthesize_rx_snapshots(basis, w_rf, v_rf, resid, v_bb, h_ul, v_u, targets)
+    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, targets)
     phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, targets, basis, v_bb)
     expected = _oracle_snapshots(targets, phases, h_ul, resid, v_rf, tx_rf, v_u, w_rf, sym_u, noise)
     assert y.shape == expected.shape
@@ -474,7 +494,7 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
     wf = cfg.waveform()
     st, m = cfg.n_streams, cfg.rx_rf_chains
     rng = np.random.default_rng(11)
-    targets, h_ul, v_u, v_bb, basis = _scene(cfg, rng)
+    targets, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
     for cell, scale in ((0, 0.0), (5, 1e-10), (17, 0.0)):
         # a zero or tiny reference in every dwell: scale sym_b and its echoes
         basis[:st, cell] *= scale
@@ -484,7 +504,11 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
     cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
     cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
     angles = np.array([t.angle_deg for t in targets])
-    cy, s = dwell_projections(cfg, basis, angles, cb_tx, cb_rx, h_si, h_si_hat, v_bb, h_ul, v_u, targets)
+    gains = np.array([[t.gain for t in targets]])
+    (cy,), (s,) = dwell_projections(
+        cfg, scenario_plan(cfg), basis[None, :n_drawn], basis, angles[None], h_si[None],
+        h_si_hat[None], v_bb, h_ul[None], v_u[None], gains,
+    )
     shape = (len(targets), wf.n_subcarriers, wf.n_symbols)
     z, excluded = delay_doppler_quotient(cy.reshape(shape), s.reshape(shape))
 
@@ -601,17 +625,17 @@ def test_slot2_block_matches_one_trial_blocks_and_isolates_a_failed_trial():
     cfg = fast_profile(trials=1, seed=6)
     plan = scenario_plan(cfg)
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    block = [_sense(cfg, np.random.default_rng(s), plan, i) for i, s in enumerate(seeds)]
+    block = _sense_block(cfg, plan, [np.random.default_rng(s) for s in seeds])
     # the UL user sensed at the first scatterer's direction: its NSP combiner degenerates
-    block[2].matched[-1] = block[2].matched[0]
+    block.matched[2, -1] = block.matched[2, 0]
     records = _slot2(cfg, block)
-    assert _block_trials(cfg, plan) >= len(block)
+    assert _block_trials(cfg, plan) >= len(records) == 4
     assert records[2] == {
         "error": "DegenerateCombinerError: beamformer design failed at step 'NSP combiner': "
                  "uplink direction lies inside the radar interference span"
     }
     for t in (0, 1, 3):
-        (one,) = _slot2(cfg, [block[t]])
+        (one,) = _slot2(cfg, block.take([t]))
         assert one.keys() == records[t].keys() and "error" not in one
         assert one["sensing"] == records[t]["sensing"]
         for key, value in one["metrics"].items():
@@ -620,6 +644,66 @@ def test_slot2_block_matches_one_trial_blocks_and_isolates_a_failed_trial():
             assert records[t][key] == pytest.approx(one[key], rel=1e-12, abs=1e-300), key
         np.testing.assert_allclose(records[t]["analog_residual_w"], one["analog_residual_w"],
                                    rtol=1e-12)
+
+
+def _drawn_bytes(cfg):
+    """Bytes of one trial's drawn waveform rows: N_s + 1 + M_rf complex rows over the cells."""
+    return (cfg.n_streams + 1 + cfg.rx_rf_chains) * cfg.n_subcarriers * cfg.n_symbols * 16
+
+
+def test_block_holds_the_trials_whose_drawn_rows_fit_in_one_mebibyte():
+    for cfg, trials in ((fast_profile(), 5), (table1_profile(), 1)):
+        assert _block_trials(cfg, scenario_plan(cfg)) == trials
+        assert trials * _drawn_bytes(cfg) <= runner.BLOCK_BYTES or trials == 1
+        assert (trials + 1) * _drawn_bytes(cfg) > runner.BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [fast_profile(trials=10), fast_profile(trials=10, csi_nmse_db=-10), table1_profile(trials=2)],
+    ids=["fast", "fast_csi", "table1"],
+)
+def test_block_size_does_not_change_the_report(cfg, monkeypatch):
+    default = run_scenario(cfg).to_json()
+    for trials in (1, 2):
+        monkeypatch.setattr(runner, "BLOCK_BYTES", trials * _drawn_bytes(cfg))
+        assert _block_trials(cfg, scenario_plan(cfg)) == trials
+        assert run_scenario(cfg).to_json() == default
+
+
+def _zero_snapshots_of_trial(monkeypatch, failing):
+    """Make the ``failing``-th trial of a call see all-zero slot-1 snapshots.
+
+    A zero covariance leaves MUSIC 2 spectrum peaks for the K = 5 objects of
+    ``fast``, so that trial's sensing fails.
+    """
+    seen = [0]
+    covariance = runner.sample_covariance
+
+    def zeroed(snapshots):
+        for t in range(len(snapshots)):
+            if seen[0] == failing:
+                snapshots[t] = 0
+            seen[0] += 1
+        return covariance(snapshots)
+
+    monkeypatch.setattr(runner, "sample_covariance", zeroed)
+
+
+def test_failed_sensing_fails_only_its_trial_as_in_one_trial_blocks(monkeypatch):
+    cfg = fast_profile(trials=7, seed=2)
+    plain = run_scenario(cfg).trials
+    _zero_snapshots_of_trial(monkeypatch, 2)
+    blocks = run_scenario(cfg)  # blocks of 5 and 2 trials
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 1)  # blocks of one trial
+    _zero_snapshots_of_trial(monkeypatch, 2)
+    one_trial = run_scenario(cfg)
+    error = {"error": "EstimationFailureError: found 2 spectrum peaks, needed 5"}
+    assert blocks.trials[2] == one_trial.trials[2] == error
+    assert blocks.trials == one_trial.trials
+    assert blocks.trials[:2] + blocks.trials[3:] == plain[:2] + plain[3:]
+    assert blocks.aggregate["n_failed"] == 1
+    assert blocks.to_json() == one_trial.to_json()
 
 
 def _traced_peak(cfg):
@@ -643,3 +727,15 @@ def _traced_peak(cfg):
 def test_peak_memory_grows_per_trial_only_by_the_records(profile, few, many, bound):
     growth = _traced_peak(profile(trials=many, seed=3)) - _traced_peak(profile(trials=few, seed=3))
     assert growth / (many - few) <= bound
+
+
+@pytest.mark.parametrize(
+    "profile, trials, bound",
+    # a block holds its trials' drawn waveform rows and the echo rows of one
+    # trial: blocks of 5 on fast peak at ~2.8 MB (the per-trial loop at 1.65
+    # MB, full bases for all 10 trials at 7.5 MB), the one-trial table1 block
+    # at ~9.24 MB like one basis
+    [(fast_profile, 10, 3e6), (table1_profile, 1, 9.7e6)],
+)
+def test_peak_memory_of_one_call_is_bounded(profile, trials, bound):
+    assert _traced_peak(profile(trials=trials, seed=3)) <= bound
