@@ -1,5 +1,6 @@
 """Uniform linear array responses and DFT beam codebooks.
 
+A codebook is a read-only array with one constant-modulus beam per row.
 Angles are expressed in degrees at every public boundary and converted to
 radians internally. Element n of the ULA response toward angle theta is
 exp(j*2*pi*(d/lambda)*n*sin(theta)), so the first element is always 1+0j.
@@ -7,12 +8,11 @@ exp(j*2*pi*(d/lambda)*n*sin(theta)), so the first element is always 1+0j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Codebook", "ula_response_matrix", "dft_codebook"]
+__all__ = ["ula_response_matrix", "dft_codebook"]
 
 _MAX_CODEBOOK_BITS = 24  # 2^24 entries; anything above is treated as an overflow
 
@@ -43,36 +43,16 @@ def ula_response_matrix(
     return np.exp(1j * phase * n)
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Phase-shifter beam codebook with 2^n_bits constant-modulus vectors.
-
-    ``vectors`` has shape (2^n_bits, n_elems); every entry has squared
-    modulus 1/n_elems.
-    """
-
-    vectors: np.ndarray
-    n_bits: int
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def n_elems(self) -> int:
-        return self.vectors.shape[1]
-
-
 @lru_cache(maxsize=8, typed=True)
-def dft_codebook(n_elems: int, n_bits: int) -> Codebook:
-    """DFT-style beam codebook on a uniform grid in sin-space.
+def dft_codebook(n_elems: int, n_bits: int) -> np.ndarray:
+    """DFT-style beam codebook on a uniform grid in sin-space, shape (2^n_bits, n_elems).
 
-    Beam m (m = 0..2^n_bits - 1) is the half-wavelength steering vector at
+    Row m (m = 0..2^n_bits - 1) is the half-wavelength steering vector at
     theta_m = arcsin(-1 + 2*m / 2^n_bits), scaled by 1/sqrt(n_elems) so all
-    entries satisfy the constant-modulus constraint. With 2^n_bits == n_elems
-    the beams are mutually orthogonal.
+    entries satisfy the constant-modulus constraint |v_n|^2 = 1/n_elems. With
+    2^n_bits == n_elems the beams are mutually orthogonal.
 
-    Memoized: repeated arguments return the same codebook, whose ``vectors``
-    are read-only.
+    Memoized: repeated arguments return the same read-only array.
     """
     _check_elems(n_elems)
     if n_bits < 1:
@@ -85,4 +65,4 @@ def dft_codebook(n_elems: int, n_bits: int) -> Codebook:
     phase = np.pi * sin_grid[:, None]
     vectors = np.exp(1j * phase * n) / np.sqrt(n_elems)
     vectors.flags.writeable = False
-    return Codebook(vectors=vectors, n_bits=n_bits)
+    return vectors

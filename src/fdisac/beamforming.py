@@ -31,7 +31,6 @@ class AnalogBeamformer:
 
     per_chain: np.ndarray
     assembled: np.ndarray
-    codebook_indices: tuple | None = None
 
     @property
     def n_chains(self) -> int:
@@ -46,7 +45,7 @@ class AnalogBeamformer:
         return self.assembled.shape[-2]
 
 
-def assemble_analog(per_chain, codebook_indices: tuple | None = None) -> AnalogBeamformer:
+def assemble_analog(per_chain) -> AnalogBeamformer:
     """Validate per-chain vectors and assemble the block-diagonal matrix.
 
     ``per_chain`` is (n_chains, n_per_chain), or a stack (..., n_chains,
@@ -72,9 +71,7 @@ def assemble_analog(per_chain, codebook_indices: tuple | None = None) -> AnalogB
     assembled = np.zeros((*vecs.shape[:-2], n_chains * n_a, n_chains), dtype=complex)
     for i in range(n_chains):
         assembled[..., i * n_a : (i + 1) * n_a, i] = vecs[..., i, :]
-    return AnalogBeamformer(
-        per_chain=vecs, assembled=assembled, codebook_indices=codebook_indices
-    )
+    return AnalogBeamformer(per_chain=vecs, assembled=assembled)
 
 
 def tx_power(v_rf: AnalogBeamformer, v_bb: np.ndarray):

@@ -21,7 +21,6 @@ class CancellerPair:
 
     analog: np.ndarray
     digital: np.ndarray
-    n_taps: int
 
 
 def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> CancellerPair:
@@ -44,7 +43,7 @@ def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> CancellerPair:
     analog = np.zeros_like(h)
     analog[..., :cols] = -h[..., :cols]
     digital = -(h + analog)
-    return CancellerPair(analog=analog, digital=digital, n_taps=n_taps)
+    return CancellerPair(analog=analog, digital=digital)
 
 
 def si_residual(h_tilde: np.ndarray, pair: CancellerPair) -> np.ndarray:

@@ -21,7 +21,6 @@ from .arrays import ula_response_matrix
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "TargetParams",
     "Waveform",
     "gen_dl_channel",
     "gen_ul_channel",
@@ -35,33 +34,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class TargetParams:
-    """One radar target: reflection gain, direction, range and radial velocity.
-
-    The two-way delay is ``2*range_m/c``; the Doppler shift depends on the
-    carrier, so it is exposed as a method.
-    """
-
-    gain: complex
-    angle_deg: float
-    range_m: float
-    velocity_mps: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.angle_deg <= 90.0:
-            raise ValueError(f"target angle must lie in [-90, 90], got {self.angle_deg}")
-        if not self.range_m >= 0:
-            raise ValueError(f"target range must be nonnegative, got {self.range_m}")
-
-    @property
-    def delay_s(self) -> float:
-        return 2.0 * self.range_m / SPEED_OF_LIGHT
-
-    def doppler_hz(self, carrier_hz: float) -> float:
-        return 2.0 * self.velocity_mps * carrier_hz / SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -129,15 +101,18 @@ def gen_ul_channel(gain, angle_deg, m_b: int, n_u: int) -> np.ndarray:
     return gen_dl_channel(np.asarray(gain)[..., None], np.asarray(angle_deg)[..., None], m_b, n_u)
 
 
-def delay_doppler_phase(target: TargetParams, wf: Waveform, p, q):
-    """Phase factor exp(j*2*pi*(q*T_s*f_D - p*tau*df)) of ``target``'s echo.
+def delay_doppler_phase(range_m: float, velocity_mps: float, wf: Waveform, p, q):
+    """Phase factor exp(j*2*pi*(q*T_s*f_D - p*tau*df)) of a target's echo.
 
-    ``p`` (subcarrier) and ``q`` (OFDM symbol) are indices or index arrays;
-    the result broadcasts over them. The factor separates, so a column of P
+    The target at ``range_m`` moving at ``velocity_mps`` has the two-way delay
+    tau = 2*range/c and Doppler shift f_D = 2*velocity*f_c/c. ``p``
+    (subcarrier) and ``q`` (OFDM symbol) are indices or index arrays; the
+    result broadcasts over them. The factor separates, so a column of P
     subcarriers and a row of Q symbols cost P + Q exponentials, not P*Q.
     """
-    doppler = target.doppler_hz(wf.carrier_hz)
-    return np.exp(-2j * np.pi * (p * target.delay_s * wf.subcarrier_spacing_hz)) * np.exp(
+    delay = 2.0 * range_m / SPEED_OF_LIGHT
+    doppler = 2.0 * velocity_mps * wf.carrier_hz / SPEED_OF_LIGHT
+    return np.exp(-2j * np.pi * (p * delay * wf.subcarrier_spacing_hz)) * np.exp(
         2j * np.pi * (q * wf.symbol_duration_s * doppler)
     )
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 from .config import PROFILE_NAMES, ScenarioConfig, get_profile, load_config
-from .runner import SWEEP_VARIABLES, jsonify, run_scenario, sweep, validate_suite
+from .runner import SWEEP_VARIABLES, dumps, run_scenario, sweep, validate_suite
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -46,9 +45,7 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
     if fmt == "json":
         records = [dict(zip(header, row)) for row in rows]
-        path.with_suffix(".json").write_text(
-            json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        path.with_suffix(".json").write_text(dumps(records) + "\n", encoding="utf-8")
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -110,9 +107,7 @@ def _cmd_validate(args) -> int:
     payload, ok = validate_suite(cfg)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "report.json").write_text(dumps(payload) + "\n", encoding="utf-8")
     for check in payload["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"[{status}] {check['name']}: {check['detail']}")
@@ -121,7 +116,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_show_config(args) -> int:
     cfg = _resolve_config(args)
-    print(json.dumps(jsonify(cfg.to_dict()), indent=2, sort_keys=True))
+    print(dumps(cfg.to_dict()))
     return 0
 
 

@@ -9,8 +9,9 @@ test suite quick). Config files are JSON documents mirroring the field names.
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .channels import Waveform
@@ -88,6 +89,17 @@ class ScenarioConfig:
     trials: int = 10
 
     def __post_init__(self):
+        # Annotations are strings (postponed evaluation); a config file can put
+        # any JSON value, NaN included, into any field.
+        for f in fields(self):
+            name, value = f.name.replace("_", " "), getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if f.type in ("float", "float | None") and value != value:  # NaN; safe on any type
+                raise ValueError(f"{name} must not be NaN")
+            if f.name in ("bs_noise_dbm", "user_noise_dbm") and value in (-math.inf, math.inf):
+                raise ValueError(f"{name} must be finite, got {value}")
         if min(
             self.tx_rf_chains,
             self.rx_rf_chains,
@@ -97,8 +109,6 @@ class ScenarioConfig:
             self.ul_user_antennas,
         ) < 1:
             raise ValueError("all array dimensions must be positive")
-        if isinstance(self.analog_taps, bool) or not isinstance(self.analog_taps, numbers.Integral):
-            raise ValueError(f"analog taps must be an integer, got {self.analog_taps!r}")
         if self.analog_taps < 0 or self.analog_taps % self.rx_rf_chains != 0:
             raise ValueError(
                 f"analog taps {self.analog_taps} must be a nonnegative multiple "
@@ -111,8 +121,11 @@ class ScenarioConfig:
         for spec in self.all_target_specs():
             if not -90.0 <= spec.angle_deg <= 90.0:
                 raise ValueError(f"target angle must lie in [-90, 90] degrees, got {spec.angle_deg}")
-            if not spec.range_m >= 0.0:
-                raise ValueError(f"target range must be nonnegative, got {spec.range_m}")
+            if not 0.0 <= spec.range_m < math.inf:
+                raise ValueError(
+                    f"target range must be finite and nonnegative, got {spec.range_m}")
+            if not -math.inf < spec.velocity_mps < math.inf:
+                raise ValueError(f"target velocity must be finite, got {spec.velocity_mps}")
         if not self.dl_scatterers:
             raise ValueError("need at least one DL scatterer: the downlink channel is their paths")
         # K < M_rf is required only by the MUSIC stage and is checked there,

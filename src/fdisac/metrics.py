@@ -10,35 +10,12 @@ axes and then returns one value per trial, shape (...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cancellers import si_residual
 from .optimizer import EstimatedChannels, HybridBeamformers
 
-__all__ = ["LinkMetrics", "radar_sinr", "dl_snr", "ul_sinr", "ideal_dl_rate"]
-
-
-@dataclass(frozen=True)
-class LinkMetrics:
-    """Linear SINRs and spectral efficiencies for one scenario evaluation or a stack."""
-
-    gamma_rad: float
-    gamma_dl: float
-    gamma_ul: float
-    rate_dl: float
-    rate_ul: float
-
-    @classmethod
-    def from_sinrs(cls, gamma_rad: float, gamma_dl: float, gamma_ul: float):
-        return cls(
-            gamma_rad=gamma_rad,
-            gamma_dl=gamma_dl,
-            gamma_ul=gamma_ul,
-            rate_dl=np.log2(1.0 + gamma_dl),
-            rate_ul=np.log2(1.0 + gamma_ul),
-        )
+__all__ = ["radar_sinr", "dl_snr", "ul_sinr", "ideal_dl_rate"]
 
 
 def _power(x: np.ndarray):

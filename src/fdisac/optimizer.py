@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import Codebook, dft_codebook
+from .arrays import dft_codebook
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import CancellerPair, build_cancellers
 from .channels import gen_dl_channel, gen_ul_channel
@@ -175,12 +175,7 @@ def _fix_phase(m: np.ndarray) -> np.ndarray:
     return m * (pivot.conj() / (mag + (mag == 0.0)))[..., None, :]
 
 
-def _index_tuple(idx: np.ndarray) -> tuple:
-    """Codebook indices as a tuple per network, nested along leading axes."""
-    return tuple(idx.tolist()) if idx.ndim == 1 else tuple(map(_index_tuple, idx))
-
-
-def select_tx_analog(h_rad_hat: np.ndarray, cb: Codebook, n_rf: int) -> AnalogBeamformer:
+def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray, n_rf: int) -> AnalogBeamformer:
     """Per-chain codebook search maximizing the radar channel gain.
 
     The Frobenius objective ||H V_rf||^2 decomposes over the block-diagonal
@@ -190,24 +185,24 @@ def select_tx_analog(h_rad_hat: np.ndarray, cb: Codebook, n_rf: int) -> AnalogBe
     chains, so no per-chain score tensor of the whole stack is formed.
     """
     h = np.asarray(h_rad_hat, dtype=complex)
-    n_a = cb.n_elems
+    n_a = cb.shape[-1]
     if h.shape[-1] != n_rf * n_a:
         raise ValueError(
             f"channel has {h.shape[-1]} TX columns, expected {n_rf} chains x {n_a}"
         )
-    cb_t = cb.vectors.T
+    cb_t = cb.T
     idx = np.empty(h.shape[:-2] + (n_rf,), dtype=int)
     for i in range(n_rf):
         scores = np.linalg.norm(h[..., i * n_a : (i + 1) * n_a] @ cb_t, axis=-2) ** 2
         idx[..., i] = np.argmax(scores, axis=-1)
-    return assemble_analog(cb.vectors[idx], codebook_indices=_index_tuple(idx))
+    return assemble_analog(cb[idx])
 
 
 def select_rx_analog(
     h_rad_hat: np.ndarray,
     h_bb_hat: np.ndarray,
     v_b_rf: AnalogBeamformer,
-    cb: Codebook,
+    cb: np.ndarray,
 ) -> AnalogBeamformer:
     """Per-chain codebook ratio search: radar return over SI leakage.
 
@@ -220,16 +215,16 @@ def select_rx_analog(
     """
     radar_eff = np.asarray(h_rad_hat, dtype=complex) @ v_b_rf.assembled
     si_eff = np.asarray(h_bb_hat, dtype=complex) @ v_b_rf.assembled
-    m_a = cb.n_elems
+    m_a = cb.shape[-1]
     lead, (m_b, n_rf) = radar_eff.shape[:-2], radar_eff.shape[-2:]
     if m_b % m_a != 0:
         raise ValueError(f"channel has {m_b} RX rows, not a multiple of {m_a}")
     chains = lead + (m_b // m_a, m_a, n_rf)
-    conj_cb = cb.vectors.conj()
+    conj_cb = cb.conj()
     num = np.linalg.norm(conj_cb @ radar_eff.reshape(chains), axis=-1) ** 2
     den = np.linalg.norm(conj_cb @ si_eff.reshape(chains), axis=-1) ** 2
     idx = np.argmax(num / (den + _RATIO_GUARD), axis=-1)
-    return assemble_analog(cb.vectors[idx], codebook_indices=_index_tuple(idx))
+    return assemble_analog(cb[idx])
 
 
 def numeric_tx_precoder(

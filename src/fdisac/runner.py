@@ -33,7 +33,7 @@ and trial (:func:`scenario_plan`).
 
 Trials are statistically independent (each gets its own spawned generator),
 so results do not depend on execution order and a fixed seed reproduces a
-report byte for byte.
+report byte for byte. Every report and CLI payload is written by :func:`dumps`.
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import Codebook, dft_codebook, ula_response_matrix
+from .arrays import dft_codebook, ula_response_matrix
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
 from .cancellers import analog_residual_power_per_chain, build_cancellers, si_residual
 from .channels import (
-    TargetParams, Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel, gen_ul_channel,
-    perturb_estimate,
+    Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel, gen_ul_channel, perturb_estimate,
 )
 from .config import ScenarioConfig, TargetSpec
-from .metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
+from .metrics import dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
 from .optimizer import (
     build_estimated_channels,
     mss_rx_combiner,
@@ -85,28 +84,16 @@ __all__ = [
     "synthesize_rx_snapshots",
     "dwell_projections",
     "SWEEP_VARIABLES",
-    "jsonify",
+    "dumps",
 ]
 
 # The paper's sweep names mapped onto config fields.
 SWEEP_VARIABLES = {"p_b_dbm": "tx_power_dbm", "p_u_dbm": "ul_tx_power_dbm", "n_taps": "analog_taps"}
 
 
-def jsonify(obj):
-    """``obj`` with numpy arrays and scalars replaced by JSON-serializable builtins."""
-    if isinstance(obj, dict):
-        return {k: jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def dumps(obj) -> str:
+    """``obj`` as the indented, key-sorted JSON of every report; numpy values go through tolist."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist())
 
 
 @dataclass
@@ -127,19 +114,18 @@ class RunReport:
     wall_clock_s: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "config": jsonify(self.config),
+        return dumps({
+            "config": self.config,
             "seed": self.seed,
-            "trials": jsonify(self.trials),
-            "aggregate": jsonify(self.aggregate),
-            "range_angle": jsonify(self.range_angle),
-            "range_velocity": jsonify(self.range_velocity),
-            "rate_rows": jsonify(self.rate_rows),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+            "trials": self.trials,
+            "aggregate": self.aggregate,
+            "range_angle": self.range_angle,
+            "range_velocity": self.range_velocity,
+            "rate_rows": self.rate_rows,
+        })
 
 
-def spread_analog(n_chains: int, cb: Codebook) -> AnalogBeamformer:
+def spread_analog(n_chains: int, cb: np.ndarray) -> AnalogBeamformer:
     """Deterministic slot-1 analog setting: chains fan out across the codebook.
 
     Distinct per-chain beams keep the RF-domain manifold unambiguous for the
@@ -149,11 +135,8 @@ def spread_analog(n_chains: int, cb: Codebook) -> AnalogBeamformer:
     exact blind directions on the critically sampled beam grid.
     """
     size = len(cb)
-    idx = tuple(
-        (((2 * i + 1) * size) // (2 * n_chains) + (i % 2)) % size
-        for i in range(n_chains)
-    )
-    return assemble_analog(cb.vectors[list(idx)], codebook_indices=idx)
+    idx = [(((2 * i + 1) * size) // (2 * n_chains) + (i % 2)) % size for i in range(n_chains)]
+    return assemble_analog(cb[idx])
 
 
 @dataclass(frozen=True)
@@ -168,8 +151,8 @@ class ScenarioPlan:
     """
 
     wf: Waveform
-    cb_tx: Codebook
-    cb_rx: Codebook
+    cb_tx: np.ndarray
+    cb_rx: np.ndarray
     v_rf0: AnalogBeamformer
     w_rf0: AnalogBeamformer
     grid_deg: np.ndarray
@@ -204,8 +187,8 @@ def _build_plan(tx_chains: int, rx_chains: int, tx_per_rf: int, rx_per_rf: int, 
     grid = angle_grid(grid_step_deg)
     manifold = combiner_manifold(w_rf0, grid)
     p, q = np.arange(wf.n_subcarriers), np.arange(wf.n_symbols)
-    targets = [TargetParams(1.0, s.angle_deg, s.range_m, s.velocity_mps) for s in specs]
-    phases = np.array([delay_doppler_phase(t, wf, p[:, None], q).ravel() for t in targets])
+    phases = np.array([delay_doppler_phase(s.range_m, s.velocity_mps, wf, p[:, None], q).ravel()
+                       for s in specs])
     plan = ScenarioPlan(
         wf=wf, cb_tx=cb_tx, cb_rx=cb_rx, v_rf0=v_rf0, w_rf0=w_rf0, grid_deg=grid,
         manifold=manifold, gain=np.sum(np.abs(manifold) ** 2, axis=0), phases=phases,
@@ -265,6 +248,11 @@ def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phas
     drawn rows and the echo rows after them, in one buffer. Every other
     trial's rows are copied into the window in turn while the last trial's
     wait aside, so ``drawn`` ends unchanged.
+
+    The window is why a one-trial block (``table1``) copies no rows and, warm,
+    faults in no fresh pages: 0-3 minor faults per call. A separately
+    allocated echo scratch with a split product took ~1,800-2,200 faults per
+    warm call, and its best ``table1`` call was 15-30 % slower.
     """
     n_trials, n_drawn = drawn.shape[:2]
     aside = drawn[-1].copy() if n_trials > 1 else None
@@ -341,11 +329,11 @@ def _si_residual(w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, h_si_true: np.n
     return si_residual(w_h @ h_si_true @ v_rf.assembled, canc)
 
 
-def pointed_analog_stack(n_chains: int, cb: Codebook, angles_deg) -> AnalogBeamformer:
+def pointed_analog_stack(n_chains: int, cb: np.ndarray, angles_deg) -> AnalogBeamformer:
     """One network per angle, every chain on the codebook beam of highest gain toward it."""
-    gains = np.abs(cb.vectors.conj() @ ula_response_matrix(cb.n_elems, angles_deg))
+    gains = np.abs(cb.conj() @ ula_response_matrix(cb.shape[-1], angles_deg))
     idx = np.argmax(gains, axis=-2)
-    return assemble_analog(np.repeat(cb.vectors[idx, None, :], n_chains, axis=-2))
+    return assemble_analog(np.repeat(cb[idx, None, :], n_chains, axis=-2))
 
 
 def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray,
@@ -402,11 +390,6 @@ class _Block:
     map_sum: np.ndarray  # (T, P, Q) sums of the K peak-normalized delay-Doppler maps
     profiles: np.ndarray  # (T, K, P) range profiles of those maps
     errors: list
-
-    def take(self, index: list) -> "_Block":
-        """The trials at ``index``, in that order."""
-        return _Block(*(v[index] if isinstance(v, np.ndarray) else [v[i] for i in index]
-                        for v in vars(self).values()))
 
 
 def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
@@ -505,7 +488,9 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
 
     Returns one trial record per trial of ``block``: its sensing rows and
     metrics, or the error that failed its design, validation or, for the
-    whole block, any other step.
+    whole block, any other step. A trial whose sensing failed is designed
+    from its stand-in angles; :func:`run_scenario` records its sensing error
+    instead.
     """
     n_scatter, k = len(cfg.dl_scatterers), cfg.k_targets
     matched = block.matched
@@ -529,7 +514,8 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
         gamma_ul = ul_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
         bf_mss = replace(bf, w_b_bb=mss_rx_combiner(w_h @ est.h_ul_hat, 1))
         gamma_ul_mss = ul_sinr(bf_mss, est, h_tilde_true, cfg.sigma_b2_watts)
-        link = LinkMetrics.from_sinrs(gamma_rad, gamma_dl, gamma_ul)
+        rate_dl, rate_ul, rate_ul_mss = (np.log2(1.0 + g)
+                                         for g in (gamma_dl, gamma_ul, gamma_ul_mss))
         rate_dl_ideal = ideal_dl_rate(block.h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts,
                                       cfg.n_streams)
 
@@ -551,13 +537,13 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
         records.append({
             "sensing": rows,
             "metrics": {
-                "gamma_rad": float(link.gamma_rad[t]),
-                "gamma_dl": float(link.gamma_dl[t]),
-                "gamma_ul_nsp": float(link.gamma_ul[t]),
+                "gamma_rad": float(gamma_rad[t]),
+                "gamma_dl": float(gamma_dl[t]),
+                "gamma_ul_nsp": float(gamma_ul[t]),
                 "gamma_ul_mss": float(gamma_ul_mss[t]),
-                "rate_dl": float(link.rate_dl[t]),
-                "rate_ul_nsp": float(link.rate_ul[t]),
-                "rate_ul_mss": float(np.log2(1.0 + gamma_ul_mss[t])),
+                "rate_dl": float(rate_dl[t]),
+                "rate_ul_nsp": float(rate_ul[t]),
+                "rate_ul_mss": float(rate_ul_mss[t]),
                 "rate_dl_ideal": float(rate_dl_ideal[t]),
             },
             "tx_power_w": float(tx_power_w[t]),
@@ -611,15 +597,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         except Exception as exc:  # a step failed for the whole block
             trials += [_error_record(exc) for _ in rngs]
             continue
-        records = [None if e is None else _error_record(e) for e in block.errors]
-        sensed = [t for t, record in enumerate(records) if record is None]
-        for t, record in zip(sensed, _slot2(cfg, block.take(sensed)) if sensed else []):
-            records[t] = record
-            if "error" not in record:
+        for t, (record, error) in enumerate(zip(_slot2(cfg, block), block.errors)):
+            if error is not None:
+                record = _error_record(error)
+            elif "error" not in record:
                 map_stack.append(block.map_sum[t])
                 profile_stack.append(block.profiles[t])
                 angle_stack.append(block.matched[t].tolist())
-        trials += records
+            trials.append(record)
 
     if not any("error" not in t for t in trials):
         raise RuntimeError(f"all {cfg.trials} trials failed; first: {trials[0]['error']}")
@@ -748,10 +733,10 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
     add("finite_outputs", finite, "all aggregate values finite")
 
     payload = {
-        "config": jsonify(cfg.to_dict()),
+        "config": cfg.to_dict(),
         "seed": cfg.seed,
         "checks": checks,
-        "aggregate": jsonify(report.aggregate),
+        "aggregate": report.aggregate,
     }
     return payload, all(c["passed"] for c in checks)
 

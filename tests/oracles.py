@@ -5,7 +5,8 @@ from typing import Sequence
 import numpy as np
 
 from fdisac.arrays import ula_response_matrix
-from fdisac.channels import TargetParams, Waveform, delay_doppler_phase
+from fdisac.channels import Waveform, delay_doppler_phase
+from fdisac.config import TargetSpec
 
 
 def steering(n_elems: int, angle_deg: float) -> np.ndarray:
@@ -14,7 +15,8 @@ def steering(n_elems: int, angle_deg: float) -> np.ndarray:
 
 
 def radar_channel_at(
-    targets: Sequence[TargetParams],
+    gains: Sequence[complex],
+    specs: Sequence[TargetSpec],
     p: int,
     q: int,
     wf: Waveform,
@@ -23,15 +25,17 @@ def radar_channel_at(
 ) -> np.ndarray:
     """Radar channel (m_b x n_b) at subcarrier ``p`` and OFDM symbol ``q``.
 
-    At p == q == 0 the per-target phase factor is exactly 1.
+    Target k reflects with ``gains[k]`` from the geometry ``specs[k]``. At
+    p == q == 0 the per-target phase factor is exactly 1.
     """
     if not 0 <= p < wf.n_subcarriers:
         raise ValueError(f"subcarrier index {p} outside [0, {wf.n_subcarriers})")
     if not 0 <= q < wf.n_symbols:
         raise ValueError(f"symbol index {q} outside [0, {wf.n_symbols})")
     h = np.zeros((m_b, n_b), dtype=complex)
-    for t in targets:
-        a_rx = steering(m_b, t.angle_deg)
-        a_tx = steering(n_b, t.angle_deg)
-        h += t.gain * delay_doppler_phase(t, wf, p, q) * np.outer(a_rx, a_tx.conj())
+    for gain, spec in zip(gains, specs, strict=True):
+        a_rx = steering(m_b, spec.angle_deg)
+        a_tx = steering(n_b, spec.angle_deg)
+        phase = delay_doppler_phase(spec.range_m, spec.velocity_mps, wf, p, q)
+        h += gain * phase * np.outer(a_rx, a_tx.conj())
     return h

@@ -54,7 +54,7 @@ def test_assemble_stack_matches_each_network_and_checks_every_entry():
 
 def test_assembly_round_trips_per_chain_vectors():
     cb = dft_codebook(4, 3)
-    vecs = cb.vectors[[1, 5, 2]]
+    vecs = cb[[1, 5, 2]]
     bf = assemble_analog(vecs)
     np.testing.assert_array_equal(bf.per_chain, vecs)
     for i in range(3):

@@ -3,13 +3,14 @@ import pytest
 
 from fdisac.channels import (
     SPEED_OF_LIGHT,
-    TargetParams,
     Waveform,
+    delay_doppler_phase,
     gen_dl_channel,
     gen_si_channel,
     gen_ul_channel,
     perturb_estimate,
 )
+from fdisac.config import TargetSpec
 from oracles import radar_channel_at
 
 
@@ -69,16 +70,21 @@ def test_ul_largest_singular_value():
 
 
 def test_target_derived_delay_and_doppler():
-    t = TargetParams(gain=1.0, angle_deg=10.0, range_m=120.0, velocity_mps=30.0)
-    assert abs(t.delay_s - 2.0 * 120.0 / SPEED_OF_LIGHT) <= 1e-15 * t.delay_s
-    fd = t.doppler_hz(28e9)
-    assert abs(fd - 2.0 * 30.0 * 28e9 / SPEED_OF_LIGHT) <= 1e-15 * abs(fd)
-
-
-@pytest.mark.parametrize("range_m", [np.nan, -1.0])
-def test_target_rejects_bad_range(range_m):
-    with pytest.raises(ValueError, match="range"):
-        TargetParams(1.0, 10.0, range_m, 0.0)
+    # one subcarrier step turns the phase by -2*pi*tau*df, one symbol step by
+    # 2*pi*T_s*f_D; both steps stay inside (-pi, pi], so np.angle reads them unwrapped
+    wf = _wf()
+    tau = 2.0 * 120.0 / SPEED_OF_LIGHT
+    fd = 2.0 * 30.0 * 28e9 / SPEED_OF_LIGHT
+    assert delay_doppler_phase(120.0, 30.0, wf, 0, 0) == 1.0
+    step_p = np.angle(delay_doppler_phase(120.0, 30.0, wf, 1, 0))
+    step_q = np.angle(delay_doppler_phase(120.0, 30.0, wf, 0, 1))
+    assert step_p == pytest.approx(-2.0 * np.pi * tau * 120e3, rel=1e-12)
+    assert step_q == pytest.approx(2.0 * np.pi * 8.92e-6 * fd, rel=1e-12)
+    # separable: a column of subcarriers times a row of symbols is the full grid
+    p, q = np.arange(6)[:, None], np.arange(4)
+    grid = delay_doppler_phase(120.0, 30.0, wf, p, q)
+    assert grid.shape == (6, 4)
+    np.testing.assert_allclose(grid, np.exp(1j * (p * step_p + q * step_q)), atol=1e-12)
 
 
 def test_waveform_numerology_consistency():
@@ -90,37 +96,35 @@ def test_waveform_numerology_consistency():
 
 
 def test_radar_channel_no_phase_at_origin_cell():
-    targets = [
-        TargetParams(gain=0.7 + 0.2j, angle_deg=-30.0, range_m=50.0, velocity_mps=20.0),
-        TargetParams(gain=1.0, angle_deg=40.0, range_m=80.0, velocity_mps=-10.0),
-    ]
+    gains = [0.7 + 0.2j, 1.0]
+    specs = [TargetSpec(-30.0, 50.0, 20.0), TargetSpec(40.0, 80.0, -10.0)]
     wf = _wf()
-    h00 = radar_channel_at(targets, 0, 0, wf, 4, 4)
+    h00 = radar_channel_at(gains, specs, 0, 0, wf, 4, 4)
     expected = sum(
-        t.gain * np.outer(
-            np.exp(1j * np.pi * np.arange(4) * np.sin(np.deg2rad(t.angle_deg))),
-            np.exp(-1j * np.pi * np.arange(4) * np.sin(np.deg2rad(t.angle_deg))),
+        gain * np.outer(
+            np.exp(1j * np.pi * np.arange(4) * np.sin(np.deg2rad(spec.angle_deg))),
+            np.exp(-1j * np.pi * np.arange(4) * np.sin(np.deg2rad(spec.angle_deg))),
         )
-        for t in targets
+        for gain, spec in zip(gains, specs)
     )
     np.testing.assert_allclose(h00, expected, atol=1e-12)
 
 
 def test_radar_channel_static_target_symbol_invariant():
-    targets = [TargetParams(gain=1.0, angle_deg=15.0, range_m=60.0, velocity_mps=0.0)]
+    specs = [TargetSpec(15.0, 60.0, 0.0)]
     wf = _wf()
-    h1 = radar_channel_at(targets, 3, 0, wf, 4, 4)
-    h2 = radar_channel_at(targets, 3, 9, wf, 4, 4)
+    h1 = radar_channel_at([1.0], specs, 3, 0, wf, 4, 4)
+    h2 = radar_channel_at([1.0], specs, 3, 9, wf, 4, 4)
     np.testing.assert_allclose(h1, h2, atol=1e-12)
 
 
 def test_radar_channel_phase_advance_per_subcarrier():
     # d = 50 m, df = 120 kHz: phase step is -2*pi*tau*df with tau = 100/c
-    target = TargetParams(gain=1.0, angle_deg=0.0, range_m=50.0, velocity_mps=0.0)
+    target = [TargetSpec(0.0, 50.0, 0.0)]
     wf = _wf()
     expected = -2.0 * np.pi * (100.0 / SPEED_OF_LIGHT) * 120e3
-    h_p = radar_channel_at([target], 5, 2, wf, 2, 2)
-    h_p1 = radar_channel_at([target], 6, 2, wf, 2, 2)
+    h_p = radar_channel_at([1.0], target, 5, 2, wf, 2, 2)
+    h_p1 = radar_channel_at([1.0], target, 6, 2, wf, 2, 2)
     step = np.angle(h_p1[0, 0] / h_p[0, 0])
     np.testing.assert_allclose(step, expected, atol=1e-9)
     np.testing.assert_allclose(expected, -0.2515, atol=5e-5)
@@ -131,9 +135,9 @@ def test_radar_channel_on_grid_delay_cycle_count():
     wf = _wf(p=64)
     n_bins = 5
     rng_m = n_bins * SPEED_OF_LIGHT / (2 * 64 * 120e3)
-    target = TargetParams(gain=1.0, angle_deg=0.0, range_m=rng_m, velocity_mps=0.0)
+    target = [TargetSpec(0.0, rng_m, 0.0)]
     seq = np.array(
-        [radar_channel_at([target], p, 0, wf, 1, 1)[0, 0] for p in range(64)]
+        [radar_channel_at([1.0], target, p, 0, wf, 1, 1)[0, 0] for p in range(64)]
     )
     spectrum = np.abs(np.fft.fft(seq))
     assert int(np.argmax(spectrum)) == 64 - n_bins  # e^{-j2*pi*p*n/P} lands in bin P-n
@@ -141,11 +145,11 @@ def test_radar_channel_on_grid_delay_cycle_count():
 
 def test_radar_channel_grid_index_validation():
     wf = _wf(p=8, q=4)
-    t = [TargetParams(gain=1.0, angle_deg=0.0, range_m=10.0, velocity_mps=0.0)]
+    t = [TargetSpec(0.0, 10.0, 0.0)]
     with pytest.raises(ValueError):
-        radar_channel_at(t, 8, 0, wf, 2, 2)
+        radar_channel_at([1.0], t, 8, 0, wf, 2, 2)
     with pytest.raises(ValueError):
-        radar_channel_at(t, 0, -1, wf, 2, 2)
+        radar_channel_at([1.0], t, 0, -1, wf, 2, 2)
 
 
 def test_si_channel_pure_los_limit():

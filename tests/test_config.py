@@ -154,3 +154,84 @@ def test_load_config_rejects_bad_target_geometry(tmp_path, data, message):
         load_config(path, base=fast_profile())
     with pytest.raises(ValueError, match=message):
         load_config(path)
+
+
+@pytest.mark.parametrize("range_m", [-1.0, np.nan, np.inf])
+def test_target_rejects_bad_range(range_m):
+    with pytest.raises(ValueError, match="range"):
+        fast_profile(radar_targets=(TargetSpec(10.0, range_m, 0.0),))
+
+
+def _json_round_trip(tmp_path, data):
+    """Write ``data`` as a config file (NaN and Infinity as JSON's literals) and load it."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return load_config(path, base=fast_profile())
+
+
+def _as_overrides(data):
+    """Config-file ``data`` as keyword overrides: target dicts become TargetSpecs."""
+    return {k: TargetSpec(**v) if isinstance(v, dict) else v for k, v in data.items()}
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # fractional or boolean counts would fail later in spawn, reshape or slicing
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"trials": True}, "trials must be an integer"),
+        ({"n_subcarriers": 64.5}, "n subcarriers must be an integer"),
+        ({"n_symbols": "14"}, "n symbols must be an integer"),
+        ({"codebook_bits": 5.0}, "codebook bits must be an integer"),
+        ({"tx_rf_chains": False}, "tx rf chains must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        # NaN would run to a NaN rate or fail every trial with a misleading error
+        ({"user_noise_dbm": _NAN}, "user noise dbm must not be NaN"),
+        ({"bs_noise_dbm": _NAN}, "bs noise dbm must not be NaN"),
+        ({"ul_tx_power_dbm": _NAN}, "ul tx power dbm must not be NaN"),
+        ({"tx_power_dbm": _NAN}, "tx power dbm must not be NaN"),
+        ({"si_pathloss_db": _NAN}, "si pathloss db must not be NaN"),
+        ({"si_kappa_db": _NAN}, "si kappa db must not be NaN"),
+        ({"si_threshold_dbm": _NAN}, "si threshold dbm must not be NaN"),
+        ({"csi_nmse_db": _NAN}, "csi nmse db must not be NaN"),
+        ({"carrier_hz": _NAN}, "carrier hz must not be NaN"),
+        ({"subcarrier_spacing_hz": _NAN}, "subcarrier spacing hz must not be NaN"),
+        ({"symbol_duration_s": _NAN}, "symbol duration s must not be NaN"),
+        ({"music_grid_step_deg": _NAN}, "music grid step deg must not be NaN"),
+        # a noise power of -inf dBm is zero watts; +inf drowns every signal
+        ({"bs_noise_dbm": -_INF}, "bs noise dbm must be finite"),
+        ({"user_noise_dbm": -_INF}, "user noise dbm must be finite"),
+        ({"user_noise_dbm": _INF}, "user noise dbm must be finite"),
+        ({"ul_user": {"angle_deg": -10.0, "range_m": 100.0, "velocity_mps": _NAN}},
+         "target velocity must be finite"),
+        ({"ul_user": {"angle_deg": -10.0, "range_m": 100.0, "velocity_mps": -_INF}},
+         "target velocity must be finite"),
+        ({"ul_user": {"angle_deg": -10.0, "range_m": _INF}}, "target range must be finite"),
+        ({"ul_user": {"angle_deg": -10.0, "range_m": _NAN}}, "target range must be finite"),
+    ],
+)
+def test_config_holes_rejected_when_config_is_built(tmp_path, data, message):
+    with pytest.raises(ValueError, match=message):
+        fast_profile(**_as_overrides(data))
+    with pytest.raises(ValueError, match=message):
+        _json_round_trip(tmp_path, data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"si_threshold_dbm": _INF},  # no ADC saturation cap
+        {"si_kappa_db": _INF},  # pure line-of-sight SI channel
+        {"csi_nmse_db": -_INF},  # perfect SI channel estimate
+        {"ul_tx_power_dbm": -_INF},  # silent uplink user
+        {"seed": np.int64(3), "trials": np.int32(2)},
+    ],
+)
+def test_legal_infinities_and_numpy_integers_accepted(tmp_path, data):
+    cfg = fast_profile(**data)
+    assert all(getattr(cfg, k) == v for k, v in data.items())
+    if not any(isinstance(v, np.integer) for v in data.values()):
+        assert _json_round_trip(tmp_path, data) == cfg

@@ -1,14 +1,17 @@
 import numpy as np
+import pytest
 
 from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import build_cancellers
-from fdisac.metrics import LinkMetrics, dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
+from fdisac.config import fast_profile
+from fdisac.metrics import dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
 from fdisac.optimizer import (
     HybridBeamformers,
     build_estimated_channels,
     mss_rx_combiner,
     nsp_rx_combiner,
 )
+from fdisac.runner import run_scenario
 from oracles import steering
 
 
@@ -225,8 +228,11 @@ def test_nsp_beats_mss_in_expectation():
     assert np.mean(gains_nsp) >= np.mean(gains_mss)
 
 
-def test_link_metrics_rate_mapping():
-    lm = LinkMetrics.from_sinrs(10.0, 3.0, 1.0)
-    np.testing.assert_allclose(lm.rate_dl, 2.0)
-    np.testing.assert_allclose(lm.rate_ul, 1.0)
-    assert lm.gamma_rad == 10.0
+def test_trial_record_rates_map_sinrs_through_log2():
+    report = run_scenario(fast_profile(trials=2, seed=4))
+    for trial in report.trials:
+        m = trial["metrics"]
+        for rate, gamma in (("rate_dl", "gamma_dl"), ("rate_ul_nsp", "gamma_ul_nsp"),
+                            ("rate_ul_mss", "gamma_ul_mss")):
+            assert m[gamma] > 0.0
+            assert m[rate] == pytest.approx(np.log2(1.0 + m[gamma]), rel=1e-15, abs=0.0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from fdisac.arrays import dft_codebook, ula_response_matrix
 from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import build_cancellers
-from fdisac.channels import TargetParams, delay_doppler_phase, gen_ul_channel
+from fdisac.channels import SPEED_OF_LIGHT, delay_doppler_phase, gen_ul_channel
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac import runner
 from fdisac.runner import (
@@ -63,41 +66,42 @@ def _crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def _oracle_snapshots(radar_targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf, sym_u,
+def _oracle_snapshots(specs, gains, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf, sym_u,
                       noise_rf):
     """Slot-1 snapshots term by term on the grid, as before the waveform basis.
 
     ``tx_rf`` is the RF-chain TX signal V_bb sym_b and row k of ``phases``
-    target k's delay-Doppler phase over the cells.
+    target k's delay-Doppler phase over the cells; target k reflects with
+    ``gains[k]`` from ``specs[k]``.
     """
     w_h = w_rf.assembled.conj().T
     y = si_residual @ tx_rf
     y += np.outer(w_h @ (h_ul @ v_u), sym_u)
-    for t, phase in zip(radar_targets, phases):
-        a_rx = steering(h_ul.shape[0], t.angle_deg)
-        a_tx = steering(v_rf.n_antennas, t.angle_deg)
-        y += np.outer(w_h @ a_rx, t.gain * phase * ((a_tx.conj() @ v_rf.assembled) @ tx_rf))
+    for spec, gain, phase in zip(specs, gains, phases):
+        a_rx = steering(h_ul.shape[0], spec.angle_deg)
+        a_tx = steering(v_rf.n_antennas, spec.angle_deg)
+        y += np.outer(w_h @ a_rx, gain * phase * ((a_tx.conj() @ v_rf.assembled) @ tx_rf))
     y += noise_rf
     return y
 
 
-def _oracle_projection(c, radar_targets, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf,
+def _oracle_projection(c, specs, gains, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf,
                        sym_u, noise_rf):
     """c^T y of :func:`_oracle_snapshots`, each term projected before it meets the grid."""
     cw_h = c @ w_rf.assembled.conj().T
-    a_tx_v = [steering(v_rf.n_antennas, t.angle_deg).conj() @ v_rf.assembled for t in radar_targets]
+    a_tx_v = [steering(v_rf.n_antennas, spec.angle_deg).conj() @ v_rf.assembled for spec in specs]
     terms = np.array([c @ si_residual] + a_tx_v) @ tx_rf
     y = (cw_h @ (h_ul @ v_u)) * sym_u + terms[0] + c @ noise_rf
-    for t, phase, echo in zip(radar_targets, phases, terms[1:]):
-        y += (cw_h @ steering(h_ul.shape[0], t.angle_deg)) * t.gain * phase * echo
+    for spec, gain, phase, echo in zip(specs, gains, phases, terms[1:]):
+        y += (cw_h @ steering(h_ul.shape[0], spec.angle_deg)) * gain * phase * echo
     return y
 
 
 def _oracle_pointed_analog(n_chains, cb, angle_deg):
     """Every chain on the codebook beam with the highest gain toward ``angle_deg``."""
-    gains = np.abs(cb.vectors.conj() @ steering(cb.n_elems, angle_deg))
+    gains = np.abs(cb.conj() @ steering(cb.shape[-1], angle_deg))
     idx = int(np.argmax(gains))
-    return assemble_analog(np.tile(cb.vectors[idx], (n_chains, 1)))
+    return assemble_analog(np.tile(cb[idx], (n_chains, 1)))
 
 
 def _basis(cfg, rng, sigma):
@@ -110,32 +114,31 @@ def _basis(cfg, rng, sigma):
 
 
 def _scene(cfg, rng):
-    """Random target gains, UL channel and precoders of one trial of ``cfg``, and its basis."""
-    targets = [
-        TargetParams(np.exp(2j * np.pi * rng.random()), s.angle_deg, s.range_m, s.velocity_mps)
-        for s in cfg.all_target_specs()
-    ]
+    """Target specs and random gains, UL channel and precoders of one trial of ``cfg``, its basis."""
+    specs = cfg.all_target_specs()
+    gains = np.array([np.exp(2j * np.pi * rng.random()) for _ in specs])
     h_ul = gen_ul_channel(1j, cfg.ul_user.angle_deg, cfg.n_rx_antennas, cfg.ul_user_antennas)
     v_u = _crandn(rng, cfg.ul_user_antennas)
     v_bb = _crandn(rng, cfg.tx_rf_chains, cfg.n_streams)
     basis, n_drawn = _basis(cfg, rng, 1e-3)
-    return targets, h_ul, v_u, v_bb, basis, n_drawn
+    return specs, gains, h_ul, v_u, v_bb, basis, n_drawn
 
 
-def _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, targets):
+def _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, specs, gains):
     """Slot-1 snapshots of one trial, a block of one over ``basis``."""
-    angles = [t.angle_deg for t in targets]
-    gains = np.array([[t.gain for t in targets]])
+    angles = [spec.angle_deg for spec in specs]
     (y,) = synthesize_rx_snapshots(basis[None, :n_drawn], basis, scenario_plan(cfg).phases, w_rf,
-                                   v_rf, resid[None], v_bb, h_ul[None], v_u[None], angles, gains)
+                                   v_rf, resid[None], v_bb, h_ul[None], v_u[None], angles,
+                                   np.asarray(gains)[None])
     return y
 
 
-def _oracle_waveforms(cfg, targets, basis, v_bb):
+def _oracle_waveforms(cfg, specs, basis, v_bb):
     """Phases, V_bb sym_b, sym_u and noise in the per-term oracles' form, read from ``basis``."""
     wf, st = cfg.waveform(), cfg.n_streams
     column, row = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
-    phases = [delay_doppler_phase(t, wf, column, row).ravel() for t in targets]
+    phases = [delay_doppler_phase(s.range_m, s.velocity_mps, wf, column, row).ravel()
+              for s in specs]
     return phases, v_bb @ basis[:st], basis[st], basis[st + 1 : st + 1 + cfg.rx_rf_chains]
 
 
@@ -145,11 +148,8 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     wf = cfg.waveform()
     rng = np.random.default_rng(0)
     cells = wf.n_subcarriers * wf.n_symbols
-    targets = [
-        TargetParams(gain=0.8 + 0.1j, angle_deg=s.angle_deg, range_m=s.range_m,
-                     velocity_mps=s.velocity_mps)
-        for s in cfg.all_target_specs()
-    ]
+    specs = cfg.all_target_specs()
+    gains = [0.8 + 0.1j] * len(specs)
     cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
     cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
     v_rf = spread_analog(cfg.tx_rf_chains, cb_tx)
@@ -162,12 +162,12 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     basis, n_drawn = _basis(cfg, rng, 0.1)
     sym_b, sym_u, noise = basis[:st], basis[st], basis[st + 1 : st + 5]
 
-    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, si_residual, v_bb, h_ul, v_u, targets)
+    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, si_residual, v_bb, h_ul, v_u, specs, gains)
 
     w_h = w_rf.assembled.conj().T
     for cell in (0, 17, cells - 1):
         p, q = divmod(cell, wf.n_symbols)
-        h_rad = radar_channel_at(targets, p, q, wf, 8, 8)
+        h_rad = radar_channel_at(gains, specs, p, q, wf, 8, 8)
         x_b = v_rf.assembled @ (v_bb @ sym_b[:, cell])  # antenna-domain TX vector
         expected = w_h @ (h_rad @ x_b + h_ul @ (v_u * sym_u[cell]))
         expected += si_residual @ (v_bb @ sym_b[:, cell]) + noise[:, cell]
@@ -180,9 +180,7 @@ def test_waveform_basis_draws_match_complex_draws(profile):
     cfg = profile()
     wf, st, m = cfg.waveform(), cfg.n_streams, cfg.rx_rf_chains
     n = wf.n_subcarriers * wf.n_symbols
-    targets = [
-        TargetParams(1.0, s.angle_deg, s.range_m, s.velocity_mps) for s in cfg.all_target_specs()
-    ]
+    specs = cfg.all_target_specs()
     sigma = np.sqrt(cfg.sigma_b2_watts)
     rng_basis, rng = np.random.default_rng(3), np.random.default_rng(3)
     basis, _ = _basis(cfg, rng_basis, sigma)
@@ -190,9 +188,10 @@ def test_waveform_basis_draws_match_complex_draws(profile):
     sym_u = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
     noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     column, row = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
-    echoes = [delay_doppler_phase(t, wf, column, row).ravel() * sym_b for t in targets]
+    echoes = [delay_doppler_phase(s.range_m, s.velocity_mps, wf, column, row).ravel() * sym_b
+              for s in specs]
     expected = np.concatenate([sym_b, sym_u[None], noise, *echoes])
-    assert basis.shape == expected.shape == (st + 1 + m + len(targets) * st, n)
+    assert basis.shape == expected.shape == (st + 1 + m + len(specs) * st, n)
     assert basis.tobytes() == expected.tobytes()  # bit for bit
     assert rng_basis.bit_generator.state == rng.bit_generator.state
 
@@ -203,13 +202,14 @@ def test_slot1_snapshots_match_per_term_oracle(profile):
     # with a nonzero SI residual
     cfg = profile()
     rng = np.random.default_rng(13)
-    targets, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
+    specs, gains, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
     v_rf = spread_analog(cfg.tx_rf_chains, dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits))
     w_rf = spread_analog(cfg.rx_rf_chains, dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits))
     resid = 1e-2 * _crandn(rng, cfg.rx_rf_chains, cfg.tx_rf_chains)
-    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, targets)
-    phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, targets, basis, v_bb)
-    expected = _oracle_snapshots(targets, phases, h_ul, resid, v_rf, tx_rf, v_u, w_rf, sym_u, noise)
+    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, specs, gains)
+    phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, specs, basis, v_bb)
+    expected = _oracle_snapshots(specs, gains, phases, h_ul, resid, v_rf, tx_rf, v_u, w_rf, sym_u,
+                                 noise)
     assert y.shape == expected.shape
     assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -468,19 +468,20 @@ def test_separable_phase_matches_single_exponential(profile):
     # an argument of up to ~64 cycles here (~780 off grid), so they agree to
     # 1e-14 per cycle rather than absolutely
     wf = profile().waveform()
-    targets = [
-        TargetParams(1.0, s.angle_deg, s.range_m, s.velocity_mps)
-        for s in profile().all_target_specs()
-    ] + [TargetParams(1.0, 0.0, 1234.5, -71.3)]  # off the range and velocity grid
+    targets = [(s.range_m, s.velocity_mps) for s in profile().all_target_specs()]
+    targets.append((1234.5, -71.3))  # off the range and velocity grid
     cell_p, cell_q = np.divmod(np.arange(wf.n_subcarriers * wf.n_symbols), wf.n_symbols)
     column, row = np.arange(wf.n_subcarriers)[:, None], np.arange(wf.n_symbols)
-    for t in targets:
-        cycles = wf.symbol_duration_s * t.doppler_hz(wf.carrier_hz) * cell_q - (
-            t.delay_s * wf.subcarrier_spacing_hz * cell_p
+    for range_m, velocity_mps in targets:
+        delay = 2.0 * range_m / SPEED_OF_LIGHT
+        doppler = 2.0 * velocity_mps * wf.carrier_hz / SPEED_OF_LIGHT
+        cycles = wf.symbol_duration_s * doppler * cell_q - (
+            delay * wf.subcarrier_spacing_hz * cell_p
         )
         single = np.exp(2j * np.pi * cycles)
-        grid = delay_doppler_phase(t, wf, column, row).ravel()
-        np.testing.assert_array_equal(grid, delay_doppler_phase(t, wf, cell_p, cell_q))
+        grid = delay_doppler_phase(range_m, velocity_mps, wf, column, row).ravel()
+        np.testing.assert_array_equal(
+            grid, delay_doppler_phase(range_m, velocity_mps, wf, cell_p, cell_q))
         assert np.abs(grid - single).max() <= 1e-14 * max(1.0, np.abs(cycles).max())
 
 
@@ -494,7 +495,7 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
     wf = cfg.waveform()
     st, m = cfg.n_streams, cfg.rx_rf_chains
     rng = np.random.default_rng(11)
-    targets, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
+    specs, gains, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
     for cell, scale in ((0, 0.0), (5, 1e-10), (17, 0.0)):
         # a zero or tiny reference in every dwell: scale sym_b and its echoes
         basis[:st, cell] *= scale
@@ -503,16 +504,15 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
     h_si_hat = h_si + 0.1 * _crandn(rng, *h_si.shape)
     cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
     cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
-    angles = np.array([t.angle_deg for t in targets])
-    gains = np.array([[t.gain for t in targets]])
+    angles = np.array([spec.angle_deg for spec in specs])
     (cy,), (s,) = dwell_projections(
         cfg, scenario_plan(cfg), basis[None, :n_drawn], basis, angles[None], h_si[None],
-        h_si_hat[None], v_bb, h_ul[None], v_u[None], gains,
+        h_si_hat[None], v_bb, h_ul[None], v_u[None], gains[None],
     )
-    shape = (len(targets), wf.n_subcarriers, wf.n_symbols)
+    shape = (len(specs), wf.n_subcarriers, wf.n_symbols)
     z, excluded = delay_doppler_quotient(cy.reshape(shape), s.reshape(shape))
 
-    phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, targets, basis, v_bb)
+    phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, specs, basis, v_bb)
     for k, theta in enumerate(angles):
         v_k = _oracle_pointed_analog(cfg.tx_rf_chains, cb_tx, theta)
         w_k = _oracle_pointed_analog(m, cb_rx, theta)
@@ -521,7 +521,7 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
         resid = w_h @ h_si @ v_k.assembled + canc.analog + canc.digital
         assert np.abs(resid).max() > 1e-3
         c = w_k.assembled.T @ steering(cfg.n_rx_antennas, theta).conj() / cfg.n_rx_antennas
-        args = (targets, phases, h_ul, resid, v_k, tx_rf, v_u, w_k, sym_u, noise)
+        args = (specs, gains, phases, h_ul, resid, v_k, tx_rf, v_u, w_k, sym_u, noise)
         full = c @ _oracle_snapshots(*args)
         ref = steering(cfg.n_tx_antennas, theta).conj() @ (v_k.assembled @ tx_rf)
         for got, want in ((cy[k], full), (cy[k], _oracle_projection(c, *args)), (s[k], ref)):
@@ -529,8 +529,8 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
         z_k, excluded_k = delay_doppler_quotient(full.reshape(shape[1:]), ref.reshape(shape[1:]))
         np.testing.assert_array_equal(excluded[k], excluded_k)
         assert np.abs(z[k] - z_k).max() <= 1e-12 * np.abs(z_k).max()
-    assert excluded.reshape(len(targets), -1)[:, [0, 5, 17]].all()
-    assert excluded.sum() == 3 * len(targets)
+    assert excluded.reshape(len(specs), -1)[:, [0, 5, 17]].all()
+    assert excluded.sum() == 3 * len(specs)
 
 
 def test_coincident_radar_targets_swap_roles_silently():
@@ -635,7 +635,7 @@ def test_slot2_block_matches_one_trial_blocks_and_isolates_a_failed_trial():
                  "uplink direction lies inside the radar interference span"
     }
     for t in (0, 1, 3):
-        (one,) = _slot2(cfg, block.take([t]))
+        (one,) = _slot2(cfg, _sense_block(cfg, plan, [np.random.default_rng(seeds[t])]))
         assert one.keys() == records[t].keys() and "error" not in one
         assert one["sensing"] == records[t]["sensing"]
         for key, value in one["metrics"].items():
@@ -739,3 +739,33 @@ def test_peak_memory_grows_per_trial_only_by_the_records(profile, few, many, bou
 )
 def test_peak_memory_of_one_call_is_bounded(profile, trials, bound):
     assert _traced_peak(profile(trials=trials, seed=3)) <= bound
+
+
+_FAULTS_OF_A_WARM_CALL = """
+import resource
+from fdisac import run_scenario, table1_profile
+
+cfg = table1_profile(trials=1, seed=2)
+run_scenario(cfg)
+run_scenario(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_scenario(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_warm_one_trial_table1_call_touches_no_fresh_pages():
+    # The basis window reuses the drawn rows' buffer, so a warm one-trial call
+    # copies no rows and faults in no new pages (0-3 measured). A separately
+    # allocated echo scratch takes ~2,200 faults per call. The count runs in a
+    # fresh process after two warm-up calls: earlier tests' allocations would
+    # hide the scratch's pages, and one warm-up leaves the allocator unsettled
+    # (~1,370 faults on the second call).
+    src = str(Path(runner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_OF_A_WARM_CALL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 100

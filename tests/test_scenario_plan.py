@@ -76,10 +76,10 @@ def test_cached_arrays_are_read_only(profile):
     plan = scenario_plan(cfg)
     arrays = dict(_arrays(plan))
     assert sorted(arrays) == sorted([
-        "cb_tx.vectors", "cb_rx.vectors", "v_rf0.per_chain", "v_rf0.assembled",
+        "cb_tx", "cb_rx", "v_rf0.per_chain", "v_rf0.assembled",
         "w_rf0.per_chain", "w_rf0.assembled", "grid_deg", "manifold", "gain", "phases",
     ])
-    arrays["dft_codebook"] = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits).vectors
+    arrays["dft_codebook"] = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
     for name, array in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0

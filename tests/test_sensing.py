@@ -155,7 +155,7 @@ def test_music_custom_manifold_recovers_through_combiner():
     # covariance observed behind an analog combiner; scanning with the
     # effective manifold W^H a(theta) still localizes the source
     cb = dft_codebook(4, 4)
-    w = assemble_analog(cb.vectors[[2, 7, 11, 14]])
+    w = assemble_analog(cb[[2, 7, 11, 14]])
     theta = 10.0
     a = steering(16, theta)
     b = w.assembled.conj().T @ a
@@ -187,7 +187,7 @@ def test_reference_signal_orthogonal_tx_vector():
     # different grid angle produces a null reference
     cb = dft_codebook(8, 3)
     theta = float(np.degrees(np.arcsin(-1 + 2 * 5 / 8)))
-    v_rf = assemble_analog(cb.vectors[2])  # different grid beam, orthogonal to a(theta)
+    v_rf = assemble_analog(cb[2])  # different grid beam, orthogonal to a(theta)
     s = reference_signal_grid(theta, v_rf, np.eye(1), np.ones((1, 1)))
     np.testing.assert_allclose(s, np.zeros(1), atol=1e-12)
 
