@@ -1,33 +1,25 @@
-"""Analog multi-tap and digital self-interference cancellers.
+"""Analog multi-tap self-interference canceller and its residual accounting.
 
-Both cancellers act on the RF-chain-compressed SI channel estimate. The
-analog stage negates the first n_taps/m_rf columns (taps are spread evenly
-over the RX chains); the digital stage subtracts whatever the analog stage
-left: D = -(H_hat + C), so with a perfect estimate H + C + D == 0.
+The analog canceller C negates the first n_taps/m_rf columns of the
+RF-chain-compressed SI channel estimate (taps are spread evenly over the RX
+chains). The digital canceller D = -(H_hat + C) subtracts what C left, so
+both leave H + C + D = H - H_hat, the compressed estimation error, for any
+tap count: the pipeline never forms D. C shapes the per-chain SI that
+reaches the ADCs before the digital stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["CancellerPair", "build_cancellers", "si_residual", "analog_residual_power_per_chain"]
+__all__ = ["build_cancellers", "analog_residual_power_per_chain"]
 
 
-@dataclass(frozen=True)
-class CancellerPair:
-    """Analog taps C (zero beyond the tapped columns) and digital canceller D."""
+def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> np.ndarray:
+    """Analog canceller C of a compressed SI channel estimate, zero beyond the tapped columns.
 
-    analog: np.ndarray
-    digital: np.ndarray
-
-
-def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> CancellerPair:
-    """Construct the canceller pair from the compressed SI channel estimate.
-
-    ``h_tilde_hat`` is (m_rf, n_rf) or a stack (..., m_rf, n_rf); the pair then
-    holds one canceller per matrix of the stack.
+    ``h_tilde_hat`` is (m_rf, n_rf) or a stack (..., m_rf, n_rf), and C has its shape.
+    D is not formed: what it leaves, H - H_hat, does not depend on C.
     """
     h = np.asarray(h_tilde_hat, dtype=complex)
     if h.ndim < 2:
@@ -42,17 +34,7 @@ def build_cancellers(h_tilde_hat: np.ndarray, n_taps: int) -> CancellerPair:
         raise ValueError(f"{n_taps} taps cover {cols} columns but only {n_rf} exist")
     analog = np.zeros_like(h)
     analog[..., :cols] = -h[..., :cols]
-    digital = -(h + analog)
-    return CancellerPair(analog=analog, digital=digital)
-
-
-def si_residual(h_tilde: np.ndarray, pair: CancellerPair) -> np.ndarray:
-    """Post-canceller SI matrix H_tilde + C + D of a compressed SI channel or a stack.
-
-    With the cancellers built from an estimate of ``h_tilde`` this is what
-    the estimation error leaves; with a perfect estimate it is exactly zero.
-    """
-    return h_tilde + pair.analog + pair.digital
+    return analog
 
 
 def analog_residual_power_per_chain(

@@ -29,6 +29,11 @@ __all__ = [
 
 PROFILE_NAMES = ("table1", "fast")
 
+# The infinite float values that run: silent links, no SI, no ADC cap, perfect SI CSI.
+_LEGAL_INFINITIES = {"tx_power_dbm": (-math.inf,), "ul_tx_power_dbm": (-math.inf,),
+                     "si_pathloss_db": (math.inf,), "si_kappa_db": (-math.inf, math.inf),
+                     "si_threshold_dbm": (math.inf,), "csi_nmse_db": (-math.inf,)}
+
 
 def dbm_to_watt(x_dbm: float) -> float:
     """Power conversion 10^((x - 30) / 10); accepts -inf as exactly zero watts."""
@@ -90,16 +95,25 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # Annotations are strings (postponed evaluation); a config file can put
-        # any JSON value, NaN included, into any field.
+        # any JSON value, NaN and the infinities included, into any field.
         for f in fields(self):
             name, value = f.name.replace("_", " "), getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool)
                                     or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if f.type in ("float", "float | None") and value != value:  # NaN; safe on any type
-                raise ValueError(f"{name} must not be NaN")
-            if f.name in ("bs_noise_dbm", "user_noise_dbm") and value in (-math.inf, math.inf):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if f.type == "float" or (f.type == "float | None" and value is not None):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
+                if value != value:
+                    raise ValueError(f"{name} must not be NaN")
+                if math.isinf(value) and value not in _LEGAL_INFINITIES.get(f.name, ()):
+                    raise ValueError(f"{name} must be finite, got {value}")
+                if f.name == "music_grid_step_deg" and not value > 0:
+                    raise ValueError(f"{name} must be positive, got {value}")
+        for name, watts in (("bs noise", self.sigma_b2_watts), ("user noise", self.sigma_u2_watts),
+                            ("si threshold", self.lambda_b_watts)):
+            if not watts > 0:  # a finite dBm value can underflow to 0 W
+                raise ValueError(f"{name} power must be positive, got {watts} W")
         if min(
             self.tx_rf_chains,
             self.rx_rf_chains,

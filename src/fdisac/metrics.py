@@ -1,8 +1,9 @@
 """SINR and achievable-rate evaluation for the radar, downlink and uplink links.
 
-The SI residual terms use the true compressed channel together with the
-estimate-derived cancellers, so imperfect channel knowledge leaves a nonzero
-residual in the denominators. Rates map through log2(1 + sinr).
+The radar and uplink SINRs are formulas over terms formed once per design:
+the radar echo, the uplink term and the SI R V_bb, where R, the true
+compressed SI channel minus its estimate, is what both cancellers leave.
+Rates map through log2(1 + sinr).
 
 Every function also takes a stack of designs and channels along leading
 axes and then returns one value per trial, shape (...).
@@ -12,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cancellers import si_residual
-from .optimizer import EstimatedChannels, HybridBeamformers
+from .optimizer import HybridBeamformers
 
 __all__ = ["radar_sinr", "dl_snr", "ul_sinr", "ideal_dl_rate"]
 
@@ -27,23 +27,14 @@ def _herm(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2).conj()
 
 
-def radar_sinr(
-    bf: HybridBeamformers,
-    est: EstimatedChannels,
-    true_h_tilde: np.ndarray,
-    sigma_b2: float,
-) -> float:
-    """Sensing-echo SINR.
+def radar_sinr(echo: np.ndarray, si: np.ndarray, w_rf: np.ndarray, sigma_b2: float) -> float:
+    """Sensing-echo SINR ||echo||_F^2 / (||si||_F^2 + ||W_rf||_F^2 sigma_b^2).
 
-    Numerator: ||W_rf^H H_rad_hat V_rf V_bb||_F^2. Denominator: post-canceller
-    SI power plus ||W_rf||_F^2 * sigma_b^2.
+    ``echo`` is W_rf^H H_rad_hat V_rf V_bb, ``si`` is R V_bb and ``w_rf`` is W_rf.
     """
     if sigma_b2 <= 0:
         raise ValueError(f"noise power must be positive, got {sigma_b2}")
-    w_rf = bf.w_b_rf.assembled
-    sig = _herm(w_rf) @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
-    den = _power(si_residual(true_h_tilde, bf.cancellers) @ bf.v_b_bb)
-    return _power(sig) / (den + _power(w_rf) * sigma_b2)
+    return _power(echo) / (_power(si) + _power(w_rf) * sigma_b2)
 
 
 def dl_snr(bf: HybridBeamformers, h_dl: np.ndarray, sigma_u2: float) -> float:
@@ -54,25 +45,18 @@ def dl_snr(bf: HybridBeamformers, h_dl: np.ndarray, sigma_u2: float) -> float:
     return _power(sig) / (_power(bf.w_u) * sigma_u2)
 
 
-def ul_sinr(
-    bf: HybridBeamformers,
-    est: EstimatedChannels,
-    true_h_tilde: np.ndarray,
-    sigma_b2: float,
-) -> float:
-    """Uplink SINR after the digital combiner.
+def ul_sinr(w_bb: np.ndarray, ul: np.ndarray, echo: np.ndarray, si: np.ndarray,
+            sigma_b2: float) -> float:
+    """Uplink SINR after the digital combiner ``w_bb``.
 
-    The downlink echo off the radar targets interferes with uplink reception,
-    so the denominator collects the combined radar term, the post-canceller SI
-    residual and the noise floor.
+    ``ul`` is W_rf^H H_ul_hat v_u as a column, ``echo`` and ``si`` those of
+    :func:`radar_sinr`: the downlink echo off the radar targets interferes
+    with uplink reception, as do the post-canceller SI and the noise floor.
     """
     if sigma_b2 <= 0:
         raise ValueError(f"noise power must be positive, got {sigma_b2}")
-    w_eff_h = _herm(bf.w_b_rf.assembled @ bf.w_b_bb)  # (..., n_streams, m_b)
-    sig = w_eff_h @ est.h_ul_hat @ bf.v_u_bb[..., None]
-    radar_leak = w_eff_h @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
-    si_leak = _herm(bf.w_b_bb) @ si_residual(true_h_tilde, bf.cancellers) @ bf.v_b_bb
-    return _power(sig) / (_power(radar_leak) + _power(si_leak) + sigma_b2)
+    w_h = _herm(w_bb)
+    return _power(w_h @ ul) / (_power(w_h @ echo) + _power(w_h @ si) + sigma_b2)
 
 
 def ideal_dl_rate(h_dl: np.ndarray, p_b: float, sigma_u2: float, st: int) -> float:

@@ -7,7 +7,7 @@ The design runs as an ordered sequence of sub-problems:
   2. per-chain codebook search for the TX analog beamformer (radar gain),
   3. per-chain codebook ratio search for the RX analog beamformer (radar gain
      over SI leakage),
-  4. canceller construction from the compressed SI estimate,
+  4. analog canceller construction from the compressed SI estimate,
   5. TX digital precoder: constrained least squares toward the SVD-ideal
      downlink target with a per-RX-chain SI leakage cap, solved through its
      Lagrangian dual by projected Newton on the per-chain multipliers (one
@@ -26,13 +26,13 @@ the data, runs once per trial. A trial that fails a step is recorded in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import dft_codebook
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
-from .cancellers import CancellerPair, build_cancellers
+from .cancellers import build_cancellers
 from .channels import gen_dl_channel, gen_ul_channel
 from .errors import DegenerateCombinerError, InfeasibleResultError
 
@@ -117,9 +117,10 @@ def build_estimated_channels(
 class HybridBeamformers:
     """Full beamformer solution for one slot, or a stack of them (one per trial).
 
+    ``analog_canceller`` is C of :func:`~fdisac.cancellers.build_cancellers`.
     ``errors`` holds one entry per trial of a stack (leading axes flattened):
-    None, or the exception that failed the trial's design or validation. A
-    failed trial's arrays hold finite stand-ins and carry no meaning.
+    None, or the exception that failed the trial's design. A failed trial's
+    arrays hold finite stand-ins and carry no meaning.
     """
 
     v_b_rf: AnalogBeamformer
@@ -128,37 +129,8 @@ class HybridBeamformers:
     w_b_bb: np.ndarray
     w_u: np.ndarray
     v_u_bb: np.ndarray
-    cancellers: CancellerPair
+    analog_canceller: np.ndarray
     errors: tuple = ()
-
-    def validate(self, p_b_watts: float, p_u_watts: float) -> "HybridBeamformers":
-        """Check the power and normalization invariants of every trial.
-
-        Returns the design with each trial that violates one marked failed by
-        its ``ValueError``; trials that already failed are not checked. A
-        single design (no trial axis) raises its error instead.
-        """
-        pw = np.ravel(tx_power(self.v_b_rf, self.v_b_bb))
-        ul_pw = np.ravel(np.linalg.norm(self.v_u_bb, axis=-1) ** 2)
-        col_dev = np.abs(np.linalg.norm(self.w_b_bb, axis=-2) - 1.0).max(axis=-1).ravel()
-        errors = list(self.errors or (None,) * pw.size)
-        for t, error in enumerate(errors):
-            if error is not None:
-                continue
-            if pw[t] > p_b_watts + 1e-9:
-                errors[t] = ValueError(f"TX power {float(pw[t])} exceeds budget {p_b_watts}")
-            elif ul_pw[t] > p_u_watts + 1e-12:
-                errors[t] = ValueError(f"UL power {float(ul_pw[t])} exceeds budget {p_u_watts}")
-            elif col_dev[t] > 1e-9:
-                errors[t] = ValueError("UL combiner columns must have unit norm")
-        return _settled(replace(self, errors=tuple(errors)))
-
-
-def _settled(bf: HybridBeamformers) -> HybridBeamformers:
-    """``bf``, unless it is a single design that failed: then its error is raised."""
-    if bf.v_b_bb.ndim == 2 and bf.errors[0] is not None:
-        raise bf.errors[0]
-    return bf
 
 
 def _fix_phase(m: np.ndarray) -> np.ndarray:
@@ -485,7 +457,7 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
     """Execute the full beamformer design from estimated channels.
 
     ``cfg`` is a :class:`~fdisac.config.ScenarioConfig`. Steps run in order
-    (user beamformers, TX analog, RX analog, channel compression, cancellers,
+    (user beamformers, TX analog, RX analog, channel compression, analog canceller,
     TX digital precoder, power normalization, NSP combiner); sub-operation
     failures are re-raised with the failing step named.
 
@@ -520,11 +492,11 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         h_dl_eff = est.h_dl_hat @ v_rf.assembled
 
         step = "canceller construction"
-        cancellers = build_cancellers(h_tilde_hat, cfg.analog_taps)
+        analog_canceller = build_cancellers(h_tilde_hat, cfg.analog_taps)
         # Conjugated rows of the post-analog-canceller SI matrix: with
         # t_r = conj(row_r), the constrained quantity ||V^H t_r||^2 equals the
         # physical per-chain residual ||row_r @ V||^2 that reaches the ADC.
-        leak_vecs = (h_tilde_hat + cancellers.analog).conj()
+        leak_vecs = (h_tilde_hat + analog_canceller).conj()
 
         step = "TX digital precoder"
         _, _, vh = np.linalg.svd(h_dl_eff, full_matrices=False)
@@ -564,13 +536,15 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         _at_step(exc, step)
         raise
 
-    return _settled(HybridBeamformers(
+    if not lead and errors[0] is not None:
+        raise errors[0]
+    return HybridBeamformers(
         v_b_rf=v_rf,
         v_b_bb=v_bb,
         w_b_rf=w_rf,
         w_b_bb=w_bb,
         w_u=w_u,
         v_u_bb=v_u,
-        cancellers=cancellers,
+        analog_canceller=analog_canceller,
         errors=tuple(errors),
-    ))
+    )

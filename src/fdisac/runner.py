@@ -11,9 +11,10 @@ a block only the generator draws stay per trial, each trial drawing from its
 own generator in its own order; the channels, slot-1 snapshots, covariances,
 MUSIC (one stacked eigendecomposition, peaks picked per trial), the K dwells,
 the delay-Doppler quotients and maps, and then slot 2's design and metrics
-(:func:`_slot2`) each run once over the block. A trial whose sensing or
-design fails records the same error as a one-trial block and the rest of its
-block continues.
+(:func:`_slot2`) each run once over the block. A trial whose sensing, design
+or power check fails records the same error as a one-trial block and the rest
+of its block continues. Every stage sees the SI both cancellers leave, the
+compressed estimation error (:func:`_si_residual`), whatever the tap count.
 
 Every sensing observation is linear in a few per-trial waveforms: the DL and
 UL symbols, the RX noise and each target's delay-Doppler phase times the DL
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -48,7 +49,8 @@ import numpy as np
 
 from .arrays import dft_codebook, ula_response_matrix
 from .beamforming import AnalogBeamformer, assemble_analog, tx_power
-from .cancellers import analog_residual_power_per_chain, build_cancellers, si_residual
+# build_cancellers is not called here: benchmarks/spans.py rebinds it (REBOUND) in this module
+from .cancellers import analog_residual_power_per_chain, build_cancellers  # noqa: F401
 from .channels import (
     Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel, gen_ul_channel, perturb_estimate,
 )
@@ -266,17 +268,17 @@ def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phas
     return out
 
 
-def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, si_residual: np.ndarray,
+def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, resid: np.ndarray,
                   v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, angles_deg,
                   gains: np.ndarray) -> np.ndarray:
     """Coefficients of the receivers c^T y over :func:`waveform_basis`, shape (..., n, n_rows).
 
     ``c`` (..., n, m_rf) holds n weight vectors on the RX chains of ``w_rf``.
     The leading axes of ``c``, of the networks ``w_rf`` and ``v_rf``, the
-    residuals ``si_residual``, the UL channels ``h_ul`` and precoders ``v_u``
+    residuals ``resid``, the UL channels ``h_ul`` and precoders ``v_u``
     and the gains ``gains`` (..., K) of the targets at ``angles_deg``
     broadcast together. With x = c^T W_rf^H the blocks are c^T R V_bb on
-    sym_b (R = H_tilde + C + D acts on the RF-chain TX signal V_bb sym_b),
+    sym_b (R = H_tilde - H_tilde_hat acts on the RF-chain TX signal V_bb sym_b),
     x h_ul v_u on sym_u, c^T on the noise and (x a_rx,k) beta_k
     (a_tx,k^H V_rf V_bb) on target k's rows.
     """
@@ -284,7 +286,7 @@ def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, si_residual
     a_rx = ula_response_matrix(h_ul.shape[-2], angles_deg)
     a_tx_v = ula_response_matrix(v_rf.n_antennas, angles_deg).conj().T @ v_rf.assembled @ v_bb
     echo = ((x @ a_rx) * gains[..., None, :])[..., :, None] * a_tx_v[..., None, :, :]
-    parts = [c @ si_residual @ v_bb, x @ (h_ul @ v_u[..., None]), c,
+    parts = [c @ resid @ v_bb, x @ (h_ul @ v_u[..., None]), c,
              echo.reshape(*echo.shape[:-2], -1)]
     lead = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
     return np.concatenate([part if part.shape[:-1] == lead else
@@ -294,7 +296,7 @@ def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, si_residual
 
 def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
                             w_rf: AnalogBeamformer, v_rf: AnalogBeamformer,
-                            si_residual: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
+                            resid: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
                             v_u: np.ndarray, angles_deg, gains: np.ndarray) -> np.ndarray:
     """RF-chain-domain snapshots of T trials over the whole OFDM grid, shape (T, m_rf, P*Q).
 
@@ -302,7 +304,7 @@ def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.nd
     snapshots are one product with its basis (:func:`basis_products`) and no
     antenna-domain signal is formed.
     """
-    rows = receiver_rows(np.eye(w_rf.n_chains), w_rf, v_rf, si_residual, v_bb, h_ul, v_u,
+    rows = receiver_rows(np.eye(w_rf.n_chains), w_rf, v_rf, resid, v_bb, h_ul, v_u,
                          angles_deg, gains)
     return basis_products(rows, drawn, window, phases, v_bb.shape[-1])
 
@@ -319,14 +321,15 @@ def _match_doas(est_doas, true_angles: Sequence[float]) -> np.ndarray:
 
 
 def _si_residual(w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, h_si_true: np.ndarray,
-                 h_si_hat: np.ndarray, n_taps: int) -> np.ndarray:
-    """Post-canceller SI matrix H_tilde + C + D, the cancellers built from the estimate.
+                 h_si_hat: np.ndarray) -> np.ndarray:
+    """Post-canceller SI matrix H_tilde - H_tilde_hat of one pair of networks or a stack of pairs.
 
-    H_tilde = W_rf^H H_si V_rf for one pair of networks or a stack of pairs.
+    H_tilde = W_rf^H H_si V_rf. Cancellers built from the estimate leave this
+    for any tap count (:mod:`fdisac.cancellers`), so none is formed here.
+    Compressing H_si - H_si_hat instead would round differently.
     """
     w_h = np.swapaxes(w_rf.assembled, -1, -2).conj()
-    canc = build_cancellers(w_h @ h_si_hat @ v_rf.assembled, n_taps)
-    return si_residual(w_h @ h_si_true @ v_rf.assembled, canc)
+    return w_h @ h_si_true @ v_rf.assembled - w_h @ h_si_hat @ v_rf.assembled
 
 
 def pointed_analog_stack(n_chains: int, cb: np.ndarray, angles_deg) -> AnalogBeamformer:
@@ -344,13 +347,13 @@ def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray
 
     A dwell repoints the TX and RX chains to the codebook beam nearest its
     angle, which restores full array gain for that target and pushes the
-    others into the subarray sidelobes; its SI canceller is rebuilt for the
-    new compression. Only the projection onto the dwell's RX weights is
+    others into the subarray sidelobes; its SI residual follows the new
+    compression. Only the projection onto the dwell's RX weights is
     formed, a trial's K dwells (``angles_deg`` (T, K)) as one product.
     """
     v_k = pointed_analog_stack(cfg.tx_rf_chains, plan.cb_tx, angles_deg)
     w_k = pointed_analog_stack(cfg.rx_rf_chains, plan.cb_rx, angles_deg)
-    resid = _si_residual(w_k, v_k, h_si_true[:, None], h_si_hat[:, None], cfg.analog_taps)
+    resid = _si_residual(w_k, v_k, h_si_true[:, None], h_si_hat[:, None])
     c = dwell_weights(w_k, angles_deg)[..., None, :]
     rows = receiver_rows(c, w_k, v_k, resid, v_bb, h_ul[:, None], v_u[:, None],
                          [t.angle_deg for t in cfg.all_target_specs()], gains[:, None])
@@ -434,9 +437,9 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     # Slot 1: spread beams, identity-like digital precoder, random UL direction.
     v_bb0 = np.eye(cfg.tx_rf_chains, dtype=complex)[:, :st] * np.sqrt(cfg.p_b_watts / st)
     v_u0 *= np.sqrt(cfg.p_u_watts)
-    si_residual0 = _si_residual(plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat, cfg.analog_taps)
+    resid0 = _si_residual(plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat)
     y_rf = synthesize_rx_snapshots(drawn, window, plan.phases, plan.w_rf0, plan.v_rf0,
-                                   si_residual0, v_bb0, h_ul_true, v_u0, angles, gains)
+                                   resid0, v_bb0, h_ul_true, v_u0, angles, gains)
 
     # Sensing: directions first, then per-target delay-Doppler. A trial whose
     # MUSIC fails keeps its error and senses the configured angles as a stand-in.
@@ -487,10 +490,10 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
     """Design the block's beamformers and score them, all trials as one stack.
 
     Returns one trial record per trial of ``block``: its sensing rows and
-    metrics, or the error that failed its design, validation or, for the
-    whole block, any other step. A trial whose sensing failed is designed
-    from its stand-in angles; :func:`run_scenario` records its sensing error
-    instead.
+    metrics, or the error that failed its design, its power checks (budgets,
+    unit-norm UL combiner columns) or, for the whole block, any other step.
+    A trial whose sensing failed is designed from its stand-in angles;
+    :func:`run_scenario` records its sensing error instead.
     """
     n_scatter, k = len(cfg.dl_scatterers), cfg.k_targets
     matched = block.matched
@@ -505,32 +508,42 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
             m_u=cfg.dl_user_antennas,
             n_u=cfg.ul_user_antennas,
         )
-        bf = run_algorithm1(est, cfg).validate(cfg.p_b_watts, cfg.p_u_watts)
+        bf = run_algorithm1(est, cfg)
 
         w_h = np.swapaxes(bf.w_b_rf.assembled, -1, -2).conj()
-        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf.assembled
-        gamma_rad = radar_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
+        si = _si_residual(bf.w_b_rf, bf.v_b_rf, block.h_si_true, block.h_si_hat) @ bf.v_b_bb
+        echo = w_h @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+        h_ul_eff = w_h @ est.h_ul_hat
+        ul = h_ul_eff @ bf.v_u_bb[..., None]
+        gamma_rad = radar_sinr(echo, si, bf.w_b_rf.assembled, cfg.sigma_b2_watts)
         gamma_dl = dl_snr(bf, block.h_dl_true, cfg.sigma_u2_watts)
-        gamma_ul = ul_sinr(bf, est, h_tilde_true, cfg.sigma_b2_watts)
-        bf_mss = replace(bf, w_b_bb=mss_rx_combiner(w_h @ est.h_ul_hat, 1))
-        gamma_ul_mss = ul_sinr(bf_mss, est, h_tilde_true, cfg.sigma_b2_watts)
+        gamma_ul = ul_sinr(bf.w_b_bb, ul, echo, si, cfg.sigma_b2_watts)
+        gamma_ul_mss = ul_sinr(mss_rx_combiner(h_ul_eff, 1), ul, echo, si, cfg.sigma_b2_watts)
         rate_dl, rate_ul, rate_ul_mss = (np.log2(1.0 + g)
                                          for g in (gamma_dl, gamma_ul, gamma_ul_mss))
         rate_dl_ideal = ideal_dl_rate(block.h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts,
                                       cfg.n_streams)
 
-        residual = analog_residual_power_per_chain(h_tilde_true, bf.cancellers.analog, bf.v_b_bb)
+        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf.assembled
+        residual = analog_residual_power_per_chain(h_tilde_true, bf.analog_canceller, bf.v_b_bb)
         h_int_eff = w_h @ est.h_rad_int_hat
         int_norm = np.linalg.norm(h_int_eff, axis=(-2, -1))
         null_norm = np.linalg.norm(np.swapaxes(bf.w_b_bb, -1, -2).conj() @ h_int_eff, axis=(-2, -1))
         nulling = np.divide(null_norm, int_norm, out=np.zeros_like(int_norm), where=int_norm > 0)
         tx_power_w = tx_power(bf.v_b_rf, bf.v_b_bb)
         ul_power_w = np.linalg.norm(bf.v_u_bb, axis=-1) ** 2
+        col_dev = np.abs(np.linalg.norm(bf.w_b_bb, axis=-2) - 1.0).max(axis=-1)
     except Exception as exc:  # a step failed for the whole block
         return [_error_record(exc) for _ in block.errors]
 
     records = []
     for t, (rows, error) in enumerate(zip(block.sensing_rows, bf.errors)):
+        if error is None and tx_power_w[t] > cfg.p_b_watts + 1e-9:
+            error = ValueError(f"TX power {float(tx_power_w[t])} exceeds budget {cfg.p_b_watts}")
+        elif error is None and ul_power_w[t] > cfg.p_u_watts + 1e-12:
+            error = ValueError(f"UL power {float(ul_power_w[t])} exceeds budget {cfg.p_u_watts}")
+        elif error is None and col_dev[t] > 1e-9:
+            error = ValueError("UL combiner columns must have unit norm")
         if error is not None:
             records.append(_error_record(error))
             continue

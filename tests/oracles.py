@@ -39,3 +39,18 @@ def radar_channel_at(
         phase = delay_doppler_phase(spec.range_m, spec.velocity_mps, wf, p, q)
         h += gain * phase * np.outer(a_rx, a_tx.conj())
     return h
+
+
+def post_canceller_si(h_tilde_true: np.ndarray, h_tilde_hat: np.ndarray, n_taps: int) -> np.ndarray:
+    """SI after both cancellers, H + C + D, with each canceller built as the paper states.
+
+    The analog canceller C negates the first n_taps/m_rf columns of the
+    estimate ``h_tilde_hat`` and the digital canceller is D = -(H_hat + C);
+    stacks (..., m_rf, n_rf) give one matrix per trial.
+    """
+    h_hat = np.asarray(h_tilde_hat, dtype=complex)
+    c = np.zeros_like(h_hat)
+    cols = n_taps // h_hat.shape[-2]
+    c[..., :cols] = -h_hat[..., :cols]
+    d = -(h_hat + c)
+    return h_tilde_true + c + d

@@ -57,8 +57,8 @@ def test_traced_run_calls_quotient_and_map_once_per_block():
     layers = tracer.layer_metrics(cfg.trials)
     # slot 1 only: the K dwells are projected, not synthesized
     assert layers["runner.synthesize_rx_snapshots.calls"] == blocks / cfg.trials
-    # per block: slot 1, the stack of K dwells and the slot-2 design
-    assert layers["cancellers.build_cancellers.calls"] == 3 * blocks / cfg.trials
+    # once per block, in the slot-2 design: sensing forms no canceller
+    assert layers["cancellers.build_cancellers.calls"] == blocks / cfg.trials
     assert layers["sensing.delay_doppler_quotient.cells"] == (
         cfg.k_targets * wf.n_subcarriers * wf.n_symbols
     )
@@ -83,7 +83,7 @@ def test_traced_run_counts_hold_from_warm_and_cold_cache():
         assert _build_plan.cache_info().misses == misses + (cache == "cold")
         layers = tracer.layer_metrics(cfg.trials)
         assert layers["runner.synthesize_rx_snapshots.calls"] == blocks / cfg.trials
-        assert layers["cancellers.build_cancellers.calls"] == 3 * blocks / cfg.trials
+        assert layers["cancellers.build_cancellers.calls"] == blocks / cfg.trials
         assert layers["sensing.delay_doppler_quotient.cells"] == (
             cfg.k_targets * wf.n_subcarriers * wf.n_symbols
         )
@@ -97,7 +97,5 @@ def test_traced_run_counts_hold_from_warm_and_cold_cache():
     for name, n in calls["cold"].items():
         if name in per_trial:
             assert n == cfg.trials, name
-        elif name == "cancellers.build_cancellers":
-            assert n == 3 * blocks
         else:
             assert n == blocks * (2 if name == "metrics.ul_sinr" else 1), name

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from fdisac.arrays import dft_codebook
+from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import analog_residual_power_per_chain, build_cancellers
+from fdisac.runner import _si_residual
+from oracles import post_canceller_si
 
 
 def _random_h(rng, m=2, n=4):
@@ -9,31 +13,51 @@ def _random_h(rng, m=2, n=4):
 
 
 def test_zero_taps_all_digital():
+    # no taps: C is zero and the digital stage (never formed) cancels all of H
     h = _random_h(np.random.default_rng(0))
-    pair = build_cancellers(h, 0)
-    np.testing.assert_array_equal(pair.analog, np.zeros_like(h))
-    np.testing.assert_array_equal(pair.digital, -h)
+    c = build_cancellers(h, 0)
+    np.testing.assert_array_equal(c, np.zeros_like(h))
+    assert c.shape == h.shape and c.dtype == complex
 
 
 def test_full_taps_all_analog():
     h = _random_h(np.random.default_rng(1))
-    pair = build_cancellers(h, 8)  # 2 chains x 4 columns
-    np.testing.assert_array_equal(pair.analog, -h)
-    np.testing.assert_array_equal(pair.digital, np.zeros_like(h))
+    np.testing.assert_array_equal(build_cancellers(h, 8), -h)  # 2 chains x 4 columns
 
 
 @pytest.mark.parametrize("taps", [0, 2, 4, 6, 8])
 def test_perfect_csi_cancellation_telescopes(taps):
+    # D = -(H_hat + C): with a perfect estimate both cancellers leave nothing,
+    # and C leaves nothing for D on the tapped columns
     h = _random_h(np.random.default_rng(2))
-    pair = build_cancellers(h, taps)
-    np.testing.assert_allclose(h + pair.analog + pair.digital, 0.0, atol=1e-15)
+    np.testing.assert_allclose(post_canceller_si(h, h, taps), 0.0, atol=1e-15)
+    np.testing.assert_array_equal((h + build_cancellers(h, taps))[:, : taps // 2], 0.0)
+
+
+@pytest.mark.parametrize("taps", [0, 8, 16, 32])
+def test_si_residual_is_both_cancellers_bit_for_bit(taps):
+    # the pipeline's H_tilde - H_tilde_hat is the paper's H_tilde + C + D,
+    # to the last bit, for any tap count and under SI CSI error
+    rng = np.random.default_rng(12)
+    n_trials, chains, per_rf = 3, 8, 4
+    cb = dft_codebook(per_rf, 5)
+    w_rf, v_rf = (assemble_analog(cb[rng.integers(len(cb), size=(n_trials, chains))])
+                  for _ in range(2))
+    shape = (n_trials, chains * per_rf, chains * per_rf)
+    h_si = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h_si_hat = h_si + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    w_h = np.swapaxes(w_rf.assembled, -1, -2).conj()
+    want = post_canceller_si(w_h @ h_si @ v_rf.assembled, w_h @ h_si_hat @ v_rf.assembled, taps)
+    got = _si_residual(w_rf, v_rf, h_si, h_si_hat)
+    np.testing.assert_array_equal(got, want)
+    assert np.abs(got).min() > 0  # the estimation error reaches every entry
 
 
 def test_partial_taps_column_layout():
     h = _random_h(np.random.default_rng(3))
-    pair = build_cancellers(h, 4)  # 2 columns active
-    np.testing.assert_array_equal(pair.analog[:, :2], -h[:, :2])
-    np.testing.assert_array_equal(pair.analog[:, 2:], np.zeros((2, 2)))
+    c = build_cancellers(h, 4)  # 2 columns active
+    np.testing.assert_array_equal(c[:, :2], -h[:, :2])
+    np.testing.assert_array_equal(c[:, 2:], np.zeros((2, 2)))
 
 
 def test_tap_count_validation():
@@ -50,11 +74,9 @@ def test_tap_count_validation():
 def test_stacked_cancellers_equal_per_matrix_calls(taps):
     rng = np.random.default_rng(10)
     h = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
-    pair = build_cancellers(h, taps)
+    c = build_cancellers(h, taps)
     for k in range(3):
-        one = build_cancellers(h[k], taps)
-        np.testing.assert_array_equal(pair.analog[k], one.analog)
-        np.testing.assert_array_equal(pair.digital[k], one.digital)
+        np.testing.assert_array_equal(c[k], build_cancellers(h[k], taps))
     with pytest.raises(ValueError):
         build_cancellers(h, 3)  # not divisible by 2 chains
     with pytest.raises(ValueError):
@@ -100,8 +122,7 @@ def test_residual_monotone_in_taps_for_row_orthogonal_precoder():
     v = np.linalg.qr(_random_h(rng, m=4, n=4))[0]  # unitary -> V V^H = I
     prev = None
     for taps in (0, 2, 4, 6, 8):
-        pair = build_cancellers(h, taps)
-        worst = analog_residual_power_per_chain(h, pair.analog, v).max()
+        worst = analog_residual_power_per_chain(h, build_cancellers(h, taps), v).max()
         if prev is not None:
             assert worst <= prev + 1e-15
         prev = worst
@@ -115,9 +136,8 @@ def test_residual_monotone_in_taps_on_average():
         h = _random_h(rng, m=2, n=4)
         v = _random_h(rng, m=4, n=3)
         for taps in means:
-            pair = build_cancellers(h, taps)
             means[taps].append(
-                analog_residual_power_per_chain(h, pair.analog, v).sum()
+                analog_residual_power_per_chain(h, build_cancellers(h, taps), v).sum()
             )
     avg = {taps: np.mean(vals) for taps, vals in means.items()}
     assert avg[8] <= avg[4] <= avg[0]

@@ -118,6 +118,19 @@ def test_rates_rejects_a_non_integral_tap_count(tmp_path, tiny_config):
     assert not (tmp_path / "out").exists()
 
 
+def test_rates_sweeps_the_tap_count(tmp_path):
+    out = tmp_path / "r"
+    assert main(["rates", "--profile", "fast", "--trials", "2", "--seed", "3", "--sweep", "n_taps",
+                 "--values", "0,8,16", "--out", str(out)]) == 0
+    with open(out / "rates.csv", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[0] == "sweep_value"
+    assert [r[0] for r in rows] == ["0", "8", "16"]
+    # at 30 dBm the leakage caps do not bind, so the taps do not change the design
+    assert rows[0][1:] == rows[1][1:] == rows[2][1:]
+    assert all(float(x) > 0 for r in rows for x in r[1:])
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it costs most of the CLI start-up
     code = "import fdisac, sys; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"

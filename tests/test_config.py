@@ -211,6 +211,28 @@ _NAN, _INF = float("nan"), float("inf")
          "target velocity must be finite"),
         ({"ul_user": {"angle_deg": -10.0, "range_m": _INF}}, "target range must be finite"),
         ({"ul_user": {"angle_deg": -10.0, "range_m": _NAN}}, "target range must be finite"),
+        # infinities outside the legal table fail every trial with a misleading error
+        ({"csi_nmse_db": _INF}, "csi nmse db must be finite, got inf"),
+        ({"tx_power_dbm": _INF}, "tx power dbm must be finite, got inf"),
+        ({"ul_tx_power_dbm": _INF}, "ul tx power dbm must be finite, got inf"),
+        ({"si_pathloss_db": -_INF}, "si pathloss db must be finite, got -inf"),
+        ({"carrier_hz": _INF}, "carrier hz must be finite, got inf"),
+        ({"subcarrier_spacing_hz": _INF}, "subcarrier spacing hz must be finite, got inf"),
+        ({"symbol_duration_s": _INF}, "symbol duration s must be finite, got inf"),
+        ({"si_threshold_dbm": -_INF}, "si threshold dbm must be finite, got -inf"),
+        ({"music_grid_step_deg": _INF}, "music grid step deg must be finite, got inf"),
+        # a grid step that is not positive fails only once the run starts
+        ({"music_grid_step_deg": 0.0}, "music grid step deg must be positive, got 0.0"),
+        ({"music_grid_step_deg": -0.1}, "music grid step deg must be positive, got -0.1"),
+        # finite dBm values that underflow to 0 W
+        ({"bs_noise_dbm": -5000.0}, "bs noise power must be positive, got 0.0 W"),
+        ({"user_noise_dbm": -5000.0}, "user noise power must be positive, got 0.0 W"),
+        ({"si_threshold_dbm": -5000.0}, "si threshold power must be positive, got 0.0 W"),
+        # strings and booleans are no real numbers
+        ({"tx_power_dbm": "30"}, "tx power dbm must be a real number, got '30'"),
+        ({"carrier_hz": "28e9"}, "carrier hz must be a real number, got '28e9'"),
+        ({"csi_nmse_db": "-10"}, "csi nmse db must be a real number, got '-10'"),
+        ({"bs_noise_dbm": True}, "bs noise dbm must be a real number, got True"),
     ],
 )
 def test_config_holes_rejected_when_config_is_built(tmp_path, data, message):
@@ -227,6 +249,10 @@ def test_config_holes_rejected_when_config_is_built(tmp_path, data, message):
         {"si_kappa_db": _INF},  # pure line-of-sight SI channel
         {"csi_nmse_db": -_INF},  # perfect SI channel estimate
         {"ul_tx_power_dbm": -_INF},  # silent uplink user
+        {"tx_power_dbm": -_INF},  # silent base station
+        {"si_pathloss_db": _INF},  # no self-interference
+        {"si_kappa_db": -_INF},  # fully scattered SI channel
+        {"csi_nmse_db": None},  # perfect SI CSI, the default
         {"seed": np.int64(3), "trials": np.int32(2)},
     ],
 )

@@ -12,7 +12,7 @@ from fdisac.optimizer import (
     nsp_rx_combiner,
 )
 from fdisac.runner import run_scenario
-from oracles import steering
+from oracles import post_canceller_si, steering
 
 
 def _crandn(rng, *shape):
@@ -43,7 +43,6 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
     )
     h_tilde_hat = w_rf.assembled.conj().T @ est.h_bb_hat @ v_rf.assembled
     h_tilde_true = h_tilde_hat if perfect_csi else h_tilde_hat + 1e-3 * _crandn(rng, 6, 2)
-    cancellers = build_cancellers(h_tilde_hat, 6)
     h_ul_eff = w_rf.assembled.conj().T @ est.h_ul_hat
     h_int_eff = w_rf.assembled.conj().T @ est.h_rad_int_hat
     w_bb = nsp_rx_combiner(h_ul_eff, h_int_eff, 1) if nulling else mss_rx_combiner(h_ul_eff, 1)
@@ -52,16 +51,31 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
     v_u *= np.sqrt(0.01) / np.linalg.norm(v_u)
     bf = HybridBeamformers(
         v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=w_rf, w_b_bb=w_bb,
-        w_u=w_u, v_u_bb=v_u, cancellers=cancellers,
+        w_u=w_u, v_u_bb=v_u, analog_canceller=build_cancellers(h_tilde_hat, 6),
     )
-    return bf, est, h_tilde_true
+    # the SI both cancellers leave, built the paper's way
+    return bf, est, post_canceller_si(h_tilde_true, h_tilde_hat, 6)
+
+
+def _radar(bf, est, resid, sigma2):
+    """radar_sinr over the terms the pipeline forms once per design."""
+    echo = bf.w_b_rf.assembled.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+    return radar_sinr(echo, resid @ bf.v_b_bb, bf.w_b_rf.assembled, sigma2)
+
+
+def _ul(bf, est, resid, sigma2):
+    """ul_sinr of the design's combiner over the terms the pipeline forms once per design."""
+    w_h = bf.w_b_rf.assembled.conj().T
+    echo = w_h @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+    ul = w_h @ est.h_ul_hat @ bf.v_u_bb[:, None]
+    return ul_sinr(bf.w_b_bb, ul, echo, resid @ bf.v_b_bb, sigma2)
 
 
 def test_radar_sinr_perfect_csi_noise_limited():
     rng = np.random.default_rng(0)
-    bf, est, h_tilde = _toy_system(rng)
+    bf, est, resid = _toy_system(rng)
     sigma2 = 1e-9
-    got = radar_sinr(bf, est, h_tilde, sigma2)
+    got = _radar(bf, est, resid, sigma2)
     num = np.linalg.norm(
         bf.w_b_rf.assembled.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
     ) ** 2
@@ -72,27 +86,26 @@ def test_radar_sinr_perfect_csi_noise_limited():
 
 def test_radar_sinr_zero_precoder():
     rng = np.random.default_rng(1)
-    bf, est, h_tilde = _toy_system(rng)
+    bf, est, resid = _toy_system(rng)
     bf = HybridBeamformers(
         v_b_rf=bf.v_b_rf, v_b_bb=np.zeros_like(bf.v_b_bb), w_b_rf=bf.w_b_rf,
-        w_b_bb=bf.w_b_bb, w_u=bf.w_u, v_u_bb=bf.v_u_bb, cancellers=bf.cancellers,
+        w_b_bb=bf.w_b_bb, w_u=bf.w_u, v_u_bb=bf.v_u_bb, analog_canceller=bf.analog_canceller,
     )
-    assert radar_sinr(bf, est, h_tilde, 1e-9) == 0.0
+    assert _radar(bf, est, resid, 1e-9) == 0.0
 
 
 def test_radar_sinr_matches_brute_force():
     rng = np.random.default_rng(2)
-    bf, est, h_tilde = _toy_system(rng, perfect_csi=False)
+    bf, est, resid = _toy_system(rng, perfect_csi=False)
     sigma2 = 3e-8
-    got = radar_sinr(bf, est, h_tilde, sigma2)
+    got = _radar(bf, est, resid, sigma2)
     w = bf.w_b_rf.assembled
     num = 0.0
     mat = w.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
     for i in range(mat.shape[0]):
         for j in range(mat.shape[1]):
             num += abs(mat[i, j]) ** 2
-    resid = (h_tilde + bf.cancellers.analog + bf.cancellers.digital) @ bf.v_b_bb
-    den = sum(abs(x) ** 2 for x in resid.ravel())
+    den = sum(abs(x) ** 2 for x in (resid @ bf.v_b_bb).ravel())
     den += sum(abs(x) ** 2 for x in w.ravel()) * sigma2
     np.testing.assert_allclose(got, num / den, rtol=1e-12)
 
@@ -106,11 +119,10 @@ def test_dl_snr_matched_rank_one_closed_form():
     w_u = np.zeros((m_u, 2), dtype=complex)
     w_u[:, 0] = steering(m_u, theta) / np.sqrt(m_u)
     h_dl = np.outer(steering(m_u, theta), steering(n_b, theta).conj())
-    cancellers = build_cancellers(np.zeros((1, 1), dtype=complex), 0)
     bf = HybridBeamformers(
         v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=_identity_analog(1),
         w_b_bb=np.ones((1, 1), dtype=complex), w_u=w_u,
-        v_u_bb=np.zeros(2, dtype=complex), cancellers=cancellers,
+        v_u_bb=np.zeros(2, dtype=complex), analog_canceller=np.zeros((1, 1), dtype=complex),
     )
     got = dl_snr(bf, h_dl, sigma2)
     np.testing.assert_allclose(got, p_b * m_u * n_b / sigma2, rtol=1e-10)
@@ -125,16 +137,16 @@ def test_dl_snr_zero_precoder_and_noise_scaling():
     np.testing.assert_allclose(g1, 2.0 * g2, rtol=1e-12)
     zero_bf = HybridBeamformers(
         v_b_rf=bf.v_b_rf, v_b_bb=np.zeros_like(bf.v_b_bb), w_b_rf=bf.w_b_rf,
-        w_b_bb=bf.w_b_bb, w_u=bf.w_u, v_u_bb=bf.v_u_bb, cancellers=bf.cancellers,
+        w_b_bb=bf.w_b_bb, w_u=bf.w_u, v_u_bb=bf.v_u_bb, analog_canceller=bf.analog_canceller,
     )
     assert dl_snr(zero_bf, h_dl, 1e-8) == 0.0
 
 
 def test_ul_sinr_nsp_denominator_is_self_echo_plus_noise():
     rng = np.random.default_rng(4)
-    bf, est, h_tilde = _toy_system(rng, nulling=True)
+    bf, est, resid = _toy_system(rng, nulling=True)
     sigma2 = 1e-9
-    got = ul_sinr(bf, est, h_tilde, sigma2)
+    got = _ul(bf, est, resid, sigma2)
     w_eff = bf.w_b_rf.assembled @ bf.w_b_bb
     num = np.linalg.norm(w_eff.conj().T @ est.h_ul_hat @ bf.v_u_bb) ** 2
     # interference through the nulled subspace vanishes; the UL self echo
@@ -148,26 +160,25 @@ def test_ul_sinr_nsp_denominator_is_self_echo_plus_noise():
 
 def test_ul_sinr_zero_ul_precoder():
     rng = np.random.default_rng(5)
-    bf, est, h_tilde = _toy_system(rng)
+    bf, est, resid = _toy_system(rng)
     bf = HybridBeamformers(
         v_b_rf=bf.v_b_rf, v_b_bb=bf.v_b_bb, w_b_rf=bf.w_b_rf, w_b_bb=bf.w_b_bb,
-        w_u=bf.w_u, v_u_bb=np.zeros_like(bf.v_u_bb), cancellers=bf.cancellers,
+        w_u=bf.w_u, v_u_bb=np.zeros_like(bf.v_u_bb), analog_canceller=bf.analog_canceller,
     )
-    assert ul_sinr(bf, est, h_tilde, 1e-9) == 0.0
+    assert _ul(bf, est, resid, 1e-9) == 0.0
 
 
 def test_ul_sinr_matches_brute_force():
     rng = np.random.default_rng(6)
-    bf, est, h_tilde = _toy_system(rng, perfect_csi=False, nulling=False)
+    bf, est, resid = _toy_system(rng, perfect_csi=False, nulling=False)
     sigma2 = 2e-9
-    got = ul_sinr(bf, est, h_tilde, sigma2)
+    got = _ul(bf, est, resid, sigma2)
     w_eff = bf.w_b_rf.assembled @ bf.w_b_bb
     num = np.linalg.norm(w_eff.conj().T @ est.h_ul_hat @ bf.v_u_bb) ** 2
     radar = np.linalg.norm(
         w_eff.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
     ) ** 2
-    resid = (h_tilde + bf.cancellers.analog + bf.cancellers.digital) @ bf.v_b_bb
-    si = np.linalg.norm(bf.w_b_bb.conj().T @ resid) ** 2
+    si = np.linalg.norm(bf.w_b_bb.conj().T @ resid @ bf.v_b_bb) ** 2
     np.testing.assert_allclose(got, num / (radar + si + sigma2), rtol=1e-12)
 
 
@@ -217,14 +228,14 @@ def test_nsp_beats_mss_in_expectation():
     rng = np.random.default_rng(11)
     gains_nsp, gains_mss = [], []
     for _ in range(100):
-        bf_n, est, h_tilde = _toy_system(rng, nulling=True)
+        bf_n, est, resid = _toy_system(rng, nulling=True)
         bf_m = HybridBeamformers(
             v_b_rf=bf_n.v_b_rf, v_b_bb=bf_n.v_b_bb, w_b_rf=bf_n.w_b_rf,
             w_b_bb=mss_rx_combiner(bf_n.w_b_rf.assembled.conj().T @ est.h_ul_hat, 1),
-            w_u=bf_n.w_u, v_u_bb=bf_n.v_u_bb, cancellers=bf_n.cancellers,
+            w_u=bf_n.w_u, v_u_bb=bf_n.v_u_bb, analog_canceller=bf_n.analog_canceller,
         )
-        gains_nsp.append(ul_sinr(bf_n, est, h_tilde, 1e-9))
-        gains_mss.append(ul_sinr(bf_m, est, h_tilde, 1e-9))
+        gains_nsp.append(_ul(bf_n, est, resid, 1e-9))
+        gains_mss.append(_ul(bf_m, est, resid, 1e-9))
     assert np.mean(gains_nsp) >= np.mean(gains_mss)
 
 

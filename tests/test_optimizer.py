@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +8,10 @@ from scipy.linalg import null_space
 from scipy.optimize import nnls
 
 from fdisac.arrays import dft_codebook
-from fdisac.beamforming import assemble_analog, tx_power
-from fdisac.cancellers import CancellerPair
+from fdisac.beamforming import tx_power
 from fdisac.config import ScenarioConfig, TargetSpec
 from fdisac.errors import DegenerateCombinerError, InfeasibleResultError
 from fdisac.optimizer import (
-    HybridBeamformers,
     build_estimated_channels,
     mss_rx_combiner,
     nsp_rx_combiner,
@@ -571,6 +568,13 @@ def _single_rx_chain_config():
     )
 
 
+def _assert_within_budgets(bf, cfg):
+    """The checks scoring applies to every design (runner._slot2): power budgets, unit combiner."""
+    assert np.all(tx_power(bf.v_b_rf, bf.v_b_bb) <= cfg.p_b_watts + 1e-9)
+    assert np.all(np.linalg.norm(bf.v_u_bb, axis=-1) ** 2 <= cfg.p_u_watts + 1e-12)
+    np.testing.assert_allclose(np.linalg.norm(bf.w_b_bb, axis=-2), 1.0, rtol=0, atol=1e-9)
+
+
 def _estimates_for(cfg, rng):
     scatterers = [s.angle_deg for s in cfg.dl_scatterers]
     others = [t.angle_deg for t in cfg.radar_targets]
@@ -587,11 +591,11 @@ def test_algorithm_closed_form_branch_end_to_end():
     rng = np.random.default_rng(19)
     est = _estimates_for(cfg, rng)
     bf = run_algorithm1(est, cfg)
-    bf.validate(cfg.p_b_watts, cfg.p_u_watts)
+    _assert_within_budgets(bf, cfg)
     assert tx_power(bf.v_b_rf, bf.v_b_bb) <= cfg.p_b_watts * (1 + 1e-9)
     leak_rows = (
         bf.w_b_rf.assembled.conj().T @ est.h_bb_hat @ bf.v_b_rf.assembled
-        + bf.cancellers.analog
+        + bf.analog_canceller
     )
     residual = np.linalg.norm(leak_rows @ bf.v_b_bb, axis=1) ** 2
     assert residual.max() <= cfg.lambda_b_watts * (1 + 1e-9)
@@ -608,7 +612,7 @@ def test_algorithm_zero_target_zero_si_unconstrained():
         cfg.dl_user_antennas, cfg.ul_user_antennas,
     )
     bf = run_algorithm1(est, cfg)
-    bf.validate(cfg.p_b_watts, cfg.p_u_watts)
+    _assert_within_budgets(bf, cfg)
     # no SI: the precoder is the unconstrained least-squares match
     h_eff = est.h_dl_hat @ bf.v_b_rf.assembled
     _, _, vh = np.linalg.svd(h_eff, full_matrices=False)
@@ -634,7 +638,7 @@ def test_algorithm_invariants_multi_chain():
     rng = np.random.default_rng(21)
     est = _estimates_for(cfg, rng)
     bf = run_algorithm1(est, cfg)
-    bf.validate(cfg.p_b_watts, cfg.p_u_watts)
+    _assert_within_budgets(bf, cfg)
     h_int_eff = bf.w_b_rf.assembled.conj().T @ est.h_rad_int_hat
     nulling = np.linalg.norm(bf.w_b_bb.conj().T @ h_int_eff)
     assert nulling <= 1e-9 * np.linalg.norm(h_int_eff)
@@ -699,7 +703,7 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
     dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
     scat, other, ul = (np.array([d[i] for d in doas]) for i in range(3))
     block = run_algorithm1(build_estimated_channels(scat, other, ul, h_bb, *dims), cfg)
-    block = block.validate(cfg.p_b_watts, cfg.p_u_watts)
+    _assert_within_budgets(block, cfg)
 
     # the repeated directions leave the second trial's interference rank 2 of 4
     w_h = np.swapaxes(block.w_b_rf.assembled, -1, -2).conj()
@@ -709,7 +713,8 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
     for t, (s, o, u) in enumerate(doas):
         est = build_estimated_channels(list(s), list(o), u, h_bb[t], *dims)
         try:
-            one = run_algorithm1(est, cfg).validate(cfg.p_b_watts, cfg.p_u_watts)
+            one = run_algorithm1(est, cfg)
+            _assert_within_budgets(one, cfg)
         except DegenerateCombinerError as exc:
             assert t == 2
             assert block.errors[t] is not None
@@ -750,31 +755,6 @@ def test_nsp_stack_marks_degenerate_matrices_and_keeps_the_others():
     assert one.value.failed.shape == () and one.value.failed
 
 
-def test_validate_marks_each_violating_trial_and_raises_for_one_design():
-    cfg = _four_chain_config()
-    rng = np.random.default_rng(24)
-    dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
-    scat = np.array([[-30.0, -20.0]] * 3)
-    est = build_estimated_channels(scat, np.array([[20.0]] * 3), np.array([-10.0] * 3),
-                                   1e-2 * _crandn(rng, 3, *dims[:2]), *dims)
-    block = run_algorithm1(est, cfg)
-    assert block.validate(cfg.p_b_watts, cfg.p_u_watts).errors == (None, None, None)
-    v_bb = block.v_b_bb.copy()
-    v_bb[1] *= 2.0  # four times the power budget
-    checked = replace(block, v_b_bb=v_bb).validate(cfg.p_b_watts, cfg.p_u_watts)
-    assert checked.errors[0] is None and checked.errors[2] is None
-    assert str(checked.errors[1]).startswith("TX power ")
-    assert str(checked.errors[1]).endswith(f" exceeds budget {cfg.p_b_watts}")
-    single = HybridBeamformers(
-        v_b_rf=assemble_analog(block.v_b_rf.per_chain[1]), v_b_bb=v_bb[1],
-        w_b_rf=assemble_analog(block.w_b_rf.per_chain[1]), w_b_bb=block.w_b_bb[1],
-        w_u=block.w_u[1], v_u_bb=block.v_u_bb[1],
-        cancellers=CancellerPair(block.cancellers.analog[1], block.cancellers.digital[1]),
-    )
-    with pytest.raises(ValueError, match="TX power .* exceeds budget"):
-        single.validate(cfg.p_b_watts, cfg.p_u_watts)
-
-
 def test_precoder_failure_fails_only_its_trial(monkeypatch):
     import fdisac.optimizer as optimizer
 
@@ -796,7 +776,8 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "numeric_tx_precoder", second_call_fails)
-    block = run_algorithm1(est, cfg).validate(cfg.p_b_watts, cfg.p_u_watts)
+    block = run_algorithm1(est, cfg)
+    _assert_within_budgets(block, cfg)
     assert len(calls) == 3  # once per trial
     assert [e is None for e in block.errors] == [True, False, True]
     assert f"{type(block.errors[1]).__name__}: {block.errors[1]}" == (

@@ -14,7 +14,6 @@ from scipy.optimize import linear_sum_assignment
 
 from fdisac.arrays import dft_codebook, ula_response_matrix
 from fdisac.beamforming import assemble_analog
-from fdisac.cancellers import build_cancellers
 from fdisac.channels import SPEED_OF_LIGHT, delay_doppler_phase, gen_ul_channel
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac import runner
@@ -35,7 +34,7 @@ from fdisac.runner import (
     waveform_basis,
 )
 from fdisac.sensing import angle_grid, combiner_manifold, delay_doppler_quotient
-from oracles import radar_channel_at, steering
+from oracles import post_canceller_si, radar_channel_at, steering
 
 
 def _tiny_config(**overrides):
@@ -517,8 +516,8 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
         v_k = _oracle_pointed_analog(cfg.tx_rf_chains, cb_tx, theta)
         w_k = _oracle_pointed_analog(m, cb_rx, theta)
         w_h = w_k.assembled.conj().T
-        canc = build_cancellers(w_h @ h_si_hat @ v_k.assembled, cfg.analog_taps)
-        resid = w_h @ h_si @ v_k.assembled + canc.analog + canc.digital
+        resid = post_canceller_si(w_h @ h_si @ v_k.assembled, w_h @ h_si_hat @ v_k.assembled,
+                                  cfg.analog_taps)
         assert np.abs(resid).max() > 1e-3
         c = w_k.assembled.T @ steering(cfg.n_rx_antennas, theta).conj() / cfg.n_rx_antennas
         args = (specs, gains, phases, h_ul, resid, v_k, tx_rf, v_u, w_k, sym_u, noise)
@@ -644,6 +643,51 @@ def test_slot2_block_matches_one_trial_blocks_and_isolates_a_failed_trial():
             assert records[t][key] == pytest.approx(one[key], rel=1e-12, abs=1e-300), key
         np.testing.assert_allclose(records[t]["analog_residual_w"], one["analog_residual_w"],
                                    rtol=1e-12)
+
+
+def test_sensing_does_not_depend_on_the_tap_count():
+    # both cancellers leave the SI estimation error whatever the taps, so slot 1
+    # and the dwells sense the same; only slot 2's leakage rows see the taps
+    reports = [run_scenario(fast_profile(trials=3, csi_nmse_db=-10, seed=8, analog_taps=taps))
+               for taps in (0, 8, 16, 32)]
+    assert all(r.aggregate["n_failed"] == 0 for r in reports)
+    assert len({runner.dumps([t["sensing"] for t in r.trials]) for r in reports}) == 1
+    assert len({runner.dumps(r.range_velocity) for r in reports}) == 1
+    residuals = [r.aggregate["max_analog_residual_w"] for r in reports]
+    assert residuals[-1] < residuals[0]  # the taps did act on what reaches the ADCs
+
+
+@pytest.mark.parametrize("name, check, key, budget", [
+    ("v_b_bb", "TX power", "tx_power_w", "p_b_watts"),
+    ("v_u_bb", "UL power", "ul_power_w", "p_u_watts"),
+    ("w_b_bb", "UL combiner columns must have unit norm", None, None),
+], ids=["tx", "ul", "combiner"])
+def test_slot2_marks_each_trial_over_its_power_budget(monkeypatch, name, check, key, budget):
+    # a design whose trial 1 has four times a power budget (or combiner
+    # columns of norm 2) fails that trial's record; the others complete unchanged
+    cfg = fast_profile(trials=3, seed=24)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    block = _sense_block(cfg, scenario_plan(cfg), [np.random.default_rng(s) for s in seeds])
+    clean = _slot2(cfg, block)
+    design = runner.run_algorithm1
+
+    def doubled_in_trial_1(est, cfg):
+        bf = design(est, cfg)
+        value = getattr(bf, name).copy()
+        value[1] *= 2.0
+        return replace(bf, **{name: value})
+
+    monkeypatch.setattr(runner, "run_algorithm1", doubled_in_trial_1)
+    records = _slot2(cfg, block)
+    assert "error" not in clean[1]
+    assert records[0] == clean[0] and records[2] == clean[2]
+    error = records[1]["error"]
+    if key is None:
+        assert error == f"ValueError: {check}"
+    else:
+        power = float(error.split(" ")[3])
+        assert error == f"ValueError: {check} {power} exceeds budget {getattr(cfg, budget)}"
+        assert power == pytest.approx(4.0 * clean[1][key], rel=1e-12)
 
 
 def _drawn_bytes(cfg):
