@@ -61,7 +61,7 @@ def _cmd_sense(args) -> int:
 
     ra = report.range_angle
     rows = [
-        [ra["angles_deg"][k], ra["ranges_m"][n], ra["profiles"][k][n]]
+        [ra["angles_deg"][k], ra["ranges_m"][n], ra["profiles"][k, n]]
         for k in range(len(ra["angles_deg"]))
         for n in range(len(ra["ranges_m"]))
     ]
@@ -69,7 +69,7 @@ def _cmd_sense(args) -> int:
 
     rv = report.range_velocity
     rows = [
-        [rv["ranges_m"][n], rv["velocities_mps"][m], rv["magnitude"][n][m]]
+        [rv["ranges_m"][n], rv["velocities_mps"][m], rv["magnitude"][n, m]]
         for n in range(len(rv["ranges_m"]))
         for m in range(len(rv["velocities_mps"]))
     ]

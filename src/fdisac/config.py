@@ -40,6 +40,15 @@ def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
+# Each dB field's linear value (watts for dBm) as the pipeline computes it.
+_TO_LINEAR = {
+    **dict.fromkeys(("tx_power_dbm", "ul_tx_power_dbm", "bs_noise_dbm", "user_noise_dbm",
+                     "si_threshold_dbm"), dbm_to_watt),
+    "si_kappa_db": lambda x: 10.0 ** (x / 10.0), "csi_nmse_db": lambda x: 10.0 ** (x / 10.0),
+    "si_pathloss_db": lambda x: 10.0 ** (-x / 10.0),
+}
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     """Geometry of one radar-visible object (gains are drawn per trial)."""
@@ -108,6 +117,12 @@ class ScenarioConfig:
                     raise ValueError(f"{name} must not be NaN")
                 if math.isinf(value) and value not in _LEGAL_INFINITIES.get(f.name, ()):
                     raise ValueError(f"{name} must be finite, got {value}")
+                if f.name in _TO_LINEAR:
+                    try:
+                        _TO_LINEAR[f.name](value)
+                    except OverflowError:
+                        raise ValueError(
+                            f"{name} of {value} overflows as a linear value") from None
                 if f.name == "music_grid_step_deg" and not value > 0:
                     raise ValueError(f"{name} must be positive, got {value}")
         for name, watts in (("bs noise", self.sigma_b2_watts), ("user noise", self.sigma_u2_watts),

@@ -117,7 +117,8 @@ def build_estimated_channels(
 class HybridBeamformers:
     """Full beamformer solution for one slot, or a stack of them (one per trial).
 
-    ``analog_canceller`` is C of :func:`~fdisac.cancellers.build_cancellers`.
+    ``h_tilde_hat`` is the compressed SI estimate W_rf^H H_si_hat V_rf and
+    ``analog_canceller`` its C of :func:`~fdisac.cancellers.build_cancellers`.
     ``errors`` holds one entry per trial of a stack (leading axes flattened):
     None, or the exception that failed the trial's design. A failed trial's
     arrays hold finite stand-ins and carry no meaning.
@@ -129,6 +130,7 @@ class HybridBeamformers:
     w_b_bb: np.ndarray
     w_u: np.ndarray
     v_u_bb: np.ndarray
+    h_tilde_hat: np.ndarray
     analog_canceller: np.ndarray
     errors: tuple = ()
 
@@ -545,6 +547,7 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         w_b_bb=w_bb,
         w_u=w_u,
         v_u_bb=v_u,
+        h_tilde_hat=h_tilde_hat,
         analog_canceller=analog_canceller,
         errors=tuple(errors),
     )

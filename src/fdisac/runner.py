@@ -102,8 +102,12 @@ def dumps(obj) -> str:
 class RunReport:
     """Everything one scenario or sweep produced.
 
-    ``wall_clock_s`` is kept in memory only; serialization drops it so that
-    repeated runs under the same seed stay byte identical.
+    The maps stay float64 arrays: ``range_angle`` holds ``angles_deg`` (K,)
+    and the peak-normalized range ``profiles`` (K, P), ``range_velocity``
+    the mean delay-Doppler ``magnitude`` (P, Q); their axes ``ranges_m`` and
+    ``velocities_mps`` are the plan's tuples. :func:`dumps` writes the
+    arrays as lists. ``wall_clock_s`` is kept in memory only; serialization
+    drops it so that repeated runs under the same seed stay byte identical.
     """
 
     config: dict
@@ -242,14 +246,17 @@ def waveform_basis(basis: np.ndarray, phases: np.ndarray, n_streams: int) -> np.
 
 
 def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
-                   n_streams: int) -> np.ndarray:
+                   n_streams: int, built: bool = False) -> np.ndarray:
     """Each trial's receivers times its waveform basis, shape (T, n, n_cells).
 
     ``rows`` (T, n, n_rows) holds the receivers of T trials, ``drawn``
     (T, n_drawn, n_cells) their drawn rows and ``window`` the last trial's
     drawn rows and the echo rows after them, in one buffer. Every other
     trial's rows are copied into the window in turn while the last trial's
-    wait aside, so ``drawn`` ends unchanged.
+    wait aside, so ``drawn`` ends unchanged. The last trial's product comes
+    last, so the window ends holding its whole basis. ``built`` says the
+    window already holds it, as a previous call left it: that product then
+    comes first and its echo rows are not formed again.
 
     The window is why a one-trial block (``table1``) copies no rows and, warm,
     faults in no fresh pages: 0-3 minor faults per call. A separately
@@ -257,14 +264,18 @@ def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phas
     warm call, and its best ``table1`` call was 15-30 % slower.
     """
     n_trials, n_drawn = drawn.shape[:2]
-    aside = drawn[-1].copy() if n_trials > 1 else None
+    last = n_trials - 1
+    aside = drawn[last].copy() if n_trials > 1 else None
     out = np.empty(rows.shape[:-1] + window.shape[-1:], dtype=complex)
-    for t in range(n_trials):
-        if t < n_trials - 1:
-            window[:n_drawn] = drawn[t]
-        elif aside is not None:
-            window[:n_drawn] = aside
+    if built:
+        np.matmul(rows[last], window, out=out[last])
+    for t in range(last):
+        window[:n_drawn] = drawn[t]
         np.matmul(rows[t], waveform_basis(window, phases, n_streams), out=out[t])
+    if aside is not None:
+        window[:n_drawn] = aside
+    if not built:
+        np.matmul(rows[last], waveform_basis(window, phases, n_streams), out=out[last])
     return out
 
 
@@ -302,7 +313,8 @@ def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.nd
 
     Chain i is the receiver c = e_i of :func:`receiver_rows`, so each trial's
     snapshots are one product with its basis (:func:`basis_products`) and no
-    antenna-domain signal is formed.
+    antenna-domain signal is formed. ``window`` ends holding the last trial's
+    whole basis.
     """
     rows = receiver_rows(np.eye(w_rf.n_chains), w_rf, v_rf, resid, v_bb, h_ul, v_u,
                          angles_deg, gains)
@@ -350,6 +362,8 @@ def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray
     others into the subarray sidelobes; its SI residual follows the new
     compression. Only the projection onto the dwell's RX weights is
     formed, a trial's K dwells (``angles_deg`` (T, K)) as one product.
+    ``window`` holds the last trial's whole basis, as
+    :func:`synthesize_rx_snapshots` leaves it.
     """
     v_k = pointed_analog_stack(cfg.tx_rf_chains, plan.cb_tx, angles_deg)
     w_k = pointed_analog_stack(cfg.rx_rf_chains, plan.cb_rx, angles_deg)
@@ -358,7 +372,7 @@ def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray
     rows = receiver_rows(c, w_k, v_k, resid, v_bb, h_ul[:, None], v_u[:, None],
                          [t.angle_deg for t in cfg.all_target_specs()], gains[:, None])
     st = v_bb.shape[-1]
-    cy = basis_products(rows[..., 0, :], drawn, window, plan.phases, st)
+    cy = basis_products(rows[..., 0, :], drawn, window, plan.phases, st, built=True)
     return cy, reference_signal_grid(angles_deg, v_k, v_bb, drawn[:, :st])
 
 
@@ -511,7 +525,9 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
         bf = run_algorithm1(est, cfg)
 
         w_h = np.swapaxes(bf.w_b_rf.assembled, -1, -2).conj()
-        si = _si_residual(bf.w_b_rf, bf.v_b_rf, block.h_si_true, block.h_si_hat) @ bf.v_b_bb
+        # R = H_tilde - H_tilde_hat as _si_residual forms it, the estimate compressed once
+        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf.assembled
+        si = (h_tilde_true - bf.h_tilde_hat) @ bf.v_b_bb
         echo = w_h @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
         h_ul_eff = w_h @ est.h_ul_hat
         ul = h_ul_eff @ bf.v_u_bb[..., None]
@@ -524,7 +540,6 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
         rate_dl_ideal = ideal_dl_rate(block.h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts,
                                       cfg.n_streams)
 
-        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf.assembled
         residual = analog_residual_power_per_chain(h_tilde_true, bf.analog_canceller, bf.v_b_bb)
         h_int_eff = w_h @ est.h_rad_int_hat
         int_norm = np.linalg.norm(h_int_eff, axis=(-2, -1))
@@ -616,24 +631,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             elif "error" not in record:
                 map_stack.append(block.map_sum[t])
                 profile_stack.append(block.profiles[t])
-                angle_stack.append(block.matched[t].tolist())
+                angle_stack.append(block.matched[t])
             trials.append(record)
 
     if not any("error" not in t for t in trials):
         raise RuntimeError(f"all {cfg.trials} trials failed; first: {trials[0]['error']}")
 
-    mean_profiles = np.mean(profile_stack, axis=0)
+    profiles = np.mean(profile_stack, axis=0)
+    peak = profiles.max(axis=-1, keepdims=True)
     range_angle = {
-        "angles_deg": np.mean(angle_stack, axis=0).tolist(),
+        "angles_deg": np.mean(angle_stack, axis=0),
         "ranges_m": plan.ranges_m,
-        "profiles": [
-            (row / row.max() if row.max() > 0 else row).tolist() for row in mean_profiles
-        ],
+        "profiles": np.divide(profiles, peak, out=profiles, where=peak > 0),
     }
     range_velocity = {
         "ranges_m": plan.ranges_m,
         "velocities_mps": plan.velocities_mps,
-        "magnitude": np.mean(map_stack, axis=0).tolist(),
+        "magnitude": np.mean(map_stack, axis=0),
     }
     return RunReport(
         config=cfg.to_dict(),

@@ -2,9 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from fdisac import cli
 from fdisac.cli import main
 
 TINY = {
@@ -74,6 +77,32 @@ def test_sense_writes_maps_and_report(tmp_path, tiny_config):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["seed"] == 4
     assert len(report["trials"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sense_tables_of_array_maps_equal_those_of_listed_maps(tmp_path, tiny_config, monkeypatch,
+                                                              fmt):
+    # the report's float64 entries render like the Python floats of their tolist()
+    args = ["sense", "--profile", "fast", "--config", str(tiny_config), "--format", fmt]
+    assert main(args + ["--out", str(tmp_path / "arrays")]) == 0
+
+    def listed(part):
+        """``part``'s arrays as object arrays of their ``tolist()`` floats."""
+        return {k: np.array(v.tolist(), dtype=object) if isinstance(v, np.ndarray) else v
+                for k, v in part.items()}
+
+    def run_listed(cfg, run=cli.run_scenario):
+        report = run(cfg)
+        assert type(report.range_velocity["magnitude"][0, 0]) is np.float64
+        return replace(report, range_angle=listed(report.range_angle),
+                       range_velocity=listed(report.range_velocity))
+
+    monkeypatch.setattr(cli, "run_scenario", run_listed)
+    assert main(args + ["--out", str(tmp_path / "lists")]) == 0
+    for name in ("range_angle", "range_velocity", "report"):
+        suffix = ".csv" if fmt == "csv" and name != "report" else ".json"
+        arrays, lists = ((tmp_path / d / name).with_suffix(suffix) for d in ("arrays", "lists"))
+        assert arrays.read_bytes() == lists.read_bytes()
 
 
 def test_rates_sweep_table(tmp_path, tiny_config):

@@ -228,6 +228,16 @@ _NAN, _INF = float("nan"), float("inf")
         ({"bs_noise_dbm": -5000.0}, "bs noise power must be positive, got 0.0 W"),
         ({"user_noise_dbm": -5000.0}, "user noise power must be positive, got 0.0 W"),
         ({"si_threshold_dbm": -5000.0}, "si threshold power must be positive, got 0.0 W"),
+        # finite dB values whose linear value overflows: a bare OverflowError
+        # at build, or every trial failing with one
+        ({"tx_power_dbm": 5000.0}, "tx power dbm of 5000.0 overflows"),
+        ({"ul_tx_power_dbm": 5000.0}, "ul tx power dbm of 5000.0 overflows"),
+        ({"bs_noise_dbm": 5000.0}, "bs noise dbm of 5000.0 overflows"),
+        ({"user_noise_dbm": 5000.0}, "user noise dbm of 5000.0 overflows"),
+        ({"si_threshold_dbm": 5000.0}, "si threshold dbm of 5000.0 overflows"),
+        ({"si_kappa_db": 5000.0}, "si kappa db of 5000.0 overflows"),
+        ({"si_pathloss_db": -5000.0}, "si pathloss db of -5000.0 overflows"),
+        ({"csi_nmse_db": 5000.0}, "csi nmse db of 5000.0 overflows"),
         # strings and booleans are no real numbers
         ({"tx_power_dbm": "30"}, "tx power dbm must be a real number, got '30'"),
         ({"carrier_hz": "28e9"}, "carrier hz must be a real number, got '28e9'"),

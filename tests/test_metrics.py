@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,8 +52,8 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
     v_u = _crandn(rng, n_u)
     v_u *= np.sqrt(0.01) / np.linalg.norm(v_u)
     bf = HybridBeamformers(
-        v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=w_rf, w_b_bb=w_bb,
-        w_u=w_u, v_u_bb=v_u, analog_canceller=build_cancellers(h_tilde_hat, 6),
+        v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=w_rf, w_b_bb=w_bb, w_u=w_u, v_u_bb=v_u,
+        h_tilde_hat=h_tilde_hat, analog_canceller=build_cancellers(h_tilde_hat, 6),
     )
     # the SI both cancellers leave, built the paper's way
     return bf, est, post_canceller_si(h_tilde_true, h_tilde_hat, 6)
@@ -87,10 +89,7 @@ def test_radar_sinr_perfect_csi_noise_limited():
 def test_radar_sinr_zero_precoder():
     rng = np.random.default_rng(1)
     bf, est, resid = _toy_system(rng)
-    bf = HybridBeamformers(
-        v_b_rf=bf.v_b_rf, v_b_bb=np.zeros_like(bf.v_b_bb), w_b_rf=bf.w_b_rf,
-        w_b_bb=bf.w_b_bb, w_u=bf.w_u, v_u_bb=bf.v_u_bb, analog_canceller=bf.analog_canceller,
-    )
+    bf = replace(bf, v_b_bb=np.zeros_like(bf.v_b_bb))
     assert _radar(bf, est, resid, 1e-9) == 0.0
 
 
@@ -121,8 +120,9 @@ def test_dl_snr_matched_rank_one_closed_form():
     h_dl = np.outer(steering(m_u, theta), steering(n_b, theta).conj())
     bf = HybridBeamformers(
         v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=_identity_analog(1),
-        w_b_bb=np.ones((1, 1), dtype=complex), w_u=w_u,
-        v_u_bb=np.zeros(2, dtype=complex), analog_canceller=np.zeros((1, 1), dtype=complex),
+        w_b_bb=np.ones((1, 1), dtype=complex), w_u=w_u, v_u_bb=np.zeros(2, dtype=complex),
+        h_tilde_hat=np.zeros((1, 1), dtype=complex),
+        analog_canceller=np.zeros((1, 1), dtype=complex),
     )
     got = dl_snr(bf, h_dl, sigma2)
     np.testing.assert_allclose(got, p_b * m_u * n_b / sigma2, rtol=1e-10)
@@ -135,10 +135,7 @@ def test_dl_snr_zero_precoder_and_noise_scaling():
     g1 = dl_snr(bf, h_dl, 1e-8)
     g2 = dl_snr(bf, h_dl, 2e-8)
     np.testing.assert_allclose(g1, 2.0 * g2, rtol=1e-12)
-    zero_bf = HybridBeamformers(
-        v_b_rf=bf.v_b_rf, v_b_bb=np.zeros_like(bf.v_b_bb), w_b_rf=bf.w_b_rf,
-        w_b_bb=bf.w_b_bb, w_u=bf.w_u, v_u_bb=bf.v_u_bb, analog_canceller=bf.analog_canceller,
-    )
+    zero_bf = replace(bf, v_b_bb=np.zeros_like(bf.v_b_bb))
     assert dl_snr(zero_bf, h_dl, 1e-8) == 0.0
 
 
@@ -161,10 +158,7 @@ def test_ul_sinr_nsp_denominator_is_self_echo_plus_noise():
 def test_ul_sinr_zero_ul_precoder():
     rng = np.random.default_rng(5)
     bf, est, resid = _toy_system(rng)
-    bf = HybridBeamformers(
-        v_b_rf=bf.v_b_rf, v_b_bb=bf.v_b_bb, w_b_rf=bf.w_b_rf, w_b_bb=bf.w_b_bb,
-        w_u=bf.w_u, v_u_bb=np.zeros_like(bf.v_u_bb), analog_canceller=bf.analog_canceller,
-    )
+    bf = replace(bf, v_u_bb=np.zeros_like(bf.v_u_bb))
     assert _ul(bf, est, resid, 1e-9) == 0.0
 
 
@@ -229,11 +223,8 @@ def test_nsp_beats_mss_in_expectation():
     gains_nsp, gains_mss = [], []
     for _ in range(100):
         bf_n, est, resid = _toy_system(rng, nulling=True)
-        bf_m = HybridBeamformers(
-            v_b_rf=bf_n.v_b_rf, v_b_bb=bf_n.v_b_bb, w_b_rf=bf_n.w_b_rf,
-            w_b_bb=mss_rx_combiner(bf_n.w_b_rf.assembled.conj().T @ est.h_ul_hat, 1),
-            w_u=bf_n.w_u, v_u_bb=bf_n.v_u_bb, analog_canceller=bf_n.analog_canceller,
-        )
+        bf_m = replace(
+            bf_n, w_b_bb=mss_rx_combiner(bf_n.w_b_rf.assembled.conj().T @ est.h_ul_hat, 1))
         gains_nsp.append(_ul(bf_n, est, resid, 1e-9))
         gains_mss.append(_ul(bf_m, est, resid, 1e-9))
     assert np.mean(gains_nsp) >= np.mean(gains_mss)
