@@ -228,6 +228,11 @@ _NAN, _INF = float("nan"), float("inf")
         ({"bs_noise_dbm": -5000.0}, "bs noise power must be positive, got 0.0 W"),
         ({"user_noise_dbm": -5000.0}, "user noise power must be positive, got 0.0 W"),
         ({"si_threshold_dbm": -5000.0}, "si threshold power must be positive, got 0.0 W"),
+        # strings and booleans are no real numbers
+        ({"tx_power_dbm": "30"}, "tx power dbm must be a real number, got '30'"),
+        ({"carrier_hz": "28e9"}, "carrier hz must be a real number, got '28e9'"),
+        ({"csi_nmse_db": "-10"}, "csi nmse db must be a real number, got '-10'"),
+        ({"bs_noise_dbm": True}, "bs noise dbm must be a real number, got True"),
         # finite dB values whose linear value overflows: a bare OverflowError
         # at build, or every trial failing with one
         ({"tx_power_dbm": 5000.0}, "tx power dbm of 5000.0 overflows"),
@@ -238,11 +243,6 @@ _NAN, _INF = float("nan"), float("inf")
         ({"si_kappa_db": 5000.0}, "si kappa db of 5000.0 overflows"),
         ({"si_pathloss_db": -5000.0}, "si pathloss db of -5000.0 overflows"),
         ({"csi_nmse_db": 5000.0}, "csi nmse db of 5000.0 overflows"),
-        # strings and booleans are no real numbers
-        ({"tx_power_dbm": "30"}, "tx power dbm must be a real number, got '30'"),
-        ({"carrier_hz": "28e9"}, "carrier hz must be a real number, got '28e9'"),
-        ({"csi_nmse_db": "-10"}, "csi nmse db must be a real number, got '-10'"),
-        ({"bs_noise_dbm": True}, "bs noise dbm must be a real number, got True"),
     ],
 )
 def test_config_holes_rejected_when_config_is_built(tmp_path, data, message):
