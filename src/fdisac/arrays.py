@@ -2,8 +2,9 @@
 
 A codebook is a read-only array with one constant-modulus beam per row.
 Angles are expressed in degrees at every public boundary and converted to
-radians internally. Element n of the ULA response toward angle theta is
-exp(j*2*pi*(d/lambda)*n*sin(theta)), so the first element is always 1+0j.
+radians internally. Elements are half a wavelength apart, so element n of
+the ULA response toward angle theta is exp(j*pi*n*sin(theta)) and the first
+element is always 1+0j.
 """
 
 from __future__ import annotations
@@ -22,24 +23,19 @@ def _check_elems(n_elems: int) -> None:
         raise ValueError(f"array needs at least one element, got {n_elems}")
 
 
-def ula_response_matrix(
-    n_elems: int, angles_deg: np.ndarray, spacing_over_lambda: float = 0.5
-) -> np.ndarray:
-    """Stack of ULA responses, one column per angle, shape (n_elems, n_angles).
+def ula_response_matrix(n_elems: int, angles_deg: np.ndarray) -> np.ndarray:
+    """Stack of half-wavelength ULA responses, one column per angle, shape (n_elems, n_angles).
 
     Angles of shape (..., n_angles) give one such matrix per leading index,
-    shape (..., n_elems, n_angles). ``spacing_over_lambda`` is the
-    inter-element spacing in wavelengths.
+    shape (..., n_elems, n_angles).
     """
     _check_elems(n_elems)
-    if not spacing_over_lambda > 0:
-        raise ValueError(f"element spacing must be positive, got {spacing_over_lambda}")
     angles = np.asarray(angles_deg, dtype=float)
     # NaN fails both comparisons, so it is rejected with the out-of-range angles
     if angles.size and not (angles.min() >= -90.0 and angles.max() <= 90.0):
         raise ValueError("angles must lie in [-90, 90] degrees")
     n = np.arange(n_elems)[:, None]
-    phase = 2.0 * np.pi * spacing_over_lambda * np.sin(np.deg2rad(angles))[..., None, :]
+    phase = np.pi * np.sin(np.deg2rad(angles))[..., None, :]
     return np.exp(1j * phase * n)
 
 

@@ -1,58 +1,32 @@
-"""Hybrid beamformer containers and the TX power helper.
+"""The analog network's assembly and the TX power helper.
 
 The analog stage is partially connected: RF chain i drives its own disjoint
-subarray, so the assembled matrix is block diagonal with chain i's
-phase-shifter vector occupying rows i*n_a .. (i+1)*n_a - 1 of column i.
-Digital precoders and combiners are plain complex ndarrays.
+subarray, so a network is the block-diagonal matrix with chain i's
+phase-shifter vector occupying rows i*n_a .. (i+1)*n_a - 1 of column i, shape
+(n_antennas, n_chains), or a stack of them along leading axes. Digital
+precoders and combiners are plain complex ndarrays too.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintViolationError
 
-__all__ = ["AnalogBeamformer", "assemble_analog", "tx_power"]
+__all__ = ["assemble_analog", "tx_power"]
 
 # Codebook vectors are exact by construction; user-supplied ones get slack.
 _MODULUS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AnalogBeamformer:
-    """Block-diagonal phase-shifter network.
-
-    ``per_chain`` has shape (n_chains, n_per_chain); ``assembled`` has shape
-    (n_chains*n_per_chain, n_chains) and is exactly zero off the blocks. A
-    stack of networks carries leading axes on both arrays.
-    """
-
-    per_chain: np.ndarray
-    assembled: np.ndarray
-
-    @property
-    def n_chains(self) -> int:
-        return self.per_chain.shape[-2]
-
-    @property
-    def n_per_chain(self) -> int:
-        return self.per_chain.shape[-1]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.assembled.shape[-2]
-
-
-def assemble_analog(per_chain) -> AnalogBeamformer:
-    """Validate per-chain vectors and assemble the block-diagonal matrix.
+def assemble_analog(per_chain) -> np.ndarray:
+    """Validate per-chain vectors and assemble the block-diagonal network.
 
     ``per_chain`` is (n_chains, n_per_chain), or a stack (..., n_chains,
-    n_per_chain) assembled network by network. Raises
-    :class:`ConstraintViolationError` if any entry deviates from the
-    constant-modulus constraint |v_n|^2 = 1/n_per_chain, and ``ValueError``
-    for ragged input.
+    n_per_chain) assembled network by network; the network is exactly zero
+    off the blocks. Raises :class:`ConstraintViolationError` if any entry
+    deviates from the constant-modulus constraint |v_n|^2 = 1/n_per_chain,
+    and ``ValueError`` for ragged input.
     """
     try:
         vecs = np.asarray(per_chain, dtype=complex)
@@ -68,21 +42,21 @@ def assemble_analog(per_chain) -> AnalogBeamformer:
         raise ConstraintViolationError(
             f"per-chain entries must have squared modulus 1/{n_a}, worst deviation {dev:.3e}"
         )
-    assembled = np.zeros((*vecs.shape[:-2], n_chains * n_a, n_chains), dtype=complex)
+    network = np.zeros((*vecs.shape[:-2], n_chains * n_a, n_chains), dtype=complex)
     for i in range(n_chains):
-        assembled[..., i * n_a : (i + 1) * n_a, i] = vecs[..., i, :]
-    return AnalogBeamformer(per_chain=vecs, assembled=assembled)
+        network[..., i * n_a : (i + 1) * n_a, i] = vecs[..., i, :]
+    return network
 
 
-def tx_power(v_rf: AnalogBeamformer, v_bb: np.ndarray):
+def tx_power(v_rf: np.ndarray, v_bb: np.ndarray):
     """Average radiated power in watts under unit-power i.i.d. symbols.
 
     The expectation collapses to the squared Frobenius norm of V_rf @ V_bb.
     A stack of networks and precoders gives one power per pair, shape (...).
     """
     v_bb = np.asarray(v_bb, dtype=complex)
-    if v_bb.ndim < 2 or v_rf.assembled.shape[-1] != v_bb.shape[-2]:
+    if v_bb.ndim < 2 or v_rf.shape[-1] != v_bb.shape[-2]:
         raise ValueError(
-            f"digital precoder shape {v_bb.shape} does not match {v_rf.n_chains} RF chains"
+            f"digital precoder shape {v_bb.shape} does not match {v_rf.shape[-1]} RF chains"
         )
-    return np.linalg.norm(v_rf.assembled @ v_bb, axis=(-2, -1)) ** 2
+    return np.linalg.norm(v_rf @ v_bb, axis=(-2, -1)) ** 2

@@ -18,16 +18,19 @@ from .config import PROFILE_NAMES, ScenarioConfig, get_profile, load_config
 from .runner import SWEEP_VARIABLES, dumps, run_scenario, sweep, validate_suite
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, out: bool = True, table: bool = True) -> None:
+    """The config options, plus ``--out`` and ``--format`` where the subcommand writes them."""
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
     parser.add_argument("--trials", type=int, default=None, help="trial count override")
     parser.add_argument(
         "--profile", choices=PROFILE_NAMES, default="table1", help="base parameter profile"
     )
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table output format")
+    if out:
+        parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="table output format")
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -142,11 +145,11 @@ def main(argv=None) -> int:
     p_rates.set_defaults(func=_cmd_rates)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
-    _add_common(p_val)
+    _add_common(p_val, table=False)
     p_val.set_defaults(func=_cmd_validate)
 
     p_show = sub.add_parser("show-config", help="print the resolved configuration")
-    _add_common(p_show)
+    _add_common(p_show, out=False, table=False)
     p_show.set_defaults(func=_cmd_show_config)
 
     args = parser.parse_args(argv)

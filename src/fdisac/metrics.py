@@ -41,7 +41,7 @@ def dl_snr(bf: HybridBeamformers, h_dl: np.ndarray, sigma_u2: float) -> float:
     """Downlink SNR ||W_u^H H_dl V_rf V_bb||_F^2 / (||W_u||^2 sigma_u^2)."""
     if sigma_u2 <= 0:
         raise ValueError(f"noise power must be positive, got {sigma_u2}")
-    sig = _herm(bf.w_u) @ np.asarray(h_dl, dtype=complex) @ bf.v_b_rf.assembled @ bf.v_b_bb
+    sig = _herm(bf.w_u) @ np.asarray(h_dl, dtype=complex) @ bf.v_b_rf @ bf.v_b_bb
     return _power(sig) / (_power(bf.w_u) * sigma_u2)
 
 

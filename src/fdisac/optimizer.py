@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import dft_codebook
-from .beamforming import AnalogBeamformer, assemble_analog, tx_power
+from .beamforming import assemble_analog, tx_power
 from .cancellers import build_cancellers
 from .channels import gen_dl_channel, gen_ul_channel
 from .errors import DegenerateCombinerError, InfeasibleResultError
@@ -124,9 +124,9 @@ class HybridBeamformers:
     arrays hold finite stand-ins and carry no meaning.
     """
 
-    v_b_rf: AnalogBeamformer
+    v_b_rf: np.ndarray
     v_b_bb: np.ndarray
-    w_b_rf: AnalogBeamformer
+    w_b_rf: np.ndarray
     w_b_bb: np.ndarray
     w_u: np.ndarray
     v_u_bb: np.ndarray
@@ -149,7 +149,7 @@ def _fix_phase(m: np.ndarray) -> np.ndarray:
     return m * (pivot.conj() / (mag + (mag == 0.0)))[..., None, :]
 
 
-def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray, n_rf: int) -> AnalogBeamformer:
+def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray, n_rf: int) -> np.ndarray:
     """Per-chain codebook search maximizing the radar channel gain.
 
     The Frobenius objective ||H V_rf||^2 decomposes over the block-diagonal
@@ -175,9 +175,9 @@ def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray, n_rf: int) -> Analog
 def select_rx_analog(
     h_rad_hat: np.ndarray,
     h_bb_hat: np.ndarray,
-    v_b_rf: AnalogBeamformer,
+    v_b_rf: np.ndarray,
     cb: np.ndarray,
-) -> AnalogBeamformer:
+) -> np.ndarray:
     """Per-chain codebook ratio search: radar return over SI leakage.
 
     Chain j maximizes its own contribution ratio n_j(w) / (d_j(w) + eps) where
@@ -187,8 +187,8 @@ def select_rx_analog(
     give a stack of networks. All chains are scored at once: the scores
     hold one entry per chain, codebook beam and TX chain, never per antenna.
     """
-    radar_eff = np.asarray(h_rad_hat, dtype=complex) @ v_b_rf.assembled
-    si_eff = np.asarray(h_bb_hat, dtype=complex) @ v_b_rf.assembled
+    radar_eff = np.asarray(h_rad_hat, dtype=complex) @ v_b_rf
+    si_eff = np.asarray(h_bb_hat, dtype=complex) @ v_b_rf
     m_a = cb.shape[-1]
     lead, (m_b, n_rf) = radar_eff.shape[:-2], radar_eff.shape[-2:]
     if m_b % m_a != 0:
@@ -360,7 +360,7 @@ def numeric_tx_precoder(
     return v, info
 
 
-def power_normalize(v_rf: AnalogBeamformer, v_bb: np.ndarray, p_b_watts: float) -> np.ndarray:
+def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.ndarray:
     """Rescale precoder columns whose radiated power exceeds ``p_b_watts``.
 
     Column c of V_rf @ V_bb with squared norm above the budget is brought back
@@ -369,7 +369,7 @@ def power_normalize(v_rf: AnalogBeamformer, v_bb: np.ndarray, p_b_watts: float) 
     Works on stacks of networks and precoders.
     """
     v_bb = np.asarray(v_bb, dtype=complex)
-    col_power = np.linalg.norm(v_rf.assembled @ v_bb, axis=-2) ** 2
+    col_power = np.linalg.norm(v_rf @ v_bb, axis=-2) ** 2
     if not (col_power > p_b_watts).any():
         return v_bb
     return v_bb * np.sqrt(p_b_watts / np.maximum(col_power, p_b_watts))[..., None, :]
@@ -489,9 +489,9 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         w_rf = select_rx_analog(est.h_rad_hat, est.h_bb_hat, v_rf, cb_rx)
 
         step = "channel compression"
-        w_h = np.swapaxes(w_rf.assembled, -1, -2).conj()
-        h_tilde_hat = w_h @ est.h_bb_hat @ v_rf.assembled
-        h_dl_eff = est.h_dl_hat @ v_rf.assembled
+        w_h = np.swapaxes(w_rf, -1, -2).conj()
+        h_tilde_hat = w_h @ est.h_bb_hat @ v_rf
+        h_dl_eff = est.h_dl_hat @ v_rf
 
         step = "canceller construction"
         analog_canceller = build_cancellers(h_tilde_hat, cfg.analog_taps)

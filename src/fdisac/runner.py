@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import dft_codebook, ula_response_matrix
-from .beamforming import AnalogBeamformer, assemble_analog, tx_power
+from .beamforming import assemble_analog, tx_power
 # build_cancellers is not called here: benchmarks/spans.py rebinds it (REBOUND) in this module
 from .cancellers import analog_residual_power_per_chain, build_cancellers  # noqa: F401
 from .channels import (
@@ -131,7 +131,7 @@ class RunReport:
         })
 
 
-def spread_analog(n_chains: int, cb: np.ndarray) -> AnalogBeamformer:
+def spread_analog(n_chains: int, cb: np.ndarray) -> np.ndarray:
     """Deterministic slot-1 analog setting: chains fan out across the codebook.
 
     Distinct per-chain beams keep the RF-domain manifold unambiguous for the
@@ -159,8 +159,8 @@ class ScenarioPlan:
     wf: Waveform
     cb_tx: np.ndarray
     cb_rx: np.ndarray
-    v_rf0: AnalogBeamformer
-    w_rf0: AnalogBeamformer
+    v_rf0: np.ndarray
+    w_rf0: np.ndarray
     grid_deg: np.ndarray
     manifold: np.ndarray
     gain: np.ndarray
@@ -201,8 +201,7 @@ def _build_plan(tx_chains: int, rx_chains: int, tx_per_rf: int, rx_per_rf: int, 
         ranges_m=tuple((p * wf.range_bin_m).tolist()),
         velocities_mps=tuple(((q - wf.n_symbols // 2) * wf.velocity_bin_mps).tolist()),
     )
-    for array in (grid, manifold, plan.gain, phases, v_rf0.per_chain, v_rf0.assembled,
-                  w_rf0.per_chain, w_rf0.assembled):
+    for array in (grid, manifold, plan.gain, phases, v_rf0, w_rf0):
         array.flags.writeable = False
     return plan
 
@@ -279,7 +278,7 @@ def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phas
     return out
 
 
-def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, resid: np.ndarray,
+def receiver_rows(c, w_rf: np.ndarray, v_rf: np.ndarray, resid: np.ndarray,
                   v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, angles_deg,
                   gains: np.ndarray) -> np.ndarray:
     """Coefficients of the receivers c^T y over :func:`waveform_basis`, shape (..., n, n_rows).
@@ -293,9 +292,9 @@ def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, resid: np.n
     x h_ul v_u on sym_u, c^T on the noise and (x a_rx,k) beta_k
     (a_tx,k^H V_rf V_bb) on target k's rows.
     """
-    x = c @ np.swapaxes(w_rf.assembled, -1, -2).conj()
+    x = c @ np.swapaxes(w_rf, -1, -2).conj()
     a_rx = ula_response_matrix(h_ul.shape[-2], angles_deg)
-    a_tx_v = ula_response_matrix(v_rf.n_antennas, angles_deg).conj().T @ v_rf.assembled @ v_bb
+    a_tx_v = ula_response_matrix(v_rf.shape[-2], angles_deg).conj().T @ v_rf @ v_bb
     echo = ((x @ a_rx) * gains[..., None, :])[..., :, None] * a_tx_v[..., None, :, :]
     parts = [c @ resid @ v_bb, x @ (h_ul @ v_u[..., None]), c,
              echo.reshape(*echo.shape[:-2], -1)]
@@ -306,7 +305,7 @@ def receiver_rows(c, w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, resid: np.n
 
 
 def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
-                            w_rf: AnalogBeamformer, v_rf: AnalogBeamformer,
+                            w_rf: np.ndarray, v_rf: np.ndarray,
                             resid: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
                             v_u: np.ndarray, angles_deg, gains: np.ndarray) -> np.ndarray:
     """RF-chain-domain snapshots of T trials over the whole OFDM grid, shape (T, m_rf, P*Q).
@@ -316,7 +315,7 @@ def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.nd
     antenna-domain signal is formed. ``window`` ends holding the last trial's
     whole basis.
     """
-    rows = receiver_rows(np.eye(w_rf.n_chains), w_rf, v_rf, resid, v_bb, h_ul, v_u,
+    rows = receiver_rows(np.eye(w_rf.shape[-1]), w_rf, v_rf, resid, v_bb, h_ul, v_u,
                          angles_deg, gains)
     return basis_products(rows, drawn, window, phases, v_bb.shape[-1])
 
@@ -332,7 +331,7 @@ def _match_doas(est_doas, true_angles: Sequence[float]) -> np.ndarray:
     return matched
 
 
-def _si_residual(w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, h_si_true: np.ndarray,
+def _si_residual(w_rf: np.ndarray, v_rf: np.ndarray, h_si_true: np.ndarray,
                  h_si_hat: np.ndarray) -> np.ndarray:
     """Post-canceller SI matrix H_tilde - H_tilde_hat of one pair of networks or a stack of pairs.
 
@@ -340,11 +339,11 @@ def _si_residual(w_rf: AnalogBeamformer, v_rf: AnalogBeamformer, h_si_true: np.n
     for any tap count (:mod:`fdisac.cancellers`), so none is formed here.
     Compressing H_si - H_si_hat instead would round differently.
     """
-    w_h = np.swapaxes(w_rf.assembled, -1, -2).conj()
-    return w_h @ h_si_true @ v_rf.assembled - w_h @ h_si_hat @ v_rf.assembled
+    w_h = np.swapaxes(w_rf, -1, -2).conj()
+    return w_h @ h_si_true @ v_rf - w_h @ h_si_hat @ v_rf
 
 
-def pointed_analog_stack(n_chains: int, cb: np.ndarray, angles_deg) -> AnalogBeamformer:
+def pointed_analog_stack(n_chains: int, cb: np.ndarray, angles_deg) -> np.ndarray:
     """One network per angle, every chain on the codebook beam of highest gain toward it."""
     gains = np.abs(cb.conj() @ ula_response_matrix(cb.shape[-1], angles_deg))
     idx = np.argmax(gains, axis=-2)
@@ -496,6 +495,11 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     )
 
 
+def _within_budget(power, budget: float):
+    """``power`` <= ``budget`` up to rounding, which grows with the budget: 1e-9 relative."""
+    return power <= budget * (1 + 1e-9)
+
+
 def _error_record(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -524,14 +528,14 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
         )
         bf = run_algorithm1(est, cfg)
 
-        w_h = np.swapaxes(bf.w_b_rf.assembled, -1, -2).conj()
+        w_h = np.swapaxes(bf.w_b_rf, -1, -2).conj()
         # R = H_tilde - H_tilde_hat as _si_residual forms it, the estimate compressed once
-        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf.assembled
+        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf
         si = (h_tilde_true - bf.h_tilde_hat) @ bf.v_b_bb
-        echo = w_h @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+        echo = w_h @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
         h_ul_eff = w_h @ est.h_ul_hat
         ul = h_ul_eff @ bf.v_u_bb[..., None]
-        gamma_rad = radar_sinr(echo, si, bf.w_b_rf.assembled, cfg.sigma_b2_watts)
+        gamma_rad = radar_sinr(echo, si, bf.w_b_rf, cfg.sigma_b2_watts)
         gamma_dl = dl_snr(bf, block.h_dl_true, cfg.sigma_u2_watts)
         gamma_ul = ul_sinr(bf.w_b_bb, ul, echo, si, cfg.sigma_b2_watts)
         gamma_ul_mss = ul_sinr(mss_rx_combiner(h_ul_eff, 1), ul, echo, si, cfg.sigma_b2_watts)
@@ -553,9 +557,9 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
 
     records = []
     for t, (rows, error) in enumerate(zip(block.sensing_rows, bf.errors)):
-        if error is None and tx_power_w[t] > cfg.p_b_watts + 1e-9:
+        if error is None and not _within_budget(tx_power_w[t], cfg.p_b_watts):
             error = ValueError(f"TX power {float(tx_power_w[t])} exceeds budget {cfg.p_b_watts}")
-        elif error is None and ul_power_w[t] > cfg.p_u_watts + 1e-12:
+        elif error is None and not _within_budget(ul_power_w[t], cfg.p_u_watts):
             error = ValueError(f"UL power {float(ul_power_w[t])} exceeds budget {cfg.p_u_watts}")
         elif error is None and col_dev[t] > 1e-9:
             error = ValueError("UL combiner columns must have unit norm")
@@ -725,11 +729,11 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
         f"{len(ok_trials)}/{len(report.trials)} trials")
 
     worst_tx = max(t["tx_power_w"] for t in ok_trials)
-    add("tx_power_budget", worst_tx <= cfg.p_b_watts * (1 + 1e-9),
+    add("tx_power_budget", _within_budget(worst_tx, cfg.p_b_watts),
         f"max {worst_tx:.6e} W vs budget {cfg.p_b_watts:.6e} W")
 
     worst_ul = max(t["ul_power_w"] for t in ok_trials)
-    add("ul_power_budget", worst_ul <= cfg.p_u_watts * (1 + 1e-9),
+    add("ul_power_budget", _within_budget(worst_ul, cfg.p_u_watts),
         f"max {worst_ul:.6e} W vs budget {cfg.p_u_watts:.6e} W")
 
     worst_resid = max(max(t["analog_residual_w"]) for t in ok_trials)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ula_response_matrix
-from .beamforming import AnalogBeamformer
 from .channels import SPEED_OF_LIGHT, Waveform
 from .errors import EstimationFailureError
 
@@ -160,14 +159,9 @@ def music_doas(
     return MusicResult(spectrum=spectrum, doas_deg=doas, errors=tuple(errors))
 
 
-def combiner_manifold(w_rf: AnalogBeamformer, grid_deg: np.ndarray) -> np.ndarray:
-    """MUSIC manifold W_rf^H a(theta) behind an analog combiner, one column per angle.
-
-    W_rf is block diagonal and the ULA shift-invariant, so chain i's entry is
-    exp(j*pi*i*n_a*sin(theta)) times its subarray response f_i^H a_{n_a}(theta).
-    """
-    subarray = w_rf.per_chain.conj() @ ula_response_matrix(w_rf.n_per_chain, grid_deg)
-    return ula_response_matrix(w_rf.n_chains, grid_deg, 0.5 * w_rf.n_per_chain) * subarray
+def combiner_manifold(w_rf: np.ndarray, grid_deg: np.ndarray) -> np.ndarray:
+    """MUSIC manifold W_rf^H a(theta) behind an analog combiner, one column per angle."""
+    return w_rf.conj().T @ ula_response_matrix(w_rf.shape[-2], grid_deg)
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -191,7 +185,7 @@ def _steered(theta_deg, matrix: np.ndarray) -> np.ndarray:
 
 
 def reference_signal_grid(
-    theta_hat_deg, v_rf: AnalogBeamformer, v_bb: np.ndarray, sym: np.ndarray
+    theta_hat_deg, v_rf: np.ndarray, v_bb: np.ndarray, sym: np.ndarray
 ) -> np.ndarray:
     """Reference s = a_tx(theta_hat)^H V_rf V_bb u for every column u of ``sym``.
 
@@ -199,15 +193,15 @@ def reference_signal_grid(
     and one network give shape (n_cells,); K angles and a stack of K networks
     give one dwell's reference per row, shape (K, n_cells).
     """
-    return (_steered(theta_hat_deg, v_rf.assembled) @ v_bb) @ sym
+    return (_steered(theta_hat_deg, v_rf) @ v_bb) @ sym
 
 
-def dwell_weights(w_rf: AnalogBeamformer, theta_hat_deg) -> np.ndarray:
+def dwell_weights(w_rf: np.ndarray, theta_hat_deg) -> np.ndarray:
     """Per-chain RX weights c = W_rf^T conj(a_rx(theta_hat)) / M_b (module docstring, step 4).
 
     K angles and a stack of K networks give one dwell's weights per row.
     """
-    return _steered(theta_hat_deg, w_rf.assembled) / w_rf.n_antennas
+    return _steered(theta_hat_deg, w_rf) / w_rf.shape[-2]
 
 
 def delay_doppler_quotient(cy_grid: np.ndarray, s_grid: np.ndarray):

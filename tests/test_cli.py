@@ -53,6 +53,18 @@ def test_show_config_prints_resolved_json(tiny_config):
     assert data["carrier_hz"] == 28e9  # profile default preserved
 
 
+@pytest.mark.parametrize("args", [
+    ["show-config", "--out", "x"],
+    ["show-config", "--format", "json"],
+    ["validate", "--format", "json"],
+], ids=["show-config-out", "show-config-format", "validate-format"])
+def test_subcommands_reject_options_they_do_not_read(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sense_writes_maps_and_report(tmp_path, tiny_config):
     out = tmp_path / "out"
     proc = _run("sense", "--profile", "fast", "--config", str(tiny_config),

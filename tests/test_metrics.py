@@ -43,10 +43,10 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
         m_u=m_u,
         n_u=n_u,
     )
-    h_tilde_hat = w_rf.assembled.conj().T @ est.h_bb_hat @ v_rf.assembled
+    h_tilde_hat = w_rf.conj().T @ est.h_bb_hat @ v_rf
     h_tilde_true = h_tilde_hat if perfect_csi else h_tilde_hat + 1e-3 * _crandn(rng, 6, 2)
-    h_ul_eff = w_rf.assembled.conj().T @ est.h_ul_hat
-    h_int_eff = w_rf.assembled.conj().T @ est.h_rad_int_hat
+    h_ul_eff = w_rf.conj().T @ est.h_ul_hat
+    h_int_eff = w_rf.conj().T @ est.h_rad_int_hat
     w_bb = nsp_rx_combiner(h_ul_eff, h_int_eff, 1) if nulling else mss_rx_combiner(h_ul_eff, 1)
     w_u = np.linalg.qr(_crandn(rng, m_u, st))[0]
     v_u = _crandn(rng, n_u)
@@ -61,14 +61,14 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
 
 def _radar(bf, est, resid, sigma2):
     """radar_sinr over the terms the pipeline forms once per design."""
-    echo = bf.w_b_rf.assembled.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
-    return radar_sinr(echo, resid @ bf.v_b_bb, bf.w_b_rf.assembled, sigma2)
+    echo = bf.w_b_rf.conj().T @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
+    return radar_sinr(echo, resid @ bf.v_b_bb, bf.w_b_rf, sigma2)
 
 
 def _ul(bf, est, resid, sigma2):
     """ul_sinr of the design's combiner over the terms the pipeline forms once per design."""
-    w_h = bf.w_b_rf.assembled.conj().T
-    echo = w_h @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+    w_h = bf.w_b_rf.conj().T
+    echo = w_h @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
     ul = w_h @ est.h_ul_hat @ bf.v_u_bb[:, None]
     return ul_sinr(bf.w_b_bb, ul, echo, resid @ bf.v_b_bb, sigma2)
 
@@ -79,10 +79,10 @@ def test_radar_sinr_perfect_csi_noise_limited():
     sigma2 = 1e-9
     got = _radar(bf, est, resid, sigma2)
     num = np.linalg.norm(
-        bf.w_b_rf.assembled.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+        bf.w_b_rf.conj().T @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
     ) ** 2
     # cancellers telescope, so only the noise term remains in the denominator
-    expected = num / (np.linalg.norm(bf.w_b_rf.assembled) ** 2 * sigma2)
+    expected = num / (np.linalg.norm(bf.w_b_rf) ** 2 * sigma2)
     np.testing.assert_allclose(got, expected, rtol=1e-10)
 
 
@@ -98,9 +98,9 @@ def test_radar_sinr_matches_brute_force():
     bf, est, resid = _toy_system(rng, perfect_csi=False)
     sigma2 = 3e-8
     got = _radar(bf, est, resid, sigma2)
-    w = bf.w_b_rf.assembled
+    w = bf.w_b_rf
     num = 0.0
-    mat = w.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+    mat = w.conj().T @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
     for i in range(mat.shape[0]):
         for j in range(mat.shape[1]):
             num += abs(mat[i, j]) ** 2
@@ -144,13 +144,13 @@ def test_ul_sinr_nsp_denominator_is_self_echo_plus_noise():
     bf, est, resid = _toy_system(rng, nulling=True)
     sigma2 = 1e-9
     got = _ul(bf, est, resid, sigma2)
-    w_eff = bf.w_b_rf.assembled @ bf.w_b_bb
+    w_eff = bf.w_b_rf @ bf.w_b_bb
     num = np.linalg.norm(w_eff.conj().T @ est.h_ul_hat @ bf.v_u_bb) ** 2
     # interference through the nulled subspace vanishes; the UL self echo
     # (the final rank-one term of the radar estimate) survives
     self_echo_channel = est.h_rad_hat - est.h_rad_int_hat
     self_echo = np.linalg.norm(
-        w_eff.conj().T @ self_echo_channel @ bf.v_b_rf.assembled @ bf.v_b_bb
+        w_eff.conj().T @ self_echo_channel @ bf.v_b_rf @ bf.v_b_bb
     ) ** 2
     np.testing.assert_allclose(got, num / (self_echo + sigma2), rtol=1e-6)
 
@@ -167,10 +167,10 @@ def test_ul_sinr_matches_brute_force():
     bf, est, resid = _toy_system(rng, perfect_csi=False, nulling=False)
     sigma2 = 2e-9
     got = _ul(bf, est, resid, sigma2)
-    w_eff = bf.w_b_rf.assembled @ bf.w_b_bb
+    w_eff = bf.w_b_rf @ bf.w_b_bb
     num = np.linalg.norm(w_eff.conj().T @ est.h_ul_hat @ bf.v_u_bb) ** 2
     radar = np.linalg.norm(
-        w_eff.conj().T @ est.h_rad_hat @ bf.v_b_rf.assembled @ bf.v_b_bb
+        w_eff.conj().T @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
     ) ** 2
     si = np.linalg.norm(bf.w_b_bb.conj().T @ resid @ bf.v_b_bb) ** 2
     np.testing.assert_allclose(got, num / (radar + si + sigma2), rtol=1e-12)
@@ -224,7 +224,7 @@ def test_nsp_beats_mss_in_expectation():
     for _ in range(100):
         bf_n, est, resid = _toy_system(rng, nulling=True)
         bf_m = replace(
-            bf_n, w_b_bb=mss_rx_combiner(bf_n.w_b_rf.assembled.conj().T @ est.h_ul_hat, 1))
+            bf_n, w_b_bb=mss_rx_combiner(bf_n.w_b_rf.conj().T @ est.h_ul_hat, 1))
         gains_nsp.append(_ul(bf_n, est, resid, 1e-9))
         gains_mss.append(_ul(bf_m, est, resid, 1e-9))
     assert np.mean(gains_nsp) >= np.mean(gains_mss)
