@@ -31,4 +31,13 @@ class DegenerateCombinerError(RuntimeError):
 
 
 class InfeasibleResultError(RuntimeError):
-    """A solver stopped without reaching feasibility."""
+    """A solver stopped without reaching feasibility.
+
+    On a stack, ``errors`` holds per problem (leading axes flattened) None or
+    that problem's own error; ``result`` is zero at the failed problems.
+    """
+
+    def __init__(self, message, errors=(), result=None):
+        super().__init__(message)
+        self.errors = errors
+        self.result = result

@@ -18,8 +18,7 @@ The design runs as an ordered sequence of sub-problems:
      interference subspace.
 
 Every step takes a stack of trials along leading axes (a single matrix is a
-stack with none); only the TX precoder, whose iteration count depends on
-the data, runs once per trial. A trial that fails a step is recorded in
+stack with none). A trial that fails a step is recorded in
 :attr:`HybridBeamformers.errors` and the other trials continue.
 """
 
@@ -58,6 +57,7 @@ _NULL_RIDGE_REL = 1e-10  # null(H) ridge, relative to the mean squared singular 
 _GUARD_MAX_REL = 1e-9  # largest relative scale the final feasibility step may apply
 _ARMIJO = 1e-4  # sufficient-increase fraction of the dual line search
 _MAX_SOLVES = 200  # cap on evaluations of V(zeta)
+_PIVOT_MIN_REL = 1e-6  # Cholesky diagonal ratio below which a Newton system is singular
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,94 @@ def select_rx_analog(
     return assemble_analog(cb[idx])
 
 
+def _newton_step(hess: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``hess^-1 d`` by Cholesky, or the minimum-norm least-squares solution
+    where ``hess`` is singular to working precision (e.g. repeated rows)."""
+    try:
+        c = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:  # not positive definite in floating point
+        c = None
+    if c is not None and (p := c.diagonal()).min() > _PIVOT_MIN_REL * p.max():
+        c_inv = np.linalg.inv(c)
+        return c_inv.T @ (c_inv @ d)
+    return np.linalg.lstsq(hess, d, rcond=1e-14)[0]
+
+
+def _dual_newton(r_basis, sig, rank, g_fit, lam):
+    """Projected Newton on the dual of one problem of :func:`numeric_tx_precoder`,
+    in its singular basis from zeta = 0. Returns V, zeta and the solves made."""
+    n, st = r_basis.shape[1], g_fit.shape[1]
+    diag = np.full(n, _NULL_RIDGE_REL * float(np.mean(sig**2)) if rank else 1.0)
+    diag[:rank] = sig[:rank] ** 2
+    # the objective term of the dual, ridge included: ||fit_w * x - target||^2
+    fit_w = np.sqrt(diag)[:, None]
+    fit_w[:rank, 0] = sig[:rank]
+    target = np.zeros((n, st), dtype=complex)
+    target[:rank] = g_fit[:rank]
+    r_h = r_basis.conj().T
+    diag_m = np.diag(diag).astype(complex)
+    rhs = np.concatenate([fit_w * target, r_h], axis=1)
+
+    def solved(sol, zeta):
+        """V(zeta), the dual's gradient c - lambda_b, its -Hessian and the largest
+        projected gradient relative to lambda_b, from sol = A(zeta)^-1 rhs."""
+        rs = r_basis @ sol
+        ww = rs[:, :st].conj() @ rs[:, :st].T  # conj(W W^H), the leakages c on its diagonal
+        d = ww.real.diagonal() - lam
+        pg = np.where(zeta > 0, np.abs(d), d).max(initial=0.0) / lam
+        return sol[:, :st], d, 2.0 * (rs[:, st:] * ww).real, pg
+
+    def evaluate(zeta):
+        a = diag_m + (r_h * zeta) @ r_basis
+        jac = a.real.diagonal() ** -0.5  # Jacobi scaling
+        jac_col = jac[:, None]
+        a *= jac_col
+        a *= jac
+        return solved(jac_col * np.linalg.solve(a, jac_col * rhs), zeta)
+
+    def dual_value(x, d, zeta):
+        fit = fit_w * x - target
+        return float(np.vdot(fit, fit).real + zeta @ d)
+
+    zeta = np.zeros(r_basis.shape[0])
+    x, d, hess, pg = solved(rhs / diag[:, None], zeta)
+    dual = dual_value(x, d, zeta)
+    iterations = 1
+    refine = False  # set once the dual value is too flat to rank steps
+    while pg > 0.0 and iterations < _MAX_SOLVES:
+        free = (zeta > 0) | (d > 0)
+        if free.all():  # most steps once the rows bind; skips the masked copies
+            step = _newton_step(hess, d)
+        else:
+            step = np.zeros_like(zeta)
+            step[free] = _newton_step(hess[free][:, free], d[free])
+        full = np.maximum(zeta + step, 0.0)
+        full_result = evaluate(full)
+        iterations += 1
+        trial, result, alpha = full, full_result, 1.0
+        if not refine:
+            # rounding of the dual value: its terms, not their sum, set the scale
+            noise = 64 * _EPS * (abs(dual) + zeta @ (d + 2.0 * lam))
+        while not refine:
+            gain = float(d @ (trial - zeta))  # first-order increase of the dual
+            refine = gain <= noise or alpha < _EPS  # too small for the dual value to rank
+            if refine:
+                trial, result = full, full_result
+                break
+            value = dual_value(result[0], result[1], trial)
+            if value >= dual + _ARMIJO * gain:
+                dual = value
+                break
+            alpha *= 0.5
+            trial = np.maximum(zeta + alpha * step, 0.0)
+            result = evaluate(trial)
+            iterations += 1
+        if refine and result[3] > 0.5 * pg:
+            break
+        zeta, (x, d, hess, pg) = trial, result
+    return x, zeta, iterations
+
+
 def numeric_tx_precoder(
     h_dl_eff: np.ndarray,
     t_rows,
@@ -235,129 +323,96 @@ def numeric_tx_precoder(
     minimum-norm point. With one row the iteration converges to the
     Sherman-Morrison closed form of the single-RX-chain case.
 
+    A stack of problems along leading axes is solved at zeta = 0 at once,
+    where V(0) = pinv(H) G in closed form; only the problems with a row above
+    lambda_b then run the Newton iteration, one at a time, because its length
+    depends on the data.
+
     Final step, the only one that changes the Newton solution: V is scaled
     by min(1, sqrt(lambda_b / max_r(c_r + e_r))), where e_r bounds the
     rounding of the computed c_r, so every c_r is <= lambda_b in floating
     point, also after later column down-scaling. A scale below 1 - 1e-9
-    raises :class:`InfeasibleResultError`. ``lambda_b_watts = inf``
-    returns the minimum-norm least-squares solution.
+    fails the problem with :class:`InfeasibleResultError`; on a stack its
+    ``errors`` hold each failed problem's own error and ``result`` the
+    stack's V with zeros in their place. ``lambda_b_watts = inf`` returns
+    the minimum-norm least-squares solution.
 
     With ``return_info`` the result is ``(V, info)``; ``info`` holds
-    ``iterations`` (linear solves, >= 1), ``multipliers`` (zeta), ``active``
-    (zeta_r > 0) and ``kkt_residual``: the largest of the stationarity
-    residual relative to ||H^H G||, the constraint violation relative to
-    lambda_b, and the complementary slackness sum_r zeta_r |c_r - lambda_b|
-    relative to ||G||^2, the objective at V = 0.
+    ``iterations`` (linear solves over the stack, >= 1 per problem),
+    ``multipliers`` (zeta), ``active`` (zeta_r > 0) and ``kkt_residual``
+    per problem: the largest of the stationarity residual relative to
+    ||H^H G||, the constraint violation relative to lambda_b, and the
+    complementary slackness sum_r zeta_r |c_r - lambda_b| relative to
+    ||G||^2, the objective at V = 0.
     """
     h = np.asarray(h_dl_eff, dtype=complex)
     g = np.asarray(g_target, dtype=complex)
-    t_rows = np.atleast_2d(np.asarray(t_rows, dtype=complex))
+    rows = np.atleast_2d(np.asarray(t_rows, dtype=complex)).conj()  # c_r = ||row_r @ V||^2
     lam = float(lambda_b_watts)
-    if t_rows.shape[1] != h.shape[1]:
-        raise ValueError(f"leakage rows length {t_rows.shape[1]} != {h.shape[1]} TX chains")
+    lead, n = h.shape[:-2], h.shape[-1]
+    if rows.shape[-1] != n:
+        raise ValueError(f"leakage rows length {rows.shape[-1]} != {n} TX chains")
     if not lam > 0:
         raise ValueError(f"leakage threshold must be positive, got {lambda_b_watts}")
-    rows = t_rows.conj()  # c_r = ||row_r @ V||^2
+    # a flat stack of problems; rows without leading axes are shared by all
+    h, g, rows = (a.reshape((-1,) + a.shape[-2:]) for a in (h, g, rows))
     if np.isinf(lam):
-        rows = rows[:0]  # no row can bind
-    n, st = h.shape[1], g.shape[1]
+        rows = rows[:, :0]  # no row can bind
 
     u, sig, wh = np.linalg.svd(h)
-    rank = int(np.sum(sig > _RANK_TOL_REL * sig[0])) if sig.size and sig[0] > 0 else 0
-    basis = wh.conj().T
-    g_fit = u[:, :rank].conj().T @ g  # the part of G that H can reach
-    diag = np.full(n, _NULL_RIDGE_REL * float(np.mean(sig**2)) if rank else 1.0)
-    diag[:rank] = sig[:rank] ** 2
+    k = sig.shape[-1]
+    keep = sig > _RANK_TOL_REL * sig[:, :1]  # sig descends: each problem keeps a prefix
+    rank = keep.sum(axis=-1)
+    basis = np.swapaxes(wh, -1, -2).conj()
+    g_fit = keep[..., None] * (np.swapaxes(u[..., :k], -1, -2).conj() @ g)  # the part H can reach
+    x = np.zeros((len(h), n, g.shape[-1]), dtype=complex)
+    x[:, :k] = g_fit / np.where(keep, sig, 1.0)[..., None]  # V(0) = pinv(H) G
     r_basis = rows @ basis
-    rhs = np.zeros((n, st + rows.shape[0]), dtype=complex)
-    rhs[:rank, :st] = sig[:rank, None] * g_fit
-    rhs[:, st:] = r_basis.conj().T
-
-    def evaluate(zeta):
-        """V(zeta) in the singular basis, leakages, -Hessian and value of the dual."""
-        a = np.diag(diag) + (r_basis.conj().T * zeta) @ r_basis
-        jac = 1.0 / np.sqrt(np.real(np.diagonal(a)))  # Jacobi scaling
-        sol = jac[:, None] * np.linalg.solve(
-            a * jac[:, None] * jac[None, :], jac[:, None] * rhs
-        )
-        x = sol[:, :st]
-        w = r_basis @ x
-        leak = np.linalg.norm(w, axis=1) ** 2
-        hess = 2.0 * np.real((r_basis @ sol[:, st:]) * (w @ w.conj().T).conj())
-        dual = (
-            np.linalg.norm(sig[:rank, None] * x[:rank] - g_fit) ** 2
-            + diag[rank:] @ np.linalg.norm(x[rank:], axis=1) ** 2
-            + zeta @ (leak - lam)
-        )
-        return x, leak, hess, float(dual)
-
-    def projected_gradient(zeta, leak):
-        d = leak - lam
-        return np.abs(np.where(zeta > 0, d, np.maximum(d, 0.0))).max(initial=0.0) / lam
-
-    zeta = np.zeros(rows.shape[0])
-    x, leak, hess, dual = evaluate(zeta)
-    pg = projected_gradient(zeta, leak)
-    iterations = 1
-    refine = False  # set once the dual value is too flat to rank steps
-    while pg > 0.0 and iterations < _MAX_SOLVES:
-        d = leak - lam
-        free = (zeta > 0) | (d > 0)
-        step = np.zeros_like(zeta)
-        # minimum-norm step where the Hessian is singular (e.g. repeated rows)
-        step[free] = np.linalg.lstsq(hess[np.ix_(free, free)], d[free], rcond=1e-14)[0]
-        # rounding of the dual value: its terms, not their sum, set the scale
-        noise = 64 * _EPS * (abs(dual) + zeta @ (leak + lam))
-        full = np.maximum(zeta + step, 0.0)
-        full_result = evaluate(full)
-        iterations += 1
-        trial, result, alpha = full, full_result, 1.0
-        while not refine:
-            gain = float(d @ (trial - zeta))  # first-order increase of the dual
-            if gain <= noise or alpha < _EPS:
-                refine = True  # too small a change for the dual value to rank
-                trial, result = full, full_result
-            elif result[3] >= dual + _ARMIJO * gain:
-                break
-            else:
-                alpha *= 0.5
-                trial = np.maximum(zeta + alpha * step, 0.0)
-                result = evaluate(trial)
-                iterations += 1
-        pg_trial = projected_gradient(trial, result[1])
-        if refine and pg_trial > 0.5 * pg:
-            break
-        zeta, (x, leak, hess, dual), pg = trial, result, pg_trial
+    zeta = np.zeros(r_basis.shape[:2])
+    iterations = np.ones(len(h), dtype=int)
+    binding = (np.linalg.norm(r_basis @ x, axis=-1) ** 2 > lam).any(axis=-1)
+    for i in np.flatnonzero(binding):
+        x[i], zeta[i], iterations[i] = _dual_newton(r_basis[i], sig[i], rank[i], g_fit[i], lam)
 
     v = basis @ x
     w = rows @ v
-    leak = np.linalg.norm(w, axis=1) ** 2
+    leak = np.linalg.norm(w, axis=-1) ** 2
     # rounding bound of the computed sums |row_r . v_col|^2
-    err = 4 * (n + 2) * _EPS * np.sqrt(leak) * np.linalg.norm(np.abs(rows) @ np.abs(v), axis=1)
-    worst = float(np.max(leak + err, initial=0.0))
-    if worst > lam:
-        scale = np.sqrt(lam / worst)
-        if scale < 1.0 - _GUARD_MAX_REL:
-            raise InfeasibleResultError(
-                f"leakage {leak.max() / lam:.9f} x threshold after {iterations} solves"
-            )
-        v, w, leak = v * scale, w * scale, leak * scale**2
+    err = 4 * (n + 2) * _EPS * np.sqrt(leak) * np.linalg.norm(np.abs(rows) @ np.abs(v), axis=-1)
+    worst = (leak + err).max(axis=-1, initial=0.0)
+    scale = np.maximum(worst / lam, 1.0) ** -0.5
+    failed = scale < 1.0 - _GUARD_MAX_REL
+    v *= scale[:, None, None]
+    if failed.any():
+        errors = tuple(
+            InfeasibleResultError(f"leakage {c.max() / lam:.9f} x threshold after {its} solves")
+            if f else None for f, c, its in zip(failed, leak, iterations)
+        )
+        if not lead:
+            raise errors[0]
+        v[failed] = 0.0
+        raise InfeasibleResultError(f"{failed.sum()} of {failed.size} problems failed",
+                                    errors=errors, result=v.reshape(lead + v.shape[1:]))
     if not return_info:
-        return v
+        return v.reshape(lead + v.shape[1:])
+    w, leak = w * scale[:, None, None], leak * scale[:, None] ** 2
     tiny = np.finfo(float).tiny
-    grad = h.conj().T @ (h @ v - g) + rows.conj().T @ (zeta[:, None] * w)
-    kkt = max(
-        np.linalg.norm(grad) / max(np.linalg.norm(h.conj().T @ g), tiny),
-        max(leak.max(initial=0.0) / lam - 1.0, 0.0),
-        zeta @ np.abs(leak - lam) / max(np.linalg.norm(g) ** 2, tiny),
-    )
+    h_h = np.swapaxes(h, -1, -2).conj()
+    grad = h_h @ (h @ v - g) + np.swapaxes(rows, -1, -2).conj() @ (zeta[..., None] * w)
+    grad_norm, rhs_norm, g_norm = (np.linalg.norm(a, axis=(-2, -1)) for a in (grad, h_h @ g, g))
+    kkt = np.maximum.reduce([
+        grad_norm / np.maximum(rhs_norm, tiny),
+        np.maximum(leak.max(axis=-1, initial=0.0) / lam - 1.0, 0.0),
+        (zeta * np.abs(leak - lam)).sum(axis=-1) / np.maximum(g_norm**2, tiny),
+    ])
+    zeta = zeta.reshape(lead + zeta.shape[1:])
     info = {
-        "iterations": iterations,
+        "iterations": int(iterations.sum()),
         "multipliers": zeta,
         "active": zeta > 0,
-        "kkt_residual": float(kkt),
+        "kkt_residual": kkt.reshape(lead)[()],
     }
-    return v, info
+    return v.reshape(lead + v.shape[1:]), info
 
 
 def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.ndarray:
@@ -464,10 +519,10 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
     failures are re-raised with the failing step named.
 
     ``est`` may be a stack of estimates along leading axes, designed as one
-    stack; the TX precoder alone runs trial by trial. A step that fails for
-    single trials (the precoder, the NSP combiner) records the step-named
-    error in :attr:`HybridBeamformers.errors` and the other trials continue;
-    a single design raises it. A step that fails for the whole stack raises.
+    stack. A step that fails for single trials (the precoder, the NSP
+    combiner) records the step-named error in
+    :attr:`HybridBeamformers.errors` and the other trials continue; a single
+    design raises it. A step that fails for the whole stack raises.
     """
     st = cfg.n_streams
     p_b = cfg.p_b_watts
@@ -504,14 +559,14 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         _, _, vh = np.linalg.svd(h_dl_eff, full_matrices=False)
         v_right = _fix_phase(np.swapaxes(vh, -1, -2)[..., :st].conj())
         g_target = h_dl_eff @ v_right * np.sqrt(p_b / st)
-        # a trial whose precoder fails keeps V = 0, which no later step rejects
-        v_bb = np.zeros(lead + (h_dl_eff.shape[-1], st), dtype=complex)
-        per_trial = [a.reshape(-1, *a.shape[-2:]) for a in (v_bb, h_dl_eff, leak_vecs, g_target)]
-        for i, (v, h, t_rows, g) in enumerate(zip(*per_trial)):
-            try:
-                v[...] = numeric_tx_precoder(h, t_rows, lam, g)
-            except Exception as exc:
-                errors[i] = _at_step(exc, step)
+        try:
+            v_bb = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target)
+        except InfeasibleResultError as exc:
+            if not lead:
+                raise
+            # a trial whose precoder fails keeps V = 0, which no later step rejects
+            v_bb = exc.result
+            errors = [None if e is None else _at_step(e, step) for e in exc.errors]
 
         step = "power normalization"
         # down-scaling columns can only lower the per-chain leakage

@@ -88,12 +88,10 @@ def test_traced_run_counts_hold_from_warm_and_cold_cache():
             cfg.k_targets * wf.n_subcarriers * wf.n_symbols
         )
         calls[cache] = Counter(span[0] for span in tracer.spans)
-    # the plan adds no traced call: the SI draws and the precoder run per
-    # trial, every other rebound name per block
+    # the plan adds no traced call: the SI draws run per trial, every other
+    # rebound name (the precoder too) per block
     assert calls["warm"] == calls["cold"]
-    per_trial = {
-        "channels.gen_si_channel", "channels.perturb_estimate", "optimizer.numeric_tx_precoder",
-    }
+    per_trial = {"channels.gen_si_channel", "channels.perturb_estimate"}
     for name, n in calls["cold"].items():
         if name in per_trial:
             assert n == cfg.trials, name
