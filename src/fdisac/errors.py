@@ -33,7 +33,7 @@ class DegenerateCombinerError(RuntimeError):
 class InfeasibleResultError(RuntimeError):
     """A solver stopped without reaching feasibility.
 
-    On a stack, ``errors`` holds per problem (leading axes flattened) None or
+    ``errors`` holds per problem of a stack (leading axes flattened) None or
     that problem's own error; ``result`` is zero at the failed problems.
     """
 

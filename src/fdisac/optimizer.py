@@ -257,11 +257,8 @@ def _dual_newton(r_basis, sig, rank, g_fit, lam):
     refine = False  # set once the dual value is too flat to rank steps
     while pg > 0.0 and iterations < _MAX_SOLVES:
         free = (zeta > 0) | (d > 0)
-        if free.all():  # most steps once the rows bind; skips the masked copies
-            step = _newton_step(hess, d)
-        else:
-            step = np.zeros_like(zeta)
-            step[free] = _newton_step(hess[free][:, free], d[free])
+        step = np.zeros_like(zeta)
+        step[free] = _newton_step(hess[free][:, free], d[free])
         full = np.maximum(zeta + step, 0.0)
         full_result = evaluate(full)
         iterations += 1
@@ -332,10 +329,11 @@ def numeric_tx_precoder(
     by min(1, sqrt(lambda_b / max_r(c_r + e_r))), where e_r bounds the
     rounding of the computed c_r, so every c_r is <= lambda_b in floating
     point, also after later column down-scaling. A scale below 1 - 1e-9
-    fails the problem with :class:`InfeasibleResultError`; on a stack its
-    ``errors`` hold each failed problem's own error and ``result`` the
-    stack's V with zeros in their place. ``lambda_b_watts = inf`` returns
-    the minimum-norm least-squares solution.
+    fails the problem, as does an exception in its Newton iteration. Any
+    failure raises one :class:`InfeasibleResultError` with the first failed
+    problem's message; its ``errors`` hold each failed problem's own error
+    and ``result`` the V of the stack with zeros in their place.
+    ``lambda_b_watts = inf`` returns the minimum-norm least-squares solution.
 
     With ``return_info`` the result is ``(V, info)``; ``info`` holds
     ``iterations`` (linear solves over the stack, >= 1 per problem),
@@ -371,8 +369,12 @@ def numeric_tx_precoder(
     zeta = np.zeros(r_basis.shape[:2])
     iterations = np.ones(len(h), dtype=int)
     binding = (np.linalg.norm(r_basis @ x, axis=-1) ** 2 > lam).any(axis=-1)
+    errors = [None] * len(h)
     for i in np.flatnonzero(binding):
-        x[i], zeta[i], iterations[i] = _dual_newton(r_basis[i], sig[i], rank[i], g_fit[i], lam)
+        try:
+            x[i], zeta[i], iterations[i] = _dual_newton(r_basis[i], sig[i], rank[i], g_fit[i], lam)
+        except Exception as exc:  # fails this problem only, with V = 0
+            x[i], errors[i] = 0.0, exc
 
     v = basis @ x
     w = rows @ v
@@ -383,16 +385,13 @@ def numeric_tx_precoder(
     scale = np.maximum(worst / lam, 1.0) ** -0.5
     failed = scale < 1.0 - _GUARD_MAX_REL
     v *= scale[:, None, None]
-    if failed.any():
-        errors = tuple(
-            InfeasibleResultError(f"leakage {c.max() / lam:.9f} x threshold after {its} solves")
-            if f else None for f, c, its in zip(failed, leak, iterations)
-        )
-        if not lead:
-            raise errors[0]
-        v[failed] = 0.0
-        raise InfeasibleResultError(f"{failed.sum()} of {failed.size} problems failed",
-                                    errors=errors, result=v.reshape(lead + v.shape[1:]))
+    for i in np.flatnonzero(failed):
+        errors[i] = InfeasibleResultError(
+            f"leakage {leak[i].max() / lam:.9f} x threshold after {iterations[i]} solves")
+    if any(errors):
+        v[[e is not None for e in errors]] = 0.0
+        raise InfeasibleResultError(str(next(filter(None, errors))), errors=tuple(errors),
+                                    result=v.reshape(lead + v.shape[1:]))
     if not return_info:
         return v.reshape(lead + v.shape[1:])
     w, leak = w * scale[:, None, None], leak * scale[:, None] ** 2
@@ -562,8 +561,6 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         try:
             v_bb = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target)
         except InfeasibleResultError as exc:
-            if not lead:
-                raise
             # a trial whose precoder fails keeps V = 0, which no later step rejects
             v_bb = exc.result
             errors = [None if e is None else _at_step(e, step) for e in exc.errors]

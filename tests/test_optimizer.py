@@ -864,6 +864,35 @@ def test_nsp_stack_marks_degenerate_matrices_and_keeps_the_others():
     assert one.value.failed.shape == () and one.value.failed
 
 
+def test_precoder_stack_error_in_one_newton_loop_fails_only_its_problem(monkeypatch):
+    import fdisac.optimizer as optimizer
+
+    h, t_rows, lam, g = _mixed_precoder_stack(np.random.default_rng(30), infeasible=False)
+    newton, calls = optimizer._dual_newton, []
+
+    def second_loop_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return newton(*args)
+
+    monkeypatch.setattr(optimizer, "_dual_newton", second_loop_fails)
+    with pytest.raises(InfeasibleResultError, match="^Singular matrix$") as stack:
+        numeric_tx_precoder(h, t_rows, lam, g)
+    monkeypatch.undo()
+    assert len(calls) == 4  # every binding problem ran its loop
+    failed = [e is not None for e in stack.value.errors]
+    assert failed == [False, False, True, False, False, False]
+    assert isinstance(stack.value.errors[2], np.linalg.LinAlgError)
+    assert not stack.value.result[0, 2].any()
+    for idx in np.ndindex(2, 3):
+        if idx != (0, 2):
+            v_i = numeric_tx_precoder(h[idx], t_rows[idx], lam, g[idx])
+            np.testing.assert_allclose(
+                stack.value.result[idx], v_i, rtol=0, atol=1e-12 * np.linalg.norm(v_i)
+            )
+
+
 def test_precoder_failure_fails_only_its_trial(monkeypatch):
     import fdisac.optimizer as optimizer
 
@@ -881,12 +910,11 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
     def trial_1_fails(h, *args, **kwargs):
         calls.append(h.shape)
         one = InfeasibleResultError("leakage 2.000000000 x threshold after 3 solves")
-        if h.ndim == 2:
-            raise one
-        failed = np.arange(len(h)) == 1
+        # a single problem is a stack without leading axes
+        failed = np.arange(len(h)) == 1 if h.ndim == 3 else np.array([True])
         raise InfeasibleResultError(
-            "1 of 3 problems failed", errors=tuple(one if f else None for f in failed),
-            result=np.where(failed[:, None, None], 0.0, solve(h, *args, **kwargs)),
+            str(one), errors=tuple(one if f else None for f in failed),
+            result=np.where(failed.reshape(h.shape[:-2] + (1, 1)), 0.0, solve(h, *args, **kwargs)),
         )
 
     monkeypatch.setattr(optimizer, "numeric_tx_precoder", trial_1_fails)
