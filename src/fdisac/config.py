@@ -29,10 +29,36 @@ __all__ = [
 
 PROFILE_NAMES = ("table1", "fast")
 
-# The infinite float values that run: silent links, no SI, no ADC cap, perfect SI CSI.
-_LEGAL_INFINITIES = {"tx_power_dbm": (-math.inf,), "ul_tx_power_dbm": (-math.inf,),
-                     "si_pathloss_db": (math.inf,), "si_kappa_db": (-math.inf, math.inf),
-                     "si_threshold_dbm": (math.inf,), "csi_nmse_db": (-math.inf,)}
+_INF = math.inf
+
+# The legal values of each scalar field, in its own unit: (lo, hi, legal infinities).
+# Each finite endpoint runs on the fast profile. The box keeps the precoder's
+# dynamic range tx - threshold - path loss at or below 100 dB: from ~120 dB its
+# Newton loop stops above the final guard's 1e-9 x lambda_b allowance.
+_LIMITS = {
+    **dict.fromkeys(("tx_rf_chains", "rx_rf_chains", "tx_antennas_per_rf", "rx_antennas_per_rf",
+                     "dl_user_antennas", "ul_user_antennas", "n_subcarriers", "n_symbols",
+                     "trials"), (1, _INF, ())),  # sizes are bounded below only
+    "analog_taps": (0, _INF, ()),
+    "codebook_bits": (2, 12, ()),  # one bit leaves two beams, too coarse to design with
+    "seed": (0, _INF, ()),
+    "subcarrier_spacing_hz": (1e3, 1e7, ()),
+    "symbol_duration_s": (2e-7, 2e-3, ()),
+    "carrier_hz": (1e8, 1e12, ()),
+    "tx_power_dbm": (-100.0, 100.0, (-_INF,)),  # -inf: a silent base station
+    "ul_tx_power_dbm": (-100.0, 100.0, (-_INF,)),  # -inf: a silent uplink user
+    "bs_noise_dbm": (-400.0, 100.0, ()),
+    "user_noise_dbm": (-400.0, 100.0, ()),
+    "si_threshold_dbm": (-30.0, 100.0, (_INF,)),  # inf: no ADC saturation cap
+    "si_kappa_db": (-100.0, 100.0, (-_INF, _INF)),  # fully scattered or pure line of sight
+    "si_pathloss_db": (30.0, 300.0, (_INF,)),  # inf: no self-interference
+    "csi_nmse_db": (-300.0, 0.0, (-_INF,)),  # -inf (or None): perfect SI CSI
+    "music_grid_step_deg": (0.01, 1.0, ()),
+    # target geometry; range and velocity are further bounded by the waveform's bins
+    "angle_deg": (-90.0, 90.0, ()),
+    "range_m": (0.0, _INF, ()),
+    "velocity_mps": (-_INF, _INF, ()),
+}
 
 
 def dbm_to_watt(x_dbm: float) -> float:
@@ -40,13 +66,27 @@ def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
-# Each dB field's linear value (watts for dBm) as the pipeline computes it.
-_TO_LINEAR = {
-    **dict.fromkeys(("tx_power_dbm", "ul_tx_power_dbm", "bs_noise_dbm", "user_noise_dbm",
-                     "si_threshold_dbm"), dbm_to_watt),
-    "si_kappa_db": lambda x: 10.0 ** (x / 10.0), "csi_nmse_db": lambda x: 10.0 ** (x / 10.0),
-    "si_pathloss_db": lambda x: 10.0 ** (-x / 10.0),
-}
+def _check(obj, name) -> None:
+    """Check each field of ``obj`` that :data:`_LIMITS` lists: its annotated
+    type, then NaN, then whether it is a legal infinity, then its interval.
+    ``name(field)`` is how a message names the field."""
+    # Annotations are strings (postponed evaluation); a config file can put
+    # any JSON value, NaN and the infinities included, into any field.
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name not in _LIMITS or (value is None and f.type == "float | None"):
+            continue
+        (lo, hi, infinities), label = _LIMITS[f.name], name(f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{label} must be a real number, got {value!r}")
+        if value != value:
+            raise ValueError(f"{label} must not be NaN")
+        if math.isinf(value) and value not in infinities:
+            raise ValueError(f"{label} must be finite, got {value}")
+        if not (lo <= value <= hi or value in infinities):
+            raise ValueError(f"{label} must lie in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -103,63 +143,33 @@ class ScenarioConfig:
     trials: int = 10
 
     def __post_init__(self):
-        # Annotations are strings (postponed evaluation); a config file can put
-        # any JSON value, NaN and the infinities included, into any field.
-        for f in fields(self):
-            name, value = f.name.replace("_", " "), getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if f.type == "float" or (f.type == "float | None" and value is not None):
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{name} must be a real number, got {value!r}")
-                if value != value:
-                    raise ValueError(f"{name} must not be NaN")
-                if math.isinf(value) and value not in _LEGAL_INFINITIES.get(f.name, ()):
-                    raise ValueError(f"{name} must be finite, got {value}")
-                if f.name in _TO_LINEAR:
-                    try:
-                        _TO_LINEAR[f.name](value)
-                    except OverflowError:
-                        raise ValueError(
-                            f"{name} of {value} overflows as a linear value") from None
-                if f.name == "music_grid_step_deg" and not value > 0:
-                    raise ValueError(f"{name} must be positive, got {value}")
-        for name, watts in (("bs noise", self.sigma_b2_watts), ("user noise", self.sigma_u2_watts),
-                            ("si threshold", self.lambda_b_watts)):
-            if not watts > 0:  # a finite dBm value can underflow to 0 W
-                raise ValueError(f"{name} power must be positive, got {watts} W")
-        if min(
-            self.tx_rf_chains,
-            self.rx_rf_chains,
-            self.tx_antennas_per_rf,
-            self.rx_antennas_per_rf,
-            self.dl_user_antennas,
-            self.ul_user_antennas,
-        ) < 1:
-            raise ValueError("all array dimensions must be positive")
-        if self.analog_taps < 0 or self.analog_taps % self.rx_rf_chains != 0:
+        _check(self, lambda field: field.replace("_", " "))
+        if self.analog_taps % self.rx_rf_chains != 0:
             raise ValueError(
                 f"analog taps {self.analog_taps} must be a nonnegative multiple "
                 f"of {self.rx_rf_chains} RX chains"
             )
         if self.analog_taps // self.rx_rf_chains > self.tx_rf_chains:
             raise ValueError("analog taps exceed the compressed SI channel size")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        for spec in self.all_target_specs():
-            if not -90.0 <= spec.angle_deg <= 90.0:
-                raise ValueError(f"target angle must lie in [-90, 90] degrees, got {spec.angle_deg}")
-            if not 0.0 <= spec.range_m < math.inf:
-                raise ValueError(
-                    f"target range must be finite and nonnegative, got {spec.range_m}")
-            if not -math.inf < spec.velocity_mps < math.inf:
-                raise ValueError(f"target velocity must be finite, got {spec.velocity_mps}")
         if not self.dl_scatterers:
             raise ValueError("need at least one DL scatterer: the downlink channel is their paths")
         # K < M_rf is required only by the MUSIC stage and is checked there,
         # so optimizer-only configurations with few RX chains stay legal.
-        self.waveform()  # validates the numerology
+        wf = self.waveform()  # validates the numerology
+        p, q_lo, q_hi = wf.n_subcarriers, -(wf.n_symbols // 2), wf.n_symbols - wf.n_symbols // 2
+        targets = [(f"{key}[{i}]", spec) for key in ("dl_scatterers", "radar_targets")
+                   for i, spec in enumerate(getattr(self, key))] + [("ul_user", self.ul_user)]
+        # each target, named by its config key, is checked against the table, and
+        # its nearest bins must be cells of the map, or its echo aliases
+        for where, spec in targets:
+            _check(spec, lambda field: f"{where}: target {field.split('_')[0]}")
+            n, m = spec.range_m / wf.range_bin_m, spec.velocity_mps / wf.velocity_bin_mps
+            if not n < p - 0.5:
+                raise ValueError(f"{where}: target range {spec.range_m} m is {n:.4g} range bins, "
+                                 f"beyond the {p} unambiguous ones")
+            if not q_lo - 0.5 <= m < q_hi - 0.5:
+                raise ValueError(f"{where}: target velocity {spec.velocity_mps} m/s is {m:.4g} "
+                                 f"Doppler bins, outside [{q_lo}, {q_hi - 1}]")
 
     # Derived dimensions
     @property
@@ -179,35 +189,15 @@ class ScenarioConfig:
         """Total radar-visible objects: scatterers + passive targets + UL user."""
         return len(self.dl_scatterers) + len(self.radar_targets) + 1
 
-    # Unit conversions
-    @property
-    def p_b_watts(self) -> float:
-        return dbm_to_watt(self.tx_power_dbm)
-
-    @property
-    def p_u_watts(self) -> float:
-        return dbm_to_watt(self.ul_tx_power_dbm)
-
-    @property
-    def sigma_b2_watts(self) -> float:
-        return dbm_to_watt(self.bs_noise_dbm)
-
-    @property
-    def sigma_u2_watts(self) -> float:
-        return dbm_to_watt(self.user_noise_dbm)
-
-    @property
-    def lambda_b_watts(self) -> float:
-        return dbm_to_watt(self.si_threshold_dbm)
+    # Unit conversions: the powers in watts
+    p_b_watts = property(lambda self: dbm_to_watt(self.tx_power_dbm))
+    p_u_watts = property(lambda self: dbm_to_watt(self.ul_tx_power_dbm))
+    sigma_b2_watts = property(lambda self: dbm_to_watt(self.bs_noise_dbm))
+    sigma_u2_watts = property(lambda self: dbm_to_watt(self.user_noise_dbm))
+    lambda_b_watts = property(lambda self: dbm_to_watt(self.si_threshold_dbm))
 
     def waveform(self) -> Waveform:
-        return Waveform(
-            n_subcarriers=self.n_subcarriers,
-            n_symbols=self.n_symbols,
-            subcarrier_spacing_hz=self.subcarrier_spacing_hz,
-            symbol_duration_s=self.symbol_duration_s,
-            carrier_hz=self.carrier_hz,
-        )
+        return Waveform(*(getattr(self, f.name) for f in fields(Waveform)))
 
     def all_target_specs(self) -> tuple[TargetSpec, ...]:
         """Scatterers first, passive targets next, UL user last."""
@@ -218,20 +208,29 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("dl_scatterers", "radar_targets"):
             if key in kwargs:
-                kwargs[key] = tuple(TargetSpec(**t) for t in kwargs[key])
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list of targets, got {kwargs[key]!r}")
+                kwargs[key] = tuple(_target(f"{key}[{i}]", t) for i, t in enumerate(kwargs[key]))
         if "ul_user" in kwargs:
-            kwargs["ul_user"] = TargetSpec(**kwargs["ul_user"])
+            kwargs["ul_user"] = _target("ul_user", kwargs["ul_user"])
         return cls(**kwargs)
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
+
+
+def _target(key: str, data) -> TargetSpec:
+    """The target of config entry ``key``; a malformed entry raises naming it."""
+    try:
+        return TargetSpec(**data)
+    except TypeError as exc:  # not a mapping, or a missing or unknown key
+        raise ValueError(f"{key} is not a target: {exc}") from None
 
 
 def _profile(base: ScenarioConfig, overrides: dict) -> ScenarioConfig:
@@ -264,16 +263,16 @@ def fast_profile(**overrides) -> ScenarioConfig:
 
 
 def get_profile(name: str) -> ScenarioConfig:
-    if name == "table1":
-        return table1_profile()
-    if name == "fast":
-        return fast_profile()
-    raise ValueError(f"unknown profile '{name}', expected one of {PROFILE_NAMES}")
+    if name not in PROFILE_NAMES:
+        raise ValueError(f"unknown profile '{name}', expected one of {PROFILE_NAMES}")
+    return table1_profile() if name == "table1" else fast_profile()
 
 
 def load_config(path: str | Path, base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Load a JSON config file, overlaying it on ``base`` when given."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got {type(data).__name__}")
     if base is None:
         return ScenarioConfig.from_dict(data)
     return ScenarioConfig.from_dict({**base.to_dict(), **data})

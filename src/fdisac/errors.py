@@ -6,14 +6,7 @@ class ConstraintViolationError(ValueError):
 
 
 class EstimationFailureError(RuntimeError):
-    """An estimator could not produce the requested number of results.
-
-    ``partial`` carries whatever was recovered before the failure.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """An estimator could not produce the requested number of results."""
 
 
 class DegenerateCombinerError(RuntimeError):

@@ -387,7 +387,8 @@ def numeric_tx_precoder(
     v *= scale[:, None, None]
     for i in np.flatnonzero(failed):
         errors[i] = InfeasibleResultError(
-            f"leakage {leak[i].max() / lam:.9f} x threshold after {iterations[i]} solves")
+            f"leakage {leak[i].max() / lam:.9f} x threshold (rounding bound "
+            f"{err[i].max() / lam:.2g} x) after {iterations[i]} solves")
     if any(errors):
         v[[e is not None for e in errors]] = 0.0
         raise InfeasibleResultError(str(next(filter(None, errors))), errors=tuple(errors),

@@ -105,7 +105,7 @@ def music_doas(
     vectors b, one column per angle (behind an analog combiner, the effective
     ones of :func:`combiner_manifold`), and ``gain`` their ||b||^2. Returns
     the k largest peaks sorted ascending; fewer than k local maxima fail with
-    :class:`EstimationFailureError` carrying the partial result.
+    :class:`EstimationFailureError`.
 
     A stack is decomposed as one, its peaks picked per matrix; a matrix that
     fails is recorded in :attr:`MusicResult.errors` (a single one raises).
@@ -147,11 +147,9 @@ def music_doas(
             errors[t] = ValueError("covariance matrix must be positive semi-definite")
         elif row.max() - row.min() <= 1e-9 * row.max():
             # flat to numerical precision: no directional information
-            errors[t] = EstimationFailureError("pseudo-spectrum is flat",
-                                               partial=MusicResult(row, []))
+            errors[t] = EstimationFailureError("pseudo-spectrum is flat")
         elif peaks.size < k:
-            errors[t] = EstimationFailureError(f"found {peaks.size} spectrum peaks, needed {k}",
-                                               partial=MusicResult(row, doas[t]))
+            errors[t] = EstimationFailureError(f"found {peaks.size} spectrum peaks, needed {k}")
     if r.ndim == 2:
         if errors[0] is not None:
             raise errors[0]

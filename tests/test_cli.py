@@ -53,6 +53,24 @@ def test_show_config_prints_resolved_json(tiny_config):
     assert data["carrier_hz"] == 28e9  # profile default preserved
 
 
+def test_config_outside_the_table_fails_naming_its_field(tmp_path):
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps({"tx_power_dbm": 200.0}), encoding="utf-8")
+    proc = _run("show-config", "--profile", "fast", "--config", str(path))
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "tx power dbm must lie in [-100.0, 100.0], got 200.0" in proc.stderr
+
+
+def test_worst_dynamic_range_corner_validates(tmp_path):
+    # tx - threshold - path loss = 100 dB with perfect SI CSI; the same call runs in CI
+    corner = {"tx_power_dbm": 100.0, "ul_tx_power_dbm": 100.0, "si_threshold_dbm": -30.0,
+              "si_pathloss_db": 30.0, "analog_taps": 0}
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps(corner), encoding="utf-8")
+    assert main(["validate", "--profile", "fast", "--trials", "2", "--config", str(path),
+                 "--out", str(tmp_path / "v")]) == 0
+
+
 @pytest.mark.parametrize("args", [
     ["show-config", "--out", "x"],
     ["show-config", "--format", "json"],

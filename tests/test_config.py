@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from fdisac.config import (
+    _LIMITS,
     ScenarioConfig,
     TargetSpec,
     dbm_to_watt,
@@ -12,6 +15,7 @@ from fdisac.config import (
     load_config,
     table1_profile,
 )
+from fdisac.runner import run_scenario
 
 
 def test_dbm_to_watt_examples():
@@ -156,6 +160,105 @@ def test_load_config_rejects_bad_target_geometry(tmp_path, data, message):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"ul_user": {"angle": 5.0, "range_m": 100.0}}, "ul_user is not a target"),
+        ({"radar_targets": [{"angle_deg": 20.0}]}, "radar_targets[0] is not a target"),
+        ({"radar_targets": {"angle_deg": 20.0, "range_m": 5.0}},
+         "radar_targets must be a list of targets"),
+        ({"ul_user": None}, "ul_user is not a target"),
+        ([{"seed": 3}], "must hold a JSON object, got list"),
+    ],
+    ids=["unknown-key", "missing-range", "object-not-list", "null-target", "list-file"],
+)
+def test_load_config_rejects_bad_structure_naming_the_key(tmp_path, data, message):
+    # each raised a bare TypeError from TargetSpec(**...) or the overlay
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path, base=fast_profile())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)
+
+
+def test_targets_beyond_the_unambiguous_bins_are_rejected():
+    cfg = fast_profile(trials=2)
+    wf = cfg.waveform()
+    r, v = wf.range_bin_m, wf.velocity_bin_mps
+    # P = 64 range bins and Doppler bins [-7, 6]: a UL user at 70 range bins
+    # reported bin 6, 1,249 m off, in a trial that did not fail
+    beyond = r"ul_user: target range .* m is 70 range bins, beyond the 64 unambiguous ones"
+    with pytest.raises(ValueError, match=beyond):
+        fast_profile(ul_user=TargetSpec(-10.0, 70 * r))
+    with pytest.raises(ValueError, match=re.escape("radar_targets[1]: target velocity")):
+        fast_profile(radar_targets=(cfg.radar_targets[0], TargetSpec(40.0, 62 * r, 7 * v)))
+    with pytest.raises(ValueError, match=re.escape("is -8 Doppler bins, outside [-7, 6]")):
+        fast_profile(ul_user=TargetSpec(-10.0, 37 * r, -8 * v))
+    # the outermost bins are accepted and recovered exactly
+    for n, m in ((63, -7), (0, 6)):
+        edge = cfg.with_overrides(ul_user=TargetSpec(-10.0, n * r, m * v))
+        report = run_scenario(edge)
+        assert report.aggregate["n_failed"] == 0
+        for trial in report.trials:
+            assert (trial["sensing"][-1]["bin_n"], trial["sensing"][-1]["bin_m"]) == (n, m)
+
+
+# Each kind of bounded field, physical units and the codebook: every finite
+# endpoint of the table runs.
+_BOUNDED = [f.name for cls in (ScenarioConfig, TargetSpec) for f in dataclasses.fields(cls)
+            if f.type in ("float", "float | None")] + ["codebook_bits"]
+_ENDPOINTS = [(name, bound) for name in _BOUNDED for bound in _LIMITS[name][:2]
+              if np.isfinite(bound)]
+
+
+def _fast_at(field, value):
+    """``fast_profile(trials=2)`` with ``field`` at ``value``.
+
+    A target field moves the UL user. A numerology value keeps the targets on
+    their bins: ranges and velocities scale with the bin widths, and a
+    subcarrier spacing or symbol duration x comes with a partner 2 / x, a
+    cyclic prefix as long as the useful symbol.
+    """
+    cfg = fast_profile(trials=2)
+    if field in ("angle_deg", "range_m", "velocity_mps"):
+        return cfg.with_overrides(ul_user=dataclasses.replace(cfg.ul_user, **{field: value}))
+    partner = {"subcarrier_spacing_hz": "symbol_duration_s",
+               "symbol_duration_s": "subcarrier_spacing_hz"}
+    overrides = {field: value, **({partner[field]: 2.0 / value} if field in partner else {})}
+    wf0 = cfg.waveform()
+    wf = dataclasses.replace(wf0, **{k: v for k, v in overrides.items() if hasattr(wf0, k)})
+    scale_r, scale_v = wf.range_bin_m / wf0.range_bin_m, wf.velocity_bin_mps / wf0.velocity_bin_mps
+
+    def moved(t):
+        return TargetSpec(t.angle_deg, t.range_m * scale_r, t.velocity_mps * scale_v)
+
+    return cfg.with_overrides(**overrides, dl_scatterers=tuple(map(moved, cfg.dl_scatterers)),
+                              radar_targets=tuple(map(moved, cfg.radar_targets)),
+                              ul_user=moved(cfg.ul_user))
+
+
+@pytest.mark.parametrize("field, value", _ENDPOINTS)
+def test_every_finite_endpoint_of_the_table_runs(field, value):
+    cfg = _fast_at(field, value)
+    assert getattr(cfg, field, None) == value or getattr(cfg.ul_user, field) == value
+    report = run_scenario(cfg)
+    assert report.aggregate["n_failed"] == 0, report.trials[0].get("error")
+
+
+def test_worst_dynamic_range_corner_runs_over_twenty_seeds():
+    # tx - threshold - path loss at its largest, with the largest CSI error
+    # and no analog taps: the corner closest to the precoder's dynamic-range limit
+    corner = dict(tx_power_dbm=_LIMITS["tx_power_dbm"][1],
+                  si_threshold_dbm=_LIMITS["si_threshold_dbm"][0],
+                  si_pathloss_db=_LIMITS["si_pathloss_db"][0],
+                  csi_nmse_db=_LIMITS["csi_nmse_db"][1], analog_taps=0)
+    assert corner["tx_power_dbm"] - corner["si_threshold_dbm"] - corner["si_pathloss_db"] == 100.0
+    for seed in range(1, 21):
+        report = run_scenario(fast_profile(trials=2, seed=seed, **corner))
+        assert report.aggregate["n_failed"] == 0, (seed, report.trials[0].get("error"))
+
+
 @pytest.mark.parametrize("range_m", [-1.0, np.nan, np.inf])
 def test_target_rejects_bad_range(range_m):
     with pytest.raises(ValueError, match="range"):
@@ -206,11 +309,11 @@ _NAN, _INF = float("nan"), float("inf")
         ({"user_noise_dbm": -_INF}, "user noise dbm must be finite"),
         ({"user_noise_dbm": _INF}, "user noise dbm must be finite"),
         ({"ul_user": {"angle_deg": -10.0, "range_m": 100.0, "velocity_mps": _NAN}},
-         "target velocity must be finite"),
+         "target velocity must not be NaN"),
         ({"ul_user": {"angle_deg": -10.0, "range_m": 100.0, "velocity_mps": -_INF}},
          "target velocity must be finite"),
         ({"ul_user": {"angle_deg": -10.0, "range_m": _INF}}, "target range must be finite"),
-        ({"ul_user": {"angle_deg": -10.0, "range_m": _NAN}}, "target range must be finite"),
+        ({"ul_user": {"angle_deg": -10.0, "range_m": _NAN}}, "target range must not be NaN"),
         # infinities outside the legal table fail every trial with a misleading error
         ({"csi_nmse_db": _INF}, "csi nmse db must be finite, got inf"),
         ({"tx_power_dbm": _INF}, "tx power dbm must be finite, got inf"),
@@ -222,12 +325,13 @@ _NAN, _INF = float("nan"), float("inf")
         ({"si_threshold_dbm": -_INF}, "si threshold dbm must be finite, got -inf"),
         ({"music_grid_step_deg": _INF}, "music grid step deg must be finite, got inf"),
         # a grid step that is not positive fails only once the run starts
-        ({"music_grid_step_deg": 0.0}, "music grid step deg must be positive, got 0.0"),
-        ({"music_grid_step_deg": -0.1}, "music grid step deg must be positive, got -0.1"),
+        ({"music_grid_step_deg": 0.0}, "music grid step deg must lie in [0.01, 1.0], got 0.0"),
+        ({"music_grid_step_deg": -0.1}, "music grid step deg must lie in [0.01, 1.0], got -0.1"),
         # finite dBm values that underflow to 0 W
-        ({"bs_noise_dbm": -5000.0}, "bs noise power must be positive, got 0.0 W"),
-        ({"user_noise_dbm": -5000.0}, "user noise power must be positive, got 0.0 W"),
-        ({"si_threshold_dbm": -5000.0}, "si threshold power must be positive, got 0.0 W"),
+        ({"bs_noise_dbm": -5000.0}, "bs noise dbm must lie in [-400.0, 100.0], got -5000.0"),
+        ({"user_noise_dbm": -5000.0}, "user noise dbm must lie in [-400.0, 100.0], got -5000.0"),
+        ({"si_threshold_dbm": -5000.0},
+         "si threshold dbm must lie in [-30.0, 100.0], got -5000.0"),
         # strings and booleans are no real numbers
         ({"tx_power_dbm": "30"}, "tx power dbm must be a real number, got '30'"),
         ({"carrier_hz": "28e9"}, "carrier hz must be a real number, got '28e9'"),
@@ -235,20 +339,33 @@ _NAN, _INF = float("nan"), float("inf")
         ({"bs_noise_dbm": True}, "bs noise dbm must be a real number, got True"),
         # finite dB values whose linear value overflows: a bare OverflowError
         # at build, or every trial failing with one
-        ({"tx_power_dbm": 5000.0}, "tx power dbm of 5000.0 overflows"),
-        ({"ul_tx_power_dbm": 5000.0}, "ul tx power dbm of 5000.0 overflows"),
-        ({"bs_noise_dbm": 5000.0}, "bs noise dbm of 5000.0 overflows"),
-        ({"user_noise_dbm": 5000.0}, "user noise dbm of 5000.0 overflows"),
-        ({"si_threshold_dbm": 5000.0}, "si threshold dbm of 5000.0 overflows"),
-        ({"si_kappa_db": 5000.0}, "si kappa db of 5000.0 overflows"),
-        ({"si_pathloss_db": -5000.0}, "si pathloss db of -5000.0 overflows"),
-        ({"csi_nmse_db": 5000.0}, "csi nmse db of 5000.0 overflows"),
+        ({"tx_power_dbm": 5000.0}, "tx power dbm must lie in [-100.0, 100.0], got 5000.0"),
+        ({"ul_tx_power_dbm": 5000.0}, "ul tx power dbm must lie in [-100.0, 100.0], got 5000.0"),
+        ({"bs_noise_dbm": 5000.0}, "bs noise dbm must lie in [-400.0, 100.0], got 5000.0"),
+        ({"user_noise_dbm": 5000.0}, "user noise dbm must lie in [-400.0, 100.0], got 5000.0"),
+        ({"si_threshold_dbm": 5000.0}, "si threshold dbm must lie in [-30.0, 100.0], got 5000.0"),
+        ({"si_kappa_db": 5000.0}, "si kappa db must lie in [-100.0, 100.0], got 5000.0"),
+        ({"si_pathloss_db": -5000.0}, "si pathloss db must lie in [30.0, 300.0], got -5000.0"),
+        ({"csi_nmse_db": 5000.0}, "csi nmse db must lie in [-300.0, 0.0], got 5000.0"),
+        # finite values that built and then failed every trial: "SVD did not converge",
+        # "covariance matrix must be Hermitian", "leakage ... x threshold", the
+        # precoder at -300 dB and dBm, a negative seed, codebooks of 0 and 25 bits
+        ({"csi_nmse_db": 3000.0}, "csi nmse db must lie in [-300.0, 0.0], got 3000.0"),
+        ({"tx_power_dbm": 3112.0, "si_kappa_db": 3082.0}, "tx power dbm must lie in"),
+        ({"tx_power_dbm": 200.0}, "tx power dbm must lie in [-100.0, 100.0], got 200.0"),
+        ({"si_pathloss_db": -300.0}, "si pathloss db must lie in [30.0, 300.0], got -300.0"),
+        ({"si_threshold_dbm": -300.0}, "si threshold dbm must lie in [-30.0, 100.0], got -300.0"),
+        ({"seed": -1}, "seed must lie in [0, inf], got -1"),
+        ({"codebook_bits": 0}, "codebook bits must lie in [2, 12], got 0"),
+        ({"codebook_bits": 25}, "codebook bits must lie in [2, 12], got 25"),
+        ({"ul_user": {"angle_deg": -10.0, "range_m": 100.0, "velocity_mps": 1e300}},
+         "ul_user: target velocity 1e+300 m/s is"),
     ],
 )
 def test_config_holes_rejected_when_config_is_built(tmp_path, data, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         fast_profile(**_as_overrides(data))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         _json_round_trip(tmp_path, data)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,11 @@ def test_precoder_stack_failure_fails_only_its_problem():
         numeric_tx_precoder(h[1, 0], t_rows[1, 0], lam, g[1, 0])
     assert str(stack.value.errors[3]) == str(one.value)
     assert str(one.value).startswith("leakage ") and str(one.value).endswith(" solves")
+    # the message tells a dynamic-range failure from a loop that did not converge:
+    # the leakage sits at the threshold, and its rounding bound above the 1e-9 guard
+    pattern = r"leakage (\S+) x threshold \(rounding bound (\S+) x\) after \d+ solves"
+    leak, bound = re.fullmatch(pattern, str(one.value)).groups()
+    assert float(leak) == pytest.approx(1.0, abs=1e-8) and float(bound) > 1e-9
     assert not stack.value.result[1, 0].any()
     for idx in np.ndindex(2, 3):
         if idx != (1, 0):

@@ -19,7 +19,7 @@ _PLAN_FIELDS = {
     "music_grid_step_deg": 0.2,
     "n_subcarriers": 32,
     "n_symbols": 8,
-    "subcarrier_spacing_hz": 240e3,
+    "subcarrier_spacing_hz": 115e3,  # up to ~123.8 kHz keeps the farthest target, 1,211 m, in range
     "symbol_duration_s": 9.5e-6,
     "carrier_hz": 24e9,
     "dl_scatterers": (TargetSpec(-35.0, 100.0), TargetSpec(-20.0, 488.0)),
