@@ -149,21 +149,31 @@ def _fix_phase(m: np.ndarray) -> np.ndarray:
     return m * (pivot.conj() / (mag + (mag == 0.0)))[..., None, :]
 
 
-def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray, n_rf: int) -> np.ndarray:
+def _principal(h: np.ndarray, n: int, right: bool = False) -> np.ndarray:
+    """The top ``n`` left (``right``: right) singular vectors of ``h``, phase-fixed (stacks too)."""
+    h = np.asarray(h, dtype=complex)
+    u, _, vh = np.linalg.svd(h, full_matrices=False)
+    vecs = np.swapaxes(vh, -1, -2).conj() if right else u
+    if n < 1 or n > vecs.shape[-1]:
+        raise ValueError(f"cannot extract {n} streams from shape {h.shape}")
+    return _fix_phase(vecs[..., :n])
+
+
+def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """Per-chain codebook search maximizing the radar channel gain.
 
-    The Frobenius objective ||H V_rf||^2 decomposes over the block-diagonal
-    columns, so each chain's beam is chosen independently as
-    argmax_v ||H[:, block_i] v||^2. Ties resolve to the lowest codebook index.
+    Each codebook length of TX columns is one chain. The Frobenius objective
+    ||H V_rf||^2 decomposes over the block-diagonal columns, so each chain's
+    beam is chosen independently as argmax_v ||H[:, block_i] v||^2. Ties
+    resolve to the lowest codebook index.
     A stack of channels gives a stack of networks; the search loops over the
     chains, so no per-chain score tensor of the whole stack is formed.
     """
     h = np.asarray(h_rad_hat, dtype=complex)
     n_a = cb.shape[-1]
-    if h.shape[-1] != n_rf * n_a:
-        raise ValueError(
-            f"channel has {h.shape[-1]} TX columns, expected {n_rf} chains x {n_a}"
-        )
+    n_rf, extra = divmod(h.shape[-1], n_a)
+    if extra:
+        raise ValueError(f"channel has {h.shape[-1]} TX columns, not a multiple of {n_a}")
     cb_t = cb.T
     idx = np.empty(h.shape[:-2] + (n_rf,), dtype=int)
     for i in range(n_rf):
@@ -430,33 +440,27 @@ def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.
     return v_bb * np.sqrt(p_b_watts / np.maximum(col_power, p_b_watts))[..., None, :]
 
 
-def nsp_rx_combiner(
-    h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray, n_streams: int
-) -> np.ndarray:
+def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray) -> np.ndarray:
     """Uplink digital combiner constrained to null the radar interference.
 
-    The candidate X holds the top ``n_streams`` left singular vectors of the
-    effective uplink channel; projecting X onto the orthogonal complement of
-    the interference column space, W = (I - A^H (A A^H)^+ A) X with
-    A = h_rad_int_eff^H, zeroes W^H h_rad_int_eff exactly. The pseudo-inverse
-    (rank tolerance 1e-10 relative) keeps rank-deficient interference, e.g.
-    repeated target directions, well behaved. Columns are normalized to unit
-    norm; if the projector annihilates a column the uplink direction lies
-    inside the interference span and :class:`DegenerateCombinerError` is
-    raised.
+    The candidate x is the principal left singular vector of the effective
+    uplink channel (the UL user sends one stream); projecting x onto the
+    orthogonal complement of the interference column space,
+    w = (I - A^H (A A^H)^+ A) x with A = h_rad_int_eff^H, zeroes
+    w^H h_rad_int_eff exactly. The pseudo-inverse (rank tolerance 1e-10
+    relative) keeps rank-deficient interference, e.g. repeated target
+    directions, well behaved. The column is normalized to unit norm; if the
+    projector annihilates it the uplink direction lies inside the
+    interference span and :class:`DegenerateCombinerError` is raised.
 
     On a stack each matrix keeps its own rank: the singular vectors beyond it
     are masked to zero. The error then marks the degenerate matrices and
     carries the others' combiners.
     """
-    h_ul = np.asarray(h_ul_eff, dtype=complex)
     h_int = np.asarray(h_rad_int_eff, dtype=complex)
-    if h_ul.shape[-2] != h_int.shape[-2]:
+    if np.shape(h_ul_eff)[-2] != h_int.shape[-2]:
         raise ValueError("uplink and interference channels disagree on RX chains")
-    u, _, _ = np.linalg.svd(h_ul, full_matrices=False)
-    if n_streams < 1 or n_streams > u.shape[-1]:
-        raise ValueError(f"cannot extract {n_streams} streams from shape {h_ul.shape}")
-    x = _fix_phase(u[..., :n_streams])
+    x = _principal(h_ul_eff, 1)
 
     sing_u, sing_vals, _ = np.linalg.svd(h_int, full_matrices=False)
     # singular values descend, so the kept columns are each matrix's rank;
@@ -475,13 +479,9 @@ def nsp_rx_combiner(
     return w / norms[..., None, :]
 
 
-def mss_rx_combiner(h_ul_eff: np.ndarray, n_streams: int) -> np.ndarray:
-    """Baseline combiner: top left singular vectors, no interference nulling (stacks too)."""
-    h_ul = np.asarray(h_ul_eff, dtype=complex)
-    u, _, _ = np.linalg.svd(h_ul, full_matrices=False)
-    if n_streams < 1 or n_streams > u.shape[-1]:
-        raise ValueError(f"cannot extract {n_streams} streams from shape {h_ul.shape}")
-    return _fix_phase(u[..., :n_streams])
+def mss_rx_combiner(h_ul_eff: np.ndarray) -> np.ndarray:
+    """Baseline UL combiner: the principal left singular vector, no nulling (stacks too)."""
+    return _principal(h_ul_eff, 1)
 
 
 def user_beamformers(
@@ -493,14 +493,8 @@ def user_beamformers(
     estimate scaled so ||v||^2 equals the uplink power budget. Stacks of
     estimates give stacks of combiners and precoders.
     """
-    h_dl = np.asarray(h_dl_hat, dtype=complex)
-    h_ul = np.asarray(h_ul_hat, dtype=complex)
-    u, _, _ = np.linalg.svd(h_dl, full_matrices=False)
-    if st < 1 or st > u.shape[-1]:
-        raise ValueError(f"cannot extract {st} streams from shape {h_dl.shape}")
-    w_u = _fix_phase(u[..., :st])
-    _, _, vh = np.linalg.svd(h_ul, full_matrices=False)
-    v_u = _fix_phase(vh[..., 0, :, None].conj())[..., 0] * np.sqrt(p_u_watts)
+    w_u = _principal(h_dl_hat, st)
+    v_u = _principal(h_ul_hat, 1, right=True)[..., 0] * np.sqrt(p_u_watts)
     return w_u, v_u
 
 
@@ -537,7 +531,7 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
 
         step = "TX analog codebook search"
         cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
-        v_rf = select_tx_analog(est.h_rad_hat, cb_tx, cfg.tx_rf_chains)
+        v_rf = select_tx_analog(est.h_rad_hat, cb_tx)
 
         step = "RX analog codebook search"
         cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
@@ -556,9 +550,7 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         leak_vecs = (h_tilde_hat + analog_canceller).conj()
 
         step = "TX digital precoder"
-        _, _, vh = np.linalg.svd(h_dl_eff, full_matrices=False)
-        v_right = _fix_phase(np.swapaxes(vh, -1, -2)[..., :st].conj())
-        g_target = h_dl_eff @ v_right * np.sqrt(p_b / st)
+        g_target = h_dl_eff @ _principal(h_dl_eff, st, right=True) * np.sqrt(p_b / st)
         try:
             v_bb = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target)
         except InfeasibleResultError as exc:
@@ -578,10 +570,10 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         if cfg.rx_rf_chains == 1:
             # a single RX chain leaves no null space to project into; the
             # non-nulling singular-vector combiner is the only choice
-            w_bb = mss_rx_combiner(h_ul_eff, n_streams=1)
+            w_bb = mss_rx_combiner(h_ul_eff)
         else:
             try:
-                w_bb = nsp_rx_combiner(h_ul_eff, w_h @ est.h_rad_int_hat, n_streams=1)
+                w_bb = nsp_rx_combiner(h_ul_eff, w_h @ est.h_rad_int_hat)
             except DegenerateCombinerError as exc:
                 w_bb = exc.combiner
                 _at_step(exc, step)

@@ -13,8 +13,8 @@ MUSIC (one stacked eigendecomposition, peaks picked per trial), the K dwells,
 the delay-Doppler quotients and maps, and then slot 2's design and metrics
 (:func:`_slot2`) each run once over the block. A trial whose sensing, design
 or power check fails records the same error as a one-trial block and the rest
-of its block continues. Every stage sees the SI both cancellers leave, the
-compressed estimation error (:func:`_si_residual`), whatever the tap count.
+of its block continues. Every receiver forms the SI both cancellers leave, the
+compressed estimation error, through its own weights (:func:`receiver_rows`).
 
 Every sensing observation is linear in a few per-trial waveforms: the DL and
 UL symbols, the RX noise and each target's delay-Doppler phase times the DL
@@ -278,25 +278,27 @@ def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phas
     return out
 
 
-def receiver_rows(c, w_rf: np.ndarray, v_rf: np.ndarray, resid: np.ndarray,
-                  v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, angles_deg,
-                  gains: np.ndarray) -> np.ndarray:
+def receiver_rows(c, w_rf: np.ndarray, v_rf: np.ndarray, h_si: np.ndarray,
+                  h_si_hat: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray,
+                  angles_deg, gains: np.ndarray) -> np.ndarray:
     """Coefficients of the receivers c^T y over :func:`waveform_basis`, shape (..., n, n_rows).
 
     ``c`` (..., n, m_rf) holds n weight vectors on the RX chains of ``w_rf``.
     The leading axes of ``c``, of the networks ``w_rf`` and ``v_rf``, the
-    residuals ``resid``, the UL channels ``h_ul`` and precoders ``v_u``
-    and the gains ``gains`` (..., K) of the targets at ``angles_deg``
-    broadcast together. With x = c^T W_rf^H the blocks are c^T R V_bb on
-    sym_b (R = H_tilde - H_tilde_hat acts on the RF-chain TX signal V_bb sym_b),
-    x h_ul v_u on sym_u, c^T on the noise and (x a_rx,k) beta_k
+    SI channels ``h_si`` and their estimates ``h_si_hat``, the UL channels
+    ``h_ul`` and precoders ``v_u`` and the gains ``gains`` (..., K) of the
+    targets at ``angles_deg`` broadcast together. With x = c^T W_rf^H the
+    blocks are (x H_si V_rf - x H_si_hat V_rf) V_bb on sym_b, the SI both
+    cancellers leave for any tap count (x (H_si - H_si_hat) V_rf would round
+    differently), x h_ul v_u on sym_u, c^T on the noise and (x a_rx,k) beta_k
     (a_tx,k^H V_rf V_bb) on target k's rows.
     """
     x = c @ np.swapaxes(w_rf, -1, -2).conj()
     a_rx = ula_response_matrix(h_ul.shape[-2], angles_deg)
     a_tx_v = ula_response_matrix(v_rf.shape[-2], angles_deg).conj().T @ v_rf @ v_bb
     echo = ((x @ a_rx) * gains[..., None, :])[..., :, None] * a_tx_v[..., None, :, :]
-    parts = [c @ resid @ v_bb, x @ (h_ul @ v_u[..., None]), c,
+    si = (x @ h_si @ v_rf - x @ h_si_hat @ v_rf) @ v_bb
+    parts = [si, x @ (h_ul @ v_u[..., None]), c,
              echo.reshape(*echo.shape[:-2], -1)]
     lead = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
     return np.concatenate([part if part.shape[:-1] == lead else
@@ -305,8 +307,8 @@ def receiver_rows(c, w_rf: np.ndarray, v_rf: np.ndarray, resid: np.ndarray,
 
 
 def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
-                            w_rf: np.ndarray, v_rf: np.ndarray,
-                            resid: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
+                            w_rf: np.ndarray, v_rf: np.ndarray, h_si: np.ndarray,
+                            h_si_hat: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
                             v_u: np.ndarray, angles_deg, gains: np.ndarray) -> np.ndarray:
     """RF-chain-domain snapshots of T trials over the whole OFDM grid, shape (T, m_rf, P*Q).
 
@@ -315,7 +317,7 @@ def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.nd
     antenna-domain signal is formed. ``window`` ends holding the last trial's
     whole basis.
     """
-    rows = receiver_rows(np.eye(w_rf.shape[-1]), w_rf, v_rf, resid, v_bb, h_ul, v_u,
+    rows = receiver_rows(np.eye(w_rf.shape[-1]), w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u,
                          angles_deg, gains)
     return basis_products(rows, drawn, window, phases, v_bb.shape[-1])
 
@@ -329,18 +331,6 @@ def _match_doas(est_doas, true_angles: Sequence[float]) -> np.ndarray:
     matched = np.empty(np.shape(est_doas))
     matched[..., np.argsort(true_angles, kind="stable")] = np.sort(est_doas, axis=-1)
     return matched
-
-
-def _si_residual(w_rf: np.ndarray, v_rf: np.ndarray, h_si_true: np.ndarray,
-                 h_si_hat: np.ndarray) -> np.ndarray:
-    """Post-canceller SI matrix H_tilde - H_tilde_hat of one pair of networks or a stack of pairs.
-
-    H_tilde = W_rf^H H_si V_rf. Cancellers built from the estimate leave this
-    for any tap count (:mod:`fdisac.cancellers`), so none is formed here.
-    Compressing H_si - H_si_hat instead would round differently.
-    """
-    w_h = np.swapaxes(w_rf, -1, -2).conj()
-    return w_h @ h_si_true @ v_rf - w_h @ h_si_hat @ v_rf
 
 
 def pointed_analog_stack(n_chains: int, cb: np.ndarray, angles_deg) -> np.ndarray:
@@ -366,10 +356,10 @@ def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray
     """
     v_k = pointed_analog_stack(cfg.tx_rf_chains, plan.cb_tx, angles_deg)
     w_k = pointed_analog_stack(cfg.rx_rf_chains, plan.cb_rx, angles_deg)
-    resid = _si_residual(w_k, v_k, h_si_true[:, None], h_si_hat[:, None])
     c = dwell_weights(w_k, angles_deg)[..., None, :]
-    rows = receiver_rows(c, w_k, v_k, resid, v_bb, h_ul[:, None], v_u[:, None],
-                         [t.angle_deg for t in cfg.all_target_specs()], gains[:, None])
+    angles = [t.angle_deg for t in cfg.all_target_specs()]
+    rows = receiver_rows(c, w_k, v_k, h_si_true[:, None], h_si_hat[:, None], v_bb, h_ul[:, None],
+                         v_u[:, None], angles, gains[:, None])
     st = v_bb.shape[-1]
     cy = basis_products(rows[..., 0, :], drawn, window, plan.phases, st, built=True)
     return cy, reference_signal_grid(angles_deg, v_k, v_bb, drawn[:, :st])
@@ -450,9 +440,8 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     # Slot 1: spread beams, identity-like digital precoder, random UL direction.
     v_bb0 = np.eye(cfg.tx_rf_chains, dtype=complex)[:, :st] * np.sqrt(cfg.p_b_watts / st)
     v_u0 *= np.sqrt(cfg.p_u_watts)
-    resid0 = _si_residual(plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat)
     y_rf = synthesize_rx_snapshots(drawn, window, plan.phases, plan.w_rf0, plan.v_rf0,
-                                   resid0, v_bb0, h_ul_true, v_u0, angles, gains)
+                                   h_si_true, h_si_hat, v_bb0, h_ul_true, v_u0, angles, gains)
 
     # Sensing: directions first, then per-target delay-Doppler. A trial whose
     # MUSIC fails keeps its error and senses the configured angles as a stand-in.
@@ -529,7 +518,7 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
         bf = run_algorithm1(est, cfg)
 
         w_h = np.swapaxes(bf.w_b_rf, -1, -2).conj()
-        # R = H_tilde - H_tilde_hat as _si_residual forms it, the estimate compressed once
+        # R = H_tilde - H_tilde_hat, a difference of compressions as in receiver_rows
         h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf
         si = (h_tilde_true - bf.h_tilde_hat) @ bf.v_b_bb
         echo = w_h @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
@@ -538,7 +527,7 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
         gamma_rad = radar_sinr(echo, si, bf.w_b_rf, cfg.sigma_b2_watts)
         gamma_dl = dl_snr(bf, block.h_dl_true, cfg.sigma_u2_watts)
         gamma_ul = ul_sinr(bf.w_b_bb, ul, echo, si, cfg.sigma_b2_watts)
-        gamma_ul_mss = ul_sinr(mss_rx_combiner(h_ul_eff, 1), ul, echo, si, cfg.sigma_b2_watts)
+        gamma_ul_mss = ul_sinr(mss_rx_combiner(h_ul_eff), ul, echo, si, cfg.sigma_b2_watts)
         rate_dl, rate_ul, rate_ul_mss = (np.log2(1.0 + g)
                                          for g in (gamma_dl, gamma_ul, gamma_ul_mss))
         rate_dl_ideal = ideal_dl_rate(block.h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts,
@@ -591,19 +580,12 @@ def _aggregate(trials: list) -> dict:
     agg = {"n_trials": len(trials), "n_failed": len(trials) - len(ok)}
     if not ok:
         return agg
-    for key in (
-        "gamma_rad", "gamma_dl", "gamma_ul_nsp", "gamma_ul_mss",
-        "rate_dl", "rate_ul_nsp", "rate_ul_mss", "rate_dl_ideal",
-    ):
+    for key in ok[0]["metrics"]:
         agg[f"mean_{key}"] = float(np.mean([t["metrics"][key] for t in ok]))
     agg["max_analog_residual_w"] = float(np.max([max(t["analog_residual_w"]) for t in ok]))
     agg["max_nsp_nulling_ratio"] = float(np.max([t["nsp_nulling_ratio"] for t in ok]))
-    agg["max_doa_error_deg"] = float(
-        np.max([row["doa_error_deg"] for t in ok for row in t["sensing"]])
-    )
-    agg["max_range_error_m"] = float(
-        np.max([row["range_error_m"] for t in ok for row in t["sensing"]])
-    )
+    for key in ("doa_error_deg", "range_error_m"):
+        agg[f"max_{key}"] = float(np.max([row[key] for t in ok for row in t["sensing"]]))
     return agg
 
 
@@ -736,11 +718,11 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
     add("ul_power_budget", _within_budget(worst_ul, cfg.p_u_watts),
         f"max {worst_ul:.6e} W vs budget {cfg.p_u_watts:.6e} W")
 
-    worst_resid = max(max(t["analog_residual_w"]) for t in ok_trials)
+    worst_resid = report.aggregate["max_analog_residual_w"]
     add("analog_si_residual", worst_resid <= cfg.lambda_b_watts,
         f"max {worst_resid:.6e} W vs threshold {cfg.lambda_b_watts:.6e} W")
 
-    worst_null = max(t["nsp_nulling_ratio"] for t in ok_trials)
+    worst_null = report.aggregate["max_nsp_nulling_ratio"]
     add("nsp_nulling", worst_null <= 1e-9, f"max ratio {worst_null:.3e}")
 
     dl_ok = all(

@@ -100,7 +100,7 @@ def test_criterion_3_nsp_nulling():
                 for a in angles
             )
         h_ul = np.outer(_crandn(rng, m_rf), _crandn(rng, 3).conj())
-        w_bb = nsp_rx_combiner(h_ul, h_int, 1)
+        w_bb = nsp_rx_combiner(h_ul, h_int)
         ratio = np.linalg.norm(w_bb.conj().T @ h_int) / np.linalg.norm(h_int)
         worst = max(worst, ratio)
     assert worst <= 1e-9, f"worst nulling ratio {worst:.3e}"
@@ -108,7 +108,7 @@ def test_criterion_3_nsp_nulling():
     with pytest.raises(DegenerateCombinerError):
         direction = _crandn(np.random.default_rng(32), 8)
         h_int = direction[:, None] * np.array([1.0, 0.5j])[None, :]
-        nsp_rx_combiner(direction[:, None], h_int, 1)
+        nsp_rx_combiner(direction[:, None], h_int)
     _report(3, f"1000 instances nulled, worst ratio {worst:.2e}; degenerate case raises")
 
 

@@ -4,7 +4,7 @@ import pytest
 from fdisac.arrays import dft_codebook
 from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import analog_residual_power_per_chain, build_cancellers
-from fdisac.runner import _si_residual
+from fdisac.runner import receiver_rows
 from oracles import post_canceller_si
 
 
@@ -36,19 +36,24 @@ def test_perfect_csi_cancellation_telescopes(taps):
 
 @pytest.mark.parametrize("taps", [0, 8, 16, 32])
 def test_si_residual_is_both_cancellers_bit_for_bit(taps):
-    # the pipeline's H_tilde - H_tilde_hat is the paper's H_tilde + C + D,
-    # to the last bit, for any tap count and under SI CSI error
+    # the SI block of the slot-1 receivers (c = I) is the paper's
+    # (H_tilde + C + D) V_bb, to the last bit, for any tap count and under
+    # SI CSI error
     rng = np.random.default_rng(12)
-    n_trials, chains, per_rf = 3, 8, 4
+    n_trials, chains, per_rf, n_streams = 3, 8, 4, 2
     cb = dft_codebook(per_rf, 5)
     w_rf, v_rf = (assemble_analog(cb[rng.integers(len(cb), size=(n_trials, chains))])
                   for _ in range(2))
     shape = (n_trials, chains * per_rf, chains * per_rf)
     h_si = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     h_si_hat = h_si + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v_bb = rng.standard_normal((chains, n_streams)) + 1j * rng.standard_normal((chains, n_streams))
+    h_ul = np.ones((n_trials, chains * per_rf, 1), dtype=complex)
     w_h = np.swapaxes(w_rf, -1, -2).conj()
-    want = post_canceller_si(w_h @ h_si @ v_rf, w_h @ h_si_hat @ v_rf, taps)
-    got = _si_residual(w_rf, v_rf, h_si, h_si_hat)
+    want = post_canceller_si(w_h @ h_si @ v_rf, w_h @ h_si_hat @ v_rf, taps) @ v_bb
+    rows = receiver_rows(np.eye(chains), w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul,
+                         np.ones((n_trials, 1)), [0.0], np.ones((n_trials, 1)))
+    got = rows[..., :n_streams]
     np.testing.assert_array_equal(got, want)
     assert np.abs(got).min() > 0  # the estimation error reaches every entry
 

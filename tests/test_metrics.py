@@ -47,7 +47,7 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
     h_tilde_true = h_tilde_hat if perfect_csi else h_tilde_hat + 1e-3 * _crandn(rng, 6, 2)
     h_ul_eff = w_rf.conj().T @ est.h_ul_hat
     h_int_eff = w_rf.conj().T @ est.h_rad_int_hat
-    w_bb = nsp_rx_combiner(h_ul_eff, h_int_eff, 1) if nulling else mss_rx_combiner(h_ul_eff, 1)
+    w_bb = nsp_rx_combiner(h_ul_eff, h_int_eff) if nulling else mss_rx_combiner(h_ul_eff)
     w_u = np.linalg.qr(_crandn(rng, m_u, st))[0]
     v_u = _crandn(rng, n_u)
     v_u *= np.sqrt(0.01) / np.linalg.norm(v_u)
@@ -224,7 +224,7 @@ def test_nsp_beats_mss_in_expectation():
     for _ in range(100):
         bf_n, est, resid = _toy_system(rng, nulling=True)
         bf_m = replace(
-            bf_n, w_b_bb=mss_rx_combiner(bf_n.w_b_rf.conj().T @ est.h_ul_hat, 1))
+            bf_n, w_b_bb=mss_rx_combiner(bf_n.w_b_rf.conj().T @ est.h_ul_hat))
         gains_nsp.append(_ul(bf_n, est, resid, 1e-9))
         gains_mss.append(_ul(bf_m, est, resid, 1e-9))
     assert np.mean(gains_nsp) >= np.mean(gains_mss)

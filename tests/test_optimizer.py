@@ -38,13 +38,13 @@ def test_tx_analog_single_target_matched_beam():
     cb = dft_codebook(8, 3)
     grid_angle = float(np.degrees(np.arcsin(-1 + 2 * 6 / 8)))
     h = np.outer(steering(4, grid_angle), steering(8, grid_angle).conj())
-    bf = select_tx_analog(h, cb, 1)
+    bf = select_tx_analog(h, cb)
     np.testing.assert_array_equal(bf, assemble_analog(cb[[6]]))
 
 
 def test_tx_analog_zero_channel_tie_breaks_to_first():
     cb = dft_codebook(4, 2)
-    bf = select_tx_analog(np.zeros((3, 8)), cb, 2)
+    bf = select_tx_analog(np.zeros((3, 8)), cb)
     np.testing.assert_array_equal(bf, assemble_analog(cb[[0, 0]]))
 
 
@@ -53,7 +53,7 @@ def test_tx_analog_per_chain_equals_joint_search():
     rng = np.random.default_rng(0)
     cb = dft_codebook(4, 2)
     h = _crandn(rng, 5, 8)
-    bf = select_tx_analog(h, cb, 2)
+    bf = select_tx_analog(h, cb)
 
     def joint_objective(i, j):
         cols = np.zeros((8, 2), dtype=complex)
@@ -68,7 +68,7 @@ def test_tx_analog_per_chain_equals_joint_search():
 def test_rx_analog_zero_si_reduces_to_gain_search():
     rng = np.random.default_rng(1)
     cb = dft_codebook(4, 3)
-    v_rf = select_tx_analog(_crandn(rng, 8, 8), dft_codebook(4, 3), 2)
+    v_rf = select_tx_analog(_crandn(rng, 8, 8), dft_codebook(4, 3))
     h_rad = _crandn(rng, 8, 8)
     w = select_rx_analog(h_rad, np.zeros((8, 8)), v_rf, cb)
     # oracle: per-chain numerator-only maximization
@@ -87,7 +87,7 @@ def test_rx_analog_orthogonal_geometry_prefers_radar():
     si_angle = float(np.degrees(np.arcsin(-1 + 2 * 2 / 8)))
     h_rad = np.outer(steering(8, radar_angle), steering(8, radar_angle).conj())
     h_si = np.outer(steering(8, si_angle), steering(8, si_angle).conj())
-    v_rf = select_tx_analog(h_rad, cb, 1)
+    v_rf = select_tx_analog(h_rad, cb)
     w = select_rx_analog(h_rad, h_si, v_rf, cb)
     np.testing.assert_array_equal(w, assemble_analog(cb[[5]]))
     denom = np.linalg.norm(w.conj().T @ h_si @ v_rf)
@@ -100,7 +100,7 @@ def test_tx_analog_objective_monotone_in_codebook_bits():
     h = _crandn(rng, 6, 8)
     prev = -1.0
     for bits in (1, 2, 3, 4, 5):
-        bf = select_tx_analog(h, dft_codebook(4, bits), 2)
+        bf = select_tx_analog(h, dft_codebook(4, bits))
         gain = np.linalg.norm(h @ bf) ** 2
         assert gain >= prev - 1e-12
         prev = gain
@@ -110,7 +110,7 @@ def test_rx_analog_local_optimality_per_chain():
     # swapping any single chain's beam never improves that chain's ratio
     rng = np.random.default_rng(101)
     cb = dft_codebook(4, 3)
-    v_rf = select_tx_analog(_crandn(rng, 8, 8), cb, 2)
+    v_rf = select_tx_analog(_crandn(rng, 8, 8), cb)
     h_rad, h_si = _crandn(rng, 8, 8), _crandn(rng, 8, 8)
     w = select_rx_analog(h_rad, h_si, v_rf, cb)
     radar_eff = h_rad @ v_rf
@@ -128,10 +128,17 @@ def test_rx_analog_local_optimality_per_chain():
             assert chain_ratio(j, cand) <= best * (1 + 1e-12)
 
 
+def test_tx_analog_chain_count_comes_from_the_channel():
+    cb = dft_codebook(4, 2)
+    assert select_tx_analog(np.ones((2, 12)), cb).shape == (12, 3)
+    with pytest.raises(ValueError, match="10 TX columns, not a multiple of 4"):
+        select_tx_analog(np.ones((2, 10)), cb)
+
+
 def test_rx_analog_single_chain_matches_brute_force():
     rng = np.random.default_rng(2)
     cb = dft_codebook(4, 2)
-    v_rf = select_tx_analog(_crandn(rng, 4, 4), dft_codebook(4, 2), 1)
+    v_rf = select_tx_analog(_crandn(rng, 4, 4), dft_codebook(4, 2))
     h_rad, h_si = _crandn(rng, 4, 4), _crandn(rng, 4, 4)
     w = select_rx_analog(h_rad, h_si, v_rf, cb)
     ratios = []
@@ -560,7 +567,7 @@ def test_power_normalize_postcondition_on_random_violation():
 def test_nsp_already_orthogonal_passthrough():
     h_int_eff = np.array([[1.0], [0.0]], dtype=complex)  # interference along e1
     h_ul_eff = np.array([[0.0], [1.0]], dtype=complex)  # uplink along e2
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff, 1)
+    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
     np.testing.assert_allclose(w, [[0.0], [1.0]], atol=1e-12)
 
 
@@ -568,7 +575,7 @@ def test_nsp_uplink_inside_interference_raises():
     h_int_eff = np.array([[1.0], [0.0]], dtype=complex)
     h_ul_eff = np.array([[1.0], [0.0]], dtype=complex)
     with pytest.raises(DegenerateCombinerError):
-        nsp_rx_combiner(h_ul_eff, h_int_eff, 1)
+        nsp_rx_combiner(h_ul_eff, h_int_eff)
 
 
 def test_nsp_nulling_and_optimality_against_null_basis_oracle():
@@ -578,7 +585,7 @@ def test_nsp_nulling_and_optimality_against_null_basis_oracle():
     h_int_eff = _crandn(rng, 8, 3)
     u = _crandn(rng, 8)
     h_ul_eff = np.outer(u, _crandn(rng, 2).conj())
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff, 1)
+    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
     np.testing.assert_allclose(np.linalg.norm(w), 1.0, rtol=1e-12)
     # oracle: best unit vector inside the orthonormal null basis of A = h_int^H
@@ -592,7 +599,7 @@ def test_nsp_nulling_on_generic_channels():
     rng = np.random.default_rng(140)
     h_int_eff = _crandn(rng, 8, 3)
     h_ul_eff = _crandn(rng, 8, 2)
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff, 1)
+    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
 
 
@@ -602,7 +609,7 @@ def test_nsp_handles_rank_deficient_interference():
     col = _crandn(rng, 6)
     h_int_eff = np.stack([col, col, 2 * col], axis=1)
     h_ul_eff = _crandn(rng, 6, 1)
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff, 1)
+    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
 
 
@@ -612,14 +619,14 @@ def test_mss_rank_one_channel():
     u /= np.linalg.norm(u)
     v = _crandn(rng, 3)
     h = 2.0 * np.outer(u, v.conj())
-    w = mss_rx_combiner(h, 1)
+    w = mss_rx_combiner(h)
     # phase convention: compare up to the fixed rotation
     overlap = np.abs(w[:, 0].conj() @ u)
     np.testing.assert_allclose(overlap, 1.0, rtol=1e-10)
 
 
 def test_mss_identity_channel_gives_basis_column():
-    w = mss_rx_combiner(np.eye(4, dtype=complex), 1)
+    w = mss_rx_combiner(np.eye(4, dtype=complex))
     assert np.abs(np.abs(w).max() - 1.0) < 1e-12
     assert np.linalg.norm(w) == pytest.approx(1.0)
 
@@ -627,7 +634,7 @@ def test_mss_identity_channel_gives_basis_column():
 def test_mss_beats_random_unit_vectors():
     rng = np.random.default_rng(17)
     h = _crandn(rng, 6, 4)
-    w = mss_rx_combiner(h, 1)
+    w = mss_rx_combiner(h)
     achieved = np.linalg.norm(w.conj().T @ h)
     draws = _crandn(rng, 6, 10000)
     draws /= np.linalg.norm(draws, axis=0)
@@ -859,14 +866,14 @@ def test_nsp_stack_marks_degenerate_matrices_and_keeps_the_others():
     h_ul = _crandn(rng, 3, 6, 1)
     h_ul[1] = h_int[1][:, :1] * (0.5 - 2j)  # inside the span of its interference
     with pytest.raises(DegenerateCombinerError) as err:
-        nsp_rx_combiner(h_ul, h_int, 1)
+        nsp_rx_combiner(h_ul, h_int)
     assert err.value.failed.tolist() == [False, True, False]
     for t in (0, 2):
-        np.testing.assert_allclose(err.value.combiner[t], nsp_rx_combiner(h_ul[t], h_int[t], 1),
+        np.testing.assert_allclose(err.value.combiner[t], nsp_rx_combiner(h_ul[t], h_int[t]),
                                    rtol=0, atol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(err.value.combiner, axis=-2), 1.0, rtol=1e-12)
     with pytest.raises(DegenerateCombinerError) as one:
-        nsp_rx_combiner(h_ul[1], h_int[1], 1)
+        nsp_rx_combiner(h_ul[1], h_int[1])
     assert one.value.failed.shape == () and one.value.failed
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -123,13 +124,25 @@ def _scene(cfg, rng):
     return specs, gains, h_ul, v_u, v_bb, basis, n_drawn
 
 
-def _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, specs, gains):
+def _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs, gains):
     """Slot-1 snapshots of one trial, a block of one over ``basis``."""
     angles = [spec.angle_deg for spec in specs]
     (y,) = synthesize_rx_snapshots(basis[None, :n_drawn], basis, scenario_plan(cfg).phases, w_rf,
-                                   v_rf, resid[None], v_bb, h_ul[None], v_u[None], angles,
-                                   np.asarray(gains)[None])
+                                   v_rf, h_si[None], h_si_hat[None], v_bb, h_ul[None], v_u[None],
+                                   angles, np.asarray(gains)[None])
     return y
+
+
+def _si_pair(cfg, rng, scale):
+    """An antenna-domain SI channel and an estimate of it off by ``scale`` CN(0, 1) entries."""
+    h_si = _crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
+    return h_si, h_si + scale * _crandn(rng, *h_si.shape)
+
+
+def _oracle_si(cfg, w_rf, v_rf, h_si, h_si_hat):
+    """The RF-chain SI that both cancellers leave, each built as the paper states."""
+    w_h = w_rf.conj().T
+    return post_canceller_si(w_h @ h_si @ v_rf, w_h @ h_si_hat @ v_rf, cfg.analog_taps)
 
 
 def _oracle_waveforms(cfg, specs, basis, v_bb):
@@ -157,11 +170,13 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     v_bb = (rng.standard_normal((4, st)) + 1j * rng.standard_normal((4, st))) / 2
     v_u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     h_ul = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    si_residual = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 0.01
+    h_si, h_si_hat = _si_pair(cfg, rng, 0.01)
     basis, n_drawn = _basis(cfg, rng, 0.1)
     sym_b, sym_u, noise = basis[:st], basis[st], basis[st + 1 : st + 5]
 
-    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, si_residual, v_bb, h_ul, v_u, specs, gains)
+    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs, gains)
+    si_residual = _oracle_si(cfg, w_rf, v_rf, h_si, h_si_hat)
+    assert np.abs(si_residual).min() > 0
 
     w_h = w_rf.conj().T
     for cell in (0, 17, cells - 1):
@@ -204,8 +219,10 @@ def test_slot1_snapshots_match_per_term_oracle(profile):
     specs, gains, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
     v_rf = spread_analog(cfg.tx_rf_chains, dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits))
     w_rf = spread_analog(cfg.rx_rf_chains, dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits))
-    resid = 1e-2 * _crandn(rng, cfg.rx_rf_chains, cfg.tx_rf_chains)
-    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, resid, v_bb, h_ul, v_u, specs, gains)
+    h_si, h_si_hat = _si_pair(cfg, rng, 1e-2)
+    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs, gains)
+    resid = _oracle_si(cfg, w_rf, v_rf, h_si, h_si_hat)
+    assert np.abs(resid).min() > 0
     phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, specs, basis, v_bb)
     expected = _oracle_snapshots(specs, gains, phases, h_ul, resid, v_rf, tx_rf, v_u, w_rf, sym_u,
                                  noise)
@@ -572,6 +589,17 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
         assert np.abs(z[k] - z_k).max() <= 1e-12 * np.abs(z_k).max()
     assert excluded.reshape(len(specs), -1)[:, [0, 5, 17]].all()
     assert excluded.sum() == 3 * len(specs)
+
+
+@pytest.mark.parametrize("chains", [4, 5])
+def test_too_few_rx_chains_for_music_build_but_fail_every_trial(chains):
+    # rx_rf_chains <= K stays a legal config (optimizer-only designs use it),
+    # but MUSIC needs K < M_rf, so a run fails each trial with this message
+    cfg = fast_profile(trials=2, rx_rf_chains=chains, analog_taps=0)
+    message = ("all 2 trials failed; first: ValueError: MUSIC requires k < array size, "
+               f"got k={cfg.k_targets}, size={chains}")
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg)
 
 
 def test_coincident_radar_targets_swap_roles_silently():
