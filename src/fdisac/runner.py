@@ -21,14 +21,16 @@ UL symbols, the RX noise and each target's delay-Doppler phase times the DL
 symbols. A trial draws the first three once (:func:`draw_waveforms`); each
 receiver is a row of coefficients over its waveform basis
 (:func:`receiver_rows`), so the slot-1 snapshots and the K dwells'
-projections are one product per trial. A block keeps only the drawn rows of
-its trials and forms one trial's basis at a time, echo rows included, in one
-window (:func:`basis_products`). It holds as many trials
-as fit their drawn rows in :data:`BLOCK_BYTES` (1 MiB): 5 on ``fast`` and 1 on
-``table1``, whose one-trial block takes the memory of one basis.
+projections are products with its basis. A block keeps only the drawn rows
+of its trials. Each pass (slot 1, then the dwells) forms a trial's basis,
+echo rows included, one chunk of whole subcarriers at a time in one scratch
+of at most :data:`CHUNK_BYTES` (512 KiB) (:func:`basis_products`): one chunk
+per ``fast`` trial, 12 per ``table1`` trial. A block holds as many trials as
+fit their drawn rows in :data:`BLOCK_BYTES` (1 MiB): 5 on ``fast`` and 1 on
+``table1``.
 
 What depends on the configured geometry alone (codebooks, slot-1 networks,
-MUSIC manifold, the targets' phase rows, the map axes) is built once per
+MUSIC manifold, the targets' factored phases, the map axes) is built once per
 geometry into a cached, read-only :class:`ScenarioPlan` shared by every call
 and trial (:func:`scenario_plan`).
 
@@ -151,9 +153,11 @@ class ScenarioPlan:
 
     ``cb_tx``/``cb_rx`` are the DFT codebooks, ``v_rf0``/``w_rf0`` the slot-1
     spread networks, ``manifold`` the MUSIC manifold behind ``w_rf0`` over
-    ``grid_deg`` and ``gain`` its ||b||^2 per angle, ``phases`` (K, P*Q) each
-    configured target's delay-Doppler phase over the cells ``p * Q + q``, and
-    ``ranges_m``/``velocities_mps`` the axes of the delay-Doppler maps.
+    ``grid_deg`` and ``gain`` its ||b||^2 per angle, ``delay_phases`` (K, P)
+    and ``doppler_phases`` (K, Q) the two factors of each configured target's
+    delay-Doppler phase, whose outer product is its phase over the cells
+    ``p * Q + q``, and ``ranges_m``/``velocities_mps`` the axes of the
+    delay-Doppler maps.
     """
 
     wf: Waveform
@@ -164,7 +168,8 @@ class ScenarioPlan:
     grid_deg: np.ndarray
     manifold: np.ndarray
     gain: np.ndarray
-    phases: np.ndarray
+    delay_phases: np.ndarray
+    doppler_phases: np.ndarray
     ranges_m: tuple
     velocities_mps: tuple
 
@@ -193,15 +198,15 @@ def _build_plan(tx_chains: int, rx_chains: int, tx_per_rf: int, rx_per_rf: int, 
     grid = angle_grid(grid_step_deg)
     manifold = combiner_manifold(w_rf0, grid)
     p, q = np.arange(wf.n_subcarriers), np.arange(wf.n_symbols)
-    phases = np.array([delay_doppler_phase(s.range_m, s.velocity_mps, wf, p[:, None], q).ravel()
-                       for s in specs])
+    delay = np.array([delay_doppler_phase(s.range_m, s.velocity_mps, wf, p, 0) for s in specs])
+    doppler = np.array([delay_doppler_phase(s.range_m, s.velocity_mps, wf, 0, q) for s in specs])
     plan = ScenarioPlan(
         wf=wf, cb_tx=cb_tx, cb_rx=cb_rx, v_rf0=v_rf0, w_rf0=w_rf0, grid_deg=grid,
-        manifold=manifold, gain=np.sum(np.abs(manifold) ** 2, axis=0), phases=phases,
-        ranges_m=tuple((p * wf.range_bin_m).tolist()),
+        manifold=manifold, gain=np.sum(np.abs(manifold) ** 2, axis=0), delay_phases=delay,
+        doppler_phases=doppler, ranges_m=tuple((p * wf.range_bin_m).tolist()),
         velocities_mps=tuple(((q - wf.n_symbols // 2) * wf.velocity_bin_mps).tolist()),
     )
-    for array in (grid, manifold, plan.gain, phases, v_rf0, w_rf0):
+    for array in (grid, manifold, plan.gain, delay, doppler, v_rf0, w_rf0):
         array.flags.writeable = False
     return plan
 
@@ -228,53 +233,49 @@ def draw_waveforms(rng: np.random.Generator, out: np.ndarray, n_streams: int,
     return out
 
 
-def waveform_basis(basis: np.ndarray, phases: np.ndarray, n_streams: int) -> np.ndarray:
-    """Complete one trial's waveform basis in place and return it.
+def waveform_basis(basis: np.ndarray, delay_phases: np.ndarray, doppler_phases: np.ndarray,
+                   n_streams: int) -> np.ndarray:
+    """Complete one trial's waveform basis, or a chunk of whole subcarriers of it, in place.
 
-    ``basis`` starts with the trial's drawn rows (:func:`draw_waveforms`);
-    its last K * ``n_streams`` rows receive phase_k * sym_b[s] for every
-    target k and stream s, k-major, with ``phases`` (K, n_cells) holding each
-    target's :func:`~fdisac.channels.delay_doppler_phase`
-    (:attr:`ScenarioPlan.phases`).
+    ``basis`` starts with the trial's drawn rows (:func:`draw_waveforms`)
+    over the cells ``p * Q + q`` of its subcarriers; its last K * ``n_streams``
+    rows receive phase_k * sym_b[s] for every target k and stream s,
+    k-major. Target k's phase over the cells is the outer product of
+    ``delay_phases[k]`` (its factor on those subcarriers) and
+    ``doppler_phases[k]`` (Q,), as :class:`ScenarioPlan` holds them.
     """
-    (n_targets, n_cells), n_echo = phases.shape, phases.shape[0] * n_streams
-    echo = basis[basis.shape[0] - n_echo :].reshape(n_targets, n_streams, n_cells)
-    for phase, rows in zip(phases, echo):  # per target: no broadcast buffers
-        np.multiply(phase, basis[:n_streams], out=rows)
+    n_targets = len(delay_phases)
+    phases = np.multiply(delay_phases[:, :, None], doppler_phases[:, None, :])
+    echo = basis[basis.shape[0] - n_targets * n_streams :].reshape(n_targets, n_streams, -1)
+    np.multiply(phases.reshape(n_targets, 1, -1), basis[:n_streams], out=echo)
     return basis
 
 
-def basis_products(rows: np.ndarray, drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
-                   n_streams: int, built: bool = False) -> np.ndarray:
+def basis_products(rows: np.ndarray, drawn: np.ndarray, plan: ScenarioPlan,
+                   n_streams: int) -> np.ndarray:
     """Each trial's receivers times its waveform basis, shape (T, n, n_cells).
 
-    ``rows`` (T, n, n_rows) holds the receivers of T trials, ``drawn``
-    (T, n_drawn, n_cells) their drawn rows and ``window`` the last trial's
-    drawn rows and the echo rows after them, in one buffer. Every other
-    trial's rows are copied into the window in turn while the last trial's
-    wait aside, so ``drawn`` ends unchanged. The last trial's product comes
-    last, so the window ends holding its whole basis. ``built`` says the
-    window already holds it, as a previous call left it: that product then
-    comes first and its echo rows are not formed again.
-
-    The window is why a one-trial block (``table1``) copies no rows and, warm,
-    faults in no fresh pages: 0-3 minor faults per call. A separately
-    allocated echo scratch with a split product took ~1,800-2,200 faults per
-    warm call, and its best ``table1`` call was 15-30 % slower.
+    ``rows`` (T, n, n_rows) holds the receivers of T trials and ``drawn``
+    (T, n_drawn, n_cells) their drawn rows. Each trial's basis is formed in
+    one scratch, one chunk of whole subcarriers at a time
+    (:func:`_chunk_subcarriers`): the chunk's drawn rows are copied in, its
+    echo rows formed (:func:`waveform_basis`), and one product fills the
+    chunk's cells. So no more than one chunk of any basis exists, and every
+    call forms its own echo rows.
     """
-    n_trials, n_drawn = drawn.shape[:2]
-    last = n_trials - 1
-    aside = drawn[last].copy() if n_trials > 1 else None
-    out = np.empty(rows.shape[:-1] + window.shape[-1:], dtype=complex)
-    if built:
-        np.matmul(rows[last], window, out=out[last])
-    for t in range(last):
-        window[:n_drawn] = drawn[t]
-        np.matmul(rows[t], waveform_basis(window, phases, n_streams), out=out[t])
-    if aside is not None:
-        window[:n_drawn] = aside
-    if not built:
-        np.matmul(rows[last], waveform_basis(window, phases, n_streams), out=out[last])
+    n_drawn, n_cells = drawn.shape[1:]
+    n_p, n_q = plan.wf.n_subcarriers, plan.wf.n_symbols
+    step = _chunk_subcarriers(rows.shape[-1], plan.wf)
+    scratch = np.empty((rows.shape[-1], step * n_q), dtype=complex)
+    out = np.empty(rows.shape[:-1] + (n_cells,), dtype=complex)
+    for t in range(len(drawn)):
+        for first in range(0, n_p, step):
+            cells = slice(first * n_q, min(first + step, n_p) * n_q)
+            basis = scratch[:, : cells.stop - cells.start]
+            basis[:n_drawn] = drawn[t, :, cells]
+            waveform_basis(basis, plan.delay_phases[:, first : first + step],
+                           plan.doppler_phases, n_streams)
+            np.matmul(rows[t], basis, out=out[t, :, cells])
     return out
 
 
@@ -306,20 +307,19 @@ def receiver_rows(c, w_rf: np.ndarray, v_rf: np.ndarray, h_si: np.ndarray,
                           axis=-1)
 
 
-def synthesize_rx_snapshots(drawn: np.ndarray, window: np.ndarray, phases: np.ndarray,
-                            w_rf: np.ndarray, v_rf: np.ndarray, h_si: np.ndarray,
-                            h_si_hat: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray,
-                            v_u: np.ndarray, angles_deg, gains: np.ndarray) -> np.ndarray:
+def synthesize_rx_snapshots(drawn: np.ndarray, plan: ScenarioPlan, w_rf: np.ndarray,
+                            v_rf: np.ndarray, h_si: np.ndarray, h_si_hat: np.ndarray,
+                            v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, angles_deg,
+                            gains: np.ndarray) -> np.ndarray:
     """RF-chain-domain snapshots of T trials over the whole OFDM grid, shape (T, m_rf, P*Q).
 
     Chain i is the receiver c = e_i of :func:`receiver_rows`, so each trial's
-    snapshots are one product with its basis (:func:`basis_products`) and no
-    antenna-domain signal is formed. ``window`` ends holding the last trial's
-    whole basis.
+    snapshots are its products with the chunks of its basis
+    (:func:`basis_products`), and no antenna-domain signal is formed.
     """
     rows = receiver_rows(np.eye(w_rf.shape[-1]), w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u,
                          angles_deg, gains)
-    return basis_products(rows, drawn, window, phases, v_bb.shape[-1])
+    return basis_products(rows, drawn, plan, v_bb.shape[-1])
 
 
 def _match_doas(est_doas, true_angles: Sequence[float]) -> np.ndarray:
@@ -341,18 +341,16 @@ def pointed_analog_stack(n_chains: int, cb: np.ndarray, angles_deg) -> np.ndarra
 
 
 def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray,
-                      window: np.ndarray, angles_deg: np.ndarray, h_si_true: np.ndarray,
-                      h_si_hat: np.ndarray, v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray,
-                      gains: np.ndarray):
+                      angles_deg: np.ndarray, h_si_true: np.ndarray, h_si_hat: np.ndarray,
+                      v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, gains: np.ndarray):
     """Projected snapshots c^T y and references s of one dwell per angle, each (T, K, P*Q).
 
     A dwell repoints the TX and RX chains to the codebook beam nearest its
     angle, which restores full array gain for that target and pushes the
     others into the subarray sidelobes; its SI residual follows the new
     compression. Only the projection onto the dwell's RX weights is
-    formed, a trial's K dwells (``angles_deg`` (T, K)) as one product.
-    ``window`` holds the last trial's whole basis, as
-    :func:`synthesize_rx_snapshots` leaves it.
+    formed, a trial's K dwells (``angles_deg`` (T, K)) as one product per
+    chunk of its basis (:func:`basis_products`).
     """
     v_k = pointed_analog_stack(cfg.tx_rf_chains, plan.cb_tx, angles_deg)
     w_k = pointed_analog_stack(cfg.rx_rf_chains, plan.cb_rx, angles_deg)
@@ -361,12 +359,14 @@ def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray
     rows = receiver_rows(c, w_k, v_k, h_si_true[:, None], h_si_hat[:, None], v_bb, h_ul[:, None],
                          v_u[:, None], angles, gains[:, None])
     st = v_bb.shape[-1]
-    cy = basis_products(rows[..., 0, :], drawn, window, plan.phases, st, built=True)
+    cy = basis_products(rows[..., 0, :], drawn, plan, st)
     return cy, reference_signal_grid(angles_deg, v_k, v_bb, drawn[:, :st])
 
 
 # Bytes of drawn waveform rows that one block of trials may hold.
 BLOCK_BYTES = 1 << 20
+# Bytes of one basis chunk (basis_products): a whole fast trial's basis (473 KB) fits.
+CHUNK_BYTES = BLOCK_BYTES // 2
 
 
 def _block_trials(cfg: ScenarioConfig, plan: ScenarioPlan) -> int:
@@ -374,10 +374,21 @@ def _block_trials(cfg: ScenarioConfig, plan: ScenarioPlan) -> int:
 
     A trial draws N_s + 1 + M_rf complex rows over the P Q cells
     (:func:`draw_waveforms`), so a block holds 5 trials on ``fast`` and 1 on
-    ``table1``. The K N_s echo rows of one trial at a time come on top.
+    ``table1``. The scratch of one basis chunk (:func:`_chunk_subcarriers`)
+    comes on top.
     """
-    drawn_bytes = (cfg.n_streams + 1 + cfg.rx_rf_chains) * plan.phases[0].nbytes
-    return max(1, BLOCK_BYTES // drawn_bytes)
+    n_cells = plan.wf.n_subcarriers * plan.wf.n_symbols
+    return max(1, BLOCK_BYTES // ((cfg.n_streams + 1 + cfg.rx_rf_chains) * n_cells * 16))
+
+
+def _chunk_subcarriers(n_rows: int, wf: Waveform) -> int:
+    """Subcarriers per basis chunk: as many as fit ``n_rows`` rows in :data:`CHUNK_BYTES`.
+
+    At least one, at most P. A basis has N_s + 1 + M_rf drawn and K N_s echo
+    rows, 33 on both profiles, so a chunk holds all 64 subcarriers of
+    ``fast`` and 70 of the 792 of ``table1``.
+    """
+    return min(max(1, CHUNK_BYTES // (n_rows * wf.n_symbols * 16)), wf.n_subcarriers)
 
 
 @dataclass
@@ -418,10 +429,8 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     # dwell below is a row of coefficients.
     uniform, v_u0 = np.empty((n_trials, n_scatter + k + 1)), np.empty((n_trials, n_u), complex)
     h_si_true, h_si_hat = np.empty((2, n_trials, m_b, n_b), dtype=complex)
-    n_drawn = st + 1 + cfg.rx_rf_chains
-    buffer = np.empty((n_trials * n_drawn + k * st, plan.phases.shape[1]), dtype=complex)
-    drawn = buffer[: n_trials * n_drawn].reshape(n_trials, n_drawn, -1)
-    window = buffer[(n_trials - 1) * n_drawn :]  # where basis_products forms each basis
+    n_cells = wf.n_subcarriers * wf.n_symbols
+    drawn = np.empty((n_trials, st + 1 + cfg.rx_rf_chains, n_cells), dtype=complex)
     for t, rng in enumerate(rngs):
         uniform[t] = rng.random(uniform.shape[1])
         h_si_true[t] = gen_si_channel(m_b, n_b, cfg.si_kappa_db, cfg.si_pathloss_db, rng)
@@ -440,8 +449,8 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     # Slot 1: spread beams, identity-like digital precoder, random UL direction.
     v_bb0 = np.eye(cfg.tx_rf_chains, dtype=complex)[:, :st] * np.sqrt(cfg.p_b_watts / st)
     v_u0 *= np.sqrt(cfg.p_u_watts)
-    y_rf = synthesize_rx_snapshots(drawn, window, plan.phases, plan.w_rf0, plan.v_rf0,
-                                   h_si_true, h_si_hat, v_bb0, h_ul_true, v_u0, angles, gains)
+    y_rf = synthesize_rx_snapshots(drawn, plan, plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat,
+                                   v_bb0, h_ul_true, v_u0, angles, gains)
 
     # Sensing: directions first, then per-target delay-Doppler. A trial whose
     # MUSIC fails keeps its error and senses the configured angles as a stand-in.
@@ -451,9 +460,9 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     est = [d if e is None else angles for d, e in zip(music.doas_deg, music.errors)]
     matched = _match_doas(est, angles)
 
-    cy, s = dwell_projections(cfg, plan, drawn, window, matched, h_si_true, h_si_hat, v_bb0,
-                              h_ul_true, v_u0, gains)
-    del buffer, drawn, window  # the quotient's temporaries reuse their memory
+    cy, s = dwell_projections(cfg, plan, drawn, matched, h_si_true, h_si_hat, v_bb0, h_ul_true,
+                              v_u0, gains)
+    del drawn  # the quotient's temporaries reuse its memory
     dwell_grid = (n_trials, k, wf.n_subcarriers, wf.n_symbols)
     z, _ = delay_doppler_quotient(cy.reshape(dwell_grid), s.reshape(dwell_grid))
     del cy, s

@@ -46,6 +46,8 @@ __all__ = [
 
 # Quotient cells with |s| below this fraction of the grid maximum are excluded.
 DIVISION_GUARD_REL = 1e-8
+# Snapshots per product of the sample covariance's sum.
+COVARIANCE_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,23 @@ def angle_grid(grid_step_deg: float) -> np.ndarray:
 
 
 def sample_covariance(snapshots) -> np.ndarray:
-    """(1/n) * sum of y y^H over the rows of each snapshot set (..., n, m); Hermitian PSD."""
+    """(1/n) * sum of y y^H over the rows of each snapshot set (..., n, m); Hermitian PSD.
+
+    The sum runs over slices of :data:`COVARIANCE_SLICE` rows, so no more
+    than one slice of the stack is conjugated at a time; up to that many rows
+    (every ``fast`` grid) are one product.
+    """
     y = np.asarray(snapshots, dtype=complex)
     if y.ndim == 1:
         y = y[None, :]
     if y.shape[-2] < 1:
         raise ValueError("need at least one snapshot of uniform length")
-    r = (np.swapaxes(y, -1, -2) @ y.conj()) / y.shape[-2]
+    first, *rest = (y[..., i : i + COVARIANCE_SLICE, :]
+                    for i in range(0, y.shape[-2], COVARIANCE_SLICE))
+    r = np.swapaxes(first, -1, -2) @ first.conj()
+    for part in rest:
+        r += np.swapaxes(part, -1, -2) @ part.conj()
+    r /= y.shape[-2]
     return (r + np.swapaxes(r, -1, -2).conj()) / 2.0
 
 

@@ -106,11 +106,11 @@ def _oracle_pointed_analog(n_chains, cb, angle_deg):
 
 def _basis(cfg, rng, sigma):
     """One trial's waveform basis of ``cfg``: drawn rows first, echo rows after them."""
-    phases, st = scenario_plan(cfg).phases, cfg.n_streams
+    plan, st, wf = scenario_plan(cfg), cfg.n_streams, cfg.waveform()
     n_drawn = st + 1 + cfg.rx_rf_chains
-    basis = np.empty((n_drawn + len(phases) * st, phases.shape[1]), dtype=complex)
+    basis = np.empty((n_drawn + cfg.k_targets * st, wf.n_subcarriers * wf.n_symbols), complex)
     draw_waveforms(rng, basis[:n_drawn], st, sigma)
-    return waveform_basis(basis, phases, st), n_drawn
+    return waveform_basis(basis, plan.delay_phases, plan.doppler_phases, st), n_drawn
 
 
 def _scene(cfg, rng):
@@ -127,8 +127,8 @@ def _scene(cfg, rng):
 def _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs, gains):
     """Slot-1 snapshots of one trial, a block of one over ``basis``."""
     angles = [spec.angle_deg for spec in specs]
-    (y,) = synthesize_rx_snapshots(basis[None, :n_drawn], basis, scenario_plan(cfg).phases, w_rf,
-                                   v_rf, h_si[None], h_si_hat[None], v_bb, h_ul[None], v_u[None],
+    (y,) = synthesize_rx_snapshots(basis[None, :n_drawn], scenario_plan(cfg), w_rf, v_rf,
+                                   h_si[None], h_si_hat[None], v_bb, h_ul[None], v_u[None],
                                    angles, np.asarray(gains)[None])
     return y
 
@@ -555,16 +555,16 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
     rng = np.random.default_rng(11)
     specs, gains, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
     for cell, scale in ((0, 0.0), (5, 1e-10), (17, 0.0)):
-        # a zero or tiny reference in every dwell: scale sym_b and its echoes
+        # a zero or tiny reference in every dwell: scale sym_b, from which
+        # the dwells form their echo rows
         basis[:st, cell] *= scale
-        basis[st + 1 + m :, cell] *= scale
     h_si = _crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
     h_si_hat = h_si + 0.1 * _crandn(rng, *h_si.shape)
     cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
     cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
     angles = np.array([spec.angle_deg for spec in specs])
     (cy,), (s,) = dwell_projections(
-        cfg, scenario_plan(cfg), basis[None, :n_drawn], basis, angles[None], h_si[None],
+        cfg, scenario_plan(cfg), basis[None, :n_drawn], angles[None], h_si[None],
         h_si_hat[None], v_bb, h_ul[None], v_u[None], gains[None],
     )
     shape = (len(specs), wf.n_subcarriers, wf.n_symbols)
@@ -860,14 +860,107 @@ def test_peak_memory_grows_per_trial_only_by_the_records(profile, few, many, bou
 
 @pytest.mark.parametrize(
     "profile, trials, bound",
-    # a block holds its trials' drawn waveform rows and the echo rows of one
-    # trial: blocks of 5 on fast peak at ~2.8 MB (the per-trial loop at 1.65
-    # MB, full bases for all 10 trials at 7.5 MB), the one-trial table1 block
-    # at ~9.24 MB like one basis
+    # a block holds its trials' drawn waveform rows and one basis chunk:
+    # blocks of 5 on fast peak at ~2.6 MB (the per-trial loop at 1.65 MB,
+    # full bases for all 10 trials at 7.5 MB), the one-trial table1 block at
+    # ~4.9 MB (~9.24 MB when it held one whole basis)
     [(fast_profile, 10, 3e6), (table1_profile, 1, 9.7e6)],
 )
 def test_peak_memory_of_one_call_is_bounded(profile, trials, bound):
     assert _traced_peak(profile(trials=trials, seed=3)) <= bound
+
+
+def test_warm_table1_call_holds_no_more_than_drawn_rows_dwell_grids_and_one_chunk():
+    # a one-trial table1 block needs its drawn rows, the K dwells' projections
+    # and references (two K x P*Q complex grids) and one basis chunk; 20 %
+    # covers the rest. Holding one whole basis peaked at 8.81 MiB, over this
+    # bound; chunked, the call peaks at ~4.7 MiB
+    cfg = table1_profile(trials=1, seed=2)
+    dwell_grids = 2 * cfg.k_targets * cfg.n_subcarriers * cfg.n_symbols * 16
+    bound = 1.2 * (_drawn_bytes(cfg) + dwell_grids + runner.CHUNK_BYTES)
+    assert _traced_peak(cfg) <= bound
+
+
+def _chunked_sensing(cfg, subcarriers, monkeypatch):
+    """Slot-1 snapshots and dwell projections of one scene, and the report of ``cfg``.
+
+    The basis is formed in chunks of ``subcarriers``, or of the default size for None.
+    """
+    wf = cfg.waveform()
+    if subcarriers is not None:
+        n_rows = cfg.n_streams * (1 + cfg.k_targets) + 1 + cfg.rx_rf_chains
+        monkeypatch.setattr(runner, "CHUNK_BYTES", subcarriers * n_rows * wf.n_symbols * 16)
+        assert runner._chunk_subcarriers(n_rows, wf) == subcarriers
+    plan, rng = scenario_plan(cfg), np.random.default_rng(17)
+    specs, gains, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
+    h_si, h_si_hat = _si_pair(cfg, rng, 1e-2)
+    y = _snapshots(cfg, basis, n_drawn, plan.w_rf0, plan.v_rf0, h_si, h_si_hat, v_bb, h_ul, v_u,
+                   specs, gains)
+    angles = np.array([[spec.angle_deg for spec in specs]]) + 0.05
+    dwells = dwell_projections(cfg, plan, basis[None, :n_drawn], angles, h_si[None],
+                               h_si_hat[None], v_bb, h_ul[None], v_u[None], gains[None])
+    return [y, *dwells], run_scenario(cfg)
+
+
+@pytest.mark.parametrize("profile", [fast_profile, table1_profile])
+def test_basis_chunk_size_does_not_change_snapshots_dwells_or_report(profile, monkeypatch):
+    # Chunks of 2 and 10 subcarriers (10 divides neither P = 64 nor P = 792,
+    # so the last chunk is short) give the default's bytes. OpenBLAS's zgemm
+    # forms a product's columns in groups of four and rounds a last group of
+    # one to three columns differently, so chunks of 1 and 7 subcarriers (14
+    # and 98 cells) differ in the last bits of two columns each: 33-term dot
+    # products, within 1e-14 of the largest entry. Their trial records are
+    # the default's, and their maps differ by rounding only (~1e-18 of the peak).
+    cfg = profile(trials=2, seed=4, csi_nmse_db=-10.0)
+    arrays, report = _chunked_sensing(cfg, None, monkeypatch)
+    for subcarriers in (2, 10):
+        chunked, chunked_report = _chunked_sensing(cfg, subcarriers, monkeypatch)
+        for got, want in zip(chunked, arrays):
+            assert got.tobytes() == want.tobytes()
+        assert chunked_report.to_json() == report.to_json()
+    for subcarriers in (1, 7):
+        chunked, chunked_report = _chunked_sensing(cfg, subcarriers, monkeypatch)
+        for got, want in zip(chunked, arrays):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert chunked_report.trials == report.trials
+        got, want = chunked_report.range_velocity["magnitude"], report.range_velocity["magnitude"]
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("profile", [fast_profile, table1_profile])
+def test_factored_phases_give_each_chunk_the_whole_grid_phase_rows(profile):
+    # oracle: each target's phase over the whole grid; with unit symbols a
+    # chunk's echo rows are its phase rows (times 1 + 0j, which is exact)
+    cfg = profile()
+    wf, plan, st = cfg.waveform(), scenario_plan(cfg), cfg.n_streams
+    p, q = np.arange(wf.n_subcarriers), np.arange(wf.n_symbols)
+    want = [delay_doppler_phase(s.range_m, s.velocity_mps, wf, p[:, None], q).ravel()
+            for s in cfg.all_target_specs()]
+    for first in range(0, wf.n_subcarriers, 7):
+        cells = slice(first * wf.n_symbols, min(first + 7, wf.n_subcarriers) * wf.n_symbols)
+        basis = np.ones((st + cfg.k_targets * st, cells.stop - cells.start), dtype=complex)
+        waveform_basis(basis, plan.delay_phases[:, first : first + 7], plan.doppler_phases, st)
+        echo = basis[st:].reshape(cfg.k_targets, st, -1)
+        for rows, phase in zip(echo, want):
+            assert all(row.tobytes() == phase[cells].tobytes() for row in rows)
+
+
+@pytest.mark.parametrize("profile, trials, chunks", [(fast_profile, 10, 1), (table1_profile, 1, 12)])
+def test_each_pass_forms_a_trial_basis_in_its_chunks(profile, trials, chunks, monkeypatch):
+    # two passes per trial, slot 1 and the dwells; a fast trial's basis is one chunk
+    calls = []
+    basis = runner.waveform_basis
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return basis(*args)
+
+    monkeypatch.setattr(runner, "waveform_basis", counted)
+    cfg = profile(trials=trials, seed=1)
+    run_scenario(cfg)
+    assert len(calls) == 2 * trials * chunks
+    cells = cfg.n_subcarriers * cfg.n_symbols
+    assert sum(shape[1] for shape in calls) == 2 * trials * cells
 
 
 _FAULTS_OF_A_WARM_CALL = """
@@ -885,12 +978,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
 def test_warm_one_trial_table1_call_touches_no_fresh_pages():
-    # The basis window reuses the drawn rows' buffer, so a warm one-trial call
-    # copies no rows and faults in no new pages (0-3 measured). A separately
-    # allocated echo scratch takes ~2,200 faults per call. The count runs in a
-    # fresh process after two warm-up calls: earlier tests' allocations would
-    # hide the scratch's pages, and one warm-up leaves the allocator unsettled
-    # (~1,370 faults on the second call).
+    # Every array of a warm one-trial call, the 512 KiB basis chunk included,
+    # is small enough to reuse heap memory that the previous call freed, so
+    # the call faults in no new pages (0-1 measured). Per-call arrays that
+    # crossed into fresh mappings took ~1,100-2,200 faults per call. The count
+    # runs in a fresh process after two warm-up calls: earlier tests'
+    # allocations would hide fresh pages, and the allocator settles only
+    # after the first call.
     src = str(Path(runner.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

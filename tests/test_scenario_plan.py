@@ -76,7 +76,8 @@ def test_cached_arrays_are_read_only(profile):
     plan = scenario_plan(cfg)
     arrays = dict(_arrays(plan))
     assert sorted(arrays) == sorted([
-        "cb_tx", "cb_rx", "v_rf0", "w_rf0", "grid_deg", "manifold", "gain", "phases",
+        "cb_tx", "cb_rx", "v_rf0", "w_rf0", "grid_deg", "manifold", "gain", "delay_phases",
+        "doppler_phases",
     ])
     arrays["dft_codebook"] = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
     for name, array in arrays.items():

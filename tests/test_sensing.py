@@ -7,6 +7,7 @@ from scipy.signal import find_peaks
 from fdisac.arrays import dft_codebook, ula_response_matrix
 from fdisac.beamforming import assemble_analog
 from fdisac.channels import SPEED_OF_LIGHT, Waveform
+from fdisac import sensing
 from fdisac.errors import EstimationFailureError
 from fdisac.sensing import (
     _local_maxima,
@@ -76,6 +77,22 @@ def test_covariance_of_white_noise():
     np.testing.assert_allclose(np.diag(r).real, sigma2, rtol=0.03)
     off = r - np.diag(np.diag(r))
     assert np.abs(off).max() < 0.03 * sigma2
+
+
+def test_covariance_sums_slices_like_one_product():
+    # oracle: the whole stack's y^T conj(y) in one product. A stack of one
+    # slice or less is that product bit for bit; a longer one (here three
+    # slices, the last short, as on table1's 11,088 cells) adds its slices'
+    # products, which rounds within 1e-14 of the largest entry
+    rng = np.random.default_rng(5)
+    for n in (sensing.COVARIANCE_SLICE, 2 * sensing.COVARIANCE_SLICE + 911):
+        y = rng.standard_normal((2, n, 8)) + 1j * rng.standard_normal((2, n, 8))
+        r = (np.swapaxes(y, -1, -2) @ y.conj()) / n
+        want = (r + np.swapaxes(r, -1, -2).conj()) / 2.0
+        got = sample_covariance(y)
+        if n == sensing.COVARIANCE_SLICE:
+            assert got.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_covariance_rejects_empty():
