@@ -33,8 +33,8 @@ _INF = math.inf
 
 # The legal values of each scalar field, in its own unit: (lo, hi, legal infinities).
 # Each finite endpoint runs on the fast profile. The box keeps the precoder's
-# dynamic range tx - threshold - path loss at or below 100 dB: from ~120 dB its
-# Newton loop stops above the final guard's 1e-9 x lambda_b allowance.
+# dynamic range tx - threshold - path loss at or below 100 dB: at ~140 dB rounding
+# puts the leakage above the final guard's 1e-9 x lambda_b allowance.
 _LIMITS = {
     **dict.fromkeys(("tx_rf_chains", "rx_rf_chains", "tx_antennas_per_rf", "rx_antennas_per_rf",
                      "dl_user_antennas", "ul_user_antennas", "n_subcarriers", "n_symbols",

@@ -57,6 +57,7 @@ _NULL_RIDGE_REL = 1e-10  # null(H) ridge, relative to the mean squared singular 
 _GUARD_MAX_REL = 1e-9  # largest relative scale the final feasibility step may apply
 _ARMIJO = 1e-4  # sufficient-increase fraction of the dual line search
 _MAX_SOLVES = 200  # cap on evaluations of V(zeta)
+_KKT_TOL = 1e-12  # Newton stop: the largest projected gradient relative to lambda_b
 _PIVOT_MIN_REL = 1e-6  # Cholesky diagonal ratio below which a Newton system is singular
 
 
@@ -214,6 +215,8 @@ def select_rx_analog(
 def _newton_step(hess: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``hess^-1 d`` by Cholesky, or the minimum-norm least-squares solution
     where ``hess`` is singular to working precision (e.g. repeated rows)."""
+    if not d.size:  # every row is held at zero
+        return d
     try:
         c = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:  # not positive definite in floating point
@@ -264,35 +267,30 @@ def _dual_newton(r_basis, sig, rank, g_fit, lam):
     x, d, hess, pg = solved(rhs / diag[:, None], zeta)
     dual = dual_value(x, d, zeta)
     iterations = 1
-    refine = False  # set once the dual value is too flat to rank steps
-    while pg > 0.0 and iterations < _MAX_SOLVES:
-        free = (zeta > 0) | (d > 0)
-        step = np.zeros_like(zeta)
+    while pg > _KKT_TOL and iterations < _MAX_SOLVES:
+        # Bertsekas' epsilon-active set: eps is the largest diagonally scaled
+        # projected-gradient step; rows within it of zero that point down step to 0
+        with np.errstate(divide="ignore"):  # a zero row has no curvature
+            eps = np.abs(zeta - np.maximum(zeta + d / hess.diagonal(), 0.0)).max()
+        free = (zeta > eps) | (d >= 0)
+        step = -zeta  # a full step takes the held rows to zero
         step[free] = _newton_step(hess[free][:, free], d[free])
-        full = np.maximum(zeta + step, 0.0)
-        full_result = evaluate(full)
-        iterations += 1
-        trial, result, alpha = full, full_result, 1.0
-        if not refine:
-            # rounding of the dual value: its terms, not their sum, set the scale
-            noise = 64 * _EPS * (abs(dual) + zeta @ (d + 2.0 * lam))
-        while not refine:
+        # rounding of the dual value: its terms, not their sum, set the scale
+        noise = 64 * _EPS * (abs(dual) + zeta @ (d + 2.0 * lam))
+        alpha, trial = 1.0, np.maximum(zeta + step, 0.0)
+        while True:
+            result = evaluate(trial)
+            iterations += 1
             gain = float(d @ (trial - zeta))  # first-order increase of the dual
-            refine = gain <= noise or alpha < _EPS  # too small for the dual value to rank
-            if refine:
-                trial, result = full, full_result
-                break
             value = dual_value(result[0], result[1], trial)
-            if value >= dual + _ARMIJO * gain:
-                dual = value
+            # Armijo where the dual value can rank the step, else a fall of pg
+            if (value >= dual + _ARMIJO * gain) if gain > noise else (result[3] < pg):
                 break
             alpha *= 0.5
             trial = np.maximum(zeta + alpha * step, 0.0)
-            result = evaluate(trial)
-            iterations += 1
-        if refine and result[3] > 0.5 * pg:
-            break
-        zeta, (x, d, hess, pg) = trial, result
+            if alpha < _EPS or np.array_equal(trial, zeta):  # no shorter step moves zeta
+                return x, zeta, iterations  # no step passes: the final guard judges this point
+        zeta, dual, (x, d, hess, pg) = trial, value, result
     return x, zeta, iterations
 
 
@@ -315,12 +313,14 @@ def numeric_tx_precoder(
     and the multipliers zeta >= 0 maximize the concave dual, whose gradient
     is c_r - lambda_b with c_r = ||V(zeta)^H t_r||^2 (Boyd & Vandenberghe,
     Convex Optimization, 5.2-5.5). The dual is solved by projected Newton
-    (Bertsekas, SIAM J. Control Optim. 20(2), 1982): rows at zeta_r = 0 whose
-    gradient points below zero stay fixed, the rest take a Newton step, and
-    the step is halved until the dual value rises enough (Armijo). Close to
-    the optimum the dual value is flat to rounding and cannot rank steps;
-    from then on full Newton steps are taken while each halves the largest
-    projected gradient, and the iteration stops at the first that does not.
+    (Bertsekas, SIAM J. Control Optim. 20(2), 1982) on its epsilon-active
+    set: with eps the largest diagonally scaled projected-gradient step, rows
+    with zeta_r <= eps whose gradient points below zero step to zero and the
+    rest take a Newton step. Each step is halved until it passes one test:
+    Armijo on the dual value where its first-order gain exceeds the dual's
+    rounding noise, else a strict fall of the largest projected gradient.
+    The iteration stops once that gradient is within 1e-12 lambda_b, or when
+    no step passes, which leaves the point to the final step below.
 
     V(zeta) is solved in the right singular basis of H, which makes null(H)
     explicit: H has rank below its column count in every scenario, so the

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import nnls
@@ -387,6 +387,34 @@ def test_precoder_kkt_holds_in_the_pipeline_with_many_active_rows(monkeypatch):
     assert active.sum(axis=1).min() >= 6
 
 
+def test_precoder_completes_the_config_whose_newton_loop_stalled():
+    # a Newton step too small for the dual value to rank once ended the loop
+    # at 1.21 x threshold after 31 solves, failing trial 1
+    cfg = fast_profile(trials=4, seed=74, tx_power_dbm=100, si_pathloss_db=40, csi_nmse_db=0,
+                       si_kappa_db=100, codebook_bits=2)
+    assert run_scenario(cfg).aggregate["n_failed"] == 0
+
+
+@pytest.mark.parametrize("tx_power_dbm", [55.0, 70.0])
+def test_precoder_completes_every_trial_with_more_leakage_rows_than_tx_chains(tx_power_dbm):
+    # eight leakage rows on two TX chains: the dual's Hessian is singular
+    cfg = fast_profile(trials=40, seed=5, tx_rf_chains=2, tx_power_dbm=tx_power_dbm, analog_taps=0)
+    assert run_scenario(cfg).aggregate["n_failed"] == 0
+
+
+def test_precoder_with_one_tx_chain_fails_its_trials_loudly():
+    # one TX chain makes every leakage row the same scalar constraint up to
+    # scale (a rank-one dual Hessian); the loop still fails 20 of these 40
+    # trials, each with a precoder record, not a silent result
+    cfg = fast_profile(trials=40, seed=5, tx_rf_chains=1, tx_power_dbm=55.0, analog_taps=0)
+    report = run_scenario(cfg)
+    errors = [t["error"] for t in report.trials if "error" in t]
+    assert 0 < len(errors) <= 20
+    prefix = ("InfeasibleResultError: beamformer design failed at step 'TX digital precoder': "
+              "leakage ")
+    assert all(e.startswith(prefix) for e in errors)
+
+
 def test_numeric_infinite_threshold_is_least_squares():
     rng = np.random.default_rng(8)
     h, g, t1 = _random_precoder_instance(rng)
@@ -517,6 +545,41 @@ def test_precoder_kkt_property(kind, seed):
         np.testing.assert_allclose(v, v_star, rtol=0, atol=1e-6 * np.linalg.norm(v_star))
     if kind == "one_row":
         assert zeta[0] == pytest.approx(_closed_form_multiplier(h, t_rows[0], lam, g), rel=1e-9)
+
+
+def _any_shape_instance(seed):
+    """H of 2-5 x 1-8 and rank 1-3, 1-8 leakage rows (30 % with a repeated
+    row), lambda_b from 1e-6 to 1: shapes with more rows than TX chains."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+    rank = min(int(rng.integers(1, 4)), m, n)
+    h = _crandn(rng, m, rank) @ _crandn(rng, rank, n)
+    n_rows = int(rng.integers(1, 9))
+    t_rows = _crandn(rng, n_rows, n)
+    if n_rows > 1 and rng.random() < 0.3:
+        t_rows[-1] = t_rows[0]
+    lam = 10.0 ** rng.uniform(-6.0, 0.0)
+    return h, t_rows, lam, h @ _crandn(rng, n, min(3, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+# rows outnumber chains: a stop short of the optimum once returned these
+# feasible and silent, with KKT residuals of 1.6e-2 to 1.0e-1
+@example(91)
+@example(250)
+@example(518)
+@example(534)
+def test_precoder_reaches_kkt_or_fails_loudly_on_any_shape(seed):
+    h, t_rows, lam, g = _any_shape_instance(seed)
+    try:
+        v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    except InfeasibleResultError:
+        # only a singular dual (more rows than TX chains) may fail, and loudly
+        assert len(t_rows) > h.shape[1]
+        return
+    _assert_kkt(h, t_rows, lam, g, v, info["multipliers"])
+    assert info["kkt_residual"] <= 1e-8
 
 
 # ---------------------------------------------------------- power normalize
