@@ -27,10 +27,12 @@ class InfeasibleResultError(RuntimeError):
     """A solver stopped without reaching feasibility.
 
     ``errors`` holds per problem of a stack (leading axes flattened) None or
-    that problem's own error; ``result`` is zero at the failed problems.
+    that problem's own error; ``result`` is zero at the failed problems, and
+    ``info``, if the solver was asked for it, is its info for the whole stack.
     """
 
-    def __init__(self, message, errors=(), result=None):
+    def __init__(self, message, errors=(), result=None, info=None):
         super().__init__(message)
         self.errors = errors
         self.result = result
+        self.info = info

@@ -58,7 +58,7 @@ _GUARD_MAX_REL = 1e-9  # largest relative scale the final feasibility step may a
 _ARMIJO = 1e-4  # sufficient-increase fraction of the dual line search
 _MAX_SOLVES = 200  # cap on evaluations of V(zeta)
 _KKT_TOL = 1e-12  # Newton stop: the largest projected gradient relative to lambda_b
-_PIVOT_MIN_REL = 1e-6  # Cholesky diagonal ratio below which a Newton system is singular
+_RCOND = 1e-14  # Newton system eigenvalues below this fraction of the largest are zero
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,10 @@ def build_estimated_channels(
 class HybridBeamformers:
     """Full beamformer solution for one slot, or a stack of them (one per trial).
 
-    ``h_tilde_hat`` is the compressed SI estimate W_rf^H H_si_hat V_rf and
-    ``analog_canceller`` its C of :func:`~fdisac.cancellers.build_cancellers`.
+    ``h_tilde_hat`` is the compressed SI estimate W_rf^H H_si_hat V_rf,
+    ``analog_canceller`` its C of :func:`~fdisac.cancellers.build_cancellers`
+    and ``kkt_residual`` the TX precoder's KKT residual per trial
+    (:func:`numeric_tx_precoder`).
     ``errors`` holds one entry per trial of a stack (leading axes flattened):
     None, or the exception that failed the trial's design. A failed trial's
     arrays hold finite stand-ins and carry no meaning.
@@ -133,6 +135,7 @@ class HybridBeamformers:
     v_u_bb: np.ndarray
     h_tilde_hat: np.ndarray
     analog_canceller: np.ndarray
+    kkt_residual: np.ndarray | None = None
     errors: tuple = ()
 
 
@@ -213,18 +216,13 @@ def select_rx_analog(
 
 
 def _newton_step(hess: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``hess^-1 d`` by Cholesky, or the minimum-norm least-squares solution
-    where ``hess`` is singular to working precision (e.g. repeated rows)."""
+    """The minimum-norm least-squares solution of ``hess s = d`` for the symmetric
+    ``hess``, by its eigendecomposition; singular along repeated rows, for example."""
     if not d.size:  # every row is held at zero
         return d
-    try:
-        c = np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:  # not positive definite in floating point
-        c = None
-    if c is not None and (p := c.diagonal()).min() > _PIVOT_MIN_REL * p.max():
-        c_inv = np.linalg.inv(c)
-        return c_inv.T @ (c_inv @ d)
-    return np.linalg.lstsq(hess, d, rcond=1e-14)[0]
+    w, q = np.linalg.eigh(hess)  # ascending, so the largest modulus is at an end
+    w[np.abs(w) <= _RCOND * max(-w[0], w[-1])] = np.inf  # no step along a zero eigenvalue
+    return q @ ((d @ q) / w)
 
 
 def _dual_newton(r_basis, sig, rank, g_fit, lam):
@@ -333,7 +331,9 @@ def numeric_tx_precoder(
     A stack of problems along leading axes is solved at zeta = 0 at once,
     where V(0) = pinv(H) G in closed form; only the problems with a row above
     lambda_b then run the Newton iteration, one at a time, because its length
-    depends on the data.
+    depends on the data. With one TX chain row r states
+    |t_r|^2 ||V||^2 <= lambda_b, so only the row of largest modulus can bind:
+    the iteration runs on that row alone and the others' multipliers are 0.
 
     Final step, the only one that changes the Newton solution: V is scaled
     by min(1, sqrt(lambda_b / max_r(c_r + e_r))), where e_r bounds the
@@ -341,8 +341,9 @@ def numeric_tx_precoder(
     point, also after later column down-scaling. A scale below 1 - 1e-9
     fails the problem, as does an exception in its Newton iteration. Any
     failure raises one :class:`InfeasibleResultError` with the first failed
-    problem's message; its ``errors`` hold each failed problem's own error
-    and ``result`` the V of the stack with zeros in their place.
+    problem's message; its ``errors`` hold each failed problem's own error,
+    ``result`` the V of the stack with zeros in their place and ``info`` the
+    stack's info below (a failed problem's entries are stand-ins).
     ``lambda_b_watts = inf`` returns the minimum-norm least-squares solution.
 
     With ``return_info`` the result is ``(V, info)``; ``info`` holds
@@ -381,8 +382,11 @@ def numeric_tx_precoder(
     binding = (np.linalg.norm(r_basis @ x, axis=-1) ** 2 > lam).any(axis=-1)
     errors = [None] * len(h)
     for i in np.flatnonzero(binding):
+        # one TX chain: row r states |t_r|^2 ||V||^2 <= lambda_b, so only the largest binds
+        live = [np.abs(r_basis[i]).argmax()] if n == 1 else slice(None)
         try:
-            x[i], zeta[i], iterations[i] = _dual_newton(r_basis[i], sig[i], rank[i], g_fit[i], lam)
+            x[i], zeta[i, live], iterations[i] = _dual_newton(
+                r_basis[i, live], sig[i], rank[i], g_fit[i], lam)
         except Exception as exc:  # fails this problem only, with V = 0
             x[i], errors[i] = 0.0, exc
 
@@ -399,30 +403,31 @@ def numeric_tx_precoder(
         errors[i] = InfeasibleResultError(
             f"leakage {leak[i].max() / lam:.9f} x threshold (rounding bound "
             f"{err[i].max() / lam:.2g} x) after {iterations[i]} solves")
+    v[[e is not None for e in errors]] = 0.0
+    info = None
+    if return_info:
+        w, leak = w * scale[:, None, None], leak * scale[:, None] ** 2
+        tiny = np.finfo(float).tiny
+        h_h = np.swapaxes(h, -1, -2).conj()
+        grad = h_h @ (h @ v - g) + np.swapaxes(rows, -1, -2).conj() @ (zeta[..., None] * w)
+        grad_norm, rhs_norm, g_norm = (np.linalg.norm(a, axis=(-2, -1)) for a in (grad, h_h @ g, g))
+        kkt = np.maximum.reduce([
+            grad_norm / np.maximum(rhs_norm, tiny),
+            np.maximum(leak.max(axis=-1, initial=0.0) / lam - 1.0, 0.0),
+            (zeta * np.abs(leak - lam)).sum(axis=-1) / np.maximum(g_norm**2, tiny),
+        ])
+        zeta = zeta.reshape(lead + zeta.shape[1:])
+        info = {
+            "iterations": int(iterations.sum()),
+            "multipliers": zeta,
+            "active": zeta > 0,
+            "kkt_residual": kkt.reshape(lead)[()],
+        }
+    v = v.reshape(lead + v.shape[1:])
     if any(errors):
-        v[[e is not None for e in errors]] = 0.0
         raise InfeasibleResultError(str(next(filter(None, errors))), errors=tuple(errors),
-                                    result=v.reshape(lead + v.shape[1:]))
-    if not return_info:
-        return v.reshape(lead + v.shape[1:])
-    w, leak = w * scale[:, None, None], leak * scale[:, None] ** 2
-    tiny = np.finfo(float).tiny
-    h_h = np.swapaxes(h, -1, -2).conj()
-    grad = h_h @ (h @ v - g) + np.swapaxes(rows, -1, -2).conj() @ (zeta[..., None] * w)
-    grad_norm, rhs_norm, g_norm = (np.linalg.norm(a, axis=(-2, -1)) for a in (grad, h_h @ g, g))
-    kkt = np.maximum.reduce([
-        grad_norm / np.maximum(rhs_norm, tiny),
-        np.maximum(leak.max(axis=-1, initial=0.0) / lam - 1.0, 0.0),
-        (zeta * np.abs(leak - lam)).sum(axis=-1) / np.maximum(g_norm**2, tiny),
-    ])
-    zeta = zeta.reshape(lead + zeta.shape[1:])
-    info = {
-        "iterations": int(iterations.sum()),
-        "multipliers": zeta,
-        "active": zeta > 0,
-        "kkt_residual": kkt.reshape(lead)[()],
-    }
-    return v.reshape(lead + v.shape[1:]), info
+                                    result=v, info=info)
+    return (v, info) if return_info else v
 
 
 def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.ndarray:
@@ -552,10 +557,10 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         step = "TX digital precoder"
         g_target = h_dl_eff @ _principal(h_dl_eff, st, right=True) * np.sqrt(p_b / st)
         try:
-            v_bb = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target)
+            v_bb, info = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target, return_info=True)
         except InfeasibleResultError as exc:
             # a trial whose precoder fails keeps V = 0, which no later step rejects
-            v_bb = exc.result
+            v_bb, info = exc.result, exc.info
             errors = [None if e is None else _at_step(e, step) for e in exc.errors]
 
         step = "power normalization"
@@ -594,5 +599,6 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         v_u_bb=v_u,
         h_tilde_hat=h_tilde_hat,
         analog_canceller=analog_canceller,
+        kkt_residual=info["kkt_residual"],
         errors=tuple(errors),
     )

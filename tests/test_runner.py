@@ -408,10 +408,32 @@ def test_sweep_rejects_a_non_integral_tap_count():
 def test_validate_suite_passes_on_tiny_config():
     payload, ok = validate_suite(_tiny_config())
     assert ok, [c for c in payload["checks"] if not c["passed"]]
-    names = {c["name"] for c in payload["checks"]}
-    assert {
-        "analog_si_residual", "nsp_nulling", "kkt_closed_form", "kkt_multi_chain", "determinism",
-    } <= names
+    assert [c["name"] for c in payload["checks"]] == [
+        "all_trials_completed", "analog_si_residual", "precoder_kkt", "nsp_nulling",
+        "dl_rate_vs_ideal", "determinism", "finite_outputs",
+    ]
+
+
+_CORNER = {"tx_power_dbm": 100.0, "ul_tx_power_dbm": 100.0, "si_threshold_dbm": -30.0,
+           "si_pathloss_db": 30.0, "analog_taps": 0}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seed": 42, "csi_nmse_db": -10.0},
+    {**_CORNER, "csi_nmse_db": -300.0},
+], ids=["csi_error", "corner"])
+def test_validate_checks_the_leakage_the_precoder_bounds(overrides):
+    # the precoder bounds the estimated leakage; the true residual differs by
+    # the SI CSI error (1.45e-5 W at -10 dB NMSE) or by rounding (the corner)
+    cfg = fast_profile(trials=2, **overrides)
+    payload, ok = validate_suite(cfg)
+    assert ok, [c for c in payload["checks"] if not c["passed"]]
+    agg = payload["aggregate"]
+    assert agg["max_analog_leakage_w"] <= cfg.lambda_b_watts * (1 + 1e-9)
+    assert agg["max_precoder_kkt_residual"] <= 1e-8
+    detail = next(c["detail"] for c in payload["checks"] if c["name"] == "analog_si_residual")
+    assert f"estimated {agg['max_analog_leakage_w']:.6e} W" in detail
+    assert f"true {agg['max_analog_residual_w']:.6e} W" in detail
 
 
 def test_leakage_bound_seed_30_trial_completes():
@@ -600,6 +622,21 @@ def test_too_few_rx_chains_for_music_build_but_fail_every_trial(chains):
                f"got k={cfg.k_targets}, size={chains}")
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         run_scenario(cfg)
+
+
+def test_noise_only_sensing_can_make_the_nsp_combiner_degenerate():
+    # the BS silent and 100 dBm noise: MUSIC's non-UL peaks are noise, and in
+    # trial 0 they span the UL direction, so the null-space projector
+    # annihilates the UL combiner; the other trials complete
+    cfg = fast_profile(trials=3, seed=400, tx_power_dbm=-np.inf, ul_tx_power_dbm=100,
+                       bs_noise_dbm=100, user_noise_dbm=100, si_threshold_dbm=np.inf,
+                       si_kappa_db=-100, si_pathloss_db=300, csi_nmse_db=0,
+                       music_grid_step_deg=1, analog_taps=0, codebook_bits=2)
+    trials = run_scenario(cfg).trials
+    assert trials[0] == {"error": "DegenerateCombinerError: beamformer design failed at step "
+                                  "'NSP combiner': uplink direction lies inside the radar "
+                                  "interference span"}
+    assert all("error" not in t for t in trials[1:])
 
 
 def test_coincident_radar_targets_swap_roles_silently():
