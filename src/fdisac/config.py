@@ -153,8 +153,9 @@ class ScenarioConfig:
             raise ValueError("analog taps exceed the compressed SI channel size")
         if not self.dl_scatterers:
             raise ValueError("need at least one DL scatterer: the downlink channel is their paths")
-        # K < M_rf is required only by the MUSIC stage and is checked there,
-        # so optimizer-only configurations with few RX chains stay legal.
+        if self.rx_rf_chains <= self.k_targets:
+            raise ValueError(f"rx rf chains must exceed the {self.k_targets} targets (UL user "
+                             f"included) that MUSIC resolves, got {self.rx_rf_chains}")
         wf = self.waveform()  # validates the numerology
         p, q_lo, q_hi = wf.n_subcarriers, -(wf.n_symbols // 2), wf.n_symbols - wf.n_symbols // 2
         targets = [(f"{key}[{i}]", spec) for key in ("dl_scatterers", "radar_targets")

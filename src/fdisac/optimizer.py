@@ -572,18 +572,13 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
 
         step = "NSP combiner"
         h_ul_eff = w_h @ est.h_ul_hat
-        if cfg.rx_rf_chains == 1:
-            # a single RX chain leaves no null space to project into; the
-            # non-nulling singular-vector combiner is the only choice
-            w_bb = mss_rx_combiner(h_ul_eff)
-        else:
-            try:
-                w_bb = nsp_rx_combiner(h_ul_eff, w_h @ est.h_rad_int_hat)
-            except DegenerateCombinerError as exc:
-                w_bb = exc.combiner
-                _at_step(exc, step)
-                for i in np.flatnonzero(exc.failed):
-                    errors[i] = errors[i] or exc
+        try:
+            w_bb = nsp_rx_combiner(h_ul_eff, w_h @ est.h_rad_int_hat)
+        except DegenerateCombinerError as exc:
+            w_bb = exc.combiner
+            _at_step(exc, step)
+            for i in np.flatnonzero(exc.failed):
+                errors[i] = errors[i] or exc
     except Exception as exc:
         _at_step(exc, step)
         raise

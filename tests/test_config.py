@@ -360,6 +360,12 @@ _NAN, _INF = float("nan"), float("inf")
         ({"codebook_bits": 25}, "codebook bits must lie in [2, 12], got 25"),
         ({"ul_user": {"angle_deg": -10.0, "range_m": 100.0, "velocity_mps": 1e300}},
          "ul_user: target velocity 1e+300 m/s is"),
+        # MUSIC needs K < M_rf: these built and then failed every trial with "MUSIC
+        # requires k < array size" (32 taps on 5 chains trip the tap rule first)
+        ({"rx_rf_chains": 4}, "rx rf chains must exceed the 5 targets (UL user included) "
+                              "that MUSIC resolves, got 4"),
+        ({"rx_rf_chains": 5, "analog_taps": 0}, "rx rf chains must exceed the 5 targets "
+                                                "(UL user included) that MUSIC resolves, got 5"),
     ],
 )
 def test_config_holes_rejected_when_config_is_built(tmp_path, data, message):

@@ -769,17 +769,17 @@ def test_user_beamformers_singular_vector_property():
 # ------------------------------------------------------------- full pipeline
 
 
-def _single_rx_chain_config():
-    # closed-form branch configuration: 5 TX chains, 1 RX chain, 5 DL paths
+def _five_path_config():
+    # 5 TX chains and 5 DL paths; 8 RX chains resolve the K = 6 targets
     return ScenarioConfig(
         tx_rf_chains=5,
-        rx_rf_chains=1,
+        rx_rf_chains=8,
         tx_antennas_per_rf=4,
         rx_antennas_per_rf=16,
         dl_user_antennas=5,
         ul_user_antennas=4,
         n_subcarriers=64,
-        analog_taps=2,
+        analog_taps=8,
         dl_scatterers=tuple(
             TargetSpec(angle_deg=a, range_m=40.0 + 5 * i)
             for i, a in enumerate((-40.0, -25.0, -5.0, 15.0, 35.0))
@@ -807,8 +807,8 @@ def _estimates_for(cfg, rng):
     )
 
 
-def test_algorithm_closed_form_branch_end_to_end():
-    cfg = _single_rx_chain_config()
+def test_algorithm_binding_leakage_rows_end_to_end():
+    cfg = _five_path_config()
     rng = np.random.default_rng(19)
     est = _estimates_for(cfg, rng)
     bf = run_algorithm1(est, cfg)
@@ -820,11 +820,14 @@ def test_algorithm_closed_form_branch_end_to_end():
     )
     residual = np.linalg.norm(leak_rows @ bf.v_b_bb, axis=1) ** 2
     assert residual.max() <= cfg.lambda_b_watts * (1 + 1e-9)
+    # eight leakage rows on five TX chains, and some of them bind
+    assert residual.max() >= cfg.lambda_b_watts * (1 - 1e-6)
+    assert bf.kkt_residual <= 1e-8
     assert bf.v_b_bb.shape == (5, 5)  # st = min(5, 5)
 
 
 def test_algorithm_zero_target_zero_si_unconstrained():
-    cfg = _single_rx_chain_config().with_overrides(analog_taps=0)
+    cfg = _five_path_config().with_overrides(analog_taps=0)
     est = _estimates_for(cfg, np.random.default_rng(20))
     est = build_estimated_channels(
         [s.angle_deg for s in cfg.dl_scatterers], [], cfg.ul_user.angle_deg,
@@ -845,7 +848,7 @@ def test_algorithm_zero_target_zero_si_unconstrained():
 def test_algorithm_invariants_multi_chain():
     cfg = ScenarioConfig(
         tx_rf_chains=4,
-        rx_rf_chains=4,
+        rx_rf_chains=8,
         tx_antennas_per_rf=4,
         rx_antennas_per_rf=4,
         dl_user_antennas=4,
@@ -897,7 +900,7 @@ def test_algorithm_step_attribution_on_failure():
 def _four_chain_config():
     return ScenarioConfig(
         tx_rf_chains=4,
-        rx_rf_chains=4,
+        rx_rf_chains=8,
         tx_antennas_per_rf=4,
         rx_antennas_per_rf=4,
         dl_user_antennas=4,
@@ -916,7 +919,8 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
         ((-30.0, -20.0), (20.0,), -10.0),  # ordinary
         ((-25.0, -25.0), (20.0,), -10.0),  # repeated scatterers: rank-2 interference
         ((-30.0, -10.0), (20.0,), -10.0),  # UL inside the interference span
-        ((-40.0, -5.0), (30.0,), 10.0),  # ordinary
+        # eight leakage rows on four TX chains: the Newton loop stops short of feasibility
+        ((-40.0, -5.0), (30.0,), 10.0),
     ]
     cfg = _four_chain_config()
     rng = np.random.default_rng(22)
@@ -926,26 +930,33 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
     block = run_algorithm1(build_estimated_channels(scat, other, ul, h_bb, *dims), cfg)
     _assert_within_budgets(block, cfg)
 
-    # the repeated directions leave the second trial's interference rank 2 of 4
+    # the repeated directions leave the second trial's interference rank 2, not 3
     w_h = np.swapaxes(block.w_b_rf, -1, -2).conj()
     h_int_eff = w_h @ build_estimated_channels(scat, other, ul, h_bb, *dims).h_rad_int_hat
     assert [np.linalg.matrix_rank(h) for h in h_int_eff] == [3, 2, 3, 3]
+    assert [e is None for e in block.errors] == [True, True, False, False]
 
     for t, (s, o, u) in enumerate(doas):
         est = build_estimated_channels(list(s), list(o), u, h_bb[t], *dims)
         try:
             one = run_algorithm1(est, cfg)
             _assert_within_budgets(one, cfg)
-        except DegenerateCombinerError as exc:
-            assert t == 2
+        except (DegenerateCombinerError, InfeasibleResultError) as exc:
+            assert (t, type(exc)) in ((2, DegenerateCombinerError), (3, InfeasibleResultError))
             assert block.errors[t] is not None
             assert f"{type(block.errors[t]).__name__}: {block.errors[t]}" == (
                 f"{type(exc).__name__}: {exc}"
             )
-            assert str(exc) == (
-                "beamformer design failed at step 'NSP combiner': "
-                "uplink direction lies inside the radar interference span"
-            )
+            if t == 2:
+                assert str(exc) == (
+                    "beamformer design failed at step 'NSP combiner': "
+                    "uplink direction lies inside the radar interference span"
+                )
+            else:
+                assert re.fullmatch(r"beamformer design failed at step 'TX digital precoder': "
+                                    r"leakage 1\.00\d+ x threshold \(rounding bound .+\) "
+                                    r"after \d+ solves", str(exc))
+                assert not block.v_b_bb[t].any()  # a failed precoder leaves V = 0
             continue
         assert block.errors[t] is None
         np.testing.assert_array_equal(block.v_b_rf[t], one.v_b_rf)
