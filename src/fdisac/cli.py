@@ -5,6 +5,9 @@ Subcommands:
   rates        run a rate sweep, emit the rates table
   validate     run the invariant suite; nonzero exit on any violation
   show-config  print the fully resolved configuration
+
+The configuration is resolved once, before the subcommand runs; one that
+cannot be read or is rejected prints ``fdisac: error: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> N
         writer.writerows(rows)
 
 
-def _cmd_sense(args) -> int:
-    cfg = _resolve_config(args)
+def _cmd_sense(args, cfg: ScenarioConfig) -> int:
     report = run_scenario(cfg)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -90,8 +92,7 @@ def _parse_values(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",") if v.strip() != ""]
 
 
-def _cmd_rates(args) -> int:
-    cfg = _resolve_config(args)
+def _cmd_rates(args, cfg: ScenarioConfig) -> int:
     values = _parse_values(args.values) if args.values else [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
     report = sweep(cfg, args.sweep, values)
     out = args.out
@@ -105,8 +106,7 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = _resolve_config(args)
+def _cmd_validate(args, cfg: ScenarioConfig) -> int:
     payload, ok = validate_suite(cfg)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -117,8 +117,7 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_show_config(args) -> int:
-    cfg = _resolve_config(args)
+def _cmd_show_config(args, cfg: ScenarioConfig) -> int:
     print(dumps(cfg.to_dict()))
     return 0
 
@@ -153,7 +152,12 @@ def main(argv=None) -> int:
     p_show.set_defaults(func=_cmd_show_config)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _resolve_config(args)
+    except (ValueError, OSError) as exc:  # a rejected config is one line, as argparse's errors
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

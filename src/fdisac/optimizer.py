@@ -18,13 +18,15 @@ The design runs as an ordered sequence of sub-problems:
      interference subspace.
 
 Every step takes a stack of trials along leading axes (a single matrix is a
-stack with none). A trial that fails a step is recorded in
-:attr:`HybridBeamformers.errors` and the other trials continue.
+stack with none). A step that can fail for one problem of its stack (the TX
+precoder, the NSP combiner) returns an ``errors`` tuple, one entry per
+problem of the flattened stack: None or that problem's exception. A trial
+that fails a step is recorded in :attr:`HybridBeamformers.errors` and the
+other trials continue.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,20 +341,20 @@ def numeric_tx_precoder(
     by min(1, sqrt(lambda_b / max_r(c_r + e_r))), where e_r bounds the
     rounding of the computed c_r, so every c_r is <= lambda_b in floating
     point, also after later column down-scaling. A scale below 1 - 1e-9
-    fails the problem, as does an exception in its Newton iteration. Any
-    failure raises one :class:`InfeasibleResultError` with the first failed
-    problem's message; its ``errors`` hold each failed problem's own error,
-    ``result`` the V of the stack with zeros in their place and ``info`` the
-    stack's info below (a failed problem's entries are stand-ins).
+    fails the problem, as does an exception in its Newton iteration; a
+    failed problem's V is 0.
     ``lambda_b_watts = inf`` returns the minimum-norm least-squares solution.
 
-    With ``return_info`` the result is ``(V, info)``; ``info`` holds
-    ``iterations`` (linear solves over the stack, >= 1 per problem),
-    ``multipliers`` (zeta), ``active`` (zeta_r > 0) and ``kkt_residual``
-    per problem: the largest of the stationarity residual relative to
-    ||H^H G||, the constraint violation relative to lambda_b, and the
-    complementary slackness sum_r zeta_r |c_r - lambda_b| relative to
-    ||G||^2, the objective at V = 0.
+    With ``return_info`` the result is ``(V, info)`` and nothing fails
+    loudly; ``info`` holds ``iterations`` (linear solves over the stack,
+    >= 1 per problem), ``multipliers`` (zeta), ``active`` (zeta_r > 0),
+    ``kkt_residual`` per problem: the largest of the stationarity residual
+    relative to ||H^H G||, the constraint violation relative to lambda_b,
+    and the complementary slackness sum_r zeta_r |c_r - lambda_b| relative
+    to ||G||^2, the objective at V = 0, and ``errors``: per problem of the
+    flattened stack None or its error (a failed problem's other entries are
+    stand-ins). Without it, any failure raises one
+    :class:`InfeasibleResultError` with the first failed problem's message.
     """
     h = np.asarray(h_dl_eff, dtype=complex)
     g = np.asarray(g_target, dtype=complex)
@@ -404,30 +406,28 @@ def numeric_tx_precoder(
             f"leakage {leak[i].max() / lam:.9f} x threshold (rounding bound "
             f"{err[i].max() / lam:.2g} x) after {iterations[i]} solves")
     v[[e is not None for e in errors]] = 0.0
-    info = None
-    if return_info:
-        w, leak = w * scale[:, None, None], leak * scale[:, None] ** 2
-        tiny = np.finfo(float).tiny
-        h_h = np.swapaxes(h, -1, -2).conj()
-        grad = h_h @ (h @ v - g) + np.swapaxes(rows, -1, -2).conj() @ (zeta[..., None] * w)
-        grad_norm, rhs_norm, g_norm = (np.linalg.norm(a, axis=(-2, -1)) for a in (grad, h_h @ g, g))
-        kkt = np.maximum.reduce([
-            grad_norm / np.maximum(rhs_norm, tiny),
-            np.maximum(leak.max(axis=-1, initial=0.0) / lam - 1.0, 0.0),
-            (zeta * np.abs(leak - lam)).sum(axis=-1) / np.maximum(g_norm**2, tiny),
-        ])
-        zeta = zeta.reshape(lead + zeta.shape[1:])
-        info = {
-            "iterations": int(iterations.sum()),
-            "multipliers": zeta,
-            "active": zeta > 0,
-            "kkt_residual": kkt.reshape(lead)[()],
-        }
-    v = v.reshape(lead + v.shape[1:])
-    if any(errors):
-        raise InfeasibleResultError(str(next(filter(None, errors))), errors=tuple(errors),
-                                    result=v, info=info)
-    return (v, info) if return_info else v
+    if not return_info:
+        if any(errors):
+            raise InfeasibleResultError(str(next(filter(None, errors))))
+        return v.reshape(lead + v.shape[1:])
+    w, leak = w * scale[:, None, None], leak * scale[:, None] ** 2
+    tiny = np.finfo(float).tiny
+    h_h = np.swapaxes(h, -1, -2).conj()
+    grad = h_h @ (h @ v - g) + np.swapaxes(rows, -1, -2).conj() @ (zeta[..., None] * w)
+    grad_norm, rhs_norm, g_norm = (np.linalg.norm(a, axis=(-2, -1)) for a in (grad, h_h @ g, g))
+    kkt = np.maximum.reduce([
+        grad_norm / np.maximum(rhs_norm, tiny),
+        np.maximum(leak.max(axis=-1, initial=0.0) / lam - 1.0, 0.0),
+        (zeta * np.abs(leak - lam)).sum(axis=-1) / np.maximum(g_norm**2, tiny),
+    ])
+    zeta = zeta.reshape(lead + zeta.shape[1:])
+    return v.reshape(lead + v.shape[1:]), {
+        "iterations": int(iterations.sum()),
+        "multipliers": zeta,
+        "active": zeta > 0,
+        "kkt_residual": kkt.reshape(lead)[()],
+        "errors": tuple(errors),
+    }
 
 
 def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.ndarray:
@@ -445,7 +445,7 @@ def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.
     return v_bb * np.sqrt(p_b_watts / np.maximum(col_power, p_b_watts))[..., None, :]
 
 
-def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray) -> np.ndarray:
+def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray):
     """Uplink digital combiner constrained to null the radar interference.
 
     The candidate x is the principal left singular vector of the effective
@@ -454,13 +454,13 @@ def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray) -> np.ndarr
     w = (I - A^H (A A^H)^+ A) x with A = h_rad_int_eff^H, zeroes
     w^H h_rad_int_eff exactly. The pseudo-inverse (rank tolerance 1e-10
     relative) keeps rank-deficient interference, e.g. repeated target
-    directions, well behaved. The column is normalized to unit norm; if the
-    projector annihilates it the uplink direction lies inside the
-    interference span and :class:`DegenerateCombinerError` is raised.
+    directions, well behaved. If the projector annihilates the column, the
+    uplink direction lies inside the interference span: the matrix fails and
+    keeps its unprojected candidate. Each column is normalized to unit norm.
 
     On a stack each matrix keeps its own rank: the singular vectors beyond it
-    are masked to zero. The error then marks the degenerate matrices and
-    carries the others' combiners.
+    are masked to zero. Returns ``(w, errors)``, ``errors`` holding per
+    matrix of the flattened stack None or its :class:`DegenerateCombinerError`.
     """
     h_int = np.asarray(h_rad_int_eff, dtype=complex)
     if np.shape(h_ul_eff)[-2] != h_int.shape[-2]:
@@ -473,15 +473,11 @@ def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray) -> np.ndarr
     keep = sing_vals > _RANK_TOL_REL * sing_vals[..., :1]
     basis = sing_u * keep[..., None, :]
     w = x - basis @ (np.swapaxes(basis, -1, -2).conj() @ x)
-    norms = np.linalg.norm(w, axis=-2)
-    failed = np.any(norms < 1e-9, axis=-1)
-    if failed.any():
-        w = np.where(failed[..., None, None], x, w / np.where(failed[..., None], 1.0, norms)[..., None, :])
-        raise DegenerateCombinerError(
-            "uplink direction lies inside the radar interference span",
-            failed=failed, combiner=w,
-        )
-    return w / norms[..., None, :]
+    failed = (np.linalg.norm(w, axis=-2) < 1e-9).any(axis=-1)
+    w = np.where(failed[..., None, None], x, w)
+    errors = tuple(DegenerateCombinerError("uplink direction lies inside the radar interference span")
+                   if f else None for f in failed.ravel())
+    return w / np.linalg.norm(w, axis=-2, keepdims=True), errors
 
 
 def mss_rx_combiner(h_ul_eff: np.ndarray) -> np.ndarray:
@@ -503,9 +499,10 @@ def user_beamformers(
     return w_u, v_u
 
 
-def _at_step(exc: Exception, step: str) -> Exception:
-    """``exc`` with the failing design step named in its message."""
-    exc.args = (f"beamformer design failed at step '{step}': {exc}",)
+def _at_step(exc: Exception | None, step: str) -> Exception | None:
+    """``exc`` with the failing design step named in its message; None stays None."""
+    if exc is not None:
+        exc.args = (f"beamformer design failed at step '{step}': {exc}",)
     return exc
 
 
@@ -518,17 +515,16 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
     failures are re-raised with the failing step named.
 
     ``est`` may be a stack of estimates along leading axes, designed as one
-    stack. A step that fails for single trials (the precoder, the NSP
-    combiner) records the step-named error in
-    :attr:`HybridBeamformers.errors` and the other trials continue; a single
-    design raises it. A step that fails for the whole stack raises.
+    stack (a single one is a stack of one). A step that fails for single
+    trials (the precoder, the NSP combiner) returns their errors; the
+    step-named error of each failed trial goes to
+    :attr:`HybridBeamformers.errors` and the other trials continue. A step
+    that fails for the whole stack raises.
     """
     st = cfg.n_streams
     p_b = cfg.p_b_watts
     p_u = cfg.p_u_watts
     lam = cfg.lambda_b_watts
-    lead = np.shape(est.h_dl_hat)[:-2]
-    errors = [None] * math.prod(lead)
 
     step = "user beamformers"
     try:
@@ -556,12 +552,9 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
 
         step = "TX digital precoder"
         g_target = h_dl_eff @ _principal(h_dl_eff, st, right=True) * np.sqrt(p_b / st)
-        try:
-            v_bb, info = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target, return_info=True)
-        except InfeasibleResultError as exc:
-            # a trial whose precoder fails keeps V = 0, which no later step rejects
-            v_bb, info = exc.result, exc.info
-            errors = [None if e is None else _at_step(e, step) for e in exc.errors]
+        # a trial whose precoder fails keeps V = 0, which no later step rejects
+        v_bb, info = numeric_tx_precoder(h_dl_eff, leak_vecs, lam, g_target, return_info=True)
+        errors = [_at_step(e, step) for e in info["errors"]]
 
         step = "power normalization"
         # down-scaling columns can only lower the per-chain leakage
@@ -571,20 +564,13 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
             v_bb = v_bb * np.sqrt(p_b / np.maximum(total, p_b))[..., None, None]
 
         step = "NSP combiner"
-        h_ul_eff = w_h @ est.h_ul_hat
-        try:
-            w_bb = nsp_rx_combiner(h_ul_eff, w_h @ est.h_rad_int_hat)
-        except DegenerateCombinerError as exc:
-            w_bb = exc.combiner
-            _at_step(exc, step)
-            for i in np.flatnonzero(exc.failed):
-                errors[i] = errors[i] or exc
+        w_bb, nsp_errors = nsp_rx_combiner(w_h @ est.h_ul_hat, w_h @ est.h_rad_int_hat)
+        # a trial keeps the first step that failed it
+        errors = [e or _at_step(n, step) for e, n in zip(errors, nsp_errors)]
     except Exception as exc:
         _at_step(exc, step)
         raise
 
-    if not lead and errors[0] is not None:
-        raise errors[0]
     return HybridBeamformers(
         v_b_rf=v_rf,
         v_b_bb=v_bb,

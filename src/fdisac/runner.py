@@ -4,7 +4,8 @@ One trial follows the two-slot protocol: slot 1 transmits with a fixed
 spread-beam configuration and runs the sensing chain (MUSIC directions first,
 then one delay-Doppler dwell per detected direction with the RX chains
 repointed at it); the estimated directions feed the beamformer design used in
-slot 2, whose link metrics are then evaluated against the true channels.
+slot 2, whose link metrics are then scored: the DL and SI terms on the true
+channels, the radar echo and the UL term on the estimated ones.
 
 A call runs its trials in blocks, one loop over a leading trial axis. Within
 a block only the generator draws stay per trial, each trial drawing from its

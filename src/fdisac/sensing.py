@@ -18,7 +18,9 @@ the P x Q OFDM grid:
 
 Every step takes a stack along leading axes: steps 1 and 2 one covariance
 per trial, steps 3-5 K dwells per trial (K angles and a stack of K analog
-networks for steps 3 and 4, a stack of grids for step 5).
+networks for steps 3 and 4, a stack of grids for step 5). MUSIC returns a
+matrix's failure as a value, in :attr:`MusicResult.errors`, and the other
+matrices of its stack continue.
 """
 
 from __future__ import annotations
@@ -54,13 +56,14 @@ COVARIANCE_SLICE = 4096
 class MusicResult:
     """MUSIC pseudo-spectrum over the angle grid and the K strongest peaks.
 
-    A stack holds one entry per matrix (leading axes flattened) in each field;
-    ``errors`` is None or the exception that failed the matrix.
+    Each field holds one entry per matrix (leading axes flattened; a single
+    matrix is a stack of one); ``errors`` is None or the exception that
+    failed the matrix.
     """
 
     spectrum: np.ndarray
     doas_deg: list
-    errors: tuple = ()
+    errors: tuple
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def sample_covariance(snapshots) -> np.ndarray:
 def music_doas(
     r: np.ndarray, k: int, grid_deg: np.ndarray, manifold: np.ndarray, gain: np.ndarray
 ) -> MusicResult:
-    """MUSIC direction estimates from an (m x m) covariance matrix or a stack of them.
+    """MUSIC direction estimates from a stack of (m x m) covariance matrices.
 
     The noise subspace is spanned by the eigenvectors of the ``m - k``
     smallest eigenvalues; the pseudo-spectrum is ||b||^2 / ||E_n^H b||^2 swept
@@ -119,8 +122,11 @@ def music_doas(
     the k largest peaks sorted ascending; fewer than k local maxima fail with
     :class:`EstimationFailureError`.
 
-    A stack is decomposed as one, its peaks picked per matrix; a matrix that
-    fails is recorded in :attr:`MusicResult.errors` (a single one raises).
+    The stack is decomposed as one, its peaks picked per matrix (a single
+    matrix is a stack of one). A matrix that fails (not Hermitian, not PSD,
+    a flat spectrum, too few peaks) is recorded in
+    :attr:`MusicResult.errors`; shapes that do not match and a bad ``k``
+    raise.
     """
     r = np.asarray(r, dtype=complex)
     grid = np.asarray(grid_deg, dtype=float)
@@ -162,10 +168,6 @@ def music_doas(
             errors[t] = EstimationFailureError("pseudo-spectrum is flat")
         elif peaks.size < k:
             errors[t] = EstimationFailureError(f"found {peaks.size} spectrum peaks, needed {k}")
-    if r.ndim == 2:
-        if errors[0] is not None:
-            raise errors[0]
-        return MusicResult(spectrum=spectrum[0], doas_deg=doas[0])
     return MusicResult(spectrum=spectrum, doas_deg=doas, errors=tuple(errors))
 
 

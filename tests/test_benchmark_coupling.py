@@ -97,3 +97,25 @@ def test_traced_run_counts_hold_from_warm_and_cold_cache():
             assert n == cfg.trials, name
         else:
             assert n == blocks * (2 if name == "metrics.ul_sinr" else 1), name
+
+
+def test_traced_run_keeps_a_failed_trial_record():
+    # the noise-only config whose trial 0 fails at the NSP combiner: the
+    # combiner returns that failure as a value, so it leaves no traced call
+    # as an exception, and the record is the plain run's
+    spans = _load_spans()
+    cfg = fast_profile(trials=3, seed=400, tx_power_dbm=-math.inf, ul_tx_power_dbm=100,
+                       bs_noise_dbm=100, user_noise_dbm=100, si_threshold_dbm=math.inf,
+                       si_kappa_db=-100, si_pathloss_db=300, csi_nmse_db=0,
+                       music_grid_step_deg=1, analog_taps=0, codebook_bits=2)
+    plain = run_scenario(cfg)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = run_scenario(cfg)
+    assert traced.to_json() == plain.to_json()
+    assert traced.trials[0] == {"error": "DegenerateCombinerError: beamformer design failed at "
+                                         "step 'NSP combiner': uplink direction lies inside the "
+                                         "radar interference span"}
+    assert all("error" not in t for t in traced.trials[1:])
+    assert "optimizer.nsp_rx_combiner" in {span[0] for span in tracer.spans}
+    assert sum(tracer.errors.values()) == 0

@@ -57,8 +57,30 @@ def test_config_outside_the_table_fails_naming_its_field(tmp_path):
     path = tmp_path / "outside.json"
     path.write_text(json.dumps({"tx_power_dbm": 200.0}), encoding="utf-8")
     proc = _run("show-config", "--profile", "fast", "--config", str(path))
-    assert proc.returncode != 0 and proc.stdout == ""
-    assert "tx power dbm must lie in [-100.0, 100.0], got 200.0" in proc.stderr
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "fdisac: error: tx power dbm must lie in [-100.0, 100.0], got 200.0\n"
+
+
+@pytest.mark.parametrize("command", ["show-config", "sense", "rates", "validate"])
+@pytest.mark.parametrize("case, message", [
+    ("few_chains", "rx rf chains must exceed the 5 targets (UL user included) that MUSIC "
+                   "resolves, got 4"),
+    ("zero_trials", "trials must lie in [1, inf], got 0"),
+    ("missing_file", "No such file or directory"),
+])
+def test_rejected_config_is_one_line_and_exit_2(tmp_path, capsys, command, case, message):
+    # no traceback and no output: the config is resolved before any subcommand runs
+    path = tmp_path / "few_chains.json"
+    path.write_text(json.dumps({"rx_rf_chains": 4}), encoding="utf-8")
+    args = {"few_chains": ["--config", str(path)], "zero_trials": ["--trials", "0"],
+            "missing_file": ["--config", str(tmp_path / "missing.json")]}[case]
+    out = [] if command == "show-config" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--profile", "fast", *args, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fdisac: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_worst_dynamic_range_corner_validates(tmp_path):

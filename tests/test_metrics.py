@@ -47,7 +47,11 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
     h_tilde_true = h_tilde_hat if perfect_csi else h_tilde_hat + 1e-3 * _crandn(rng, 6, 2)
     h_ul_eff = w_rf.conj().T @ est.h_ul_hat
     h_int_eff = w_rf.conj().T @ est.h_rad_int_hat
-    w_bb = nsp_rx_combiner(h_ul_eff, h_int_eff) if nulling else mss_rx_combiner(h_ul_eff)
+    if nulling:
+        w_bb, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
+        assert errors == (None,)
+    else:
+        w_bb = mss_rx_combiner(h_ul_eff)
     w_u = np.linalg.qr(_crandn(rng, m_u, st))[0]
     v_u = _crandn(rng, n_u)
     v_u *= np.sqrt(0.01) / np.linalg.norm(v_u)

@@ -205,6 +205,7 @@ def test_lagrangian_inactive_constraint_clamps_to_zero():
     rng = np.random.default_rng(4)
     h, g, t1 = _random_precoder_instance(rng, t_scale=1e-6)
     v, info = numeric_tx_precoder(h, t1, 1.0, g, return_info=True)
+    assert not any(info["errors"])
     unconstrained = np.linalg.lstsq(h, g, rcond=None)[0]
     np.testing.assert_allclose(v, unconstrained, atol=1e-10)
     assert np.linalg.norm(t1.conj() @ v) ** 2 <= 1.0
@@ -220,6 +221,7 @@ def test_lagrangian_active_constraint_against_numeric_oracle():
     lam = 1e-4
     v_cf, zeta_cf = _closed_form_precoder(h, t1, lam, g)
     v_num, info = numeric_tx_precoder(h, t1[None, :], lam, g, return_info=True)
+    assert not any(info["errors"])
     np.testing.assert_allclose(v_num, v_cf, rtol=0, atol=1e-9 * np.linalg.norm(v_cf))
     assert info["multipliers"][0] == pytest.approx(zeta_cf, rel=1e-9)
     assert info["active"].tolist() == [True]
@@ -235,6 +237,7 @@ def test_lagrangian_kkt_conditions():
         t1 = _crandn(rng, 4) * rng.uniform(0.1, 3.0)
         lam = 10.0 ** rng.uniform(-5, 0)
         v, info = numeric_tx_precoder(h, t1, lam, g, return_info=True)
+        assert not any(info["errors"])
         zeta = info["multipliers"]
         assert zeta[0] == pytest.approx(_closed_form_multiplier(h, t1, lam, g), rel=1e-9, abs=0.0)
         _assert_kkt(h, t1, lam, g, v, zeta)
@@ -253,6 +256,7 @@ def test_lagrangian_singular_normal_matrix():
     g = np.ones((3, 1), dtype=complex)
     lam = 1e-3
     v, info = numeric_tx_precoder(h, np.array([0.1, 0.1]), lam, g, return_info=True)
+    assert not any(info["errors"])
     v0 = (1.0 - 1.0j) / 2.0
     expected = np.array([[v0], [-v0 * (1.0 - 10.0 * np.sqrt(lam) / abs(v0))]])
     np.testing.assert_allclose(v, expected, rtol=0, atol=1e-8)
@@ -303,6 +307,7 @@ def test_numeric_repeated_rows_take_the_least_squares_step(monkeypatch, twin):
         ratios.clear()
         t_rows = np.stack([t1, t1 * np.exp(1j * twin)])
         v_num, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+        assert not any(info["errors"])
         np.testing.assert_allclose(v_num, v_cf, rtol=0, atol=1e-9 * np.linalg.norm(v_cf))
         assert ratios and max(ratios) <= 1e-14  # every two-row Newton system was singular
         assert info["active"].tolist() == [True, True]
@@ -329,11 +334,13 @@ def _mixed_precoder_stack(rng, infeasible):
 def test_precoder_stack_equals_per_matrix_calls():
     h, t_rows, lam, g = _mixed_precoder_stack(np.random.default_rng(30), infeasible=False)
     v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    assert not any(info["errors"])
     assert v.shape == (2, 3, 2, 1) and info["multipliers"].shape == (2, 3, 1)
     assert info["kkt_residual"].shape == (2, 3)
     iterations = 0
     for idx in np.ndindex(2, 3):
         v_i, info_i = numeric_tx_precoder(h[idx], t_rows[idx], lam, g[idx], return_info=True)
+        assert not any(info_i["errors"])
         np.testing.assert_allclose(v[idx], v_i, rtol=0, atol=1e-12 * np.linalg.norm(v_i))
         np.testing.assert_allclose(info["multipliers"][idx], info_i["multipliers"], rtol=1e-12)
         assert info["kkt_residual"][idx] <= 1e-9
@@ -345,25 +352,27 @@ def test_precoder_stack_equals_per_matrix_calls():
 
 def test_precoder_stack_failure_fails_only_its_problem():
     h, t_rows, lam, g = _mixed_precoder_stack(np.random.default_rng(30), infeasible=True)
-    with pytest.raises(InfeasibleResultError) as stack:
-        numeric_tx_precoder(h, t_rows, lam, g)
-    assert [e is None for e in stack.value.errors] == [True, True, True, False, True, True]
+    v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    assert [e is None for e in info["errors"]] == [True, True, True, False, True, True]
+    assert isinstance(info["errors"][3], InfeasibleResultError)
     with pytest.raises(InfeasibleResultError) as one:
         numeric_tx_precoder(h[1, 0], t_rows[1, 0], lam, g[1, 0])
-    assert str(stack.value.errors[3]) == str(one.value)
+    assert str(info["errors"][3]) == str(one.value)
+    # a plain call on the stack raises the failed problem's message
+    with pytest.raises(InfeasibleResultError) as stack:
+        numeric_tx_precoder(h, t_rows, lam, g)
+    assert str(stack.value) == str(one.value)
     assert str(one.value).startswith("leakage ") and str(one.value).endswith(" solves")
     # the message tells a dynamic-range failure from a loop that did not converge:
     # the leakage sits at the threshold, and its rounding bound above the 1e-9 guard
     pattern = r"leakage (\S+) x threshold \(rounding bound (\S+) x\) after \d+ solves"
     leak, bound = re.fullmatch(pattern, str(one.value)).groups()
     assert float(leak) == pytest.approx(1.0, abs=1e-8) and float(bound) > 1e-9
-    assert not stack.value.result[1, 0].any()
+    assert not v[1, 0].any()
     for idx in np.ndindex(2, 3):
         if idx != (1, 0):
             v_i = numeric_tx_precoder(h[idx], t_rows[idx], lam, g[idx])
-            np.testing.assert_allclose(
-                stack.value.result[idx], v_i, rtol=0, atol=1e-12 * np.linalg.norm(v_i)
-            )
+            np.testing.assert_allclose(v[idx], v_i, rtol=0, atol=1e-12 * np.linalg.norm(v_i))
 
 
 def test_precoder_kkt_holds_in_the_pipeline_with_many_active_rows(monkeypatch):
@@ -426,6 +435,7 @@ def test_one_tx_chain_precoder_binds_only_its_largest_row():
     assert h.shape[1] == 1 and len(t_rows) == 7
     largest = int(np.abs(t_rows[:, 0]).argmax())
     v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    assert not any(info["errors"])
     assert info["active"].tolist() == [r == largest for r in range(7)]
     _assert_kkt(h, t_rows, lam, g, v, info["multipliers"])
     v_cf, zeta_cf = _closed_form_precoder(h, t_rows[largest], lam, g)
@@ -458,6 +468,7 @@ def test_numeric_multi_constraint_feasible_and_monotone():
     objectives = []
     for lam in (1e-4, 1e-3, 1e-2, 1e-1, np.inf):
         v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+        assert not any(info["errors"])
         assert info["iterations"] >= 1
         if np.isfinite(lam):
             _assert_kkt(h, t_rows, lam, g, v, info["multipliers"])
@@ -550,6 +561,7 @@ def test_precoder_kkt_property(kind, seed):
         else:
             lam = float(max(leak_ls.max(), 1e-3)) * 10.0 ** rng.uniform(-2.0, 0.0)
     v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    assert not any(info["errors"])
     zeta = info["multipliers"]
     _assert_kkt(h, t_rows, lam, g, v, zeta)
     assert info["kkt_residual"] <= 1e-8
@@ -590,11 +602,13 @@ def _any_shape_instance(seed):
 @example(534)
 def test_precoder_reaches_kkt_or_fails_loudly_on_any_shape(seed):
     h, t_rows, lam, g = _any_shape_instance(seed)
-    try:
-        v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
-    except InfeasibleResultError:
+    v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    if info["errors"][0] is not None:
         # only a singular dual (more rows than two or more TX chains) may fail, and loudly
         assert len(t_rows) > h.shape[1] >= 2
+        assert not v.any()
+        with pytest.raises(InfeasibleResultError, match=re.escape(str(info["errors"][0]))):
+            numeric_tx_precoder(h, t_rows, lam, g)
         return
     _assert_kkt(h, t_rows, lam, g, v, info["multipliers"])
     assert info["kkt_residual"] <= 1e-8
@@ -614,6 +628,7 @@ def test_precoder_kkt_on_a_stack_of_random_instances(seed, m_u, n_rf, rank, n_ro
     _, _, vh = np.linalg.svd(h, full_matrices=False)
     g = h @ np.swapaxes(vh, -1, -2).conj()[..., :3]
     _, info = numeric_tx_precoder(h, t_rows, 1e-3, g, return_info=True)
+    assert not any(info["errors"])
     assert info["kkt_residual"].shape == (20,) and info["active"].any()
     assert info["kkt_residual"].max() <= 1e-6
 
@@ -666,15 +681,18 @@ def test_power_normalize_postcondition_on_random_violation():
 def test_nsp_already_orthogonal_passthrough():
     h_int_eff = np.array([[1.0], [0.0]], dtype=complex)  # interference along e1
     h_ul_eff = np.array([[0.0], [1.0]], dtype=complex)  # uplink along e2
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    assert errors == (None,)
     np.testing.assert_allclose(w, [[0.0], [1.0]], atol=1e-12)
 
 
-def test_nsp_uplink_inside_interference_raises():
+def test_nsp_uplink_inside_interference_fails():
     h_int_eff = np.array([[1.0], [0.0]], dtype=complex)
     h_ul_eff = np.array([[1.0], [0.0]], dtype=complex)
-    with pytest.raises(DegenerateCombinerError):
-        nsp_rx_combiner(h_ul_eff, h_int_eff)
+    w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    assert isinstance(errors[0], DegenerateCombinerError) and len(errors) == 1
+    assert str(errors[0]) == "uplink direction lies inside the radar interference span"
+    np.testing.assert_allclose(w, h_ul_eff, atol=1e-15)  # the unprojected candidate
 
 
 def test_nsp_nulling_and_optimality_against_null_basis_oracle():
@@ -684,7 +702,8 @@ def test_nsp_nulling_and_optimality_against_null_basis_oracle():
     h_int_eff = _crandn(rng, 8, 3)
     u = _crandn(rng, 8)
     h_ul_eff = np.outer(u, _crandn(rng, 2).conj())
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    assert errors == (None,)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
     np.testing.assert_allclose(np.linalg.norm(w), 1.0, rtol=1e-12)
     # oracle: best unit vector inside the orthonormal null basis of A = h_int^H
@@ -698,7 +717,8 @@ def test_nsp_nulling_on_generic_channels():
     rng = np.random.default_rng(140)
     h_int_eff = _crandn(rng, 8, 3)
     h_ul_eff = _crandn(rng, 8, 2)
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    assert errors == (None,)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
 
 
@@ -708,7 +728,8 @@ def test_nsp_handles_rank_deficient_interference():
     col = _crandn(rng, 6)
     h_int_eff = np.stack([col, col, 2 * col], axis=1)
     h_ul_eff = _crandn(rng, 6, 1)
-    w = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
+    assert errors == (None,)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
 
 
@@ -890,8 +911,10 @@ def test_algorithm_step_attribution_on_failure():
         cfg.n_rx_antennas, cfg.n_tx_antennas,
         cfg.dl_user_antennas, cfg.ul_user_antennas,
     )
-    with pytest.raises(DegenerateCombinerError, match="NSP combiner"):
-        run_algorithm1(est_bad, cfg)
+    bf = run_algorithm1(est_bad, cfg)
+    assert isinstance(bf.errors[0], DegenerateCombinerError)
+    assert str(bf.errors[0]) == ("beamformer design failed at step 'NSP combiner': "
+                                 "uplink direction lies inside the radar interference span")
 
 
 # ---------------------------------------------------------- stacks of trials
@@ -938,10 +961,10 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
 
     for t, (s, o, u) in enumerate(doas):
         est = build_estimated_channels(list(s), list(o), u, h_bb[t], *dims)
-        try:
-            one = run_algorithm1(est, cfg)
-            _assert_within_budgets(one, cfg)
-        except (DegenerateCombinerError, InfeasibleResultError) as exc:
+        one = run_algorithm1(est, cfg)
+        _assert_within_budgets(one, cfg)
+        exc = one.errors[0]
+        if exc is not None:
             assert (t, type(exc)) in ((2, DegenerateCombinerError), (3, InfeasibleResultError))
             assert block.errors[t] is not None
             assert f"{type(block.errors[t]).__name__}: {block.errors[t]}" == (
@@ -975,16 +998,18 @@ def test_nsp_stack_marks_degenerate_matrices_and_keeps_the_others():
     h_int = _crandn(rng, 3, 6, 2)
     h_ul = _crandn(rng, 3, 6, 1)
     h_ul[1] = h_int[1][:, :1] * (0.5 - 2j)  # inside the span of its interference
-    with pytest.raises(DegenerateCombinerError) as err:
-        nsp_rx_combiner(h_ul, h_int)
-    assert err.value.failed.tolist() == [False, True, False]
+    w, errors = nsp_rx_combiner(h_ul, h_int)
+    assert [e is not None for e in errors] == [False, True, False]
+    assert isinstance(errors[1], DegenerateCombinerError)
     for t in (0, 2):
-        np.testing.assert_allclose(err.value.combiner[t], nsp_rx_combiner(h_ul[t], h_int[t]),
-                                   rtol=0, atol=1e-14)
-    np.testing.assert_allclose(np.linalg.norm(err.value.combiner, axis=-2), 1.0, rtol=1e-12)
-    with pytest.raises(DegenerateCombinerError) as one:
-        nsp_rx_combiner(h_ul[1], h_int[1])
-    assert one.value.failed.shape == () and one.value.failed
+        w_t, errors_t = nsp_rx_combiner(h_ul[t], h_int[t])
+        assert errors_t == (None,)
+        np.testing.assert_allclose(w[t], w_t, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(w, axis=-2), 1.0, rtol=1e-12)
+    # the degenerate matrix keeps its unprojected candidate
+    np.testing.assert_allclose(w[1], mss_rx_combiner(h_ul[1]), rtol=0, atol=1e-14)
+    _, one = nsp_rx_combiner(h_ul[1], h_int[1])
+    assert len(one) == 1 and isinstance(one[0], DegenerateCombinerError)
 
 
 def test_precoder_stack_error_in_one_newton_loop_fails_only_its_problem(monkeypatch):
@@ -1000,20 +1025,21 @@ def test_precoder_stack_error_in_one_newton_loop_fails_only_its_problem(monkeypa
         return newton(*args)
 
     monkeypatch.setattr(optimizer, "_dual_newton", second_loop_fails)
-    with pytest.raises(InfeasibleResultError, match="^Singular matrix$") as stack:
+    v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
+    assert len(calls) == 4  # every binding problem ran its loop
+    failed = [e is not None for e in info["errors"]]
+    assert failed == [False, False, True, False, False, False]
+    assert isinstance(info["errors"][2], np.linalg.LinAlgError)
+    calls.clear()
+    # a plain call raises the failed problem's message
+    with pytest.raises(InfeasibleResultError, match="^Singular matrix$"):
         numeric_tx_precoder(h, t_rows, lam, g)
     monkeypatch.undo()
-    assert len(calls) == 4  # every binding problem ran its loop
-    failed = [e is not None for e in stack.value.errors]
-    assert failed == [False, False, True, False, False, False]
-    assert isinstance(stack.value.errors[2], np.linalg.LinAlgError)
-    assert not stack.value.result[0, 2].any()
+    assert not v[0, 2].any()
     for idx in np.ndindex(2, 3):
         if idx != (0, 2):
             v_i = numeric_tx_precoder(h[idx], t_rows[idx], lam, g[idx])
-            np.testing.assert_allclose(
-                stack.value.result[idx], v_i, rtol=0, atol=1e-12 * np.linalg.norm(v_i)
-            )
+            np.testing.assert_allclose(v[idx], v_i, rtol=0, atol=1e-12 * np.linalg.norm(v_i))
 
 
 def test_precoder_failure_fails_only_its_trial(monkeypatch):
@@ -1036,10 +1062,8 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
         # a single problem is a stack without leading axes
         failed = np.arange(len(h)) == 1 if h.ndim == 3 else np.array([True])
         v, info = solve(h, *args, **kwargs)
-        raise InfeasibleResultError(
-            str(one), errors=tuple(one if f else None for f in failed),
-            result=np.where(failed.reshape(h.shape[:-2] + (1, 1)), 0.0, v), info=info,
-        )
+        errors = tuple(one if f else None for f in failed)
+        return np.where(failed.reshape(h.shape[:-2] + (1, 1)), 0.0, v), {**info, "errors": errors}
 
     monkeypatch.setattr(optimizer, "numeric_tx_precoder", trial_1_fails)
     block = run_algorithm1(est, cfg)
@@ -1058,5 +1082,9 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
     single = build_estimated_channels(
         [-35.0, -15.0], [20.0], 5.0, est.h_bb_hat[1], *dims
     )
-    with pytest.raises(InfeasibleResultError, match="step 'TX digital precoder'"):
-        run_algorithm1(single, cfg)
+    # a one-trial design records the same error
+    one = run_algorithm1(single, cfg)
+    assert [f"{type(e).__name__}: {e}" for e in one.errors] == [
+        f"{type(block.errors[1]).__name__}: {block.errors[1]}"
+    ]
+    assert not one.v_b_bb.any()

@@ -658,6 +658,34 @@ def test_noise_only_sensing_can_make_the_nsp_combiner_degenerate():
     assert all("error" not in t for t in trials[1:])
 
 
+_POWER_FIELDS = ("tx_power_dbm", "ul_tx_power_dbm", "bs_noise_dbm", "user_noise_dbm",
+                 "si_threshold_dbm")
+
+
+@pytest.mark.parametrize("base", [
+    fast_profile(trials=10, seed=3),
+    fast_profile(trials=10, seed=3, tx_power_dbm=55.0, analog_taps=0),
+], ids=["30dbm", "55dbm-0taps"])
+def test_shifting_every_power_by_the_same_db_changes_no_answer(base):
+    # every SINR is a ratio of powers, and the leakage threshold scales with
+    # them: an absolute constant entering a power scale would move an answer
+    # (measured worst SINR deviation 1.85e-14 relative)
+    def answers(report):
+        assert report.aggregate["n_failed"] == 0
+        sensing = [[(r["doa_deg"], r["bin_n"], r["bin_m"]) for r in t["sensing"]]
+                   for t in report.trials]
+        gammas = np.array([[v for k, v in sorted(t["metrics"].items()) if k.startswith("gamma")]
+                           for t in report.trials])
+        return sensing, gammas
+
+    sensing, gammas = answers(run_scenario(base))
+    for shift_db in (10.0, 20.0, 40.0):
+        cfg = base.with_overrides(**{f: getattr(base, f) + shift_db for f in _POWER_FIELDS})
+        shifted_sensing, shifted_gammas = answers(run_scenario(cfg))
+        assert shifted_sensing == sensing
+        np.testing.assert_allclose(shifted_gammas, gammas, rtol=1e-12, atol=0)
+
+
 def test_coincident_radar_targets_swap_roles_silently():
     # both fast radar targets at 20 deg: MUSIC does not raise but finds a
     # spurious peak near -26 deg, and the sorted matching shifts the roles:

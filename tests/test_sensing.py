@@ -28,7 +28,10 @@ def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
 
 
 def _ula_music(r, k, grid_step_deg, m):
-    """MUSIC over the plain m-element ULA response on the uniform angle grid."""
+    """MUSIC over the plain m-element ULA response on the uniform angle grid.
+
+    One (m x m) matrix is a stack of one: its results are entry 0 of each field.
+    """
     grid = angle_grid(grid_step_deg)
     manifold = ula_response_matrix(m, grid)
     return music_doas(r, k, grid, manifold, np.sum(np.abs(manifold) ** 2, axis=0))
@@ -119,7 +122,8 @@ def test_music_noiseless_single_source_exact():
     a = steering(6, theta)
     r = np.outer(a, a.conj())
     result = _ula_music(r, 1, 0.1, 6)
-    assert result.doas_deg == [pytest.approx(theta, abs=1e-9)]
+    assert result.errors == (None,)
+    assert result.doas_deg[0] == [pytest.approx(theta, abs=1e-9)]
 
 
 def test_music_two_sources_snr20():
@@ -133,8 +137,9 @@ def test_music_two_sources_snr20():
     y = np.outer(a1, s[0]) + np.outer(a2, s[1]) + noise
     r = sample_covariance(y.T)
     result = _ula_music(r, 2, 0.1, m)
-    assert abs(result.doas_deg[0] - (-30.0)) <= 0.1
-    assert abs(result.doas_deg[1] - (-20.0)) <= 0.1
+    assert result.errors == (None,)
+    assert abs(result.doas_deg[0][0] - (-30.0)) <= 0.1
+    assert abs(result.doas_deg[0][1] - (-20.0)) <= 0.1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -143,28 +148,41 @@ def test_music_noiseless_exact_for_any_source_count(k):
     angles = [-40.0, -15.0, 5.0, 30.0, 60.0][:k]
     r = sum(np.outer(steering(m, a), steering(m, a).conj()) for a in angles)
     result = _ula_music(np.asarray(r, dtype=complex), k, 0.1, m)
-    np.testing.assert_allclose(result.doas_deg, angles, atol=0.1)
+    assert result.errors == (None,)
+    np.testing.assert_allclose(result.doas_deg[0], angles, atol=0.1)
 
 
-def test_music_flat_spectrum_raises_with_partial():
+def test_music_flat_spectrum_fails_with_partial():
     r = 0.3 * np.eye(5, dtype=complex)
-    with pytest.raises(EstimationFailureError):
-        _ula_music(r, 1, 1.0, 5)
-    # a one-matrix stack keeps the error next to the partial result, its spectrum
-    result = _ula_music(r[None], 1, 1.0, 5)
+    # one matrix is a stack of one; it keeps the error next to the partial result, its spectrum
+    result = _ula_music(r, 1, 1.0, 5)
     assert isinstance(result.errors[0], EstimationFailureError)
-    assert result.spectrum[0] is not None
-    assert result.spectrum[0].shape == (181,)
+    assert str(result.errors[0]) == "pseudo-spectrum is flat"
+    assert result.spectrum.shape == (1, 181)
+    # a failed matrix fails only its own entry of a stack
+    stacked = _ula_music(np.stack([r, np.outer(steering(5, 10.0), steering(5, 10.0).conj())]),
+                         1, 1.0, 5)
+    assert isinstance(stacked.errors[0], EstimationFailureError) and stacked.errors[1] is None
+    assert stacked.doas_deg[1] == [pytest.approx(10.0)]
 
 
 def test_music_precondition_errors():
     r = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
         _ula_music(r, 4, 0.5, 4)  # k must be < array size
+    # a matrix that fails a per-matrix check records its error and raises nothing
     bad = r.copy()
-    bad[0, 1] = 1.0  # not Hermitian
-    with pytest.raises(ValueError):
-        _ula_music(bad, 1, 0.5, 4)
+    bad[0, 1] = 1.0
+    assert str(_ula_music(bad, 1, 0.5, 4).errors[0]) == "covariance matrix must be Hermitian"
+    indefinite = np.diag([1.0, -1.0, 0.5, 0.2]).astype(complex)
+    error = _ula_music(indefinite, 1, 0.5, 4).errors[0]
+    assert type(error) is ValueError
+    assert str(error) == "covariance matrix must be positive semi-definite"
+    # a one-dimensional noise subspace whose single null lies at -30 deg: one peak for k = 3
+    u = np.array([1.0, 0.5j, 0.0, 0.0]) / np.sqrt(1.25)
+    error = _ula_music(np.eye(4) - np.outer(u, u.conj()), 3, 0.5, 4).errors[0]
+    assert isinstance(error, EstimationFailureError)
+    assert str(error) == "found 1 spectrum peaks, needed 3"
     grid = angle_grid(0.5)
     manifold = ula_response_matrix(5, grid)  # one row more than the covariance
     with pytest.raises(ValueError):
@@ -183,7 +201,8 @@ def test_music_custom_manifold_recovers_through_combiner():
     grid = angle_grid(0.1)
     manifold = w.conj().T @ ula_response_matrix(16, grid)
     result = music_doas(r, 1, grid, manifold, np.sum(np.abs(manifold) ** 2, axis=0))
-    assert abs(result.doas_deg[0] - theta) <= 0.1
+    assert result.errors == (None,)
+    assert abs(result.doas_deg[0][0] - theta) <= 0.1
 
 
 @settings(max_examples=200, deadline=None)
