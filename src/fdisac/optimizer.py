@@ -13,7 +13,7 @@ The design runs as an ordered sequence of sub-problems:
      Lagrangian dual by projected Newton on the per-chain multipliers (one
      solver for any number of RX chains; with one chain it reproduces the
      closed form),
-  6. per-column power normalization,
+  6. the TX power budget: per-column, then total power normalization,
   7. uplink digital combiner: null-space projection away from the radar
      interference subspace.
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import dft_codebook
-from .beamforming import assemble_analog, tx_power
+from .beamforming import assemble_analog
 from .cancellers import build_cancellers
 from .channels import gen_dl_channel, gen_ul_channel
 from .errors import DegenerateCombinerError, InfeasibleResultError
@@ -347,7 +347,7 @@ def numeric_tx_precoder(
 
     With ``return_info`` the result is ``(V, info)`` and nothing fails
     loudly; ``info`` holds ``iterations`` (linear solves over the stack,
-    >= 1 per problem), ``multipliers`` (zeta), ``active`` (zeta_r > 0),
+    >= 1 per problem), ``multipliers`` (zeta, > 0 on the active rows),
     ``kkt_residual`` per problem: the largest of the stationarity residual
     relative to ||H^H G||, the constraint violation relative to lambda_b,
     and the complementary slackness sum_r zeta_r |c_r - lambda_b| relative
@@ -424,25 +424,26 @@ def numeric_tx_precoder(
     return v.reshape(lead + v.shape[1:]), {
         "iterations": int(iterations.sum()),
         "multipliers": zeta,
-        "active": zeta > 0,
         "kkt_residual": kkt.reshape(lead)[()],
         "errors": tuple(errors),
     }
 
 
 def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.ndarray:
-    """Rescale precoder columns whose radiated power exceeds ``p_b_watts``.
+    """The TX power budget: cap each column of V_rf @ V_bb at ``p_b_watts``, then the total.
 
-    Column c of V_rf @ V_bb with squared norm above the budget is brought back
-    to exactly the budget by scaling column c of V_bb; compliant columns are
-    left untouched (the input is returned unchanged when nothing violates).
+    A column above the budget is brought back to exactly the budget by
+    scaling its column of V_bb (paper step 6); a design whose total power
+    still exceeds the budget is then scaled as a whole to exactly the budget.
+    Compliant columns and designs are scaled by 1 (a zero one is no 0 / 0).
     Works on stacks of networks and precoders.
     """
     v_bb = np.asarray(v_bb, dtype=complex)
-    col_power = np.linalg.norm(v_rf @ v_bb, axis=-2) ** 2
-    if not (col_power > p_b_watts).any():
-        return v_bb
-    return v_bb * np.sqrt(p_b_watts / np.maximum(col_power, p_b_watts))[..., None, :]
+    for axis in (-2, (-2, -1)):  # the columns, then the whole precoder
+        power = np.linalg.norm(v_rf @ v_bb, axis=axis, keepdims=True) ** 2
+        v_bb = v_bb * np.sqrt(np.divide(p_b_watts, power, out=np.ones_like(power),
+                                        where=power > p_b_watts))
+    return v_bb
 
 
 def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray):
@@ -512,7 +513,8 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
     ``cfg`` is a :class:`~fdisac.config.ScenarioConfig`. Steps run in order
     (user beamformers, TX analog, RX analog, channel compression, analog canceller,
     TX digital precoder, power normalization, NSP combiner); sub-operation
-    failures are re-raised with the failing step named.
+    failures are re-raised with the failing step named. The precoder has no
+    power term: :func:`power_normalize` alone sets the TX budget.
 
     ``est`` may be a stack of estimates along leading axes, designed as one
     stack (a single one is a stack of one). A step that fails for single
@@ -559,9 +561,6 @@ def run_algorithm1(est: EstimatedChannels, cfg) -> HybridBeamformers:
         step = "power normalization"
         # down-scaling columns can only lower the per-chain leakage
         v_bb = power_normalize(v_rf, v_bb, p_b)
-        total = tx_power(v_rf, v_bb)
-        if (total > p_b).any():
-            v_bb = v_bb * np.sqrt(p_b / np.maximum(total, p_b))[..., None, None]
 
         step = "NSP combiner"
         w_bb, nsp_errors = nsp_rx_combiner(w_h @ est.h_ul_hat, w_h @ est.h_rad_int_hat)

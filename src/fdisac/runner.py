@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -118,15 +118,8 @@ class RunReport:
     wall_clock_s: float | None = None
 
     def to_json(self) -> str:
-        return dumps({
-            "config": self.config,
-            "seed": self.seed,
-            "trials": self.trials,
-            "aggregate": self.aggregate,
-            "range_angle": self.range_angle,
-            "range_velocity": self.range_velocity,
-            "rate_rows": self.rate_rows,
-        })
+        return dumps({f.name: getattr(self, f.name) for f in fields(self)
+                      if f.name != "wall_clock_s"})
 
 
 def spread_analog(n_chains: int, cb: np.ndarray) -> np.ndarray:
@@ -479,14 +472,18 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
          for spec, row in zip(specs, zip(*trial))]
         for trial in zip(*(column.tolist() for column in columns.values()))
     ]
-    normed = dd.magnitude
-    peak = normed.max(axis=(-2, -1), keepdims=True)
-    np.divide(normed, peak, out=normed, where=peak > 0)
+    normed = _peak_normalized(dd.magnitude, (-2, -1))
     return _Block(
         matched=matched, h_si_true=h_si_true, h_si_hat=h_si_hat, h_dl_true=h_dl_true,
         sensing_rows=sensing_rows, map_sum=normed.sum(axis=1), profiles=normed.max(axis=-1),
         errors=list(music.errors),
     )
+
+
+def _peak_normalized(a: np.ndarray, axis) -> np.ndarray:
+    """``a`` divided in place by its peak over ``axis``; a slice whose peak is not > 0 stays."""
+    peak = a.max(axis=axis, keepdims=True)
+    return np.divide(a, peak, out=a, where=peak > 0)
 
 
 def _within_budget(power, budget: float):
@@ -593,9 +590,8 @@ def _aggregate(trials: list) -> dict:
     for key in ok[0]["metrics"]:
         agg[f"mean_{key}"] = float(np.mean([t["metrics"][key] for t in ok]))
     agg["max_analog_residual_w"] = float(np.max([max(t["analog_residual_w"]) for t in ok]))
-    for key in ("analog_leakage_w", "precoder_kkt_residual"):
+    for key in ("analog_leakage_w", "precoder_kkt_residual", "nsp_nulling_ratio"):
         agg[f"max_{key}"] = float(np.max([t[key] for t in ok]))
-    agg["max_nsp_nulling_ratio"] = float(np.max([t["nsp_nulling_ratio"] for t in ok]))
     for key in ("doa_error_deg", "range_error_m"):
         agg[f"max_{key}"] = float(np.max([row[key] for t in ok for row in t["sensing"]]))
     return agg
@@ -612,10 +608,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     block_trials = _block_trials(cfg, plan)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    trials = []
-    map_stack = []
-    profile_stack = []
-    angle_stack = []
+    trials, map_stack, profile_stack, angle_stack = [], [], [], []
     for first in range(0, cfg.trials, block_trials):
         rngs = [np.random.default_rng(s) for s in seeds[first : first + block_trials]]
         try:
@@ -635,12 +628,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if not any("error" not in t for t in trials):
         raise RuntimeError(f"all {cfg.trials} trials failed; first: {trials[0]['error']}")
 
-    profiles = np.mean(profile_stack, axis=0)
-    peak = profiles.max(axis=-1, keepdims=True)
     range_angle = {
         "angles_deg": np.mean(angle_stack, axis=0),
         "ranges_m": plan.ranges_m,
-        "profiles": np.divide(profiles, peak, out=profiles, where=peak > 0),
+        "profiles": _peak_normalized(np.mean(profile_stack, axis=0), -1),
     }
     range_velocity = {
         "ranges_m": plan.ranges_m,
@@ -735,10 +726,8 @@ def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:
     worst_null = report.aggregate["max_nsp_nulling_ratio"]
     add("nsp_nulling", worst_null <= 1e-9, f"max ratio {worst_null:.3e}")
 
-    dl_ok = all(
-        t["metrics"]["rate_dl"] <= t["metrics"]["rate_dl_ideal"] * (1 + 1e-9) + 1e-12
-        for t in ok_trials
-    )
+    dl_ok = all(_within_budget(t["metrics"]["rate_dl"], t["metrics"]["rate_dl_ideal"])
+                for t in ok_trials)
     add("dl_rate_vs_ideal", dl_ok, "proposed <= ideal on every trial")
 
     rerun = run_scenario(cfg)

@@ -209,7 +209,7 @@ def test_lagrangian_inactive_constraint_clamps_to_zero():
     unconstrained = np.linalg.lstsq(h, g, rcond=None)[0]
     np.testing.assert_allclose(v, unconstrained, atol=1e-10)
     assert np.linalg.norm(t1.conj() @ v) ** 2 <= 1.0
-    assert info["multipliers"].tolist() == [0.0] and not info["active"].any()
+    assert info["multipliers"].tolist() == [0.0]
 
 
 def test_lagrangian_active_constraint_against_numeric_oracle():
@@ -224,7 +224,7 @@ def test_lagrangian_active_constraint_against_numeric_oracle():
     assert not any(info["errors"])
     np.testing.assert_allclose(v_num, v_cf, rtol=0, atol=1e-9 * np.linalg.norm(v_cf))
     assert info["multipliers"][0] == pytest.approx(zeta_cf, rel=1e-9)
-    assert info["active"].tolist() == [True]
+    assert (info["multipliers"] > 0).tolist() == [True]
     leak = np.linalg.norm(t1.conj() @ v_num) ** 2
     assert abs(leak - lam) <= 1e-9 * lam  # constraint active and tight
 
@@ -310,7 +310,7 @@ def test_numeric_repeated_rows_take_the_least_squares_step(monkeypatch, twin):
         assert not any(info["errors"])
         np.testing.assert_allclose(v_num, v_cf, rtol=0, atol=1e-9 * np.linalg.norm(v_cf))
         assert ratios and max(ratios) <= 1e-14  # every two-row Newton system was singular
-        assert info["active"].tolist() == [True, True]
+        assert (info["multipliers"] > 0).tolist() == [True, True]
         assert info["kkt_residual"] <= 1e-9
 
 
@@ -347,7 +347,7 @@ def test_precoder_stack_equals_per_matrix_calls():
         iterations += info_i["iterations"]
     assert info["iterations"] == iterations
     # the stack holds both kinds: no row binds at (0, 0), rows bind elsewhere
-    assert not info["active"][0, 0].any() and info["active"].any()
+    assert not (info["multipliers"] > 0)[0, 0].any() and (info["multipliers"] > 0).any()
 
 
 def test_precoder_stack_failure_fails_only_its_problem():
@@ -394,7 +394,7 @@ def test_precoder_kkt_holds_in_the_pipeline_with_many_active_rows(monkeypatch):
     report = run_scenario(cfg)
     assert report.aggregate["n_failed"] == 0
     kkt = np.concatenate([np.ravel(i["kkt_residual"]) for i in infos])
-    active = np.concatenate([i["active"].reshape(-1, cfg.rx_rf_chains) for i in infos])
+    active = np.concatenate([i["multipliers"].reshape(-1, cfg.rx_rf_chains) for i in infos]) > 0
     assert kkt.shape == (cfg.trials,) and active.shape == (cfg.trials, 8)
     assert kkt.max() <= 1e-8
     assert [t["precoder_kkt_residual"] for t in report.trials] == kkt.tolist()
@@ -436,7 +436,7 @@ def test_one_tx_chain_precoder_binds_only_its_largest_row():
     largest = int(np.abs(t_rows[:, 0]).argmax())
     v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
     assert not any(info["errors"])
-    assert info["active"].tolist() == [r == largest for r in range(7)]
+    assert (info["multipliers"] > 0).tolist() == [r == largest for r in range(7)]
     _assert_kkt(h, t_rows, lam, g, v, info["multipliers"])
     v_cf, zeta_cf = _closed_form_precoder(h, t_rows[largest], lam, g)
     np.testing.assert_allclose(v, v_cf, rtol=0, atol=1e-9 * np.linalg.norm(v_cf))
@@ -568,10 +568,10 @@ def test_precoder_kkt_property(kind, seed):
     if kind == "zero_rows":
         assert np.all(zeta[np.linalg.norm(t_rows, axis=1) == 0.0] == 0.0)
     if kind == "all_inactive":
-        assert not info["active"].any()
+        assert not (info["multipliers"] > 0).any()
         np.testing.assert_allclose(v, v_ls, rtol=0, atol=1e-9 * np.linalg.norm(v_ls))
     if kind == "all_active":
-        assert info["active"].all()
+        assert (info["multipliers"] > 0).all()
         np.testing.assert_allclose(v, v_star, rtol=0, atol=1e-6 * np.linalg.norm(v_star))
     if kind == "one_row":
         assert zeta[0] == pytest.approx(_closed_form_multiplier(h, t_rows[0], lam, g), rel=1e-9)
@@ -629,7 +629,7 @@ def test_precoder_kkt_on_a_stack_of_random_instances(seed, m_u, n_rf, rank, n_ro
     g = h @ np.swapaxes(vh, -1, -2).conj()[..., :3]
     _, info = numeric_tx_precoder(h, t_rows, 1e-3, g, return_info=True)
     assert not any(info["errors"])
-    assert info["kkt_residual"].shape == (20,) and info["active"].any()
+    assert info["kkt_residual"].shape == (20,) and (info["multipliers"] > 0).any()
     assert info["kkt_residual"].max() <= 1e-6
 
 
@@ -643,24 +643,31 @@ def _unit_modulus_bf(rng, n_chains=2, n_a=4):
     return assemble_analog(np.exp(1j * phases) / np.sqrt(n_a))
 
 
+def _column_power(bf, v):
+    return np.linalg.norm(bf @ v, axis=-2) ** 2
+
+
 def test_power_normalize_compliant_untouched():
     rng = np.random.default_rng(11)
     bf = _unit_modulus_bf(rng)
     v = 0.1 * _crandn(rng, 2, 2)
     out = power_normalize(bf, v, 10.0)
-    assert out is v  # same object, bit identical
+    assert out.tobytes() == v.tobytes()  # scaled by 1, bit identical
 
 
 def test_power_normalize_scales_single_column():
+    # column 0 carries 4 p_b and is capped at p_b; column 1's 0.25 p_b then
+    # leaves 1.25 p_b in total, which the total scaling brings to p_b
     rng = np.random.default_rng(12)
     bf = _unit_modulus_bf(rng)
     p_b = 1.0
     v = np.zeros((2, 2), dtype=complex)
-    v[0, 0] = 2.0 * np.sqrt(p_b)  # column power 4*P_b -> scale by 1/2
+    v[0, 0] = 2.0 * np.sqrt(p_b)
     v[1, 1] = 0.5
     out = power_normalize(bf, v, p_b)
-    np.testing.assert_allclose(out[0, 0], np.sqrt(p_b), rtol=1e-12)
-    np.testing.assert_allclose(out[:, 1], v[:, 1], atol=1e-15)
+    np.testing.assert_allclose(out[0, 0], np.sqrt(p_b / 1.25), rtol=1e-12)
+    np.testing.assert_allclose(out[:, 1], v[:, 1] / np.sqrt(1.25), rtol=1e-12)
+    np.testing.assert_allclose(tx_power(bf, out), p_b, rtol=1e-12)
 
 
 def test_power_normalize_postcondition_on_random_violation():
@@ -669,10 +676,45 @@ def test_power_normalize_postcondition_on_random_violation():
     v = 5.0 * _crandn(rng, 3, 4)
     p_b = 0.7
     out = power_normalize(bf, v, p_b)
-    norms = np.linalg.norm(bf @ out, axis=0) ** 2
-    before = np.linalg.norm(bf @ v, axis=0) ** 2
-    np.testing.assert_allclose(norms[before > p_b], p_b, rtol=1e-12)
-    np.testing.assert_allclose(norms[before <= p_b], before[before <= p_b], rtol=1e-12)
+    before = _column_power(bf, v)
+    # the column-capped stage, then the total scaling of its 4 columns
+    capped = v * np.sqrt(p_b / np.maximum(before, p_b))
+    assert (before > p_b).any() and tx_power(bf, capped) > p_b
+    np.testing.assert_allclose(out, capped * np.sqrt(p_b / tx_power(bf, capped)), rtol=1e-12)
+    np.testing.assert_allclose(tx_power(bf, out), p_b, rtol=1e-12)
+
+
+def test_power_normalize_zero_budget_gives_zeros():
+    # a silent base station: a zero column beside a nonzero one is no 0 / 0
+    bf = _unit_modulus_bf(np.random.default_rng(14))
+    v = np.array([[0.0, 1.0], [0.0, 1.0j]])
+    out = power_normalize(bf, v, 0.0)
+    assert out.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_power_normalize_property_on_random_stacks(seed):
+    # a stack with compliant designs, designs over budget only in total and
+    # designs with columns over budget: every column and total ends within
+    # the budget, a compliant design comes back bit for bit, and every
+    # column is only scaled down
+    rng = np.random.default_rng(seed)
+    n_chains, n_a, n_streams = (int(x) for x in rng.integers(1, 5, 3))
+    lead = tuple(int(x) for x in rng.integers(1, 4, int(rng.integers(1, 3))))
+    bf = np.stack([_unit_modulus_bf(rng, n_chains, n_a) for _ in range(np.prod(lead))])
+    bf = bf.reshape(lead + bf.shape[1:])
+    p_b = 10.0 ** rng.uniform(-3.0, 3.0)
+    v = _crandn(rng, *lead, n_chains, n_streams)
+    v *= np.sqrt(p_b * 10.0 ** rng.uniform(-1.5, 1.0, lead + (1, n_streams))
+                 / _column_power(bf, v)[..., None, :])
+    out = power_normalize(bf, v, p_b)
+    assert (_column_power(bf, out) <= p_b * (1 + 1e-12)).all()
+    assert (tx_power(bf, out) <= p_b * (1 + 1e-12)).all()
+    compliant = (_column_power(bf, v) <= p_b).all(axis=-1) & (tx_power(bf, v) <= p_b)
+    assert out[compliant].tobytes() == v[compliant].tobytes()
+    ratio = out / v
+    assert np.all(np.abs(ratio.imag) <= 1e-15) and np.all((ratio.real > 0) & (ratio.real <= 1))
 
 
 # -------------------------------------------------------------- RX combiners

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from fdisac.channels import SPEED_OF_LIGHT, delay_doppler_phase, gen_ul_channel
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac import runner
 from fdisac.runner import (
+    RunReport,
     _block_trials,
     _build_plan,
     _match_doas,
@@ -260,6 +261,15 @@ def test_report_excludes_wall_clock():
     report = run_scenario(_tiny_config(trials=1))
     assert report.wall_clock_s is not None
     assert "wall_clock" not in report.to_json()
+
+
+def test_report_json_keys_are_the_report_fields_but_the_wall_clock():
+    cfg = _tiny_config(trials=1)
+    names = {f.name for f in fields(RunReport)} - {"wall_clock_s"}
+    assert names == {"config", "seed", "trials", "aggregate", "range_angle", "range_velocity",
+                     "rate_rows"}
+    for report in (run_scenario(cfg), sweep(cfg, "p_u_dbm", [cfg.ul_tx_power_dbm])):
+        assert set(json.loads(report.to_json())) == names
 
 
 def _listed(part):
@@ -619,28 +629,49 @@ def test_fewest_rx_chains_music_allows_run_every_trial():
     assert report.aggregate["max_doa_error_deg"] == 0.0
 
 
-def test_precoder_overspends_its_budget_and_the_total_rescale_sets_it(monkeypatch):
-    # fast-55dbm-0taps seed 7: the leakage-constrained precoder returns 3.65 p_b,
-    # power_normalize caps two columns at p_b each (2.0 p_b in total), and only
-    # run_algorithm1's total-power rescale brings the design to the budget
+def _budget_steps(monkeypatch, cfg):
+    """``run_scenario(cfg)`` and, per budget step, the column powers / p_b of
+    its input and output precoders, and whether the output is the input's bytes."""
     import fdisac.optimizer as optimizer
 
-    cfg = fast_profile(tx_power_dbm=55.0, analog_taps=0, trials=1, seed=7)
     normalize, seen = optimizer.power_normalize, []
 
     def recorded(v_rf, v_bb, p_b):
         out = normalize(v_rf, v_bb, p_b)
-        seen.append([np.linalg.norm(v_rf @ v, axis=-2) ** 2 / p_b for v in (v_bb, out)])
+        powers = [np.linalg.norm(v_rf @ v, axis=-2) ** 2 / p_b for v in (v_bb, out)]
+        seen.append((*powers, out.tobytes() == np.asarray(v_bb, dtype=complex).tobytes()))
         return out
 
     monkeypatch.setattr(optimizer, "power_normalize", recorded)
-    (trial,) = run_scenario(cfg).trials
-    ((before, after),) = seen
+    return run_scenario(cfg), seen
+
+
+def test_precoder_overspends_its_budget_and_the_total_rescale_sets_it(monkeypatch):
+    # fast-55dbm-0taps seed 7: the leakage-constrained precoder returns 3.65 p_b,
+    # the budget step's column caps leave two columns at p_b each (2.0 p_b in
+    # total), and only its total scaling brings the design to the budget
+    cfg = fast_profile(tx_power_dbm=55.0, analog_taps=0, trials=1, seed=7)
+    report, seen = _budget_steps(monkeypatch, cfg)
+    ((before, after, untouched),) = seen
     assert before.sum() == pytest.approx(3.647, rel=1e-3)
     assert (before > 1).sum() == 2
-    np.testing.assert_allclose(after[0, before[0] > 1], 1.0, rtol=1e-12)
-    assert after.sum() == pytest.approx(2.0, rel=1e-12)
-    assert trial["tx_power_w"] == pytest.approx(cfg.p_b_watts, rel=1e-12)
+    capped = np.minimum(before, 1.0)  # the column-capped stage
+    assert capped.sum() == pytest.approx(2.0, rel=1e-12)
+    np.testing.assert_allclose(after, capped / capped.sum(), rtol=1e-12)
+    assert after.sum() == pytest.approx(1.0, rel=1e-12) and not untouched
+    assert report.trials[0]["tx_power_w"] == pytest.approx(cfg.p_b_watts, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [fast_profile(trials=10, seed=0), table1_profile(trials=1, seed=0)],
+                         ids=["fast", "table1"])
+def test_budget_step_returns_its_input_where_the_precoder_meets_the_budget(monkeypatch, cfg):
+    # at 30 dBm, and on table1, the precoder spends half the budget, so the
+    # budget step is bit for bit a no-op on every block
+    report, seen = _budget_steps(monkeypatch, cfg)
+    assert report.aggregate["n_failed"] == 0
+    assert len(seen) == -(-cfg.trials // _block_trials(cfg, scenario_plan(cfg)))
+    for before, after, untouched in seen:
+        assert untouched and (before.sum(axis=-1) <= 1).all()
 
 
 def test_noise_only_sensing_can_make_the_nsp_combiner_degenerate():
