@@ -23,6 +23,11 @@ def _check_elems(n_elems: int) -> None:
         raise ValueError(f"array needs at least one element, got {n_elems}")
 
 
+def _ula_phase(sin_theta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The half-wavelength ULA phase exp(j*pi*n*sin(theta)), broadcast over its arguments."""
+    return np.exp(1j * (np.pi * sin_theta) * n)
+
+
 def ula_response_matrix(n_elems: int, angles_deg: np.ndarray) -> np.ndarray:
     """Stack of half-wavelength ULA responses, one column per angle, shape (n_elems, n_angles).
 
@@ -34,9 +39,7 @@ def ula_response_matrix(n_elems: int, angles_deg: np.ndarray) -> np.ndarray:
     # NaN fails both comparisons, so it is rejected with the out-of-range angles
     if angles.size and not (angles.min() >= -90.0 and angles.max() <= 90.0):
         raise ValueError("angles must lie in [-90, 90] degrees")
-    n = np.arange(n_elems)[:, None]
-    phase = np.pi * np.sin(np.deg2rad(angles))[..., None, :]
-    return np.exp(1j * phase * n)
+    return _ula_phase(np.sin(np.deg2rad(angles))[..., None, :], np.arange(n_elems)[:, None])
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -57,8 +60,6 @@ def dft_codebook(n_elems: int, n_bits: int) -> np.ndarray:
         raise ValueError(f"2^{n_bits} codebook entries would overflow the size budget")
     size = 1 << n_bits
     sin_grid = -1.0 + 2.0 * np.arange(size) / size
-    n = np.arange(n_elems)[None, :]
-    phase = np.pi * sin_grid[:, None]
-    vectors = np.exp(1j * phase * n) / np.sqrt(n_elems)
+    vectors = _ula_phase(sin_grid[:, None], np.arange(n_elems)) / np.sqrt(n_elems)
     vectors.flags.writeable = False
     return vectors

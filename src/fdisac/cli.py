@@ -97,9 +97,8 @@ def _cmd_rates(args, cfg: ScenarioConfig) -> int:
     report = sweep(cfg, args.sweep, values)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    header = ["sweep_value", "rate_dl", "rate_ideal", "rate_ul_nsp", "rate_ul_mss", "gamma_rad"]
-    rows = [[r[h] for h in header] for r in report.rate_rows]
-    _write_table(out / "rates.csv", header, rows, args.format)
+    rows = [list(r.values()) for r in report.rate_rows]  # the sweep's rows set the columns
+    _write_table(out / "rates.csv", list(report.rate_rows[0]), rows, args.format)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"rates: swept {args.sweep} over {len(values)} points, "
           f"wall clock {report.wall_clock_s:.2f} s")

@@ -333,9 +333,10 @@ def numeric_tx_precoder(
     A stack of problems along leading axes is solved at zeta = 0 at once,
     where V(0) = pinv(H) G in closed form; only the problems with a row above
     lambda_b then run the Newton iteration, one at a time, because its length
-    depends on the data. With one TX chain row r states
-    |t_r|^2 ||V||^2 <= lambda_b, so only the row of largest modulus can bind:
-    the iteration runs on that row alone and the others' multipliers are 0.
+    depends on the data. The iteration runs on the rows that can bind, and
+    the others' multipliers are 0: a zero row never binds, so it stays out,
+    and with one TX chain row r states |t_r|^2 ||V||^2 <= lambda_b, so only
+    the row of largest modulus runs.
 
     Final step, the only one that changes the Newton solution: V is scaled
     by min(1, sqrt(lambda_b / max_r(c_r + e_r))), where e_r bounds the
@@ -384,8 +385,8 @@ def numeric_tx_precoder(
     binding = (np.linalg.norm(r_basis @ x, axis=-1) ** 2 > lam).any(axis=-1)
     errors = [None] * len(h)
     for i in np.flatnonzero(binding):
-        # one TX chain: row r states |t_r|^2 ||V||^2 <= lambda_b, so only the largest binds
-        live = [np.abs(r_basis[i]).argmax()] if n == 1 else slice(None)
+        # the rows that can bind: every nonzero row, but with one TX chain the largest alone
+        live = np.flatnonzero(r_basis[i].any(axis=-1)) if n > 1 else [np.abs(r_basis[i]).argmax()]
         try:
             x[i], zeta[i, live], iterations[i] = _dual_newton(
                 r_basis[i, live], sig[i], rank[i], g_fit[i], lam)

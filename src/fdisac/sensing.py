@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ula_response_matrix
-from .channels import SPEED_OF_LIGHT, Waveform
+from .channels import Waveform
 from .errors import EstimationFailureError
 
 __all__ = [
@@ -258,9 +258,8 @@ def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
 
 
 def recover_parameters(n_star, m_star, wf: Waveform):
-    """Map peak bins to (delay_s, doppler_hz, range_m, velocity_mps), elementwise over arrays."""
+    """Map peak bins to (delay_s, doppler_hz, range_m, velocity_mps), elementwise over arrays;
+    range and velocity are the bins times the waveform's cells, their map axis entries."""
     delay = n_star / (wf.n_subcarriers * wf.subcarrier_spacing_hz)
     doppler = m_star / (wf.n_symbols * wf.symbol_duration_s)
-    range_m = SPEED_OF_LIGHT * delay / 2.0
-    velocity = SPEED_OF_LIGHT * doppler / (2.0 * wf.carrier_hz)
-    return delay, doppler, range_m, velocity
+    return delay, doppler, n_star * wf.range_bin_m, m_star * wf.velocity_bin_mps

@@ -75,6 +75,7 @@ def test_dft_codebook_table_configuration():
     cb = dft_codebook(16, 5)
     assert len(cb) == 32
     assert cb.shape == (32, 16)
+    assert cb.flags.c_contiguous and not cb.flags.writeable
     np.testing.assert_allclose(np.abs(cb) ** 2, 1.0 / 16.0, atol=1e-12)
     _validate_codebook(cb)
     bent = dft_codebook(16, 5).copy()

@@ -534,9 +534,8 @@ def _all_active_instance(rng, h, lam):
     return t_rows, h @ v_star + y, v_star, zeta
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(_PRECODER_KINDS), st.integers(0, 2**32 - 1))
-def test_precoder_kkt_property(kind, seed):
+def _check_precoder_kkt(kind, seed):
+    """Solve the ``kind`` instance drawn from ``seed`` and check its KKT conditions."""
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, 4))
     if kind == "one_row":
@@ -575,6 +574,19 @@ def test_precoder_kkt_property(kind, seed):
         np.testing.assert_allclose(v, v_star, rtol=0, atol=1e-6 * np.linalg.norm(v_star))
     if kind == "one_row":
         assert zeta[0] == pytest.approx(_closed_form_multiplier(h, t_rows[0], lam, g), rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PRECODER_KINDS), st.integers(0, 2**32 - 1))
+def test_precoder_kkt_property(kind, seed):
+    _check_precoder_kkt(kind, seed)
+
+
+# with zero leakage rows in the Newton loop these draws ended 1.3e-8 to 5.0e-7 above
+# the threshold after 94-228 solves; a zero row never binds, so it stays out
+@pytest.mark.parametrize("seed", [2868, 4305, 4473, 158370])
+def test_precoder_keeps_zero_rows_out_of_the_newton_loop(seed):
+    _check_precoder_kkt("zero_rows", seed)
 
 
 def _any_shape_instance(seed):

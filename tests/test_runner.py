@@ -800,9 +800,16 @@ def test_on_grid_bins_are_exact_property(scene):
     cfg = fast_profile(trials=1, seed=seed).with_overrides(
         dl_scatterers=tuple(specs[:2]), radar_targets=tuple(specs[2:4]), ul_user=specs[4]
     )
-    trial = run_scenario(cfg).trials[0]
+    report = run_scenario(cfg)
+    trial = report.trials[0]
     assert "error" not in trial, trial.get("error")
     assert [(row["bin_n"], row["bin_m"]) for row in trial["sensing"]] == [tuple(b) for b in bins]
+    # each row reads its bins' map axis entries, so an exact detection has no error
+    axes = report.range_velocity
+    for row in trial["sensing"]:
+        assert row["range_m"] == axes["ranges_m"][row["bin_n"]]
+        assert row["velocity_mps"] == axes["velocities_mps"][row["bin_m"] + cfg.n_symbols // 2]
+        assert row["range_error_m"] == 0.0 and row["velocity_error_mps"] == 0.0
 
 
 def test_slot2_block_matches_one_trial_blocks_and_isolates_a_failed_trial():
