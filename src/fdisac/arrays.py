@@ -15,13 +15,6 @@ import numpy as np
 
 __all__ = ["ula_response_matrix", "dft_codebook"]
 
-_MAX_CODEBOOK_BITS = 24  # 2^24 entries; anything above is treated as an overflow
-
-
-def _check_elems(n_elems: int) -> None:
-    if n_elems < 1:
-        raise ValueError(f"array needs at least one element, got {n_elems}")
-
 
 def _ula_phase(sin_theta: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The half-wavelength ULA phase exp(j*pi*n*sin(theta)), broadcast over its arguments."""
@@ -32,13 +25,10 @@ def ula_response_matrix(n_elems: int, angles_deg: np.ndarray) -> np.ndarray:
     """Stack of half-wavelength ULA responses, one column per angle, shape (n_elems, n_angles).
 
     Angles of shape (..., n_angles) give one such matrix per leading index,
-    shape (..., n_elems, n_angles).
+    shape (..., n_elems, n_angles). The caller passes n_elems >= 1 and angles
+    in [-90, 90]: configured ones, grid angles or estimates drawn from the grid.
     """
-    _check_elems(n_elems)
     angles = np.asarray(angles_deg, dtype=float)
-    # NaN fails both comparisons, so it is rejected with the out-of-range angles
-    if angles.size and not (angles.min() >= -90.0 and angles.max() <= 90.0):
-        raise ValueError("angles must lie in [-90, 90] degrees")
     return _ula_phase(np.sin(np.deg2rad(angles))[..., None, :], np.arange(n_elems)[:, None])
 
 
@@ -49,15 +39,11 @@ def dft_codebook(n_elems: int, n_bits: int) -> np.ndarray:
     Row m (m = 0..2^n_bits - 1) is the half-wavelength steering vector at
     theta_m = arcsin(-1 + 2*m / 2^n_bits), scaled by 1/sqrt(n_elems) so all
     entries satisfy the constant-modulus constraint |v_n|^2 = 1/n_elems. With
-    2^n_bits == n_elems the beams are mutually orthogonal.
+    2^n_bits == n_elems the beams are mutually orthogonal. The caller passes
+    n_elems >= 1 and the config's n_bits, which lies in [2, 12].
 
     Memoized: repeated arguments return the same read-only array.
     """
-    _check_elems(n_elems)
-    if n_bits < 1:
-        raise ValueError(f"codebook needs at least one bit, got {n_bits}")
-    if n_bits > _MAX_CODEBOOK_BITS:
-        raise ValueError(f"2^{n_bits} codebook entries would overflow the size budget")
     size = 1 << n_bits
     sin_grid = -1.0 + 2.0 * np.arange(size) / size
     vectors = _ula_phase(sin_grid[:, None], np.arange(n_elems)) / np.sqrt(n_elems)

@@ -83,8 +83,6 @@ def gen_dl_channel(gains, angles_deg, m_u: int, n_b: int) -> np.ndarray:
     """
     gains = np.asarray(gains)
     angles = np.asarray(angles_deg, dtype=float)
-    if angles.size == 0:
-        raise ValueError("downlink channel needs at least one path")
     a_rx = ula_response_matrix(m_u, angles)
     a_tx = ula_response_matrix(n_b, angles).conj()
     h = np.zeros(np.broadcast_shapes(gains.shape, angles.shape)[:-1] + (m_u, n_b), dtype=complex)
@@ -132,8 +130,6 @@ def gen_si_channel(
     i.i.d. standard complex normal, so the average entry power equals g.
     ``kappa_db = inf`` collapses to the pure LOS limit.
     """
-    if m_b < 1 or n_b < 1:
-        raise ValueError("channel dimensions must be positive")
     g = 10.0 ** (-pathloss_db / 10.0)
     los = np.ones((m_b, n_b), dtype=complex)  # a(0) a(0)^H: every broadside entry is 1
     if np.isinf(kappa_db) and kappa_db > 0:
@@ -148,14 +144,13 @@ def perturb_estimate(
 ) -> np.ndarray:
     """Imperfect channel estimate H + E with E[||E||_F^2 / ||H||_F^2] = 10^(nmse_db/10).
 
-    ``nmse_db`` of ``None`` or ``-inf`` means a perfect estimate. A zero-energy
-    channel perturbs to itself (the error scale is relative).
+    ``nmse_db`` of ``None`` or ``-inf`` means a perfect estimate; otherwise it
+    is finite, as ``ScenarioConfig`` bounds it. A zero-energy channel perturbs
+    to itself (the error scale is relative).
     """
     h = np.asarray(h, dtype=complex)
     if nmse_db is None or (np.isinf(nmse_db) and nmse_db < 0):
         return h.copy()
-    if not np.isfinite(nmse_db):
-        raise ValueError(f"nmse_db must be finite or -inf, got {nmse_db}")
     energy = np.linalg.norm(h) ** 2
     if energy == 0.0:
         return h.copy()

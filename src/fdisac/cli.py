@@ -6,8 +6,9 @@ Subcommands:
   validate     run the invariant suite; nonzero exit on any violation
   show-config  print the fully resolved configuration
 
-The configuration is resolved once, before the subcommand runs; one that
-cannot be read or is rejected prints ``fdisac: error: <message>`` and exits 2.
+The configuration, and a rate sweep's values, are resolved once, before the
+subcommand runs; one that cannot be read or is rejected prints
+``fdisac: error: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import PROFILE_NAMES, ScenarioConfig, get_profile, load_config
-from .runner import SWEEP_VARIABLES, dumps, run_scenario, sweep, validate_suite
+from .runner import SWEEP_VARIABLES, dumps, run_scenario, sweep, sweep_configs, validate_suite
 
 
 def _add_common(parser: argparse.ArgumentParser, *, out: bool = True, table: bool = True) -> None:
@@ -88,19 +89,20 @@ def _cmd_sense(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _parse_values(raw: str) -> list[float]:
+def _parse_values(raw: str | None) -> list[float]:
+    if not raw:
+        return [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
     return [float(v) for v in raw.split(",") if v.strip() != ""]
 
 
 def _cmd_rates(args, cfg: ScenarioConfig) -> int:
-    values = _parse_values(args.values) if args.values else [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    report = sweep(cfg, args.sweep, values)
+    report = sweep(cfg, args.sweep, args.values)  # main parsed the values and checked them
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     rows = [list(r.values()) for r in report.rate_rows]  # the sweep's rows set the columns
     _write_table(out / "rates.csv", list(report.rate_rows[0]), rows, args.format)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    print(f"rates: swept {args.sweep} over {len(values)} points, "
+    print(f"rates: swept {args.sweep} over {len(args.values)} points, "
           f"wall clock {report.wall_clock_s:.2f} s")
     return 0
 
@@ -153,6 +155,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        if args.command == "rates":  # the sweep's points are outside values too
+            args.values = _parse_values(args.values)
+            sweep_configs(cfg, args.sweep, args.values)
     except (ValueError, OSError) as exc:  # a rejected config is one line, as argparse's errors
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

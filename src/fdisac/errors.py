@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ConstraintViolationError(ValueError):
-    """A vector or matrix violates a structural constraint (e.g. constant modulus)."""
-
-
 class EstimationFailureError(RuntimeError):
     """An estimator could not produce the requested number of results."""
 

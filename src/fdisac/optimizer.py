@@ -160,8 +160,6 @@ def _principal(h: np.ndarray, n: int, right: bool = False) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     u, _, vh = np.linalg.svd(h, full_matrices=False)
     vecs = np.swapaxes(vh, -1, -2).conj() if right else u
-    if n < 1 or n > vecs.shape[-1]:
-        raise ValueError(f"cannot extract {n} streams from shape {h.shape}")
     return _fix_phase(vecs[..., :n])
 
 
@@ -177,9 +175,7 @@ def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h_rad_hat, dtype=complex)
     n_a = cb.shape[-1]
-    n_rf, extra = divmod(h.shape[-1], n_a)
-    if extra:
-        raise ValueError(f"channel has {h.shape[-1]} TX columns, not a multiple of {n_a}")
+    n_rf = h.shape[-1] // n_a
     cb_t = cb.T
     idx = np.empty(h.shape[:-2] + (n_rf,), dtype=int)
     for i in range(n_rf):
@@ -207,8 +203,6 @@ def select_rx_analog(
     si_eff = np.asarray(h_bb_hat, dtype=complex) @ v_b_rf
     m_a = cb.shape[-1]
     lead, (m_b, n_rf) = radar_eff.shape[:-2], radar_eff.shape[-2:]
-    if m_b % m_a != 0:
-        raise ValueError(f"channel has {m_b} RX rows, not a multiple of {m_a}")
     chains = lead + (m_b // m_a, m_a, n_rf)
     conj_cb = cb.conj()
     num = np.linalg.norm(conj_cb @ radar_eff.reshape(chains), axis=-1) ** 2
@@ -344,7 +338,7 @@ def numeric_tx_precoder(
     point, also after later column down-scaling. A scale below 1 - 1e-9
     fails the problem, as does an exception in its Newton iteration; a
     failed problem's V is 0.
-    ``lambda_b_watts = inf`` returns the minimum-norm least-squares solution.
+    ``lambda_b_watts`` is positive; ``inf`` returns the minimum-norm least-squares solution.
 
     With ``return_info`` the result is ``(V, info)`` and nothing fails
     loudly; ``info`` holds ``iterations`` (linear solves over the stack,
@@ -362,10 +356,6 @@ def numeric_tx_precoder(
     rows = np.atleast_2d(np.asarray(t_rows, dtype=complex)).conj()  # c_r = ||row_r @ V||^2
     lam = float(lambda_b_watts)
     lead, n = h.shape[:-2], h.shape[-1]
-    if rows.shape[-1] != n:
-        raise ValueError(f"leakage rows length {rows.shape[-1]} != {n} TX chains")
-    if not lam > 0:
-        raise ValueError(f"leakage threshold must be positive, got {lambda_b_watts}")
     # a flat stack of problems; rows without leading axes are shared by all
     h, g, rows = (a.reshape((-1,) + a.shape[-2:]) for a in (h, g, rows))
     if np.isinf(lam):
@@ -465,8 +455,6 @@ def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray):
     matrix of the flattened stack None or its :class:`DegenerateCombinerError`.
     """
     h_int = np.asarray(h_rad_int_eff, dtype=complex)
-    if np.shape(h_ul_eff)[-2] != h_int.shape[-2]:
-        raise ValueError("uplink and interference channels disagree on RX chains")
     x = _principal(h_ul_eff, 1)
 
     sing_u, sing_vals, _ = np.linalg.svd(h_int, full_matrices=False)

@@ -78,6 +78,7 @@ __all__ = [
     "scenario_plan",
     "run_scenario",
     "sweep",
+    "sweep_configs",
     "validate_suite",
     "draw_waveforms",
     "waveform_basis",
@@ -649,12 +650,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     )
 
 
-def sweep(cfg: ScenarioConfig, variable: str, values: Sequence) -> RunReport:
-    """Re-run the scenario for each value of the sweep variable.
-
-    Every point reuses the same seed so channel realizations are paired across
-    values. Emits one aggregated rate row per value.
-    """
+def sweep_configs(cfg: ScenarioConfig, variable: str, values: Sequence) -> list:
+    """``cfg`` at each sweep value; an unknown variable or a rejected value raises ValueError."""
     if variable not in SWEEP_VARIABLES:
         raise ValueError(
             f"unknown sweep variable '{variable}', expected one of {sorted(SWEEP_VARIABLES)}"
@@ -666,11 +663,20 @@ def sweep(cfg: ScenarioConfig, variable: str, values: Sequence) -> RunReport:
         if not all(float(v).is_integer() for v in values):
             raise ValueError(f"tap counts must be integers, got {list(values)}")
         values = [int(v) for v in values]
+    return [cfg.with_overrides(**{field_name: value}) for value in values]
+
+
+def sweep(cfg: ScenarioConfig, variable: str, values: Sequence) -> RunReport:
+    """Re-run the scenario for each value of the sweep variable.
+
+    Every point reuses the same seed so channel realizations are paired across
+    values. Emits one aggregated rate row per value of :func:`sweep_configs`.
+    """
     start = time.perf_counter()
     rows = []
     trials = []
-    for value in values:
-        point_cfg = cfg.with_overrides(**{field_name: value})
+    for point_cfg in sweep_configs(cfg, variable, values):
+        value = getattr(point_cfg, SWEEP_VARIABLES[variable])
         report = run_scenario(point_cfg)
         agg = report.aggregate
         rows.append(

@@ -81,25 +81,19 @@ class DelayDopplerMap:
 
 
 def angle_grid(grid_step_deg: float) -> np.ndarray:
-    """Uniform scan grid over [-90, 90] degrees, endpoints included."""
-    if grid_step_deg <= 0:
-        raise ValueError(f"grid step must be positive, got {grid_step_deg}")
+    """Uniform scan grid over [-90, 90] degrees, endpoints included, for a positive step."""
     n = int(round(180.0 / grid_step_deg)) + 1
     return np.linspace(-90.0, 90.0, n)
 
 
 def sample_covariance(snapshots) -> np.ndarray:
-    """(1/n) * sum of y y^H over the rows of each snapshot set (..., n, m); Hermitian PSD.
+    """(1/n) * sum of y y^H over the n >= 1 rows of each snapshot set (..., n, m); Hermitian PSD.
 
     The sum runs over slices of :data:`COVARIANCE_SLICE` rows, so no more
     than one slice of the stack is conjugated at a time; up to that many rows
     (every ``fast`` grid) are one product.
     """
     y = np.asarray(snapshots, dtype=complex)
-    if y.ndim == 1:
-        y = y[None, :]
-    if y.shape[-2] < 1:
-        raise ValueError("need at least one snapshot of uniform length")
     first, *rest = (y[..., i : i + COVARIANCE_SLICE, :]
                     for i in range(0, y.shape[-2], COVARIANCE_SLICE))
     r = np.swapaxes(first, -1, -2) @ first.conj()
@@ -125,18 +119,12 @@ def music_doas(
     The stack is decomposed as one, its peaks picked per matrix (a single
     matrix is a stack of one). A matrix that fails (not Hermitian, not PSD,
     a flat spectrum, too few peaks) is recorded in
-    :attr:`MusicResult.errors`; shapes that do not match and a bad ``k``
-    raise.
+    :attr:`MusicResult.errors`. The caller passes 1 <= k < m (the config has
+    more RX chains than targets) and an (m, n_grid) manifold.
     """
     r = np.asarray(r, dtype=complex)
     grid = np.asarray(grid_deg, dtype=float)
     array_size = r.shape[-1]
-    if r.ndim < 2 or r.shape[-2] != array_size or manifold.shape != (array_size, grid.size):
-        raise ValueError(f"covariance {r.shape} and manifold {manifold.shape} do not match")
-    if k < 1:
-        raise ValueError(f"need at least one source, got k={k}")
-    if k >= array_size:
-        raise ValueError(f"MUSIC requires k < array size, got k={k}, size={array_size}")
     stack = r.reshape(-1, array_size, array_size)
     scale = np.maximum(np.abs(stack).max(axis=(-2, -1)), 1e-300)
     hermitian = np.isclose(
@@ -229,8 +217,6 @@ def delay_doppler_quotient(cy_grid: np.ndarray, s_grid: np.ndarray):
     """
     cy = np.asarray(cy_grid, dtype=complex)
     s = np.asarray(s_grid, dtype=complex)
-    if cy.ndim < 2 or s.shape != cy.shape:
-        raise ValueError(f"grid shapes {cy.shape} and {s.shape} are inconsistent")
     mag = np.abs(s)
     excluded = mag < DIVISION_GUARD_REL * np.maximum(mag.max(axis=(-2, -1), keepdims=True), 1e-300)
     return np.divide(cy, s, out=np.zeros_like(cy), where=~excluded), excluded
@@ -244,8 +230,6 @@ def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
     index range [-Q/2, Q/2 - 1].
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim < 2 or z.size == 0:
-        raise ValueError("quotient grid must be a non-empty P x Q matrix or a stack of them")
     p_count, q_count = z.shape[-2:]
     transform = np.fft.ifft(np.fft.fft(z, axis=-1), axis=-2)
     transform *= p_count

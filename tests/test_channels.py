@@ -36,11 +36,6 @@ def test_dl_first_entry_sums_path_gains():
     np.testing.assert_allclose(h[0, 0], 2.0 + 0.0j, atol=1e-12)
 
 
-def test_dl_empty_path_list_rejected():
-    with pytest.raises(ValueError):
-        gen_dl_channel([], [], 2, 2)
-
-
 def test_path_channels_stack_over_leading_axes():
     rng = np.random.default_rng(3)
     gains = np.exp(2j * np.pi * rng.random((2, 3, 2)))

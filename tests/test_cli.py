@@ -192,11 +192,35 @@ def test_validate_deterministic_and_green(tmp_path, tiny_config):
     assert "[PASS]" in p1.stdout and "[FAIL]" not in p1.stdout
 
 
-def test_rates_rejects_a_non_integral_tap_count(tmp_path, tiny_config):
-    with pytest.raises(ValueError, match="tap counts must be integers"):
-        main(["rates", "--profile", "fast", "--config", str(tiny_config), "--sweep", "n_taps",
-              "--values", "16.9", "--out", str(tmp_path / "out")])
+def test_rates_rejects_a_non_integral_tap_count(tmp_path, tiny_config, capsys):
+    assert main(["rates", "--profile", "fast", "--config", str(tiny_config), "--sweep", "n_taps",
+                 "--values", "16.9", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "fdisac: error: tap counts must be integers, got [16.9]\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep, values, message", [
+    ("p_b_dbm", "200", "tx power dbm must lie in [-100.0, 100.0], got 200.0"),
+    ("n_taps", "12", "analog taps 12 must be a nonnegative multiple of 8 RX chains"),
+    ("p_b_dbm", "abc", "could not convert string to float: 'abc'"),
+    ("p_b_dbm", ",", "sweep needs at least one value"),
+])
+def test_rejected_sweep_value_is_one_line_and_exit_2(tmp_path, capsys, sweep, values, message):
+    # the sweep's points are built and checked with the config, before any point runs
+    assert main(["rates", "--profile", "fast", "--trials", "1", "--sweep", sweep,
+                 "--values", values, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"fdisac: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_rates_error_of_the_run_itself_is_no_rejected_config(tmp_path, monkeypatch):
+    def failing_sweep(*args):
+        raise ValueError("raised by the run")
+    monkeypatch.setattr(cli, "sweep", failing_sweep)
+    with pytest.raises(ValueError, match="raised by the run"):
+        main(["rates", "--profile", "fast", "--trials", "1", "--values", "0",
+              "--out", str(tmp_path / "out")])
 
 
 def test_rates_sweeps_the_tap_count(tmp_path):

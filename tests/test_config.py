@@ -58,9 +58,9 @@ def test_default_geometry_is_on_grid():
 
 
 def test_tap_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="analog taps 5 must be a nonnegative multiple of 8 RX"):
         fast_profile(analog_taps=5)  # not divisible by 8 chains
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="analog taps exceed the compressed SI channel size"):
         fast_profile(analog_taps=128)  # 16 columns > 8 available
 
 
@@ -366,6 +366,20 @@ _NAN, _INF = float("nan"), float("inf")
                               "that MUSIC resolves, got 4"),
         ({"rx_rf_chains": 5, "analog_taps": 0}, "rx rf chains must exceed the 5 targets "
                                                 "(UL user included) that MUSIC resolves, got 5"),
+        # the array, channel, canceller and metric functions take these rules as given
+        ({"tx_rf_chains": 0}, "tx rf chains must lie in [1, inf], got 0"),
+        ({"rx_rf_chains": 0}, "rx rf chains must lie in [1, inf], got 0"),
+        ({"tx_antennas_per_rf": 0}, "tx antennas per rf must lie in [1, inf], got 0"),
+        ({"rx_antennas_per_rf": 0}, "rx antennas per rf must lie in [1, inf], got 0"),
+        ({"dl_user_antennas": 0}, "dl user antennas must lie in [1, inf], got 0"),
+        ({"ul_user_antennas": 0}, "ul user antennas must lie in [1, inf], got 0"),
+        ({"n_subcarriers": 0}, "n subcarriers must lie in [1, inf], got 0"),
+        ({"n_symbols": 0}, "n symbols must lie in [1, inf], got 0"),
+        ({"analog_taps": -8}, "analog taps must lie in [0, inf], got -8"),
+        ({"ul_user": {"angle_deg": 91.0, "range_m": 100.0}},
+         "ul_user: target angle must lie in [-90.0, 90.0], got 91.0"),
+        ({"ul_user": {"angle_deg": -_INF, "range_m": 100.0}},
+         "ul_user: target angle must be finite, got -inf"),
     ],
 )
 def test_config_holes_rejected_when_config_is_built(tmp_path, data, message):

@@ -117,7 +117,7 @@ def test_dl_snr_matched_rank_one_closed_form():
     # single chain pointed at the path, matched user combiner (zero padded to
     # two columns): gamma = P_b * M_u * N_b / sigma^2
     theta, m_u, n_b, p_b, sigma2 = 23.0, 3, 4, 2.0, 1e-6
-    v_rf = assemble_analog([steering(n_b, theta) / np.sqrt(n_b)])
+    v_rf = assemble_analog(steering(n_b, theta)[None, :] / np.sqrt(n_b))
     v_bb = np.array([[np.sqrt(p_b)]])
     w_u = np.zeros((m_u, 2), dtype=complex)
     w_u[:, 0] = steering(m_u, theta) / np.sqrt(m_u)

@@ -131,8 +131,6 @@ def test_rx_analog_local_optimality_per_chain():
 def test_tx_analog_chain_count_comes_from_the_channel():
     cb = dft_codebook(4, 2)
     assert select_tx_analog(np.ones((2, 12)), cb).shape == (12, 3)
-    with pytest.raises(ValueError, match="10 TX columns, not a multiple of 4"):
-        select_tx_analog(np.ones((2, 10)), cb)
 
 
 def test_rx_analog_single_chain_matches_brute_force():

@@ -1114,3 +1114,40 @@ def test_warm_one_trial_table1_call_touches_no_fresh_pages():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 100
+
+
+def _assert_constant_modulus_blocks(network, n_a):
+    """Each network of a stack is block-diagonal: |entry|^2 = 1/n_a on chain i's block, 0 off it."""
+    n_chains = network.shape[-1]
+    on_block = np.kron(np.eye(n_chains, dtype=bool), np.ones((n_a, 1), dtype=bool))
+    assert network.shape[-2:] == on_block.shape
+    np.testing.assert_allclose(np.abs(network[..., on_block]) ** 2, 1.0 / n_a, rtol=0, atol=1e-12)
+    assert not network[..., ~on_block].any()
+
+
+def test_every_analog_network_of_a_fast_run_meets_the_constant_modulus_constraint(monkeypatch):
+    # the analog networks are assembled from codebook rows unchecked; this pins every one a run builds
+    cfg = fast_profile(trials=3, rx_antennas_per_rf=8)  # 4 TX antennas per chain
+    pointed, designs = [], []
+    runner_pointed, runner_design = runner.pointed_analog_stack, runner.run_algorithm1
+
+    def pointed_recorded(n_chains, cb, angles_deg):
+        pointed.append((runner_pointed(n_chains, cb, angles_deg), cb.shape[-1]))
+        return pointed[-1][0]
+
+    def design_recorded(est, point_cfg):
+        designs.append(runner_design(est, point_cfg))
+        return designs[-1]
+
+    monkeypatch.setattr(runner, "pointed_analog_stack", pointed_recorded)
+    monkeypatch.setattr(runner, "run_algorithm1", design_recorded)
+    report = run_scenario(cfg)
+    assert not any("error" in t for t in report.trials)
+    plan = scenario_plan(cfg)
+    tx, rx = cfg.tx_antennas_per_rf, cfg.rx_antennas_per_rf
+    networks = [(plan.v_rf0, tx), (plan.w_rf0, rx), *pointed]
+    networks += [(net, n_a) for bf in designs for net, n_a in ((bf.v_b_rf, tx), (bf.w_b_rf, rx))]
+    assert len(pointed) == 2 and designs  # TX and RX dwells of the one block, and its design
+    assert sorted(n_a for _, n_a in pointed) == [tx, rx]
+    for network, n_a in networks:
+        _assert_constant_modulus_blocks(network, n_a)
