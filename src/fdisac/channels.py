@@ -7,8 +7,8 @@ and per-symbol phase rotation encodes target delay and Doppler:
                          * a_rx(theta_k) a_tx(theta_k)^H
 
 with tau_k = 2*range_k/c and f_D,k = 2*velocity_k*f_c/c (two-way propagation).
-Functions that draw randomness take an explicit seeded generator; everything
-else is deterministic.
+Functions that draw take an explicit seeded generator, every CN(0, sigma^2)
+block through :func:`fill_complex_normal`; everything else is deterministic.
 """
 
 from __future__ import annotations
@@ -27,13 +27,24 @@ __all__ = [
     "delay_doppler_phase",
     "gen_si_channel",
     "perturb_estimate",
+    "fill_complex_normal",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def fill_complex_normal(rng: np.random.Generator, out: np.ndarray, sigma=1.0) -> np.ndarray:
+    """Fill ``out`` in place with i.i.d. CN(0, sigma^2) entries, real parts first; return it.
+
+    Each part is drawn into one float scratch, scaled by ``sigma``, then by
+    1/sqrt(2): the product numpy forms for sigma*(a + 1j*b)/sqrt(2).
+    """
+    draw = np.empty(out.shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=draw)
+        draw *= sigma
+        np.multiply(draw, 1 / np.sqrt(2), out=part)
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,12 +142,13 @@ def gen_si_channel(
     ``kappa_db = inf`` collapses to the pure LOS limit.
     """
     g = 10.0 ** (-pathloss_db / 10.0)
-    los = np.ones((m_b, n_b), dtype=complex)  # a(0) a(0)^H: every broadside entry is 1
     if np.isinf(kappa_db) and kappa_db > 0:
-        return np.sqrt(g) * los
+        return np.full((m_b, n_b), np.sqrt(g), dtype=complex)
     kappa = 10.0 ** (kappa_db / 10.0)
-    nlos = _complex_normal(rng, (m_b, n_b))
-    return np.sqrt(g * kappa / (kappa + 1.0)) * los + np.sqrt(g / (kappa + 1.0)) * nlos
+    h = fill_complex_normal(rng, np.empty((m_b, n_b), dtype=complex))
+    h *= np.sqrt(g / (kappa + 1.0))
+    h += np.sqrt(g * kappa / (kappa + 1.0))  # the LOS term: every entry of a(0) a(0)^H is 1
+    return h
 
 
 def perturb_estimate(
@@ -149,10 +161,8 @@ def perturb_estimate(
     to itself (the error scale is relative).
     """
     h = np.asarray(h, dtype=complex)
-    if nmse_db is None or (np.isinf(nmse_db) and nmse_db < 0):
-        return h.copy()
     energy = np.linalg.norm(h) ** 2
-    if energy == 0.0:
+    if nmse_db is None or nmse_db == -np.inf or energy == 0.0:
         return h.copy()
     scale = np.sqrt(10.0 ** (nmse_db / 10.0) * energy / h.size)
-    return h + scale * _complex_normal(rng, h.shape)
+    return h + scale * fill_complex_normal(rng, np.empty_like(h))

@@ -393,9 +393,10 @@ def numeric_tx_precoder(
     failed = scale < 1.0 - _GUARD_MAX_REL
     v *= scale[:, None, None]
     for i in np.flatnonzero(failed):
+        loop = np.linalg.norm(r_basis[i] @ x[i], axis=-1).max() ** 2 / lam
         errors[i] = InfeasibleResultError(
-            f"leakage {leak[i].max() / lam:.9f} x threshold (rounding bound "
-            f"{err[i].max() / lam:.2g} x) after {iterations[i]} solves")
+            f"leakage {leak[i].max() / lam:.9f} x threshold ({loop:.9f} x in the Newton basis; "
+            f"guard's sums round within {err[i].max() / lam:.2g} x) after {iterations[i]} solves")
     v[[e is not None for e in errors]] = 0.0
     if not return_info:
         if any(errors):

@@ -19,16 +19,16 @@ compressed estimation error, through its own weights (:func:`receiver_rows`).
 
 Every sensing observation is linear in a few per-trial waveforms: the DL and
 UL symbols, the RX noise and each target's delay-Doppler phase times the DL
-symbols. A trial draws the first three once (:func:`draw_waveforms`); each
-receiver is a row of coefficients over its waveform basis
-(:func:`receiver_rows`), so the slot-1 snapshots and the K dwells'
-projections are products with its basis. A block keeps only the drawn rows
-of its trials. Each pass (slot 1, then the dwells) forms a trial's basis,
-echo rows included, one chunk of whole subcarriers at a time in one scratch
-of at most :data:`CHUNK_BYTES` (512 KiB) (:func:`basis_products`): one chunk
-per ``fast`` trial, 12 per ``table1`` trial. A block holds as many trials as
-fit their drawn rows in :data:`BLOCK_BYTES` (1 MiB): 5 on ``fast`` and 1 on
-``table1``.
+symbols. A trial draws the first three once, as its drawn rows (each a block
+of :func:`~fdisac.channels.fill_complex_normal`); each receiver is a row of
+coefficients over its waveform basis (:func:`receiver_rows`), so the slot-1
+snapshots and the K dwells' projections are products with its basis. A block
+keeps only the drawn rows of its trials. Each pass (slot 1, then the dwells)
+forms a trial's basis, echo rows included, one chunk of whole subcarriers at a
+time in one scratch of at most :data:`CHUNK_BYTES` (512 KiB)
+(:func:`basis_products`): one chunk per ``fast`` trial, 12 per ``table1``
+trial. A block holds as many trials as fit their drawn rows in
+:data:`BLOCK_BYTES` (1 MiB): 5 on ``fast`` and 1 on ``table1``.
 
 What depends on the configured geometry alone (codebooks, slot-1 networks,
 MUSIC manifold, the targets' factored phases, the map axes) is built once per
@@ -55,7 +55,8 @@ from .beamforming import assemble_analog, tx_power
 # build_cancellers is not called here: benchmarks/spans.py rebinds it (REBOUND) in this module
 from .cancellers import analog_residual_power_per_chain, build_cancellers  # noqa: F401
 from .channels import (
-    Waveform, delay_doppler_phase, gen_dl_channel, gen_si_channel, gen_ul_channel, perturb_estimate,
+    Waveform, delay_doppler_phase, fill_complex_normal, gen_dl_channel, gen_si_channel,
+    gen_ul_channel, perturb_estimate,
 )
 from .config import ScenarioConfig, TargetSpec
 from .metrics import dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
@@ -80,7 +81,6 @@ __all__ = [
     "sweep",
     "sweep_configs",
     "validate_suite",
-    "draw_waveforms",
     "waveform_basis",
     "synthesize_rx_snapshots",
     "dwell_projections",
@@ -201,33 +201,11 @@ def _build_plan(tx_chains: int, rx_chains: int, tx_per_rf: int, rx_per_rf: int, 
     return plan
 
 
-def draw_waveforms(rng: np.random.Generator, out: np.ndarray, n_streams: int,
-                   sigma: float) -> np.ndarray:
-    """Draw one trial's waveforms into ``out``, one row each and one column per cell ``p * Q + q``.
-
-    Rows: the ``n_streams`` DL symbol streams sym_b, the UL symbols sym_u,
-    then the RX-chain noise rows that fill the rest of ``out``. Each CN(0, 1)
-    or CN(0, sigma^2) block is drawn real part first and scaled in place;
-    numpy divides a complex by sqrt(2) as a product with 1/sqrt(2), so the
-    rows equal (a + 1j*b)/sqrt(2) and sigma*(a + 1j*b)/sqrt(2) exactly.
-    """
-    n_noise = out.shape[0] - n_streams - 1
-    draw = np.empty((max(n_streams, n_noise), out.shape[1]))
-    row = 0
-    for n_rows, scale in ((n_streams, 1.0), (1, 1.0), (n_noise, sigma)):
-        for part in (out.real, out.imag):
-            block = rng.standard_normal(out=draw[:n_rows])
-            block *= scale
-            np.multiply(block, 1 / np.sqrt(2), out=part[row : row + n_rows])
-        row += n_rows
-    return out
-
-
 def waveform_basis(basis: np.ndarray, delay_phases: np.ndarray, doppler_phases: np.ndarray,
                    n_streams: int) -> np.ndarray:
     """Complete one trial's waveform basis, or a chunk of whole subcarriers of it, in place.
 
-    ``basis`` starts with the trial's drawn rows (:func:`draw_waveforms`)
+    ``basis`` starts with the trial's drawn rows (sym_b, sym_u, noise)
     over the cells ``p * Q + q`` of its subcarriers; its last K * ``n_streams``
     rows receive phase_k * sym_b[s] for every target k and stream s,
     k-major. Target k's phase over the cells is the outer product of
@@ -363,7 +341,7 @@ def _block_trials(cfg: ScenarioConfig, plan: ScenarioPlan) -> int:
     """Trials per block: as many as fit their drawn waveform rows in :data:`BLOCK_BYTES`.
 
     A trial draws N_s + 1 + M_rf complex rows over the P Q cells
-    (:func:`draw_waveforms`), so a block holds 5 trials on ``fast`` and 1 on
+    (:func:`_sense_block`), so a block holds 5 trials on ``fast`` and 1 on
     ``table1``. The scratch of one basis chunk (:func:`_chunk_subcarriers`)
     comes on top.
     """
@@ -427,7 +405,9 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
         h_si_hat[t] = perturb_estimate(h_si_true[t], cfg.csi_nmse_db, rng)
         raw = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
         v_u0[t] = raw / np.linalg.norm(raw)
-        draw_waveforms(rng, drawn[t], st, np.sqrt(cfg.sigma_b2_watts))
+        fill_complex_normal(rng, drawn[t, :st])  # DL symbols, one row per stream
+        fill_complex_normal(rng, drawn[t, st : st + 1])  # UL symbols
+        fill_complex_normal(rng, drawn[t, st + 1 :], np.sqrt(cfg.sigma_b2_watts))  # RX noise
 
     # Channel realization: unit-magnitude gains with random phase.
     path_gains = np.exp(2j * np.pi * uniform)

@@ -5,6 +5,7 @@ from fdisac.channels import (
     SPEED_OF_LIGHT,
     Waveform,
     delay_doppler_phase,
+    fill_complex_normal,
     gen_dl_channel,
     gen_si_channel,
     gen_ul_channel,
@@ -190,3 +191,84 @@ def test_perturb_error_energy_at_zero_db():
         e = perturb_estimate(h, 0.0, rng) - h
         ratios.append(np.linalg.norm(e) ** 2 / np.linalg.norm(h) ** 2)
     assert abs(np.mean(ratios) - 1.0) < 0.05
+
+
+# The three spellings of the CN(0, sigma^2) draw that fill_complex_normal replaced.
+def _old_complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _old_draw_waveforms(rng, out, n_streams, sigma):
+    n_noise = out.shape[0] - n_streams - 1
+    draw = np.empty((max(n_streams, n_noise), out.shape[1]))
+    row = 0
+    for n_rows, scale in ((n_streams, 1.0), (1, 1.0), (n_noise, sigma)):
+        for part in (out.real, out.imag):
+            block = rng.standard_normal(out=draw[:n_rows])
+            block *= scale
+            np.multiply(block, 1 / np.sqrt(2), out=part[row : row + n_rows])
+        row += n_rows
+    return out
+
+
+def _old_si_channel(m_b, n_b, kappa_db, pathloss_db, rng):
+    g = 10.0 ** (-pathloss_db / 10.0)
+    los = np.ones((m_b, n_b), dtype=complex)
+    if np.isinf(kappa_db) and kappa_db > 0:
+        return np.sqrt(g) * los
+    kappa = 10.0 ** (kappa_db / 10.0)
+    nlos = _old_complex_normal(rng, (m_b, n_b))
+    return np.sqrt(g * kappa / (kappa + 1.0)) * los + np.sqrt(g / (kappa + 1.0)) * nlos
+
+
+def _assert_same_draw(new, old, rng, ref):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()  # bit for bit, signed zeros included
+    assert rng.bit_generator.state == ref.bit_generator.state  # and the same draws consumed
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 9), (2, 3, 4)])
+def test_fill_equals_the_allocating_draw_bit_for_bit(shape):
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    out = np.empty(shape, dtype=complex)
+    assert fill_complex_normal(rng, out) is out
+    _assert_same_draw(out, _old_complex_normal(ref, shape), rng, ref)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.37, 3.1e-6])
+def test_three_fills_equal_the_former_waveform_loop_bit_for_bit(sigma):
+    # a trial's drawn rows: 2 DL symbol rows, the (1, N) UL row view, 5 noise rows
+    st, n_rows, n_cells = 2, 8, 96
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    drawn = np.empty((n_rows, n_cells), dtype=complex)
+    fill_complex_normal(rng, drawn[:st])
+    fill_complex_normal(rng, drawn[st : st + 1])
+    fill_complex_normal(rng, drawn[st + 1 :], sigma)
+    old = _old_draw_waveforms(ref, np.empty((n_rows, n_cells), dtype=complex), st, sigma)
+    _assert_same_draw(drawn, old, rng, ref)
+    if sigma != 1.0:
+        # the data tell the scaling orders apart: 1/sqrt(2) before sigma moves bits
+        rng = np.random.default_rng(4)
+        rng.standard_normal(2 * (st + 1) * n_cells)  # the symbol rows' draws
+        a = rng.standard_normal((n_rows - st - 1, n_cells))
+        assert np.array_equal(drawn[st + 1 :].real, a * sigma * (1 / np.sqrt(2)))
+        assert not np.array_equal(drawn[st + 1 :].real, a * (1 / np.sqrt(2)) * sigma)
+
+
+@pytest.mark.parametrize(
+    "kappa_db, pathloss_db",
+    [(35.0, 40.0), (-7.5, 95.0), (np.inf, 40.0), (-np.inf, 40.0), (35.0, np.inf), (np.inf, np.inf)],
+)
+def test_si_channel_equals_the_all_ones_los_sum_bit_for_bit(kappa_db, pathloss_db):
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    new = gen_si_channel(12, 16, kappa_db, pathloss_db, rng)
+    _assert_same_draw(new, _old_si_channel(12, 16, kappa_db, pathloss_db, ref), rng, ref)
+
+
+@pytest.mark.parametrize("nmse_db", [-10.0, -300.0, 20.0])
+def test_perturb_equals_the_allocating_error_draw_bit_for_bit(nmse_db):
+    h = gen_si_channel(12, 16, 35.0, 40.0, np.random.default_rng(1))
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    scale = np.sqrt(10.0 ** (nmse_db / 10.0) * np.linalg.norm(h) ** 2 / h.size)
+    old = h + scale * _old_complex_normal(ref, h.shape)
+    _assert_same_draw(perturb_estimate(h, nmse_db, rng), old, rng, ref)

@@ -362,10 +362,12 @@ def test_precoder_stack_failure_fails_only_its_problem():
     assert str(stack.value) == str(one.value)
     assert str(one.value).startswith("leakage ") and str(one.value).endswith(" solves")
     # the message tells a dynamic-range failure from a loop that did not converge:
-    # the leakage sits at the threshold, and its rounding bound above the 1e-9 guard
-    pattern = r"leakage (\S+) x threshold \(rounding bound (\S+) x\) after \d+ solves"
-    leak, bound = re.fullmatch(pattern, str(one.value)).groups()
+    # the leakage sits at the threshold, and the guard's rounding bound above the 1e-9 guard
+    pattern = (r"leakage (\S+) x threshold \((\S+) x in the Newton basis; "
+               r"guard's sums round within (\S+) x\) after \d+ solves")
+    leak, loop, bound = re.fullmatch(pattern, str(one.value)).groups()
     assert float(leak) == pytest.approx(1.0, abs=1e-8) and float(bound) > 1e-9
+    assert float(loop) == pytest.approx(1.0, abs=1e-8)
     assert not v[1, 0].any()
     for idx in np.ndindex(2, 3):
         if idx != (1, 0):
@@ -1029,8 +1031,9 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
                 )
             else:
                 assert re.fullmatch(r"beamformer design failed at step 'TX digital precoder': "
-                                    r"leakage 1\.00\d+ x threshold \(rounding bound .+\) "
-                                    r"after \d+ solves", str(exc))
+                                    r"leakage 1\.00\d+ x threshold \(1\.00\d+ x in the Newton "
+                                    r"basis; guard's sums round within .+ x\) after \d+ solves",
+                                    str(exc))
                 assert not block.v_b_bb[t].any()  # a failed precoder leaves V = 0
             continue
         assert block.errors[t] is None

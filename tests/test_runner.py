@@ -14,7 +14,9 @@ from scipy.optimize import linear_sum_assignment
 
 from fdisac.arrays import dft_codebook
 from fdisac.beamforming import assemble_analog
-from fdisac.channels import SPEED_OF_LIGHT, delay_doppler_phase, gen_ul_channel
+from fdisac.channels import (
+    SPEED_OF_LIGHT, delay_doppler_phase, fill_complex_normal, gen_ul_channel,
+)
 from fdisac.config import ScenarioConfig, TargetSpec, fast_profile, table1_profile
 from fdisac import runner
 from fdisac.runner import (
@@ -24,7 +26,6 @@ from fdisac.runner import (
     _match_doas,
     _sense_block,
     _slot2,
-    draw_waveforms,
     dwell_projections,
     run_scenario,
     scenario_plan,
@@ -109,7 +110,10 @@ def _basis(cfg, rng, sigma):
     plan, st, wf = scenario_plan(cfg), cfg.n_streams, cfg.waveform()
     n_drawn = st + 1 + cfg.rx_rf_chains
     basis = np.empty((n_drawn + cfg.k_targets * st, wf.n_subcarriers * wf.n_symbols), complex)
-    draw_waveforms(rng, basis[:n_drawn], st, sigma)
+    # the drawn rows as a trial of _sense_block fills them: sym_b, sym_u, then the noise
+    fill_complex_normal(rng, basis[:st])
+    fill_complex_normal(rng, basis[st : st + 1])
+    fill_complex_normal(rng, basis[st + 1 : n_drawn], sigma)
     return waveform_basis(basis, plan.delay_phases, plan.doppler_phases, st), n_drawn
 
 
