@@ -52,6 +52,8 @@ class Waveform:
     """OFDM numerology: P subcarriers, Q symbols, spacing, symbol duration, carrier.
 
     The symbol duration T_s includes the cyclic prefix, T_cp = T_s - 1/df.
+    :meth:`~fdisac.config.ScenarioConfig.waveform` builds it from a checked
+    config, so every field is positive and T_cp >= 0.
     """
 
     n_subcarriers: int
@@ -59,14 +61,6 @@ class Waveform:
     subcarrier_spacing_hz: float
     symbol_duration_s: float
     carrier_hz: float
-
-    def __post_init__(self):
-        if self.n_subcarriers < 1 or self.n_symbols < 1:
-            raise ValueError("waveform grid dimensions must be positive")
-        if self.subcarrier_spacing_hz <= 0 or self.carrier_hz <= 0:
-            raise ValueError("subcarrier spacing and carrier frequency must be positive")
-        if self.cp_duration_s < 0:
-            raise ValueError("symbol duration shorter than 1/df leaves no room for a CP")
 
     @property
     def cp_duration_s(self) -> float:
@@ -160,7 +154,6 @@ def perturb_estimate(
     is finite, as ``ScenarioConfig`` bounds it. A zero-energy channel perturbs
     to itself (the error scale is relative).
     """
-    h = np.asarray(h, dtype=complex)
     energy = np.linalg.norm(h) ** 2
     if nmse_db is None or nmse_db == -np.inf or energy == 0.0:
         return h.copy()

@@ -8,6 +8,7 @@ test suite quick). Config files are JSON documents mirroring the field names.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -156,7 +157,9 @@ class ScenarioConfig:
         if self.rx_rf_chains <= self.k_targets:
             raise ValueError(f"rx rf chains must exceed the {self.k_targets} targets (UL user "
                              f"included) that MUSIC resolves, got {self.rx_rf_chains}")
-        wf = self.waveform()  # validates the numerology
+        wf = self.waveform()
+        if wf.cp_duration_s < 0:
+            raise ValueError("symbol duration shorter than 1/df leaves no room for a CP")
         p, q_lo, q_hi = wf.n_subcarriers, -(wf.n_symbols // 2), wf.n_symbols - wf.n_symbols // 2
         targets = [(f"{key}[{i}]", spec) for key in ("dl_scatterers", "radar_targets")
                    for i, spec in enumerate(getattr(self, key))] + [("ul_user", self.ul_user)]
@@ -171,6 +174,16 @@ class ScenarioConfig:
             if not q_lo - 0.5 <= m < q_hi - 0.5:
                 raise ValueError(f"{where}: target velocity {spec.velocity_mps} m/s is {m:.4g} "
                                  f"Doppler bins, outside [{q_lo}, {q_hi - 1}]")
+        # each dwell weighs all M_b RX antennas, so it resolves angles only as finely as
+        # the array: a pair inside its main lobe (first null 2/M_b away in sin(angle),
+        # which is 2-periodic) can swap bins in a trial that does not fail
+        m_b = self.n_rx_antennas
+        sines = [(where, math.sin(math.radians(spec.angle_deg))) for where, spec in targets]
+        for (a, sin_a), (b, sin_b) in itertools.combinations(sines, 2):
+            gap = min(abs(sin_a - sin_b), 2.0 - abs(sin_a - sin_b))
+            if gap < 2.0 / m_b:
+                raise ValueError(f"{a} and {b}: target angles {gap:.4g} apart in sin(angle), "
+                                 f"inside the {m_b}-antenna RX main lobe of 2/{m_b}")
 
     # Derived dimensions
     @property

@@ -38,7 +38,7 @@ def radar_sinr(echo: np.ndarray, si: np.ndarray, w_rf: np.ndarray, sigma_b2: flo
 
 def dl_snr(bf: HybridBeamformers, h_dl: np.ndarray, sigma_u2: float) -> float:
     """Downlink SNR ||W_u^H H_dl V_rf V_bb||_F^2 / (||W_u||^2 sigma_u^2)."""
-    sig = _herm(bf.w_u) @ np.asarray(h_dl, dtype=complex) @ bf.v_b_rf @ bf.v_b_bb
+    sig = _herm(bf.w_u) @ h_dl @ bf.v_b_rf @ bf.v_b_bb
     return _power(sig) / (_power(bf.w_u) * sigma_u2)
 
 
@@ -60,6 +60,6 @@ def ideal_dl_rate(h_dl: np.ndarray, p_b: float, sigma_u2: float, st: int) -> flo
     SVD waterlevel-free baseline: sum over the top ``st`` singular values of
     log2(1 + (p_b/st) * s_i^2 / sigma_u^2).
     """
-    sv = np.linalg.svd(np.asarray(h_dl, dtype=complex), compute_uv=False)
+    sv = np.linalg.svd(h_dl, compute_uv=False)
     top = sv[..., :st]
     return np.sum(np.log2(1.0 + (p_b / st) * top**2 / sigma_u2), axis=-1)

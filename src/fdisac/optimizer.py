@@ -100,19 +100,17 @@ def build_estimated_channels(
     Directions of shape (..., n) with ``ul_doa_deg`` and ``h_bb_hat`` carrying
     the same leading axes give a stack of estimates, one per trial.
     """
-
-    scatterers = np.asarray(scatterer_doas_deg, dtype=float)
-    interferers = np.concatenate([scatterers, np.asarray(other_doas_deg, dtype=float)], axis=-1)
+    interferers = np.concatenate([scatterer_doas_deg, other_doas_deg], axis=-1)
     h_int = gen_dl_channel(np.ones(interferers.shape[-1]), interferers, m_b, n_b)
     h_rad = h_int + gen_ul_channel(1.0, ul_doa_deg, m_b, n_b)
-    h_dl = gen_dl_channel(np.ones(scatterers.shape[-1]), scatterers, m_u, n_b)
+    h_dl = gen_dl_channel(np.ones(scatterer_doas_deg.shape[-1]), scatterer_doas_deg, m_u, n_b)
     h_ul = gen_ul_channel(1.0, ul_doa_deg, m_b, n_u)
     return EstimatedChannels(
         h_rad_hat=h_rad,
         h_rad_int_hat=h_int,
         h_dl_hat=h_dl,
         h_ul_hat=h_ul,
-        h_bb_hat=np.asarray(h_bb_hat, dtype=complex),
+        h_bb_hat=h_bb_hat,
     )
 
 
@@ -146,7 +144,6 @@ def _fix_phase(m: np.ndarray) -> np.ndarray:
 
     Works on the last two axes of a stack; all-zero columns are left as they are.
     """
-    m = np.asarray(m, dtype=complex)
     mags = np.abs(m)
     first = (mags > 1e-12 * mags.max(axis=-2, keepdims=True)).argmax(axis=-2)
     # the first significant entry of each column, summed out of a one-hot mask
@@ -157,7 +154,6 @@ def _fix_phase(m: np.ndarray) -> np.ndarray:
 
 def _principal(h: np.ndarray, n: int, right: bool = False) -> np.ndarray:
     """The top ``n`` left (``right``: right) singular vectors of ``h``, phase-fixed (stacks too)."""
-    h = np.asarray(h, dtype=complex)
     u, _, vh = np.linalg.svd(h, full_matrices=False)
     vecs = np.swapaxes(vh, -1, -2).conj() if right else u
     return _fix_phase(vecs[..., :n])
@@ -173,13 +169,12 @@ def select_tx_analog(h_rad_hat: np.ndarray, cb: np.ndarray) -> np.ndarray:
     A stack of channels gives a stack of networks; the search loops over the
     chains, so no per-chain score tensor of the whole stack is formed.
     """
-    h = np.asarray(h_rad_hat, dtype=complex)
     n_a = cb.shape[-1]
-    n_rf = h.shape[-1] // n_a
+    n_rf = h_rad_hat.shape[-1] // n_a
     cb_t = cb.T
-    idx = np.empty(h.shape[:-2] + (n_rf,), dtype=int)
+    idx = np.empty(h_rad_hat.shape[:-2] + (n_rf,), dtype=int)
     for i in range(n_rf):
-        scores = np.linalg.norm(h[..., i * n_a : (i + 1) * n_a] @ cb_t, axis=-2) ** 2
+        scores = np.linalg.norm(h_rad_hat[..., i * n_a : (i + 1) * n_a] @ cb_t, axis=-2) ** 2
         idx[..., i] = np.argmax(scores, axis=-1)
     return assemble_analog(cb[idx])
 
@@ -199,8 +194,8 @@ def select_rx_analog(
     give a stack of networks. All chains are scored at once: the scores
     hold one entry per chain, codebook beam and TX chain, never per antenna.
     """
-    radar_eff = np.asarray(h_rad_hat, dtype=complex) @ v_b_rf
-    si_eff = np.asarray(h_bb_hat, dtype=complex) @ v_b_rf
+    radar_eff = h_rad_hat @ v_b_rf
+    si_eff = h_bb_hat @ v_b_rf
     m_a = cb.shape[-1]
     lead, (m_b, n_rf) = radar_eff.shape[:-2], radar_eff.shape[-2:]
     chains = lead + (m_b // m_a, m_a, n_rf)
@@ -351,13 +346,11 @@ def numeric_tx_precoder(
     stand-ins). Without it, any failure raises one
     :class:`InfeasibleResultError` with the first failed problem's message.
     """
-    h = np.asarray(h_dl_eff, dtype=complex)
-    g = np.asarray(g_target, dtype=complex)
-    rows = np.atleast_2d(np.asarray(t_rows, dtype=complex)).conj()  # c_r = ||row_r @ V||^2
+    rows = t_rows.conj()  # c_r = ||row_r @ V||^2
     lam = float(lambda_b_watts)
-    lead, n = h.shape[:-2], h.shape[-1]
+    lead, n = h_dl_eff.shape[:-2], h_dl_eff.shape[-1]
     # a flat stack of problems; rows without leading axes are shared by all
-    h, g, rows = (a.reshape((-1,) + a.shape[-2:]) for a in (h, g, rows))
+    h, g, rows = (a.reshape((-1,) + a.shape[-2:]) for a in (h_dl_eff, g_target, rows))
     if np.isinf(lam):
         rows = rows[:, :0]  # no row can bind
 
@@ -430,7 +423,6 @@ def power_normalize(v_rf: np.ndarray, v_bb: np.ndarray, p_b_watts: float) -> np.
     Compliant columns and designs are scaled by 1 (a zero one is no 0 / 0).
     Works on stacks of networks and precoders.
     """
-    v_bb = np.asarray(v_bb, dtype=complex)
     for axis in (-2, (-2, -1)):  # the columns, then the whole precoder
         power = np.linalg.norm(v_rf @ v_bb, axis=axis, keepdims=True) ** 2
         v_bb = v_bb * np.sqrt(np.divide(p_b_watts, power, out=np.ones_like(power),
@@ -455,10 +447,9 @@ def nsp_rx_combiner(h_ul_eff: np.ndarray, h_rad_int_eff: np.ndarray):
     are masked to zero. Returns ``(w, errors)``, ``errors`` holding per
     matrix of the flattened stack None or its :class:`DegenerateCombinerError`.
     """
-    h_int = np.asarray(h_rad_int_eff, dtype=complex)
     x = _principal(h_ul_eff, 1)
 
-    sing_u, sing_vals, _ = np.linalg.svd(h_int, full_matrices=False)
+    sing_u, sing_vals, _ = np.linalg.svd(h_rad_int_eff, full_matrices=False)
     # singular values descend, so the kept columns are each matrix's rank;
     # an all-zero matrix keeps none
     keep = sing_vals > _RANK_TOL_REL * sing_vals[..., :1]

@@ -426,8 +426,8 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     # MUSIC fails keeps its error and senses the configured angles as a stand-in.
     cov = sample_covariance(np.swapaxes(y_rf, -1, -2))
     del y_rf
-    music = music_doas(cov, k, plan.grid_deg, plan.manifold, plan.gain)
-    est = [d if e is None else angles for d, e in zip(music.doas_deg, music.errors)]
+    doas, music_errors = music_doas(cov, k, plan.grid_deg, plan.manifold, plan.gain)
+    est = [d if e is None else angles for d, e in zip(doas, music_errors)]
     matched = _match_doas(est, angles)
 
     cy, s = dwell_projections(cfg, plan, drawn, matched, h_si_true, h_si_hat, v_bb0, h_ul_true,
@@ -457,7 +457,7 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     return _Block(
         matched=matched, h_si_true=h_si_true, h_si_hat=h_si_hat, h_dl_true=h_dl_true,
         sensing_rows=sensing_rows, map_sum=normed.sum(axis=1), profiles=normed.max(axis=-1),
-        errors=list(music.errors),
+        errors=list(music_errors),
     )
 
 
@@ -564,10 +564,9 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
 
 
 def _aggregate(trials: list) -> dict:
+    """Means and maxima over the ok trials; :func:`run_scenario` passes at least one."""
     ok = [t for t in trials if "error" not in t]
     agg = {"n_trials": len(trials), "n_failed": len(trials) - len(ok)}
-    if not ok:
-        return agg
     for key in ok[0]["metrics"]:
         agg[f"mean_{key}"] = float(np.mean([t["metrics"][key] for t in ok]))
     agg["max_analog_residual_w"] = float(np.max([max(t["analog_residual_w"]) for t in ok]))

@@ -16,11 +16,11 @@ the P x Q OFDM grid:
   5. 2-D periodogram of z; the peak bin (n*, m*) quantizes delay and Doppler:
      tau = n*/(P*df), f_D = m*/(Q*T_s).
 
-Every step takes a stack along leading axes: steps 1 and 2 one covariance
-per trial, steps 3-5 K dwells per trial (K angles and a stack of K analog
-networks for steps 3 and 4, a stack of grids for step 5). MUSIC returns a
-matrix's failure as a value, in :attr:`MusicResult.errors`, and the other
-matrices of its stack continue.
+Every step takes the arrays the runner builds, stacked along leading axes:
+steps 1 and 2 one covariance per trial, steps 3-5 K dwells per trial (K
+angles and a stack of K analog networks for steps 3 and 4, a stack of grids
+for step 5). MUSIC returns a matrix's failure as a value, in its ``errors``
+tuple, and the other matrices of its stack continue.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .channels import Waveform
 from .errors import EstimationFailureError
 
 __all__ = [
-    "MusicResult",
     "DelayDopplerMap",
     "angle_grid",
     "sample_covariance",
@@ -50,20 +49,6 @@ __all__ = [
 DIVISION_GUARD_REL = 1e-8
 # Snapshots per product of the sample covariance's sum.
 COVARIANCE_SLICE = 4096
-
-
-@dataclass(frozen=True)
-class MusicResult:
-    """MUSIC pseudo-spectrum over the angle grid and the K strongest peaks.
-
-    Each field holds one entry per matrix (leading axes flattened; a single
-    matrix is a stack of one); ``errors`` is None or the exception that
-    failed the matrix.
-    """
-
-    spectrum: np.ndarray
-    doas_deg: list
-    errors: tuple
 
 
 @dataclass(frozen=True)
@@ -86,14 +71,14 @@ def angle_grid(grid_step_deg: float) -> np.ndarray:
     return np.linspace(-90.0, 90.0, n)
 
 
-def sample_covariance(snapshots) -> np.ndarray:
-    """(1/n) * sum of y y^H over the n >= 1 rows of each snapshot set (..., n, m); Hermitian PSD.
+def sample_covariance(y: np.ndarray) -> np.ndarray:
+    """(1/n) * sum of y y^H over the n >= 1 rows of each snapshot set (..., n, m); PSD.
 
     The sum runs over slices of :data:`COVARIANCE_SLICE` rows, so no more
     than one slice of the stack is conjugated at a time; up to that many rows
-    (every ``fast`` grid) are one product.
+    (every ``fast`` grid) are one product. The result is (r + r^H) / 2, whose
+    every entry is the conjugate of its mirror bit for bit: exactly Hermitian.
     """
-    y = np.asarray(snapshots, dtype=complex)
     first, *rest = (y[..., i : i + COVARIANCE_SLICE, :]
                     for i in range(0, y.shape[-2], COVARIANCE_SLICE))
     r = np.swapaxes(first, -1, -2) @ first.conj()
@@ -105,36 +90,25 @@ def sample_covariance(snapshots) -> np.ndarray:
 
 def music_doas(
     r: np.ndarray, k: int, grid_deg: np.ndarray, manifold: np.ndarray, gain: np.ndarray
-) -> MusicResult:
-    """MUSIC direction estimates from a stack of (m x m) covariance matrices.
+) -> tuple[list, tuple]:
+    """MUSIC direction estimates from a stack of (m x m) sample covariances.
 
     The noise subspace is spanned by the eigenvectors of the ``m - k``
     smallest eigenvalues; the pseudo-spectrum is ||b||^2 / ||E_n^H b||^2 swept
     over the angles ``grid_deg``. ``manifold`` (m x n_grid) holds the steering
     vectors b, one column per angle (behind an analog combiner, the effective
-    ones of :func:`combiner_manifold`), and ``gain`` their ||b||^2. Returns
-    the k largest peaks sorted ascending; fewer than k local maxima fail with
-    :class:`EstimationFailureError`.
+    ones of :func:`combiner_manifold`), and ``gain`` their ||b||^2.
 
     The stack is decomposed as one, its peaks picked per matrix (a single
-    matrix is a stack of one). A matrix that fails (not Hermitian, not PSD,
-    a flat spectrum, too few peaks) is recorded in
-    :attr:`MusicResult.errors`. The caller passes 1 <= k < m (the config has
-    more RX chains than targets) and an (m, n_grid) manifold.
+    matrix is a stack of one). ``r`` comes from :func:`sample_covariance`, so
+    it is Hermitian PSD. Returns ``(doas, errors)``, one entry per matrix of
+    the flattened stack: the k largest peaks sorted ascending, and None or
+    the :class:`EstimationFailureError` of a flat spectrum or of fewer than
+    k local maxima. The caller passes 1 <= k < m (the config has more RX
+    chains than targets) and an (m, n_grid) manifold.
     """
-    r = np.asarray(r, dtype=complex)
-    grid = np.asarray(grid_deg, dtype=float)
     array_size = r.shape[-1]
-    stack = r.reshape(-1, array_size, array_size)
-    scale = np.maximum(np.abs(stack).max(axis=(-2, -1)), 1e-300)
-    hermitian = np.isclose(
-        stack, np.swapaxes(stack, -1, -2).conj(), rtol=1e-8, atol=1e-10 * scale[:, None, None]
-    ).all(axis=(-2, -1))
-    errors = [None if ok else ValueError("covariance matrix must be Hermitian") for ok in hermitian]
-    if not hermitian.all():  # decompose a stand-in in place of each rejected matrix
-        stack = np.where(hermitian[:, None, None], stack, np.eye(array_size))
-    eigvals, eigvecs = np.linalg.eigh(stack)
-    negative = eigvals[:, 0] < -1e-8 * np.maximum(eigvals[:, -1], 1e-300)
+    _, eigvecs = np.linalg.eigh(r.reshape(-1, array_size, array_size))
     noise_basis = eigvecs[..., : array_size - k]
 
     leak = np.abs(np.swapaxes(noise_basis.conj(), -1, -2) @ manifold)
@@ -143,20 +117,18 @@ def music_doas(
     floor = max(gain.max(), 1e-300) * 1e-30
     spectrum = gain / np.maximum(leak, floor)
 
-    doas = []
-    for t, row in enumerate(spectrum):
+    doas, errors = [], []
+    for row in spectrum:
         peaks = _local_maxima(row)
-        doas.append(sorted(float(grid[i]) for i in peaks[np.argsort(row[peaks])[::-1][:k]]))
-        if errors[t] is not None:
-            continue
-        if negative[t]:
-            errors[t] = ValueError("covariance matrix must be positive semi-definite")
-        elif row.max() - row.min() <= 1e-9 * row.max():
+        doas.append(sorted(float(grid_deg[i]) for i in peaks[np.argsort(row[peaks])[::-1][:k]]))
+        if row.max() - row.min() <= 1e-9 * row.max():
             # flat to numerical precision: no directional information
-            errors[t] = EstimationFailureError("pseudo-spectrum is flat")
+            errors.append(EstimationFailureError("pseudo-spectrum is flat"))
         elif peaks.size < k:
-            errors[t] = EstimationFailureError(f"found {peaks.size} spectrum peaks, needed {k}")
-    return MusicResult(spectrum=spectrum, doas_deg=doas, errors=tuple(errors))
+            errors.append(EstimationFailureError(f"found {peaks.size} spectrum peaks, needed {k}"))
+        else:
+            errors.append(None)
+    return doas, tuple(errors)
 
 
 def combiner_manifold(w_rf: np.ndarray, grid_deg: np.ndarray) -> np.ndarray:
@@ -215,11 +187,9 @@ def delay_doppler_quotient(cy_grid: np.ndarray, s_grid: np.ndarray):
 
     Returns ``(z, excluded)``, z and the mask of flagged cells in the input shape.
     """
-    cy = np.asarray(cy_grid, dtype=complex)
-    s = np.asarray(s_grid, dtype=complex)
-    mag = np.abs(s)
+    mag = np.abs(s_grid)
     excluded = mag < DIVISION_GUARD_REL * np.maximum(mag.max(axis=(-2, -1), keepdims=True), 1e-300)
-    return np.divide(cy, s, out=np.zeros_like(cy), where=~excluded), excluded
+    return np.divide(cy_grid, s_grid, out=np.zeros_like(cy_grid), where=~excluded), excluded
 
 
 def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
@@ -229,7 +199,6 @@ def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
     subcarrier axis (delay); the Doppler axis is then shifted to the signed
     index range [-Q/2, Q/2 - 1].
     """
-    z = np.asarray(z, dtype=complex)
     p_count, q_count = z.shape[-2:]
     transform = np.fft.ifft(np.fft.fft(z, axis=-1), axis=-2)
     transform *= p_count

@@ -11,7 +11,7 @@ from fdisac.channels import (
     gen_ul_channel,
     perturb_estimate,
 )
-from fdisac.config import TargetSpec
+from fdisac.config import ScenarioConfig, TargetSpec
 from oracles import radar_channel_at
 
 
@@ -87,8 +87,9 @@ def test_waveform_numerology_consistency():
     wf = _wf()
     assert abs(wf.symbol_duration_s - (1.0 / wf.subcarrier_spacing_hz + wf.cp_duration_s)) \
         <= 1e-12 * wf.symbol_duration_s
+    # the config checks the cyclic prefix: ScenarioConfig.waveform() builds every Waveform in use
     with pytest.raises(ValueError, match="no room for a CP"):
-        _wf(ts=8e-6)  # shorter than 1/df = 8.33 us
+        ScenarioConfig(symbol_duration_s=8e-6)  # shorter than 1/df = 8.33 us
 
 
 def test_radar_channel_no_phase_at_origin_cell():

@@ -140,8 +140,32 @@ def test_target_geometry_checked_when_config_is_built(overrides, message):
 
 
 def test_target_geometry_at_its_limits_is_accepted():
-    cfg = fast_profile(ul_user=TargetSpec(90.0, 0.0), radar_targets=(TargetSpec(-90.0, 5.0),))
-    assert cfg.ul_user.angle_deg == 90.0 and cfg.radar_targets[0].range_m == 5.0
+    # one config per limit: +-90 deg together are one ULA direction, which is rejected
+    assert fast_profile(ul_user=TargetSpec(90.0, 0.0)).ul_user.angle_deg == 90.0
+    cfg = fast_profile(radar_targets=(TargetSpec(-90.0, 5.0),))
+    assert cfg.radar_targets[0].angle_deg == -90.0 and cfg.radar_targets[0].range_m == 5.0
+
+
+def test_targets_inside_one_rx_main_lobe_are_rejected():
+    # each dwell weighs all M_b = 32 RX antennas, so two targets closer than the
+    # main lobe's first null, 2/M_b in sin(angle), can read each other's bins
+    # in a trial that does not fail
+    lobe = "inside the 32-antenna RX main lobe of 2/32"
+    # sin(angle) is 2-periodic in the ULA phase: +-90 deg are one direction
+    with pytest.raises(ValueError, match=re.escape(
+            f"radar_targets[0] and ul_user: target angles 0 apart in sin(angle), {lobe}")):
+        fast_profile(radar_targets=(TargetSpec(-90.0, 5.0),), ul_user=TargetSpec(90.0, 0.0))
+    # across endfire: 75.4 and -78.9 deg are 0.051 apart
+    with pytest.raises(ValueError, match=re.escape(
+            f"radar_targets[1] and ul_user: target angles 0.051 apart in sin(angle), {lobe}")):
+        fast_profile(radar_targets=(TargetSpec(20.0, 0.0), TargetSpec(75.4, 0.0)),
+                     ul_user=TargetSpec(-78.9, 0.0))
+    # the first null is the threshold: the UL user 0.0624 below the 20-deg
+    # target in sin(angle) is rejected, 0.0626 below is accepted
+    sin_20 = np.sin(np.deg2rad(20.0))
+    with pytest.raises(ValueError, match=re.escape("radar_targets[0] and ul_user")):
+        fast_profile(ul_user=TargetSpec(np.degrees(np.arcsin(sin_20 - 0.0624)), 0.0))
+    fast_profile(ul_user=TargetSpec(np.degrees(np.arcsin(sin_20 - 0.0626)), 0.0))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -722,57 +723,30 @@ def test_shifting_every_power_by_the_same_db_changes_no_answer(base):
 
 
 def test_coincident_radar_targets_swap_roles_silently():
-    # both fast radar targets at 20 deg: MUSIC does not raise but finds a
-    # spurious peak near -26 deg, and the sorted matching shifts the roles:
-    # the first 20-deg target is sensed at the UL user's -10 deg (and reports
-    # its bins), the UL user at the scatterer's -20 deg. Nothing fails.
+    # both fast radar targets at 20 deg: MUSIC finds a spurious peak near
+    # -26 deg and the sorted matching shifts the roles in trials that do not
+    # fail, so the config rejects the pair, naming both
     base = fast_profile(trials=2, seed=1)
-    cfg = base.with_overrides(
-        radar_targets=tuple(replace(t, angle_deg=20.0) for t in base.radar_targets)
-    )
-    report = run_scenario(cfg)
-    assert report.aggregate["n_failed"] == 0
-    assert report.aggregate["max_doa_error_deg"] == pytest.approx(30.0)
-    for trial, spurious in zip(report.trials, (-25.6, -26.2)):
-        rows = trial["sensing"]
-        assert [row["true_angle_deg"] for row in rows] == [-30.0, -20.0, 20.0, 20.0, -10.0]
-        assert [row["doa_deg"] for row in rows] == pytest.approx(
-            [-30.0, spurious, -10.0, 20.0, -20.0], abs=1e-9
-        )
-        assert [row["bin_n"] for row in rows] == [12, 25, 37, 50, 25]
+    with pytest.raises(ValueError, match=re.escape(
+            "radar_targets[0] and radar_targets[1]: target angles 0 apart in sin(angle)")):
+        base.with_overrides(
+            radar_targets=tuple(replace(t, angle_deg=20.0) for t in base.radar_targets))
 
 
-_FAST_BINS = [(12, 0), (25, 0), (50, 1), (62, -2), (37, 0)]
-
-
-@pytest.mark.parametrize(
-    "delta, doas, bins",
-    [
-        # a spurious -25.7 deg peak stands in for the second source and the
-        # sorted matching swaps the roles, as for coincident targets
-        (0.1, [-30.0, -25.7, -10.0, 20.1, -20.0],
-         [[(12, 0), (25, 0), (37, 0), (62, -2), (25, 0)]] * 2),
-        (0.2, [-30.0, -20.0, 20.0, 20.2, -10.0], [_FAST_BINS] * 2),
-        # DoAs exact, but in the first trial the 20.3-deg dwell reports the
-        # 20-deg target's bins
-        (0.3, [-30.0, -20.0, 20.0, 20.3, -10.0], [_FAST_BINS[:3] + [(50, 1)] + _FAST_BINS[4:], _FAST_BINS]),
-        (0.5, [-30.0, -20.0, 20.0, 20.5, -10.0], [_FAST_BINS] * 2),
-    ],
-)
-def test_closely_spaced_radar_targets(delta, doas, bins):
-    # the fast radar targets at 20 and 20 + delta deg: MUSIC never returns
-    # fewer than K peaks and no trial fails, whatever the answers
+@pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.5])
+def test_closely_spaced_radar_targets(delta):
+    # the fast radar targets at 20 and 20 + delta deg lie 0.0016 to 0.0082 apart
+    # in sin(angle), inside the 32-antenna RX main lobe (2/32), where no trial
+    # fails whatever the answers: at 0.1 deg a spurious peak swaps the roles and
+    # at 0.3 deg one dwell reads its neighbour's bins. The config rejects each pair
     base = fast_profile(trials=2, seed=1)
     first, second = base.radar_targets
-    cfg = base.with_overrides(
-        radar_targets=(replace(first, angle_deg=20.0), replace(second, angle_deg=20.0 + delta))
-    )
-    report = run_scenario(cfg)
-    assert report.aggregate["n_failed"] == 0
-    for trial, want in zip(report.trials, bins):
-        rows = trial["sensing"]
-        assert [row["doa_deg"] for row in rows] == pytest.approx(doas, abs=1e-9)
-        assert [(row["bin_n"], row["bin_m"]) for row in rows] == want
+    gap = np.sin(np.deg2rad(20.0 + delta)) - np.sin(np.deg2rad(20.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"radar_targets[0] and radar_targets[1]: target angles {gap:.4g} apart")):
+        base.with_overrides(
+            radar_targets=(replace(first, angle_deg=20.0), replace(second, angle_deg=20.0 + delta))
+        )
 
 
 @st.composite
@@ -799,11 +773,32 @@ def _on_grid_scenes(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(_on_grid_scenes())
+# 75.4 and -78.9 deg lie 0.051 apart in sin(angle), inside the main lobe: the UL
+# user's dwell read bins (31, -5) in a trial that did not fail
+@example(
+    scene=([TargetSpec(angle_deg=0.0, range_m=0.0, velocity_mps=0.0),
+            TargetSpec(angle_deg=10.0, range_m=0.0, velocity_mps=0.0),
+            TargetSpec(angle_deg=-10.0, range_m=0.0, velocity_mps=0.0),
+            TargetSpec(angle_deg=75.4, range_m=0.0, velocity_mps=0.0),
+            TargetSpec(angle_deg=-78.9, range_m=0.0, velocity_mps=-42.86864790198591)],
+           [(0, 0), (0, 0), (0, 0), (0, 0), (0, -1)],
+           242),
+)
 def test_on_grid_bins_are_exact_property(scene):
+    # a scene is rejected at build if and only if two of its targets lie inside
+    # the RX main lobe, 2/M_b apart in sin(angle); every other scene reads exact bins
     specs, bins, seed = scene
-    cfg = fast_profile(trials=1, seed=seed).with_overrides(
-        dl_scatterers=tuple(specs[:2]), radar_targets=tuple(specs[2:4]), ul_user=specs[4]
-    )
+    geometry = dict(dl_scatterers=tuple(specs[:2]), radar_targets=tuple(specs[2:4]),
+                    ul_user=specs[4])
+    # sin(angle) enters the ULA phase as pi * sin(angle): the gap is that phase difference's
+    sines = np.sin(np.deg2rad([spec.angle_deg for spec in specs]))
+    gaps = np.abs(np.angle(np.exp(1j * np.pi * (sines[:, None] - sines)))) / np.pi
+    m_b = fast_profile().n_rx_antennas
+    if gaps[np.triu_indices(len(specs), 1)].min() < 2 / m_b:
+        with pytest.raises(ValueError, match=f"inside the {m_b}-antenna RX main lobe"):
+            fast_profile(trials=1, seed=seed, **geometry)
+        return
+    cfg = fast_profile(trials=1, seed=seed, **geometry)
     report = run_scenario(cfg)
     trial = report.trials[0]
     assert "error" not in trial, trial.get("error")

@@ -30,7 +30,7 @@ def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
 def _ula_music(r, k, grid_step_deg, m):
     """MUSIC over the plain m-element ULA response on the uniform angle grid.
 
-    One (m x m) matrix is a stack of one: its results are entry 0 of each field.
+    One (m x m) matrix is a stack of one: its results are entry 0 of each list.
     """
     grid = angle_grid(grid_step_deg)
     manifold = ula_response_matrix(m, grid)
@@ -57,13 +57,13 @@ def _peak(z):
 
 def test_covariance_single_snapshot_outer_product():
     y = np.array([1.0 + 1.0j, 2.0 - 1.0j, 0.5j])
-    r = sample_covariance([y])
+    r = sample_covariance(y[None])
     np.testing.assert_allclose(r, np.outer(y, y.conj()), atol=1e-14)
 
 
 def test_covariance_repeated_snapshot_rank_one():
     y = np.array([1.0, 1.0j, -1.0])
-    r = sample_covariance([y] * 10)
+    r = sample_covariance(np.array([y] * 10))
     eig = np.linalg.eigvalsh(r)
     assert eig[0] >= -1e-12 * eig[-1]
     assert np.sum(eig > 1e-10 * eig[-1]) == 1
@@ -99,14 +99,19 @@ def test_covariance_sums_slices_like_one_product():
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31), m=st.integers(1, 8), n=st.integers(1, 40))
-def test_covariance_hermitian_psd(seed, m, n):
+@given(seed=st.integers(0, 2**31), t=st.integers(1, 3), m=st.integers(1, 8),
+       n=st.one_of(st.integers(1, 40),
+                   st.integers(sensing.COVARIANCE_SLICE - 1, 2 * sensing.COVARIANCE_SLICE + 40)))
+def test_covariance_hermitian_psd(seed, t, m, n):
+    # a stack shaped like the runner's slot-1 snapshots (T, P*Q, M_rf), also
+    # longer than one slice: MUSIC relies on every matrix being exactly Hermitian
     rng = np.random.default_rng(seed)
-    snaps = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    snaps = rng.standard_normal((t, n, m)) + 1j * rng.standard_normal((t, n, m))
     r = sample_covariance(snaps)
-    np.testing.assert_allclose(r, r.conj().T, atol=1e-12 * max(1.0, np.abs(r).max()))
+    assert r.shape == (t, m, m)
+    assert np.array_equal(r, np.conj(np.swapaxes(r, -1, -2)))
     eig = np.linalg.eigvalsh(r)
-    assert eig[0] >= -1e-10 * max(eig[-1], 1e-300)
+    assert (eig[:, 0] >= -1e-10 * np.maximum(eig[:, -1], 1e-300)).all()
 
 
 # --------------------------------------------------------------------- MUSIC
@@ -116,9 +121,9 @@ def test_music_noiseless_single_source_exact():
     theta = -20.0  # on the 0.1 degree grid
     a = steering(6, theta)
     r = np.outer(a, a.conj())
-    result = _ula_music(r, 1, 0.1, 6)
-    assert result.errors == (None,)
-    assert result.doas_deg[0] == [pytest.approx(theta, abs=1e-9)]
+    doas, errors = _ula_music(r, 1, 0.1, 6)
+    assert errors == (None,)
+    assert doas[0] == [pytest.approx(theta, abs=1e-9)]
 
 
 def test_music_two_sources_snr20():
@@ -131,10 +136,10 @@ def test_music_two_sources_snr20():
     noise = sigma * (rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap))) / np.sqrt(2)
     y = np.outer(a1, s[0]) + np.outer(a2, s[1]) + noise
     r = sample_covariance(y.T)
-    result = _ula_music(r, 2, 0.1, m)
-    assert result.errors == (None,)
-    assert abs(result.doas_deg[0][0] - (-30.0)) <= 0.1
-    assert abs(result.doas_deg[0][1] - (-20.0)) <= 0.1
+    doas, errors = _ula_music(r, 2, 0.1, m)
+    assert errors == (None,)
+    assert abs(doas[0][0] - (-30.0)) <= 0.1
+    assert abs(doas[0][1] - (-20.0)) <= 0.1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -142,38 +147,31 @@ def test_music_noiseless_exact_for_any_source_count(k):
     m = 8
     angles = [-40.0, -15.0, 5.0, 30.0, 60.0][:k]
     r = sum(np.outer(steering(m, a), steering(m, a).conj()) for a in angles)
-    result = _ula_music(np.asarray(r, dtype=complex), k, 0.1, m)
-    assert result.errors == (None,)
-    np.testing.assert_allclose(result.doas_deg[0], angles, atol=0.1)
+    doas, errors = _ula_music(np.asarray(r, dtype=complex), k, 0.1, m)
+    assert errors == (None,)
+    np.testing.assert_allclose(doas[0], angles, atol=0.1)
 
 
 def test_music_flat_spectrum_fails_with_partial():
     r = 0.3 * np.eye(5, dtype=complex)
-    # one matrix is a stack of one; it keeps the error next to the partial result, its spectrum
-    result = _ula_music(r, 1, 1.0, 5)
-    assert isinstance(result.errors[0], EstimationFailureError)
-    assert str(result.errors[0]) == "pseudo-spectrum is flat"
-    assert result.spectrum.shape == (1, 181)
+    # one matrix is a stack of one; it keeps the error next to the partial result
+    doas, errors = _ula_music(r, 1, 1.0, 5)
+    assert isinstance(errors[0], EstimationFailureError)
+    assert str(errors[0]) == "pseudo-spectrum is flat"
+    assert len(doas) == 1
     # a failed matrix fails only its own entry of a stack
-    stacked = _ula_music(np.stack([r, np.outer(steering(5, 10.0), steering(5, 10.0).conj())]),
-                         1, 1.0, 5)
-    assert isinstance(stacked.errors[0], EstimationFailureError) and stacked.errors[1] is None
-    assert stacked.doas_deg[1] == [pytest.approx(10.0)]
+    doas, errors = _ula_music(np.stack([r, np.outer(steering(5, 10.0), steering(5, 10.0).conj())]),
+                              1, 1.0, 5)
+    assert isinstance(errors[0], EstimationFailureError) and errors[1] is None
+    assert doas[1] == [pytest.approx(10.0)]
 
 
 def test_music_precondition_errors():
-    r = np.eye(4, dtype=complex)
-    # a matrix that fails a per-matrix check records its error and raises nothing
-    bad = r.copy()
-    bad[0, 1] = 1.0
-    assert str(_ula_music(bad, 1, 0.5, 4).errors[0]) == "covariance matrix must be Hermitian"
-    indefinite = np.diag([1.0, -1.0, 0.5, 0.2]).astype(complex)
-    error = _ula_music(indefinite, 1, 0.5, 4).errors[0]
-    assert type(error) is ValueError
-    assert str(error) == "covariance matrix must be positive semi-definite"
-    # a one-dimensional noise subspace whose single null lies at -30 deg: one peak for k = 3
+    # a matrix with too few peaks records its error and raises nothing: a
+    # one-dimensional noise subspace whose single null lies at -30 deg gives
+    # one peak for k = 3
     u = np.array([1.0, 0.5j, 0.0, 0.0]) / np.sqrt(1.25)
-    error = _ula_music(np.eye(4) - np.outer(u, u.conj()), 3, 0.5, 4).errors[0]
+    error = _ula_music(np.eye(4) - np.outer(u, u.conj()), 3, 0.5, 4)[1][0]
     assert isinstance(error, EstimationFailureError)
     assert str(error) == "found 1 spectrum peaks, needed 3"
 
@@ -189,9 +187,9 @@ def test_music_custom_manifold_recovers_through_combiner():
     r = np.outer(b, b.conj())
     grid = angle_grid(0.1)
     manifold = w.conj().T @ ula_response_matrix(16, grid)
-    result = music_doas(r, 1, grid, manifold, np.sum(np.abs(manifold) ** 2, axis=0))
-    assert result.errors == (None,)
-    assert abs(result.doas_deg[0][0] - theta) <= 0.1
+    doas, errors = music_doas(r, 1, grid, manifold, np.sum(np.abs(manifold) ** 2, axis=0))
+    assert errors == (None,)
+    assert abs(doas[0][0] - theta) <= 0.1
 
 
 @settings(max_examples=200, deadline=None)
