@@ -89,10 +89,12 @@ def _cmd_sense(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _parse_values(raw: str | None) -> list[float]:
-    if not raw:
-        return [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    return [float(v) for v in raw.split(",") if v.strip() != ""]
+def _parse_values(raw: str | None, variable: str, cfg: ScenarioConfig) -> list:
+    if raw:
+        return [float(v) for v in raw.split(",") if v.strip() != ""]
+    if variable == "n_taps":  # every legal tap count: 0, M_rf, ..., M_rf N_rf
+        return list(range(0, cfg.rx_rf_chains * cfg.tx_rf_chains + 1, cfg.rx_rf_chains))
+    return [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
 
 
 def _cmd_rates(args, cfg: ScenarioConfig) -> int:
@@ -156,7 +158,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         if args.command == "rates":  # the sweep's points are outside values too
-            args.values = _parse_values(args.values)
+            args.values = _parse_values(args.values, args.sweep, cfg)
             sweep_configs(cfg, args.sweep, args.values)
     except (ValueError, OSError) as exc:  # a rejected config is one line, as argparse's errors
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -51,16 +51,21 @@ __all__ = [
     "run_algorithm1",
 ]
 
-_RATIO_GUARD = 1e-12  # regularizes the RX ratio search denominator
-_RANK_TOL_REL = 1e-10  # singular values below this fraction of the largest are noise
+# A guard's comment names the tier-1 test that fails with the guard set to 0.
+_RATIO_GUARD = 1e-12  # RX ratio search ridge (test_rx_analog_zero_si_reduces_to_gain_search)
+_RANK_TOL_REL = 1e-10  # relative singular-value noise floor (test_criterion_1_doa_recovery)
 _EPS = float(np.finfo(float).eps)
 # TX precoder dual solver
 _NULL_RIDGE_REL = 1e-12  # null(H) ridge, relative to the mean squared singular value
-_GUARD_MAX_REL = 1e-9  # largest relative scale the final feasibility step may apply
+# largest relative scale the final feasibility step may apply
+# (test_criterion_4_closed_form_vs_numeric_precoder)
+_GUARD_MAX_REL = 1e-9
 _ARMIJO = 1e-4  # sufficient-increase fraction of the dual line search
 _MAX_SOLVES = 200  # cap on evaluations of V(zeta)
 _KKT_TOL = 1e-12  # Newton stop: the largest projected gradient relative to lambda_b
-_RCOND = 1e-14  # Newton system eigenvalues below this fraction of the largest are zero
+# Newton system eigenvalues below this fraction of the largest are zero
+# (test_precoder_completes_every_trial_with_more_leakage_rows_than_tx_chains[55.0])
+_RCOND = 1e-14
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,11 @@ class HybridBeamformers:
 
 
 def _fix_phase(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive.
+    """Rotate each column so its first entry above 1e-12 of its largest is real positive.
 
     Works on the last two axes of a stack; all-zero columns are left as they are.
+    The 1e-12 guard (test_user_combiner_phase_ignores_rounding_level_entries)
+    skips an entry the SVD left at rounding level, of no set phase.
     """
     mags = np.abs(m)
     first = (mags > 1e-12 * mags.max(axis=-2, keepdims=True)).argmax(axis=-2)

@@ -8,27 +8,28 @@ slot 2, whose link metrics are then scored: the DL and SI terms on the true
 channels, the radar echo and the UL term on the estimated ones.
 
 A call runs its trials in blocks, one loop over a leading trial axis. Within
-a block only the generator draws stay per trial, each trial drawing from its
-own generator in its own order; the channels, slot-1 snapshots, covariances,
-MUSIC (one stacked eigendecomposition, peaks picked per trial), the K dwells,
-the delay-Doppler quotients and maps, and then slot 2's design and metrics
-(:func:`_slot2`) each run once over the block. A trial whose sensing, design
-or power check fails records the same error as a one-trial block and the rest
-of its block continues. Every receiver forms the SI both cancellers leave, the
-compressed estimation error, through its own weights (:func:`receiver_rows`).
+a block only the generator draws and the basis chunks stay per trial, each
+trial drawing from its own generator in its own order; the channels,
+covariances, MUSIC (one stacked eigendecomposition, peaks picked per trial),
+the K dwells, the delay-Doppler quotients and maps, and then slot 2's design
+and metrics (:func:`_slot2`) each run once over the block. A trial whose
+sensing, design or power check fails records the same error as a one-trial
+block and the rest of its block continues. Every receiver forms the SI both
+cancellers leave, the compressed estimation error, through its own weights
+(:func:`receiver_rows`).
 
 Every sensing observation is linear in a few per-trial waveforms: the DL and
 UL symbols, the RX noise and each target's delay-Doppler phase times the DL
 symbols. A trial draws the first three once, as its drawn rows (each a block
 of :func:`~fdisac.channels.fill_complex_normal`); each receiver is a row of
-coefficients over its waveform basis (:func:`receiver_rows`), so the slot-1
-snapshots and the K dwells' projections are products with its basis. A block
-keeps only the drawn rows of its trials. Each pass (slot 1, then the dwells)
-forms a trial's basis, echo rows included, one chunk of whole subcarriers at a
-time in one scratch of at most :data:`CHUNK_BYTES` (512 KiB)
-(:func:`basis_products`): one chunk per ``fast`` trial, 12 per ``table1``
-trial. A block holds as many trials as fit their drawn rows in
-:data:`BLOCK_BYTES` (1 MiB): 5 on ``fast`` and 1 on ``table1``.
+coefficients over its waveform basis (:func:`receiver_rows`). Each pass
+(slot 1, then the dwells) forms a trial's basis, echo rows included, one chunk
+of whole subcarriers at a time in one scratch of at most :data:`CHUNK_BYTES`
+(512 KiB) (:func:`basis_chunks`): one chunk per ``fast`` trial, 12 per
+``table1`` trial. Slot 1 adds each chunk's y y^H into its trial's covariance
+sum; the dwells write their products into one grid, which the quotient and
+the periodogram then overwrite. A block holds as many trials as fit their
+drawn rows in :data:`BLOCK_BYTES` (1 MiB): 5 on ``fast`` and 1 on ``table1``.
 
 What depends on the configured geometry alone (codebooks, slot-1 networks,
 MUSIC manifold, the targets' factored phases, the map axes) is built once per
@@ -219,32 +220,25 @@ def waveform_basis(basis: np.ndarray, delay_phases: np.ndarray, doppler_phases: 
     return basis
 
 
-def basis_products(rows: np.ndarray, drawn: np.ndarray, plan: ScenarioPlan,
-                   n_streams: int) -> np.ndarray:
-    """Each trial's receivers times its waveform basis, shape (T, n, n_cells).
+def basis_chunks(drawn: np.ndarray, plan: ScenarioPlan, n_streams: int):
+    """``(t, cells, basis)``: each trial t of ``drawn`` (T, n_drawn, n_cells), chunk by chunk.
 
-    ``rows`` (T, n, n_rows) holds the receivers of T trials and ``drawn``
-    (T, n_drawn, n_cells) their drawn rows. Each trial's basis is formed in
-    one scratch, one chunk of whole subcarriers at a time
-    (:func:`_chunk_subcarriers`): the chunk's drawn rows are copied in, its
-    echo rows formed (:func:`waveform_basis`), and one product fills the
-    chunk's cells. So no more than one chunk of any basis exists, and every
-    call forms its own echo rows.
+    ``basis`` is trial t's waveform basis over the ``cells`` of one chunk of whole
+    subcarriers (:data:`CHUNK_BYTES`), drawn rows copied in and echo rows formed
+    (:func:`waveform_basis`), in one scratch: no more than one chunk of a basis exists.
     """
-    n_drawn, n_cells = drawn.shape[1:]
+    n_drawn = drawn.shape[1]
+    n_rows = n_drawn + len(plan.delay_phases) * n_streams
     n_p, n_q = plan.wf.n_subcarriers, plan.wf.n_symbols
-    step = _chunk_subcarriers(rows.shape[-1], plan.wf)
-    scratch = np.empty((rows.shape[-1], step * n_q), dtype=complex)
-    out = np.empty(rows.shape[:-1] + (n_cells,), dtype=complex)
+    step = min(max(1, CHUNK_BYTES // (n_rows * n_q * 16)), n_p)  # subcarriers: 70 on table1
+    scratch = np.empty((n_rows, step * n_q), dtype=complex)
     for t in range(len(drawn)):
         for first in range(0, n_p, step):
             cells = slice(first * n_q, min(first + step, n_p) * n_q)
             basis = scratch[:, : cells.stop - cells.start]
             basis[:n_drawn] = drawn[t, :, cells]
-            waveform_basis(basis, plan.delay_phases[:, first : first + step],
-                           plan.doppler_phases, n_streams)
-            np.matmul(rows[t], basis, out=out[t, :, cells])
-    return out
+            yield t, cells, waveform_basis(basis, plan.delay_phases[:, first : first + step],
+                                           plan.doppler_phases, n_streams)
 
 
 def receiver_rows(c, w_rf: np.ndarray, v_rf: np.ndarray, h_si: np.ndarray,
@@ -279,15 +273,20 @@ def synthesize_rx_snapshots(drawn: np.ndarray, plan: ScenarioPlan, w_rf: np.ndar
                             v_rf: np.ndarray, h_si: np.ndarray, h_si_hat: np.ndarray,
                             v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, angles_deg,
                             gains: np.ndarray) -> np.ndarray:
-    """RF-chain-domain snapshots of T trials over the whole OFDM grid, shape (T, m_rf, P*Q).
+    """Sum of y y^H over the RF-chain-domain slot-1 snapshots y of T trials, shape (T, m_rf, m_rf).
 
-    Chain i is the receiver c = e_i of :func:`receiver_rows`, so each trial's
-    snapshots are its products with the chunks of its basis
-    (:func:`basis_products`), and no antenna-domain signal is formed.
+    Chain i is the receiver c = e_i of :func:`receiver_rows`; each chunk of a
+    trial's basis (:func:`basis_chunks`) gives its snapshots y in one product
+    and adds their y y^H, so no trial's whole snapshots are formed. The name
+    stays because ``benchmarks/spans.py`` rebinds it (``REBOUND``).
     """
     rows = receiver_rows(np.eye(w_rf.shape[-1]), w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u,
                          angles_deg, gains)
-    return basis_products(rows, drawn, plan, v_bb.shape[-1])
+    gram = np.zeros(rows.shape[:-1] + (w_rf.shape[-1],), dtype=complex)
+    for t, _, basis in basis_chunks(drawn, plan, v_bb.shape[-1]):
+        y = rows[t] @ basis
+        gram[t] += y @ y.conj().T
+    return gram
 
 
 def _match_doas(est_doas, true_angles: Sequence[float]) -> np.ndarray:
@@ -311,29 +310,34 @@ def pointed_analog_stack(n_chains: int, cb: np.ndarray, angles_deg) -> np.ndarra
 def dwell_projections(cfg: ScenarioConfig, plan: ScenarioPlan, drawn: np.ndarray,
                       angles_deg: np.ndarray, h_si_true: np.ndarray, h_si_hat: np.ndarray,
                       v_bb: np.ndarray, h_ul: np.ndarray, v_u: np.ndarray, gains: np.ndarray):
-    """Projected snapshots c^T y and references s of one dwell per angle, each (T, K, P*Q).
+    """Projected snapshots c^T y and references s of one dwell per angle, each (T, K, P, Q).
 
     A dwell repoints the TX and RX chains to the codebook beam nearest its
     angle, which restores full array gain for that target and pushes the
     others into the subarray sidelobes; its SI residual follows the new
     compression. Only the projection onto the dwell's RX weights is
     formed, a trial's K dwells (``angles_deg`` (T, K)) as one product per
-    chunk of its basis (:func:`basis_products`).
+    chunk of its basis (:func:`basis_chunks`), written into the grid.
     """
     v_k = pointed_analog_stack(cfg.tx_rf_chains, plan.cb_tx, angles_deg)
     w_k = pointed_analog_stack(cfg.rx_rf_chains, plan.cb_rx, angles_deg)
     c = dwell_weights(w_k, angles_deg)[..., None, :]
     angles = [t.angle_deg for t in cfg.all_target_specs()]
     rows = receiver_rows(c, w_k, v_k, h_si_true[:, None], h_si_hat[:, None], v_bb, h_ul[:, None],
-                         v_u[:, None], angles, gains[:, None])
+                         v_u[:, None], angles, gains[:, None])[..., 0, :]
     st = v_bb.shape[-1]
-    cy = basis_products(rows[..., 0, :], drawn, plan, st)
-    return cy, reference_signal_grid(angles_deg, v_k, v_bb, drawn[:, :st])
+    cy = np.empty(rows.shape[:-1] + drawn.shape[-1:], dtype=complex)
+    for t, cells, basis in basis_chunks(drawn, plan, st):
+        np.matmul(rows[t], basis, out=cy[t, :, cells])
+    del basis  # the last chunk's view would keep the scratch alive beside the references
+    s = reference_signal_grid(angles_deg, v_k, v_bb, drawn[:, :st])
+    grid = cy.shape[:-1] + (plan.wf.n_subcarriers, plan.wf.n_symbols)
+    return cy.reshape(grid), s.reshape(grid)
 
 
 # Bytes of drawn waveform rows that one block of trials may hold.
 BLOCK_BYTES = 1 << 20
-# Bytes of one basis chunk (basis_products): a whole fast trial's basis (473 KB) fits.
+# Bytes of one basis chunk (basis_chunks): a whole fast trial's basis (473 KB) fits.
 CHUNK_BYTES = BLOCK_BYTES // 2
 
 
@@ -342,21 +346,10 @@ def _block_trials(cfg: ScenarioConfig, plan: ScenarioPlan) -> int:
 
     A trial draws N_s + 1 + M_rf complex rows over the P Q cells
     (:func:`_sense_block`), so a block holds 5 trials on ``fast`` and 1 on
-    ``table1``. The scratch of one basis chunk (:func:`_chunk_subcarriers`)
-    comes on top.
+    ``table1``; the scratch of one basis chunk (:func:`basis_chunks`) comes on top.
     """
     n_cells = plan.wf.n_subcarriers * plan.wf.n_symbols
     return max(1, BLOCK_BYTES // ((cfg.n_streams + 1 + cfg.rx_rf_chains) * n_cells * 16))
-
-
-def _chunk_subcarriers(n_rows: int, wf: Waveform) -> int:
-    """Subcarriers per basis chunk: as many as fit ``n_rows`` rows in :data:`CHUNK_BYTES`.
-
-    At least one, at most P. A basis has N_s + 1 + M_rf drawn and K N_s echo
-    rows, 33 on both profiles, so a chunk holds all 64 subcarriers of
-    ``fast`` and 70 of the 792 of ``table1``.
-    """
-    return min(max(1, CHUNK_BYTES // (n_rows * wf.n_symbols * 16)), wf.n_subcarriers)
 
 
 @dataclass
@@ -419,25 +412,20 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     # Slot 1: spread beams, identity-like digital precoder, random UL direction.
     v_bb0 = np.eye(cfg.tx_rf_chains, dtype=complex)[:, :st] * np.sqrt(cfg.p_b_watts / st)
     v_u0 *= np.sqrt(cfg.p_u_watts)
-    y_rf = synthesize_rx_snapshots(drawn, plan, plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat,
+    gram = synthesize_rx_snapshots(drawn, plan, plan.w_rf0, plan.v_rf0, h_si_true, h_si_hat,
                                    v_bb0, h_ul_true, v_u0, angles, gains)
 
     # Sensing: directions first, then per-target delay-Doppler. A trial whose
     # MUSIC fails keeps its error and senses the configured angles as a stand-in.
-    cov = sample_covariance(np.swapaxes(y_rf, -1, -2))
-    del y_rf
+    cov = sample_covariance(gram, n_cells)
     doas, music_errors = music_doas(cov, k, plan.grid_deg, plan.manifold, plan.gain)
     est = [d if e is None else angles for d, e in zip(doas, music_errors)]
     matched = _match_doas(est, angles)
 
-    cy, s = dwell_projections(cfg, plan, drawn, matched, h_si_true, h_si_hat, v_bb0, h_ul_true,
-                              v_u0, gains)
-    del drawn  # the quotient's temporaries reuse its memory
-    dwell_grid = (n_trials, k, wf.n_subcarriers, wf.n_symbols)
-    z, _ = delay_doppler_quotient(cy.reshape(dwell_grid), s.reshape(dwell_grid))
-    del cy, s
-    dd = delay_doppler_map(z)
-    del z
+    grid, s = dwell_projections(cfg, plan, drawn, matched, h_si_true, h_si_hat, v_bb0, h_ul_true,
+                                v_u0, gains)
+    del drawn  # the quotient's mask and the map's magnitude reuse its memory
+    dd = delay_doppler_map(delay_doppler_quotient(grid, s)[0])  # both overwrite grid
 
     delay, doppler, range_m, velocity = recover_parameters(dd.peak_n, dd.peak_m, wf)
     true = np.array([(spec.angle_deg, spec.range_m, spec.velocity_mps) for spec in specs]).T

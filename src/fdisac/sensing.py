@@ -3,7 +3,7 @@
 The estimation chain works on the RF-chain-domain snapshots collected over
 the P x Q OFDM grid:
 
-  1. sample covariance of the slot-1 snapshots,
+  1. sample covariance of the slot-1 snapshots, from the sum of their y y^H,
   2. MUSIC pseudo-spectrum over an angle grid for the K directions,
   3. per-dwell reference s(p, q) = a_tx(theta)^H V_rf V_bb sym(p, q), one
      scalar per cell,
@@ -19,8 +19,9 @@ the P x Q OFDM grid:
 Every step takes the arrays the runner builds, stacked along leading axes:
 steps 1 and 2 one covariance per trial, steps 3-5 K dwells per trial (K
 angles and a stack of K analog networks for steps 3 and 4, a stack of grids
-for step 5). MUSIC returns a matrix's failure as a value, in its ``errors``
-tuple, and the other matrices of its stack continue.
+for step 5), and steps 4 and 5 overwrite their input grid. MUSIC returns a
+matrix's failure as a value, in its ``errors`` tuple, and the other matrices
+of its stack continue.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ __all__ = [
     "recover_parameters",
 ]
 
-# Quotient cells with |s| below this fraction of the grid maximum are excluded.
+# Quotient cells with |s| below this fraction of the grid maximum are excluded; at
+# 0, the noise-only trial of test_traced_run_keeps_a_failed_trial_record fails.
 DIVISION_GUARD_REL = 1e-8
-# Snapshots per product of the sample covariance's sum.
-COVARIANCE_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,14 @@ def angle_grid(grid_step_deg: float) -> np.ndarray:
     return np.linspace(-90.0, 90.0, n)
 
 
-def sample_covariance(y: np.ndarray) -> np.ndarray:
-    """(1/n) * sum of y y^H over the n >= 1 rows of each snapshot set (..., n, m); PSD.
+def sample_covariance(gram: np.ndarray, n: int) -> np.ndarray:
+    """Sample covariance of n >= 1 snapshots from ``gram`` (..., m, m), the sum of their y y^H.
 
-    The sum runs over slices of :data:`COVARIANCE_SLICE` rows, so no more
-    than one slice of the stack is conjugated at a time; up to that many rows
-    (every ``fast`` grid) are one product. The result is (r + r^H) / 2, whose
-    every entry is the conjugate of its mirror bit for bit: exactly Hermitian.
+    The result is (r + r^H) / 2 for r = ``gram`` / n, whose every entry is the
+    conjugate of its mirror bit for bit: exactly Hermitian, and PSD like any
+    sum of y y^H.
     """
-    first, *rest = (y[..., i : i + COVARIANCE_SLICE, :]
-                    for i in range(0, y.shape[-2], COVARIANCE_SLICE))
-    r = np.swapaxes(first, -1, -2) @ first.conj()
-    for part in rest:
-        r += np.swapaxes(part, -1, -2) @ part.conj()
-    r /= y.shape[-2]
+    r = gram / n
     return (r + np.swapaxes(r, -1, -2).conj()) / 2.0
 
 
@@ -114,7 +108,7 @@ def music_doas(
     leak = np.abs(np.swapaxes(noise_basis.conj(), -1, -2) @ manifold)
     leak **= 2
     leak = leak.sum(axis=-2)
-    floor = max(gain.max(), 1e-300) * 1e-30
+    floor = max(gain.max(), 1e-300) * 1e-30  # at 0, test_music_exact_null_keeps_a_finite_peak fails
     spectrum = gain / np.maximum(leak, floor)
 
     doas, errors = [], []
@@ -177,7 +171,7 @@ def dwell_weights(w_rf: np.ndarray, theta_hat_deg) -> np.ndarray:
 
 
 def delay_doppler_quotient(cy_grid: np.ndarray, s_grid: np.ndarray):
-    """Quotient z = c^T y / s between the projected snapshots and the reference.
+    """Quotient z = c^T y / s between the projected snapshots and the reference, in place.
 
     ``cy_grid`` holds the snapshots projected onto :func:`dwell_weights`,
     ``s_grid`` the reference of :func:`reference_signal_grid`, both of shape
@@ -185,25 +179,28 @@ def delay_doppler_quotient(cy_grid: np.ndarray, s_grid: np.ndarray):
     :data:`DIVISION_GUARD_REL` times the largest |s| of their own grid are set
     to 0 and flagged.
 
-    Returns ``(z, excluded)``, z and the mask of flagged cells in the input shape.
+    Returns ``(z, excluded)``: ``cy_grid`` overwritten by z, and the mask of
+    flagged cells in the input shape.
     """
     mag = np.abs(s_grid)
     excluded = mag < DIVISION_GUARD_REL * np.maximum(mag.max(axis=(-2, -1), keepdims=True), 1e-300)
-    return np.divide(cy_grid, s_grid, out=np.zeros_like(cy_grid), where=~excluded), excluded
+    np.copyto(cy_grid, 0, where=excluded)
+    return np.divide(cy_grid, s_grid, out=cy_grid, where=~excluded), excluded
 
 
 def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
     """2-D periodogram of the quotient grid, or of each grid of a stack (..., P, Q).
 
     A DFT runs over the symbol axis (Doppler) and an inverse DFT over the
-    subcarrier axis (delay); the Doppler axis is then shifted to the signed
+    subcarrier axis (delay), both in place: ``z`` is overwritten by its
+    transform. The magnitude's Doppler axis is then shifted to the signed
     index range [-Q/2, Q/2 - 1].
     """
     p_count, q_count = z.shape[-2:]
-    transform = np.fft.ifft(np.fft.fft(z, axis=-1), axis=-2)
-    transform *= p_count
-    magnitude = np.fft.fftshift(np.abs(transform), axes=-1)
-    del transform
+    np.fft.fft(z, axis=-1, out=z)
+    np.fft.ifft(z, axis=-2, out=z)
+    z *= p_count
+    magnitude = np.fft.fftshift(np.abs(z), axes=-1)
     magnitude **= 2
     flat = np.argmax(magnitude.reshape(*z.shape[:-2], -1), axis=-1)
     peak_n, col = np.divmod(flat, q_count)

@@ -236,6 +236,17 @@ def test_rates_sweeps_the_tap_count(tmp_path):
     assert all(float(x) > 0 for r in rows for x in r[1:])
 
 
+def test_rates_sweeps_every_legal_tap_count_without_values(tmp_path):
+    # the dBm grid 0, 5, ..., 30 is no tap sweep (5 is not a multiple of the
+    # 8 RX chains); the default is 0, M_rf, ..., M_rf N_rf of the resolved config
+    out = tmp_path / "r"
+    assert main(["rates", "--profile", "fast", "--trials", "1", "--sweep", "n_taps",
+                 "--out", str(out)]) == 0
+    with open(out / "rates.csv", encoding="utf-8") as fh:
+        _, *rows = list(csv.reader(fh))
+    assert [int(r[0]) for r in rows] == list(range(0, 8 * 8 + 1, 8))
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it costs most of the CLI start-up
     code = "import fdisac, sys; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"

@@ -838,6 +838,21 @@ def test_user_beamformers_diagonal_downlink():
     np.testing.assert_allclose(np.abs(w_u), np.eye(3)[:, :2], atol=1e-12)
 
 
+def test_user_combiner_phase_ignores_rounding_level_entries():
+    # oracle: u0 turned so that its first nonzero entry is real positive. A
+    # rank-1 4 x 4 DL channel 3 u0 v0^H whose user antenna 0 sees nothing has
+    # u0[0] = 0, where the SVD leaves ~1e-17 of no set phase (with fewer user
+    # than BS antennas it leaves 0.0); that entry must not set the phase
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        u0 = np.r_[0.0, _crandn(rng, 3)]
+        u0 /= np.linalg.norm(u0)
+        h_dl = 3.0 * np.outer(u0, _crandn(rng, 4).conj())
+        w_u, _ = user_beamformers(h_dl, np.eye(2, dtype=complex), 1, 1.0)
+        want = u0 * (np.abs(u0[1]) / u0[1])
+        assert np.abs(w_u[:, 0] - want).max() <= 1e-12
+
+
 def test_user_beamformers_singular_vector_property():
     rng = np.random.default_rng(18)
     h_dl = _crandn(rng, 5, 6)

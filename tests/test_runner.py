@@ -28,6 +28,7 @@ from fdisac.runner import (
     _sense_block,
     _slot2,
     dwell_projections,
+    receiver_rows,
     run_scenario,
     scenario_plan,
     spread_analog,
@@ -36,7 +37,9 @@ from fdisac.runner import (
     validate_suite,
     waveform_basis,
 )
-from fdisac.sensing import angle_grid, combiner_manifold, delay_doppler_quotient
+from fdisac.sensing import (
+    angle_grid, combiner_manifold, delay_doppler_quotient, sample_covariance,
+)
 from oracles import post_canceller_si, radar_channel_at, steering
 
 
@@ -130,12 +133,31 @@ def _scene(cfg, rng):
 
 
 def _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs, gains):
-    """Slot-1 snapshots of one trial, a block of one over ``basis``."""
+    """Slot-1 snapshots of one trial and the pipeline's covariance of them, a block of one.
+
+    The snapshots are the trial's identity receivers (:func:`receiver_rows`)
+    times its whole ``basis``; the covariance comes from the chunked sum of
+    :func:`synthesize_rx_snapshots`.
+    """
     angles = [spec.angle_deg for spec in specs]
-    (y,) = synthesize_rx_snapshots(basis[None, :n_drawn], scenario_plan(cfg), w_rf, v_rf,
-                                   h_si[None], h_si_hat[None], v_bb, h_ul[None], v_u[None],
-                                   angles, np.asarray(gains)[None])
-    return y
+    args = (w_rf, v_rf, h_si[None], h_si_hat[None], v_bb, h_ul[None], v_u[None], angles,
+            np.asarray(gains)[None])
+    y = receiver_rows(np.eye(w_rf.shape[-1]), *args)[0] @ basis
+    gram = synthesize_rx_snapshots(basis[None, :n_drawn], scenario_plan(cfg), *args)
+    return y, sample_covariance(gram, basis.shape[-1])[0]
+
+
+def _assert_covariance_of(y, cov, exact):
+    """``cov`` is the covariance of the snapshots ``y`` (m_rf, n_cells) formed in one product.
+
+    Bit for bit if ``exact`` (the pipeline summed one chunk), else within 1e-14
+    of the largest entry.
+    """
+    r = y @ y.conj().T / y.shape[-1]
+    want = (r + r.conj().T) / 2.0
+    if exact:
+        assert cov.tobytes() == want.tobytes()
+    assert np.abs(cov - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _si_pair(cfg, rng, scale):
@@ -179,7 +201,9 @@ def test_snapshot_synthesis_matches_per_cell_channel_oracle():
     basis, n_drawn = _basis(cfg, rng, 0.1)
     sym_b, sym_u, noise = basis[:st], basis[st], basis[st + 1 : st + 5]
 
-    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs, gains)
+    y, cov = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs,
+                        gains)
+    _assert_covariance_of(y, cov, exact=True)
     si_residual = _oracle_si(cfg, w_rf, v_rf, h_si, h_si_hat)
     assert np.abs(si_residual).min() > 0
 
@@ -225,7 +249,9 @@ def test_slot1_snapshots_match_per_term_oracle(profile):
     v_rf = spread_analog(cfg.tx_rf_chains, dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits))
     w_rf = spread_analog(cfg.rx_rf_chains, dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits))
     h_si, h_si_hat = _si_pair(cfg, rng, 1e-2)
-    y = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs, gains)
+    y, cov = _snapshots(cfg, basis, n_drawn, w_rf, v_rf, h_si, h_si_hat, v_bb, h_ul, v_u, specs,
+                        gains)
+    _assert_covariance_of(y, cov, exact=profile is fast_profile)
     resid = _oracle_si(cfg, w_rf, v_rf, h_si, h_si_hat)
     assert np.abs(resid).min() > 0
     phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, specs, basis, v_bb)
@@ -602,7 +628,9 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
         h_si_hat[None], v_bb, h_ul[None], v_u[None], gains[None],
     )
     shape = (len(specs), wf.n_subcarriers, wf.n_symbols)
-    z, excluded = delay_doppler_quotient(cy.reshape(shape), s.reshape(shape))
+    assert cy.shape == s.shape == shape
+    z, excluded = delay_doppler_quotient(cy.copy(), s)
+    cy, s = cy.reshape(len(specs), -1), s.reshape(len(specs), -1)
 
     phases, tx_rf, sym_u, noise = _oracle_waveforms(cfg, specs, basis, v_bb)
     for k, theta in enumerate(angles):
@@ -751,14 +779,14 @@ def test_closely_spaced_radar_targets(delta):
 
 @st.composite
 def _on_grid_scenes(draw):
-    # angles on the 0.1-deg scan grid within +-80 deg, pairwise >= 10 deg apart;
+    # angles on the 0.1-deg scan grid within +-80 deg, pairwise >= 10 deg apart,
+    # drawn in ascending order with room left for the rest and then permuted;
     # ranges and velocities on their bins
     wf = fast_profile().waveform()
-    tenths = draw(
-        st.lists(st.integers(-800, 800), min_size=5, max_size=5, unique=True).filter(
-            lambda a: np.diff(sorted(a)).min() >= 100
-        )
-    )
+    tenths = [draw(st.integers(-800, 400))]
+    for rest in range(3, -1, -1):
+        tenths.append(draw(st.integers(tenths[-1] + 100, 800 - 100 * rest)))
+    tenths = draw(st.permutations(tenths))
     bins = draw(st.lists(
         st.tuples(st.integers(0, wf.n_subcarriers - 1),
                   st.integers(-(wf.n_symbols // 2), wf.n_symbols // 2 - 1)),
@@ -922,7 +950,7 @@ def test_block_size_does_not_change_the_report(cfg, monkeypatch):
 
 
 def _zero_snapshots_of_trial(monkeypatch, failing):
-    """Make the ``failing``-th trial of a call see all-zero slot-1 snapshots.
+    """Make the ``failing``-th trial of a call see an all-zero slot-1 y y^H sum.
 
     A zero covariance leaves MUSIC 2 spectrum peaks for the K = 5 objects of
     ``fast``, so that trial's sensing fails.
@@ -930,12 +958,12 @@ def _zero_snapshots_of_trial(monkeypatch, failing):
     seen = [0]
     covariance = runner.sample_covariance
 
-    def zeroed(snapshots):
-        for t in range(len(snapshots)):
+    def zeroed(gram, n):
+        for t in range(len(gram)):
             if seen[0] == failing:
-                snapshots[t] = 0
+                gram[t] = 0
             seen[0] += 1
-        return covariance(snapshots)
+        return covariance(gram, n)
 
     monkeypatch.setattr(runner, "sample_covariance", zeroed)
 
@@ -1003,45 +1031,53 @@ def test_warm_table1_call_holds_no_more_than_drawn_rows_dwell_grids_and_one_chun
 
 
 def _chunked_sensing(cfg, subcarriers, monkeypatch):
-    """Slot-1 snapshots and dwell projections of one scene, and the report of ``cfg``.
+    """Slot-1 snapshots and covariance and the dwell grids of one scene, and the report of ``cfg``.
 
     The basis is formed in chunks of ``subcarriers``, or of the default size for None.
     """
     wf = cfg.waveform()
+    plan, rng = scenario_plan(cfg), np.random.default_rng(17)
+    specs, gains, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
     if subcarriers is not None:
         n_rows = cfg.n_streams * (1 + cfg.k_targets) + 1 + cfg.rx_rf_chains
         monkeypatch.setattr(runner, "CHUNK_BYTES", subcarriers * n_rows * wf.n_symbols * 16)
-        assert runner._chunk_subcarriers(n_rows, wf) == subcarriers
-    plan, rng = scenario_plan(cfg), np.random.default_rng(17)
-    specs, gains, h_ul, v_u, v_bb, basis, n_drawn = _scene(cfg, rng)
+        _, cells, _ = next(runner.basis_chunks(basis[None, :n_drawn], plan, cfg.n_streams))
+        assert cells.stop - cells.start == subcarriers * wf.n_symbols
     h_si, h_si_hat = _si_pair(cfg, rng, 1e-2)
-    y = _snapshots(cfg, basis, n_drawn, plan.w_rf0, plan.v_rf0, h_si, h_si_hat, v_bb, h_ul, v_u,
-                   specs, gains)
+    y, cov = _snapshots(cfg, basis, n_drawn, plan.w_rf0, plan.v_rf0, h_si, h_si_hat, v_bb, h_ul,
+                        v_u, specs, gains)
     angles = np.array([[spec.angle_deg for spec in specs]]) + 0.05
     dwells = dwell_projections(cfg, plan, basis[None, :n_drawn], angles, h_si[None],
                                h_si_hat[None], v_bb, h_ul[None], v_u[None], gains[None])
-    return [y, *dwells], run_scenario(cfg)
+    return y, cov, dwells, run_scenario(cfg)
 
 
 @pytest.mark.parametrize("profile", [fast_profile, table1_profile])
 def test_basis_chunk_size_does_not_change_snapshots_dwells_or_report(profile, monkeypatch):
-    # Chunks of 2 and 10 subcarriers (10 divides neither P = 64 nor P = 792,
-    # so the last chunk is short) give the default's bytes. OpenBLAS's zgemm
-    # forms a product's columns in groups of four and rounds a last group of
-    # one to three columns differently, so chunks of 1 and 7 subcarriers (14
-    # and 98 cells) differ in the last bits of two columns each: 33-term dot
-    # products, within 1e-14 of the largest entry. Their trial records are
-    # the default's, and their maps differ by rounding only (~1e-18 of the peak).
+    # Every chunk size gives the covariance of the snapshots formed in one
+    # product: bit for bit where one chunk holds the whole fast grid, else
+    # within 1e-14 of the largest entry, as its sum adds the chunks' y y^H in
+    # another order. Chunks of 2 and 10 subcarriers (10 divides neither P = 64
+    # nor P = 792, so the last chunk is short) give the default's dwell bytes
+    # and report. OpenBLAS's zgemm forms a product's columns in groups of four
+    # and rounds a last group of one to three columns differently, so chunks
+    # of 1 and 7 subcarriers (14 and 98 cells) differ in the last bits of two
+    # dwell columns each: 33-term dot products, within 1e-14 of the largest
+    # entry. Their trial records are the default's, and their maps differ by
+    # rounding only (~1e-18 of the peak).
     cfg = profile(trials=2, seed=4, csi_nmse_db=-10.0)
-    arrays, report = _chunked_sensing(cfg, None, monkeypatch)
+    y, cov, dwells, report = _chunked_sensing(cfg, None, monkeypatch)
+    _assert_covariance_of(y, cov, exact=profile is fast_profile)
     for subcarriers in (2, 10):
-        chunked, chunked_report = _chunked_sensing(cfg, subcarriers, monkeypatch)
-        for got, want in zip(chunked, arrays):
+        _, chunked_cov, chunked, chunked_report = _chunked_sensing(cfg, subcarriers, monkeypatch)
+        _assert_covariance_of(y, chunked_cov, exact=False)
+        for got, want in zip(chunked, dwells):
             assert got.tobytes() == want.tobytes()
         assert chunked_report.to_json() == report.to_json()
     for subcarriers in (1, 7):
-        chunked, chunked_report = _chunked_sensing(cfg, subcarriers, monkeypatch)
-        for got, want in zip(chunked, arrays):
+        _, chunked_cov, chunked, chunked_report = _chunked_sensing(cfg, subcarriers, monkeypatch)
+        _assert_covariance_of(y, chunked_cov, exact=False)
+        for got, want in zip(chunked, dwells):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert chunked_report.trials == report.trials
         got, want = chunked_report.range_velocity["magnitude"], report.range_velocity["magnitude"]

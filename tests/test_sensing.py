@@ -52,18 +52,23 @@ def _peak(z):
     return dd.peak_n, dd.peak_m
 
 
+def _covariance(snaps):
+    """Sample covariance of the rows of ``snaps`` (..., n, m), from the sum of their y y^H."""
+    return sample_covariance(np.swapaxes(snaps, -1, -2) @ snaps.conj(), snaps.shape[-2])
+
+
 # ---------------------------------------------------------------- covariance
 
 
 def test_covariance_single_snapshot_outer_product():
     y = np.array([1.0 + 1.0j, 2.0 - 1.0j, 0.5j])
-    r = sample_covariance(y[None])
+    r = _covariance(y[None])
     np.testing.assert_allclose(r, np.outer(y, y.conj()), atol=1e-14)
 
 
 def test_covariance_repeated_snapshot_rank_one():
     y = np.array([1.0, 1.0j, -1.0])
-    r = sample_covariance(np.array([y] * 10))
+    r = _covariance(np.array([y] * 10))
     eig = np.linalg.eigvalsh(r)
     assert eig[0] >= -1e-12 * eig[-1]
     assert np.sum(eig > 1e-10 * eig[-1]) == 1
@@ -76,38 +81,26 @@ def test_covariance_of_white_noise():
     snaps = np.sqrt(sigma2 / 2) * (
         rng.standard_normal((100000, 4)) + 1j * rng.standard_normal((100000, 4))
     )
-    r = sample_covariance(snaps)
+    r = _covariance(snaps)
     np.testing.assert_allclose(np.diag(r).real, sigma2, rtol=0.03)
     off = r - np.diag(np.diag(r))
     assert np.abs(off).max() < 0.03 * sigma2
 
 
-def test_covariance_sums_slices_like_one_product():
-    # oracle: the whole stack's y^T conj(y) in one product. A stack of one
-    # slice or less is that product bit for bit; a longer one (here three
-    # slices, the last short, as on table1's 11,088 cells) adds its slices'
-    # products, which rounds within 1e-14 of the largest entry
-    rng = np.random.default_rng(5)
-    for n in (sensing.COVARIANCE_SLICE, 2 * sensing.COVARIANCE_SLICE + 911):
-        y = rng.standard_normal((2, n, 8)) + 1j * rng.standard_normal((2, n, 8))
-        r = (np.swapaxes(y, -1, -2) @ y.conj()) / n
-        want = (r + np.swapaxes(r, -1, -2).conj()) / 2.0
-        got = sample_covariance(y)
-        if n == sensing.COVARIANCE_SLICE:
-            assert got.tobytes() == want.tobytes()
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31), t=st.integers(1, 3), m=st.integers(1, 8),
-       n=st.one_of(st.integers(1, 40),
-                   st.integers(sensing.COVARIANCE_SLICE - 1, 2 * sensing.COVARIANCE_SLICE + 40)))
-def test_covariance_hermitian_psd(seed, t, m, n):
-    # a stack shaped like the runner's slot-1 snapshots (T, P*Q, M_rf), also
-    # longer than one slice: MUSIC relies on every matrix being exactly Hermitian
+       n=st.integers(1, 40), chunk=st.integers(1, 40))
+def test_covariance_hermitian_psd(seed, t, m, n, chunk):
+    # a stack of sums shaped like the runner's slot-1 ones (T, M_rf, M_rf), each
+    # chunk of n snapshots (M_rf, chunk) adding its y y^H: MUSIC relies on every
+    # matrix being exactly Hermitian
     rng = np.random.default_rng(seed)
-    snaps = rng.standard_normal((t, n, m)) + 1j * rng.standard_normal((t, n, m))
-    r = sample_covariance(snaps)
+    snaps = rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n))
+    gram = np.zeros((t, m, m), dtype=complex)
+    for first in range(0, n, chunk):
+        y = snaps[..., first : first + chunk]
+        gram += y @ np.swapaxes(y, -1, -2).conj()
+    r = sample_covariance(gram, n)
     assert r.shape == (t, m, m)
     assert np.array_equal(r, np.conj(np.swapaxes(r, -1, -2)))
     eig = np.linalg.eigvalsh(r)
@@ -135,7 +128,7 @@ def test_music_two_sources_snr20():
     s = (rng.standard_normal((2, n_snap)) + 1j * rng.standard_normal((2, n_snap))) / np.sqrt(2)
     noise = sigma * (rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap))) / np.sqrt(2)
     y = np.outer(a1, s[0]) + np.outer(a2, s[1]) + noise
-    r = sample_covariance(y.T)
+    r = _covariance(y.T)
     doas, errors = _ula_music(r, 2, 0.1, m)
     assert errors == (None,)
     assert abs(doas[0][0] - (-30.0)) <= 0.1
@@ -150,6 +143,19 @@ def test_music_noiseless_exact_for_any_source_count(k):
     doas, errors = _ula_music(np.asarray(r, dtype=complex), k, 0.1, m)
     assert errors == (None,)
     np.testing.assert_allclose(doas[0], angles, atol=0.1)
+
+
+def test_music_exact_null_keeps_a_finite_peak():
+    # a noiseless source at broadside on two elements: the noise eigenvector
+    # is orthogonal to a(0) bit for bit, so ||E_n^H b||^2 is 0.0 there and only
+    # the spectrum's floor keeps that peak finite (and the division warning-free)
+    a = steering(2, 0.0)
+    r = np.outer(a, a.conj())
+    _, eigvecs = np.linalg.eigh(r)
+    assert eigvecs[:, 0].conj() @ a == 0.0
+    doas, errors = _ula_music(r, 1, 0.1, 2)
+    assert errors == (None,)
+    assert doas == [[0.0]]
 
 
 def test_music_flat_spectrum_fails_with_partial():
@@ -341,9 +347,9 @@ def test_quotient_stack_guards_each_grid_by_its_own_maximum():
     s[0] *= 1e10
     s[1, 0, 0] = 1e-3
     s[1, 2, 3] = 1e-12
-    z, excluded = delay_doppler_quotient(cy, s)
+    z, excluded = delay_doppler_quotient(cy.copy(), s)
     for k in range(2):
-        z_k, excluded_k = delay_doppler_quotient(cy[k], s[k])
+        z_k, excluded_k = delay_doppler_quotient(cy[k].copy(), s[k])
         np.testing.assert_array_equal(z[k], z_k)
         np.testing.assert_array_equal(excluded[k], excluded_k)
     assert np.flatnonzero(excluded).tolist() == [23]  # (1, 2, 3) only
@@ -436,7 +442,8 @@ def test_periodogram_scale_invariance(seed, re, im):
         scale = 1.0 + 0.0j
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
-    assert _peak(z) == _peak(scale * z)
+    scaled = scale * z  # formed before the map overwrites z
+    assert _peak(z) == _peak(scaled)
 
 
 def test_delay_doppler_map_peak_is_argmax():
@@ -451,12 +458,38 @@ def test_delay_doppler_map_stack_matches_each_grid():
     rng = np.random.default_rng(10)
     z = rng.standard_normal((3, 10, 8)) + 1j * rng.standard_normal((3, 10, 8))
     z[1, 2, :] += 40.0  # a strong row gives grid 1 its own peak
-    dd = delay_doppler_map(z)
+    dd = delay_doppler_map(z.copy())
     assert dd.magnitude.shape == z.shape and dd.peak_n.shape == dd.peak_m.shape == (3,)
     for k in range(3):
         dd_k = delay_doppler_map(z[k])
         np.testing.assert_allclose(dd.magnitude[k], dd_k.magnitude, rtol=1e-12)
         assert (dd.peak_n[k], dd.peak_m[k]) == (dd_k.peak_n, dd_k.peak_m)
+
+
+def test_quotient_and_map_overwrite_their_input_grid_with_the_out_of_place_bytes():
+    # oracle: the quotient into a fresh zero grid and the periodogram of fresh
+    # transforms. The quotient returns its input's buffer, and the map leaves
+    # its transform there; a guarded cell (s = 0) is included
+    rng = np.random.default_rng(12)
+    cy = rng.standard_normal((2, 3, 10, 8)) + 1j * rng.standard_normal((2, 3, 10, 8))
+    s = rng.standard_normal(cy.shape) + 1j * rng.standard_normal(cy.shape)
+    s[1, 2, 4, 5] = 0.0
+    mag = np.abs(s)
+    excluded = mag < sensing.DIVISION_GUARD_REL * mag.max(axis=(-2, -1), keepdims=True)
+    want_z = np.divide(cy, s, out=np.zeros_like(cy), where=~excluded)
+    transform = np.fft.ifft(np.fft.fft(want_z, axis=-1), axis=-2)
+    transform *= 10
+    want_magnitude = np.fft.fftshift(np.abs(transform), axes=-1)
+    want_magnitude **= 2
+
+    grid = cy.copy()
+    z, got_excluded = delay_doppler_quotient(grid, s)
+    assert np.shares_memory(z, grid)
+    assert z.tobytes() == want_z.tobytes()
+    np.testing.assert_array_equal(got_excluded, excluded)
+    dd = delay_doppler_map(z)
+    assert grid.tobytes() == transform.tobytes()
+    assert dd.magnitude.tobytes() == want_magnitude.tobytes()
 
 
 # ---------------------------------------------------------------- recovery
