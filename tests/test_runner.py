@@ -984,6 +984,28 @@ def test_failed_sensing_fails_only_its_trial_as_in_one_trial_blocks(monkeypatch)
     assert blocks.to_json() == one_trial.to_json()
 
 
+def test_block_wide_design_failure_keeps_each_trial_sensing_error(monkeypatch):
+    # the first block's design raises for the whole block: its trials read that
+    # error, except trial 2, whose own sensing failed first; the second block completes
+    cfg = fast_profile(trials=7, seed=2)
+    plain = run_scenario(cfg).trials
+    design = runner.run_algorithm1
+
+    def fails_on_five(est, cfg):
+        if len(est.h_bb_hat) == 5:
+            raise FloatingPointError("injected")
+        return design(est, cfg)
+
+    _zero_snapshots_of_trial(monkeypatch, 2)
+    monkeypatch.setattr(runner, "run_algorithm1", fails_on_five)
+    report = run_scenario(cfg)  # blocks of 5 and 2 trials
+    for t in (0, 1, 3, 4):
+        assert report.trials[t] == {"error": "FloatingPointError: injected"}
+    assert report.trials[2] == {"error": "EstimationFailureError: found 2 spectrum peaks, needed 5"}
+    assert report.trials[5:] == plain[5:]
+    assert report.aggregate["n_failed"] == 5
+
+
 def _traced_peak(cfg):
     """tracemalloc peak of one ``run_scenario`` call, the plan and codebooks already built."""
     run_scenario(cfg.with_overrides(trials=1))
