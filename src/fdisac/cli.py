@@ -83,8 +83,8 @@ def _cmd_sense(args, cfg: ScenarioConfig) -> int:
         out / "range_velocity.csv", ["range_m", "velocity_mps", "magnitude"], rows, args.format
     )
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    print(f"sense: {report.aggregate.get('n_trials')} trials, "
-          f"max DoA error {report.aggregate.get('max_doa_error_deg', float('nan')):.4f} deg, "
+    print(f"sense: {report.aggregate['n_trials']} trials, "
+          f"max DoA error {report.aggregate['max_doa_error_deg']:.4f} deg, "
           f"wall clock {report.wall_clock_s:.2f} s")
     return 0
 

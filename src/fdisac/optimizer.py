@@ -324,8 +324,8 @@ def numeric_tx_precoder(
     the mean squared singular value, so when the optimum is a whole face
     (H V = G reachable inside the leakage set) the result is its
     minimum-norm point. The ridge adds ridge * V to the stationarity
-    residual on null(H), linear in it: at 1e-10 that left 1.03e-8 of
-    ||H^H G|| on a 3x8 H with five active rows, at 1e-12 it leaves 2.4e-10.
+    residual on null(H), linear in it: 2.4e-10 of ||H^H G|| on a 3x8 H with
+    five active rows.
     With one row the iteration converges to the
     Sherman-Morrison closed form of the single-RX-chain case.
 

@@ -425,13 +425,14 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
     grid, s = dwell_projections(cfg, plan, drawn, matched, h_si_true, h_si_hat, v_bb0, h_ul_true,
                                 v_u0, gains)
     del drawn  # the quotient's mask and the map's magnitude reuse its memory
-    dd = delay_doppler_map(delay_doppler_quotient(grid, s)[0])  # both overwrite grid
+    # the quotient and the map both overwrite grid
+    magnitude, bin_n, bin_m = delay_doppler_map(delay_doppler_quotient(grid, s)[0])
 
-    delay, doppler, range_m, velocity = recover_parameters(dd.peak_n, dd.peak_m, wf)
+    delay, doppler, range_m, velocity = recover_parameters(bin_n, bin_m, wf)
     true = np.array([(spec.angle_deg, spec.range_m, spec.velocity_mps) for spec in specs]).T
     columns = {
         "doa_deg": matched, "delay_s": delay, "doppler_hz": doppler, "range_m": range_m,
-        "velocity_mps": velocity, "bin_n": dd.peak_n, "bin_m": dd.peak_m,
+        "velocity_mps": velocity, "bin_n": bin_n, "bin_m": bin_m,
         "doa_error_deg": np.abs(matched - true[0]), "range_error_m": np.abs(range_m - true[1]),
         "velocity_error_mps": np.abs(velocity - true[2]),
     }
@@ -441,7 +442,7 @@ def _sense_block(cfg: ScenarioConfig, plan: ScenarioPlan,
          for spec, row in zip(specs, zip(*trial))]
         for trial in zip(*(column.tolist() for column in columns.values()))
     ]
-    normed = _peak_normalized(dd.magnitude, (-2, -1))
+    normed = _peak_normalized(magnitude, (-2, -1))
     return _Block(
         matched=matched, h_si_true=h_si_true, h_si_hat=h_si_hat, h_dl_true=h_dl_true,
         sensing_rows=sensing_rows, map_sum=normed.sum(axis=1), profiles=normed.max(axis=-1),
@@ -468,85 +469,75 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
     """Design the block's beamformers and score them, all trials as one stack.
 
     Returns one trial record per trial of ``block``: its sensing rows and
-    metrics, or the error that failed its design, its power checks (budgets,
-    unit-norm UL combiner columns) or, for the whole block, any other step.
-    A trial whose sensing failed is designed from its stand-in angles;
-    :func:`run_scenario` records its sensing error instead.
+    metrics, or its first error: that of its sensing, of its design, or of
+    its power checks (budgets, unit-norm UL combiner columns). A trial whose
+    sensing failed is designed from its stand-in angles. A step that fails
+    for the whole block raises; :func:`run_scenario` records it.
     """
     n_scatter, k = len(cfg.dl_scatterers), cfg.k_targets
     matched = block.matched
-    try:
-        est = build_estimated_channels(
-            scatterer_doas_deg=matched[:, :n_scatter],
-            other_doas_deg=matched[:, n_scatter : k - 1],
-            ul_doa_deg=matched[:, k - 1],
-            h_bb_hat=block.h_si_hat,
-            m_b=cfg.n_rx_antennas,
-            n_b=cfg.n_tx_antennas,
-            m_u=cfg.dl_user_antennas,
-            n_u=cfg.ul_user_antennas,
-        )
-        bf = run_algorithm1(est, cfg)
+    est = build_estimated_channels(
+        scatterer_doas_deg=matched[:, :n_scatter],
+        other_doas_deg=matched[:, n_scatter : k - 1],
+        ul_doa_deg=matched[:, k - 1],
+        h_bb_hat=block.h_si_hat,
+        m_b=cfg.n_rx_antennas,
+        n_b=cfg.n_tx_antennas,
+        m_u=cfg.dl_user_antennas,
+        n_u=cfg.ul_user_antennas,
+    )
+    bf = run_algorithm1(est, cfg)
 
-        w_h = np.swapaxes(bf.w_b_rf, -1, -2).conj()
-        # R = H_tilde - H_tilde_hat, a difference of compressions as in receiver_rows
-        h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf
-        si = (h_tilde_true - bf.h_tilde_hat) @ bf.v_b_bb
-        echo = w_h @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
-        h_ul_eff = w_h @ est.h_ul_hat
-        ul = h_ul_eff @ bf.v_u_bb[..., None]
-        gamma_rad = radar_sinr(echo, si, bf.w_b_rf, cfg.sigma_b2_watts)
-        gamma_dl = dl_snr(bf, block.h_dl_true, cfg.sigma_u2_watts)
-        gamma_ul = ul_sinr(bf.w_b_bb, ul, echo, si, cfg.sigma_b2_watts)
-        gamma_ul_mss = ul_sinr(mss_rx_combiner(h_ul_eff), ul, echo, si, cfg.sigma_b2_watts)
-        rate_dl, rate_ul, rate_ul_mss = (np.log2(1.0 + g)
-                                         for g in (gamma_dl, gamma_ul, gamma_ul_mss))
-        rate_dl_ideal = ideal_dl_rate(block.h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts,
-                                      cfg.n_streams)
+    w_h = np.swapaxes(bf.w_b_rf, -1, -2).conj()
+    # R = H_tilde - H_tilde_hat, a difference of compressions as in receiver_rows
+    h_tilde_true = w_h @ block.h_si_true @ bf.v_b_rf
+    si = (h_tilde_true - bf.h_tilde_hat) @ bf.v_b_bb
+    echo = w_h @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
+    h_ul_eff = w_h @ est.h_ul_hat
+    ul = h_ul_eff @ bf.v_u_bb[..., None]
+    gamma_dl = dl_snr(bf, block.h_dl_true, cfg.sigma_u2_watts)
+    gamma_ul = ul_sinr(bf.w_b_bb, ul, echo, si, cfg.sigma_b2_watts)
+    gamma_ul_mss = ul_sinr(mss_rx_combiner(h_ul_eff), ul, echo, si, cfg.sigma_b2_watts)
+    metrics = {
+        "gamma_rad": radar_sinr(echo, si, bf.w_b_rf, cfg.sigma_b2_watts),
+        "gamma_dl": gamma_dl, "gamma_ul_nsp": gamma_ul, "gamma_ul_mss": gamma_ul_mss,
+        "rate_dl": np.log2(1.0 + gamma_dl), "rate_ul_nsp": np.log2(1.0 + gamma_ul),
+        "rate_ul_mss": np.log2(1.0 + gamma_ul_mss),
+        "rate_dl_ideal": ideal_dl_rate(block.h_dl_true, cfg.p_b_watts, cfg.sigma_u2_watts,
+                                       cfg.n_streams),
+    }
 
-        residual = analog_residual_power_per_chain(h_tilde_true, bf.analog_canceller, bf.v_b_bb)
+    h_int_eff = w_h @ est.h_rad_int_hat
+    int_norm = np.linalg.norm(h_int_eff, axis=(-2, -1))
+    null_norm = np.linalg.norm(np.swapaxes(bf.w_b_bb, -1, -2).conj() @ h_int_eff, axis=(-2, -1))
+    tx_power_w = tx_power(bf.v_b_rf, bf.v_b_bb)
+    ul_power_w = np.linalg.norm(bf.v_u_bb, axis=-1) ** 2
+    col_dev = np.abs(np.linalg.norm(bf.w_b_bb, axis=-2) - 1.0).max(axis=-1)
+    scalars = {
+        "tx_power_w": tx_power_w, "ul_power_w": ul_power_w,
+        "analog_residual_w": analog_residual_power_per_chain(h_tilde_true, bf.analog_canceller,
+                                                             bf.v_b_bb),
         # the estimated leakage, which the precoder bounds by lambda_b
-        leakage = analog_residual_power_per_chain(bf.h_tilde_hat, bf.analog_canceller,
-                                                  bf.v_b_bb).max(axis=-1)
-        h_int_eff = w_h @ est.h_rad_int_hat
-        int_norm = np.linalg.norm(h_int_eff, axis=(-2, -1))
-        null_norm = np.linalg.norm(np.swapaxes(bf.w_b_bb, -1, -2).conj() @ h_int_eff, axis=(-2, -1))
-        nulling = np.divide(null_norm, int_norm, out=np.zeros_like(int_norm), where=int_norm > 0)
-        tx_power_w = tx_power(bf.v_b_rf, bf.v_b_bb)
-        ul_power_w = np.linalg.norm(bf.v_u_bb, axis=-1) ** 2
-        col_dev = np.abs(np.linalg.norm(bf.w_b_bb, axis=-2) - 1.0).max(axis=-1)
-    except Exception as exc:  # a step failed for the whole block
-        return [_error_record(exc) for _ in block.errors]
+        "analog_leakage_w": analog_residual_power_per_chain(bf.h_tilde_hat, bf.analog_canceller,
+                                                            bf.v_b_bb).max(axis=-1),
+        "precoder_kkt_residual": bf.kkt_residual,
+        "nsp_nulling_ratio": np.divide(null_norm, int_norm, out=np.zeros_like(int_norm),
+                                       where=int_norm > 0),
+    }
 
     records = []
-    for t, (rows, error) in enumerate(zip(block.sensing_rows, bf.errors)):
+    for t, rows in enumerate(block.sensing_rows):
+        error = block.errors[t] or bf.errors[t]
         if error is None and not _within_budget(tx_power_w[t], cfg.p_b_watts):
             error = ValueError(f"TX power {float(tx_power_w[t])} exceeds budget {cfg.p_b_watts}")
         elif error is None and not _within_budget(ul_power_w[t], cfg.p_u_watts):
             error = ValueError(f"UL power {float(ul_power_w[t])} exceeds budget {cfg.p_u_watts}")
         elif error is None and col_dev[t] > 1e-9:
             error = ValueError("UL combiner columns must have unit norm")
-        if error is not None:
-            records.append(_error_record(error))
-            continue
-        records.append({
+        records.append(_error_record(error) if error is not None else {
             "sensing": rows,
-            "metrics": {
-                "gamma_rad": float(gamma_rad[t]),
-                "gamma_dl": float(gamma_dl[t]),
-                "gamma_ul_nsp": float(gamma_ul[t]),
-                "gamma_ul_mss": float(gamma_ul_mss[t]),
-                "rate_dl": float(rate_dl[t]),
-                "rate_ul_nsp": float(rate_ul[t]),
-                "rate_ul_mss": float(rate_ul_mss[t]),
-                "rate_dl_ideal": float(rate_dl_ideal[t]),
-            },
-            "tx_power_w": float(tx_power_w[t]),
-            "ul_power_w": float(ul_power_w[t]),
-            "analog_residual_w": residual[t].tolist(),
-            "analog_leakage_w": float(leakage[t]),
-            "precoder_kkt_residual": float(bf.kkt_residual[t]),
-            "nsp_nulling_ratio": float(nulling[t]),
+            "metrics": {name: v[t].tolist() for name, v in metrics.items()},
+            **{name: v[t].tolist() for name, v in scalars.items()},
         })
     return records
 
@@ -569,7 +560,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Run ``cfg.trials`` independent trials and aggregate the results.
 
     A failing trial is recorded under an ``error`` key instead of aborting the
-    run; only a run where every trial failed raises.
+    run; only a run where every trial failed raises. A step that fails for a
+    whole block gives each of its trials its own sensing error where it has
+    one, and that step's error otherwise.
     """
     start = time.perf_counter()
     plan = scenario_plan(cfg)
@@ -579,15 +572,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     trials, map_stack, profile_stack, angle_stack = [], [], [], []
     for first in range(0, cfg.trials, block_trials):
         rngs = [np.random.default_rng(s) for s in seeds[first : first + block_trials]]
+        errors = [None] * len(rngs)
         try:
             block = _sense_block(cfg, plan, rngs)
+            errors = block.errors
+            records = _slot2(cfg, block)
         except Exception as exc:  # a step failed for the whole block
-            trials += [_error_record(exc) for _ in rngs]
-            continue
-        for t, (record, error) in enumerate(zip(_slot2(cfg, block), block.errors)):
-            if error is not None:
-                record = _error_record(error)
-            elif "error" not in record:
+            records = [_error_record(e or exc) for e in errors]
+        for t, record in enumerate(records):
+            if "error" not in record:
                 map_stack.append(block.map_sum[t])
                 profile_stack.append(block.profiles[t])
                 angle_stack.append(block.matched[t])
@@ -646,16 +639,11 @@ def sweep(cfg: ScenarioConfig, variable: str, values: Sequence) -> RunReport:
         value = getattr(point_cfg, SWEEP_VARIABLES[variable])
         report = run_scenario(point_cfg)
         agg = report.aggregate
-        rows.append(
-            {
-                "sweep_value": value,
-                "rate_dl": agg.get("mean_rate_dl"),
-                "rate_ideal": agg.get("mean_rate_dl_ideal"),
-                "rate_ul_nsp": agg.get("mean_rate_ul_nsp"),
-                "rate_ul_mss": agg.get("mean_rate_ul_mss"),
-                "gamma_rad": agg.get("mean_gamma_rad"),
-            }
-        )
+        rows.append({
+            "sweep_value": value, "rate_dl": agg["mean_rate_dl"],
+            "rate_ideal": agg["mean_rate_dl_ideal"], "rate_ul_nsp": agg["mean_rate_ul_nsp"],
+            "rate_ul_mss": agg["mean_rate_ul_mss"], "gamma_rad": agg["mean_gamma_rad"],
+        })
         trials.append({"sweep_value": value, "aggregate": agg})
     return RunReport(
         config=cfg.to_dict(),

@@ -26,7 +26,6 @@ of its stack continue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ula_response_matrix
@@ -34,7 +33,6 @@ from .channels import Waveform
 from .errors import EstimationFailureError
 
 __all__ = [
-    "DelayDopplerMap",
     "angle_grid",
     "sample_covariance",
     "music_doas",
@@ -49,20 +47,6 @@ __all__ = [
 # Quotient cells with |s| below this fraction of the grid maximum are excluded; at
 # 0, the noise-only trial of test_traced_run_keeps_a_failed_trial_record fails.
 DIVISION_GUARD_REL = 1e-8
-
-
-@dataclass(frozen=True)
-class DelayDopplerMap:
-    """Periodogram magnitude over (n, m) with the Doppler axis in signed order.
-
-    Column j of ``magnitude`` corresponds to m = j - Q//2; the peak indices
-    are the row-major argmax of each (P, Q) grid (ties resolved toward smaller
-    n, then smaller m), integers for one grid and arrays for a stack.
-    """
-
-    magnitude: np.ndarray
-    peak_n: int | np.ndarray
-    peak_m: int | np.ndarray
 
 
 def angle_grid(grid_step_deg: float) -> np.ndarray:
@@ -188,13 +172,16 @@ def delay_doppler_quotient(cy_grid: np.ndarray, s_grid: np.ndarray):
     return np.divide(cy_grid, s_grid, out=cy_grid, where=~excluded), excluded
 
 
-def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
+def delay_doppler_map(z: np.ndarray) -> tuple:
     """2-D periodogram of the quotient grid, or of each grid of a stack (..., P, Q).
 
     A DFT runs over the symbol axis (Doppler) and an inverse DFT over the
     subcarrier axis (delay), both in place: ``z`` is overwritten by its
-    transform. The magnitude's Doppler axis is then shifted to the signed
-    index range [-Q/2, Q/2 - 1].
+    transform. Returns ``(magnitude, peak_n, peak_m)``: the periodogram
+    magnitude with its Doppler axis shifted to the signed index range
+    [-Q/2, Q/2 - 1] (column j is m = j - Q//2), and the bins (n, m) of each
+    grid's row-major argmax (ties toward smaller n, then smaller m), integers
+    for one grid and arrays for a stack.
     """
     p_count, q_count = z.shape[-2:]
     np.fft.fft(z, axis=-1, out=z)
@@ -204,7 +191,7 @@ def delay_doppler_map(z: np.ndarray) -> DelayDopplerMap:
     magnitude **= 2
     flat = np.argmax(magnitude.reshape(*z.shape[:-2], -1), axis=-1)
     peak_n, col = np.divmod(flat, q_count)
-    return DelayDopplerMap(magnitude=magnitude, peak_n=peak_n, peak_m=col - q_count // 2)
+    return magnitude, peak_n, col - q_count // 2
 
 
 def recover_parameters(n_star, m_star, wf: Waveform):

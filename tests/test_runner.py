@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -779,13 +779,13 @@ def test_closely_spaced_radar_targets(delta):
 
 @st.composite
 def _on_grid_scenes(draw):
-    # angles on the 0.1-deg scan grid within +-80 deg, pairwise >= 10 deg apart,
+    # angles on the 0.1-deg scan grid within +-89.9 deg, pairwise >= 10 deg apart,
     # drawn in ascending order with room left for the rest and then permuted;
     # ranges and velocities on their bins
     wf = fast_profile().waveform()
-    tenths = [draw(st.integers(-800, 400))]
+    tenths = [draw(st.integers(-899, 499))]
     for rest in range(3, -1, -1):
-        tenths.append(draw(st.integers(tenths[-1] + 100, 800 - 100 * rest)))
+        tenths.append(draw(st.integers(tenths[-1] + 100, 899 - 100 * rest)))
     tenths = draw(st.permutations(tenths))
     bins = draw(st.lists(
         st.tuples(st.integers(0, wf.n_subcarriers - 1),
@@ -823,9 +823,12 @@ def test_on_grid_bins_are_exact_property(scene):
     gaps = np.abs(np.angle(np.exp(1j * np.pi * (sines[:, None] - sines)))) / np.pi
     m_b = fast_profile().n_rx_antennas
     if gaps[np.triu_indices(len(specs), 1)].min() < 2 / m_b:
+        event("rejected at build: two targets inside one RX main lobe")
         with pytest.raises(ValueError, match=f"inside the {m_b}-antenna RX main lobe"):
             fast_profile(trials=1, seed=seed, **geometry)
         return
+    if max(abs(spec.angle_deg) for spec in specs) > 80:
+        event("accepted with a target beyond 80 deg")
     cfg = fast_profile(trials=1, seed=seed, **geometry)
     report = run_scenario(cfg)
     trial = report.trials[0]
