@@ -282,11 +282,9 @@ def get_profile(name: str) -> ScenarioConfig:
     return table1_profile() if name == "table1" else fast_profile()
 
 
-def load_config(path: str | Path, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Load a JSON config file, overlaying it on ``base`` when given."""
+def load_config(path: str | Path, base: ScenarioConfig) -> ScenarioConfig:
+    """Load a JSON config file, overlaying it on ``base``."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object, got {type(data).__name__}")
-    if base is None:
-        return ScenarioConfig.from_dict(data)
     return ScenarioConfig.from_dict({**base.to_dict(), **data})

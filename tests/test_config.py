@@ -181,7 +181,7 @@ def test_load_config_rejects_bad_target_geometry(tmp_path, data, message):
     with pytest.raises(ValueError, match=message):
         load_config(path, base=fast_profile())
     with pytest.raises(ValueError, match=message):
-        load_config(path)
+        load_config(path, base=ScenarioConfig())
 
 
 @pytest.mark.parametrize(
@@ -203,7 +203,7 @@ def test_load_config_rejects_bad_structure_naming_the_key(tmp_path, data, messag
     with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path, base=fast_profile())
     with pytest.raises(ValueError, match=re.escape(message)):
-        load_config(path)
+        load_config(path, base=ScenarioConfig())
 
 
 def test_targets_beyond_the_unambiguous_bins_are_rejected():
