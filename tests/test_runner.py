@@ -24,6 +24,7 @@ from fdisac import runner
 from fdisac.runner import (
     RunReport,
     _block_trials,
+    _build_plan,
     _match_doas,
     _sense_block,
     _slot2,
@@ -41,6 +42,7 @@ from fdisac.sensing import (
     angle_grid, combiner_manifold, delay_doppler_quotient, sample_covariance,
 )
 from oracles import post_canceller_si, radar_channel_at, steering
+from test_workload_golden import CONFIGS, moved_from_record
 
 
 def _tiny_config(**overrides):
@@ -503,6 +505,45 @@ def test_leakage_bound_seed_30_trial_completes():
     assert trial["tx_power_w"] <= cfg.p_b_watts * (1 + 1e-9)
     assert max(trial["analog_residual_w"]) <= cfg.lambda_b_watts
     assert trial["metrics"]["rate_dl"] <= trial["metrics"]["rate_dl_ideal"]
+
+
+def _assert_recorded(names, configs):
+    # each config is the workload golden's line of that name, and reports it
+    assert [CONFIGS[name] for name in names] == configs
+    assert not moved_from_record(names)
+
+
+def test_fast_profile_golden_doas_bins_and_rates():
+    _assert_recorded([f"fast-30dbm[{s}]" for s in range(4)],
+                     [fast_profile(trials=10, seed=s) for s in range(4)])
+
+
+def test_table1_profile_golden_doas_bins_rates_and_sinrs():
+    _assert_recorded([f"table1-2trials[{s}]" for s in range(4)],
+                     [table1_profile(trials=2, seed=s) for s in range(4)])
+
+
+def test_fast_csi_profile_golden_doas_bins_rates_sinrs_and_maps():
+    # with SI CSI at -10 dB NMSE the sensing SI residual is nonzero, and each
+    # seed's averaged delay-Doppler map (its sum) moves with it
+    _assert_recorded([f"csi-10db-2trials[{s}]" for s in range(4)],
+                     [fast_profile(trials=2, seed=s, csi_nmse_db=-10.0) for s in range(4)])
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [
+        test_fast_profile_golden_doas_bins_and_rates,
+        test_table1_profile_golden_doas_bins_rates_and_sinrs,
+        test_fast_csi_profile_golden_doas_bins_rates_sinrs_and_maps,
+    ],
+    ids=["fast", "table1", "fast_csi"],
+)
+def test_goldens_pass_from_cold_and_warm_cache(golden):
+    _build_plan.cache_clear()
+    dft_codebook.cache_clear()
+    golden()  # the first call builds the plan and the codebooks
+    golden()  # every call reads them
 
 
 @pytest.mark.parametrize("profile", [fast_profile, table1_profile])

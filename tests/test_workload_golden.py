@@ -25,9 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdisac.arrays import dft_codebook
 from fdisac.config import fast_profile, table1_profile
-from fdisac.runner import _build_plan, run_scenario
+from fdisac.runner import run_scenario
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 GOLDEN = Path(__file__).with_name("golden_workloads.jsonl")
@@ -128,21 +127,17 @@ def _recorded() -> dict:
     return {line["name"]: line for line in map(json.loads, lines)}
 
 
+def moved_from_record(names) -> dict:
+    """Name -> the moved values of each config in ``names`` that departs from its line."""
+    recorded = _recorded()
+    return {name: m for name in names if (m := _moved(_line(name), recorded[name]))}
+
+
 def test_every_config_reports_its_recorded_answers():
-    recorded = _recorded()
-    assert list(recorded) == list(CONFIGS)
-    moved = {name: m for name, want in recorded.items() if (m := _moved(_line(name), want))}
-    assert not moved, f"{len(moved)} of {len(recorded)} configs moved:\n" + "\n".join(
+    assert list(_recorded()) == list(CONFIGS)
+    moved = moved_from_record(CONFIGS)
+    assert not moved, f"{len(moved)} of {len(CONFIGS)} configs moved:\n" + "\n".join(
         f"{name}: {len(m)} values, first {m[0]}" for name, m in moved.items())
-
-
-def test_first_configs_report_their_recorded_answers_from_cold_and_warm_cache():
-    recorded = _recorded()
-    _build_plan.cache_clear()
-    dft_codebook.cache_clear()
-    for cache in ("cold", "warm"):  # the first pass builds the plans and the codebooks
-        for name in ("fast-30dbm[0]", "table1[0]"):
-            assert not _moved(_line(name), recorded[name]), (cache, name)
 
 
 if __name__ == "__main__":
