@@ -16,14 +16,17 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Iterable
 from pathlib import Path
+
+import numpy as np
 
 from .config import PROFILE_NAMES, ScenarioConfig, get_profile, load_config
 from .runner import SWEEP_VARIABLES, dumps, run_scenario, sweep, sweep_configs, validate_suite
 
 
-def _add_common(parser: argparse.ArgumentParser, *, out: bool = True, table: bool = True) -> None:
-    """The config options, plus ``--out`` and ``--format`` where the subcommand writes them."""
+def _add_common(parser: argparse.ArgumentParser, *, out: bool = True) -> None:
+    """The config options, plus ``--out`` where the subcommand writes files."""
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
     parser.add_argument("--trials", type=int, default=None, help="trial count override")
@@ -32,9 +35,6 @@ def _add_common(parser: argparse.ArgumentParser, *, out: bool = True, table: boo
     )
     if out:
         parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    if table:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                            help="table output format")
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -49,11 +49,7 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
-    if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        path.with_suffix(".json").write_text(dumps(records) + "\n", encoding="utf-8")
-        return
+def _write_table(path: Path, header: list[str], rows: Iterable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -65,23 +61,18 @@ def _cmd_sense(args, cfg: ScenarioConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
+    # one row per map cell, row-major: the first axis repeats, the second (a tuple) tiles
     ra = report.range_angle
-    rows = [
-        [ra["angles_deg"][k], ra["ranges_m"][n], ra["profiles"][k, n]]
-        for k in range(len(ra["angles_deg"]))
-        for n in range(len(ra["ranges_m"]))
-    ]
-    _write_table(out / "range_angle.csv", ["angle_deg", "range_m", "magnitude"], rows, args.format)
+    n_k, n_p = ra["profiles"].shape
+    rows = zip(np.repeat(ra["angles_deg"], n_p).tolist(), ra["ranges_m"] * n_k,
+               ra["profiles"].ravel().tolist())
+    _write_table(out / "range_angle.csv", ["angle_deg", "range_m", "magnitude"], rows)
 
     rv = report.range_velocity
-    rows = [
-        [rv["ranges_m"][n], rv["velocities_mps"][m], rv["magnitude"][n, m]]
-        for n in range(len(rv["ranges_m"]))
-        for m in range(len(rv["velocities_mps"]))
-    ]
-    _write_table(
-        out / "range_velocity.csv", ["range_m", "velocity_mps", "magnitude"], rows, args.format
-    )
+    n_p, n_q = rv["magnitude"].shape
+    rows = zip(np.repeat(rv["ranges_m"], n_q).tolist(), rv["velocities_mps"] * n_p,
+               rv["magnitude"].ravel().tolist())
+    _write_table(out / "range_velocity.csv", ["range_m", "velocity_mps", "magnitude"], rows)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"sense: {report.aggregate['n_trials']} trials, "
           f"max DoA error {report.aggregate['max_doa_error_deg']:.4f} deg, "
@@ -102,7 +93,7 @@ def _cmd_rates(args, cfg: ScenarioConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     rows = [list(r.values()) for r in report.rate_rows]  # the sweep's rows set the columns
-    _write_table(out / "rates.csv", list(report.rate_rows[0]), rows, args.format)
+    _write_table(out / "rates.csv", list(report.rate_rows[0]), rows)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"rates: swept {args.sweep} over {len(args.values)} points, "
           f"wall clock {report.wall_clock_s:.2f} s")
@@ -147,11 +138,11 @@ def main(argv=None) -> int:
     p_rates.set_defaults(func=_cmd_rates)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
-    _add_common(p_val, table=False)
+    _add_common(p_val)
     p_val.set_defaults(func=_cmd_validate)
 
     p_show = sub.add_parser("show-config", help="print the resolved configuration")
-    _add_common(p_show, out=False, table=False)
+    _add_common(p_show, out=False)
     p_show.set_defaults(func=_cmd_show_config)
 
     args = parser.parse_args(argv)

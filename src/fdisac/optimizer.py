@@ -85,9 +85,8 @@ class EstimatedChannels:
 
 
 def build_estimated_channels(
-    scatterer_doas_deg,
-    other_doas_deg,
-    ul_doa_deg: float,
+    doas_deg: np.ndarray,
+    n_scatterers: int,
     h_bb_hat: np.ndarray,
     m_b: int,
     n_b: int,
@@ -96,19 +95,20 @@ def build_estimated_channels(
 ) -> EstimatedChannels:
     """Reconstruct channel estimates from estimated directions.
 
-    Scatterer directions feed the downlink estimate; scatterers plus the other
-    passive targets form the radar interference estimate; the uplink direction
-    adds the final radar term and defines the uplink estimate. Gains are not
-    estimated, so every term is a unit-gain path of
-    :func:`~fdisac.channels.gen_dl_channel`.
+    ``doas_deg`` (..., K) is in config order: the ``n_scatterers``
+    scatterers, the other passive targets, then the uplink user. Scatterer
+    directions feed the downlink estimate; all but the user's form the radar
+    interference estimate; the user's adds the final radar term and defines
+    the uplink estimate. Gains are not estimated, so every term is a
+    unit-gain path of :func:`~fdisac.channels.gen_dl_channel`.
 
-    Directions of shape (..., n) with ``ul_doa_deg`` and ``h_bb_hat`` carrying
-    the same leading axes give a stack of estimates, one per trial.
+    Leading axes of ``doas_deg``, shared by ``h_bb_hat``, give a stack of
+    estimates, one per trial.
     """
-    interferers = np.concatenate([scatterer_doas_deg, other_doas_deg], axis=-1)
+    interferers, ul_doa_deg = doas_deg[..., :-1], doas_deg[..., -1]
     h_int = gen_dl_channel(np.ones(interferers.shape[-1]), interferers, m_b, n_b)
     h_rad = h_int + gen_ul_channel(1.0, ul_doa_deg, m_b, n_b)
-    h_dl = gen_dl_channel(np.ones(scatterer_doas_deg.shape[-1]), scatterer_doas_deg, m_u, n_b)
+    h_dl = gen_dl_channel(np.ones(n_scatterers), doas_deg[..., :n_scatterers], m_u, n_b)
     h_ul = gen_ul_channel(1.0, ul_doa_deg, m_b, n_u)
     return EstimatedChannels(
         h_rad_hat=h_rad,

@@ -474,12 +474,9 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
     sensing failed is designed from its stand-in angles. A step that fails
     for the whole block raises; :func:`run_scenario` records it.
     """
-    n_scatter, k = len(cfg.dl_scatterers), cfg.k_targets
-    matched = block.matched
     est = build_estimated_channels(
-        scatterer_doas_deg=matched[:, :n_scatter],
-        other_doas_deg=matched[:, n_scatter : k - 1],
-        ul_doa_deg=matched[:, k - 1],
+        doas_deg=block.matched,
+        n_scatterers=len(cfg.dl_scatterers),
         h_bb_hat=block.h_si_hat,
         m_b=cfg.n_rx_antennas,
         n_b=cfg.n_tx_antennas,
@@ -616,7 +613,7 @@ def sweep_configs(cfg: ScenarioConfig, variable: str, values: Sequence) -> list:
         raise ValueError(
             f"unknown sweep variable '{variable}', expected one of {sorted(SWEEP_VARIABLES)}"
         )
-    if not values:
+    if len(values) == 0:
         raise ValueError("sweep needs at least one value")
     field_name = SWEEP_VARIABLES[variable]
     if field_name == "analog_taps":

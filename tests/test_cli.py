@@ -97,7 +97,10 @@ def test_worst_dynamic_range_corner_validates(tmp_path):
     ["show-config", "--out", "x"],
     ["show-config", "--format", "json"],
     ["validate", "--format", "json"],
-], ids=["show-config-out", "show-config-format", "validate-format"])
+    ["sense", "--format", "json"],
+    ["rates", "--format", "csv"],
+], ids=["show-config-out", "show-config-format", "validate-format", "sense-format",
+        "rates-format"])
 def test_subcommands_reject_options_they_do_not_read(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
@@ -110,8 +113,9 @@ def test_sense_writes_maps_and_report(tmp_path, tiny_config):
     proc = _run("sense", "--profile", "fast", "--config", str(tiny_config),
                 "--seed", "4", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    for name in ("range_angle.csv", "range_velocity.csv", "report.json"):
-        assert (out / name).exists()
+    # the tables only as CSV: report.json is the one JSON form of the run
+    assert sorted(f.name for f in out.iterdir()) == [
+        "range_angle.csv", "range_velocity.csv", "report.json"]
 
     raw = (out / "range_angle.csv").read_bytes()
     assert b"\r" not in raw  # newline is plain \n
@@ -131,11 +135,9 @@ def test_sense_writes_maps_and_report(tmp_path, tiny_config):
     assert len(report["trials"]) == 2
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sense_tables_of_array_maps_equal_those_of_listed_maps(tmp_path, tiny_config, monkeypatch,
-                                                              fmt):
+def test_sense_tables_of_array_maps_equal_those_of_listed_maps(tmp_path, tiny_config, monkeypatch):
     # the report's float64 entries render like the Python floats of their tolist()
-    args = ["sense", "--profile", "fast", "--config", str(tiny_config), "--format", fmt]
+    args = ["sense", "--profile", "fast", "--config", str(tiny_config)]
     assert main(args + ["--out", str(tmp_path / "arrays")]) == 0
 
     def listed(part):
@@ -151,10 +153,8 @@ def test_sense_tables_of_array_maps_equal_those_of_listed_maps(tmp_path, tiny_co
 
     monkeypatch.setattr(cli, "run_scenario", run_listed)
     assert main(args + ["--out", str(tmp_path / "lists")]) == 0
-    for name in ("range_angle", "range_velocity", "report"):
-        suffix = ".csv" if fmt == "csv" and name != "report" else ".json"
-        arrays, lists = ((tmp_path / d / name).with_suffix(suffix) for d in ("arrays", "lists"))
-        assert arrays.read_bytes() == lists.read_bytes()
+    for name in ("range_angle.csv", "range_velocity.csv", "report.json"):
+        assert (tmp_path / "arrays" / name).read_bytes() == (tmp_path / "lists" / name).read_bytes()
 
 
 def test_rates_sweep_table(tmp_path, tiny_config):
@@ -174,10 +174,10 @@ def test_rates_sweep_table(tmp_path, tiny_config):
 def test_rates_json_format(tmp_path, tiny_config):
     out = tmp_path / "rates_json"
     proc = _run("rates", "--profile", "fast", "--config", str(tiny_config),
-                "--trials", "1", "--values", "5", "--format", "json", "--out", str(out))
+                "--trials", "1", "--values", "5", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    records = json.loads((out / "rates.json").read_text(encoding="utf-8"))
-    assert records[0]["sweep_value"] == 5.0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["rate_rows"][0]["sweep_value"] == 5.0
 
 
 def test_validate_deterministic_and_green(tmp_path, tiny_config):

@@ -34,9 +34,8 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
     v_bb = 0.5 * _crandn(rng, 2, st)
     phi = -12.0
     est = build_estimated_channels(
-        scatterer_doas_deg=np.array([-31.0, 14.0]),
-        other_doas_deg=np.array([40.0]),
-        ul_doa_deg=phi,
+        doas_deg=np.array([-31.0, 14.0, 40.0, phi]),
+        n_scatterers=2,
         h_bb_hat=1e-2 * _crandn(rng, m_b, n_b),
         m_b=m_b,
         n_b=n_b,

@@ -892,11 +892,10 @@ def _assert_within_budgets(bf, cfg):
 
 
 def _estimates_for(cfg, rng):
-    scatterers = np.array([s.angle_deg for s in cfg.dl_scatterers])
-    others = np.array([t.angle_deg for t in cfg.radar_targets])
+    doas = np.array([t.angle_deg for t in (*cfg.dl_scatterers, *cfg.radar_targets, cfg.ul_user)])
     h_bb = 1e-2 * _crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
     return build_estimated_channels(
-        scatterers, others, cfg.ul_user.angle_deg, h_bb,
+        doas, len(cfg.dl_scatterers), h_bb,
         cfg.n_rx_antennas, cfg.n_tx_antennas,
         cfg.dl_user_antennas, cfg.ul_user_antennas,
     )
@@ -925,7 +924,7 @@ def test_algorithm_zero_target_zero_si_unconstrained():
     cfg = _five_path_config().with_overrides(analog_taps=0)
     est = _estimates_for(cfg, np.random.default_rng(20))
     est = build_estimated_channels(
-        np.array([s.angle_deg for s in cfg.dl_scatterers]), np.array([]), cfg.ul_user.angle_deg,
+        np.array([t.angle_deg for t in (*cfg.dl_scatterers, cfg.ul_user)]), len(cfg.dl_scatterers),
         np.zeros((cfg.n_rx_antennas, cfg.n_tx_antennas), dtype=complex),
         cfg.n_rx_antennas, cfg.n_tx_antennas,
         cfg.dl_user_antennas, cfg.ul_user_antennas,
@@ -981,7 +980,7 @@ def test_algorithm_step_attribution_on_failure():
         ul_user=TargetSpec(10.0, 60.0),
     )
     est_bad = build_estimated_channels(
-        np.array([-10.0]), np.array([]), -10.0,
+        np.array([-10.0, -10.0]), 1,
         np.zeros((cfg.n_rx_antennas, cfg.n_tx_antennas), dtype=complex),
         cfg.n_rx_antennas, cfg.n_tx_antennas,
         cfg.dl_user_antennas, cfg.ul_user_antennas,
@@ -1012,30 +1011,29 @@ def _four_chain_config():
 
 
 def test_block_with_degenerate_trials_matches_one_trial_designs():
-    # per trial: scatterer DoAs, the other target's DoA, the UL DoA
-    doas = [
-        ((-30.0, -20.0), (20.0,), -10.0),  # ordinary
-        ((-25.0, -25.0), (20.0,), -10.0),  # repeated scatterers: rank-2 interference
-        ((-30.0, -10.0), (20.0,), -10.0),  # UL inside the interference span
+    # per trial: the two scatterer DoAs, the other target's DoA, the UL DoA
+    doas = np.array([
+        [-30.0, -20.0, 20.0, -10.0],  # ordinary
+        [-25.0, -25.0, 20.0, -10.0],  # repeated scatterers: rank-2 interference
+        [-30.0, -10.0, 20.0, -10.0],  # UL inside the interference span
         # eight leakage rows on four TX chains: the Newton loop stops short of feasibility
-        ((-40.0, -5.0), (30.0,), 10.0),
-    ]
+        [-40.0, -5.0, 30.0, 10.0],
+    ])
     cfg = _four_chain_config()
     rng = np.random.default_rng(22)
     h_bb = 1e-2 * _crandn(rng, len(doas), cfg.n_rx_antennas, cfg.n_tx_antennas)
     dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
-    scat, other, ul = (np.array([d[i] for d in doas]) for i in range(3))
-    block = run_algorithm1(build_estimated_channels(scat, other, ul, h_bb, *dims), cfg)
+    block = run_algorithm1(build_estimated_channels(doas, 2, h_bb, *dims), cfg)
     _assert_within_budgets(block, cfg)
 
     # the repeated directions leave the second trial's interference rank 2, not 3
     w_h = np.swapaxes(block.w_b_rf, -1, -2).conj()
-    h_int_eff = w_h @ build_estimated_channels(scat, other, ul, h_bb, *dims).h_rad_int_hat
+    h_int_eff = w_h @ build_estimated_channels(doas, 2, h_bb, *dims).h_rad_int_hat
     assert [np.linalg.matrix_rank(h) for h in h_int_eff] == [3, 2, 3, 3]
     assert [e is None for e in block.errors] == [True, True, False, False]
 
-    for t, (s, o, u) in enumerate(doas):
-        est = build_estimated_channels(np.array(s), np.array(o), u, h_bb[t], *dims)
+    for t, d in enumerate(doas):
+        est = build_estimated_channels(d, 2, h_bb[t], *dims)
         one = run_algorithm1(est, cfg)
         _assert_within_budgets(one, cfg)
         exc = one.errors[0]
@@ -1125,8 +1123,9 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
     rng = np.random.default_rng(25)
     dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
     est = build_estimated_channels(
-        np.array([[-30.0, -20.0], [-35.0, -15.0], [-40.0, -5.0]]), np.array([[20.0]] * 3),
-        np.array([-10.0, 5.0, 10.0]), 1e-2 * _crandn(rng, 3, *dims[:2]), *dims,
+        np.array([[-30.0, -20.0, 20.0, -10.0], [-35.0, -15.0, 20.0, 5.0],
+                  [-40.0, -5.0, 20.0, 10.0]]),
+        2, 1e-2 * _crandn(rng, 3, *dims[:2]), *dims,
     )
     clean = run_algorithm1(est, cfg)
     solve = optimizer.numeric_tx_precoder
@@ -1156,7 +1155,7 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
         np.testing.assert_array_equal(block.w_b_bb[t], clean.w_b_bb[t])
         assert block.kkt_residual[t] == clean.kkt_residual[t]  # the completed trials keep theirs
     single = build_estimated_channels(
-        np.array([-35.0, -15.0]), np.array([20.0]), 5.0, est.h_bb_hat[1], *dims
+        np.array([-35.0, -15.0, 20.0, 5.0]), 2, est.h_bb_hat[1], *dims
     )
     # a one-trial design records the same error
     one = run_algorithm1(single, cfg)

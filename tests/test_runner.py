@@ -465,6 +465,15 @@ def test_sweep_rejects_a_non_integral_tap_count():
     assert sweep(cfg, "n_taps", [8.0]).rate_rows[0]["sweep_value"] == 8
 
 
+def test_sweep_runs_a_numpy_array_of_values_as_the_list():
+    cfg = fast_profile(trials=1)
+    for variable, values in (("n_taps", [0, 8]), ("p_b_dbm", [10.0, 20.0])):
+        assert sweep(cfg, variable, np.array(values)).to_json() == sweep(
+            cfg, variable, values).to_json()
+    with pytest.raises(ValueError, match="^sweep needs at least one value$"):
+        sweep(cfg, "p_b_dbm", np.array([]))
+
+
 def test_validate_suite_passes_on_tiny_config():
     payload, ok = validate_suite(_tiny_config())
     assert ok, [c for c in payload["checks"] if not c["passed"]]
