@@ -88,15 +88,25 @@ def _parse_values(raw: str | None, variable: str, cfg: ScenarioConfig) -> list:
     return [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
 
 
+# Each rates.csv column after sweep_value, and the point's aggregate key it reads.
+RATE_COLUMNS = {"rate_dl": "mean_rate_dl", "rate_ideal": "mean_rate_dl_ideal",
+                "rate_ul_nsp": "mean_rate_ul_nsp", "rate_ul_mss": "mean_rate_ul_mss",
+                "gamma_rad": "mean_gamma_rad"}
+
+
 def _cmd_rates(args, cfg: ScenarioConfig) -> int:
-    report = sweep(cfg, args.sweep, args.values)  # main parsed the values and checked them
+    reports = sweep(cfg, args.sweep, args.values)  # main parsed the values and checked them
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    rows = [list(r.values()) for r in report.rate_rows]  # the sweep's rows set the columns
-    _write_table(out / "rates.csv", list(report.rate_rows[0]), rows)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    print(f"rates: swept {args.sweep} over {len(args.values)} points, "
-          f"wall clock {report.wall_clock_s:.2f} s")
+    field_name = SWEEP_VARIABLES[args.sweep]
+    points = [{"sweep_value": r.config[field_name], "aggregate": r.aggregate} for r in reports]
+    rows = [[p["sweep_value"], *(p["aggregate"][k] for k in RATE_COLUMNS.values())]
+            for p in points]
+    _write_table(out / "rates.csv", ["sweep_value", *RATE_COLUMNS], rows)
+    payload = {"config": cfg.to_dict(), "seed": cfg.seed, "variable": args.sweep, "points": points}
+    (out / "report.json").write_text(dumps(payload) + "\n", encoding="utf-8")
+    print(f"rates: swept {args.sweep} over {len(points)} points, "
+          f"wall clock {sum(r.wall_clock_s for r in reports):.2f} s")
     return 0
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optimizer import HybridBeamformers
-
 __all__ = ["radar_sinr", "dl_snr", "ul_sinr", "ideal_dl_rate"]
 
 
@@ -36,10 +34,10 @@ def radar_sinr(echo: np.ndarray, si: np.ndarray, w_rf: np.ndarray, sigma_b2: flo
     return _power(echo) / (_power(si) + _power(w_rf) * sigma_b2)
 
 
-def dl_snr(bf: HybridBeamformers, h_dl: np.ndarray, sigma_u2: float) -> float:
+def dl_snr(w_u: np.ndarray, h_dl: np.ndarray, v_rf: np.ndarray, v_bb: np.ndarray,
+           sigma_u2: float) -> float:
     """Downlink SNR ||W_u^H H_dl V_rf V_bb||_F^2 / (||W_u||^2 sigma_u^2)."""
-    sig = _herm(bf.w_u) @ h_dl @ bf.v_b_rf @ bf.v_b_bb
-    return _power(sig) / (_power(bf.w_u) * sigma_u2)
+    return _power(_herm(w_u) @ h_dl @ v_rf @ v_bb) / (_power(w_u) * sigma_u2)
 
 
 def ul_sinr(w_bb: np.ndarray, ul: np.ndarray, echo: np.ndarray, si: np.ndarray,

@@ -100,7 +100,7 @@ def dumps(obj) -> str:
 
 @dataclass
 class RunReport:
-    """Everything one scenario or sweep produced.
+    """Everything one scenario run produced.
 
     The maps stay float64 arrays: ``range_angle`` holds ``angles_deg`` (K,)
     and the peak-normalized range ``profiles`` (K, P), ``range_velocity``
@@ -114,9 +114,8 @@ class RunReport:
     seed: int
     trials: list
     aggregate: dict
-    range_angle: dict | None = None
-    range_velocity: dict | None = None
-    rate_rows: list | None = None
+    range_angle: dict
+    range_velocity: dict
     wall_clock_s: float | None = None
 
     def to_json(self) -> str:
@@ -492,7 +491,7 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
     echo = w_h @ est.h_rad_hat @ bf.v_b_rf @ bf.v_b_bb
     h_ul_eff = w_h @ est.h_ul_hat
     ul = h_ul_eff @ bf.v_u_bb[..., None]
-    gamma_dl = dl_snr(bf, block.h_dl_true, cfg.sigma_u2_watts)
+    gamma_dl = dl_snr(bf.w_u, block.h_dl_true, bf.v_b_rf, bf.v_b_bb, cfg.sigma_u2_watts)
     gamma_ul = ul_sinr(bf.w_b_bb, ul, echo, si, cfg.sigma_b2_watts)
     gamma_ul_mss = ul_sinr(mss_rx_combiner(h_ul_eff), ul, echo, si, cfg.sigma_b2_watts)
     metrics = {
@@ -548,7 +547,7 @@ def _aggregate(trials: list) -> dict:
     agg["max_analog_residual_w"] = float(np.max([max(t["analog_residual_w"]) for t in ok]))
     for key in ("analog_leakage_w", "precoder_kkt_residual", "nsp_nulling_ratio"):
         agg[f"max_{key}"] = float(np.max([t[key] for t in ok]))
-    for key in ("doa_error_deg", "range_error_m"):
+    for key in ("doa_error_deg", "range_error_m", "velocity_error_mps"):
         agg[f"max_{key}"] = float(np.max([row[key] for t in ok for row in t["sensing"]]))
     return agg
 
@@ -617,39 +616,19 @@ def sweep_configs(cfg: ScenarioConfig, variable: str, values: Sequence) -> list:
         raise ValueError("sweep needs at least one value")
     field_name = SWEEP_VARIABLES[variable]
     if field_name == "analog_taps":
-        if not all(float(v).is_integer() for v in values):
-            raise ValueError(f"tap counts must be integers, got {list(values)}")
+        bad = [float(v) for v in values if not float(v).is_integer()]
+        if bad:
+            raise ValueError(f"tap counts must be integers, got {bad}")
         values = [int(v) for v in values]
     return [cfg.with_overrides(**{field_name: value}) for value in values]
 
 
-def sweep(cfg: ScenarioConfig, variable: str, values: Sequence) -> RunReport:
-    """Re-run the scenario for each value of the sweep variable.
+def sweep(cfg: ScenarioConfig, variable: str, values: Sequence) -> list:
+    """The :class:`RunReport` of each point of :func:`sweep_configs`, in value order.
 
-    Every point reuses the same seed so channel realizations are paired across
-    values. Emits one aggregated rate row per value of :func:`sweep_configs`.
+    Every point reuses the same seed so channel realizations are paired across values.
     """
-    start = time.perf_counter()
-    rows = []
-    trials = []
-    for point_cfg in sweep_configs(cfg, variable, values):
-        value = getattr(point_cfg, SWEEP_VARIABLES[variable])
-        report = run_scenario(point_cfg)
-        agg = report.aggregate
-        rows.append({
-            "sweep_value": value, "rate_dl": agg["mean_rate_dl"],
-            "rate_ideal": agg["mean_rate_dl_ideal"], "rate_ul_nsp": agg["mean_rate_ul_nsp"],
-            "rate_ul_mss": agg["mean_rate_ul_mss"], "gamma_rad": agg["mean_gamma_rad"],
-        })
-        trials.append({"sweep_value": value, "aggregate": agg})
-    return RunReport(
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        trials=trials,
-        aggregate={"variable": variable, "n_points": len(values)},
-        rate_rows=rows,
-        wall_clock_s=time.perf_counter() - start,
-    )
+    return [run_scenario(point) for point in sweep_configs(cfg, variable, values)]
 
 
 def validate_suite(cfg: ScenarioConfig) -> tuple[dict, bool]:

@@ -175,10 +175,10 @@ def test_criterion_6_ul_combiner_ordering():
     start = time.perf_counter()
     cfg = fast_profile(trials=100, seed=61)
     values = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    report = sweep(cfg, "p_u_dbm", values)
-    for row in report.rate_rows:
-        assert row["rate_ul_nsp"] >= row["rate_ul_mss"], (
-            f"MSS beat NSP at P_u = {row['sweep_value']} dBm"
+    for value, point in zip(values, sweep(cfg, "p_u_dbm", values)):
+        agg = point.aggregate
+        assert agg["mean_rate_ul_nsp"] >= agg["mean_rate_ul_mss"], (
+            f"MSS beat NSP at P_u = {value} dBm"
         )
     elapsed = time.perf_counter() - start
     _report(6, f"NSP >= MSS at all {len(values)} uplink power points ({elapsed:.0f} s)")
@@ -188,10 +188,10 @@ def test_criterion_7_dl_rate_sanity():
     # high TX power engages the leakage constraint so the tap count matters
     cfg = fast_profile(trials=25, seed=71, tx_power_dbm=55.0)
     taps = [0, 32, 64]  # none, half, full
-    report = sweep(cfg, "n_taps", taps)
-    rates = [row["rate_dl"] for row in report.rate_rows]
-    for row in report.rate_rows:
-        assert row["rate_dl"] <= row["rate_ideal"] + 1e-9
+    aggs = [point.aggregate for point in sweep(cfg, "n_taps", taps)]
+    rates = [agg["mean_rate_dl"] for agg in aggs]
+    for agg in aggs:
+        assert agg["mean_rate_dl"] <= agg["mean_rate_dl_ideal"] + 1e-9
     assert rates[0] <= rates[1] + 1e-9 and rates[1] <= rates[2] + 1e-9, rates
     # default power point: proposed stays below ideal as well
     base = run_scenario(fast_profile(trials=10, seed=72))

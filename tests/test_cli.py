@@ -177,7 +177,8 @@ def test_rates_json_format(tmp_path, tiny_config):
                 "--trials", "1", "--values", "5", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert report["rate_rows"][0]["sweep_value"] == 5.0
+    assert report["variable"] == "p_u_dbm"
+    assert report["points"][0]["sweep_value"] == 5.0
 
 
 def test_validate_deterministic_and_green(tmp_path, tiny_config):

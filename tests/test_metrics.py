@@ -121,13 +121,7 @@ def test_dl_snr_matched_rank_one_closed_form():
     w_u = np.zeros((m_u, 2), dtype=complex)
     w_u[:, 0] = steering(m_u, theta) / np.sqrt(m_u)
     h_dl = np.outer(steering(m_u, theta), steering(n_b, theta).conj())
-    bf = HybridBeamformers(
-        v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=_identity_analog(1),
-        w_b_bb=np.ones((1, 1), dtype=complex), w_u=w_u, v_u_bb=np.zeros(2, dtype=complex),
-        h_tilde_hat=np.zeros((1, 1), dtype=complex),
-        analog_canceller=np.zeros((1, 1), dtype=complex),
-    )
-    got = dl_snr(bf, h_dl, sigma2)
+    got = dl_snr(w_u, h_dl, v_rf, v_bb, sigma2)
     np.testing.assert_allclose(got, p_b * m_u * n_b / sigma2, rtol=1e-10)
 
 
@@ -135,11 +129,10 @@ def test_dl_snr_zero_precoder_and_noise_scaling():
     rng = np.random.default_rng(3)
     bf, est, _ = _toy_system(rng)
     h_dl = _crandn(rng, 4, 8)
-    g1 = dl_snr(bf, h_dl, 1e-8)
-    g2 = dl_snr(bf, h_dl, 2e-8)
+    g1 = dl_snr(bf.w_u, h_dl, bf.v_b_rf, bf.v_b_bb, 1e-8)
+    g2 = dl_snr(bf.w_u, h_dl, bf.v_b_rf, bf.v_b_bb, 2e-8)
     np.testing.assert_allclose(g1, 2.0 * g2, rtol=1e-12)
-    zero_bf = replace(bf, v_b_bb=np.zeros_like(bf.v_b_bb))
-    assert dl_snr(zero_bf, h_dl, 1e-8) == 0.0
+    assert dl_snr(bf.w_u, h_dl, bf.v_b_rf, np.zeros_like(bf.v_b_bb), 1e-8) == 0.0
 
 
 def test_ul_sinr_nsp_denominator_is_self_echo_plus_noise():

@@ -21,8 +21,10 @@ def test_library_example_runs_from_the_package_root(capsys):
     assert "from fdisac import" in code
     exec(compile(code, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 2
-    assert "sweep_value" in printed[1]
+    # the run's two numbers, then each sweep point's tap count and mean DL rate
+    assert len(printed) == 4
+    assert [line.split()[0] for line in printed[1:]] == ["0", "32", "64"]
+    assert all(float(line.split()[1]) > 0 for line in printed[1:])
 
 
 def test_package_root_exports_the_five_pipeline_names():

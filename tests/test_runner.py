@@ -303,6 +303,19 @@ def test_crossed_doas_give_the_ul_user_a_neighbours_bins_in_a_trial_that_complet
     assert report.aggregate["max_doa_error_deg"] == 10.0
 
 
+def test_aggregate_reports_the_worst_velocity_error():
+    cfg = fast_profile(trials=3, seed=2)
+    bin_mps = cfg.waveform().velocity_bin_mps
+    first, *rest = cfg.radar_targets
+    off = replace(first, velocity_mps=first.velocity_mps + 0.3 * bin_mps)
+    report = run_scenario(cfg.with_overrides(radar_targets=(off, *rest)))
+    rows = [row for t in report.trials if "error" not in t for row in t["sensing"]]
+    worst = report.aggregate["max_velocity_error_mps"]
+    assert rows and worst == max(row["velocity_error_mps"] for row in rows)
+    # the estimate is a whole bin, so the off-grid target's error is at least 0.3 bins
+    assert worst >= 0.3 * bin_mps * (1 - 1e-12) > 0
+
+
 def test_run_scenario_deterministic_bytes():
     cfg = _tiny_config()
     r1 = run_scenario(cfg).to_json()
@@ -319,9 +332,8 @@ def test_report_excludes_wall_clock():
 def test_report_json_keys_are_the_report_fields_but_the_wall_clock():
     cfg = _tiny_config(trials=1)
     names = {f.name for f in fields(RunReport)} - {"wall_clock_s"}
-    assert names == {"config", "seed", "trials", "aggregate", "range_angle", "range_velocity",
-                     "rate_rows"}
-    for report in (run_scenario(cfg), sweep(cfg, "p_u_dbm", [cfg.ul_tx_power_dbm])):
+    assert names == {"config", "seed", "trials", "aggregate", "range_angle", "range_velocity"}
+    for report in (run_scenario(cfg), *sweep(cfg, "n_taps", [0, 8])):
         assert set(json.loads(report.to_json())) == names
 
 
@@ -427,12 +439,8 @@ def test_all_trials_failing_raises(monkeypatch):
 
 def test_sweep_single_value_matches_run_scenario():
     cfg = _tiny_config()
-    report = sweep(cfg, "p_u_dbm", [cfg.ul_tx_power_dbm])
-    single = run_scenario(cfg)
-    row = report.rate_rows[0]
-    assert row["sweep_value"] == cfg.ul_tx_power_dbm
-    assert row["rate_dl"] == pytest.approx(single.aggregate["mean_rate_dl"])
-    assert row["rate_ul_nsp"] == pytest.approx(single.aggregate["mean_rate_ul_nsp"])
+    (point,) = sweep(cfg, "p_u_dbm", [cfg.ul_tx_power_dbm])
+    assert point.to_json() == run_scenario(cfg).to_json()
 
 
 def test_sweep_validates_variable_and_values():
@@ -445,12 +453,10 @@ def test_sweep_validates_variable_and_values():
 
 def test_sweep_n_taps_runs_the_field_and_field_names_are_rejected():
     cfg = _tiny_config(trials=1)
-    report = sweep(cfg, "n_taps", [0, 8])
-    for value, trial in zip((0, 8), report.trials):
-        assert trial == {
-            "sweep_value": value,
-            "aggregate": run_scenario(cfg.with_overrides(analog_taps=value)).aggregate,
-        }
+    points = sweep(cfg, "n_taps", [0, 8])
+    assert [point.config["analog_taps"] for point in points] == [0, 8]
+    for value, point in zip((0, 8), points):
+        assert point.aggregate == run_scenario(cfg.with_overrides(analog_taps=value)).aggregate
     for field in ("tx_power_dbm", "ul_tx_power_dbm", "analog_taps"):
         with pytest.raises(ValueError, match=r"\['n_taps', 'p_b_dbm', 'p_u_dbm'\]"):
             sweep(cfg, field, [0])
@@ -461,15 +467,19 @@ def test_sweep_rejects_a_non_integral_tap_count():
     for bad in (4.5, 16.9, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tap counts must be integers"):
             sweep(cfg, "n_taps", [0, bad])
+    # only the failing values are named, as numbers, also from an array
+    with pytest.raises(ValueError, match=r"^tap counts must be integers, got \[4\.5\]$"):
+        sweep(fast_profile(trials=1), "n_taps", np.array([0, 4.5]))
     # an integral float is a tap count, reported as an integer
-    assert sweep(cfg, "n_taps", [8.0]).rate_rows[0]["sweep_value"] == 8
+    taps = sweep(cfg, "n_taps", [8.0])[0].config["analog_taps"]
+    assert taps == 8 and type(taps) is int
 
 
 def test_sweep_runs_a_numpy_array_of_values_as_the_list():
     cfg = fast_profile(trials=1)
     for variable, values in (("n_taps", [0, 8]), ("p_b_dbm", [10.0, 20.0])):
-        assert sweep(cfg, variable, np.array(values)).to_json() == sweep(
-            cfg, variable, values).to_json()
+        assert [r.to_json() for r in sweep(cfg, variable, np.array(values))] == [
+            r.to_json() for r in sweep(cfg, variable, values)]
     with pytest.raises(ValueError, match="^sweep needs at least one value$"):
         sweep(cfg, "p_b_dbm", np.array([]))
 
