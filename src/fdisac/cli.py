@@ -6,9 +6,9 @@ Subcommands:
   validate     run the invariant suite; nonzero exit on any violation
   show-config  print the fully resolved configuration
 
-The configuration, and a rate sweep's values, are resolved once, before the
-subcommand runs; one that cannot be read or is rejected prints
-``fdisac: error: <message>`` and exits 2.
+The configuration, a rate sweep's values and the output directory are
+resolved once, before the subcommand runs; one that cannot be read, made or
+is rejected prints ``fdisac: error: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PROFILE_NAMES, ScenarioConfig, get_profile, load_config
+from .config import PROFILES, ScenarioConfig, load_config
 from .runner import SWEEP_VARIABLES, dumps, run_scenario, sweep, sweep_configs, validate_suite
 
 
@@ -31,14 +31,14 @@ def _add_common(parser: argparse.ArgumentParser, *, out: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
     parser.add_argument("--trials", type=int, default=None, help="trial count override")
     parser.add_argument(
-        "--profile", choices=PROFILE_NAMES, default="table1", help="base parameter profile"
+        "--profile", choices=PROFILES, default="table1", help="base parameter profile"
     )
     if out:
         parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = get_profile(args.profile)
+    cfg = PROFILES[args.profile]()
     if args.config is not None:
         cfg = load_config(args.config, base=cfg)
     overrides = {}
@@ -59,7 +59,6 @@ def _write_table(path: Path, header: list[str], rows: Iterable) -> None:
 def _cmd_sense(args, cfg: ScenarioConfig) -> int:
     report = run_scenario(cfg)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
 
     # one row per map cell, row-major: the first axis repeats, the second (a tuple) tiles
     ra = report.range_angle
@@ -97,7 +96,6 @@ RATE_COLUMNS = {"rate_dl": "mean_rate_dl", "rate_ideal": "mean_rate_dl_ideal",
 def _cmd_rates(args, cfg: ScenarioConfig) -> int:
     reports = sweep(cfg, args.sweep, args.values)  # main parsed the values and checked them
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     field_name = SWEEP_VARIABLES[args.sweep]
     points = [{"sweep_value": r.config[field_name], "aggregate": r.aggregate} for r in reports]
     rows = [[p["sweep_value"], *(p["aggregate"][k] for k in RATE_COLUMNS.values())]
@@ -112,9 +110,7 @@ def _cmd_rates(args, cfg: ScenarioConfig) -> int:
 
 def _cmd_validate(args, cfg: ScenarioConfig) -> int:
     payload, ok = validate_suite(cfg)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(dumps(payload) + "\n", encoding="utf-8")
+    (args.out / "report.json").write_text(dumps(payload) + "\n", encoding="utf-8")
     for check in payload["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"[{status}] {check['name']}: {check['detail']}")
@@ -161,6 +157,8 @@ def main(argv=None) -> int:
         if args.command == "rates":  # the sweep's points are outside values too
             args.values = _parse_values(args.values, args.sweep, cfg)
             sweep_configs(cfg, args.sweep, args.values)
+        if "out" in args:  # made before any trial runs: an unusable directory is rejected here
+            args.out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:  # a rejected config is one line, as argparse's errors
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

@@ -23,12 +23,9 @@ __all__ = [
     "ScenarioConfig",
     "fast_profile",
     "table1_profile",
-    "get_profile",
+    "PROFILES",
     "load_config",
-    "PROFILE_NAMES",
 ]
-
-PROFILE_NAMES = ("table1", "fast")
 
 _INF = math.inf
 
@@ -276,10 +273,8 @@ def fast_profile(**overrides) -> ScenarioConfig:
     )
 
 
-def get_profile(name: str) -> ScenarioConfig:
-    if name not in PROFILE_NAMES:
-        raise ValueError(f"unknown profile '{name}', expected one of {PROFILE_NAMES}")
-    return table1_profile() if name == "table1" else fast_profile()
+# Each profile's name and factory.
+PROFILES = {"table1": table1_profile, "fast": fast_profile}
 
 
 def load_config(path: str | Path, base: ScenarioConfig) -> ScenarioConfig:

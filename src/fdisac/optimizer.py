@@ -84,27 +84,22 @@ class EstimatedChannels:
     h_bb_hat: np.ndarray
 
 
-def build_estimated_channels(
-    doas_deg: np.ndarray,
-    n_scatterers: int,
-    h_bb_hat: np.ndarray,
-    m_b: int,
-    n_b: int,
-    m_u: int,
-    n_u: int,
-) -> EstimatedChannels:
+def build_estimated_channels(doas_deg: np.ndarray, h_bb_hat: np.ndarray, cfg) -> EstimatedChannels:
     """Reconstruct channel estimates from estimated directions.
 
-    ``doas_deg`` (..., K) is in config order: the ``n_scatterers``
-    scatterers, the other passive targets, then the uplink user. Scatterer
-    directions feed the downlink estimate; all but the user's form the radar
-    interference estimate; the user's adds the final radar term and defines
-    the uplink estimate. Gains are not estimated, so every term is a
+    ``cfg`` is a :class:`~fdisac.config.ScenarioConfig`. It sets the array
+    sizes, and ``doas_deg`` (..., K) follows the order of its objects: the
+    downlink scatterers, the other passive targets, then the uplink user.
+    Scatterer directions feed the downlink estimate; all but the user's form
+    the radar interference estimate; the user's adds the final radar term and
+    defines the uplink estimate. Gains are not estimated, so every term is a
     unit-gain path of :func:`~fdisac.channels.gen_dl_channel`.
 
     Leading axes of ``doas_deg``, shared by ``h_bb_hat``, give a stack of
     estimates, one per trial.
     """
+    n_scatterers, m_b, n_b = len(cfg.dl_scatterers), cfg.n_rx_antennas, cfg.n_tx_antennas
+    m_u, n_u = cfg.dl_user_antennas, cfg.ul_user_antennas
     interferers, ul_doa_deg = doas_deg[..., :-1], doas_deg[..., -1]
     h_int = gen_dl_channel(np.ones(interferers.shape[-1]), interferers, m_b, n_b)
     h_rad = h_int + gen_ul_channel(1.0, ul_doa_deg, m_b, n_b)

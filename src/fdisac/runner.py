@@ -473,15 +473,7 @@ def _slot2(cfg: ScenarioConfig, block: _Block) -> list:
     sensing failed is designed from its stand-in angles. A step that fails
     for the whole block raises; :func:`run_scenario` records it.
     """
-    est = build_estimated_channels(
-        doas_deg=block.matched,
-        n_scatterers=len(cfg.dl_scatterers),
-        h_bb_hat=block.h_si_hat,
-        m_b=cfg.n_rx_antennas,
-        n_b=cfg.n_tx_antennas,
-        m_u=cfg.dl_user_antennas,
-        n_u=cfg.ul_user_antennas,
-    )
+    est = build_estimated_channels(block.matched, block.h_si_hat, cfg)
     bf = run_algorithm1(est, cfg)
 
     w_h = np.swapaxes(bf.w_b_rf, -1, -2).conj()

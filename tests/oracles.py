@@ -1,4 +1,4 @@
-"""Per-cell oracles shared by the test modules; the pipeline does not use them."""
+"""Per-cell oracles and test helpers shared by the test modules; the pipeline does not use them."""
 
 from typing import Sequence
 
@@ -7,6 +7,16 @@ import numpy as np
 from fdisac.arrays import ula_response_matrix
 from fdisac.channels import Waveform, delay_doppler_phase
 from fdisac.config import TargetSpec
+
+
+def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """CN(0, 1) entries of ``shape``: real and imaginary parts each of variance 1/2."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def waveform(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9) -> Waveform:
+    """OFDM numerology, by default the table1 profile's: P subcarriers, Q symbols."""
+    return Waveform(p, q, df, ts, fc)
 
 
 def steering(n_elems: int, angle_deg: float) -> np.ndarray:

@@ -16,11 +16,7 @@ from fdisac.config import fast_profile, table1_profile
 from fdisac.errors import DegenerateCombinerError
 from fdisac.optimizer import nsp_rx_combiner, numeric_tx_precoder
 from fdisac.runner import run_scenario, sweep, validate_suite
-from oracles import steering
-
-
-def _crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from oracles import crandn, steering
 
 
 def _report(n, text):
@@ -90,23 +86,23 @@ def test_criterion_3_nsp_nulling():
     for i in range(1000):
         m_rf = 8
         if i % 2 == 0:
-            h_int = _crandn(rng, m_rf, 4)
+            h_int = crandn(rng, m_rf, 4)
         else:
             # steering-built interference with a random compression
-            w = _crandn(rng, 16, m_rf)
+            w = crandn(rng, 16, m_rf)
             angles = rng.uniform(-80, 80, size=4)
             h_int = sum(
                 np.outer(w.conj().T @ steering(16, a), steering(6, a).conj())
                 for a in angles
             )
-        h_ul = np.outer(_crandn(rng, m_rf), _crandn(rng, 3).conj())
+        h_ul = np.outer(crandn(rng, m_rf), crandn(rng, 3).conj())
         w_bb, errors = nsp_rx_combiner(h_ul, h_int)
         assert errors == (None,)
         ratio = np.linalg.norm(w_bb.conj().T @ h_int) / np.linalg.norm(h_int)
         worst = max(worst, ratio)
     assert worst <= 1e-9, f"worst nulling ratio {worst:.3e}"
 
-    direction = _crandn(np.random.default_rng(32), 8)
+    direction = crandn(np.random.default_rng(32), 8)
     h_int = direction[:, None] * np.array([1.0, 0.5j])[None, :]
     _, errors = nsp_rx_combiner(direction[:, None], h_int)
     assert isinstance(errors[0], DegenerateCombinerError)
@@ -123,10 +119,10 @@ def test_criterion_4_closed_form_vs_numeric_precoder():
     for i in range(100):
         p_b = 10.0 ** ((40.0 * (i % 10) / 9.0 - 30.0) / 10.0)  # 0..40 dBm grid
         m_u = n_rf = st = 5
-        h = _crandn(rng, m_u, n_rf)
+        h = crandn(rng, m_u, n_rf)
         _, _, vh = np.linalg.svd(h, full_matrices=False)
         g = h @ vh.conj().T[:, :st] * np.sqrt(p_b / st)
-        t1 = _crandn(rng, n_rf) * 10.0 ** rng.uniform(-4, -1)
+        t1 = crandn(rng, n_rf) * 10.0 ** rng.uniform(-4, -1)
         normal = h.conj().T @ h
         v_ls = np.linalg.solve(normal, h.conj().T @ g)
         s_quad = float(np.real(t1.conj() @ np.linalg.solve(normal, t1)))

@@ -3,7 +3,6 @@ import pytest
 
 from fdisac.channels import (
     SPEED_OF_LIGHT,
-    Waveform,
     delay_doppler_phase,
     fill_complex_normal,
     gen_dl_channel,
@@ -12,11 +11,7 @@ from fdisac.channels import (
     perturb_estimate,
 )
 from fdisac.config import ScenarioConfig, TargetSpec
-from oracles import radar_channel_at
-
-
-def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
-    return Waveform(p, q, df, ts, fc)
+from oracles import radar_channel_at, waveform
 
 
 def test_dl_single_broadside_path_is_all_ones():
@@ -68,7 +63,7 @@ def test_ul_largest_singular_value():
 def test_target_derived_delay_and_doppler():
     # one subcarrier step turns the phase by -2*pi*tau*df, one symbol step by
     # 2*pi*T_s*f_D; both steps stay inside (-pi, pi], so np.angle reads them unwrapped
-    wf = _wf()
+    wf = waveform()
     tau = 2.0 * 120.0 / SPEED_OF_LIGHT
     fd = 2.0 * 30.0 * 28e9 / SPEED_OF_LIGHT
     assert delay_doppler_phase(120.0, 30.0, wf, 0, 0) == 1.0
@@ -84,7 +79,7 @@ def test_target_derived_delay_and_doppler():
 
 
 def test_waveform_numerology_consistency():
-    wf = _wf()
+    wf = waveform()
     assert abs(wf.symbol_duration_s - (1.0 / wf.subcarrier_spacing_hz + wf.cp_duration_s)) \
         <= 1e-12 * wf.symbol_duration_s
     # the config checks the cyclic prefix: ScenarioConfig.waveform() builds every Waveform in use
@@ -95,7 +90,7 @@ def test_waveform_numerology_consistency():
 def test_radar_channel_no_phase_at_origin_cell():
     gains = [0.7 + 0.2j, 1.0]
     specs = [TargetSpec(-30.0, 50.0, 20.0), TargetSpec(40.0, 80.0, -10.0)]
-    wf = _wf()
+    wf = waveform()
     h00 = radar_channel_at(gains, specs, 0, 0, wf, 4, 4)
     expected = sum(
         gain * np.outer(
@@ -109,7 +104,7 @@ def test_radar_channel_no_phase_at_origin_cell():
 
 def test_radar_channel_static_target_symbol_invariant():
     specs = [TargetSpec(15.0, 60.0, 0.0)]
-    wf = _wf()
+    wf = waveform()
     h1 = radar_channel_at([1.0], specs, 3, 0, wf, 4, 4)
     h2 = radar_channel_at([1.0], specs, 3, 9, wf, 4, 4)
     np.testing.assert_allclose(h1, h2, atol=1e-12)
@@ -118,7 +113,7 @@ def test_radar_channel_static_target_symbol_invariant():
 def test_radar_channel_phase_advance_per_subcarrier():
     # d = 50 m, df = 120 kHz: phase step is -2*pi*tau*df with tau = 100/c
     target = [TargetSpec(0.0, 50.0, 0.0)]
-    wf = _wf()
+    wf = waveform()
     expected = -2.0 * np.pi * (100.0 / SPEED_OF_LIGHT) * 120e3
     h_p = radar_channel_at([1.0], target, 5, 2, wf, 2, 2)
     h_p1 = radar_channel_at([1.0], target, 6, 2, wf, 2, 2)
@@ -129,7 +124,7 @@ def test_radar_channel_phase_advance_per_subcarrier():
 
 def test_radar_channel_on_grid_delay_cycle_count():
     # tau = n/(P*df) completes exactly n cycles across the P subcarriers
-    wf = _wf(p=64)
+    wf = waveform(p=64)
     n_bins = 5
     rng_m = n_bins * SPEED_OF_LIGHT / (2 * 64 * 120e3)
     target = [TargetSpec(0.0, rng_m, 0.0)]
@@ -141,7 +136,7 @@ def test_radar_channel_on_grid_delay_cycle_count():
 
 
 def test_radar_channel_grid_index_validation():
-    wf = _wf(p=8, q=4)
+    wf = waveform(p=8, q=4)
     t = [TargetSpec(0.0, 10.0, 0.0)]
     with pytest.raises(ValueError):
         radar_channel_at([1.0], t, 8, 0, wf, 2, 2)

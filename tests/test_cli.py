@@ -83,6 +83,22 @@ def test_rejected_config_is_one_line_and_exit_2(tmp_path, capsys, command, case,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sense", "rates", "validate"])
+def test_unusable_out_is_rejected_before_any_trial_runs(tmp_path, capsys, monkeypatch, command):
+    def no_run(cfg):
+        raise AssertionError("a trial ran")
+    # sense runs cli.run_scenario; rates and validate reach the runner's own
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr("fdisac.runner.run_scenario", no_run)
+    not_a_dir = tmp_path / "not_a_dir"
+    not_a_dir.write_text("", encoding="utf-8")
+    assert main([command, "--profile", "fast", "--trials", "1", "--out", str(not_a_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fdisac: error: ") and captured.err.count("\n") == 1
+    assert not_a_dir.read_text(encoding="utf-8") == ""
+
+
 def test_worst_dynamic_range_corner_validates(tmp_path):
     # tx - threshold - path loss = 100 dB with perfect SI CSI; the same call runs in CI
     corner = {"tx_power_dbm": 100.0, "ul_tx_power_dbm": 100.0, "si_threshold_dbm": -30.0,

@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
+from fdisac.cli import main
 from fdisac.config import (
     _LIMITS,
+    PROFILES,
     ScenarioConfig,
     TargetSpec,
     dbm_to_watt,
     fast_profile,
-    get_profile,
     load_config,
     table1_profile,
 )
@@ -108,11 +109,15 @@ def test_load_config_overlay(tmp_path):
     assert cfg.n_subcarriers == 64  # base profile preserved
 
 
-def test_get_profile_names():
-    assert get_profile("fast").n_subcarriers == 64
-    assert get_profile("table1").n_subcarriers == 792
-    with pytest.raises(ValueError):
-        get_profile("warp")
+def test_get_profile_names(capsys):
+    assert list(PROFILES) == ["table1", "fast"]
+    assert PROFILES["fast"]().n_subcarriers == 64
+    assert PROFILES["table1"]().n_subcarriers == 792
+    # the command line takes its choices from the table, so argparse rejects an unknown name
+    with pytest.raises(SystemExit) as exc:
+        main(["show-config", "--profile", "warp"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'warp'" in capsys.readouterr().err
 
 
 def test_waveform_cp_from_symbol_duration():

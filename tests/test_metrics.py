@@ -5,7 +5,7 @@ import pytest
 
 from fdisac.beamforming import assemble_analog
 from fdisac.cancellers import build_cancellers
-from fdisac.config import fast_profile
+from fdisac.config import ScenarioConfig, TargetSpec, fast_profile
 from fdisac.metrics import dl_snr, ideal_dl_rate, radar_sinr, ul_sinr
 from fdisac.optimizer import (
     HybridBeamformers,
@@ -14,15 +14,20 @@ from fdisac.optimizer import (
     nsp_rx_combiner,
 )
 from fdisac.runner import run_scenario
-from oracles import post_canceller_si, steering
-
-
-def _crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from oracles import crandn, post_canceller_si, steering
 
 
 def _identity_analog(m):
     return assemble_analog(np.ones((m, 1), dtype=complex))
+
+
+# The toy system's arrays and object order; its DoAs are set in _toy_system.
+_TOY_CONFIG = ScenarioConfig(
+    tx_rf_chains=2, tx_antennas_per_rf=4, rx_rf_chains=6, rx_antennas_per_rf=1,
+    dl_user_antennas=4, ul_user_antennas=3, analog_taps=6,
+    dl_scatterers=(TargetSpec(-45.0, 0.0), TargetSpec(-15.0, 0.0)),
+    radar_targets=(TargetSpec(15.0, 0.0),), ul_user=TargetSpec(45.0, 0.0),
+)
 
 
 def _toy_system(rng, perfect_csi=True, nulling=True):
@@ -31,19 +36,13 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
     phases = rng.uniform(0, 2 * np.pi, (2, 4))
     v_rf = assemble_analog(np.exp(1j * phases) / 2.0)
     w_rf = _identity_analog(m_b)
-    v_bb = 0.5 * _crandn(rng, 2, st)
+    v_bb = 0.5 * crandn(rng, 2, st)
     phi = -12.0
     est = build_estimated_channels(
-        doas_deg=np.array([-31.0, 14.0, 40.0, phi]),
-        n_scatterers=2,
-        h_bb_hat=1e-2 * _crandn(rng, m_b, n_b),
-        m_b=m_b,
-        n_b=n_b,
-        m_u=m_u,
-        n_u=n_u,
+        np.array([-31.0, 14.0, 40.0, phi]), 1e-2 * crandn(rng, m_b, n_b), _TOY_CONFIG
     )
     h_tilde_hat = w_rf.conj().T @ est.h_bb_hat @ v_rf
-    h_tilde_true = h_tilde_hat if perfect_csi else h_tilde_hat + 1e-3 * _crandn(rng, 6, 2)
+    h_tilde_true = h_tilde_hat if perfect_csi else h_tilde_hat + 1e-3 * crandn(rng, 6, 2)
     h_ul_eff = w_rf.conj().T @ est.h_ul_hat
     h_int_eff = w_rf.conj().T @ est.h_rad_int_hat
     if nulling:
@@ -51,8 +50,8 @@ def _toy_system(rng, perfect_csi=True, nulling=True):
         assert errors == (None,)
     else:
         w_bb = mss_rx_combiner(h_ul_eff)
-    w_u = np.linalg.qr(_crandn(rng, m_u, st))[0]
-    v_u = _crandn(rng, n_u)
+    w_u = np.linalg.qr(crandn(rng, m_u, st))[0]
+    v_u = crandn(rng, n_u)
     v_u *= np.sqrt(0.01) / np.linalg.norm(v_u)
     bf = HybridBeamformers(
         v_b_rf=v_rf, v_b_bb=v_bb, w_b_rf=w_rf, w_b_bb=w_bb, w_u=w_u, v_u_bb=v_u,
@@ -128,7 +127,7 @@ def test_dl_snr_matched_rank_one_closed_form():
 def test_dl_snr_zero_precoder_and_noise_scaling():
     rng = np.random.default_rng(3)
     bf, est, _ = _toy_system(rng)
-    h_dl = _crandn(rng, 4, 8)
+    h_dl = crandn(rng, 4, 8)
     g1 = dl_snr(bf.w_u, h_dl, bf.v_b_rf, bf.v_b_bb, 1e-8)
     g2 = dl_snr(bf.w_u, h_dl, bf.v_b_rf, bf.v_b_bb, 2e-8)
     np.testing.assert_allclose(g1, 2.0 * g2, rtol=1e-12)
@@ -174,8 +173,8 @@ def test_ul_sinr_matches_brute_force():
 
 def test_ideal_rate_rank_one():
     rng = np.random.default_rng(7)
-    u = _crandn(rng, 4)
-    v = _crandn(rng, 6)
+    u = crandn(rng, 4)
+    v = crandn(rng, 6)
     h = np.outer(u, v.conj())
     sigma_max = np.linalg.norm(u) * np.linalg.norm(v)
     p_b, sigma2 = 0.5, 1e-6
@@ -185,12 +184,12 @@ def test_ideal_rate_rank_one():
 
 def test_ideal_rate_zero_power():
     rng = np.random.default_rng(8)
-    assert ideal_dl_rate(_crandn(rng, 3, 3), 0.0, 1e-6, 2) == 0.0
+    assert ideal_dl_rate(crandn(rng, 3, 3), 0.0, 1e-6, 2) == 0.0
 
 
 def test_ideal_rate_matches_eigendecomposition_oracle():
     rng = np.random.default_rng(9)
-    h = _crandn(rng, 4, 4)
+    h = crandn(rng, 4, 4)
     p_b, sigma2, st = 2.0, 1e-5, 3
     eig = np.sort(np.linalg.eigvalsh(h.conj().T @ h))[::-1]
     expected = sum(np.log2(1 + (p_b / st) * eig[i] / sigma2) for i in range(st))
@@ -202,9 +201,9 @@ def test_proposed_rate_never_beats_ideal():
     rng = np.random.default_rng(10)
     p_b, sigma2, st = 1.0, 1e-7, 3
     for _ in range(40):
-        h = _crandn(rng, 4, 6)
-        w_u = np.linalg.qr(_crandn(rng, 4, st))[0]
-        f = _crandn(rng, 6, st)
+        h = crandn(rng, 4, 6)
+        w_u = np.linalg.qr(crandn(rng, 4, st))[0]
+        f = crandn(rng, 6, st)
         f *= np.sqrt(p_b) / np.linalg.norm(f)
         gamma = np.linalg.norm(w_u.conj().T @ h @ f) ** 2 / (
             np.linalg.norm(w_u) ** 2 * sigma2

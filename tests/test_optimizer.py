@@ -24,11 +24,7 @@ from fdisac.optimizer import (
     user_beamformers,
 )
 from fdisac.runner import _within_budget, run_scenario
-from oracles import steering
-
-
-def _crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from oracles import crandn, steering
 
 
 # ------------------------------------------------------------- analog search
@@ -52,7 +48,7 @@ def test_tx_analog_per_chain_equals_joint_search():
     # brute-force joint search oracle over all codebook pairs
     rng = np.random.default_rng(0)
     cb = dft_codebook(4, 2)
-    h = _crandn(rng, 5, 8)
+    h = crandn(rng, 5, 8)
     bf = select_tx_analog(h, cb)
 
     def joint_objective(i, j):
@@ -68,8 +64,8 @@ def test_tx_analog_per_chain_equals_joint_search():
 def test_rx_analog_zero_si_reduces_to_gain_search():
     rng = np.random.default_rng(1)
     cb = dft_codebook(4, 3)
-    v_rf = select_tx_analog(_crandn(rng, 8, 8), dft_codebook(4, 3))
-    h_rad = _crandn(rng, 8, 8)
+    v_rf = select_tx_analog(crandn(rng, 8, 8), dft_codebook(4, 3))
+    h_rad = crandn(rng, 8, 8)
     w = select_rx_analog(h_rad, np.zeros((8, 8)), v_rf, cb)
     # oracle: per-chain numerator-only maximization
     eff = h_rad @ v_rf
@@ -97,7 +93,7 @@ def test_rx_analog_orthogonal_geometry_prefers_radar():
 def test_tx_analog_objective_monotone_in_codebook_bits():
     # the sin-space grids nest, so more bits can never lose gain
     rng = np.random.default_rng(100)
-    h = _crandn(rng, 6, 8)
+    h = crandn(rng, 6, 8)
     prev = -1.0
     for bits in (1, 2, 3, 4, 5):
         bf = select_tx_analog(h, dft_codebook(4, bits))
@@ -110,8 +106,8 @@ def test_rx_analog_local_optimality_per_chain():
     # swapping any single chain's beam never improves that chain's ratio
     rng = np.random.default_rng(101)
     cb = dft_codebook(4, 3)
-    v_rf = select_tx_analog(_crandn(rng, 8, 8), cb)
-    h_rad, h_si = _crandn(rng, 8, 8), _crandn(rng, 8, 8)
+    v_rf = select_tx_analog(crandn(rng, 8, 8), cb)
+    h_rad, h_si = crandn(rng, 8, 8), crandn(rng, 8, 8)
     w = select_rx_analog(h_rad, h_si, v_rf, cb)
     radar_eff = h_rad @ v_rf
     si_eff = h_si @ v_rf
@@ -136,8 +132,8 @@ def test_tx_analog_chain_count_comes_from_the_channel():
 def test_rx_analog_single_chain_matches_brute_force():
     rng = np.random.default_rng(2)
     cb = dft_codebook(4, 2)
-    v_rf = select_tx_analog(_crandn(rng, 4, 4), dft_codebook(4, 2))
-    h_rad, h_si = _crandn(rng, 4, 4), _crandn(rng, 4, 4)
+    v_rf = select_tx_analog(crandn(rng, 4, 4), dft_codebook(4, 2))
+    h_rad, h_si = crandn(rng, 4, 4), crandn(rng, 4, 4)
     w = select_rx_analog(h_rad, h_si, v_rf, cb)
     ratios = []
     for i in range(len(cb)):
@@ -151,9 +147,9 @@ def test_rx_analog_single_chain_matches_brute_force():
 
 
 def _random_precoder_instance(rng, m_u=4, n_rf=3, st=2, t_scale=1.0):
-    h = _crandn(rng, m_u, n_rf)
-    g = _crandn(rng, m_u, st)
-    t1 = t_scale * _crandn(rng, n_rf)
+    h = crandn(rng, m_u, n_rf)
+    g = crandn(rng, m_u, st)
+    t1 = t_scale * crandn(rng, n_rf)
     return h, g, t1
 
 
@@ -213,9 +209,9 @@ def test_lagrangian_inactive_constraint_clamps_to_zero():
 def test_lagrangian_active_constraint_against_numeric_oracle():
     # closed-form oracle: same instance solved by Sherman-Morrison
     rng = np.random.default_rng(5)
-    h = _crandn(rng, 4, 3)
-    g = 3.0 * _crandn(rng, 4, 3)
-    t1 = _crandn(rng, 3)
+    h = crandn(rng, 4, 3)
+    g = 3.0 * crandn(rng, 4, 3)
+    t1 = crandn(rng, 3)
     lam = 1e-4
     v_cf, zeta_cf = _closed_form_precoder(h, t1, lam, g)
     v_num, info = numeric_tx_precoder(h, t1[None, :], lam, g, return_info=True)
@@ -230,9 +226,9 @@ def test_lagrangian_active_constraint_against_numeric_oracle():
 def test_lagrangian_kkt_conditions():
     rng = np.random.default_rng(6)
     for _ in range(25):
-        h = _crandn(rng, 5, 4)
-        g = 2.0 * _crandn(rng, 5, 3)
-        t1 = _crandn(rng, 4) * rng.uniform(0.1, 3.0)
+        h = crandn(rng, 5, 4)
+        g = 2.0 * crandn(rng, 5, 3)
+        t1 = crandn(rng, 4) * rng.uniform(0.1, 3.0)
         lam = 10.0 ** rng.uniform(-5, 0)
         v, info = numeric_tx_precoder(h, t1, lam, g, return_info=True)
         assert not any(info["errors"])
@@ -265,9 +261,9 @@ def test_lagrangian_singular_normal_matrix():
 def test_numeric_single_chain_agrees_with_closed_form():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        h = _crandn(rng, 5, 4)
-        g = rng.uniform(0.5, 4.0) * _crandn(rng, 5, 2)
-        t1 = _crandn(rng, 4)
+        h = crandn(rng, 5, 4)
+        g = rng.uniform(0.5, 4.0) * crandn(rng, 5, 2)
+        t1 = crandn(rng, 4)
         lam = 10.0 ** rng.uniform(-4, -1)
         v_cf, _ = _closed_form_precoder(h, t1, lam, g)
         v_num = numeric_tx_precoder(h, t1[None, :], lam, g)
@@ -297,9 +293,9 @@ def test_numeric_repeated_rows_take_the_least_squares_step(monkeypatch, twin):
     monkeypatch.setattr(optimizer, "_newton_step", recorded)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        h = _crandn(rng, 5, 4)
-        g = rng.uniform(0.5, 4.0) * _crandn(rng, 5, 2)
-        t1 = _crandn(rng, 4)
+        h = crandn(rng, 5, 4)
+        g = rng.uniform(0.5, 4.0) * crandn(rng, 5, 2)
+        t1 = crandn(rng, 4)
         lam = 10.0 ** rng.uniform(-4, -1)
         v_cf, _ = _closed_form_precoder(h, t1, lam, g)
         ratios.clear()
@@ -318,9 +314,9 @@ def _mixed_precoder_stack(rng, infeasible):
     (1, 0) the singular-normal-matrix instance of
     test_lagrangian_singular_normal_matrix with a target so large that the
     rounding bound of its leakage exceeds the final guard."""
-    h = _crandn(rng, 6, 3, 2)
-    g = 2.0 * _crandn(rng, 6, 3, 1)
-    t_rows = _crandn(rng, 6, 1, 2)
+    h = crandn(rng, 6, 3, 2)
+    g = 2.0 * crandn(rng, 6, 3, 1)
+    t_rows = crandn(rng, 6, 1, 2)
     t_rows[[0, 4]] *= 1e-6  # no row binds
     if infeasible:
         h[3] = [[1.0, 0.0], [1.0j, 0.0], [0.0, 0.0]]
@@ -452,8 +448,8 @@ def test_numeric_infinite_threshold_is_least_squares():
 
 def test_numeric_zero_target_returns_zero():
     rng = np.random.default_rng(9)
-    h = _crandn(rng, 4, 3)
-    t1 = _crandn(rng, 3)
+    h = crandn(rng, 4, 3)
+    t1 = crandn(rng, 3)
     v = numeric_tx_precoder(h, t1[None, :], 1e-3, np.zeros((4, 2)))
     np.testing.assert_allclose(v, 0.0, atol=1e-8)
 
@@ -462,9 +458,9 @@ def test_numeric_multi_constraint_feasible_and_monotone():
     # KKT at every threshold, and the optimal objective never rises as the
     # threshold is relaxed
     rng = np.random.default_rng(10)
-    h = _crandn(rng, 6, 5)
-    g = 2.0 * _crandn(rng, 6, 3)
-    t_rows = _crandn(rng, 3, 5)
+    h = crandn(rng, 6, 5)
+    g = 2.0 * crandn(rng, 6, 3)
+    t_rows = crandn(rng, 3, 5)
     objectives = []
     for lam in (1e-4, 1e-3, 1e-2, 1e-1, np.inf):
         v, info = numeric_tx_precoder(h, t_rows, lam, g, return_info=True)
@@ -481,12 +477,12 @@ def test_precoder_degenerate_face_returns_min_norm():
     # H is 4x8 of rank 2 and the leakage set contains a point with H V = G,
     # so the optima form a face; the solver returns its minimum-norm point
     rng = np.random.default_rng(22)
-    h = _crandn(rng, 4, 2) @ _crandn(rng, 2, 8)
-    t_rows = _crandn(rng, 8, 8)
+    h = crandn(rng, 4, 2) @ crandn(rng, 2, 8)
+    t_rows = crandn(rng, 8, 8)
     _, _, vh = np.linalg.svd(h)
     null = vh[2:].conj().T  # orthonormal basis of null(H), 8x6
     rows = t_rows.conj()
-    v_min = vh[:2].conj().T @ _crandn(rng, 2, 3)  # minimum-norm solution of H V = G
+    v_min = vh[:2].conj().T @ crandn(rng, 2, 3)  # minimum-norm solution of H V = G
     g = h @ v_min
     # a point of {H V = G} with less total leakage, and a threshold between
     # its worst row and the minimum-norm point's worst row
@@ -525,9 +521,9 @@ def _all_active_instance(rng, h, lam):
     zeta_r scales row r of W to norm sqrt(lam). The normal matrix plus the
     leakage term is then positive definite, so V* is the unique optimum.
     """
-    t_rows = _crandn(rng, 8, 8)
+    t_rows = crandn(rng, 8, 8)
     rows = t_rows.conj()
-    y = _crandn(rng, h.shape[0], 3)
+    y = crandn(rng, h.shape[0], 3)
     m = np.linalg.solve(rows.conj().T, h.conj().T @ y)
     zeta = np.linalg.norm(m, axis=1) / np.sqrt(lam)
     v_star = np.linalg.solve(rows, m / zeta[:, None])
@@ -539,17 +535,17 @@ def _check_precoder_kkt(kind, seed):
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, 4))
     if kind == "one_row":
-        h = _crandn(rng, 5, 4)  # full column rank: the closed form exists
+        h = crandn(rng, 5, 4)  # full column rank: the closed form exists
     else:
-        h = _crandn(rng, 4, rank) @ _crandn(rng, rank, 8)
+        h = crandn(rng, 4, rank) @ crandn(rng, rank, 8)
     n_rf = h.shape[1]
     if kind == "all_active":
         lam = 10.0 ** rng.uniform(-3.0, 0.0)
         t_rows, g, v_star, zeta_star = _all_active_instance(rng, h, lam)
     else:
-        g = h @ _crandn(rng, n_rf, 3)
+        g = h @ crandn(rng, n_rf, 3)
         n_rows = 1 if kind == "one_row" else int(rng.integers(2, 9))
-        t_rows = _crandn(rng, n_rows, n_rf)
+        t_rows = crandn(rng, n_rows, n_rf)
         if kind == "zero_rows":
             t_rows[rng.random(n_rows) < 0.5] = 0.0  # rows a full tap set cancels
             t_rows[0] = 0.0
@@ -595,13 +591,13 @@ def _any_shape_instance(seed):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(2, 6)), int(rng.integers(1, 9))
     rank = min(int(rng.integers(1, 4)), m, n)
-    h = _crandn(rng, m, rank) @ _crandn(rng, rank, n)
+    h = crandn(rng, m, rank) @ crandn(rng, rank, n)
     n_rows = int(rng.integers(1, 9))
-    t_rows = _crandn(rng, n_rows, n)
+    t_rows = crandn(rng, n_rows, n)
     if n_rows > 1 and rng.random() < 0.3:
         t_rows[-1] = t_rows[0]
     lam = 10.0 ** rng.uniform(-6.0, 0.0)
-    return h, t_rows, lam, h @ _crandn(rng, n, min(3, m))
+    return h, t_rows, lam, h @ crandn(rng, n, min(3, m))
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,7 +634,7 @@ def test_precoder_kkt_on_a_stack_of_random_instances(seed, m_u, n_rf, rank, n_ro
     # the closed form exists, and eight rows on a rank-2 4x8 channel, the
     # pipeline's shape
     rng = np.random.default_rng([seed, 7151, n_rows])
-    draws = [(_crandn(rng, m_u, rank) @ _crandn(rng, rank, n_rf), _crandn(rng, n_rows, n_rf) * 0.05)
+    draws = [(crandn(rng, m_u, rank) @ crandn(rng, rank, n_rf), crandn(rng, n_rows, n_rf) * 0.05)
              for _ in range(20)]
     h, t_rows = (np.stack(a) for a in zip(*draws))
     _, _, vh = np.linalg.svd(h, full_matrices=False)
@@ -666,7 +662,7 @@ def _column_power(bf, v):
 def test_power_normalize_compliant_untouched():
     rng = np.random.default_rng(11)
     bf = _unit_modulus_bf(rng)
-    v = 0.1 * _crandn(rng, 2, 2)
+    v = 0.1 * crandn(rng, 2, 2)
     out = power_normalize(bf, v, 10.0)
     assert out.tobytes() == v.tobytes()  # scaled by 1, bit identical
 
@@ -689,7 +685,7 @@ def test_power_normalize_scales_single_column():
 def test_power_normalize_postcondition_on_random_violation():
     rng = np.random.default_rng(13)
     bf = _unit_modulus_bf(rng, n_chains=3, n_a=2)
-    v = 5.0 * _crandn(rng, 3, 4)
+    v = 5.0 * crandn(rng, 3, 4)
     p_b = 0.7
     out = power_normalize(bf, v, p_b)
     before = _column_power(bf, v)
@@ -722,7 +718,7 @@ def test_power_normalize_property_on_random_stacks(seed):
     bf = np.stack([_unit_modulus_bf(rng, n_chains, n_a) for _ in range(np.prod(lead))])
     bf = bf.reshape(lead + bf.shape[1:])
     p_b = 10.0 ** rng.uniform(-3.0, 3.0)
-    v = _crandn(rng, *lead, n_chains, n_streams)
+    v = crandn(rng, *lead, n_chains, n_streams)
     v *= np.sqrt(p_b * 10.0 ** rng.uniform(-1.5, 1.0, lead + (1, n_streams))
                  / _column_power(bf, v)[..., None, :])
     out = power_normalize(bf, v, p_b)
@@ -758,9 +754,9 @@ def test_nsp_nulling_and_optimality_against_null_basis_oracle():
     # rank-1 uplink (single LOS path): projecting its singular vector is the
     # exact optimum over unit vectors in the interference null space
     rng = np.random.default_rng(14)
-    h_int_eff = _crandn(rng, 8, 3)
-    u = _crandn(rng, 8)
-    h_ul_eff = np.outer(u, _crandn(rng, 2).conj())
+    h_int_eff = crandn(rng, 8, 3)
+    u = crandn(rng, 8)
+    h_ul_eff = np.outer(u, crandn(rng, 2).conj())
     w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
     assert errors == (None,)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
@@ -774,8 +770,8 @@ def test_nsp_nulling_and_optimality_against_null_basis_oracle():
 
 def test_nsp_nulling_on_generic_channels():
     rng = np.random.default_rng(140)
-    h_int_eff = _crandn(rng, 8, 3)
-    h_ul_eff = _crandn(rng, 8, 2)
+    h_int_eff = crandn(rng, 8, 3)
+    h_ul_eff = crandn(rng, 8, 2)
     w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
     assert errors == (None,)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
@@ -784,9 +780,9 @@ def test_nsp_nulling_on_generic_channels():
 def test_nsp_handles_rank_deficient_interference():
     # repeated directions collapse the interference rank; pinv keeps it stable
     rng = np.random.default_rng(15)
-    col = _crandn(rng, 6)
+    col = crandn(rng, 6)
     h_int_eff = np.stack([col, col, 2 * col], axis=1)
-    h_ul_eff = _crandn(rng, 6, 1)
+    h_ul_eff = crandn(rng, 6, 1)
     w, errors = nsp_rx_combiner(h_ul_eff, h_int_eff)
     assert errors == (None,)
     assert np.linalg.norm(w.conj().T @ h_int_eff) <= 1e-10 * np.linalg.norm(h_int_eff)
@@ -794,9 +790,9 @@ def test_nsp_handles_rank_deficient_interference():
 
 def test_mss_rank_one_channel():
     rng = np.random.default_rng(16)
-    u = _crandn(rng, 5)
+    u = crandn(rng, 5)
     u /= np.linalg.norm(u)
-    v = _crandn(rng, 3)
+    v = crandn(rng, 3)
     h = 2.0 * np.outer(u, v.conj())
     w = mss_rx_combiner(h)
     # phase convention: compare up to the fixed rotation
@@ -812,10 +808,10 @@ def test_mss_identity_channel_gives_basis_column():
 
 def test_mss_beats_random_unit_vectors():
     rng = np.random.default_rng(17)
-    h = _crandn(rng, 6, 4)
+    h = crandn(rng, 6, 4)
     w = mss_rx_combiner(h)
     achieved = np.linalg.norm(w.conj().T @ h)
-    draws = _crandn(rng, 6, 10000)
+    draws = crandn(rng, 6, 10000)
     draws /= np.linalg.norm(draws, axis=0)
     best_random = np.linalg.norm(draws.conj().T @ h, axis=1).max()
     assert achieved >= best_random * (1 - 1e-9)
@@ -845,9 +841,9 @@ def test_user_combiner_phase_ignores_rounding_level_entries():
     # than BS antennas it leaves 0.0); that entry must not set the phase
     rng = np.random.default_rng(19)
     for _ in range(20):
-        u0 = np.r_[0.0, _crandn(rng, 3)]
+        u0 = np.r_[0.0, crandn(rng, 3)]
         u0 /= np.linalg.norm(u0)
-        h_dl = 3.0 * np.outer(u0, _crandn(rng, 4).conj())
+        h_dl = 3.0 * np.outer(u0, crandn(rng, 4).conj())
         w_u, _ = user_beamformers(h_dl, np.eye(2, dtype=complex), 1, 1.0)
         want = u0 * (np.abs(u0[1]) / u0[1])
         assert np.abs(w_u[:, 0] - want).max() <= 1e-12
@@ -855,8 +851,8 @@ def test_user_combiner_phase_ignores_rounding_level_entries():
 
 def test_user_beamformers_singular_vector_property():
     rng = np.random.default_rng(18)
-    h_dl = _crandn(rng, 5, 6)
-    w_u, _ = user_beamformers(h_dl, _crandn(rng, 4, 3), 1, 1.0)
+    h_dl = crandn(rng, 5, 6)
+    w_u, _ = user_beamformers(h_dl, crandn(rng, 4, 3), 1, 1.0)
     sv = np.linalg.svd(h_dl, compute_uv=False)
     np.testing.assert_allclose(np.linalg.norm(h_dl.conj().T @ w_u), sv[0], rtol=1e-10)
 
@@ -893,12 +889,8 @@ def _assert_within_budgets(bf, cfg):
 
 def _estimates_for(cfg, rng):
     doas = np.array([t.angle_deg for t in (*cfg.dl_scatterers, *cfg.radar_targets, cfg.ul_user)])
-    h_bb = 1e-2 * _crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
-    return build_estimated_channels(
-        doas, len(cfg.dl_scatterers), h_bb,
-        cfg.n_rx_antennas, cfg.n_tx_antennas,
-        cfg.dl_user_antennas, cfg.ul_user_antennas,
-    )
+    h_bb = 1e-2 * crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
+    return build_estimated_channels(doas, h_bb, cfg)
 
 
 def test_algorithm_binding_leakage_rows_end_to_end():
@@ -921,22 +913,22 @@ def test_algorithm_binding_leakage_rows_end_to_end():
 
 
 def test_algorithm_zero_target_zero_si_unconstrained():
+    import fdisac.optimizer as optimizer
+
     cfg = _five_path_config().with_overrides(analog_taps=0)
-    est = _estimates_for(cfg, np.random.default_rng(20))
     est = build_estimated_channels(
-        np.array([t.angle_deg for t in (*cfg.dl_scatterers, cfg.ul_user)]), len(cfg.dl_scatterers),
-        np.zeros((cfg.n_rx_antennas, cfg.n_tx_antennas), dtype=complex),
-        cfg.n_rx_antennas, cfg.n_tx_antennas,
-        cfg.dl_user_antennas, cfg.ul_user_antennas,
+        np.array([t.angle_deg for t in (*cfg.dl_scatterers, cfg.ul_user)]),
+        np.zeros((cfg.n_rx_antennas, cfg.n_tx_antennas), dtype=complex), cfg,
     )
     bf = run_algorithm1(est, cfg)
     _assert_within_budgets(bf, cfg)
     # no SI: the precoder is the unconstrained least-squares match
     h_eff = est.h_dl_hat @ bf.v_b_rf
-    _, _, vh = np.linalg.svd(h_eff, full_matrices=False)
     st = cfg.n_streams
-    target_energy = np.linalg.norm(h_eff @ bf.v_b_bb) ** 2
-    assert target_energy > 0
+    g = h_eff @ optimizer._principal(h_eff, st, right=True) * np.sqrt(cfg.p_b_watts / st)
+    v_ls = np.linalg.pinv(h_eff) @ g
+    np.testing.assert_allclose(bf.v_b_bb, v_ls, rtol=0, atol=1e-12 * np.linalg.norm(v_ls))
+    np.testing.assert_allclose(h_eff @ bf.v_b_bb, g, rtol=0, atol=1e-12 * np.linalg.norm(g))
 
 
 def test_algorithm_invariants_multi_chain():
@@ -980,10 +972,8 @@ def test_algorithm_step_attribution_on_failure():
         ul_user=TargetSpec(10.0, 60.0),
     )
     est_bad = build_estimated_channels(
-        np.array([-10.0, -10.0]), 1,
-        np.zeros((cfg.n_rx_antennas, cfg.n_tx_antennas), dtype=complex),
-        cfg.n_rx_antennas, cfg.n_tx_antennas,
-        cfg.dl_user_antennas, cfg.ul_user_antennas,
+        np.array([-10.0, -10.0]), np.zeros((cfg.n_rx_antennas, cfg.n_tx_antennas), dtype=complex),
+        cfg,
     )
     bf = run_algorithm1(est_bad, cfg)
     assert isinstance(bf.errors[0], DegenerateCombinerError)
@@ -1021,19 +1011,18 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
     ])
     cfg = _four_chain_config()
     rng = np.random.default_rng(22)
-    h_bb = 1e-2 * _crandn(rng, len(doas), cfg.n_rx_antennas, cfg.n_tx_antennas)
-    dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
-    block = run_algorithm1(build_estimated_channels(doas, 2, h_bb, *dims), cfg)
+    h_bb = 1e-2 * crandn(rng, len(doas), cfg.n_rx_antennas, cfg.n_tx_antennas)
+    block = run_algorithm1(build_estimated_channels(doas, h_bb, cfg), cfg)
     _assert_within_budgets(block, cfg)
 
     # the repeated directions leave the second trial's interference rank 2, not 3
     w_h = np.swapaxes(block.w_b_rf, -1, -2).conj()
-    h_int_eff = w_h @ build_estimated_channels(doas, 2, h_bb, *dims).h_rad_int_hat
+    h_int_eff = w_h @ build_estimated_channels(doas, h_bb, cfg).h_rad_int_hat
     assert [np.linalg.matrix_rank(h) for h in h_int_eff] == [3, 2, 3, 3]
     assert [e is None for e in block.errors] == [True, True, False, False]
 
     for t, d in enumerate(doas):
-        est = build_estimated_channels(d, 2, h_bb[t], *dims)
+        est = build_estimated_channels(d, h_bb[t], cfg)
         one = run_algorithm1(est, cfg)
         _assert_within_budgets(one, cfg)
         exc = one.errors[0]
@@ -1069,8 +1058,8 @@ def test_block_with_degenerate_trials_matches_one_trial_designs():
 
 def test_nsp_stack_marks_degenerate_matrices_and_keeps_the_others():
     rng = np.random.default_rng(23)
-    h_int = _crandn(rng, 3, 6, 2)
-    h_ul = _crandn(rng, 3, 6, 1)
+    h_int = crandn(rng, 3, 6, 2)
+    h_ul = crandn(rng, 3, 6, 1)
     h_ul[1] = h_int[1][:, :1] * (0.5 - 2j)  # inside the span of its interference
     w, errors = nsp_rx_combiner(h_ul, h_int)
     assert [e is not None for e in errors] == [False, True, False]
@@ -1121,11 +1110,10 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
 
     cfg = _four_chain_config()
     rng = np.random.default_rng(25)
-    dims = (cfg.n_rx_antennas, cfg.n_tx_antennas, cfg.dl_user_antennas, cfg.ul_user_antennas)
     est = build_estimated_channels(
         np.array([[-30.0, -20.0, 20.0, -10.0], [-35.0, -15.0, 20.0, 5.0],
                   [-40.0, -5.0, 20.0, 10.0]]),
-        2, 1e-2 * _crandn(rng, 3, *dims[:2]), *dims,
+        1e-2 * crandn(rng, 3, cfg.n_rx_antennas, cfg.n_tx_antennas), cfg,
     )
     clean = run_algorithm1(est, cfg)
     solve = optimizer.numeric_tx_precoder
@@ -1154,9 +1142,7 @@ def test_precoder_failure_fails_only_its_trial(monkeypatch):
         np.testing.assert_array_equal(block.v_b_bb[t], clean.v_b_bb[t])
         np.testing.assert_array_equal(block.w_b_bb[t], clean.w_b_bb[t])
         assert block.kkt_residual[t] == clean.kkt_residual[t]  # the completed trials keep theirs
-    single = build_estimated_channels(
-        np.array([-35.0, -15.0, 20.0, 5.0]), 2, est.h_bb_hat[1], *dims
-    )
+    single = build_estimated_channels(np.array([-35.0, -15.0, 20.0, 5.0]), est.h_bb_hat[1], cfg)
     # a one-trial design records the same error
     one = run_algorithm1(single, cfg)
     assert [f"{type(e).__name__}: {e}" for e in one.errors] == [

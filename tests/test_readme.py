@@ -25,6 +25,8 @@ def test_library_example_runs_from_the_package_root(capsys):
     assert len(printed) == 4
     assert [line.split()[0] for line in printed[1:]] == ["0", "32", "64"]
     assert all(float(line.split()[1]) > 0 for line in printed[1:])
+    # the leakage caps bind, so the taps show: no taps reads a lower DL rate
+    assert float(printed[1].split()[1]) < float(printed[2].split()[1])
 
 
 def test_package_root_exports_the_five_pipeline_names():

@@ -41,7 +41,7 @@ from fdisac.runner import (
 from fdisac.sensing import (
     angle_grid, combiner_manifold, delay_doppler_quotient, sample_covariance,
 )
-from oracles import post_canceller_si, radar_channel_at, steering
+from oracles import crandn, post_canceller_si, radar_channel_at, steering
 from test_workload_golden import CONFIGS, moved_from_record
 
 
@@ -67,10 +67,6 @@ def _tiny_config(**overrides):
         ul_user=TargetSpec(-10.0, 3 * wf.range_bin_m, wf.velocity_bin_mps),
     )
     return cfg.with_overrides(**overrides) if overrides else cfg
-
-
-def _crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def _oracle_snapshots(specs, gains, phases, h_ul, si_residual, v_rf, tx_rf, v_u, w_rf, sym_u,
@@ -128,8 +124,8 @@ def _scene(cfg, rng):
     specs = cfg.all_target_specs()
     gains = np.array([np.exp(2j * np.pi * rng.random()) for _ in specs])
     h_ul = gen_ul_channel(1j, cfg.ul_user.angle_deg, cfg.n_rx_antennas, cfg.ul_user_antennas)
-    v_u = _crandn(rng, cfg.ul_user_antennas)
-    v_bb = _crandn(rng, cfg.tx_rf_chains, cfg.n_streams)
+    v_u = crandn(rng, cfg.ul_user_antennas)
+    v_bb = crandn(rng, cfg.tx_rf_chains, cfg.n_streams)
     basis, n_drawn = _basis(cfg, rng, 1e-3)
     return specs, gains, h_ul, v_u, v_bb, basis, n_drawn
 
@@ -164,8 +160,8 @@ def _assert_covariance_of(y, cov, exact):
 
 def _si_pair(cfg, rng, scale):
     """An antenna-domain SI channel and an estimate of it off by ``scale`` CN(0, 1) entries."""
-    h_si = _crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
-    return h_si, h_si + scale * _crandn(rng, *h_si.shape)
+    h_si = crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
+    return h_si, h_si + scale * crandn(rng, *h_si.shape)
 
 
 def _oracle_si(cfg, w_rf, v_rf, h_si, h_si_hat):
@@ -624,8 +620,8 @@ def test_projected_dwell_stack_matches_full_synthesis_quotient(profile):
         # a zero or tiny reference in every dwell: scale sym_b, from which
         # the dwells form their echo rows
         basis[:st, cell] *= scale
-    h_si = _crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
-    h_si_hat = h_si + 0.1 * _crandn(rng, *h_si.shape)
+    h_si = crandn(rng, cfg.n_rx_antennas, cfg.n_tx_antennas)
+    h_si_hat = h_si + 0.1 * crandn(rng, *h_si.shape)
     cb_tx = dft_codebook(cfg.tx_antennas_per_rf, cfg.codebook_bits)
     cb_rx = dft_codebook(cfg.rx_antennas_per_rf, cfg.codebook_bits)
     angles = np.array([spec.angle_deg for spec in specs])

@@ -6,7 +6,7 @@ from scipy.signal import find_peaks
 
 from fdisac.arrays import dft_codebook, ula_response_matrix
 from fdisac.beamforming import assemble_analog
-from fdisac.channels import SPEED_OF_LIGHT, Waveform
+from fdisac.channels import SPEED_OF_LIGHT
 from fdisac import sensing
 from fdisac.errors import EstimationFailureError
 from fdisac.sensing import (
@@ -20,11 +20,7 @@ from fdisac.sensing import (
     reference_signal_grid,
     sample_covariance,
 )
-from oracles import steering
-
-
-def _wf(p=792, q=14, df=120e3, ts=8.92e-6, fc=28e9):
-    return Waveform(p, q, df, ts, fc)
+from oracles import steering, waveform
 
 
 def _ula_music(r, k, grid_step_deg, m):
@@ -297,7 +293,7 @@ def _single_target_grids(wf, theta, rng_m, vel, m_b, n_b, rng):
 def test_quotient_recovers_phase_ramp():
     # construction oracle: a noiseless matched echo leaves exactly the
     # delay-Doppler phase ramp, constant modulus across the grid
-    wf = _wf(p=16, q=8)
+    wf = waveform(p=16, q=8)
     rng = np.random.default_rng(6)
     y_grid, s_grid, phase = _single_target_grids(wf, -25.0, 40.0, 30.0, 4, 6, rng)
     z, excluded = delay_doppler_quotient(y_grid @ dwell_weights(_identity_combiner(4), -25.0), s_grid)
@@ -307,7 +303,7 @@ def test_quotient_recovers_phase_ramp():
 
 
 def test_quotient_static_zero_range_target_is_constant():
-    wf = _wf(p=8, q=4)
+    wf = waveform(p=8, q=4)
     rng = np.random.default_rng(7)
     y_grid, s_grid, _ = _single_target_grids(wf, 5.0, 0.0, 0.0, 3, 4, rng)
     z, _ = delay_doppler_quotient(y_grid @ dwell_weights(_identity_combiner(3), 5.0), s_grid)
@@ -413,7 +409,7 @@ def test_periodogram_pure_doppler_negative():
 
 def test_periodogram_off_grid_range_bin():
     # tau = 2*47.3/c at P=792, df=120 kHz lands in bin round(29.99) = 30
-    wf = _wf()
+    wf = waveform()
     tau = 2 * 47.3 / SPEED_OF_LIGHT
     true_bin = tau * wf.n_subcarriers * wf.subcarrier_spacing_hz
     assert round(true_bin) == 30
@@ -495,12 +491,12 @@ def test_quotient_and_map_overwrite_their_input_grid_with_the_out_of_place_bytes
 
 
 def test_recover_zero_bins():
-    delay, doppler, rng_m, vel = recover_parameters(0, 0, _wf())
+    delay, doppler, rng_m, vel = recover_parameters(0, 0, waveform())
     assert delay == 0.0 and doppler == 0.0 and rng_m == 0.0 and vel == 0.0
 
 
 def test_recover_single_range_bin():
-    wf = _wf()
+    wf = waveform()
     _, _, rng_m, _ = recover_parameters(1, 0, wf)
     expected = SPEED_OF_LIGHT / (2 * 792 * 120e3)
     np.testing.assert_allclose(rng_m, expected, rtol=1e-12)
@@ -508,7 +504,7 @@ def test_recover_single_range_bin():
 
 
 def test_recover_single_velocity_bin():
-    wf = _wf()
+    wf = waveform()
     _, _, _, vel = recover_parameters(0, 1, wf)
     expected = SPEED_OF_LIGHT / (2 * 28e9 * 14 * 8.92e-6)
     np.testing.assert_allclose(vel, expected, rtol=1e-12)
